@@ -164,6 +164,10 @@ def _merge_section(user, schema, path):
     return merged
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _coerce(value, default, path):
     if default is None or value is None:
         return value
@@ -171,14 +175,20 @@ def _coerce(value, default, path):
         if not isinstance(value, bool):
             raise ConfigError(f"{path}: expected a boolean, got {value!r}")
         return value
-    if isinstance(default, int) and not isinstance(default, bool):
-        if isinstance(value, bool) or not isinstance(value, int):
+    if _is_int(default):
+        if not _is_int(value):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")
         return value
     if isinstance(default, float):
+        if value == "auto" and path == "solver.T":
+            return value
+        if isinstance(value, str):
+            # YAML 1.1 reads exponent notation without a dot (1e-3) as a string
+            try:
+                value = float(value) if math.isfinite(float(value)) else value
+            except ValueError:
+                pass
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            if isinstance(value, str) and value == "auto" and path == "solver.T":
-                return value
             raise ConfigError(f"{path}: expected a number, got {value!r}")
         return float(value)
     if isinstance(default, str):
@@ -299,6 +309,10 @@ class RunConfig:
                 raise ConfigError(
                     f"estimates.s: {name} requires s >= {MULTILINEAR[name][1]}, got {est['s']}"
                 )
+        if est["n_trials"] < 1 or d["checks"]["existence_trials"] < 1:
+            raise ConfigError("estimates.n_trials, checks.existence_trials: must be >= 1")
+        if est["cutoff"] is not None and not _is_int(est["cutoff"]):
+            raise ConfigError(f"estimates.cutoff: expected an integer, got {est['cutoff']!r}")
         if est["profile"] not in ("band_limited", "exponential_decay", "polynomial_decay"):
             raise ConfigError(f"estimates.profile: unknown profile {est['profile']!r}")
         for combo in est["interpolation_combos"]:
@@ -307,8 +321,9 @@ class RunConfig:
         if est["failure_demo"]:
             if est["failure_s"] >= 0:
                 raise ConfigError("estimates.failure_s: must be negative")
-            if any(int(k) < 2 for k in est["failure_ks"]):
-                raise ConfigError("estimates.failure_ks: modes must be >= 2")
+            ks = est["failure_ks"]
+            if len(ks) < 2 or not all(_is_int(k) and k >= 2 for k in ks):
+                raise ConfigError("estimates.failure_ks: need two or more integer modes >= 2")
 
     def canonical_json(self) -> str:
         return json.dumps(self.data, sort_keys=True, separators=(",", ":"))
@@ -408,9 +423,19 @@ class RunDirectory:
         if exc_type is not None:
             shutil.rmtree(self.staging, ignore_errors=True)
             return False
-        if os.path.exists(self.final):
-            shutil.rmtree(self.final)
-        os.replace(self.staging, self.final)
+        if not os.path.exists(self.final):
+            os.replace(self.staging, self.final)
+            return False
+        # move the old run aside first, so a failed promotion can restore it
+        old = os.path.join(self.root, f".old-{self.run_id}-{os.getpid()}")
+        os.replace(self.final, old)
+        try:
+            os.replace(self.staging, self.final)
+        except OSError:
+            os.replace(old, self.final)
+            shutil.rmtree(self.staging, ignore_errors=True)
+            raise
+        shutil.rmtree(old)
         return False
 
 
@@ -670,7 +695,7 @@ def run_estimates(cfg: RunConfig, outroot: str, force: bool) -> int:
     seed = cfg.data["run"]["seed"]
     profile_kw = {}
     if est["cutoff"] is not None:
-        profile_kw["cutoff"] = int(est["cutoff"])
+        profile_kw["cutoff"] = est["cutoff"]
     if est["profile"] == "exponential_decay":
         profile_kw["rate"] = est["rate"]
     if est["profile"] == "polynomial_decay":
@@ -724,7 +749,7 @@ def run_estimates(cfg: RunConfig, outroot: str, force: bool) -> int:
     demo = None
     if est["failure_demo"]:
         demo = failure_demo_bilinear(
-            est["failure_s"], ks=tuple(int(k) for k in est["failure_ks"]), coeffs=coeffs
+            est["failure_s"], ks=tuple(est["failure_ks"]), coeffs=coeffs
         )
         checks["failure_demo"] = {
             "informational": True,

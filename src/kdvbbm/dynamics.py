@@ -30,10 +30,9 @@ from .params import CoefficientSet
 from .spectral import (
     SpectralGrid,
     Spectrum,
-    _pad_coeffs,
-    _padded_grid,
-    _truncate_coeffs,
+    padded_samples,
     symbol_on_grid,
+    truncated_spectrum,
 )
 
 CUBIC_COEFF = 1.0 / 8.0
@@ -81,28 +80,18 @@ def linear_propagate(u: Spectrum, t: float, coeffs: CoefficientSet) -> Spectrum:
 
 
 def _rhs_coeffs(grid: SpectralGrid, coeffs: CoefficientSet, c: np.ndarray) -> np.ndarray:
-    # Fused tendency: one padded synthesis each for eta and eta_x, then the
-    # three products share them.  States are real fields, so the padded
-    # samples are real up to roundoff and .real keeps products exactly real.
-    n = grid.n_modes
-    pg = _padded_grid(grid)
-    m = pg.n_modes
-    eta = (m * np.fft.ifft(pg.phase * _pad_coeffs(c, n))).real
-    dc = c * (1j * grid.wavenumbers)
-    dc[grid.nyquist] = 0.0
-    eta_x = (m * np.fft.ifft(pg.phase * _pad_coeffs(dc, n))).real
-
-    sq = pg.phase * np.fft.fft(eta * eta) / m
-    cube = pg.phase * np.fft.fft(eta * eta * eta) / m
-    dsq = pg.phase * np.fft.fft(eta_x * eta_x) / m
-
+    # eta and eta_x share one padded synthesis; psi multiplies both the cubic
+    # and the derivative-square term, so by linearity they share one transform.
+    stack = np.array([c, c * (1j * grid.wavenumbers)])
+    stack[1, grid.nyquist] = 0.0
+    eta, eta_x = padded_samples(stack)
+    eta_sq = eta * eta
+    sq, psi_terms = truncated_spectrum(
+        np.array([eta_sq, (CUBIC_COEFF * eta) * eta_sq + DERIV_SQ_COEFF * (eta_x * eta_x)])
+    )
     tau = symbol_on_grid(grid, coeffs, "tau")
     psi = symbol_on_grid(grid, coeffs, "psi")
-    out = -1j * (
-        tau * _truncate_coeffs(sq, n)
-        - CUBIC_COEFF * psi * _truncate_coeffs(cube, n)
-        - DERIV_SQ_COEFF * psi * _truncate_coeffs(dsq, n)
-    )
+    out = -1j * (tau * sq - psi * psi_terms)
     if not np.all(np.isfinite(out)):
         raise NonFiniteError("nonlinear tendency produced a non-finite value")
     return out

@@ -116,14 +116,6 @@ class Spectrum:
         return float(np.max(np.abs(c - mirrored))) / scale
 
 
-def _same_grid(*objs) -> SpectralGrid:
-    grid = objs[0].grid
-    for o in objs[1:]:
-        if o.grid != grid:
-            raise GridMismatchError(f"grids differ: {o.grid} vs {grid}")
-    return grid
-
-
 def transform_forward(f: RealField) -> Spectrum:
     """Series coefficients of a real field; round trip with transform_inverse."""
     grid = f.grid
@@ -205,63 +197,56 @@ def spatial_derivative(s: Spectrum) -> Spectrum:
 
 
 @lru_cache(maxsize=64)
-def _padded_grid(grid: SpectralGrid) -> SpectralGrid:
-    return SpectralGrid(2 * grid.n_modes, grid.half_length)
+def _half_phase(half: int) -> np.ndarray:
+    ph = np.resize([1.0, -1.0], half + 1)  # (-1)^k for k = 0..half
+    ph.setflags(write=False)
+    return ph
 
 
-def _pad_coeffs(c: np.ndarray, n: int) -> np.ndarray:
-    """Embed length-n coefficients into the length-2n layout.
+def padded_samples(c: np.ndarray) -> np.ndarray:
+    """Samples (..., 2n) on the factor-2 padded grid of real-field spectra (..., n).
 
-    The unpaired mode -n/2 is split evenly onto +-n/2 (its real-field reading),
-    so Hermitian inputs stay Hermitian on the padded grid.
+    One batched irfft of the half spectrum: the unpaired mode c_{-n/2} is read
+    as split evenly onto +-n/2, so index n/2 carries conj(c_{-n/2})/2.
     """
-    m = 2 * n
-    half = n // 2
-    out = np.zeros(m, dtype=complex)
-    out[:half] = c[:half]
-    out[m - half + 1 :] = c[half + 1 :]
-    ny = c[half]
-    out[m - half] = 0.5 * ny
-    out[half] = 0.5 * np.conj(ny)
-    return out
+    half = c.shape[-1] // 2
+    h = c[..., : half + 1] * _half_phase(half)
+    h[..., half] = 0.5 * np.conj(h[..., half])
+    return np.fft.irfft(h, 4 * half, norm="forward")
 
 
-def _truncate_coeffs(full: np.ndarray, n: int) -> np.ndarray:
-    """Keep modes |k| < n/2 of a length-2n layout; the coarse Nyquist is zeroed."""
-    m = 2 * n
-    half = n // 2
-    out = np.zeros(n, dtype=complex)
-    out[:half] = full[:half]
-    out[half + 1 :] = full[m - half + 1 :]
-    return out
+def truncated_spectrum(samples: np.ndarray) -> np.ndarray:
+    """Spectra (..., n) of real samples (..., 2n): modes |k| < n/2, Nyquist zeroed.
 
-
-def _padded_samples(spec: Spectrum) -> np.ndarray:
-    grid = spec.grid
-    pg = _padded_grid(grid)
-    padded = _pad_coeffs(spec.coeffs, grid.n_modes)
-    return pg.n_modes * np.fft.ifft(pg.phase * padded)
+    One batched rfft; the negative modes are mirrored into the FFT layout.
+    """
+    half = samples.shape[-1] // 4
+    pos = np.fft.rfft(samples, norm="forward")[..., :half] * _half_phase(half)[:half]
+    return np.concatenate([pos, np.zeros_like(pos[..., :1]), np.conj(pos[..., :0:-1])], axis=-1)
 
 
 def dealiased_product(factors) -> Spectrum:
-    """Spectrum of the pointwise product of 2 or 3 fields, computed alias-free.
+    """Spectrum of the pointwise product of 2 or 3 real fields, computed alias-free.
 
-    Each factor is synthesized on a grid zero-padded to 2n points, multiplied
-    there, transformed back and truncated to |k| < n/2.  The factor-2 padding
-    removes aliasing in the retained band for quadratic and cubic products, so
-    the result equals the exact coefficient convolution whenever the true
-    product is resolvable there.
+    The factors are synthesized together on a grid zero-padded to 2n points,
+    multiplied there, transformed back and truncated to |k| < n/2.  The
+    factor-2 padding removes aliasing in the retained band for quadratic and
+    cubic products, so the result equals the exact coefficient convolution
+    whenever the true product is resolvable there.  A factor that is not the
+    spectrum of a real field raises SymmetryError.
     """
     factors = list(factors)
     if len(factors) not in (2, 3):
         raise ValueError(f"dealiased_product takes 2 or 3 factors, got {len(factors)}")
-    grid = _same_grid(*factors)
-    pg = _padded_grid(grid)
-    prod = _padded_samples(factors[0]) * _padded_samples(factors[1])
-    for extra in factors[2:]:
-        prod = prod * _padded_samples(extra)
-    full = pg.phase * np.fft.fft(prod) / pg.n_modes
-    return Spectrum(grid, _truncate_coeffs(full, grid.n_modes))
+    grid = factors[0].grid
+    if any(f.grid != grid for f in factors):
+        raise GridMismatchError(f"grids differ: {[f.grid for f in factors]}")
+    c = np.array([f.coeffs for f in factors])
+    half = grid.nyquist  # c_{-n/2} is exempt: it is read as split onto +-n/2
+    defect = np.abs(c[:, :half] - np.take(c, -grid.modes[:half], axis=1).conj()).max(axis=1)
+    if (defect > 1e-10 * np.abs(c).max(axis=1)).any():
+        raise SymmetryError("dealiased_product factors must be spectra of real fields")
+    return Spectrum(grid, truncated_spectrum(np.multiply.reduce(padded_samples(c))))
 
 
 def spectrum_csv_rows(s: Spectrum):

@@ -59,6 +59,25 @@ class TestConfig:
         path = _write_config(tmp_path / "c.yaml", cfg)
         assert cli.main(["simulate", path, "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "estimates.n_trials=0",
+            "checks.existence_trials=0",
+            "estimates.failure_ks=[8, x]",
+            "estimates.failure_ks=[8]",
+            "estimates.cutoff=ten",
+            "estimates.cutoff=2.5",
+            "solver.dt=fast",
+            "solver.dt=nan",
+        ],
+    )
+    def test_bad_values_rejected_before_compute(self, tmp_path, override):
+        path = _write_config(tmp_path / "c.yaml", _small_sim())
+        out = tmp_path / "out"
+        assert cli.main(["estimates", path, "--out", str(out), "--set", override]) == 2
+        assert not out.exists()
+
     def test_abcd_coefficients_accepted(self, tmp_path):
         cfg = _small_sim()
         cfg["coefficients"] = {
@@ -136,6 +155,30 @@ class TestSimulate:
         assert cli.main(["simulate", path, "--out", out]) == 0
         assert cli.main(["simulate", path, "--out", out]) == 2
         assert cli.main(["simulate", path, "--out", out, "--force"]) == 0
+
+    def test_failed_force_promotion_keeps_old_run(self, tmp_path, monkeypatch):
+        root = str(tmp_path / "out")
+        with cli.RunDirectory(root, "run", force=False) as rundir:
+            with open(rundir.path("a.csv"), "w") as fh:
+                fh.write("old\n")
+        real_replace = os.replace
+        failures = []
+
+        def replace_failing_promotion(src, dst):
+            if os.path.basename(src).startswith(".staging-") and not failures:
+                failures.append(src)
+                raise OSError("simulated crash during promotion")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_failing_promotion)
+        with pytest.raises(OSError):
+            with cli.RunDirectory(root, "run", force=True) as rundir:
+                with open(rundir.path("a.csv"), "w") as fh:
+                    fh.write("new\n")
+        assert failures
+        assert os.listdir(root) == ["run"]
+        with open(os.path.join(root, "run", "a.csv")) as fh:
+            assert fh.read() == "old\n"
 
     def test_blowup_leaves_no_artifacts(self, tmp_path):
         cfg = _small_sim(solver={"blowup_factor": 0.5})
@@ -257,6 +300,19 @@ class TestSweep:
         assert summary["passed"] is True
         run_dirs = [d for d in os.listdir(out) if d.startswith("simulate-")]
         assert len(run_dirs) == 4
+
+    def test_exponent_notation_values(self, tmp_path):
+        # YAML 1.1 reads 1e-3 as a string; float fields must still take it
+        path = _write_config(tmp_path / "c.yaml", _small_sim(solver={"T": 0.01}))
+        out = str(tmp_path / "out")
+        code = cli.main([
+            "sweep", path, "--out", out, "--workers", "1",
+            "--set", "solver.dt=1e-3,5e-4",
+        ])
+        assert code == 0
+        with open(os.path.join(out, "sweep_manifest.json")) as fh:
+            summary = json.load(fh)
+        assert [p["exit_code"] for p in summary["points"]] == [0, 0]
 
     def test_bad_point_reported(self, tmp_path):
         path = _write_config(tmp_path / "c.yaml", _small_sim())

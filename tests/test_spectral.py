@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kdvbbm as kb
+from kdvbbm.spectral import padded_samples, truncated_spectrum
 from oracles import convolve_project, l2_quadrature
 
 
@@ -243,6 +244,53 @@ class TestDealiasedProduct:
         oracle = convolve_project(small_grid, u.coeffs, v.coeffs, w.coeffs)
         scale = np.max(np.abs(oracle))
         assert np.max(np.abs(p.coeffs - oracle)) < 1e-12 * scale
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    @pytest.mark.parametrize("nyquist", [0.7, 0.4 - 0.9j])
+    def test_nonzero_nyquist_matches_split_embedding(self, small_grid, arity, nyquist):
+        # c_{-n/2} is read as a real field: half of it at -n/2, its conjugate
+        # half at +n/2.  Embed that by hand on the 2n grid and convolve exactly.
+        n, half = small_grid.n_modes, small_grid.nyquist
+        fine = kb.SpectralGrid(2 * n, small_grid.half_length)
+        factors, embedded = [], []
+        for i in range(arity):
+            c = kb.random_field(small_grid, "band_limited", 30 + i, cutoff=half - 1).coeffs
+            c[half] = (i + 1) * nyquist
+            factors.append(kb.Spectrum(small_grid, c))
+            e = np.zeros(2 * n, complex)
+            e[:half] = c[:half]
+            e[2 * n - half + 1 :] = c[half + 1 :]
+            e[2 * n - half] = 0.5 * c[half]
+            e[half] = 0.5 * np.conj(c[half])
+            embedded.append(e)
+        exact = convolve_project(fine, *embedded)
+        oracle = np.zeros(n, complex)
+        oracle[:half] = exact[:half]
+        oracle[half + 1 :] = exact[2 * n - half + 1 :]
+        p = kb.dealiased_product(factors)
+        assert np.max(np.abs(p.coeffs - oracle)) < 1e-12 * np.max(np.abs(oracle))
+
+    def test_batched_rows_equal_single_rows(self, small_grid):
+        rows = np.stack(
+            [kb.random_field(small_grid, "band_limited", 40 + i).coeffs for i in range(3)]
+        )
+        samples = padded_samples(rows)
+        spectra = truncated_spectrum(samples * samples)
+        assert samples.shape == (3, 2 * small_grid.n_modes)
+        assert spectra.shape == rows.shape
+        for i in range(3):
+            single = padded_samples(rows[i])
+            assert np.max(np.abs(samples[i] - single)) <= 1e-15 * np.max(np.abs(single))
+            single = truncated_spectrum(samples[i] * samples[i])
+            assert np.max(np.abs(spectra[i] - single)) <= 1e-15 * np.max(np.abs(single))
+
+    @pytest.mark.parametrize("mode", [0, 3])
+    def test_non_real_factor_rejected(self, small_grid, mode):
+        u = kb.random_field(small_grid, "band_limited", 50)
+        c = u.coeffs.copy()
+        c[mode] += 0.5j  # breaks c_{-k} = conj(c_k)
+        with pytest.raises(kb.SymmetryError):
+            kb.dealiased_product([u, kb.Spectrum(small_grid, c)])
 
     def test_triple_equals_nested_for_resolvable_band(self, small_grid):
         # inputs band-limited below n/4 keep the intermediate product exact
