@@ -49,6 +49,7 @@ from .estimates import (
     interpolation_check,
     multilinear_ratio,
     random_field,
+    random_fields,
     run_trials,
     splitting_check,
 )

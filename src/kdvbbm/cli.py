@@ -315,9 +315,27 @@ class RunConfig:
             raise ConfigError(f"estimates.cutoff: expected an integer, got {est['cutoff']!r}")
         if est["profile"] not in ("band_limited", "exponential_decay", "polynomial_decay"):
             raise ConfigError(f"estimates.profile: unknown profile {est['profile']!r}")
+        if not (math.isfinite(est["sigma"]) and est["sigma"] >= 0):
+            raise ConfigError(f"estimates.sigma: must be finite and nonnegative, got {est['sigma']}")
+        if not math.isfinite(est["s"]):
+            raise ConfigError(f"estimates.s: must be finite, got {est['s']}")
+        campaign_s = [est["s"], est["s"] + 1.0]
         for combo in est["interpolation_combos"]:
             if not (isinstance(combo, list) and len(combo) == 3):
                 raise ConfigError("estimates.interpolation_combos: entries must be [s1, s2, theta]")
+            s1, s2, theta = (_coerce(v, 0.0, "estimates.interpolation_combos") for v in combo)
+            if not all(math.isfinite(v) for v in (s1, s2, theta)):
+                raise ConfigError(f"estimates.interpolation_combos: entries must be finite, got {combo}")
+            if s1 > s2 or not 0.0 <= theta <= 1.0:
+                raise ConfigError(
+                    f"estimates.interpolation_combos: need s1 <= s2 and 0 <= theta <= 1, got {combo}"
+                )
+            campaign_s += [s1, s2]
+        try:
+            for s in campaign_s:
+                gevrey_weights(grid, est["sigma"], s)
+        except KdvBbmError as exc:
+            raise ConfigError(f"estimates: {exc}") from exc
         if est["failure_demo"]:
             if est["failure_s"] >= 0:
                 raise ConfigError("estimates.failure_s: must be negative")

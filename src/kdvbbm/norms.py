@@ -50,18 +50,20 @@ def gevrey_weights(grid: SpectralGrid, sigma: float, s: float) -> np.ndarray:
     return br ** (2.0 * s) * np.exp(2.0 * sigma * br)
 
 
+def row_norms(grid: SpectralGrid, c: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted norms sqrt(2L sum_k w_k |c_k|^2) of spectra (..., n), one per row."""
+    total = np.sum(weights * (c.real**2 + c.imag**2), axis=-1)
+    return np.sqrt(2.0 * grid.half_length * total)
+
+
 def sobolev_norm(u: Spectrum, s: float) -> float:
     """H^s norm; reduces to the L^2 norm at s = 0."""
-    w = bracket(u.grid.wavenumbers) ** (2.0 * s)
-    total = np.sum(w * (u.coeffs.real**2 + u.coeffs.imag**2))
-    return float(np.sqrt(2.0 * u.grid.half_length * total))
+    return float(row_norms(u.grid, u.coeffs, gevrey_weights(u.grid, 0.0, s)))
 
 
 def gevrey_norm(u: Spectrum, g: GevreyIndex) -> float:
     """G^{sigma,s} norm; equals sobolev_norm(u, s) when sigma = 0."""
-    w = gevrey_weights(u.grid, g.sigma, g.s)
-    total = np.sum(w * (u.coeffs.real**2 + u.coeffs.imag**2))
-    return float(np.sqrt(2.0 * u.grid.half_length * total))
+    return float(row_norms(u.grid, u.coeffs, gevrey_weights(u.grid, g.sigma, g.s)))
 
 
 def energy(u: Spectrum, coeffs: CoefficientSet) -> float:

@@ -125,15 +125,25 @@ def transform_forward(f: RealField) -> Spectrum:
 
 def transform_inverse(s: Spectrum) -> RealField:
     """Synthesize samples; raises SymmetryError when the field is not real."""
-    grid = s.grid
-    w = grid.n_modes * np.fft.ifft(grid.phase * s.coeffs)
-    scale = float(np.max(np.abs(w.real)))
-    imag = float(np.max(np.abs(w.imag)))
-    if imag > 1e-10 * (scale + np.finfo(float).tiny):
-        raise SymmetryError(
-            f"inverse transform has relative imaginary residual {imag / (scale + 1e-300):.3e}"
-        )
-    return RealField(grid, w.real)
+    return RealField(s.grid, real_samples(s.grid, s.coeffs))
+
+
+def real_samples(grid: SpectralGrid, c: np.ndarray) -> np.ndarray:
+    """Collocation samples (..., n) of real-field spectra (..., n), one batched inverse FFT.
+
+    Raises SymmetryError when a row's imaginary residual exceeds 1e-10 of its
+    largest real sample, and NonFiniteError when a sample is NaN or Inf.
+    """
+    w = grid.n_modes * np.fft.ifft(grid.phase * c)
+    scale = np.max(np.abs(w.real), axis=-1)
+    imag = np.max(np.abs(w.imag), axis=-1)
+    bad = imag > 1e-10 * (scale + np.finfo(float).tiny)
+    if np.any(bad):
+        worst = float(np.max(imag[bad] / (scale[bad] + 1e-300)))
+        raise SymmetryError(f"inverse transform has relative imaginary residual {worst:.3e}")
+    if not np.all(np.isfinite(w.real)):
+        raise NonFiniteError("field samples contain NaN or Inf")
+    return w.real
 
 
 def evaluate_symbol(kind: str, xi, coeffs: CoefficientSet):
@@ -241,12 +251,23 @@ def dealiased_product(factors) -> Spectrum:
     grid = factors[0].grid
     if any(f.grid != grid for f in factors):
         raise GridMismatchError(f"grids differ: {[f.grid for f in factors]}")
-    c = np.array([f.coeffs for f in factors])
-    half = grid.nyquist  # c_{-n/2} is exempt: it is read as split onto +-n/2
-    defect = np.abs(c[:, :half] - np.take(c, -grid.modes[:half], axis=1).conj()).max(axis=1)
-    if (defect > 1e-10 * np.abs(c).max(axis=1)).any():
+    return Spectrum(grid, product_spectra(np.array([f.coeffs for f in factors])))
+
+
+def product_spectra(c: np.ndarray) -> np.ndarray:
+    """Dealiased spectra (..., n) of the products of the fields stacked on axis -2 of c.
+
+    c holds real-field spectra (..., factors, n); one Hermitian check, one
+    padded_samples, one product over the factor axis and one
+    truncated_spectrum serve the whole stack.  A row that is not the spectrum
+    of a real field raises SymmetryError.
+    """
+    half = c.shape[-1] // 2  # c_{-n/2} is exempt: it is read as split onto +-n/2
+    mirrored = np.take(c, -np.arange(half), axis=-1).conj()
+    defect = np.abs(c[..., :half] - mirrored).max(axis=-1)
+    if (defect > 1e-10 * np.abs(c).max(axis=-1)).any():
         raise SymmetryError("dealiased_product factors must be spectra of real fields")
-    return Spectrum(grid, truncated_spectrum(np.multiply.reduce(padded_samples(c))))
+    return truncated_spectrum(np.multiply.reduce(padded_samples(c), axis=-2))
 
 
 def spectrum_csv_rows(s: Spectrum):

@@ -70,6 +70,11 @@ class TestConfig:
             "estimates.cutoff=2.5",
             "solver.dt=fast",
             "solver.dt=nan",
+            "estimates.interpolation_combos=[[2.0, 0.0, 0.5]]",
+            "estimates.interpolation_combos=[[0.0, 2.0, 1.5]]",
+            "estimates.interpolation_combos=[[0.0, x, 0.5]]",
+            "estimates.sigma=-1",
+            "estimates.sigma=100",
         ],
     )
     def test_bad_values_rejected_before_compute(self, tmp_path, override):

@@ -1,7 +1,11 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import kdvbbm as kb
+from kdvbbm.estimates import MULTILINEAR, PROFILES, TRIAL_BLOCK, _campaign, _trials_per_block
 from oracles import convolve_project
 
 G_S0 = kb.GevreyIndex(0.0, 0.0)
@@ -233,3 +237,158 @@ class TestTrialCampaigns:
         assert c_s > 0
         with pytest.raises(ValueError):
             kb.existence_constant(grid, kb.GevreyIndex(0.1, 0.5), coeffs)
+
+
+def _reference_field(grid, profile, seed, cutoff=None, rate=None, power=None, jitter=0.2):
+    """One field drawn and assembled on its own, the per-trial definition of random_field."""
+    rng = np.random.default_rng(seed)
+    half = grid.n_modes // 2
+    xi_pos = np.pi * np.arange(1, half) / grid.half_length
+    if profile == "band_limited":
+        re = rng.standard_normal(half - 1)
+        im = rng.standard_normal(half - 1)
+        pos = (re + 1j * im) / np.sqrt(2.0)
+        pos[np.arange(1, half) > (half // 4 if cutoff is None else cutoff)] = 0.0
+        c0 = rng.standard_normal()
+    else:
+        if profile == "exponential_decay":
+            mags = np.exp(-rate * xi_pos + jitter * rng.standard_normal(half - 1))
+        else:
+            mags = kb.bracket(xi_pos) ** (-power) * np.exp(jitter * rng.standard_normal(half - 1))
+        pos = mags * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, half - 1))
+        c0 = math.exp(jitter * rng.standard_normal())
+    c = np.zeros(grid.n_modes, dtype=complex)
+    c[1:half] = pos
+    c[half + 1 :] = np.conj(pos[::-1])
+    c[0] = c0
+    return 1.0 * c
+
+
+PROFILE_KW = {
+    "band_limited": {"cutoff": 20},
+    "exponential_decay": {"rate": 0.5},
+    "polynomial_decay": {"power": 2.0},
+}
+CAMPAIGNS = (*MULTILINEAR, "interpolation", "splitting_r1", "antisymmetry")
+G_CAMPAIGN = kb.GevreyIndex(0.1, 1.0)
+COMBO = (0.0, 2.0, 0.25)
+
+
+def _trial_statistic(lemma_id, fields, coeffs):
+    """One trial's value from its fields, through the one-field public functions."""
+    if lemma_id in MULTILINEAR:
+        return kb.multilinear_ratio(lemma_id, fields, G_CAMPAIGN, coeffs)
+    (u,) = fields
+    if lemma_id == "interpolation":
+        return kb.interpolation_check(u, *COMBO, G_CAMPAIGN.sigma)
+    if lemma_id == "splitting_r1":
+        chk = kb.splitting_check(u, G_CAMPAIGN.s, 1.0, G_CAMPAIGN.sigma)
+        return chk.lhs / (chk.sobolev_part + chk.shifted_part)
+    return kb.antisymmetry_check(u, coeffs)
+
+
+def _per_trial_value(lemma_id, grid, coeffs, child, profile="band_limited", **kw):
+    """One trial, its fields seeded as run_trials seeds them."""
+    kids = child.spawn(MULTILINEAR[lemma_id][0]) if lemma_id in MULTILINEAR else [child]
+    fields = [kb.random_field(grid, profile, kid, **kw) for kid in kids]
+    return _trial_statistic(lemma_id, fields, coeffs)
+
+
+def _assert_campaign_close(lemma_id, got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    if lemma_id == "interpolation":
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+    elif lemma_id == "antisymmetry":
+        assert np.all(got < 1e-12) and np.all(np.abs(got - want) < 1e-12)
+    else:
+        assert np.array_equal(got, want)
+
+
+class TestBlockedCampaigns:
+    """Blocks of trials give what the one-field public functions give trial by trial."""
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_batched_rows_equal_single_draws(self, grid, profile):
+        kw = PROFILE_KW[profile]
+        batched = kb.random_fields(grid, profile, np.random.SeedSequence(9).spawn(40), **kw)
+        for row, kid in zip(batched, np.random.SeedSequence(9).spawn(40)):
+            assert np.array_equal(row, _reference_field(grid, profile, kid, **kw))
+            assert np.array_equal(row, kb.random_field(grid, profile, kid, **kw).coeffs)
+
+    @pytest.mark.parametrize("lemma_id", CAMPAIGNS)
+    def test_block_values_equal_per_row_functions(self, small_grid, coeffs, lemma_id):
+        arity, kernel = _campaign(lemma_id, small_grid, G_CAMPAIGN, coeffs, COMBO)
+        kids = np.random.SeedSequence(4).spawn(TRIAL_BLOCK * max(arity, 1))
+        stack = kb.random_fields(small_grid, "band_limited", kids).reshape(TRIAL_BLOCK, max(arity, 1), -1)
+        block = kernel(stack if arity else stack[:, 0])
+        rows = [
+            _trial_statistic(lemma_id, [kb.Spectrum(small_grid, c) for c in trial], coeffs)
+            for trial in stack
+        ]
+        _assert_campaign_close(lemma_id, block, rows)
+
+    @pytest.mark.parametrize("n_trials", [1, 31, 32, 33, 65])
+    @pytest.mark.parametrize("lemma_id", CAMPAIGNS)
+    def test_reports_equal_trial_by_trial_reference(self, small_grid, coeffs, lemma_id, n_trials):
+        rep = kb.run_trials(lemma_id, small_grid, G_CAMPAIGN, coeffs, n_trials=n_trials, seed=17,
+                            combo=COMBO if lemma_id == "interpolation" else None)
+        # fresh children: spawning a grandchild advances its parent's counter
+        values = [
+            _per_trial_value(lemma_id, small_grid, coeffs, child)
+            for child in np.random.SeedSequence(17).spawn(n_trials)
+        ]
+        _assert_campaign_close(lemma_id, rep.ratio_max, max(values))
+        _assert_campaign_close(lemma_id, rep.ratio_mean, sum(values) / n_trials)
+
+    def test_fine_grid_blocks_match_reference(self, coeffs):
+        fine = kb.SpectralGrid(1024, 16.0 * np.pi)
+        assert _trials_per_block(fine) == 8
+        rep = kb.run_trials("trilinear_psi", fine, G_CAMPAIGN, coeffs, n_trials=9, seed=2)
+        values = [
+            _per_trial_value("trilinear_psi", fine, coeffs, child)
+            for child in np.random.SeedSequence(2).spawn(9)
+        ]
+        assert rep.ratio_max == max(values)
+        assert rep.ratio_mean == sum(values) / 9
+
+    @pytest.mark.parametrize("profile", ["exponential_decay", "polynomial_decay"])
+    def test_decay_profiles_match_reference(self, small_grid, coeffs, profile):
+        kw = PROFILE_KW[profile]
+        rep = kb.run_trials("trilinear_psi", small_grid, G_CAMPAIGN, coeffs, n_trials=40, seed=5,
+                            profile=profile, **kw)
+        values = [
+            _per_trial_value("trilinear_psi", small_grid, coeffs, child, profile, **kw)
+            for child in np.random.SeedSequence(5).spawn(40)
+        ]
+        assert rep.ratio_max == max(values)
+        assert rep.ratio_mean == sum(values) / 40
+
+    def test_checks_kept(self, small_grid, coeffs):
+        with pytest.raises(ValueError, match="requires s >="):
+            kb.run_trials("derivsq_psi", small_grid, kb.GevreyIndex(0.1, 0.5), coeffs, n_trials=2)
+        with pytest.raises(kb.NormOverflowError):
+            kb.run_trials("bilinear_tau", small_grid, kb.GevreyIndex(50.0, 1.0), coeffs, n_trials=2)
+        with pytest.raises(ValueError, match="s1 <= s2"):
+            kb.run_trials("interpolation", small_grid, G_CAMPAIGN, coeffs, n_trials=2,
+                          combo=(2.0, 0.0, 0.5))
+        with pytest.raises(ValueError, match="theta"):
+            kb.run_trials("interpolation", small_grid, G_CAMPAIGN, coeffs, n_trials=2,
+                          combo=(0.0, 2.0, 1.5))
+        with pytest.raises(ValueError, match="n_trials"):
+            kb.run_trials("bilinear_tau", small_grid, G_CAMPAIGN, coeffs, n_trials=0)
+        skewed = kb.Spectrum(small_grid, np.full(small_grid.n_modes, 1j))
+        with pytest.raises(kb.SymmetryError):
+            kb.antisymmetry_check(skewed, coeffs)
+
+    def test_working_set_bounded_by_block(self, grid, coeffs):
+        kb.run_trials("trilinear_psi", grid, G_CAMPAIGN, coeffs, n_trials=1)  # fill plan and symbol caches
+
+        def peak(n_trials):
+            tracemalloc.start()
+            try:
+                kb.run_trials("trilinear_psi", grid, G_CAMPAIGN, coeffs, n_trials=n_trials, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1024) <= 1.5 * peak(64)

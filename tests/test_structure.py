@@ -1,7 +1,8 @@
-"""Module boundaries: no package module reaches into another one's private names.
+"""Module boundaries and seeded randomness, checked on the package's syntax trees.
 
 Keeping the padding and truncation decisions behind public functions of
-`spectral` is what lets them be written exactly once.
+`spectral` is what lets them be written exactly once.  Drawing only from
+explicitly seeded generators is what makes reruns reproduce their digests.
 """
 
 import ast
@@ -36,4 +37,54 @@ def test_no_private_names_imported_across_modules():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 5
     offenders = [line for path in modules for line in _private_imports(path)]
+    assert offenders == []
+
+
+#: numpy.random names that create or seed a generator; the rest read or move global state.
+SEEDED_RANDOM = {
+    "default_rng", "SeedSequence", "Generator", "BitGenerator",
+    "PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64",
+}
+
+
+def _global_rng_uses(source, name):
+    tree = ast.parse(source, filename=name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "random"
+            and isinstance(node.value.value, ast.Name)
+            and node.value.value.id in ("np", "numpy")
+            and node.attr not in SEEDED_RANDOM
+        ):
+            yield f"{name}:{node.lineno} uses numpy.random.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
+            for alias in node.names:
+                if alias.name not in SEEDED_RANDOM:
+                    yield f"{name}:{node.lineno} imports numpy.random.{alias.name}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            if any(alias.name == "random" for alias in node.names):
+                yield f"{name}:{node.lineno} imports numpy.random under another name"
+        elif isinstance(node, ast.Import):
+            if any(alias.name == "numpy.random" for alias in node.names):
+                yield f"{name}:{node.lineno} imports numpy.random under another name"
+
+
+def test_guard_flags_global_rng_state():
+    source = (
+        "import numpy as np\n"
+        "from numpy.random import rand\n"
+        "np.random.seed(0)\n"
+        "x = np.random.standard_normal(3)\n"
+        "rng = np.random.default_rng(np.random.SeedSequence(0))\n"
+    )
+    assert len(list(_global_rng_uses(source, "bad.py"))) == 3
+
+
+def test_randomness_is_explicitly_seeded():
+    modules = sorted(PACKAGE.glob("*.py"))
+    offenders = [
+        line for path in modules for line in _global_rng_uses(path.read_text(encoding="utf-8"), path.name)
+    ]
     assert offenders == []
