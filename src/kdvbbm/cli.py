@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 enabled check failed, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import datetime
@@ -33,6 +34,7 @@ from .dynamics import evolve_ifrk4, local_existence_time, picard_solve
 from .errors import ConfigError, KdvBbmError
 from .estimates import (
     MULTILINEAR,
+    PROFILES,
     existence_constant,
     failure_demo_bilinear,
     run_trials,
@@ -70,136 +72,188 @@ _CAMPAIGNS = tuple(MULTILINEAR) + ("interpolation", "splitting_r1", "antisymmetr
 # ---------------------------------------------------------------------------
 # configuration schema
 # ---------------------------------------------------------------------------
+#
+# Every leaf of _SCHEMA is a (default, type) pair.  A type parses one user
+# value: it checks the value's kind and domain and returns what the config
+# stores (a float for a number; lists and mappings as written), or raises a
+# ConfigError whose message starts with the key's dotted path.
 
-_SCHEMA = {
-    "run": {"seed": 0, "label": ""},
-    "coefficients": {
-        "gamma1": 1.0 / 12.0,
-        "gamma2": 1.0 / 12.0,
-        "delta1": 1.0 / 20.0,
-        "delta2": 4.0 / 45.0,
-        "gamma": 7.0 / 48.0,
-        "abcd": None,  # optional {a,b,c,d,a1,b1,c1,d1[,rho]}; overrides the direct values
-    },
-    "grid": {"n_modes": 256, "half_length": 16.0 * math.pi},
-    "initial": {
-        "family": "cos_mode",  # cos_mode | gaussian | gevrey_synthetic
-        "amplitude": 0.05,
-        "k": 1,
-        "width": 1.0,
-        "sigma0": 0.5,
-        "roll_off": 2.0,
-    },
-    "solver": {
-        "method": "ifrk4",
-        "T": 5.0,  # picard runs also accept "auto" (the guaranteed window)
-        "dt": 1.0e-3,
-        "record_every": 10,
-        "tol": 1.0e-9,
-        "max_iter": 30,
-        "n_nodes": 64,
-        "mesh_check": True,
-        "crosscheck": True,
-        "blowup_factor": 1.0e6,
-    },
-    "analyticity": {
-        "enabled": False,
-        "sigma0": 0.5,
-        "s": 2.0,
-        "noise_floor": 1.0e-8,
-        "variant": "exact_integral",
-        "max_rel_step": 0.01,
-        "calibration_fraction": 0.1,
-    },
-    "estimates": {
-        "campaigns": list(_CAMPAIGNS),
-        "n_trials": 1000,
-        "sigma": 0.1,
-        "s": 1.0,
-        "profile": "band_limited",
-        "cutoff": None,
-        "rate": 0.5,
-        "power": 2.0,
-        "interpolation_combos": [
-            [0.0, 2.0, 0.5],
-            [0.0, 2.0, 0.25],
-            [1.0, 3.0, 0.5],
-            [0.0, 4.0, 0.75],
-            [0.5, 2.5, 1.0 / 3.0],
-        ],
-        "failure_demo": True,
-        "failure_s": -0.5,
-        "failure_ks": [8, 16, 32, 64],
-    },
-    "checks": {
-        "energy_drift_tol": 1.0e-6,
-        "h2_band_slack": 1.0e-6,
-        "growth_slack": 1.0e-6,
-        "contraction_limit": 0.55,
-        "crosscheck_tol": 1.0e-6,
-        "existence_trials": 128,
-        "existence_seed": 2024,
-    },
-    "output": {"directory": "runs"},
-}
+
+def _expect(ok, path, what, value):
+    if not ok:
+        raise ConfigError(f"{path}: expected {what}, got {value!r}")
+    return value
+
+
+def _of_kind(kind, what):
+    return lambda value, path: _expect(isinstance(value, kind), path, what, value)
+
+
+def _one_of(*choices):
+    what = f"one of {list(choices)}"
+    return lambda value, path: _expect(value in choices, path, what, value)
+
+
+def _integer(lo):
+    what = f"an integer >= {lo}"
+    return lambda value, path: _expect(type(value) is int and value >= lo, path, what, value)
+
+
+def _number(interval="(-inf, inf)"):
+    """A finite number in an interval written like "(0, 0.5]"; a string that parses as one
+    counts, since YAML 1.1 reads exponent notation without a dot (1e-3) as a string."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    closed_lo, closed_hi = interval[0] == "[", interval[-1] == "]"
+    what = "a finite number" if interval == "(-inf, inf)" else f"a finite number in {interval}"
+
+    def parse(value, path):
+        x = math.nan
+        if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+            with contextlib.suppress(ValueError, OverflowError):
+                x = float(value)
+        inside = (lo <= x if closed_lo else lo < x) and (x <= hi if closed_hi else x < hi)
+        _expect(math.isfinite(x) and inside, path, what, value)
+        return x
+
+    return parse
+
+
+def _list(item, min_len=0):
+    def parse(value, path):
+        ok = isinstance(value, list) and len(value) >= min_len
+        _expect(ok, path, f"a list of {min_len} or more entries", value)
+        for i, entry in enumerate(value):
+            item(entry, f"{path}[{i}]")
+        return value
+
+    return parse
+
+
+def _optional(kind):
+    return lambda value, path: None if value is None else kind(value, path)
+
+
+_BOOLEAN = _of_kind(bool, "a boolean")
+_STRING = _of_kind(str, "a string")
+_FINITE = _number()
+_POSITIVE = _number("(0, inf)")
+_NONNEGATIVE = _number("[0, inf)")
+_UNIT = _number("[0, 1]")
+_SEED = _integer(0)
+
+
+def _horizon(value, path):
+    """solver.T: a positive time, or 'auto' (the guaranteed window)."""
+    return value if value == "auto" else _POSITIVE(value, path)
+
+
+def _combo(value, path):
+    """An interpolation combo [s1, s2, theta] with s1 <= s2 and 0 <= theta <= 1."""
+    _expect(isinstance(value, list) and len(value) == 3, path, "[s1, s2, theta]", value)
+    s1, s2, _ = _FINITE(value[0], path), _FINITE(value[1], path), _UNIT(value[2], path)
+    return _expect(s1 <= s2, path, "s1 <= s2", value)
+
 
 _ABCD_KEYS = ("a", "b", "c", "d", "a1", "b1", "c1", "d1")
+
+
+def _abcd(value, path):
+    """The expansion parameters {a, b, c, d, a1, b1, c1, d1[, rho]}, all numbers."""
+    _expect(isinstance(value, dict), path, "a mapping", value)
+    keys = sorted(value, key=str)
+    what = f"the keys {', '.join(_ABCD_KEYS)} and an optional rho"
+    _expect(set(keys) - {"rho"} == set(_ABCD_KEYS), path, what, keys)
+    for key, v in value.items():
+        _FINITE(v, f"{path}.{key}")
+    return value
+
+
+_SCHEMA = {
+    "run": {"seed": (0, _SEED), "label": ("", _STRING)},
+    "coefficients": {
+        "gamma1": (1.0 / 12.0, _FINITE),
+        "gamma2": (1.0 / 12.0, _FINITE),
+        "delta1": (1.0 / 20.0, _FINITE),
+        "delta2": (4.0 / 45.0, _FINITE),
+        "gamma": (7.0 / 48.0, _FINITE),
+        "abcd": (None, _optional(_abcd)),  # overrides the direct values
+    },
+    "grid": {"n_modes": (256, _integer(4)), "half_length": (16.0 * math.pi, _POSITIVE)},
+    "initial": {
+        "family": ("cos_mode", _one_of("cos_mode", "gaussian", "gevrey_synthetic")),
+        "amplitude": (0.05, _FINITE),
+        "k": (1, _integer(0)),
+        "width": (1.0, _POSITIVE),
+        "sigma0": (0.5, _NONNEGATIVE),
+        "roll_off": (2.0, _FINITE),
+    },
+    "solver": {
+        "method": ("ifrk4", _one_of("ifrk4", "picard")),
+        "T": (5.0, _horizon),  # "auto" (the guaranteed window) for picard runs
+        "dt": (1.0e-3, _POSITIVE),
+        "record_every": (10, _integer(1)),
+        "tol": (1.0e-9, _POSITIVE),
+        "max_iter": (30, _integer(1)),
+        "n_nodes": (64, _integer(2)),
+        "mesh_check": (True, _BOOLEAN),
+        "crosscheck": (True, _BOOLEAN),
+        "blowup_factor": (1.0e6, _POSITIVE),
+    },
+    "analyticity": {
+        "enabled": (False, _BOOLEAN),
+        "sigma0": (0.5, _POSITIVE),
+        "s": (2.0, _FINITE),
+        "noise_floor": (1.0e-8, _NONNEGATIVE),
+        "variant": ("exact_integral", _one_of("exact_integral", "printed")),
+        "max_rel_step": (0.01, _number("(0, 0.5]")),
+        "calibration_fraction": (0.1, _UNIT),
+    },
+    "estimates": {
+        "campaigns": (list(_CAMPAIGNS), _list(_one_of(*_CAMPAIGNS))),
+        "n_trials": (1000, _integer(1)),
+        "sigma": (0.1, _NONNEGATIVE),
+        "s": (1.0, _FINITE),
+        "profile": ("band_limited", _one_of(*PROFILES)),
+        "cutoff": (None, _optional(_integer(1))),
+        "rate": (0.5, _FINITE),
+        "power": (2.0, _FINITE),
+        "interpolation_combos": (
+            [[0.0, 2.0, 0.5], [0.0, 2.0, 0.25], [1.0, 3.0, 0.5], [0.0, 4.0, 0.75], [0.5, 2.5, 1.0 / 3.0]],
+            _list(_combo, 1),
+        ),
+        "failure_demo": (True, _BOOLEAN),
+        "failure_s": (-0.5, _number("(-inf, 0)")),
+        "failure_ks": ([8, 16, 32, 64], _list(_integer(2), 2)),
+    },
+    "checks": {
+        "energy_drift_tol": (1.0e-6, _NONNEGATIVE),
+        "h2_band_slack": (1.0e-6, _NONNEGATIVE),
+        "growth_slack": (1.0e-6, _NONNEGATIVE),
+        "contraction_limit": (0.55, _NONNEGATIVE),
+        "crosscheck_tol": (1.0e-6, _NONNEGATIVE),
+        "existence_trials": (128, _integer(1)),
+        "existence_seed": (2024, _SEED),
+    },
+    "output": {"directory": ("runs", _STRING)},
+}
 
 
 def _merge_section(user, schema, path):
     if not isinstance(user, dict):
         raise ConfigError(f"{path or 'config'}: expected a mapping, got {type(user).__name__}")
-    merged = {}
-    for key, default in schema.items():
-        here = f"{path}.{key}" if path else key
-        if key not in user:
-            merged[key] = copy.deepcopy(default)
-        elif isinstance(default, dict):
-            merged[key] = _merge_section(user[key], default, here)
-        else:
-            merged[key] = _coerce(user[key], default, here)
     for key in user:
         if key not in schema:
             raise ConfigError(f"unknown config key: {f'{path}.{key}' if path else key}")
+    merged = {}
+    for key, spec in schema.items():
+        here = f"{path}.{key}" if path else key
+        if isinstance(spec, dict):
+            merged[key] = _merge_section(user.get(key, {}), spec, here)
+        elif key in user:
+            merged[key] = spec[1](user[key], here)
+        else:
+            merged[key] = copy.deepcopy(spec[0])
     return merged
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _coerce(value, default, path):
-    if default is None or value is None:
-        return value
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a boolean, got {value!r}")
-        return value
-    if _is_int(default):
-        if not _is_int(value):
-            raise ConfigError(f"{path}: expected an integer, got {value!r}")
-        return value
-    if isinstance(default, float):
-        if value == "auto" and path == "solver.T":
-            return value
-        if isinstance(value, str):
-            # YAML 1.1 reads exponent notation without a dot (1e-3) as a string
-            try:
-                value = float(value) if math.isfinite(float(value)) else value
-            except ValueError:
-                pass
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number, got {value!r}")
-        return float(value)
-    if isinstance(default, str):
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string, got {value!r}")
-        return value
-    if isinstance(default, list):
-        if not isinstance(value, list):
-            raise ConfigError(f"{path}: expected a list, got {value!r}")
-        return value
-    return value
 
 
 class RunConfig:
@@ -214,16 +268,7 @@ class RunConfig:
     def coefficients(self) -> CoefficientSet:
         sec = self.data["coefficients"]
         if sec["abcd"] is not None:
-            abcd = sec["abcd"]
-            if not isinstance(abcd, dict):
-                raise ConfigError("coefficients.abcd: expected a mapping")
-            unknown = set(abcd) - set(_ABCD_KEYS) - {"rho"}
-            if unknown:
-                raise ConfigError(f"coefficients.abcd: unknown keys {sorted(unknown)}")
-            missing = [k for k in _ABCD_KEYS if k not in abcd]
-            if missing:
-                raise ConfigError(f"coefficients.abcd: missing keys {missing}")
-            return derive_coefficients(ABCDParams(**{k: float(v) for k, v in abcd.items()}))
+            return derive_coefficients(ABCDParams(**{k: float(v) for k, v in sec["abcd"].items()}))
         return CoefficientSet(
             gamma1=sec["gamma1"],
             gamma2=sec["gamma2"],
@@ -242,106 +287,54 @@ class RunConfig:
 
     def initial_state(self, grid: SpectralGrid) -> Spectrum:
         sec = self.data["initial"]
-        family = sec["family"]
-        if family == "cos_mode":
+        if sec["family"] == "cos_mode":
             return cos_mode(grid, sec["k"], sec["amplitude"])
-        if family == "gaussian":
+        if sec["family"] == "gaussian":
             return gaussian(grid, sec["width"], sec["amplitude"])
-        if family == "gevrey_synthetic":
-            return gevrey_synthetic(grid, sec["sigma0"], sec["roll_off"], sec["amplitude"])
-        raise ConfigError(f"initial.family: unknown family {family!r}")
+        return gevrey_synthetic(grid, sec["sigma0"], sec["roll_off"], sec["amplitude"])
 
     # -- validation --------------------------------------------------------
 
     def _validate(self):
+        """The rules that tie keys together; each key's own domain is its schema type."""
         d = self.data
         try:
             coeffs = self.coefficients()
-            grid = self.grid()
         except (KdvBbmError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"coefficients: {exc}") from exc
+        try:
+            grid = self.grid()
+        except ValueError as exc:
+            raise ConfigError(f"grid: {exc}") from exc
         report = validate_coefficients(coeffs)
         if not report.passed:
             names = ", ".join(c.name for c in report.failures())
             raise ConfigError(f"coefficients: invariants failed: {names}")
 
-        if d["initial"]["family"] not in ("cos_mode", "gaussian", "gevrey_synthetic"):
-            raise ConfigError(f"initial.family: unknown family {d['initial']['family']!r}")
-        if d["initial"]["family"] == "cos_mode" and not (
-            0 <= d["initial"]["k"] < grid.n_modes // 2
-        ):
-            raise ConfigError("initial.k: must satisfy 0 <= k < n_modes/2")
-        if d["initial"]["family"] == "gaussian" and d["initial"]["width"] <= 0:
-            raise ConfigError("initial.width: must be positive")
+        ini, sol = d["initial"], d["solver"]
+        if ini["family"] == "cos_mode" and ini["k"] >= grid.n_modes // 2:
+            raise ConfigError("initial.k: must be < n_modes/2 for cos_mode")
+        if sol["T"] == "auto":
+            if sol["method"] != "picard":
+                raise ConfigError("solver.T: 'auto' is only supported with method 'picard'")
+        elif sol["method"] == "ifrk4" and abs(round(sol["T"] / sol["dt"]) * sol["dt"] - sol["T"]) > 1e-9 * sol["T"]:
+            raise ConfigError("solver.T: must be an integral multiple of solver.dt")
 
-        sol = d["solver"]
-        if sol["method"] not in ("ifrk4", "picard"):
-            raise ConfigError(f"solver.method: unknown method {sol['method']!r}")
-        if sol["dt"] <= 0:
-            raise ConfigError("solver.dt: must be positive")
-        if sol["T"] != "auto":
-            if not (isinstance(sol["T"], float) and sol["T"] > 0):
-                raise ConfigError("solver.T: must be positive (or 'auto' for picard runs)")
-            if sol["method"] == "ifrk4" and abs(round(sol["T"] / sol["dt"]) * sol["dt"] - sol["T"]) > 1e-9 * sol["T"]:
-                raise ConfigError("solver.T: must be an integral multiple of solver.dt")
-        elif sol["method"] != "picard":
-            raise ConfigError("solver.T: 'auto' is only supported with method 'picard'")
-        if sol["record_every"] < 1 or sol["n_nodes"] < 2 or sol["max_iter"] < 1:
-            raise ConfigError("solver: record_every, n_nodes, max_iter must be >= 1 (n_nodes >= 2)")
-
-        ana = d["analyticity"]
-        if ana["sigma0"] <= 0:
-            raise ConfigError("analyticity.sigma0: must be positive")
-        if ana["variant"] not in ("exact_integral", "printed"):
-            raise ConfigError(f"analyticity.variant: unknown variant {ana['variant']!r}")
-        if not 0 < ana["max_rel_step"] <= 0.5:
-            raise ConfigError("analyticity.max_rel_step: must lie in (0, 0.5]")
-        try:
-            gevrey_weights(grid, ana["sigma0"], ana["s"])
-        except KdvBbmError as exc:
-            raise ConfigError(f"analyticity: {exc}") from exc
-
-        est = d["estimates"]
+        ana, est = d["analyticity"], d["estimates"]
         for name in est["campaigns"]:
-            if name not in _CAMPAIGNS:
-                raise ConfigError(f"estimates.campaigns: unknown campaign {name!r}")
             if name in MULTILINEAR and est["s"] < MULTILINEAR[name][1] - 1e-12:
                 raise ConfigError(
                     f"estimates.s: {name} requires s >= {MULTILINEAR[name][1]}, got {est['s']}"
                 )
-        if est["n_trials"] < 1 or d["checks"]["existence_trials"] < 1:
-            raise ConfigError("estimates.n_trials, checks.existence_trials: must be >= 1")
-        if est["cutoff"] is not None and not _is_int(est["cutoff"]):
-            raise ConfigError(f"estimates.cutoff: expected an integer, got {est['cutoff']!r}")
-        if est["profile"] not in ("band_limited", "exponential_decay", "polynomial_decay"):
-            raise ConfigError(f"estimates.profile: unknown profile {est['profile']!r}")
-        if not (math.isfinite(est["sigma"]) and est["sigma"] >= 0):
-            raise ConfigError(f"estimates.sigma: must be finite and nonnegative, got {est['sigma']}")
-        if not math.isfinite(est["s"]):
-            raise ConfigError(f"estimates.s: must be finite, got {est['s']}")
         campaign_s = [est["s"], est["s"] + 1.0]
-        for combo in est["interpolation_combos"]:
-            if not (isinstance(combo, list) and len(combo) == 3):
-                raise ConfigError("estimates.interpolation_combos: entries must be [s1, s2, theta]")
-            s1, s2, theta = (_coerce(v, 0.0, "estimates.interpolation_combos") for v in combo)
-            if not all(math.isfinite(v) for v in (s1, s2, theta)):
-                raise ConfigError(f"estimates.interpolation_combos: entries must be finite, got {combo}")
-            if s1 > s2 or not 0.0 <= theta <= 1.0:
-                raise ConfigError(
-                    f"estimates.interpolation_combos: need s1 <= s2 and 0 <= theta <= 1, got {combo}"
-                )
-            campaign_s += [s1, s2]
-        try:
-            for s in campaign_s:
-                gevrey_weights(grid, est["sigma"], s)
-        except KdvBbmError as exc:
-            raise ConfigError(f"estimates: {exc}") from exc
-        if est["failure_demo"]:
-            if est["failure_s"] >= 0:
-                raise ConfigError("estimates.failure_s: must be negative")
-            ks = est["failure_ks"]
-            if len(ks) < 2 or not all(_is_int(k) and k >= 2 for k in ks):
-                raise ConfigError("estimates.failure_ks: need two or more integer modes >= 2")
+        campaign_s += [float(v) for combo in est["interpolation_combos"] for v in combo[:2]]
+        probes = [("analyticity", ana["sigma0"], ana["s"])]
+        probes += [("estimates", est["sigma"], s) for s in campaign_s]
+        for section, sigma, s in probes:
+            try:
+                gevrey_weights(grid, sigma, s)
+            except KdvBbmError as exc:
+                raise ConfigError(f"{section}: {exc}") from exc
 
     def canonical_json(self) -> str:
         return json.dumps(self.data, sort_keys=True, separators=(",", ":"))
@@ -711,46 +704,20 @@ def run_estimates(cfg: RunConfig, outroot: str, force: bool) -> int:
     grid = cfg.grid()
     est = cfg.data["estimates"]
     seed = cfg.data["run"]["seed"]
-    profile_kw = {}
-    if est["cutoff"] is not None:
-        profile_kw["cutoff"] = est["cutoff"]
-    if est["profile"] == "exponential_decay":
-        profile_kw["rate"] = est["rate"]
-    if est["profile"] == "polynomial_decay":
-        profile_kw["power"] = est["power"]
 
     checks: dict = {}
     outputs: list[tuple[str, list]] = []
     for name in est["campaigns"]:
         g = GevreyIndex(est["sigma"], est["s"])
-        if name == "interpolation":
-            reports = [
-                run_trials(
-                    name,
-                    grid,
-                    g,
-                    coeffs,
-                    n_trials=est["n_trials"],
-                    seed=seed,
-                    profile=est["profile"],
-                    combo=tuple(float(v) for v in combo),
-                    **profile_kw,
-                )
-                for combo in est["interpolation_combos"]
-            ]
-        else:
-            reports = [
-                run_trials(
-                    name,
-                    grid,
-                    g,
-                    coeffs,
-                    n_trials=est["n_trials"],
-                    seed=seed,
-                    profile=est["profile"],
-                    **profile_kw,
-                )
-            ]
+        combos = est["interpolation_combos"] if name == "interpolation" else [None]
+        reports = [
+            run_trials(
+                name, grid, g, coeffs, n_trials=est["n_trials"], seed=seed, profile=est["profile"],
+                combo=None if combo is None else tuple(float(v) for v in combo),
+                cutoff=est["cutoff"], rate=est["rate"], power=est["power"],
+            )
+            for combo in combos
+        ]
         rows = [
             tuple(rep.csv_row()[col] if col != "lemma_id" else rep.lemma_id for col in ESTIMATE_COLUMNS)
             for rep in reports

@@ -47,7 +47,11 @@ def gevrey_weights(grid: SpectralGrid, sigma: float, s: float) -> np.ndarray:
             f"2*sigma*<xi_max> = {exponent:.1f} exceeds {MAX_GEVREY_EXPONENT}; "
             "sigma is too large for this grid"
         )
-    return br ** (2.0 * s) * np.exp(2.0 * sigma * br)
+    with np.errstate(over="ignore"):
+        weights = br ** (2.0 * s) * np.exp(2.0 * sigma * br)
+    if not np.isfinite(weights).all():
+        raise NormOverflowError(f"the weight overflows at s = {s}; s is too large for this grid")
+    return weights
 
 
 def row_norms(grid: SpectralGrid, c: np.ndarray, weights: np.ndarray) -> np.ndarray:

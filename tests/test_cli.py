@@ -1,6 +1,9 @@
+import copy
 import csv
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,6 +78,18 @@ class TestConfig:
             "estimates.interpolation_combos=[[0.0, x, 0.5]]",
             "estimates.sigma=-1",
             "estimates.sigma=100",
+            "estimates.s=400",
+            "initial.sigma0=-1",
+            "run.seed=-1",
+            "checks.existence_seed=-1",
+            "estimates.interpolation_combos=[]",
+            "solver.tol=-1",
+            "solver.blowup_factor=0",
+            "analyticity.s=.nan",
+            "estimates.cutoff=0",
+            "analyticity.noise_floor=-1",
+            "coefficients.abcd={a: [1], b: 0.0833, c: 0.0833, d: 0.0833,"
+            " a1: 0.0889, b1: 0.05, c1: 0.0889, d1: 0.05}",
         ],
     )
     def test_bad_values_rejected_before_compute(self, tmp_path, override):
@@ -94,12 +109,60 @@ class TestConfig:
         path = _write_config(tmp_path / "c.yaml", cfg)
         assert cli.main(["simulate", path, "--out", str(tmp_path / "out")]) == 0
 
+    def test_run_ids_pinned(self):
+        # canonical_json, and with it every run id, is the identity of a config
+        assert cli.RunConfig({}).run_id("simulate") == "simulate-95a37eb3e45c"
+        abcd = {
+            "a": 1 / 12, "b": 1 / 12, "c": 1 / 12, "d": 1 / 12,
+            "a1": 4 / 45, "b1": 1 / 20, "c1": 4 / 45, "d1": 1 / 20,
+        }
+        assert cli.RunConfig({"coefficients": {"abcd": abcd}}).run_id("simulate") == "simulate-4e083f4f1ad1"
+
+    def test_readme_config_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"A minimal configuration.*?```yaml\n(.*?)```", readme, re.S)
+        assert block is not None
+        path = tmp_path / "readme.yaml"
+        path.write_text(block.group(1), encoding="utf-8")
+        cfg = cli.load_config(str(path))
+        assert cfg.data["analyticity"]["enabled"] is True
+
     def test_override_flag(self, tmp_path):
         path = _write_config(tmp_path / "c.yaml", _small_sim())
         out = str(tmp_path / "out")
         assert cli.main(["simulate", path, "--out", out, "--set", "solver.T=0.1"]) == 0
         manifest, _ = _manifest(out)
         assert manifest["config"]["solver"]["T"] == 0.1
+
+
+def _schema_leaves(schema=cli._SCHEMA, path=""):
+    for key, spec in schema.items():
+        here = f"{path}.{key}" if path else key
+        if isinstance(spec, dict):
+            yield from _schema_leaves(spec, here)
+        else:
+            yield here, spec
+
+
+_LEAVES = dict(_schema_leaves())
+
+
+class TestSchema:
+    """Every leaf of the schema, including keys added later."""
+
+    @pytest.mark.parametrize("path", sorted(_LEAVES))
+    def test_default_passes_its_type(self, path):
+        default, kind = _LEAVES[path]
+        parsed = kind(copy.deepcopy(default), path)
+        assert parsed == default
+        assert type(parsed) is type(default)
+
+    @pytest.mark.parametrize("wrong", [{"x": 1}, [{"x": 1}]], ids=["mapping", "list"])
+    @pytest.mark.parametrize("path", sorted(_LEAVES))
+    def test_wrong_kind_is_a_config_error(self, path, wrong):
+        _, kind = _LEAVES[path]
+        with pytest.raises(cli.ConfigError, match=f"^{re.escape(path)}"):
+            kind(wrong, path)
 
 
 class TestSimulate:

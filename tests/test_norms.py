@@ -56,6 +56,12 @@ class TestGevrey:
         with pytest.raises(kb.NormOverflowError):
             kb.gevrey_norm(u, kb.GevreyIndex(100.0, 2.0))
 
+    def test_overflow_guard_polynomial_factor(self, grid):
+        # <xi_max>^(2s) = 9^800 overflows at n = 256 although sigma is small
+        u = kb.random_field(grid, "band_limited", 6)
+        with pytest.raises(kb.NormOverflowError):
+            kb.gevrey_norm(u, kb.GevreyIndex(0.1, 400.0))
+
     def test_index_validation(self):
         with pytest.raises(ValueError):
             kb.GevreyIndex(-0.1, 2.0)
