@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import SampleRecord, Trajectory, iterate_ifrk4
+from .dynamics import Trajectory, evolve_ifrk4
 from .errors import StepCollapseError
-from .norms import GevreyIndex, energy, gevrey_norm, sobolev_norm
+from .norms import GevreyIndex, gevrey_norm
 from .params import CoefficientSet
 from .spectral import Spectrum
 
@@ -136,11 +136,6 @@ def upper_bound_radius(t: float, b: BoundInputs) -> float:
     return b.c_upper * b.sigma0 * math.exp(-b.h2sq * t)
 
 
-def _collapse_threshold(grid) -> float:
-    # one wavenumber spacing: slopes steeper than the grid can witness
-    return np.pi / grid.half_length
-
-
 def _advance_sigma(state, sigma, dt, s, max_rel_step, t_next, threshold):
     """One explicit Euler step of the shrinkage law, sub-stepped.
 
@@ -161,6 +156,34 @@ def _advance_sigma(state, sigma, dt, s, max_rel_step, t_next, threshold):
     return sigma
 
 
+def _sigma_tracker(sigma0: float, s: float, max_rel_step: float, series: list):
+    """A per-step callable f(t, state) that integrates the shrinkage law into series.
+
+    The first call must be at t = 0 and appends (0, sigma0); each later call
+    advances sigma over the step from the previous call's state and appends
+    (t, sigma(t)).
+    """
+    if sigma0 <= 0:
+        raise ValueError(f"sigma0 must be positive, got {sigma0}")
+    prev = None  # (t, state, sigma) of the previous call
+
+    def step(t, state):
+        nonlocal prev
+        if prev is None:
+            if t != 0.0:
+                raise ValueError(f"state stream must start at t = 0, got t = {t}")
+            sigma = sigma0
+        else:
+            prev_t, prev_state, sigma = prev
+            # one wavenumber spacing: slopes steeper than the grid can witness
+            threshold = np.pi / state.grid.half_length
+            sigma = _advance_sigma(prev_state, sigma, t - prev_t, s, max_rel_step, t, threshold)
+        series.append((float(t), float(sigma)))
+        prev = (t, state, sigma)
+
+    return step
+
+
 def track_sigma(
     states,
     sigma0: float,
@@ -174,23 +197,10 @@ def track_sigma(
     when the solution is identically zero.  Raises StepCollapseError when
     sigma falls below the grid-resolvable threshold pi/L.
     """
-    if sigma0 <= 0:
-        raise ValueError(f"sigma0 must be positive, got {sigma0}")
     series: list[tuple[float, float]] = []
-    sigma = sigma0
-    prev_t = None
-    prev_state = None
+    step = _sigma_tracker(sigma0, s, max_rel_step, series)
     for t, state in states:
-        if prev_t is None:
-            if t != 0.0:
-                raise ValueError(f"state stream must start at t = 0, got t = {t}")
-        else:
-            sigma = _advance_sigma(
-                prev_state, sigma, t - prev_t, s, max_rel_step,
-                t, _collapse_threshold(state.grid),
-            )
-        series.append((float(t), float(sigma)))
-        prev_t, prev_state = t, state
+        step(t, state)
     return series
 
 
@@ -259,53 +269,31 @@ def tracked_run(
     record_every-th step.  The bound constants are calibrated on the first
     prefix_fraction of the run and frozen before the ordering checks.
     """
-    grid = eta0.grid
-    if sigma0 <= 0:
-        raise ValueError(f"sigma0 must be positive, got {sigma0}")
-    threshold = _collapse_threshold(grid)
-    n_steps = round(T / dt)
-
-    records: list[SampleRecord] = []
-    fits: list[RadiusFit] = []
     sigma_series: list[tuple[float, float]] = []
-    gev_at_record: list[float] = []
-
-    sigma = sigma0
-    prev_t = 0.0
-    prev_state = None
-    for i, (t, state) in enumerate(iterate_ifrk4(eta0, T, dt, coeffs, blowup_factor)):
-        if prev_state is not None:
-            sigma = _advance_sigma(prev_state, sigma, t - prev_t, s, max_rel_step, t, threshold)
-        sigma_series.append((float(t), float(sigma)))
-        if i % record_every == 0 or i == n_steps:
-            fit = estimate_radius(state, noise_floor)
-            gn = gevrey_norm(state, GevreyIndex(sigma, s))
-            records.append(
-                SampleRecord(
-                    t=float(t),
-                    state=state,
-                    energy=energy(state, coeffs),
-                    h2=sobolev_norm(state, 2.0),
-                    gevrey=gn,
-                    sigma_hat=fit.sigma_hat,
-                )
-            )
-            fits.append(fit)
-            gev_at_record.append(gn)
-        prev_t, prev_state = t, state
-
+    traj = evolve_ifrk4(
+        eta0, T, dt, coeffs,
+        on_step=_sigma_tracker(sigma0, s, max_rel_step, sigma_series),
+        record_every=record_every,
+        blowup_factor=blowup_factor,
+    )
+    records = traj.records
     sig_by_time = dict(sigma_series)
-    rec_times = np.array([r.t for r in records])
+    fits = [estimate_radius(r.state, noise_floor) for r in records]
+    for r, fit in zip(records, fits):
+        r.gevrey = gevrey_norm(r.state, GevreyIndex(sig_by_time[r.t], s))
+        r.sigma_hat = fit.sigma_hat
+    rec_times = traj.times()
     rec_sigmas = np.array([sig_by_time[r.t] for r in records])
-    X0 = gev_at_record[0]
-    h2 = records[0].h2
+    gevreys = np.array([r.gevrey for r in records])
+    X0 = records[0].gevrey
     bounds = calibrate_bounds(
-        rec_times, rec_sigmas, np.array(gev_at_record), X0, h2, sigma0, prefix_fraction
+        rec_times, rec_sigmas, gevreys, X0, records[0].h2, sigma0, prefix_fraction
     )
     lower = np.array([lower_bound_radius(t, bounds, variant) for t in rec_times])
     upper = np.array([upper_bound_radius(t, bounds) for t in rec_times])
 
     zero_datum = float(np.max(np.abs(eta0.coeffs))) == 0.0
+    later = rec_times > 0
     slack = 1.0 + 1e-12
     defined = [(f, sg) for f, sg in zip(fits, rec_sigmas) if f.defined]
     checks = {
@@ -317,20 +305,9 @@ def tracked_run(
         "sigma_hat_ge_tracked": (
             all(f.sigma_hat >= 0.95 * sg for f, sg in defined) if defined else None
         ),
-        "growth_ratio_max": float(
-            np.max(
-                (np.array(gev_at_record)[rec_times > 0] - X0)
-                / np.sqrt(rec_times[rec_times > 0])
-            )
-        )
-        if np.any(rec_times > 0)
-        else 0.0,
+        "growth_ratio_max": (
+            float(np.max((gevreys[later] - X0) / np.sqrt(rec_times[later])))
+            if np.any(later) else 0.0
+        ),
     }
-
-    traj = Trajectory(
-        coeffs,
-        grid,
-        records,
-        meta={"solver": "ifrk4+sigma", "dt": dt, "T": T, "sigma0": sigma0, "s": s},
-    )
     return TrackedRun(traj, sigma_series, fits, bounds, lower, upper, checks)

@@ -256,6 +256,14 @@ def _merge_section(user, schema, path):
     return merged
 
 
+def _check_marched_horizon(sol):
+    """solver.T of an IFRK4 march: not 'auto', and a whole number of solver.dt steps."""
+    if sol["T"] == "auto":
+        raise ConfigError("solver.T: 'auto' needs the picard command with method 'picard'")
+    if abs(round(sol["T"] / sol["dt"]) * sol["dt"] - sol["T"]) > 1e-9 * sol["T"]:
+        raise ConfigError("solver.T: must be an integral multiple of solver.dt")
+
+
 class RunConfig:
     """A validated run configuration; builders for every module input."""
 
@@ -314,11 +322,8 @@ class RunConfig:
         ini, sol = d["initial"], d["solver"]
         if ini["family"] == "cos_mode" and ini["k"] >= grid.n_modes // 2:
             raise ConfigError("initial.k: must be < n_modes/2 for cos_mode")
-        if sol["T"] == "auto":
-            if sol["method"] != "picard":
-                raise ConfigError("solver.T: 'auto' is only supported with method 'picard'")
-        elif sol["method"] == "ifrk4" and abs(round(sol["T"] / sol["dt"]) * sol["dt"] - sol["T"]) > 1e-9 * sol["T"]:
-            raise ConfigError("solver.T: must be an integral multiple of solver.dt")
+        if sol["method"] == "ifrk4":
+            _check_marched_horizon(sol)
 
         ana, est = d["analyticity"], d["estimates"]
         for name in est["campaigns"]:
@@ -562,6 +567,7 @@ def _simulate_checks(cfg, coeffs, traj, tracked, t_bar, x0):
 
 
 def run_simulate(cfg: RunConfig, outroot: str, force: bool, command: str = "simulate") -> int:
+    _check_marched_horizon(cfg.data["solver"])  # this march is IFRK4 whatever solver.method says
     started = _now()
     coeffs = cfg.coefficients()
     grid = cfg.grid()

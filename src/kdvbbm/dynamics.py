@@ -19,7 +19,7 @@ integral equation
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -54,7 +54,6 @@ class Trajectory:
     coeffs: CoefficientSet
     grid: SpectralGrid
     records: list[SampleRecord]
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.records and self.records[0].t != 0.0:
@@ -68,15 +67,30 @@ class Trajectory:
         return self.records[-1]
 
 
+def _sample(
+    t: float, state: Spectrum, coeffs: CoefficientSet, g: GevreyIndex | None
+) -> SampleRecord:
+    """The record of one state: energy, H^2 norm and, when g is given, the Gevrey norm."""
+    gevrey = None if g is None else gevrey_norm(state, g)
+    return SampleRecord(t, state, energy(state, coeffs), sobolev_norm(state, 2.0), gevrey)
+
+
+def _phi(grid: SpectralGrid, coeffs: CoefficientSet) -> np.ndarray:
+    """phi on the grid, read as 0 at the unpaired mode -n/2 as apply_multiplier reads
+    every odd symbol: the free group leaves that mode fixed, so real fields stay real."""
+    phi = symbol_on_grid(grid, coeffs, "phi").copy()
+    phi[grid.nyquist] = 0.0
+    return phi
+
+
 def linear_propagate(u: Spectrum, t: float, coeffs: CoefficientSet) -> Spectrum:
     """Apply the free group S(t): c_k -> e^{-i phi(xi_k) t} c_k.
 
-    Every mode is rotated by a unit-modulus factor (the Nyquist mode included),
-    so all Sobolev and Gevrey norms are preserved exactly and
+    Every mode is rotated by a unit-modulus factor (the unpaired mode -n/2 by
+    1), so all Sobolev and Gevrey norms are preserved exactly and
     S(t1) S(t2) = S(t1 + t2).
     """
-    phi = symbol_on_grid(u.grid, coeffs, "phi")
-    return Spectrum(u.grid, u.coeffs * np.exp((-1j * t) * phi))
+    return Spectrum(u.grid, u.coeffs * np.exp((-1j * t) * _phi(u.grid, coeffs)))
 
 
 def _rhs_coeffs(grid: SpectralGrid, coeffs: CoefficientSet, c: np.ndarray) -> np.ndarray:
@@ -115,8 +129,7 @@ class IFRK4Stepper:
         self.grid = grid
         self.coeffs = coeffs
         self.dt = dt
-        phi = symbol_on_grid(grid, coeffs, "phi")
-        self.e_half = np.exp((-0.5j * dt) * phi)
+        self.e_half = np.exp((-0.5j * dt) * _phi(grid, coeffs))
         self.e_full = self.e_half * self.e_half
 
     def step(self, c: np.ndarray) -> np.ndarray:
@@ -169,7 +182,7 @@ def evolve_ifrk4(
     T: float,
     dt: float,
     coeffs: CoefficientSet,
-    observers: tuple[Callable[[float, Spectrum], None], ...] = (),
+    on_step: Callable[[float, Spectrum], None] | None = None,
     record_every: int = 1,
     gevrey_index: GevreyIndex | None = None,
     blowup_factor: float = 1e6,
@@ -177,30 +190,18 @@ def evolve_ifrk4(
     """March with integrating-factor RK4, recording every record_every-th step.
 
     The first and last steps are always recorded.  When gevrey_index is given,
-    each record carries the Gevrey norm at that fixed index.  Observers are
-    called as f(t, state) at every recorded sample.
+    each record carries the Gevrey norm at that fixed index.  on_step is called
+    as f(t, state) at every step, t = 0 included, before the step is recorded;
+    an exception it raises ends the march.
     """
     n_steps = _step_count(T, dt)
     records: list[SampleRecord] = []
-
-    def _record(t, state):
-        rec = SampleRecord(
-            t=t,
-            state=state,
-            energy=energy(state, coeffs),
-            h2=sobolev_norm(state, 2.0),
-            gevrey=gevrey_norm(state, gevrey_index) if gevrey_index is not None else None,
-        )
-        records.append(rec)
-        for obs in observers:
-            obs(t, state)
-
     for i, (t, state) in enumerate(iterate_ifrk4(eta0, T, dt, coeffs, blowup_factor)):
+        if on_step is not None:
+            on_step(t, state)
         if i % record_every == 0 or i == n_steps:
-            _record(t, state)
-
-    meta = {"solver": "ifrk4", "dt": dt, "T": T, "record_every": record_every}
-    return Trajectory(coeffs, eta0.grid, records, meta)
+            records.append(_sample(t, state, coeffs, gevrey_index))
+    return Trajectory(coeffs, eta0.grid, records)
 
 
 @dataclass
@@ -215,6 +216,12 @@ class PicardDiagnostics:
     growth_bound_ok: bool
 
 
+def _sup_distance(grid: SpectralGrid, weights: np.ndarray, diff: np.ndarray) -> float:
+    """Largest weighted norm over the rows (mesh times) of diff."""
+    sq_norms = np.sum(weights * np.abs(diff) ** 2, axis=1)
+    return float(np.sqrt(2.0 * grid.half_length * np.max(sq_norms)))
+
+
 def _picard_iterate(
     eta0_c: np.ndarray,
     grid: SpectralGrid,
@@ -225,13 +232,11 @@ def _picard_iterate(
     tol: float,
     max_iter: int,
 ):
-    """Fixed-point iteration on one time mesh; returns (states, distances)."""
+    """Fixed-point iteration on one time mesh; returns (states, distances, converged)."""
     ts = np.linspace(0.0, T, n_nodes + 1)
     dt = T / n_nodes
-    phi = symbol_on_grid(grid, coeffs, "phi")
-    e_minus = np.exp(-1j * np.outer(ts, phi))  # S(t_j) per row
+    e_minus = np.exp(-1j * np.outer(ts, _phi(grid, coeffs)))  # S(t_j) per row
     e_plus = np.conj(e_minus)
-    two_l = 2.0 * grid.half_length
 
     cur = e_minus * eta0_c[None, :]  # iterate 0: the free evolution
     distances: list[float] = []
@@ -250,8 +255,7 @@ def _picard_iterate(
         segments = 0.5 * dt * (integrand[:-1] + integrand[1:])
         prefix = np.vstack([np.zeros_like(eta0_c), np.cumsum(segments, axis=0)])
         new = e_minus * (eta0_c[None, :] + prefix)
-        diff = new - cur
-        d = float(np.sqrt(two_l * np.max(np.sum(weights * np.abs(diff) ** 2, axis=1))))
+        d = _sup_distance(grid, weights, new - cur)
         if not np.isfinite(d):
             raise NoConvergenceError(
                 "Picard iterate diverged (non-finite distance); T is too large for the data"
@@ -302,11 +306,7 @@ def picard_solve(
         )
         if not fine_ok:
             raise NoConvergenceError("refined-mesh Picard iteration did not converge")
-        diff = fine[::2] - states
-        two_l = 2.0 * grid.half_length
-        mesh_delta = float(
-            np.sqrt(two_l * np.max(np.sum(weights * np.abs(diff) ** 2, axis=1)))
-        )
+        mesh_delta = _sup_distance(grid, weights, fine[::2] - states)
         if mesh_delta > tol:
             raise QuadratureError(mesh_delta, tol)
 
@@ -324,22 +324,9 @@ def picard_solve(
     contraction = max(meaningful) if meaningful else (max(ratios) if ratios else 0.0)
 
     ts = np.linspace(0.0, T, n_nodes + 1)
-    records = []
+    records = [_sample(float(t), Spectrum(grid, c.copy()), coeffs, g) for t, c in zip(ts, states)]
     gnorm0 = gevrey_norm(eta0, g)
-    sup_g = 0.0
-    for j, t in enumerate(ts):
-        state = Spectrum(grid, states[j].copy())
-        gn = gevrey_norm(state, g)
-        sup_g = max(sup_g, gn)
-        records.append(
-            SampleRecord(
-                t=float(t),
-                state=state,
-                energy=energy(state, coeffs),
-                h2=sobolev_norm(state, 2.0),
-                gevrey=gn,
-            )
-        )
+    sup_g = max(r.gevrey for r in records)
     growth_ratio = sup_g / gnorm0 if gnorm0 > 0 else (0.0 if sup_g == 0.0 else math.inf)
     diag = PicardDiagnostics(
         iterations=len(distances),
@@ -351,8 +338,7 @@ def picard_solve(
         growth_ratio=growth_ratio,
         growth_bound_ok=growth_ratio <= 2.0 * (1.0 + 1e-6),
     )
-    meta = {"solver": "picard", "T": T, "n_nodes": n_nodes, "tol": tol}
-    return Trajectory(coeffs, grid, records, meta), diag
+    return Trajectory(coeffs, grid, records), diag
 
 
 def local_existence_time(norm0: float, C_s: float) -> float:

@@ -183,6 +183,27 @@ class TestTrackedRun:
         # (G(t) - X0)/sqrt(t) stays below the calibrated Y0 over the window
         assert run.checks["growth_ratio_max"] <= run.bounds.Y0 + 1e-12
 
+    def test_sigma_series_equals_track_sigma(self, grid, coeffs, run):
+        eta0 = kb.gevrey_synthetic(grid, 0.6, roll_off=2.0, amplitude=0.002)
+        states = list(kb.iterate_ifrk4(eta0, 1.0, 2e-3, coeffs))
+        assert run.sigma_series == kb.track_sigma(states, 0.5)
+
+    def test_record_gevrey_at_tracked_sigma(self, run):
+        sigma = dict(run.sigma_series)
+        for r, fit in zip(run.trajectory.records, run.fits):
+            assert r.gevrey == kb.gevrey_norm(r.state, kb.GevreyIndex(sigma[r.t], 2.0))
+            assert r.sigma_hat == fit.sigma_hat
+
+    def test_final_step_recorded_off_stride(self, grid, coeffs):
+        eta0 = kb.gevrey_synthetic(grid, 0.6, roll_off=2.0, amplitude=0.002)
+        run = kb.tracked_run(eta0, 0.1, 2e-3, coeffs, sigma0=0.5, record_every=7)
+        times = [r.t for r in run.trajectory.records]
+        assert times == [i * 2e-3 for i in (0, 7, 14, 21, 28, 35, 42, 49, 50)]
+        assert len(run.fits) == len(run.lower) == len(run.upper) == 9
+        sigma = dict(run.sigma_series)
+        last = run.trajectory.final
+        assert last.gevrey == kb.gevrey_norm(last.state, kb.GevreyIndex(sigma[last.t], 2.0))
+
     def test_csv_ready_series(self, run):
         assert len(run.lower) == len(run.trajectory.records)
         assert len(run.sigma_series) == 501  # every step plus t = 0

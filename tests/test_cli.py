@@ -307,11 +307,24 @@ class TestPicardCommand:
             meta = json.load(fh)
         assert meta["T"] > 0
 
-    def test_auto_needs_picard_method(self, tmp_path):
+    @pytest.mark.parametrize(
+        "command, solver",
+        [
+            ("simulate", {"T": "auto"}),
+            ("simulate", {"method": "picard", "T": "auto"}),
+            ("simulate", {"method": "picard", "T": 0.2033, "dt": 0.005}),
+            ("radius", {"method": "picard", "T": "auto"}),
+            ("radius", {"method": "picard", "T": 0.2033, "dt": 0.005}),
+        ],
+    )
+    def test_auto_needs_picard_method(self, tmp_path, command, solver):
+        # simulate and radius march with IFRK4 whatever solver.method says
         cfg = _small_sim()
-        cfg["solver"]["T"] = "auto"
+        cfg["solver"].update(solver)
         path = _write_config(tmp_path / "c.yaml", cfg)
-        assert cli.main(["simulate", path, "--out", str(tmp_path / "o")]) == 2
+        out = tmp_path / "o"
+        assert cli.main([command, path, "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestEstimatesCommand:

@@ -43,6 +43,35 @@ class TestLinearPropagate:
         assert v.coeffs[3] == pytest.approx(0.5 * phase, abs=1e-15)
 
 
+class TestUnpairedMode:
+    """The free group leaves c_{-n/2} fixed, so a real datum stays real."""
+
+    @pytest.fixture
+    def eta0(self, small_grid):
+        u = kb.cos_mode(small_grid, 1, 0.01)
+        c = u.coeffs.copy()
+        c[small_grid.nyquist] = 1e-3
+        return kb.Spectrum(small_grid, c)
+
+    def _assert_fixed_and_real(self, eta0, state):
+        nyq = eta0.grid.nyquist
+        assert state.coeffs[nyq] == eta0.coeffs[nyq]
+        kb.transform_inverse(state)  # raises SymmetryError on a complex field
+
+    def test_linear_propagate(self, eta0, coeffs):
+        self._assert_fixed_and_real(eta0, kb.linear_propagate(eta0, 0.1, coeffs))
+
+    def test_evolve_ifrk4(self, eta0, coeffs):
+        traj = kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs)
+        for r in traj.records:
+            self._assert_fixed_and_real(eta0, r.state)
+
+    def test_picard_solve(self, eta0, coeffs):
+        traj, _ = kb.picard_solve(eta0, 0.1, 1e-12, 30, coeffs, G01, n_nodes=16, mesh_check=False)
+        for r in traj.records:
+            self._assert_fixed_and_real(eta0, r.state)
+
+
 class TestNonlinearRhs:
     def test_zero(self, grid, coeffs):
         z = kb.Spectrum(grid, np.zeros(grid.n_modes, complex))
@@ -126,14 +155,30 @@ class TestIFRK4:
         diff = np.max(np.abs(full.final.state.coeffs - rest.final.state.coeffs))
         assert diff < 1e-12 * scale
 
-    def test_observers_called(self, grid, coeffs):
+    def test_on_step_called_every_step(self, grid, coeffs):
         eta0 = kb.cos_mode(grid, 1, 0.01)
         seen = []
-        kb.evolve_ifrk4(
-            eta0, 0.1, 0.01, coeffs,
-            observers=(lambda t, s: seen.append(t),), record_every=5,
+        traj = kb.evolve_ifrk4(
+            eta0, 0.1, 0.01, coeffs, on_step=lambda t, s: seen.append((t, s)), record_every=3,
         )
-        assert seen[0] == 0.0 and seen[-1] == pytest.approx(0.1)
+        assert len(seen) == 11  # every step plus t = 0, recorded or not
+        assert seen[0][0] == 0.0 and seen[0][1] is eta0
+        assert seen[-1][0] == pytest.approx(0.1)
+        assert [r.t for r in traj.records] == [seen[i][0] for i in (0, 3, 6, 9, 10)]
+        assert all(r.state is seen[i][1] for r, i in zip(traj.records, (0, 3, 6, 9, 10)))
+
+    def test_on_step_error_ends_march(self, grid, coeffs):
+        eta0 = kb.cos_mode(grid, 1, 0.01)
+        seen = []
+
+        def stop_at_third(t, state):
+            seen.append(t)
+            if len(seen) == 3:
+                raise kb.StepCollapseError(t, 0.0, 1.0)
+
+        with pytest.raises(kb.StepCollapseError):
+            kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs, on_step=stop_at_third)
+        assert len(seen) == 3
 
     def test_gevrey_column(self, grid, coeffs):
         eta0 = kb.cos_mode(grid, 1, 0.01)

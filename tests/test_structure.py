@@ -1,8 +1,10 @@
-"""Module boundaries and seeded randomness, checked on the package's syntax trees.
+"""Module boundaries, seeded randomness and single loops, checked on the package's syntax trees.
 
 Keeping the padding and truncation decisions behind public functions of
 `spectral` is what lets them be written exactly once.  Drawing only from
 explicitly seeded generators is what makes reruns reproduce their digests.
+Marching in one loop and building records in one function is what keeps the
+record rule and the sample columns from drifting apart between commands.
 """
 
 import ast
@@ -88,3 +90,53 @@ def test_randomness_is_explicitly_seeded():
         line for path in modules for line in _global_rng_uses(path.read_text(encoding="utf-8"), path.name)
     ]
     assert offenders == []
+
+
+def _call_sites(source, name, callee):
+    """"file:function" of every call of callee, named by its innermost enclosing function."""
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == callee:
+                sites.append(f"{name}:{where}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source, filename=name), "<module>")
+    return sites
+
+
+def _package_call_sites(callee):
+    return [
+        site
+        for path in sorted(PACKAGE.glob("*.py"))
+        for site in _call_sites(path.read_text(encoding="utf-8"), path.name, callee)
+    ]
+
+
+def test_guard_flags_copied_loops():
+    source = (
+        "def run(eta0):\n"
+        "    for t, s in iterate_ifrk4(eta0):\n"
+        "        rec = kb.SampleRecord(t, s)\n"
+        "    def inner():\n"
+        "        return SampleRecord(0.0, None)\n"
+        "    return dynamics.iterate_ifrk4(eta0)\n"
+    )
+    assert _call_sites(source, "bad.py", "SampleRecord") == ["bad.py:run", "bad.py:inner"]
+    assert _call_sites(source, "bad.py", "iterate_ifrk4") == ["bad.py:run", "bad.py:run"]
+
+
+def test_one_record_constructor():
+    # every SampleRecord, marched or solved, is built by one function
+    sites = _package_call_sites("SampleRecord")
+    assert len(sites) == 1, sites
+
+
+def test_one_marching_loop():
+    # the IFRK4 state stream is consumed by evolve_ifrk4 alone; others hook into it
+    assert _package_call_sites("iterate_ifrk4") == ["dynamics.py:evolve_ifrk4"]
