@@ -715,15 +715,14 @@ def run_estimates(cfg: RunConfig, outroot: str, force: bool) -> int:
     outputs: list[tuple[str, list]] = []
     for name in est["campaigns"]:
         g = GevreyIndex(est["sigma"], est["s"])
-        combos = est["interpolation_combos"] if name == "interpolation" else [None]
-        reports = [
-            run_trials(
-                name, grid, g, coeffs, n_trials=est["n_trials"], seed=seed, profile=est["profile"],
-                combo=None if combo is None else tuple(float(v) for v in combo),
-                cutoff=est["cutoff"], rate=est["rate"], power=est["power"],
-            )
-            for combo in combos
-        ]
+        # every interpolation combo is evaluated on the same draws
+        combos = tuple(tuple(float(v) for v in combo) for combo in est["interpolation_combos"])
+        reports = run_trials(
+            name, grid, g, coeffs, n_trials=est["n_trials"], seed=seed, profile=est["profile"],
+            combo=combos if name == "interpolation" else None,
+            cutoff=est["cutoff"], rate=est["rate"], power=est["power"],
+        )
+        reports = reports if name == "interpolation" else [reports]
         rows = [
             tuple(rep.csv_row()[col] if col != "lemma_id" else rep.lemma_id for col in ESTIMATE_COLUMNS)
             for rep in reports

@@ -10,8 +10,8 @@ with the nonlinear tendency
 
 The linear part is a unitary rotation e^{-i phi t} per mode, so the production
 marcher integrates the rotated variable w = e^{i phi t} c with classical RK4
-(integrating-factor RK4), and the fixed-point solver iterates the equivalent
-integral equation
+(integrating-factor RK4) on the half-layout state of spectral.half_spectrum,
+and the fixed-point solver iterates the equivalent integral equation
 
     eta(t) = S(t) eta0 + int_0^t S(t - t') N(eta(t')) dt',    S(t) = e^{-i phi t}.
 """
@@ -30,9 +30,11 @@ from .params import CoefficientSet
 from .spectral import (
     SpectralGrid,
     Spectrum,
-    padded_samples,
+    full_spectrum,
+    half_padded_samples,
+    half_spectrum,
+    half_truncated_spectrum,
     symbol_on_grid,
-    truncated_spectrum,
 )
 
 CUBIC_COEFF = 1.0 / 8.0
@@ -75,66 +77,65 @@ def _sample(
     return SampleRecord(t, state, energy(state, coeffs), sobolev_norm(state, 2.0), gevrey)
 
 
-def _phi(grid: SpectralGrid, coeffs: CoefficientSet) -> np.ndarray:
-    """phi on the grid, read as 0 at the unpaired mode -n/2 as apply_multiplier reads
-    every odd symbol: the free group leaves that mode fixed, so real fields stay real."""
-    phi = symbol_on_grid(grid, coeffs, "phi").copy()
-    phi[grid.nyquist] = 0.0
-    return phi
-
-
 def linear_propagate(u: Spectrum, t: float, coeffs: CoefficientSet) -> Spectrum:
-    """Apply the free group S(t): c_k -> e^{-i phi(xi_k) t} c_k.
+    """Apply the free group S(t): c_k -> e^{-i phi(xi_k) t} c_k to a real field.
 
     Every mode is rotated by a unit-modulus factor (the unpaired mode -n/2 by
     1), so all Sobolev and Gevrey norms are preserved exactly and
     S(t1) S(t2) = S(t1 + t2).
     """
-    return Spectrum(u.grid, u.coeffs * np.exp((-1j * t) * _phi(u.grid, coeffs)))
+    phi = _half_symbols(u.grid, coeffs)[0]
+    return Spectrum(u.grid, full_spectrum(half_spectrum(u.coeffs) * np.exp((-1j * t) * phi)))
 
 
-def _rhs_coeffs(grid: SpectralGrid, coeffs: CoefficientSet, c: np.ndarray) -> np.ndarray:
+def _half_symbols(grid: SpectralGrid, coeffs: CoefficientSet) -> tuple[np.ndarray, ...]:
+    """phi, i*xi, -i*tau and i*psi at k = 0..n/2, read as 0 at n/2 as apply_multiplier reads
+    every odd symbol: the free group and the tendency leave the unpaired mode fixed."""
+    h = grid.nyquist
+    phi, tau, psi = (symbol_on_grid(grid, coeffs, kind)[:h] for kind in ("phi", "tau", "psi"))
+    return tuple(np.append(s, 0.0) for s in (phi, 1j * grid.wavenumbers[:h], -1j * tau, 1j * psi))
+
+
+def _tendency(symbols: tuple[np.ndarray, ...], d: np.ndarray) -> np.ndarray:
+    """N in half layout: d and the result hold (-1)^k c_k, k = 0..n/2 (see half_spectrum)."""
+    _, ik, tau, psi = symbols
     # eta and eta_x share one padded synthesis; psi multiplies both the cubic
     # and the derivative-square term, so by linearity they share one transform.
-    stack = np.array([c, c * (1j * grid.wavenumbers)])
-    stack[1, grid.nyquist] = 0.0
-    eta, eta_x = padded_samples(stack)
+    eta, eta_x = half_padded_samples(np.array([d, ik * d]))
     eta_sq = eta * eta
-    sq, psi_terms = truncated_spectrum(
+    sq, psi_terms = half_truncated_spectrum(
         np.array([eta_sq, (CUBIC_COEFF * eta) * eta_sq + DERIV_SQ_COEFF * (eta_x * eta_x)])
     )
-    tau = symbol_on_grid(grid, coeffs, "tau")
-    psi = symbol_on_grid(grid, coeffs, "psi")
-    out = -1j * (tau * sq - psi * psi_terms)
-    if not np.all(np.isfinite(out)):
+    out = tau * sq + psi * psi_terms
+    if not np.isfinite(out).all():
         raise NonFiniteError("nonlinear tendency produced a non-finite value")
     return out
 
 
 def nonlinear_rhs(u: Spectrum, coeffs: CoefficientSet) -> Spectrum:
-    """The nonlinear tendency N(eta); requires a Hermitian-symmetric input.
+    """The nonlinear tendency N(eta) of a real field; another spectrum raises SymmetryError.
 
     Products are dealiased by factor-2 zero padding; the result is Hermitian
     (tau and psi are odd and real), so realness of the field is preserved.
     """
-    return Spectrum(u.grid, _rhs_coeffs(u.grid, coeffs, u.coeffs))
+    d = _tendency(_half_symbols(u.grid, coeffs), half_spectrum(u.coeffs))
+    return Spectrum(u.grid, full_spectrum(d))
 
 
 class IFRK4Stepper:
-    """Classical RK4 on the integrating-factor form d/dt(e^{i phi t} c) = e^{i phi t} N."""
+    """Classical RK4 on d/dt(e^{i phi t} c) = e^{i phi t} N, in half layout (half_spectrum)."""
 
     def __init__(self, grid: SpectralGrid, coeffs: CoefficientSet, dt: float):
         if dt <= 0:
             raise ValueError(f"dt must be positive, got {dt}")
-        self.grid = grid
-        self.coeffs = coeffs
         self.dt = dt
-        self.e_half = np.exp((-0.5j * dt) * _phi(grid, coeffs))
+        self.symbols = _half_symbols(grid, coeffs)
+        self.e_half = np.exp((-0.5j * dt) * self.symbols[0])
         self.e_full = self.e_half * self.e_half
 
     def step(self, c: np.ndarray) -> np.ndarray:
         dt, a, b = self.dt, self.e_half, self.e_full
-        rhs = lambda z: _rhs_coeffs(self.grid, self.coeffs, z)
+        rhs = lambda z: _tendency(self.symbols, z)
         k1 = rhs(c)
         k2 = rhs(a * (c + (0.5 * dt) * k1))
         k3 = rhs(a * c + (0.5 * dt) * k2)
@@ -159,17 +160,19 @@ def iterate_ifrk4(
     """Yield (t, state) from t = 0 to t = T in steps of dt.
 
     Raises BlowUpError when the L^2 norm of the state exceeds blowup_factor
-    times its initial value (instability, or genuinely large data).
+    times its initial value (instability, or genuinely large data), and
+    SymmetryError when eta0 is not the spectrum of a real field.
     """
     grid = eta0.grid
     n_steps = _step_count(T, dt)
     stepper = IFRK4Stepper(grid, coeffs, dt)
-    c = eta0.coeffs.copy()
-    scale = float(np.sqrt(np.sum(np.abs(c) ** 2)))
+    d = half_spectrum(eta0.coeffs)
+    scale = float(np.sqrt(np.sum(np.abs(eta0.coeffs) ** 2)))
     ceiling = blowup_factor * (scale + np.finfo(float).tiny)
     yield 0.0, eta0
     for i in range(1, n_steps + 1):
-        c = stepper.step(c)
+        d = stepper.step(d)
+        c = full_spectrum(d)
         t = i * dt
         size = float(np.sqrt(np.sum(np.abs(c) ** 2)))
         if not np.isfinite(size) or size > ceiling:
@@ -223,8 +226,7 @@ def _sup_distance(grid: SpectralGrid, weights: np.ndarray, diff: np.ndarray) -> 
 
 
 def _picard_iterate(
-    eta0_c: np.ndarray,
-    grid: SpectralGrid,
+    eta0: Spectrum,
     coeffs: CoefficientSet,
     weights: np.ndarray,
     T: float,
@@ -232,30 +234,32 @@ def _picard_iterate(
     tol: float,
     max_iter: int,
 ):
-    """Fixed-point iteration on one time mesh; returns (states, distances, converged)."""
+    """Picard iteration on one time mesh in half layout; returns (states, distances, converged)."""
+    grid = eta0.grid
     ts = np.linspace(0.0, T, n_nodes + 1)
     dt = T / n_nodes
-    e_minus = np.exp(-1j * np.outer(ts, _phi(grid, coeffs)))  # S(t_j) per row
+    symbols = _half_symbols(grid, coeffs)
+    e_minus = np.exp(-1j * np.outer(ts, symbols[0]))  # S(t_j) per row
     e_plus = np.conj(e_minus)
+    eta0_h = half_spectrum(eta0.coeffs)
 
-    cur = e_minus * eta0_c[None, :]  # iterate 0: the free evolution
+    cur = e_minus * eta0_h[None, :]  # iterate 0: the free evolution
     distances: list[float] = []
     for _ in range(max_iter):
-        rhs_rows = np.empty_like(cur)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                for j in range(n_nodes + 1):
-                    rhs_rows[j] = _rhs_coeffs(grid, coeffs, cur[j])
+                rhs_rows = np.array([_tendency(symbols, row) for row in cur])
         except NonFiniteError as exc:
             raise NoConvergenceError(
                 "Picard iterate overflowed; T is too large for the data size"
             ) from exc
+        # complex products are not bitwise commutative: the operand orders are part of the digests
         integrand = e_plus * rhs_rows
         # composite trapezoid prefix integrals of S(-t') N(t')
         segments = 0.5 * dt * (integrand[:-1] + integrand[1:])
-        prefix = np.vstack([np.zeros_like(eta0_c), np.cumsum(segments, axis=0)])
-        new = e_minus * (eta0_c[None, :] + prefix)
-        d = _sup_distance(grid, weights, new - cur)
+        prefix = np.vstack([np.zeros_like(eta0_h), np.cumsum(segments, axis=0)])
+        new = (eta0_h[None, :] + prefix) * e_minus
+        d = _sup_distance(grid, weights, full_spectrum(new - cur))
         if not np.isfinite(d):
             raise NoConvergenceError(
                 "Picard iterate diverged (non-finite distance); T is too large for the data"
@@ -263,8 +267,8 @@ def _picard_iterate(
         distances.append(d)
         cur = new
         if d < tol:
-            return cur, distances, True
-    return cur, distances, False
+            return full_spectrum(cur), distances, True
+    return full_spectrum(cur), distances, False
 
 
 def picard_solve(
@@ -290,9 +294,7 @@ def picard_solve(
         raise ValueError(f"T must be positive, got {T}")
     grid = eta0.grid
     weights = gevrey_weights(grid, g.sigma, g.s)
-    states, distances, converged = _picard_iterate(
-        eta0.coeffs, grid, coeffs, weights, T, n_nodes, tol, max_iter
-    )
+    states, distances, converged = _picard_iterate(eta0, coeffs, weights, T, n_nodes, tol, max_iter)
     if not converged:
         raise NoConvergenceError(
             f"no convergence after {max_iter} Picard iterations "
@@ -301,9 +303,7 @@ def picard_solve(
 
     mesh_delta = None
     if mesh_check:
-        fine, _, fine_ok = _picard_iterate(
-            eta0.coeffs, grid, coeffs, weights, T, 2 * n_nodes, tol, max_iter
-        )
+        fine, _, fine_ok = _picard_iterate(eta0, coeffs, weights, T, 2 * n_nodes, tol, max_iter)
         if not fine_ok:
             raise NoConvergenceError("refined-mesh Picard iteration did not converge")
         mesh_delta = _sup_distance(grid, weights, fine[::2] - states)
@@ -324,7 +324,7 @@ def picard_solve(
     contraction = max(meaningful) if meaningful else (max(ratios) if ratios else 0.0)
 
     ts = np.linspace(0.0, T, n_nodes + 1)
-    records = [_sample(float(t), Spectrum(grid, c.copy()), coeffs, g) for t, c in zip(ts, states)]
+    records = [_sample(float(t), Spectrum(grid, c), coeffs, g) for t, c in zip(ts, states)]
     gnorm0 = gevrey_norm(eta0, g)
     sup_g = max(r.gevrey for r in records)
     growth_ratio = sup_g / gnorm0 if gnorm0 > 0 else (0.0 if sup_g == 0.0 else math.inf)

@@ -389,7 +389,7 @@ def run_trials(
     profile: str = "band_limited",
     combo: tuple | None = None,
     **profile_kw,
-) -> TrialReport:
+) -> TrialReport | list[TrialReport]:
     """Run a seeded campaign and reduce to max/mean of the per-trial statistic.
 
     Per-trial seeds are spawned from one SeedSequence (a multilinear trial
@@ -397,14 +397,19 @@ def run_trials(
     and independent of any execution order.  Trials are evaluated in blocks
     of _trials_per_block(grid); the max is exact and the mean sums the
     per-trial values left to right, so the report equals the per-trial
-    definition.
+    definition.  combo is the interpolation campaign's (s1, s2, theta), or a
+    tuple of such combos: each block is then drawn once and evaluated for
+    every combo, and the list of reports, one per combo, is returned.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    arity, kernel = _campaign(lemma_id, grid, g, coeffs, combo)
+    many = combo is not None and not np.isscalar(combo[0])
+    combos = [tuple(c) for c in combo] if many else [combo]
+    campaigns = [_campaign(lemma_id, grid, g, coeffs, one) for one in combos]
+    arity = campaigns[0][0]
     children = np.random.SeedSequence(seed).spawn(n_trials)
     size = _trials_per_block(grid)
-    values = []
+    values = [[] for _ in combos]
     for start in range(0, n_trials, size):
         block = children[start : start + size]
         if arity:
@@ -412,26 +417,22 @@ def run_trials(
             c = random_fields(grid, profile, kids, **profile_kw).reshape(len(block), arity, -1)
         else:
             c = random_fields(grid, profile, block, **profile_kw)
-        values.extend(kernel(c).tolist())
-    config = {
-        "n_modes": grid.n_modes,
-        "half_length": grid.half_length,
-        "sigma": g.sigma,
-        "s": g.s,
-        "profile": profile,
-    }
-    if combo is not None:
-        config["combo"] = tuple(combo)
-    if profile_kw:
+        for (_, kernel), vals in zip(campaigns, values):
+            vals.extend(kernel(c).tolist())
+    reports = []
+    for one, vals in zip(combos, values):
+        config = {
+            "n_modes": grid.n_modes,
+            "half_length": grid.half_length,
+            "sigma": g.sigma,
+            "s": g.s,
+            "profile": profile,
+        }
+        if one is not None:
+            config["combo"] = tuple(one)
         config.update(profile_kw)
-    return TrialReport(
-        lemma_id=lemma_id,
-        n_trials=n_trials,
-        ratio_max=max(values),
-        ratio_mean=sum(values) / n_trials,
-        seed=seed,
-        config=config,
-    )
+        reports.append(TrialReport(lemma_id, n_trials, max(vals), sum(vals) / n_trials, seed, config))
+    return reports if many else reports[0]
 
 
 def existence_constant(

@@ -63,12 +63,10 @@ class SpectralGrid:
         pts.setflags(write=False)
         return pts
 
-    @cached_property
+    @property
     def phase(self) -> np.ndarray:
         """(-1)^k, the shift between FFT coefficients and series coefficients."""
-        ph = np.where(self.modes % 2 == 0, 1.0, -1.0)
-        ph.setflags(write=False)
-        return ph
+        return _alternating(self.n_modes)  # n/2 is even, so the sign keeps alternating at -n/2
 
     @property
     def nyquist(self) -> int:
@@ -207,32 +205,55 @@ def spatial_derivative(s: Spectrum) -> Spectrum:
 
 
 @lru_cache(maxsize=64)
-def _half_phase(half: int) -> np.ndarray:
-    ph = np.resize([1.0, -1.0], half + 1)  # (-1)^k for k = 0..half
+def _alternating(length: int) -> np.ndarray:
+    ph = np.resize([1.0, -1.0], length)  # (-1)^k for k = 0..length-1
     ph.setflags(write=False)
     return ph
 
 
-def padded_samples(c: np.ndarray) -> np.ndarray:
-    """Samples (..., 2n) on the factor-2 padded grid of real-field spectra (..., n).
+def half_spectrum(c: np.ndarray) -> np.ndarray:
+    """Half layout (..., n/2+1) of real-field spectra (..., n): d_k = (-1)^k c_k, k < n/2.
 
-    One batched irfft of the half spectrum: the unpaired mode c_{-n/2} is read
-    as split evenly onto +-n/2, so index n/2 carries conj(c_{-n/2})/2.
+    Index n/2 carries conj(d_{-n/2})/2, the unpaired mode split evenly onto +-n/2 and
+    exempt from the Hermitian check; a defect above 1e-10 raises SymmetryError.
     """
     half = c.shape[-1] // 2
-    h = c[..., : half + 1] * _half_phase(half)
-    h[..., half] = 0.5 * np.conj(h[..., half])
-    return np.fft.irfft(h, 4 * half, norm="forward")
+    mirrored = np.take(c, -np.arange(half), axis=-1).conj()
+    defect = np.abs(c[..., :half] - mirrored).max(axis=-1)
+    if (defect > 1e-10 * np.abs(c).max(axis=-1)).any():
+        raise SymmetryError("spectra must be those of real fields")
+    d = c[..., : half + 1] * _alternating(half + 1)
+    d[..., half] = 0.5 * np.conj(d[..., half])
+    return d
+
+
+def full_spectrum(d: np.ndarray) -> np.ndarray:
+    """FFT layout (..., n) of half-layout spectra (..., n/2+1); inverts half_spectrum."""
+    c = d * _alternating(d.shape[-1])
+    c[..., -1] = 2.0 * np.conj(c[..., -1])  # c_{-n/2}, no longer split onto +-n/2
+    return np.concatenate([c, np.conj(c[..., -2:0:-1])], axis=-1)
+
+
+def half_padded_samples(d: np.ndarray) -> np.ndarray:
+    """Samples (..., 2n) on the factor-2 padded grid of half-layout spectra: one batched irfft."""
+    return np.fft.irfft(d, 4 * (d.shape[-1] - 1), norm="forward")
+
+
+def half_truncated_spectrum(samples: np.ndarray) -> np.ndarray:
+    """Half-layout spectra of real samples (..., 2n): one batched rfft, index n/2 zeroed."""
+    d = np.fft.rfft(samples, norm="forward")[..., : samples.shape[-1] // 4 + 1]
+    d[..., -1] = 0.0
+    return d
+
+
+def padded_samples(c: np.ndarray) -> np.ndarray:
+    """Samples (..., 2n) on the factor-2 padded grid of real-field spectra (..., n)."""
+    return half_padded_samples(half_spectrum(c))
 
 
 def truncated_spectrum(samples: np.ndarray) -> np.ndarray:
-    """Spectra (..., n) of real samples (..., 2n): modes |k| < n/2, Nyquist zeroed.
-
-    One batched rfft; the negative modes are mirrored into the FFT layout.
-    """
-    half = samples.shape[-1] // 4
-    pos = np.fft.rfft(samples, norm="forward")[..., :half] * _half_phase(half)[:half]
-    return np.concatenate([pos, np.zeros_like(pos[..., :1]), np.conj(pos[..., :0:-1])], axis=-1)
+    """Spectra (..., n) of real samples (..., 2n): modes |k| < n/2, Nyquist zeroed."""
+    return full_spectrum(half_truncated_spectrum(samples))
 
 
 def dealiased_product(factors) -> Spectrum:
@@ -257,16 +278,11 @@ def dealiased_product(factors) -> Spectrum:
 def product_spectra(c: np.ndarray) -> np.ndarray:
     """Dealiased spectra (..., n) of the products of the fields stacked on axis -2 of c.
 
-    c holds real-field spectra (..., factors, n); one Hermitian check, one
-    padded_samples, one product over the factor axis and one
+    c holds real-field spectra (..., factors, n); one padded_samples (with its
+    Hermitian check), one product over the factor axis and one
     truncated_spectrum serve the whole stack.  A row that is not the spectrum
     of a real field raises SymmetryError.
     """
-    half = c.shape[-1] // 2  # c_{-n/2} is exempt: it is read as split onto +-n/2
-    mirrored = np.take(c, -np.arange(half), axis=-1).conj()
-    defect = np.abs(c[..., :half] - mirrored).max(axis=-1)
-    if (defect > 1e-10 * np.abs(c).max(axis=-1)).any():
-        raise SymmetryError("dealiased_product factors must be spectra of real fields")
     return truncated_spectrum(np.multiply.reduce(padded_samples(c), axis=-2))
 
 

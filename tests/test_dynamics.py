@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kdvbbm as kb
-from kdvbbm.dynamics import CUBIC_COEFF, DERIV_SQ_COEFF
+from kdvbbm.dynamics import CUBIC_COEFF, DERIV_SQ_COEFF, IFRK4Stepper
+from kdvbbm.spectral import full_spectrum, half_spectrum
 from oracles import convolve_project, richardson_order
 
 G01 = kb.GevreyIndex(0.1, 2.0)
@@ -105,6 +106,108 @@ class TestNonlinearRhs:
         u = kb.random_field(grid, "band_limited", 7, amplitude=0.1)
         out = kb.nonlinear_rhs(u, coeffs)
         assert out.hermitian_defect() < 1e-12
+
+    def test_non_real_input_rejected(self, small_grid, coeffs):
+        # the tendency reads only the half spectrum, so a non-real input must not pass silently
+        rng = np.random.default_rng(5)
+        u = kb.Spectrum(small_grid, rng.standard_normal(64) + 1j * rng.standard_normal(64))
+        assert u.hermitian_defect() > 1.0
+        with pytest.raises(kb.SymmetryError):
+            kb.nonlinear_rhs(u, coeffs)
+        with pytest.raises(kb.SymmetryError):
+            kb.dealiased_product([u, u])
+
+    def test_hermitian_check_tolerance_and_nyquist_exemption(self, small_grid, coeffs):
+        c = kb.random_field(small_grid, "band_limited", 3, amplitude=0.1).coeffs.copy()
+        c[small_grid.nyquist] = 0.02 - 0.03j  # exempt: read as split onto +-n/2
+        c[5] += 1e-12  # within 1e-10 of the largest mode
+        kb.nonlinear_rhs(kb.Spectrum(small_grid, c), coeffs)
+        c[5] += 1e-6
+        with pytest.raises(kb.SymmetryError):
+            kb.nonlinear_rhs(kb.Spectrum(small_grid, c), coeffs)
+
+
+def _nyquist_datum(grid):
+    c = kb.cos_mode(grid, 1, 0.01).coeffs.copy()
+    c[grid.nyquist] = 1e-3
+    return kb.Spectrum(grid, c)
+
+
+HALF_LAYOUT_DATA = {
+    "gaussian": lambda grid: kb.gaussian(grid, 0.5, 0.5),
+    "gevrey_synthetic": lambda grid: kb.gevrey_synthetic(grid, 0.3, 2.0, 0.1),
+    "nyquist": _nyquist_datum,
+}
+
+
+def _reference_tendency(grid, coeffs, c):
+    """N(c) in FFT layout by exact convolution, c_{-n/2} split evenly onto +-n/2."""
+    n, half = grid.n_modes, grid.nyquist
+    fine = kb.SpectralGrid(2 * n, grid.half_length)
+
+    def embed(a):
+        e = np.zeros(2 * n, complex)
+        e[:half], e[2 * n - half + 1 :] = a[:half], a[half + 1 :]
+        e[2 * n - half], e[half] = 0.5 * a[half], 0.5 * np.conj(a[half])
+        return e
+
+    def project(e):
+        out = np.zeros(n, complex)
+        out[:half], out[half + 1 :] = e[:half], e[2 * n - half + 1 :]
+        return out
+
+    dc = c * (1j * grid.wavenumbers)
+    dc[half] = 0.0
+    e, de = embed(c), embed(dc)
+    sq, cube, dsq = (project(convolve_project(fine, *f)) for f in ((e, e), (e, e, e), (de, de)))
+    tau = kb.evaluate_symbol("tau", grid.wavenumbers, coeffs)
+    psi = kb.evaluate_symbol("psi", grid.wavenumbers, coeffs)
+    out = -1j * (tau * sq - psi * (CUBIC_COEFF * cube + DERIV_SQ_COEFF * dsq))
+    out[half] = 0.0
+    return out
+
+
+class TestHalfLayoutMarcher:
+    """The marcher keeps its state in half layout; these pin it to the full-layout definition."""
+
+    @pytest.mark.parametrize("name", sorted(HALF_LAYOUT_DATA))
+    def test_step_matches_full_layout_rk4(self, small_grid, coeffs, name):
+        eta0 = HALF_LAYOUT_DATA[name](small_grid)
+        dt = 0.01
+        S = lambda a, t: kb.linear_propagate(kb.Spectrum(small_grid, a), t, coeffs).coeffs
+        N = lambda a: _reference_tendency(small_grid, coeffs, a)
+        c = eta0.coeffs
+        k1 = N(c)
+        k2 = N(S(c + 0.5 * dt * k1, 0.5 * dt))
+        k3 = N(S(c, 0.5 * dt) + 0.5 * dt * k2)
+        k4 = N(S(c, dt) + dt * S(k3, 0.5 * dt))
+        reference = S(c, dt) + (dt / 6.0) * (S(k1, dt) + 2.0 * S(k2 + k3, 0.5 * dt) + k4)
+        stepped = full_spectrum(IFRK4Stepper(small_grid, coeffs, dt).step(half_spectrum(c)))
+        assert np.max(np.abs(stepped - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("name", sorted(HALF_LAYOUT_DATA))
+    def test_states_exactly_hermitian_nyquist_fixed(self, small_grid, coeffs, name):
+        eta0 = HALF_LAYOUT_DATA[name](small_grid)
+        nyq = small_grid.nyquist
+        traj = kb.evolve_ifrk4(eta0, 0.2, 0.01, coeffs, record_every=4)
+        for r in traj.records[1:]:
+            assert r.state.coeffs[nyq] == eta0.coeffs[nyq]
+            assert r.state.hermitian_defect() == 0.0
+
+    def test_one_step_call_per_step(self, grid, coeffs, monkeypatch):
+        # perfbench counts traced IFRK4Stepper.step calls as the march's steps
+        calls = []
+        step = IFRK4Stepper.step
+        monkeypatch.setattr(IFRK4Stepper, "step", lambda self, c: calls.append(1) or step(self, c))
+        T, dt = 0.3, 0.01  # T / dt = 29.999999999999996
+        kb.evolve_ifrk4(kb.cos_mode(grid, 1, 0.05), T, dt, coeffs, record_every=7)
+        assert len(calls) == round(T / dt) == 30
+
+    def test_non_real_datum_rejected(self, small_grid, coeffs):
+        c = kb.cos_mode(small_grid, 1, 0.01).coeffs.copy()
+        c[3] += 1e-3j
+        with pytest.raises(kb.SymmetryError):
+            kb.evolve_ifrk4(kb.Spectrum(small_grid, c), 0.1, 0.01, coeffs)
 
 
 class TestIFRK4:

@@ -227,6 +227,21 @@ class TestTrialCampaigns:
         assert row["lemma_id"] == "interpolation"
         assert row["n_trials"] == 20
 
+    @pytest.mark.parametrize("profile, kw", [
+        ("band_limited", {}),
+        ("exponential_decay", {"rate": 0.5}),
+        ("polynomial_decay", {"power": 2.0, "cutoff": 20}),
+    ])
+    def test_combos_share_draws(self, grid, coeffs, profile, kw):
+        # a tuple of combos evaluates every combo on one set of draws
+        g = kb.GevreyIndex(0.1, 0.0)
+        combos = ((0.0, 2.0, 0.5), (1.0, 3.0, 0.5), (0.5, 2.5, 1.0 / 3.0))
+        together = kb.run_trials("interpolation", grid, g, coeffs, n_trials=40, seed=4,
+                                 profile=profile, combo=combos, **kw)
+        apart = [kb.run_trials("interpolation", grid, g, coeffs, n_trials=40, seed=4,
+                               profile=profile, combo=combo, **kw) for combo in combos]
+        assert together == apart
+
     def test_unknown_lemma(self, grid, coeffs):
         with pytest.raises(ValueError):
             kb.run_trials("bogus", grid, G_S1, coeffs, n_trials=2, seed=0)

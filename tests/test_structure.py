@@ -5,6 +5,8 @@ Keeping the padding and truncation decisions behind public functions of
 explicitly seeded generators is what makes reruns reproduce their digests.
 Marching in one loop and building records in one function is what keeps the
 record rule and the sample columns from drifting apart between commands.
+Calling numpy.fft from `spectral` alone keeps the half layout and the Nyquist
+split written once.
 """
 
 import ast
@@ -140,3 +142,47 @@ def test_one_record_constructor():
 def test_one_marching_loop():
     # the IFRK4 state stream is consumed by evolve_ifrk4 alone; others hook into it
     assert _package_call_sites("iterate_ifrk4") == ["dynamics.py:evolve_ifrk4"]
+
+
+def _fft_uses(source, name):
+    """Lines of source that reach numpy.fft, by attribute, import or import-from."""
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "fft"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        ):
+            yield f"{name}:{node.lineno} uses numpy.fft"
+        elif isinstance(node, ast.Import) and any(a.name.startswith("numpy.fft") for a in node.names):
+            yield f"{name}:{node.lineno} imports numpy.fft"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.fft"):
+            yield f"{name}:{node.lineno} imports from numpy.fft"
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            if any(alias.name == "fft" for alias in node.names):
+                yield f"{name}:{node.lineno} imports numpy.fft under another name"
+
+
+def test_guard_flags_fft_outside_spectral():
+    source = (
+        "import numpy as np\n"
+        "import numpy.fft\n"
+        "from numpy.fft import rfft\n"
+        "from numpy import fft as f\n"
+        "x = np.fft.irfft([1.0, 0.0])\n"
+        "y = numpy.fft.fft([1.0])\n"
+        "z = np.linalg.norm([1.0])\n"
+    )
+    assert len(list(_fft_uses(source, "bad.py"))) == 5
+
+
+def test_fft_only_in_spectral():
+    # spectral holds the one layout and Nyquist convention; every transform goes through it
+    offenders = [
+        line
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "spectral.py"
+        for line in _fft_uses(path.read_text(encoding="utf-8"), path.name)
+    ]
+    assert offenders == []
+    assert list(_fft_uses((PACKAGE / "spectral.py").read_text(encoding="utf-8"), "spectral.py"))
