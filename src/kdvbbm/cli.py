@@ -18,11 +18,13 @@ import copy
 import csv
 import datetime
 import hashlib
+import itertools
 import json
 import math
 import os
 import shutil
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -391,18 +393,21 @@ def apply_override(raw: dict, spec: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return f"{value:.17g}"
-
-
 def _write_csv(path, columns, rows):
+    """Strings as they are, None as an empty cell, numbers to 17 significant digits."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([v if isinstance(v, str) else _fmt(v) for v in row])
+            writer.writerow(
+                ["" if v is None else v if isinstance(v, str) else f"{v:.17g}" for v in row]
+            )
+
+
+def _write_json(path, data):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _sha256(path) -> str:
@@ -414,7 +419,8 @@ def _sha256(path) -> str:
 
 
 class RunDirectory:
-    """Staging-then-promote output directory; nothing survives a failed run."""
+    """Staging-then-promote output directory; nothing survives a failed run, and
+    without force an existing run directory is never replaced."""
 
     def __init__(self, root: str, run_id: str, force: bool):
         self.root = root
@@ -424,8 +430,6 @@ class RunDirectory:
         self.staging = os.path.join(root, f".staging-{run_id}-{os.getpid()}")
 
     def __enter__(self):
-        if os.path.exists(self.final) and not self.force:
-            raise ConfigError(f"output directory {self.final} exists (use --force to replace)")
         os.makedirs(self.root, exist_ok=True)
         if os.path.exists(self.staging):
             shutil.rmtree(self.staging)
@@ -440,8 +444,16 @@ class RunDirectory:
             shutil.rmtree(self.staging, ignore_errors=True)
             return False
         if not os.path.exists(self.final):
-            os.replace(self.staging, self.final)
-            return False
+            try:
+                os.replace(self.staging, self.final)
+                return False
+            except OSError:  # refused onto a run directory promoted in between
+                if not os.path.exists(self.final):
+                    shutil.rmtree(self.staging, ignore_errors=True)
+                    raise
+        if not self.force:  # checked here, so a run promoted while ours ran is kept too
+            shutil.rmtree(self.staging, ignore_errors=True)
+            raise ConfigError(f"output directory {self.final} exists (use --force to replace)")
         # move the old run aside first, so a failed promotion can restore it
         old = os.path.join(self.root, f".old-{self.run_id}-{os.getpid()}")
         os.replace(self.final, old)
@@ -458,8 +470,6 @@ class RunDirectory:
 def _manifest(command, cfg: RunConfig, rundir: RunDirectory, checks: dict, started):
     artifacts = []
     for name in sorted(os.listdir(rundir.staging)):
-        if name == "manifest.json":
-            continue
         full = os.path.join(rundir.staging, name)
         artifacts.append({"name": name, "sha256": _sha256(full), "bytes": os.path.getsize(full)})
     enabled = [c for c in checks.values() if "passed" in c]
@@ -468,15 +478,13 @@ def _manifest(command, cfg: RunConfig, rundir: RunDirectory, checks: dict, start
         "command": command,
         "run_id": rundir.run_id,
         "started": started,
-        "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "finished": _now(),
         "config": cfg.data,
         "artifacts": artifacts,
         "checks": checks,
         "passed": all(c["passed"] for c in enabled),
     }
-    with open(rundir.path("manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(rundir.path("manifest.json"), manifest)
     return manifest
 
 
@@ -485,23 +493,39 @@ def _now() -> str:
 
 
 # ---------------------------------------------------------------------------
-# runners
+# runners: each computes one command and returns (artifacts, checks)
 # ---------------------------------------------------------------------------
 
 
-def _existence_window(cfg: RunConfig, grid, g, coeffs, norm0):
-    if norm0 == 0.0:
-        return math.inf, None
-    if g.s < 1.0:
-        return None, None
-    c_s = existence_constant(
-        grid,
-        g,
-        coeffs,
-        n_trials=cfg.data["checks"]["existence_trials"],
-        seed=cfg.data["checks"]["existence_seed"],
-    )
-    return local_existence_time(norm0, c_s), c_s
+def _setup(cfg: RunConfig):
+    """(coefficients, datum, Gevrey index, X0, T_bar, C_s) of a march or a solve.
+
+    T_bar, the guaranteed window, is inf for a zero datum; T_bar and the
+    existence constant C_s are None when C_s needs analyticity.s >= 1.
+    """
+    coeffs, grid, g = cfg.coefficients(), cfg.grid(), cfg.gevrey_index()
+    eta0 = cfg.initial_state(grid)
+    x0 = gevrey_norm(eta0, g)
+    t_bar = c_s = None
+    if x0 == 0.0:
+        t_bar = math.inf
+    elif g.s >= 1.0:
+        cks = cfg.data["checks"]
+        c_s = existence_constant(
+            grid, g, coeffs, n_trials=cks["existence_trials"], seed=cks["existence_seed"]
+        )
+        t_bar = local_existence_time(x0, c_s)
+    return coeffs, eta0, g, x0, t_bar, c_s
+
+
+def _trajectory_csv(traj, tracked=None):
+    """trajectory.csv: one row per record; the sigma bound columns stay empty without tracking."""
+    bounds = itertools.repeat((None, None)) if tracked is None else zip(tracked.lower, tracked.upper)
+    rows = [
+        (r.t, r.energy, r.h2, r.gevrey, r.sigma_hat, lower, upper)
+        for r, (lower, upper) in zip(traj.records, bounds)
+    ]
+    return TRAJECTORY_COLUMNS, rows
 
 
 def _check(value, passed, limit=None, note=None) -> dict:
@@ -566,21 +590,15 @@ def _simulate_checks(cfg, coeffs, traj, tracked, t_bar, x0):
     return checks
 
 
-def run_simulate(cfg: RunConfig, outroot: str, force: bool, command: str = "simulate") -> int:
+def run_simulate(cfg: RunConfig, tracking: bool = False):
+    """March the datum with IFRK4; sigma(t) is tracked for radius or analyticity.enabled."""
     _check_marched_horizon(cfg.data["solver"])  # this march is IFRK4 whatever solver.method says
-    started = _now()
-    coeffs = cfg.coefficients()
-    grid = cfg.grid()
-    eta0 = cfg.initial_state(grid)
-    g = cfg.gevrey_index()
+    coeffs, eta0, g, x0, t_bar, _ = _setup(cfg)
     sol = cfg.data["solver"]
     ana = cfg.data["analyticity"]
-    tracking = ana["enabled"] or command == "radius"
 
-    x0 = gevrey_norm(eta0, g)
-    t_bar, _ = _existence_window(cfg, grid, g, coeffs, x0)
-
-    if tracking:
+    tracked = None
+    if tracking or ana["enabled"]:
         tracked = tracked_run(
             eta0,
             sol["T"],
@@ -596,20 +614,7 @@ def run_simulate(cfg: RunConfig, outroot: str, force: bool, command: str = "simu
             blowup_factor=sol["blowup_factor"],
         )
         traj = tracked.trajectory
-        rows = [
-            (
-                r.t,
-                r.energy,
-                r.h2,
-                r.gevrey,
-                r.sigma_hat,
-                float(tracked.lower[i]),
-                float(tracked.upper[i]),
-            )
-            for i, r in enumerate(traj.records)
-        ]
     else:
-        tracked = None
         traj = evolve_ifrk4(
             eta0,
             sol["T"],
@@ -619,34 +624,23 @@ def run_simulate(cfg: RunConfig, outroot: str, force: bool, command: str = "simu
             gevrey_index=g,
             blowup_factor=sol["blowup_factor"],
         )
-        rows = [(r.t, r.energy, r.h2, r.gevrey, None, None, None) for r in traj.records]
 
-    checks = _simulate_checks(cfg, coeffs, traj, tracked, t_bar, x0)
-    with RunDirectory(outroot, cfg.run_id(command), force) as rundir:
-        _write_csv(rundir.path("trajectory.csv"), TRAJECTORY_COLUMNS, rows)
-        _write_csv(
-            rundir.path("final_spectrum.csv"),
-            ("k", "xi", "re", "im", "abs"),
-            spectrum_csv_rows(traj.final.state),
-        )
-        if tracked is not None:
-            _write_csv(rundir.path("sigma.csv"), ("t", "sigma"), tracked.sigma_series)
-        manifest = _manifest(command, cfg, rundir, checks, started)
-    return 0 if manifest["passed"] else 1
+    artifacts = {
+        "trajectory.csv": _trajectory_csv(traj, tracked),
+        "final_spectrum.csv": (("k", "xi", "re", "im", "abs"), spectrum_csv_rows(traj.final.state)),
+    }
+    if tracked is not None:
+        artifacts["sigma.csv"] = (("t", "sigma"), tracked.sigma_series)
+    return artifacts, _simulate_checks(cfg, coeffs, traj, tracked, t_bar, x0)
 
 
-def run_picard(cfg: RunConfig, outroot: str, force: bool) -> int:
-    started = _now()
-    coeffs = cfg.coefficients()
-    grid = cfg.grid()
-    eta0 = cfg.initial_state(grid)
-    g = cfg.gevrey_index()
+def run_picard(cfg: RunConfig):
+    """Solve the integral equation by Picard iteration, optionally cross-checked by IFRK4."""
+    coeffs, eta0, g, _, t_bar, c_s = _setup(cfg)
     sol = cfg.data["solver"]
     cks = cfg.data["checks"]
 
-    x0 = gevrey_norm(eta0, g)
     T = sol["T"]
-    t_bar, c_s = _existence_window(cfg, grid, g, coeffs, x0)
     if T == "auto":
         if t_bar is None or not math.isfinite(t_bar):
             raise ConfigError(
@@ -678,56 +672,49 @@ def run_picard(cfg: RunConfig, outroot: str, force: bool) -> int:
         dt_cross = T / n_steps
         rk = evolve_ifrk4(eta0, T, dt_cross, coeffs, record_every=n_steps, gevrey_index=g)
         delta = gevrey_norm(
-            Spectrum(grid, traj.final.state.coeffs - rk.final.state.coeffs), g
+            Spectrum(eta0.grid, traj.final.state.coeffs - rk.final.state.coeffs), g
         )
         checks["marcher_crosscheck"] = _check(delta, delta <= cks["crosscheck_tol"], cks["crosscheck_tol"])
 
-    rows = [(r.t, r.energy, r.h2, r.gevrey, None, None, None) for r in traj.records]
-    diag_rows = [
-        (str(i + 1), _fmt(d), _fmt(diag.ratios[i - 1]) if i >= 1 else "")
-        for i, d in enumerate(diag.distances)
+    iterations = [
+        (i + 1, d, diag.ratios[i - 1] if i >= 1 else None) for i, d in enumerate(diag.distances)
     ]
-    with RunDirectory(outroot, cfg.run_id("picard"), force) as rundir:
-        _write_csv(rundir.path("trajectory.csv"), TRAJECTORY_COLUMNS, rows)
-        _write_csv(rundir.path("picard.csv"), ("iteration", "distance", "ratio"), diag_rows)
-        meta = {
-            "T": T,
-            "existence_window": t_bar,
-            "existence_constant": c_s,
-            "iterations": diag.iterations,
-            "mesh_delta": diag.mesh_delta,
-        }
-        with open(rundir.path("picard_meta.json"), "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        manifest = _manifest("picard", cfg, rundir, checks, started)
-    return 0 if manifest["passed"] else 1
+    meta = {
+        "T": T,
+        "existence_window": t_bar,
+        "existence_constant": c_s,
+        "iterations": diag.iterations,
+        "mesh_delta": diag.mesh_delta,
+    }
+    artifacts = {
+        "trajectory.csv": _trajectory_csv(traj),
+        "picard.csv": (("iteration", "distance", "ratio"), iterations),
+        "picard_meta.json": meta,
+    }
+    return artifacts, checks
 
 
-def run_estimates(cfg: RunConfig, outroot: str, force: bool) -> int:
-    started = _now()
+def run_estimates(cfg: RunConfig):
+    """The randomized estimate campaigns and the below-range failure demo."""
     coeffs = cfg.coefficients()
     grid = cfg.grid()
     est = cfg.data["estimates"]
     seed = cfg.data["run"]["seed"]
+    g = GevreyIndex(est["sigma"], est["s"])
+    # every interpolation combo is evaluated on the same draws
+    combos = tuple(tuple(float(v) for v in combo) for combo in est["interpolation_combos"])
 
+    artifacts: dict = {}
     checks: dict = {}
-    outputs: list[tuple[str, list]] = []
     for name in est["campaigns"]:
-        g = GevreyIndex(est["sigma"], est["s"])
-        # every interpolation combo is evaluated on the same draws
-        combos = tuple(tuple(float(v) for v in combo) for combo in est["interpolation_combos"])
         reports = run_trials(
             name, grid, g, coeffs, n_trials=est["n_trials"], seed=seed, profile=est["profile"],
             combo=combos if name == "interpolation" else None,
             cutoff=est["cutoff"], rate=est["rate"], power=est["power"],
         )
         reports = reports if name == "interpolation" else [reports]
-        rows = [
-            tuple(rep.csv_row()[col] if col != "lemma_id" else rep.lemma_id for col in ESTIMATE_COLUMNS)
-            for rep in reports
-        ]
-        outputs.append((f"{name}.csv", rows))
+        rows = [tuple(rep.csv_row()[col] for col in ESTIMATE_COLUMNS) for rep in reports]
+        artifacts[f"{name}.csv"] = (ESTIMATE_COLUMNS, rows)
         worst = max(rep.ratio_max for rep in reports)
         if name == "interpolation" or name == "splitting_r1":
             checks[name] = _check(worst, worst <= 1.0 + 1e-12, 1.0 + 1e-12)
@@ -736,28 +723,57 @@ def run_estimates(cfg: RunConfig, outroot: str, force: bool) -> int:
         else:
             checks[name] = {"informational": True, "ratio_max": worst}
 
-    demo = None
     if est["failure_demo"]:
         demo = failure_demo_bilinear(
             est["failure_s"], ks=tuple(est["failure_ks"]), coeffs=coeffs
         )
+        artifacts["failure_demo.csv"] = (("k", "n_modes", "ratio"), demo.rows)
         checks["failure_demo"] = {
             "informational": True,
             "monotone": demo.monotone,
             "growth_exponent": demo.growth_exponent,
         }
+    return artifacts, checks
 
-    with RunDirectory(outroot, cfg.run_id("estimates"), force) as rundir:
-        for name, rows in outputs:
-            _write_csv(rundir.path(name), ESTIMATE_COLUMNS, rows)
-        if demo is not None:
-            _write_csv(
-                rundir.path("failure_demo.csv"),
-                ("k", "n_modes", "ratio"),
-                [(str(k), str(n), _fmt(r)) for (k, n, r) in demo.rows],
-            )
-        manifest = _manifest("estimates", cfg, rundir, checks, started)
+
+# ---------------------------------------------------------------------------
+# the run driver
+# ---------------------------------------------------------------------------
+
+#: command -> (runner, its keyword arguments, help).  A runner returns (artifacts, checks):
+#: a file name maps to (columns, rows) for a CSV or to a dict for a JSON file.  A run looks
+#: its runner up by name in this module, so a runner rebound on the module is the one run.
+_COMMANDS = {
+    "simulate": ("run_simulate", {}, "march the PDE and record the trajectory"),
+    "picard": ("run_picard", {}, "fixed-point solve on the integral equation"),
+    "radius": ("run_simulate", {"tracking": True}, "simulate with radius tracking and bounds"),
+    "estimates": ("run_estimates", {}, "randomized inequality campaigns"),
+}
+
+
+def _run(command: str, cfg: RunConfig, outroot: str, force: bool) -> int:
+    """Compute one command, then stage, write and promote its run directory: 0 if every
+    enabled check passed, else 1.  A run that raises leaves nothing (see _failure)."""
+    started = _now()
+    runner, options, _ = _COMMANDS[command]
+    artifacts, checks = globals()[runner](cfg, **options)
+    with RunDirectory(outroot, cfg.run_id(command), force) as rundir:
+        for name, content in artifacts.items():
+            if isinstance(content, dict):
+                _write_json(rundir.path(name), content)
+            else:
+                _write_csv(rundir.path(name), *content)
+        manifest = _manifest(command, cfg, rundir, checks, started)
     return 0 if manifest["passed"] else 1
+
+
+def _failure(exc: Exception) -> tuple[int, str]:
+    """The exit code and message of a run that raised exc."""
+    if isinstance(exc, ConfigError):
+        return 2, f"config error: {exc}"
+    if isinstance(exc, KdvBbmError):
+        return 3, f"runtime error: {exc}"
+    return 3, f"internal error: {exc}"
 
 
 # ---------------------------------------------------------------------------
@@ -786,24 +802,23 @@ def _run_point(args):
     config_path, overrides, command, outroot, force = args
     try:
         cfg = load_config(config_path, overrides)
-        runner = {"simulate": run_simulate, "picard": run_picard, "estimates": run_estimates}[
-            command
-        ]
-        code = runner(cfg, outroot, force)
-        return code, cfg.run_id(command), None
-    except ConfigError as exc:
-        return 2, None, str(exc)
+        return _run(command, cfg, outroot, force), cfg.run_id(command), None
     except Exception as exc:  # sweep points must not kill their siblings
-        return 3, None, f"{type(exc).__name__}: {exc}"
+        code, message = _failure(exc)
+        return code, None, message
 
 
 def run_sweep(config_path, set_specs, command, outroot, force, workers) -> int:
+    if workers < 1:
+        raise ConfigError(f"--workers: expected an integer >= 1, got {workers}")
     points = _expand_sweep(set_specs)
     if not points:
         raise ConfigError("sweep needs at least one --set axis")
     started = _now()
     args = [(config_path, overrides, command, outroot, force) for overrides in points]
-    if workers > 1 and len(points) > 1:
+    # a forking pool starts all its workers at the first submit: start no idle ones
+    workers = min(workers, len(points))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_point, args))
     else:
@@ -822,9 +837,7 @@ def run_sweep(config_path, set_specs, command, outroot, force, workers) -> int:
         "passed": all(e["exit_code"] == 0 for e in entries),
     }
     os.makedirs(outroot, exist_ok=True)
-    with open(os.path.join(outroot, "sweep_manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(outroot, "sweep_manifest.json"), summary)
     return max(e["exit_code"] for e in entries)
 
 
@@ -860,16 +873,14 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="override a config entry (repeatable)",
     )
-    sub.add_parser("simulate", parents=[common], help="march the PDE and record the trajectory")
-    sub.add_parser("picard", parents=[common], help="fixed-point solve on the integral equation")
-    sub.add_parser("radius", parents=[common], help="simulate with radius tracking and bounds")
-    sub.add_parser("estimates", parents=[common], help="randomized inequality campaigns")
+    for command, (_, _, text) in _COMMANDS.items():
+        sub.add_parser(command, parents=[common], help=text)
     sweep = sub.add_parser("sweep", parents=[common], help="cross product of overrides, run in parallel")
     sweep.add_argument(
         "--command",
         dest="sweep_command",
         default="simulate",
-        choices=["simulate", "picard", "estimates"],
+        choices=list(_COMMANDS),
         help="runner executed at every sweep point",
     )
     sweep.add_argument("--workers", type=int, default=max(1, min(4, os.cpu_count() or 1)))
@@ -878,36 +889,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    sweep = args.command == "sweep"
     try:
-        if args.command == "sweep":
-            cfg = load_config(args.config)  # the base config must validate on its own
-            outroot = _output_root(cfg.data["output"]["directory"], args.out)
+        # a sweep's base config must validate on its own; its --set values are axes
+        cfg = load_config(args.config, [] if sweep else args.overrides)
+        outroot = _output_root(cfg.data["output"]["directory"], args.out)
+        if sweep:
             return run_sweep(
                 args.config, args.overrides, args.sweep_command, outroot, args.force, args.workers
             )
-        cfg = load_config(args.config, args.overrides)
-        outroot = _output_root(cfg.data["output"]["directory"], args.out)
-        if args.command == "simulate":
-            return run_simulate(cfg, outroot, args.force)
-        if args.command == "radius":
-            return run_simulate(cfg, outroot, args.force, command="radius")
-        if args.command == "picard":
-            return run_picard(cfg, outroot, args.force)
-        if args.command == "estimates":
-            return run_estimates(cfg, outroot, args.force)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except KdvBbmError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 3
+        return _run(args.command, cfg, outroot, args.force)
     except Exception as exc:
-        import traceback
-
-        traceback.print_exc()
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
+        code, message = _failure(exc)
+        if not isinstance(exc, KdvBbmError):
+            traceback.print_exc()
+        print(message, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -30,6 +30,34 @@ def _small_sim(**extra):
     return cfg
 
 
+def _small_radius():
+    return {
+        "run": {"seed": 5},
+        "initial": {"family": "gevrey_synthetic", "sigma0": 0.6,
+                    "roll_off": 2.0, "amplitude": 0.002},
+        "solver": {"T": 0.5, "dt": 0.002, "record_every": 25},
+        "analyticity": {"sigma0": 0.5},
+        "checks": {"existence_trials": 16},
+    }
+
+
+def _small_picard():
+    return {
+        "run": {"seed": 7},
+        "initial": {"family": "cos_mode", "k": 1, "amplitude": 0.01},
+        "solver": {"method": "picard", "T": "auto", "dt": 0.01, "n_nodes": 32},
+        "analyticity": {"sigma0": 0.1},
+        "checks": {"existence_trials": 32, "crosscheck_tol": 1e-6},
+    }
+
+
+def _small_estimates():
+    return {
+        "run": {"seed": 11},
+        "estimates": {"n_trials": 30, "failure_demo": True, "failure_ks": [8, 16]},
+    }
+
+
 def _manifest(outdir):
     (rundir,) = [d for d in os.listdir(outdir) if not d.startswith(".")]
     with open(os.path.join(outdir, rundir, "manifest.json")) as fh:
@@ -248,6 +276,32 @@ class TestSimulate:
         with open(os.path.join(root, "run", "a.csv")) as fh:
             assert fh.read() == "old\n"
 
+    @pytest.mark.parametrize("window", ["since_enter", "at_rename"])
+    def test_run_promoted_meanwhile_is_kept(self, tmp_path, monkeypatch, window):
+        # a run with the same id promoted while ours ran is not replaced without --force
+        root = tmp_path / "out"
+
+        def promote_other():
+            (root / "run").mkdir()
+            (root / "run" / "a.csv").write_text("other\n")
+
+        if window == "at_rename":
+            real_replace = os.replace
+
+            def replace_after_other(src, dst):
+                if os.path.basename(src).startswith(".staging-"):
+                    promote_other()
+                real_replace(src, dst)
+
+            monkeypatch.setattr(os, "replace", replace_after_other)
+        with pytest.raises(cli.ConfigError, match="exists"):
+            with cli.RunDirectory(str(root), "run", force=False) as rundir:
+                Path(rundir.path("a.csv")).write_text("ours\n")
+                if window == "since_enter":
+                    promote_other()
+        assert os.listdir(root) == ["run"]  # no .staging-* left behind
+        assert (root / "run" / "a.csv").read_text() == "other\n"
+
     def test_blowup_leaves_no_artifacts(self, tmp_path):
         cfg = _small_sim(solver={"blowup_factor": 0.5})
         path = _write_config(tmp_path / "c.yaml", cfg)
@@ -266,15 +320,7 @@ class TestSimulate:
 
 class TestRadius:
     def test_radius_run(self, tmp_path):
-        cfg = {
-            "run": {"seed": 5},
-            "initial": {"family": "gevrey_synthetic", "sigma0": 0.6,
-                        "roll_off": 2.0, "amplitude": 0.002},
-            "solver": {"T": 0.5, "dt": 0.002, "record_every": 25},
-            "analyticity": {"sigma0": 0.5},
-            "checks": {"existence_trials": 16},
-        }
-        path = _write_config(tmp_path / "c.yaml", cfg)
+        path = _write_config(tmp_path / "c.yaml", _small_radius())
         out = str(tmp_path / "out")
         assert cli.main(["radius", path, "--out", out]) == 0
         manifest, rundir = _manifest(out)
@@ -288,14 +334,7 @@ class TestRadius:
 
 class TestPicardCommand:
     def test_auto_window(self, tmp_path):
-        cfg = {
-            "run": {"seed": 7},
-            "initial": {"family": "cos_mode", "k": 1, "amplitude": 0.01},
-            "solver": {"method": "picard", "T": "auto", "dt": 0.01, "n_nodes": 32},
-            "analyticity": {"sigma0": 0.1},
-            "checks": {"existence_trials": 32, "crosscheck_tol": 1e-6},
-        }
-        path = _write_config(tmp_path / "c.yaml", cfg)
+        path = _write_config(tmp_path / "c.yaml", _small_picard())
         out = str(tmp_path / "out")
         assert cli.main(["picard", path, "--out", out]) == 0
         manifest, rundir = _manifest(out)
@@ -329,12 +368,7 @@ class TestPicardCommand:
 
 class TestEstimatesCommand:
     def test_small_campaign(self, tmp_path):
-        cfg = {
-            "run": {"seed": 11},
-            "estimates": {"n_trials": 30, "failure_demo": True,
-                          "failure_ks": [8, 16]},
-        }
-        path = _write_config(tmp_path / "c.yaml", cfg)
+        path = _write_config(tmp_path / "c.yaml", _small_estimates())
         out = str(tmp_path / "out")
         assert cli.main(["estimates", path, "--out", out]) == 0
         manifest, rundir = _manifest(out)
@@ -407,3 +441,100 @@ class TestSweep:
             summary = json.load(fh)
         codes = sorted(p["exit_code"] for p in summary["points"])
         assert codes == [0, 2]
+
+    def test_radius_points(self, tmp_path):
+        path = _write_config(tmp_path / "c.yaml", _small_radius())
+        out = tmp_path / "out"
+        code = cli.main([
+            "sweep", path, "--out", str(out), "--workers", "1", "--command", "radius",
+            "--set", "initial.amplitude=0.002,0.001",
+        ])
+        assert code == 0
+        run_dirs = sorted(d for d in os.listdir(out) if d.startswith("radius-"))
+        assert len(run_dirs) == 2
+        assert all((out / d / "sigma.csv").exists() for d in run_dirs)
+
+    def test_point_error_is_the_message_main_prints(self, tmp_path, capsys):
+        path = _write_config(tmp_path / "c.yaml", _small_sim())
+        out = str(tmp_path / "out")
+        assert cli.main(["simulate", path, "--out", out, "--set", "initial.amplitude=-bogus"]) == 2
+        printed = capsys.readouterr().err.strip()
+        assert printed.startswith("config error: initial.amplitude")
+        cli.main([
+            "sweep", path, "--out", out, "--workers", "1",
+            "--set", "initial.amplitude=0.01,-bogus",
+        ])
+        with open(os.path.join(out, "sweep_manifest.json")) as fh:
+            summary = json.load(fh)
+        assert [p["error"] for p in summary["points"]] == [None, printed]
+
+    def test_pool_capped_at_point_count(self, tmp_path, monkeypatch):
+        # a forking pool starts every worker it may use at the first submit
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        path = _write_config(tmp_path / "c.yaml", _small_sim())
+        out = str(tmp_path / "out")
+        code = cli.main([
+            "sweep", path, "--out", out, "--workers", "64",
+            "--set", "initial.amplitude=0.01,0.05",
+        ])
+        assert code == 0
+        assert sizes == [2]
+        assert len([d for d in os.listdir(out) if d.startswith("simulate-")]) == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, tmp_path, workers):
+        path = _write_config(tmp_path / "c.yaml", _small_sim())
+        out = tmp_path / "out"
+        code = cli.main([
+            "sweep", path, "--out", str(out), "--workers", workers,
+            "--set", "initial.amplitude=0.01,0.05",
+        ])
+        assert code == 2
+        assert not out.exists()
+
+
+class TestRunnerEntry:
+    """The runners are entered by name, once, before any compute.
+
+    A benchmark marks the end of set-up by rebinding run_simulate, run_picard
+    and run_estimates on the module; a runner bound elsewhere or entered late
+    would hide that mark.
+    """
+
+    @pytest.mark.parametrize(
+        "command, config, runner",
+        [
+            ("simulate", _small_sim, "run_simulate"),
+            ("radius", _small_radius, "run_simulate"),
+            ("picard", _small_picard, "run_picard"),
+            ("estimates", _small_estimates, "run_estimates"),
+        ],
+    )
+    def test_runner_entered_first(self, tmp_path, monkeypatch, command, config, runner):
+        events = []
+        for name in ("run_simulate", "run_picard", "run_estimates", "existence_constant"):
+
+            def recording(*args, _real=getattr(cli, name), _name=name, **kwargs):
+                events.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, recording)
+        path = _write_config(tmp_path / "c.yaml", config())
+        assert cli.main([command, path, "--out", str(tmp_path / "out")]) == 0
+        computes = [] if command == "estimates" else ["existence_constant"]
+        assert events == [runner] + computes

@@ -6,7 +6,8 @@ explicitly seeded generators is what makes reruns reproduce their digests.
 Marching in one loop and building records in one function is what keeps the
 record rule and the sample columns from drifting apart between commands.
 Calling numpy.fft from `spectral` alone keeps the half layout and the Nyquist
-split written once.
+split written once.  Staging, writing and promoting run directories in one
+driver is what keeps every command's artifacts, manifest and exit code alike.
 """
 
 import ast
@@ -142,6 +143,12 @@ def test_one_record_constructor():
 def test_one_marching_loop():
     # the IFRK4 state stream is consumed by evolve_ifrk4 alone; others hook into it
     assert _package_call_sites("iterate_ifrk4") == ["dynamics.py:evolve_ifrk4"]
+
+
+def test_one_run_driver():
+    # runners return their artifacts and checks; only the driver stages and writes them
+    for callee in ("RunDirectory", "_manifest", "_write_csv"):
+        assert _package_call_sites(callee) == ["cli.py:_run"], callee
 
 
 def _fft_uses(source, name):
