@@ -22,7 +22,7 @@ term and is dominated by the exact one) and an upper bound
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -136,36 +136,37 @@ def upper_bound_radius(t: float, b: BoundInputs) -> float:
     return b.c_upper * b.sigma0 * math.exp(-b.h2sq * t)
 
 
-def _advance_sigma(state, sigma, dt, s, max_rel_step, t_next, threshold):
+def _advance_sigma(state, sigma, g, dt, s, max_rel_step, t_next, threshold):
     """One explicit Euler step of the shrinkage law, sub-stepped.
 
-    The spectrum is frozen over the step; the Gevrey norm is re-evaluated at
-    the current sigma each substep.  The substep count keeps the relative
-    change of sigma below max_rel_step (the rate only shrinks as sigma drops,
-    so positivity is automatic).
+    g is the Gevrey norm of state at (sigma, s).  The spectrum is frozen over
+    the step; the norm is re-evaluated at the current sigma each later
+    substep.  The substep count keeps the relative change of sigma below
+    max_rel_step (the rate only shrinks as sigma drops, so positivity is
+    automatic).
     """
-    g = gevrey_norm(state, GevreyIndex(sigma, s))
-    rate = g + g * g
-    n_sub = max(1, math.ceil(rate * dt / max_rel_step))
+    n_sub = max(1, math.ceil((g + g * g) * dt / max_rel_step))
     h = dt / n_sub
-    for _ in range(n_sub):
-        g = gevrey_norm(state, GevreyIndex(sigma, s))
+    for i in range(n_sub):
+        if i:
+            g = gevrey_norm(state, GevreyIndex(sigma, s))
         sigma = sigma * (1.0 - (g + g * g) * h)
         if sigma < threshold:
             raise StepCollapseError(t_next, sigma, threshold)
     return sigma
 
 
-def _sigma_tracker(sigma0: float, s: float, max_rel_step: float, series: list):
+def _sigma_tracker(sigma0: float, s: float, max_rel_step: float, series: list, norms: list):
     """A per-step callable f(t, state) that integrates the shrinkage law into series.
 
     The first call must be at t = 0 and appends (0, sigma0); each later call
     advances sigma over the step from the previous call's state and appends
-    (t, sigma(t)).
+    (t, sigma(t)).  Each call also appends G(t), the Gevrey norm of its state
+    at (sigma(t), s), to norms; the next step starts from it.
     """
     if sigma0 <= 0:
         raise ValueError(f"sigma0 must be positive, got {sigma0}")
-    prev = None  # (t, state, sigma) of the previous call
+    prev = None  # (t, state, sigma, G) of the previous call
 
     def step(t, state):
         nonlocal prev
@@ -174,12 +175,14 @@ def _sigma_tracker(sigma0: float, s: float, max_rel_step: float, series: list):
                 raise ValueError(f"state stream must start at t = 0, got t = {t}")
             sigma = sigma0
         else:
-            prev_t, prev_state, sigma = prev
+            prev_t, prev_state, sigma, g = prev
             # one wavenumber spacing: slopes steeper than the grid can witness
             threshold = np.pi / state.grid.half_length
-            sigma = _advance_sigma(prev_state, sigma, t - prev_t, s, max_rel_step, t, threshold)
+            sigma = _advance_sigma(prev_state, sigma, g, t - prev_t, s, max_rel_step, t, threshold)
+        g = gevrey_norm(state, GevreyIndex(sigma, s))
         series.append((float(t), float(sigma)))
-        prev = (t, state, sigma)
+        norms.append(g)
+        prev = (t, state, sigma, g)
 
     return step
 
@@ -198,7 +201,7 @@ def track_sigma(
     sigma falls below the grid-resolvable threshold pi/L.
     """
     series: list[tuple[float, float]] = []
-    step = _sigma_tracker(sigma0, s, max_rel_step, series)
+    step = _sigma_tracker(sigma0, s, max_rel_step, series, [])
     for t, state in states:
         step(t, state)
     return series
@@ -238,15 +241,19 @@ def calibrate_bounds(
 
 @dataclass
 class TrackedRun:
-    """A PDE run with the shrinkage law integrated alongside it."""
+    """A PDE run with the shrinkage law integrated alongside it.
+
+    Each record's gevrey is G at (sigma(t), s); sigmas holds sigma(t) and
+    lower and upper the two bounds, at the record times.
+    """
 
     trajectory: Trajectory
     sigma_series: list[tuple[float, float]]
     fits: list[RadiusFit]
     bounds: BoundInputs
+    sigmas: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    checks: dict = field(default_factory=dict)
 
 
 def tracked_run(
@@ -267,47 +274,28 @@ def tracked_run(
 
     sigma is advanced every PDE step; radius fits and records are taken every
     record_every-th step.  The bound constants are calibrated on the first
-    prefix_fraction of the run and frozen before the ordering checks.
+    prefix_fraction of the run.
     """
     sigma_series: list[tuple[float, float]] = []
+    norms: list[float] = []
     traj = evolve_ifrk4(
         eta0, T, dt, coeffs,
-        on_step=_sigma_tracker(sigma0, s, max_rel_step, sigma_series),
+        on_step=_sigma_tracker(sigma0, s, max_rel_step, sigma_series, norms),
         record_every=record_every,
         blowup_factor=blowup_factor,
     )
     records = traj.records
-    sig_by_time = dict(sigma_series)
+    tracked = {t: (sigma, g) for (t, sigma), g in zip(sigma_series, norms)}
     fits = [estimate_radius(r.state, noise_floor) for r in records]
     for r, fit in zip(records, fits):
-        r.gevrey = gevrey_norm(r.state, GevreyIndex(sig_by_time[r.t], s))
+        r.gevrey = tracked[r.t][1]
         r.sigma_hat = fit.sigma_hat
     rec_times = traj.times()
-    rec_sigmas = np.array([sig_by_time[r.t] for r in records])
+    rec_sigmas = np.array([tracked[r.t][0] for r in records])
     gevreys = np.array([r.gevrey for r in records])
-    X0 = records[0].gevrey
     bounds = calibrate_bounds(
-        rec_times, rec_sigmas, gevreys, X0, records[0].h2, sigma0, prefix_fraction
+        rec_times, rec_sigmas, gevreys, records[0].gevrey, records[0].h2, sigma0, prefix_fraction
     )
     lower = np.array([lower_bound_radius(t, bounds, variant) for t in rec_times])
     upper = np.array([upper_bound_radius(t, bounds) for t in rec_times])
-
-    zero_datum = float(np.max(np.abs(eta0.coeffs))) == 0.0
-    later = rec_times > 0
-    slack = 1.0 + 1e-12
-    defined = [(f, sg) for f, sg in zip(fits, rec_sigmas) if f.defined]
-    checks = {
-        "lower_le_sigma": bool(np.all(lower <= rec_sigmas * slack)),
-        "sigma_le_upper": bool(np.all(rec_sigmas <= upper * slack)),
-        "strictly_decreasing": (
-            True if zero_datum else bool(np.all(np.diff(rec_sigmas) < 0.0))
-        ),
-        "sigma_hat_ge_tracked": (
-            all(f.sigma_hat >= 0.95 * sg for f, sg in defined) if defined else None
-        ),
-        "growth_ratio_max": (
-            float(np.max((gevreys[later] - X0) / np.sqrt(rec_times[later])))
-            if np.any(later) else 0.0
-        ),
-    }
-    return TrackedRun(traj, sigma_series, fits, bounds, lower, upper, checks)
+    return TrackedRun(traj, sigma_series, fits, bounds, rec_sigmas, lower, upper)

@@ -213,10 +213,7 @@ class PicardDiagnostics:
     distances: list[float]
     ratios: list[float]
     contraction_ratio: float
-    converged: bool
     mesh_delta: float | None
-    growth_ratio: float
-    growth_bound_ok: bool
 
 
 def _sup_distance(grid: SpectralGrid, weights: np.ndarray, diff: np.ndarray) -> float:
@@ -325,19 +322,7 @@ def picard_solve(
 
     ts = np.linspace(0.0, T, n_nodes + 1)
     records = [_sample(float(t), Spectrum(grid, c), coeffs, g) for t, c in zip(ts, states)]
-    gnorm0 = gevrey_norm(eta0, g)
-    sup_g = max(r.gevrey for r in records)
-    growth_ratio = sup_g / gnorm0 if gnorm0 > 0 else (0.0 if sup_g == 0.0 else math.inf)
-    diag = PicardDiagnostics(
-        iterations=len(distances),
-        distances=distances,
-        ratios=ratios,
-        contraction_ratio=contraction,
-        converged=True,
-        mesh_delta=mesh_delta,
-        growth_ratio=growth_ratio,
-        growth_bound_ok=growth_ratio <= 2.0 * (1.0 + 1e-6),
-    )
+    diag = PicardDiagnostics(len(distances), distances, ratios, contraction, mesh_delta)
     return Trajectory(coeffs, grid, records), diag
 
 

@@ -147,7 +147,6 @@ def _multilinear_values(lemma_id, grid, g, coeffs, strict=True):
             operands = c * (1j * grid.wavenumbers)
             operands[..., grid.nyquist] = 0.0
         weighted = product_spectra(operands) * symbol
-        weighted[..., grid.nyquist] = 0.0
         denominator = np.multiply.reduce(row_norms(grid, c, weights), axis=1)
         if np.any(denominator == 0.0):
             raise ValueError("estimate ratio requires nonzero fields")

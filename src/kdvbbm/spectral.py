@@ -246,16 +246,6 @@ def half_truncated_spectrum(samples: np.ndarray) -> np.ndarray:
     return d
 
 
-def padded_samples(c: np.ndarray) -> np.ndarray:
-    """Samples (..., 2n) on the factor-2 padded grid of real-field spectra (..., n)."""
-    return half_padded_samples(half_spectrum(c))
-
-
-def truncated_spectrum(samples: np.ndarray) -> np.ndarray:
-    """Spectra (..., n) of real samples (..., 2n): modes |k| < n/2, Nyquist zeroed."""
-    return full_spectrum(half_truncated_spectrum(samples))
-
-
 def dealiased_product(factors) -> Spectrum:
     """Spectrum of the pointwise product of 2 or 3 real fields, computed alias-free.
 
@@ -278,12 +268,14 @@ def dealiased_product(factors) -> Spectrum:
 def product_spectra(c: np.ndarray) -> np.ndarray:
     """Dealiased spectra (..., n) of the products of the fields stacked on axis -2 of c.
 
-    c holds real-field spectra (..., factors, n); one padded_samples (with its
-    Hermitian check), one product over the factor axis and one
-    truncated_spectrum serve the whole stack.  A row that is not the spectrum
-    of a real field raises SymmetryError.
+    c holds real-field spectra (..., factors, n); one half_spectrum (with its
+    Hermitian check), one padded synthesis, one product over the factor axis
+    and one truncation serve the whole stack, so the unpaired mode -n/2 of the
+    result is 0.  A row that is not the spectrum of a real field raises
+    SymmetryError.
     """
-    return truncated_spectrum(np.multiply.reduce(padded_samples(c), axis=-2))
+    samples = half_padded_samples(half_spectrum(c))
+    return full_spectrum(half_truncated_spectrum(np.multiply.reduce(samples, axis=-2)))
 
 
 def spectrum_csv_rows(s: Spectrum):

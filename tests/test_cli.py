@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+import kdvbbm as kb
 import kdvbbm.cli as cli
 
 
@@ -332,6 +333,62 @@ class TestRadius:
         assert os.path.exists(os.path.join(rundir, "sigma.csv"))
 
 
+    def test_growth_gate_at_sigma0(self, tmp_path):
+        # the trajectory's gevrey column is G at sigma(t) <= sigma0; the gate takes G at sigma0
+        data = {
+            "initial": {"family": "cos_mode", "k": 2, "amplitude": 0.1},
+            "solver": {"T": 0.5, "dt": 0.005, "record_every": 10},
+            "checks": {"existence_trials": 16},
+        }
+        path = _write_config(tmp_path / "c.yaml", data)
+        out = str(tmp_path / "out")
+        assert cli.main(["radius", path, "--out", out]) == 0
+        manifest, _ = _manifest(out)
+        coeffs, eta0, g, _, t_bar, _ = cli._setup(cli.load_config(path))
+        traj = kb.evolve_ifrk4(eta0, 0.5, 0.005, coeffs, record_every=10)
+        expected = max(kb.gevrey_norm(r.state, g) for r in traj.records if r.t <= t_bar)
+        assert manifest["checks"]["growth_bound"]["value"] == expected
+
+
+class TestGrowthGate:
+    """One growth gate serves every command that marches or solves."""
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [("simulate", _small_sim), ("radius", _small_radius), ("picard", _small_picard)],
+    )
+    def test_same_entry_and_slack(self, tmp_path, command, config):
+        path = _write_config(tmp_path / "c.yaml", config())
+        out = str(tmp_path / "out")
+        assert cli.main([command, path, "--out", out, "--set", "checks.growth_slack=0.5"]) == 0
+        manifest, _ = _manifest(out)
+        entry = manifest["checks"]["growth_bound"]
+        assert set(entry) == {"passed", "value", "limit", "note"}
+        cfg = cli.load_config(path)
+        x0 = kb.gevrey_norm(cfg.initial_state(cfg.grid()), cfg.gevrey_index())
+        assert entry["limit"] == 2.0 * x0 * (1.0 + 0.5)
+        assert entry["passed"] and entry["value"] <= entry["limit"]
+
+    @pytest.mark.parametrize(
+        "command, config, overrides",
+        [
+            ("simulate", _small_sim, []),
+            ("radius", _small_radius, []),
+            ("picard", _small_picard, ["solver.T=0.2"]),
+        ],
+    )
+    def test_skipped_without_window(self, tmp_path, command, config, overrides):
+        # the existence constant, and with it T_bar, needs analyticity.s >= 1
+        path = _write_config(tmp_path / "c.yaml", config())
+        out = str(tmp_path / "out")
+        argv = [command, path, "--out", out, "--set", "analyticity.s=0.5"]
+        for spec in overrides:
+            argv += ["--set", spec]
+        assert cli.main(argv) == 0
+        manifest, _ = _manifest(out)
+        assert manifest["checks"]["growth_bound"].get("skipped") is True
+
+
 class TestPicardCommand:
     def test_auto_window(self, tmp_path):
         path = _write_config(tmp_path / "c.yaml", _small_picard())
@@ -415,6 +472,13 @@ class TestSweep:
         assert summary["passed"] is True
         run_dirs = [d for d in os.listdir(out) if d.startswith("simulate-")]
         assert len(run_dirs) == 4
+
+    def test_no_axis_rejected(self, tmp_path):
+        # without --set there is nothing to sweep: exit 2, nothing written
+        path = _write_config(tmp_path / "c.yaml", _small_sim())
+        out = tmp_path / "out"
+        assert cli.main(["sweep", path, "--out", str(out), "--workers", "1"]) == 2
+        assert not out.exists()
 
     def test_exponent_notation_values(self, tmp_path):
         # YAML 1.1 reads 1e-3 as a string; float fields must still take it
