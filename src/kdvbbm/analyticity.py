@@ -156,13 +156,13 @@ def _advance_sigma(state, sigma, g, dt, s, max_rel_step, t_next, threshold):
     return sigma
 
 
-def _sigma_tracker(sigma0: float, s: float, max_rel_step: float, series: list, norms: list):
+def _sigma_tracker(sigma0: float, s: float, max_rel_step: float, series: list):
     """A per-step callable f(t, state) that integrates the shrinkage law into series.
 
-    The first call must be at t = 0 and appends (0, sigma0); each later call
-    advances sigma over the step from the previous call's state and appends
-    (t, sigma(t)).  Each call also appends G(t), the Gevrey norm of its state
-    at (sigma(t), s), to norms; the next step starts from it.
+    The first call must be at t = 0 and appends (0, sigma0, G(0)); each later
+    call advances sigma over the step from the previous call's state and
+    appends (t, sigma(t), G(t)), where G(t) is the Gevrey norm of its state at
+    (sigma(t), s); the next step starts from it.
     """
     if sigma0 <= 0:
         raise ValueError(f"sigma0 must be positive, got {sigma0}")
@@ -180,8 +180,7 @@ def _sigma_tracker(sigma0: float, s: float, max_rel_step: float, series: list, n
             threshold = np.pi / state.grid.half_length
             sigma = _advance_sigma(prev_state, sigma, g, t - prev_t, s, max_rel_step, t, threshold)
         g = gevrey_norm(state, GevreyIndex(sigma, s))
-        series.append((float(t), float(sigma)))
-        norms.append(g)
+        series.append((float(t), float(sigma), g))
         prev = (t, state, sigma, g)
 
     return step
@@ -200,32 +199,28 @@ def track_sigma(
     when the solution is identically zero.  Raises StepCollapseError when
     sigma falls below the grid-resolvable threshold pi/L.
     """
-    series: list[tuple[float, float]] = []
-    step = _sigma_tracker(sigma0, s, max_rel_step, series, [])
+    series: list[tuple[float, float, float]] = []
+    step = _sigma_tracker(sigma0, s, max_rel_step, series)
     for t, state in states:
         step(t, state)
-    return series
+    return [(t, sigma) for t, sigma, _ in series]
 
 
 def calibrate_bounds(
-    times,
-    sigmas,
-    gevreys,
+    times: np.ndarray,
+    sigmas: np.ndarray,
+    gevreys: np.ndarray,
     X0: float,
     h2: float,
     sigma0: float,
     prefix_fraction: float = 0.1,
-    safety: float = 1.1,
 ) -> BoundInputs:
     """Fit the non-constructive constants from the early part of a tracked run.
 
     Y0 covers the positive excursions of (G(t) - X0)/sqrt(t) over the prefix
-    window (with a safety factor); c_upper covers sigma(t)/(sigma0 e^{-h2sq t})
+    window (times a safety factor 1.1); c_upper covers sigma(t)/(sigma0 e^{-h2sq t})
     there, floored at 1.
     """
-    times = np.asarray(times, dtype=float)
-    sigmas = np.asarray(sigmas, dtype=float)
-    gevreys = np.asarray(gevreys, dtype=float)
     h2sq = h2 * h2
     t_end = times[-1] * prefix_fraction
     in_prefix = (times > 0.0) & (times <= max(t_end, times[times > 0.0][0] if np.any(times > 0.0) else 0.0))
@@ -233,7 +228,7 @@ def calibrate_bounds(
         return BoundInputs(sigma0, X0, 0.0, h2sq, 1.0)
     tp = times[in_prefix]
     ratio_y = np.max((gevreys[in_prefix] - X0) / np.sqrt(tp))
-    y0 = safety * max(0.0, float(ratio_y))
+    y0 = 1.1 * max(0.0, float(ratio_y))
     ratio_c = np.max(sigmas[in_prefix] / (sigma0 * np.exp(-h2sq * tp)))
     c_upper = max(1.0, 1.05 * float(ratio_c))
     return BoundInputs(sigma0, X0, y0, h2sq, c_upper)
@@ -243,8 +238,9 @@ def calibrate_bounds(
 class TrackedRun:
     """A PDE run with the shrinkage law integrated alongside it.
 
-    Each record's gevrey is G at (sigma(t), s); sigmas holds sigma(t) and
-    lower and upper the two bounds, at the record times.
+    Each record's gevrey is G at the fixed index (sigma0, s).  At the record
+    times, sigmas holds sigma(t), gevreys G(t) at (sigma(t), s), fits the tail
+    fits, and lower and upper the two bounds.
     """
 
     trajectory: Trajectory
@@ -252,6 +248,7 @@ class TrackedRun:
     fits: list[RadiusFit]
     bounds: BoundInputs
     sigmas: np.ndarray
+    gevreys: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
 
@@ -276,26 +273,23 @@ def tracked_run(
     record_every-th step.  The bound constants are calibrated on the first
     prefix_fraction of the run.
     """
-    sigma_series: list[tuple[float, float]] = []
-    norms: list[float] = []
+    series: list[tuple[float, float, float]] = []
     traj = evolve_ifrk4(
         eta0, T, dt, coeffs,
-        on_step=_sigma_tracker(sigma0, s, max_rel_step, sigma_series, norms),
+        on_step=_sigma_tracker(sigma0, s, max_rel_step, series),
         record_every=record_every,
+        gevrey_index=GevreyIndex(sigma0, s),
         blowup_factor=blowup_factor,
     )
     records = traj.records
-    tracked = {t: (sigma, g) for (t, sigma), g in zip(sigma_series, norms)}
-    fits = [estimate_radius(r.state, noise_floor) for r in records]
-    for r, fit in zip(records, fits):
-        r.gevrey = tracked[r.t][1]
-        r.sigma_hat = fit.sigma_hat
+    tracked = {t: (sigma, g) for t, sigma, g in series}
     rec_times = traj.times()
-    rec_sigmas = np.array([tracked[r.t][0] for r in records])
-    gevreys = np.array([r.gevrey for r in records])
+    rec_sigmas, gevreys = np.array([tracked[t] for t in rec_times]).T
     bounds = calibrate_bounds(
         rec_times, rec_sigmas, gevreys, records[0].gevrey, records[0].h2, sigma0, prefix_fraction
     )
+    sigma_series = [(t, sigma) for t, sigma, _ in series]
+    fits = [estimate_radius(r.state, noise_floor) for r in records]
     lower = np.array([lower_bound_radius(t, bounds, variant) for t in rec_times])
     upper = np.array([upper_bound_radius(t, bounds) for t in rec_times])
-    return TrackedRun(traj, sigma_series, fits, bounds, rec_sigmas, lower, upper)
+    return TrackedRun(traj, sigma_series, fits, bounds, rec_sigmas, gevreys, lower, upper)

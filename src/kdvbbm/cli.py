@@ -18,7 +18,6 @@ import copy
 import csv
 import datetime
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -217,8 +216,8 @@ _SCHEMA = {
         "s": (1.0, _FINITE),
         "profile": ("band_limited", _one_of(*PROFILES)),
         "cutoff": (None, _optional(_integer(1))),
-        "rate": (0.5, _FINITE),
-        "power": (2.0, _FINITE),
+        "rate": (0.5, _NONNEGATIVE),
+        "power": (2.0, _NONNEGATIVE),
         "interpolation_combos": (
             [[0.0, 2.0, 0.5], [0.0, 2.0, 0.25], [1.0, 3.0, 0.5], [0.0, 4.0, 0.75], [0.5, 2.5, 1.0 / 3.0]],
             _list(_combo, 1),
@@ -405,8 +404,9 @@ def _write_csv(path, columns, rows):
 
 
 def _write_json(path, data):
+    """Strict JSON: a NaN or an infinity raises ValueError rather than writing a non-JSON token."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        json.dump(data, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -519,12 +519,13 @@ def _setup(cfg: RunConfig):
 
 
 def _trajectory_csv(traj, tracked=None):
-    """trajectory.csv: one row per record; the sigma bound columns stay empty without tracking."""
-    bounds = itertools.repeat((None, None)) if tracked is None else zip(tracked.lower, tracked.upper)
-    rows = [
-        (r.t, r.energy, r.h2, r.gevrey, r.sigma_hat, lower, upper)
-        for r, (lower, upper) in zip(traj.records, bounds)
-    ]
+    """trajectory.csv: one row per record.  A tracked run's gevrey_norm is G at sigma(t) and
+    its fits give sigma_hat; without tracking, sigma_hat and the bound columns stay empty."""
+    if tracked is None:
+        rows = [(r.t, r.energy, r.h2, r.gevrey, None, None, None) for r in traj.records]
+    else:
+        columns = zip(traj.records, tracked.gevreys, tracked.fits, tracked.lower, tracked.upper)
+        rows = [(r.t, r.energy, r.h2, g, fit.sigma_hat, lo, up) for r, g, fit, lo, up in columns]
     return TRAJECTORY_COLUMNS, rows
 
 
@@ -541,7 +542,7 @@ def _skip(note) -> dict:
     return {"skipped": True, "note": note}
 
 
-def _simulate_checks(cfg, coeffs, traj, tracked, g, t_bar, x0):
+def _simulate_checks(cfg, coeffs, traj, tracked, t_bar, x0):
     cks = cfg.data["checks"]
     checks: dict = {}
 
@@ -566,13 +567,8 @@ def _simulate_checks(cfg, coeffs, traj, tracked, g, t_bar, x0):
     else:
         checks["h2_band"] = _skip("zero datum")
 
-    if tracked is None:
-        checks["growth_bound"] = _growth_bound(cks, traj.records, t_bar, x0)
-    else:
-        # a tracked record's gevrey is G at sigma(t); the gate needs G at (sigma0, s)
-        checks["growth_bound"] = _growth_bound(
-            cks, traj.records, t_bar, x0, lambda r: gevrey_norm(r.state, g)
-        )
+    checks["growth_bound"] = _growth_bound(cks, traj.records, t_bar, x0)
+    if tracked is not None:
         sigmas, slack = tracked.sigmas, 1.0 + 1e-12
         zero_datum = not np.any(traj.records[0].state.coeffs)
         defined = [(f.sigma_hat, sg) for f, sg in zip(tracked.fits, sigmas) if f.defined]
@@ -590,12 +586,12 @@ def _simulate_checks(cfg, coeffs, traj, tracked, g, t_bar, x0):
     return checks
 
 
-def _growth_bound(cks, records, t_bar, x0, norm=lambda r: r.gevrey) -> dict:
-    """The growth gate: G at (sigma0, s) stays at most 2 X0 (1 + growth_slack) on the
-    guaranteed window t <= T_bar.  norm(record) is that G, by default the record's gevrey."""
+def _growth_bound(cks, records, t_bar, x0) -> dict:
+    """The growth gate: each record's gevrey, G at (sigma0, s), stays at most
+    2 X0 (1 + growth_slack) on the guaranteed window t <= T_bar."""
     if t_bar is None:
         return _skip("existence constant needs analyticity.s >= 1")
-    worst = max((norm(r) for r in records if r.t <= t_bar), default=0.0)
+    worst = max((r.gevrey for r in records if r.t <= t_bar), default=0.0)
     limit = 2.0 * x0 * (1.0 + cks["growth_slack"])
     return _check(worst, worst <= limit, limit, note=f"window T_bar = {t_bar:.6g}")
 
@@ -603,12 +599,15 @@ def _growth_bound(cks, records, t_bar, x0, norm=lambda r: r.gevrey) -> dict:
 def run_simulate(cfg: RunConfig, tracking: bool = False):
     """March the datum with IFRK4; sigma(t) is tracked for radius or analyticity.enabled."""
     _check_marched_horizon(cfg.data["solver"])  # this march is IFRK4 whatever solver.method says
+    sol, ana = cfg.data["solver"], cfg.data["analyticity"]
+    tracking = tracking or ana["enabled"]
+    if tracking and ana["sigma0"] <= math.pi / cfg.data["grid"]["half_length"]:
+        # sigma(t) is tracked down to the grid's smallest resolvable radius, pi/L
+        raise ConfigError("analyticity.sigma0: a tracked march needs sigma0 > pi/grid.half_length")
     coeffs, eta0, g, x0, t_bar, _ = _setup(cfg)
-    sol = cfg.data["solver"]
-    ana = cfg.data["analyticity"]
 
     tracked = None
-    if tracking or ana["enabled"]:
+    if tracking:
         tracked = tracked_run(
             eta0,
             sol["T"],
@@ -641,7 +640,7 @@ def run_simulate(cfg: RunConfig, tracking: bool = False):
     }
     if tracked is not None:
         artifacts["sigma.csv"] = (("t", "sigma"), tracked.sigma_series)
-    return artifacts, _simulate_checks(cfg, coeffs, traj, tracked, g, t_bar, x0)
+    return artifacts, _simulate_checks(cfg, coeffs, traj, tracked, t_bar, x0)
 
 
 def run_picard(cfg: RunConfig):
@@ -691,7 +690,7 @@ def run_picard(cfg: RunConfig):
     ]
     meta = {
         "T": T,
-        "existence_window": t_bar,
+        "existence_window": None if t_bar == math.inf else t_bar,  # unbounded for a zero datum
         "existence_constant": c_s,
         "iterations": diag.iterations,
         "mesh_delta": diag.mesh_delta,

@@ -24,7 +24,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import BlowUpError, NoConvergenceError, NonFiniteError, QuadratureError
+from .errors import BlowUpError, NoConvergenceError, QuadratureError
 from .norms import GevreyIndex, energy, gevrey_norm, gevrey_weights, sobolev_norm
 from .params import CoefficientSet
 from .spectral import (
@@ -41,14 +41,13 @@ CUBIC_COEFF = 1.0 / 8.0
 DERIV_SQ_COEFF = 7.0 / 48.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampleRecord:
     t: float
     state: Spectrum
     energy: float
     h2: float
     gevrey: float | None = None
-    sigma_hat: float | None = None
 
 
 @dataclass
@@ -89,11 +88,11 @@ def linear_propagate(u: Spectrum, t: float, coeffs: CoefficientSet) -> Spectrum:
 
 
 def _half_symbols(grid: SpectralGrid, coeffs: CoefficientSet) -> tuple[np.ndarray, ...]:
-    """phi, i*xi, -i*tau and i*psi at k = 0..n/2, read as 0 at n/2 as apply_multiplier reads
-    every odd symbol: the free group and the tendency leave the unpaired mode fixed."""
+    """phi, i*xi, -i*tau and i*psi at k = 0..n/2, all 0 at n/2 (symbol_on_grid reads the odd
+    symbols so): the free group and the tendency leave the unpaired mode fixed."""
     h = grid.nyquist
-    phi, tau, psi = (symbol_on_grid(grid, coeffs, kind)[:h] for kind in ("phi", "tau", "psi"))
-    return tuple(np.append(s, 0.0) for s in (phi, 1j * grid.wavenumbers[:h], -1j * tau, 1j * psi))
+    phi, tau, psi = (symbol_on_grid(grid, coeffs, kind)[: h + 1] for kind in ("phi", "tau", "psi"))
+    return phi, np.append(1j * grid.wavenumbers[:h], 0.0), -1j * tau, 1j * psi
 
 
 def _tendency(symbols: tuple[np.ndarray, ...], d: np.ndarray) -> np.ndarray:
@@ -106,10 +105,7 @@ def _tendency(symbols: tuple[np.ndarray, ...], d: np.ndarray) -> np.ndarray:
     sq, psi_terms = half_truncated_spectrum(
         np.array([eta_sq, (CUBIC_COEFF * eta) * eta_sq + DERIV_SQ_COEFF * (eta_x * eta_x)])
     )
-    out = tau * sq + psi * psi_terms
-    if not np.isfinite(out).all():
-        raise NonFiniteError("nonlinear tendency produced a non-finite value")
-    return out
+    return tau * sq + psi * psi_terms
 
 
 def nonlinear_rhs(u: Spectrum, coeffs: CoefficientSet) -> Spectrum:
@@ -160,8 +156,8 @@ def iterate_ifrk4(
     """Yield (t, state) from t = 0 to t = T in steps of dt.
 
     Raises BlowUpError when the L^2 norm of the state exceeds blowup_factor
-    times its initial value (instability, or genuinely large data), and
-    SymmetryError when eta0 is not the spectrum of a real field.
+    times its initial value or overflows (instability, or genuinely large
+    data), and SymmetryError when eta0 is not the spectrum of a real field.
     """
     grid = eta0.grid
     n_steps = _step_count(T, dt)
@@ -231,7 +227,8 @@ def _picard_iterate(
     tol: float,
     max_iter: int,
 ):
-    """Picard iteration on one time mesh in half layout; returns (states, distances, converged)."""
+    """Picard iteration on one time mesh in half layout; returns (states, distances).  Raises
+    NoConvergenceError on a non-finite distance or one still >= tol after max_iter iterations."""
     grid = eta0.grid
     ts = np.linspace(0.0, T, n_nodes + 1)
     dt = T / n_nodes
@@ -242,30 +239,29 @@ def _picard_iterate(
 
     cur = e_minus * eta0_h[None, :]  # iterate 0: the free evolution
     distances: list[float] = []
-    for _ in range(max_iter):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                rhs_rows = np.array([_tendency(symbols, row) for row in cur])
-        except NonFiniteError as exc:
-            raise NoConvergenceError(
-                "Picard iterate overflowed; T is too large for the data size"
-            ) from exc
-        # complex products are not bitwise commutative: the operand orders are part of the digests
-        integrand = e_plus * rhs_rows
-        # composite trapezoid prefix integrals of S(-t') N(t')
-        segments = 0.5 * dt * (integrand[:-1] + integrand[1:])
-        prefix = np.vstack([np.zeros_like(eta0_h), np.cumsum(segments, axis=0)])
-        new = (eta0_h[None, :] + prefix) * e_minus
-        d = _sup_distance(grid, weights, full_spectrum(new - cur))
-        if not np.isfinite(d):
-            raise NoConvergenceError(
-                "Picard iterate diverged (non-finite distance); T is too large for the data"
-            )
-        distances.append(d)
-        cur = new
-        if d < tol:
-            return full_spectrum(cur), distances, True
-    return full_spectrum(cur), distances, False
+    # an overflowing iterate is caught by its non-finite distance, not by each operation
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            rhs_rows = np.array([_tendency(symbols, row) for row in cur])
+            # complex products are not bitwise commutative: the operand orders are part of the digests
+            integrand = e_plus * rhs_rows
+            # composite trapezoid prefix integrals of S(-t') N(t')
+            segments = 0.5 * dt * (integrand[:-1] + integrand[1:])
+            prefix = np.vstack([np.zeros_like(eta0_h), np.cumsum(segments, axis=0)])
+            new = (eta0_h[None, :] + prefix) * e_minus
+            d = _sup_distance(grid, weights, full_spectrum(new - cur))
+            if not np.isfinite(d):
+                raise NoConvergenceError(
+                    "Picard iterate diverged (non-finite distance); T is too large for the data"
+                )
+            distances.append(d)
+            cur = new
+            if d < tol:
+                return full_spectrum(cur), distances
+    raise NoConvergenceError(
+        f"no convergence after {max_iter} Picard iterations on {n_nodes} nodes "
+        f"(last distance {distances[-1]:.3e}); reduce T or the data size"
+    )
 
 
 def picard_solve(
@@ -291,18 +287,11 @@ def picard_solve(
         raise ValueError(f"T must be positive, got {T}")
     grid = eta0.grid
     weights = gevrey_weights(grid, g.sigma, g.s)
-    states, distances, converged = _picard_iterate(eta0, coeffs, weights, T, n_nodes, tol, max_iter)
-    if not converged:
-        raise NoConvergenceError(
-            f"no convergence after {max_iter} Picard iterations "
-            f"(last distance {distances[-1]:.3e}); reduce T or the data size"
-        )
+    states, distances = _picard_iterate(eta0, coeffs, weights, T, n_nodes, tol, max_iter)
 
     mesh_delta = None
     if mesh_check:
-        fine, _, fine_ok = _picard_iterate(eta0, coeffs, weights, T, 2 * n_nodes, tol, max_iter)
-        if not fine_ok:
-            raise NoConvergenceError("refined-mesh Picard iteration did not converge")
+        fine, _ = _picard_iterate(eta0, coeffs, weights, T, 2 * n_nodes, tol, max_iter)
         mesh_delta = _sup_distance(grid, weights, fine[::2] - states)
         if mesh_delta > tol:
             raise QuadratureError(mesh_delta, tol)

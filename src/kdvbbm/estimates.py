@@ -22,6 +22,9 @@ from .spectral import SpectralGrid, Spectrum, product_spectra, real_samples, sym
 
 PROFILES = ("band_limited", "exponential_decay", "polynomial_decay")
 
+#: Standard deviation of the lognormal jitter on the decaying profiles' magnitudes.
+JITTER = 0.2
+
 #: Trials run_trials evaluates together on grids of up to 256 modes.  Peak memory
 #: grows with trials times modes per block: a default `estimates` run (n = 256)
 #: peaks (ru_maxrss) at 40.2-40.5 MB one trial at a time, 41.2 MB with 32, 46.1 MB
@@ -67,8 +70,6 @@ def random_fields(
     cutoff: int | None = None,
     rate: float | None = None,
     power: float | None = None,
-    amplitude: float = 1.0,
-    jitter: float = 0.2,
 ) -> np.ndarray:
     """Hermitian-symmetric random spectra (len(seeds), n); row i is determined by seeds[i].
 
@@ -99,7 +100,7 @@ def random_fields(
         else:
             second[row] = rng.uniform(0.0, 2.0 * np.pi, half - 1)
             # the scalar math.exp, not np.exp on the stack: the two can differ in the last bit
-            c0[row] = math.exp(jitter * rng.standard_normal())
+            c0[row] = math.exp(JITTER * rng.standard_normal())
     c = np.zeros((len(seeds), n), dtype=complex)
     if profile == "band_limited":
         cut = half // 4 if cutoff is None else cutoff
@@ -108,13 +109,12 @@ def random_fields(
     else:
         xi_pos = np.pi * np.arange(1, half) / grid.half_length
         if profile == "exponential_decay":
-            mags = np.exp(-rate * xi_pos + jitter * first)
+            mags = np.exp(-rate * xi_pos + JITTER * first)
         else:
-            mags = bracket(xi_pos) ** (-power) * np.exp(jitter * first)
+            mags = bracket(xi_pos) ** (-power) * np.exp(JITTER * first)
         c[:, 1:half] = mags * np.exp(1j * second)
     c[:, half + 1 :] = np.conj(c[:, half - 1 : 0 : -1])
     c[:, 0] = c0
-    c *= amplitude
     return c
 
 
@@ -440,18 +440,17 @@ def existence_constant(
     coeffs: CoefficientSet,
     n_trials: int = 200,
     seed: int = 2024,
-    profile: str = "band_limited",
 ) -> float:
     """Empirical surrogate for the nonlinear-estimate constant C_s.
 
     The largest observed ratio across the three nonlinear estimates feeding
     the contraction argument (quadratic, cubic, derivative-square) at the
-    given (sigma, s) and grid.  Requires s >= 1.
+    given (sigma, s) and grid, on band-limited random fields.  Requires s >= 1.
     """
     if g.s < 1.0:
         raise ValueError(f"existence constant requires s >= 1, got s = {g.s}")
     worst = 0.0
     for lemma_id in ("bilinear_tau", "trilinear_psi", "derivsq_psi"):
-        rep = run_trials(lemma_id, grid, g, coeffs, n_trials=n_trials, seed=seed, profile=profile)
+        rep = run_trials(lemma_id, grid, g, coeffs, n_trials=n_trials, seed=seed)
         worst = max(worst, rep.ratio_max)
     return worst

@@ -177,8 +177,11 @@ def evaluate_symbol(kind: str, xi, coeffs: CoefficientSet):
 
 @lru_cache(maxsize=None)
 def symbol_on_grid(grid: SpectralGrid, coeffs: CoefficientSet, kind: str) -> np.ndarray:
-    """Symbol sampled at the grid wavenumbers (cached, read-only)."""
+    """Symbol sampled at the grid wavenumbers (cached, read-only).  The odd ones (phi, psi,
+    tau) read 0 at the unpaired mode -n/2, so i times them keeps a real field real."""
     arr = evaluate_symbol(kind, grid.wavenumbers, coeffs)
+    if kind in ("phi", "psi", "tau"):
+        arr[grid.nyquist] = 0.0
     arr.setflags(write=False)
     return arr
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -186,14 +187,13 @@ class TestTrackedRun:
     def test_growth_ratio_bounded(self, run):
         # (G(t) - X0)/sqrt(t) stays below the calibrated Y0 over the window
         times = run.trajectory.times()
-        gevreys = np.array([r.gevrey for r in run.trajectory.records])
         later = times > 0
-        ratio = (gevreys[later] - run.bounds.X0) / np.sqrt(times[later])
+        ratio = (run.gevreys[later] - run.bounds.X0) / np.sqrt(times[later])
         assert np.max(ratio) <= run.bounds.Y0 + 1e-12
 
     def test_one_norm_per_tracked_step(self, grid, coeffs, monkeypatch):
         # G(t_i, sigma_i) is evaluated once: it starts the next sigma step and is the
-        # record's norm (no sub-stepping at this size, so nothing else is evaluated)
+        # run's gevreys entry (no sub-stepping at this size, so nothing else is evaluated)
         calls = []
 
         def counting(u, g, _real=analyticity.gevrey_norm):
@@ -212,10 +212,19 @@ class TestTrackedRun:
 
     def test_record_gevrey_at_tracked_sigma(self, run):
         sigma = dict(run.sigma_series)
-        assert run.sigmas.tolist() == [sigma[r.t] for r in run.trajectory.records]
-        for r, fit in zip(run.trajectory.records, run.fits):
-            assert r.gevrey == kb.gevrey_norm(r.state, kb.GevreyIndex(sigma[r.t], 2.0))
-            assert r.sigma_hat == fit.sigma_hat
+        records = run.trajectory.records
+        assert run.sigmas.tolist() == [sigma[r.t] for r in records]
+        assert run.gevreys.tolist() == [
+            kb.gevrey_norm(r.state, kb.GevreyIndex(sigma[r.t], 2.0)) for r in records
+        ]
+        assert [f.sigma_hat for f in run.fits] == [kb.estimate_radius(r.state).sigma_hat for r in records]
+
+    def test_records_final_at_sigma0(self, run):
+        # a record carries G at the fixed index (sigma0, s), as every other command's records do
+        for r in run.trajectory.records:
+            assert r.gevrey == kb.gevrey_norm(r.state, kb.GevreyIndex(0.5, 2.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            run.trajectory.final.gevrey = 0.0
 
     def test_final_step_recorded_off_stride(self, grid, coeffs):
         eta0 = kb.gevrey_synthetic(grid, 0.6, roll_off=2.0, amplitude=0.002)
@@ -225,7 +234,7 @@ class TestTrackedRun:
         assert len(run.fits) == len(run.lower) == len(run.upper) == 9
         sigma = dict(run.sigma_series)
         last = run.trajectory.final
-        assert last.gevrey == kb.gevrey_norm(last.state, kb.GevreyIndex(sigma[last.t], 2.0))
+        assert run.gevreys[-1] == kb.gevrey_norm(last.state, kb.GevreyIndex(sigma[last.t], 2.0))
 
     def test_csv_ready_series(self, run):
         assert len(run.lower) == len(run.trajectory.records)

@@ -117,6 +117,8 @@ class TestConfig:
             "analyticity.s=.nan",
             "estimates.cutoff=0",
             "analyticity.noise_floor=-1",
+            "estimates.rate=-5",
+            "estimates.power=-1",
             "coefficients.abcd={a: [1], b: 0.0833, c: 0.0833, d: 0.0833,"
             " a1: 0.0889, b1: 0.05, c1: 0.0889, d1: 0.05}",
         ],
@@ -311,6 +313,33 @@ class TestSimulate:
         leftovers = os.listdir(out) if os.path.exists(out) else []
         assert leftovers == []
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [("simulate", _small_sim, "exceeded ceiling"), ("picard", _small_picard, "non-finite distance")],
+    )
+    def test_overflow_leaves_no_artifacts(self, tmp_path, capsys, command, config, message):
+        # the integrators catch an overflow: the march by its L2 ceiling, Picard by its distance
+        path = _write_config(tmp_path / "c.yaml", config())
+        out = tmp_path / "out"
+        assert cli.main([command, path, "--out", str(out), "--set", "initial.amplitude=1e110"]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, extra", [("radius", []), ("simulate", ["analyticity.enabled=true"])]
+    )
+    def test_sigma0_below_resolvable_radius_rejected(self, tmp_path, capsys, command, extra):
+        # pi/L = 1 on this grid, above the default sigma0 = 0.5: sigma(t) would collapse at once
+        path = _write_config(tmp_path / "c.yaml", _small_sim(grid={"n_modes": 64, "half_length": np.pi}))
+        out = tmp_path / "out"
+        argv = [command, path, "--out", str(out)]
+        for spec in extra:
+            argv += ["--set", spec]
+        assert cli.main(argv) == 2
+        assert "analyticity.sigma0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_output_root_env(self, tmp_path, monkeypatch):
         path = _write_config(tmp_path / "c.yaml", _small_sim())
         env_out = tmp_path / "env-out"
@@ -402,6 +431,24 @@ class TestPicardCommand:
         with open(os.path.join(rundir, "picard_meta.json")) as fh:
             meta = json.load(fh)
         assert meta["T"] > 0
+
+    def test_zero_datum_artifacts_are_strict_json(self, tmp_path):
+        # the window of a zero datum is unbounded: written as null, not as Infinity
+        path = _write_config(tmp_path / "c.yaml", _small_picard())
+        out = str(tmp_path / "out")
+        argv = ["picard", path, "--out", out, "--set", "initial.amplitude=0", "--set", "solver.T=0.2"]
+        assert cli.main(argv) == 0
+        _, rundir = _manifest(out)
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        names = sorted(name for name in os.listdir(rundir) if name.endswith(".json"))
+        assert names == ["manifest.json", "picard_meta.json"]
+        for name in names:
+            with open(os.path.join(rundir, name)) as fh:
+                data = json.load(fh, parse_constant=reject)
+        assert data["existence_window"] is None  # picard_meta.json, the last name
 
     @pytest.mark.parametrize(
         "command, solver",

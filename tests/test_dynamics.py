@@ -86,7 +86,7 @@ class TestNonlinearRhs:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_convolution_oracle(self, small_grid, coeffs, seed):
-        u = kb.random_field(small_grid, "band_limited", seed, cutoff=9, amplitude=0.05)
+        u = kb.Spectrum(small_grid, 0.05 * kb.random_field(small_grid, "band_limited", seed, cutoff=9).coeffs)
         out = kb.nonlinear_rhs(u, coeffs)
         c = u.coeffs
         dc = c * (1j * small_grid.wavenumbers)
@@ -103,7 +103,7 @@ class TestNonlinearRhs:
         assert np.max(np.abs(out.coeffs - oracle)) < 1e-12 * scale
 
     def test_preserves_realness(self, grid, coeffs):
-        u = kb.random_field(grid, "band_limited", 7, amplitude=0.1)
+        u = kb.Spectrum(grid, 0.1 * kb.random_field(grid, "band_limited", 7).coeffs)
         out = kb.nonlinear_rhs(u, coeffs)
         assert out.hermitian_defect() < 1e-12
 
@@ -118,7 +118,7 @@ class TestNonlinearRhs:
             kb.dealiased_product([u, u])
 
     def test_hermitian_check_tolerance_and_nyquist_exemption(self, small_grid, coeffs):
-        c = kb.random_field(small_grid, "band_limited", 3, amplitude=0.1).coeffs.copy()
+        c = 0.1 * kb.random_field(small_grid, "band_limited", 3).coeffs
         c[small_grid.nyquist] = 0.02 - 0.03j  # exempt: read as split onto +-n/2
         c[5] += 1e-12  # within 1e-10 of the largest mode
         kb.nonlinear_rhs(kb.Spectrum(small_grid, c), coeffs)

@@ -183,6 +183,14 @@ class TestAntisymmetry:
         v = kb.cos_mode(small_grid, 4, 1.0)
         assert kb.antisymmetry_check(v, coeffs) < 1e-14
 
+    def test_unpaired_mode(self, small_grid, coeffs):
+        # a real field may carry a real c_{-n/2}; the odd phi reads 0 there
+        c = kb.cos_mode(small_grid, 1, 1.0).coeffs.copy()
+        c[small_grid.nyquist] = 1e-3
+        v = kb.Spectrum(small_grid, c)
+        kb.transform_inverse(v)  # accepted as a real field
+        assert kb.antisymmetry_check(v, coeffs) < 1e-14
+
 
 class TestFailureDemo:
     def test_negative_s_grows_monotonically(self):

@@ -151,6 +151,11 @@ def test_one_run_driver():
         assert _package_call_sites(callee) == ["cli.py:_run"], callee
 
 
+def test_one_json_writer():
+    # every JSON file goes through one strict writer, so none carries NaN or Infinity
+    assert _package_call_sites("dump") == ["cli.py:_write_json"]
+
+
 def _fft_uses(source, name):
     """Lines of source that reach numpy.fft, by attribute, import or import-from."""
     for node in ast.walk(ast.parse(source, filename=name)):
