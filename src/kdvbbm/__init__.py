@@ -12,7 +12,6 @@ from .analyticity import (
     TrackedRun,
     estimate_radius,
     lower_bound_radius,
-    track_sigma,
     tracked_run,
     upper_bound_radius,
 )
@@ -24,14 +23,12 @@ from .dynamics import (
     iterate_ifrk4,
     linear_propagate,
     local_existence_time,
-    nonlinear_rhs,
     picard_solve,
 )
 from .errors import (
     BlowUpError,
     ConfigError,
     ConstraintError,
-    GridMismatchError,
     KdvBbmError,
     NoConvergenceError,
     NonFiniteError,
@@ -43,15 +40,11 @@ from .errors import (
 from .estimates import (
     FailureDemo,
     TrialReport,
-    antisymmetry_check,
     existence_constant,
     failure_demo_bilinear,
-    interpolation_check,
-    multilinear_ratio,
     random_field,
     random_fields,
     run_trials,
-    splitting_check,
 )
 from .fields import cos_mode, gaussian, gevrey_synthetic
 from .norms import GevreyIndex, bracket, energy, gevrey_norm, h2_polynomial_sq, sobolev_norm
@@ -67,10 +60,7 @@ from .spectral import (
     RealField,
     SpectralGrid,
     Spectrum,
-    apply_multiplier,
-    dealiased_product,
     evaluate_symbol,
-    spatial_derivative,
     spectrum_csv_rows,
     transform_forward,
     transform_inverse,

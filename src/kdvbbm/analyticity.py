@@ -159,7 +159,7 @@ def _advance_sigma(state, sigma, g, dt, s, max_rel_step, t_next, threshold):
 def _sigma_tracker(sigma0: float, s: float, max_rel_step: float, series: list):
     """A per-step callable f(t, state) that integrates the shrinkage law into series.
 
-    The first call must be at t = 0 and appends (0, sigma0, G(0)); each later
+    The first call (at t = 0 in evolve_ifrk4) appends (t, sigma0, G(t)); each later
     call advances sigma over the step from the previous call's state and
     appends (t, sigma(t), G(t)), where G(t) is the Gevrey norm of its state at
     (sigma(t), s); the next step starts from it.
@@ -171,8 +171,6 @@ def _sigma_tracker(sigma0: float, s: float, max_rel_step: float, series: list):
     def step(t, state):
         nonlocal prev
         if prev is None:
-            if t != 0.0:
-                raise ValueError(f"state stream must start at t = 0, got t = {t}")
             sigma = sigma0
         else:
             prev_t, prev_state, sigma, g = prev
@@ -184,26 +182,6 @@ def _sigma_tracker(sigma0: float, s: float, max_rel_step: float, series: list):
         prev = (t, state, sigma, g)
 
     return step
-
-
-def track_sigma(
-    states,
-    sigma0: float,
-    s: float = 2.0,
-    max_rel_step: float = 0.01,
-) -> list[tuple[float, float]]:
-    """Integrate the shrinkage law along a stream of (t, state) pairs.
-
-    The stream must start at t = 0.  Returns the series [(t, sigma(t))];
-    sigma is strictly decreasing for nonzero solutions and constant exactly
-    when the solution is identically zero.  Raises StepCollapseError when
-    sigma falls below the grid-resolvable threshold pi/L.
-    """
-    series: list[tuple[float, float, float]] = []
-    step = _sigma_tracker(sigma0, s, max_rel_step, series)
-    for t, state in states:
-        step(t, state)
-    return [(t, sigma) for t, sigma, _ in series]
 
 
 def calibrate_bounds(

@@ -856,12 +856,15 @@ def run_sweep(config_path, set_specs, command, outroot, force, workers) -> int:
 
 
 def _output_root(cfg_dir: str | None, cli_out: str | None) -> str:
-    if cli_out:
-        return cli_out
-    env = os.environ.get(OUTPUT_ROOT_ENV)
-    if env:
-        return env
-    return cfg_dir if cfg_dir else "runs"
+    """--out, else the environment, else the config's directory; rejected before any compute
+    unless its nearest existing component is a directory."""
+    root = cli_out or os.environ.get(OUTPUT_ROOT_ENV) or cfg_dir or "runs"
+    existing = os.path.abspath(root)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"output root {root}: {existing} is not a directory")
+    return root
 
 
 def build_parser() -> argparse.ArgumentParser:

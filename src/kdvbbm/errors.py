@@ -14,10 +14,6 @@ class ConstraintError(KdvBbmError, ValueError):
         super().__init__(f"constraint violated: {name} (residual {residual:.6e})")
 
 
-class GridMismatchError(KdvBbmError, ValueError):
-    """Operands live on different spectral grids."""
-
-
 class SymmetryError(KdvBbmError, ValueError):
     """A spectrum claimed to represent a real field is not Hermitian-symmetric."""
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import cos_mode
-from .errors import GridMismatchError
 from .norms import GevreyIndex, bracket, gevrey_weights, row_norms
 from .params import DEFAULT_COEFFICIENTS, CoefficientSet
 from .spectral import SpectralGrid, Spectrum, product_spectra, real_samples, symbol_on_grid
@@ -126,7 +125,7 @@ def random_field(grid: SpectralGrid, profile: str, seed, **profile_kw) -> Spectr
 # Block kernels.  Each builder checks its arguments and computes what every
 # trial shares (weights, symbols) once; the function it returns maps a block of
 # spectra, (b, n) or (b, arity, n), to the b per-trial values.  run_trials and
-# the one-field public functions below both evaluate through them.
+# failure_demo_bilinear evaluate through them.
 
 
 def _weights(grid, sigma, s):
@@ -135,6 +134,16 @@ def _weights(grid, sigma, s):
 
 
 def _multilinear_values(lemma_id, grid, g, coeffs, strict=True):
+    """Left-side Gevrey norm of the estimate divided by the right-side product.
+
+    bilinear_omega:  |omega(dx)(u v)|_G   / (|u|_G |v|_G)        valid s >= 0
+    bilinear_tau:    |tau(dx)(u v)|_G     / (|u|_G |v|_G)        valid s >= 0
+    trilinear_psi:   |psi(dx)(u v w)|_G   / (|u|_G |v|_G |w|_G)  valid s >= 1/6
+    derivsq_psi:     |psi(dx)(u_x v_x)|_G / (|u|_G |v|_G)        valid s >= 1
+
+    In strict mode an s below the validity bound raises ValueError; non-strict
+    mode permits the below-range failure demonstration.
+    """
     _, s_min, kind, differentiate = MULTILINEAR[lemma_id]
     if strict and g.s < s_min - 1e-12:
         raise ValueError(f"{lemma_id} requires s >= {s_min}, got s = {g.s}")
@@ -156,6 +165,8 @@ def _multilinear_values(lemma_id, grid, g, coeffs, strict=True):
 
 
 def _interpolation_values(grid, sigma, s1, s2, theta):
+    """|u|_s / (|u|_s1^theta |u|_s2^(1-theta)) with s = theta*s1 + (1-theta)*s2: at most
+    1 + O(eps), by Hoelder on the coefficient measure with no constant."""
     if s1 > s2:
         raise ValueError(f"need s1 <= s2, got {s1} > {s2}")
     if not 0.0 <= theta <= 1.0:
@@ -175,6 +186,8 @@ def _interpolation_values(grid, sigma, s1, s2, theta):
 
 
 def _splitting_parts(grid, s, r, sigma):
+    """The terms of |J^{s,sigma}u| <= c1 |J^s u| + c2 sigma^r |J^{s+r,sigma}u|, which holds
+    with c1 = c2 = 1 at r = 1 (pointwise e^x <= 1 + x e^x plus Minkowski)."""
     if r < 0 or sigma < 0:
         raise ValueError("r and sigma must be nonnegative")
     weights = [_weights(grid, sigma, s), _weights(grid, 0.0, s), _weights(grid, sigma, s + r)]
@@ -189,6 +202,8 @@ def _splitting_parts(grid, s, r, sigma):
 
 
 def _antisymmetry_values(grid, coeffs):
+    """Normalized residual of (v, inverse transform of i*phi*v) = 0 for a real field v: phi
+    is odd and real, so the residual is pure rounding."""
     rotation = 1j * symbol_on_grid(grid, coeffs, "phi")
     quad = 2.0 * grid.half_length / grid.n_modes
 
@@ -200,112 +215,6 @@ def _antisymmetry_values(grid, coeffs):
         return np.abs(inner) / (norm_sq + np.finfo(float).tiny)
 
     return values
-
-
-def multilinear_ratio(
-    lemma_id: str,
-    fields,
-    g: GevreyIndex,
-    coeffs: CoefficientSet,
-    strict: bool = True,
-) -> float:
-    """Left-side Gevrey norm of the estimate divided by the right-side product.
-
-    bilinear_omega:  |omega(dx)(u v)|_G   / (|u|_G |v|_G)        valid s >= 0
-    bilinear_tau:    |tau(dx)(u v)|_G     / (|u|_G |v|_G)        valid s >= 0
-    trilinear_psi:   |psi(dx)(u v w)|_G   / (|u|_G |v|_G |w|_G)  valid s >= 1/6
-    derivsq_psi:     |psi(dx)(u_x v_x)|_G / (|u|_G |v|_G)        valid s >= 1
-
-    In strict mode an s below the validity bound raises ValueError; non-strict
-    mode permits the below-range failure demonstration.
-    """
-    if lemma_id not in MULTILINEAR:
-        raise ValueError(f"unknown lemma_id {lemma_id!r}; expected one of {tuple(MULTILINEAR)}")
-    arity = MULTILINEAR[lemma_id][0]
-    fields = list(fields)
-    if len(fields) != arity:
-        raise ValueError(f"{lemma_id} takes {arity} fields, got {len(fields)}")
-    grid = fields[0].grid
-    if any(f.grid != grid for f in fields):
-        raise GridMismatchError(f"grids differ: {[f.grid for f in fields]}")
-    values = _multilinear_values(lemma_id, grid, g, coeffs, strict)
-    return float(values(np.array([[f.coeffs for f in fields]]))[0])
-
-
-def interpolation_check(u: Spectrum, s1: float, s2: float, theta: float, sigma: float) -> float:
-    """LHS/RHS of the Gevrey interpolation inequality; always <= 1 + O(eps).
-
-    With s = theta*s1 + (1-theta)*s2 the norm at s is bounded by the product
-    of the norms at s1 and s2 raised to theta and 1-theta (Hoelder on the
-    coefficient measure), with no constant.
-    """
-    return float(_interpolation_values(u.grid, sigma, s1, s2, theta)(u.coeffs[None])[0])
-
-
-@dataclass(frozen=True)
-class SplittingCheck:
-    """One evaluation of |J^{s,sigma}u| <= c1 |J^s u| + c2 sigma^r |J^{s+r,sigma}u|."""
-
-    lhs: float
-    sobolev_part: float
-    shifted_part: float  # sigma^r * |J^{s+r,sigma} u|
-    holds_unit: bool  # with c1 = c2 = 1 (guaranteed at r = 1)
-    c2_at_unit_c1: float  # smallest c2 making it hold with c1 = 1
-    c1_grid: tuple
-    c2_of_c1: tuple
-
-    def as_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "sobolev_part": self.sobolev_part,
-            "shifted_part": self.shifted_part,
-            "holds_unit": self.holds_unit,
-            "c2_at_unit_c1": self.c2_at_unit_c1,
-        }
-
-
-def splitting_check(u: Spectrum, s: float, r: float, sigma: float, c1_grid=None) -> SplittingCheck:
-    """Probe the norm splitting for one field.
-
-    At r = 1 the inequality holds with c1 = c2 = 1 (pointwise e^x <= 1 + x e^x
-    plus Minkowski); for other r the report carries the smallest empirical c2
-    for each c1 on a grid.
-    """
-    parts = _splitting_parts(u.grid, s, r, sigma)(u.coeffs[None])
-    lhs, sob, shifted = (float(part[0]) for part in parts)
-    slack = 1e-12 * (sob + shifted) + 1e-300
-    holds_unit = lhs <= sob + shifted + slack
-    if c1_grid is None:
-        c1_grid = tuple(np.linspace(0.0, 2.0, 21))
-    c2s = []
-    for c1 in c1_grid:
-        deficit = lhs - c1 * sob
-        if deficit <= 0.0:
-            c2s.append(0.0)
-        elif shifted > 0.0:
-            c2s.append(deficit / shifted)
-        else:
-            c2s.append(math.inf)
-    c2_unit = max(0.0, lhs - sob) / shifted if shifted > 0.0 else (0.0 if lhs <= sob + slack else math.inf)
-    return SplittingCheck(
-        lhs=lhs,
-        sobolev_part=sob,
-        shifted_part=shifted,
-        holds_unit=holds_unit,
-        c2_at_unit_c1=c2_unit,
-        c1_grid=tuple(float(v) for v in c1_grid),
-        c2_of_c1=tuple(float(v) for v in c2s),
-    )
-
-
-def antisymmetry_check(v: Spectrum, coeffs: CoefficientSet) -> float:
-    """Normalized residual of the cancellation (v, phi(dx)-rotation of v) = 0.
-
-    phi is odd and real, so the real inner product of a real field with the
-    inverse transform of i*phi(xi) v-hat vanishes; the residual is pure
-    rounding and must sit far below 1e-12.
-    """
-    return float(_antisymmetry_values(v.grid, coeffs)(v.coeffs[None])[0])
 
 
 @dataclass(frozen=True)
@@ -343,8 +252,10 @@ def failure_demo_bilinear(
         grid = SpectralGrid(n, half_length)
         u = cos_mode(grid, k, 1.0)
         v = cos_mode(grid, k - 1, 1.0)
-        ratio = multilinear_ratio("bilinear_omega", (u, v), g, coeffs, strict=False)
-        rows.append((k, n, ratio))
+        ratio = _multilinear_values("bilinear_omega", grid, g, coeffs, strict=False)(
+            np.array([[u.coeffs, v.coeffs]])
+        )[0]
+        rows.append((k, n, float(ratio)))
     ratios = np.array([r for (_, _, r) in rows])
     monotone = bool(np.all(np.diff(ratios) > 0.0))
     slope = float(np.polyfit(np.log([k for (k, _, _) in rows]), np.log(ratios), 1)[0])

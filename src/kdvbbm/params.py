@@ -103,15 +103,6 @@ class ValidationReport:
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(c for c in self.checks if not c.passed)
 
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "residual": c.residual}
-                for c in self.checks
-            ],
-        }
-
 
 def validate_coefficients(coeffs: CoefficientSet) -> ValidationReport:
     """Report pass/fail and residual for every coefficient invariant."""

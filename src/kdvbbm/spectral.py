@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import GridMismatchError, NonFiniteError, SymmetryError
+from .errors import NonFiniteError, SymmetryError
 from .params import CoefficientSet
 
 SYMBOL_KINDS = ("varphi", "phi", "psi", "tau", "omega", "kappa")
@@ -186,27 +186,6 @@ def symbol_on_grid(grid: SpectralGrid, coeffs: CoefficientSet, kind: str) -> np.
     return arr
 
 
-def apply_multiplier(kind: str, s: Spectrum, coeffs: CoefficientSet) -> Spectrum:
-    """Coefficient-wise product with a symbol; the unpaired Nyquist mode is zeroed.
-
-    The even real symbols (varphi, omega, kappa) preserve Hermitian symmetry;
-    the odd ones (phi, psi, tau) send it to anti-Hermitian symmetry, which the
-    evolution equations always repair with an explicit factor of +-i.
-    """
-    grid = s.grid
-    c = s.coeffs * symbol_on_grid(grid, coeffs, kind)
-    c[grid.nyquist] = 0.0
-    return Spectrum(grid, c)
-
-
-def spatial_derivative(s: Spectrum) -> Spectrum:
-    """d/dx in Fourier space; the unpaired Nyquist mode is zeroed to keep realness."""
-    grid = s.grid
-    c = s.coeffs * (1j * grid.wavenumbers)
-    c[grid.nyquist] = 0.0
-    return Spectrum(grid, c)
-
-
 @lru_cache(maxsize=64)
 def _alternating(length: int) -> np.ndarray:
     ph = np.resize([1.0, -1.0], length)  # (-1)^k for k = 0..length-1
@@ -247,25 +226,6 @@ def half_truncated_spectrum(samples: np.ndarray) -> np.ndarray:
     d = np.fft.rfft(samples, norm="forward")[..., : samples.shape[-1] // 4 + 1]
     d[..., -1] = 0.0
     return d
-
-
-def dealiased_product(factors) -> Spectrum:
-    """Spectrum of the pointwise product of 2 or 3 real fields, computed alias-free.
-
-    The factors are synthesized together on a grid zero-padded to 2n points,
-    multiplied there, transformed back and truncated to |k| < n/2.  The
-    factor-2 padding removes aliasing in the retained band for quadratic and
-    cubic products, so the result equals the exact coefficient convolution
-    whenever the true product is resolvable there.  A factor that is not the
-    spectrum of a real field raises SymmetryError.
-    """
-    factors = list(factors)
-    if len(factors) not in (2, 3):
-        raise ValueError(f"dealiased_product takes 2 or 3 factors, got {len(factors)}")
-    grid = factors[0].grid
-    if any(f.grid != grid for f in factors):
-        raise GridMismatchError(f"grids differ: {[f.grid for f in factors]}")
-    return Spectrum(grid, product_spectra(np.array([f.coeffs for f in factors])))
 
 
 def product_spectra(c: np.ndarray) -> np.ndarray:

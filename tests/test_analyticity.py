@@ -119,44 +119,70 @@ class TestBoundFormulas:
             kb.upper_bound_radius(-1.0, b)
 
 
-class TestTrackSigma:
+class TestSigmaTracking:
+    """The shrinkage law integrated along a march, through tracked_run."""
+
+    @staticmethod
+    def _sigmas(eta0, T, dt, coeffs, sigma0, **kw):
+        run = kb.tracked_run(eta0, T, dt, coeffs, sigma0, record_every=round(T / dt), **kw)
+        return [s for (_, s) in run.sigma_series]
+
     def test_zero_solution_constant(self, grid, coeffs):
         z = kb.Spectrum(grid, np.zeros(grid.n_modes, complex))
-        states = [(0.0, z), (0.5, z), (1.0, z)]
-        series = kb.track_sigma(states, 0.4)
-        assert [s for (_, s) in series] == [0.4, 0.4, 0.4]
+        assert self._sigmas(z, 1.0, 0.5, coeffs, 0.4) == [0.4, 0.4, 0.4]
 
     def test_small_datum_strictly_decreasing(self, grid, coeffs):
         eta0 = kb.cos_mode(grid, 1, 0.01)
-        states = list(kb.iterate_ifrk4(eta0, 1.0, 0.01, coeffs))
-        series = kb.track_sigma(states, 0.1)
-        sig = np.array([s for (_, s) in series])
+        sig = np.array(self._sigmas(eta0, 1.0, 0.01, coeffs, 0.1))
         assert np.all(np.diff(sig) < 0)
         assert sig[-1] > 0
 
     def test_substep_self_convergence(self, grid, coeffs):
         eta0 = kb.cos_mode(grid, 1, 0.05)
-        states = list(kb.iterate_ifrk4(eta0, 1.0, 0.01, coeffs))
-        coarse = kb.track_sigma(states, 0.2, max_rel_step=0.01)[-1][1]
-        fine = kb.track_sigma(states, 0.2, max_rel_step=0.005)[-1][1]
+        coarse = self._sigmas(eta0, 1.0, 0.01, coeffs, 0.2, max_rel_step=0.01)[-1]
+        fine = self._sigmas(eta0, 1.0, 0.01, coeffs, 0.2, max_rel_step=0.005)[-1]
         assert abs(coarse - fine) / fine < 0.005
 
     def test_collapse_raises(self, grid, coeffs):
         # a huge norm forces sigma through the resolvable floor within one step
         eta0 = kb.cos_mode(grid, 1, 50.0)
-        states = [(0.0, eta0), (1.0, eta0)]
         with pytest.raises(kb.StepCollapseError):
-            kb.track_sigma(states, 0.3, max_rel_step=0.25)
+            kb.tracked_run(eta0, 1e-3, 1e-3, coeffs, sigma0=0.3, max_rel_step=0.25)
 
-    def test_stream_must_start_at_zero(self, grid):
+    def test_sigma0_validation(self, grid, coeffs):
         u = kb.cos_mode(grid, 1, 0.1)
         with pytest.raises(ValueError):
-            kb.track_sigma([(1.0, u)], 0.5)
+            kb.tracked_run(u, 0.1, 0.1, coeffs, sigma0=0.0)
 
-    def test_sigma0_validation(self, grid):
-        u = kb.cos_mode(grid, 1, 0.1)
-        with pytest.raises(ValueError):
-            kb.track_sigma([(0.0, u)], 0.0)
+
+class TestCalibrateBounds:
+    """Y0 and c_upper by hand on a 4-point series with sigma0 0.5, X0 1 and h2 1; each
+    sigma is given as its ratio to the envelope sigma0 e^{-h2^2 t} = 0.5 e^{-t}."""
+
+    TIMES = np.array([0.0, 0.25, 1.0, 16.0])
+
+    def _calibrate(self, gevreys, ratios, prefix_fraction):
+        sigmas = 0.5 * np.exp(-self.TIMES) * np.array(ratios)
+        return analyticity.calibrate_bounds(
+            self.TIMES, sigmas, np.array(gevreys), 1.0, 1.0, 0.5, prefix_fraction
+        )
+
+    def test_prefix_fraction(self):
+        # the prefix is (0, 1.6]: t = 16, with (G - X0)/sqrt(t) = 2 and ratio 3, is left out
+        b = self._calibrate([1.0, 1.25, 1.8, 9.0], [1.0, 1.1, 1.2, 3.0], 0.1)
+        assert (b.sigma0, b.X0, b.h2sq) == (0.5, 1.0, 1.0)
+        assert b.Y0 == pytest.approx(1.1 * 0.8, rel=1e-12)  # max(0.25/0.5, 0.8/1)
+        assert b.c_upper == pytest.approx(1.05 * 1.2, rel=1e-12)
+
+    def test_zero_fraction_keeps_first_positive_record(self):
+        b = self._calibrate([1.0, 1.25, 1.8, 9.0], [1.0, 1.1, 1.2, 3.0], 0.0)
+        assert b.Y0 == pytest.approx(1.1 * 0.5, rel=1e-12)  # t = 0.25 alone
+        assert b.c_upper == pytest.approx(1.05 * 1.1, rel=1e-12)
+
+    def test_gevrey_never_above_x0(self):
+        b = self._calibrate([1.0, 0.9, 0.8, 0.7], [1.0, 0.9, 0.9, 0.9], 0.1)
+        assert b.Y0 == 0.0
+        assert b.c_upper == 1.0  # 1.05 * 0.9 is below the floor
 
 
 @pytest.fixture(scope="module")
@@ -204,11 +230,6 @@ class TestTrackedRun:
         eta0 = kb.gevrey_synthetic(grid, 0.6, roll_off=2.0, amplitude=0.002)
         kb.tracked_run(eta0, 0.1, 2e-3, coeffs, sigma0=0.5, record_every=7)
         assert len(calls) == 50 + 1
-
-    def test_sigma_series_equals_track_sigma(self, grid, coeffs, run):
-        eta0 = kb.gevrey_synthetic(grid, 0.6, roll_off=2.0, amplitude=0.002)
-        states = list(kb.iterate_ifrk4(eta0, 1.0, 2e-3, coeffs))
-        assert run.sigma_series == kb.track_sigma(states, 0.5)
 
     def test_record_gevrey_at_tracked_sigma(self, run):
         sigma = dict(run.sigma_series)

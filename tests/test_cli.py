@@ -313,17 +313,22 @@ class TestSimulate:
         leftovers = os.listdir(out) if os.path.exists(out) else []
         assert leftovers == []
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     @pytest.mark.parametrize(
-        "command, config, message",
-        [("simulate", _small_sim, "exceeded ceiling"), ("picard", _small_picard, "non-finite distance")],
+        "command, config, spec, message",
+        [
+            ("simulate", _small_sim, "initial.amplitude=1e110", "exceeded ceiling"),
+            ("simulate", _small_radius, "initial.roll_off=-50", "exceeded ceiling"),
+            ("picard", _small_picard, "initial.amplitude=1e110", "non-finite distance"),
+        ],
     )
-    def test_overflow_leaves_no_artifacts(self, tmp_path, capsys, command, config, message):
-        # the integrators catch an overflow: the march by its L2 ceiling, Picard by its distance
+    def test_overflow_leaves_no_artifacts(self, tmp_path, capfd, command, config, spec, message):
+        # the integrators catch an overflow, without a numpy warning: the march by its
+        # L2 ceiling, Picard by its distance
         path = _write_config(tmp_path / "c.yaml", config())
         out = tmp_path / "out"
-        assert cli.main([command, path, "--out", str(out), "--set", "initial.amplitude=1e110"]) == 3
-        assert message in capsys.readouterr().err
+        assert cli.main([command, path, "--out", str(out), "--set", spec]) == 3
+        (line,) = capfd.readouterr().err.splitlines()
+        assert line.startswith("runtime error: ") and message in line
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -339,6 +344,28 @@ class TestSimulate:
         assert cli.main(argv) == 2
         assert "analyticity.sigma0" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_output_root_not_a_directory(self, tmp_path, capfd, monkeypatch, command, below):
+        # an existing file as the root, or as a component of it, is rejected before any compute
+        def not_entered(*args, **kwargs):
+            raise AssertionError("runner entered")
+
+        for name in ("run_simulate", "run_picard", "run_estimates"):
+            monkeypatch.setattr(cli, name, not_entered)
+        path = _write_config(tmp_path / "c.yaml", _small_sim())
+        blocker = tmp_path / "file"
+        blocker.write_text("keep\n")
+        out = blocker / "sub" if below else blocker
+        argv = [command, path, "--out", str(out)]
+        if command == "sweep":
+            argv += ["--workers", "1", "--set", "run.seed=1,2"]
+        assert cli.main(argv) == 2
+        (line,) = capfd.readouterr().err.splitlines()
+        assert line.startswith("config error: output root")
+        assert sorted(os.listdir(tmp_path)) == ["c.yaml", "file"]
+        assert blocker.read_text() == "keep\n"
 
     def test_output_root_env(self, tmp_path, monkeypatch):
         path = _write_config(tmp_path / "c.yaml", _small_sim())

@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 import kdvbbm as kb
-from kdvbbm.estimates import MULTILINEAR, PROFILES, TRIAL_BLOCK, _campaign, _trials_per_block
+from kdvbbm.estimates import (
+    MULTILINEAR,
+    PROFILES,
+    TRIAL_BLOCK,
+    _campaign,
+    _interpolation_values,
+    _multilinear_values,
+    _splitting_parts,
+    _trials_per_block,
+)
 from oracles import convolve_project
 
 G_S0 = kb.GevreyIndex(0.0, 0.0)
@@ -52,17 +61,37 @@ class TestRandomField:
             kb.random_field(grid, "polynomial_decay", 0)
 
 
+def _ratio(lemma_id, fields, g, coeffs, strict=True):
+    """The multilinear kernel on one trial of fields."""
+    values = _multilinear_values(lemma_id, fields[0].grid, g, coeffs, strict)
+    return float(values(np.array([[f.coeffs for f in fields]]))[0])
+
+
+def _interpolation(u, s1, s2, theta, sigma):
+    return float(_interpolation_values(u.grid, sigma, s1, s2, theta)(u.coeffs[None])[0])
+
+
+def _splitting(u, s, r, sigma):
+    """|J^{s,sigma}u|, |J^s u| and sigma^r |J^{s+r,sigma}u| of one field."""
+    return (float(part[0]) for part in _splitting_parts(u.grid, s, r, sigma)(u.coeffs[None]))
+
+
+def _antisymmetry(v, coeffs):
+    _, residuals = _campaign("antisymmetry", v.grid, G_S0, coeffs, None)
+    return float(residuals(v.coeffs[None])[0])
+
+
 class TestMultilinearRatio:
     def test_constant_pair_gives_zero(self, small_grid, coeffs):
         const = kb.cos_mode(small_grid, 0, 1.0)
-        ratio = kb.multilinear_ratio("bilinear_omega", (const, const), G_S0, coeffs)
+        ratio = _ratio("bilinear_omega", (const, const), G_S0, coeffs)
         assert ratio == 0.0
 
     def test_cos_pair_closed_form(self, small_grid, coeffs):
         # product of two unit cosines: mass 1/2 at 0 (killed by omega) and 1/4
         # at +-2 weighted by omega(2) = 2/5; denominators are L2 norms sqrt(pi)
         u = kb.cos_mode(small_grid, 1, 1.0)
-        ratio = kb.multilinear_ratio("bilinear_omega", (u, u), G_S0, coeffs)
+        ratio = _ratio("bilinear_omega", (u, u), G_S0, coeffs)
         assert ratio == pytest.approx(1.0 / (5.0 * np.sqrt(np.pi)), rel=1e-12)
 
     def test_cos_pair_matches_brute_force(self, small_grid, coeffs):
@@ -73,33 +102,28 @@ class TestMultilinearRatio:
         num = np.sqrt(2 * small_grid.half_length * np.sum(np.abs(weighted) ** 2))
         den = kb.sobolev_norm(u, 0.0) ** 2
         expected = num / den
-        got = kb.multilinear_ratio("bilinear_omega", (u, u), G_S0, coeffs)
+        got = _ratio("bilinear_omega", (u, u), G_S0, coeffs)
         assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_arity_enforced(self, small_grid, coeffs):
-        u = kb.cos_mode(small_grid, 1, 1.0)
-        with pytest.raises(ValueError, match="takes 2 fields"):
-            kb.multilinear_ratio("bilinear_omega", (u, u, u), G_S0, coeffs)
 
     def test_range_enforced_in_strict_mode(self, small_grid, coeffs):
         u = kb.cos_mode(small_grid, 2, 1.0)
         g_neg = kb.GevreyIndex(0.0, -0.5)
         with pytest.raises(ValueError, match="requires s >="):
-            kb.multilinear_ratio("bilinear_omega", (u, u), g_neg, coeffs)
-        ratio = kb.multilinear_ratio("bilinear_omega", (u, u), g_neg, coeffs, strict=False)
+            _ratio("bilinear_omega", (u, u), g_neg, coeffs)
+        ratio = _ratio("bilinear_omega", (u, u), g_neg, coeffs, strict=False)
         assert ratio > 0
 
     def test_zero_field_rejected(self, small_grid, coeffs):
         z = kb.Spectrum(small_grid, np.zeros(64, complex))
         with pytest.raises(ValueError, match="nonzero"):
-            kb.multilinear_ratio("bilinear_omega", (z, z), G_S0, coeffs)
+            _ratio("bilinear_omega", (z, z), G_S0, coeffs)
 
     def test_trilinear_and_derivsq_run_in_range(self, grid, coeffs):
         g = kb.GevreyIndex(0.1, 2.0)
         kids = np.random.SeedSequence(0).spawn(3)
         fields = [kb.random_field(grid, "band_limited", k, cutoff=20) for k in kids]
-        r3 = kb.multilinear_ratio("trilinear_psi", fields, g, coeffs)
-        r2 = kb.multilinear_ratio("derivsq_psi", fields[:2], g, coeffs)
+        r3 = _ratio("trilinear_psi", fields, g, coeffs)
+        r2 = _ratio("derivsq_psi", fields[:2], g, coeffs)
         assert np.isfinite(r3) and r3 > 0
         assert np.isfinite(r2) and r2 > 0
 
@@ -107,81 +131,77 @@ class TestMultilinearRatio:
 class TestInterpolation:
     def test_theta_one_exact(self, grid):
         u = kb.random_field(grid, "band_limited", 11)
-        assert kb.interpolation_check(u, 0.0, 2.0, 1.0, 0.1) == 1.0
+        assert _interpolation(u, 0.0, 2.0, 1.0, 0.1) == 1.0
 
     def test_single_mode_equality(self, grid):
         u = kb.cos_mode(grid, 5, 1.0)
-        ratio = kb.interpolation_check(u, 0.0, 2.0, 0.5, 0.2)
+        ratio = _interpolation(u, 0.0, 2.0, 0.5, 0.2)
         assert ratio == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_fields_bounded_by_one(self, grid, seed):
         u = kb.random_field(grid, "band_limited", seed)
-        assert kb.interpolation_check(u, 0.0, 2.0, 0.5, 0.1) <= 1.0 + 1e-12
+        assert _interpolation(u, 0.0, 2.0, 0.5, 0.1) <= 1.0 + 1e-12
 
     def test_validation(self, grid):
         u = kb.random_field(grid, "band_limited", 0)
         with pytest.raises(ValueError):
-            kb.interpolation_check(u, 2.0, 0.0, 0.5, 0.1)
+            _interpolation(u, 2.0, 0.0, 0.5, 0.1)
         with pytest.raises(ValueError):
-            kb.interpolation_check(u, 0.0, 2.0, 1.5, 0.1)
+            _interpolation(u, 0.0, 2.0, 1.5, 0.1)
 
 
 class TestSplitting:
     def test_sigma_zero_trivial(self, grid):
         u = kb.random_field(grid, "band_limited", 2)
-        chk = kb.splitting_check(u, 1.0, 1.0, 0.0)
-        assert chk.holds_unit
-        assert chk.shifted_part == 0.0
-        assert chk.lhs == pytest.approx(chk.sobolev_part, rel=1e-14)
+        lhs, sob, shifted = _splitting(u, 1.0, 1.0, 0.0)
+        assert lhs <= sob + shifted + 1e-12 * (sob + shifted) + 1e-300
+        assert shifted == 0.0
+        assert lhs == pytest.approx(sob, rel=1e-14)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_r1_unit_constants(self, grid, seed):
+        # c1 = c2 = 1 holds at r = 1 (pointwise e^x <= 1 + x e^x plus Minkowski)
         u = kb.random_field(grid, "band_limited", seed)
-        chk = kb.splitting_check(u, 1.0, 1.0, 0.1)
-        assert chk.holds_unit
-        assert chk.c2_at_unit_c1 <= 1.0
+        lhs, sob, shifted = _splitting(u, 1.0, 1.0, 0.1)
+        assert lhs <= sob + shifted + 1e-12 * (sob + shifted) + 1e-300
+        assert max(0.0, lhs - sob) / shifted <= 1.0
 
     def test_half_r_c2_grid_stable(self, coeffs):
+        # the smallest c2 with c1 = 1 at r = 1/2 does not grow under grid refinement
         maxima = []
         for n in (256, 512):
             grid = kb.SpectralGrid(n, 16 * np.pi)
             kids = np.random.SeedSequence(77).spawn(100)
             c2 = max(
-                kb.splitting_check(
-                    kb.random_field(grid, "band_limited", k, cutoff=32), 1.0, 0.5, 0.1
-                ).c2_at_unit_c1
-                for k in kids
+                max(0.0, lhs - sob) / shifted
+                for lhs, sob, shifted in (
+                    _splitting(kb.random_field(grid, "band_limited", k, cutoff=32), 1.0, 0.5, 0.1)
+                    for k in kids
+                )
             )
             maxima.append(c2)
         assert max(maxima) / min(maxima) < 2.0
 
-    def test_c1_grid_reported(self, grid):
-        u = kb.random_field(grid, "band_limited", 3)
-        chk = kb.splitting_check(u, 0.0, 0.5, 0.2)
-        assert len(chk.c1_grid) == len(chk.c2_of_c1)
-        # larger c1 never needs a larger c2
-        assert all(a >= b for a, b in zip(chk.c2_of_c1, chk.c2_of_c1[1:]))
-
     def test_validation(self, grid):
         u = kb.random_field(grid, "band_limited", 3)
         with pytest.raises(ValueError):
-            kb.splitting_check(u, 0.0, -1.0, 0.1)
+            _splitting(u, 0.0, -1.0, 0.1)
 
 
 class TestAntisymmetry:
     @pytest.mark.parametrize("seed", range(5))
     def test_random_fields(self, grid, coeffs, seed):
         v = kb.random_field(grid, "band_limited", seed)
-        assert kb.antisymmetry_check(v, coeffs) < 1e-12
+        assert _antisymmetry(v, coeffs) < 1e-12
 
     def test_zero(self, grid, coeffs):
         z = kb.Spectrum(grid, np.zeros(grid.n_modes, complex))
-        assert kb.antisymmetry_check(z, coeffs) == 0.0
+        assert _antisymmetry(z, coeffs) == 0.0
 
     def test_cos_mode_cancellation(self, small_grid, coeffs):
         v = kb.cos_mode(small_grid, 4, 1.0)
-        assert kb.antisymmetry_check(v, coeffs) < 1e-14
+        assert _antisymmetry(v, coeffs) < 1e-14
 
     def test_unpaired_mode(self, small_grid, coeffs):
         # a real field may carry a real c_{-n/2}; the odd phi reads 0 there
@@ -189,7 +209,7 @@ class TestAntisymmetry:
         c[small_grid.nyquist] = 1e-3
         v = kb.Spectrum(small_grid, c)
         kb.transform_inverse(v)  # accepted as a real field
-        assert kb.antisymmetry_check(v, coeffs) < 1e-14
+        assert _antisymmetry(v, coeffs) < 1e-14
 
 
 class TestFailureDemo:
@@ -206,7 +226,7 @@ class TestFailureDemo:
             grid = kb.SpectralGrid(max(64, 4 * k), np.pi)
             u = kb.cos_mode(grid, k, 1.0)
             v = kb.cos_mode(grid, k - 1, 1.0)
-            ratios.append(kb.multilinear_ratio("bilinear_omega", (u, v), G_S0, coeffs))
+            ratios.append(_ratio("bilinear_omega", (u, v), G_S0, coeffs))
         assert max(ratios) / min(ratios) < 1.5
 
     def test_milder_s_grows_slower(self):
@@ -298,16 +318,10 @@ COMBO = (0.0, 2.0, 0.25)
 
 
 def _trial_statistic(lemma_id, fields, coeffs):
-    """One trial's value from its fields, through the one-field public functions."""
-    if lemma_id in MULTILINEAR:
-        return kb.multilinear_ratio(lemma_id, fields, G_CAMPAIGN, coeffs)
-    (u,) = fields
-    if lemma_id == "interpolation":
-        return kb.interpolation_check(u, *COMBO, G_CAMPAIGN.sigma)
-    if lemma_id == "splitting_r1":
-        chk = kb.splitting_check(u, G_CAMPAIGN.s, 1.0, G_CAMPAIGN.sigma)
-        return chk.lhs / (chk.sobolev_part + chk.shifted_part)
-    return kb.antisymmetry_check(u, coeffs)
+    """One trial's value from its fields: the campaign kernel on a block of one trial."""
+    arity, kernel = _campaign(lemma_id, fields[0].grid, G_CAMPAIGN, coeffs, COMBO)
+    trial = np.array([f.coeffs for f in fields])
+    return float(kernel(trial[None] if arity else trial)[0])
 
 
 def _per_trial_value(lemma_id, grid, coeffs, child, profile="band_limited", **kw):
@@ -328,7 +342,7 @@ def _assert_campaign_close(lemma_id, got, want):
 
 
 class TestBlockedCampaigns:
-    """Blocks of trials give what the one-field public functions give trial by trial."""
+    """Blocks of trials give what the kernels give on one trial at a time."""
 
     @pytest.mark.parametrize("profile", PROFILES)
     def test_batched_rows_equal_single_draws(self, grid, profile):
@@ -401,7 +415,7 @@ class TestBlockedCampaigns:
             kb.run_trials("bilinear_tau", small_grid, G_CAMPAIGN, coeffs, n_trials=0)
         skewed = kb.Spectrum(small_grid, np.full(small_grid.n_modes, 1j))
         with pytest.raises(kb.SymmetryError):
-            kb.antisymmetry_check(skewed, coeffs)
+            _antisymmetry(skewed, coeffs)
 
     def test_working_set_bounded_by_block(self, grid, coeffs):
         kb.run_trials("trilinear_psi", grid, G_CAMPAIGN, coeffs, n_trials=1)  # fill plan and symbol caches

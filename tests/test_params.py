@@ -92,13 +92,13 @@ def test_validate_reports_gamma_relation_residual():
     assert fail.residual == pytest.approx(abs(0.2 - 7 / 48), abs=1e-15)
 
 
-def test_min_max_and_report_dict():
+def test_min_max_and_report():
     cs = kb.DEFAULT_COEFFICIENTS
     assert cs.c_min == 1 / 20
     assert cs.c_max == 1 / 12
-    d = validate_coefficients(cs).as_dict()
-    assert d["passed"] is True
-    assert len(d["checks"]) == 5
+    report = validate_coefficients(cs)
+    assert report.passed is True
+    assert len(report.checks) == 5
 
 
 def test_non_hamiltonian_set_is_accepted_when_relations_hold():

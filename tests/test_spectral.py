@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kdvbbm as kb
-from kdvbbm.spectral import product_spectra
+from kdvbbm.dynamics import _half_symbols
+from kdvbbm.spectral import full_spectrum, half_spectrum, product_spectra, symbol_on_grid
 from oracles import convolve_project, l2_quadrature
 
 
@@ -145,105 +146,105 @@ class TestSymbols:
             assert max(a, b) / min(a, b) < 2.0
 
 
-class TestMultipliers:
-    def test_zero_spectrum(self, small_grid, coeffs):
-        z = kb.Spectrum(small_grid, np.zeros(64, complex))
-        out = kb.apply_multiplier("psi", z, coeffs)
-        assert np.all(out.coeffs == 0)
-
+class TestSymbolsOnGrid:
     def test_omega_on_cos(self, small_grid, coeffs):
         s = kb.cos_mode(small_grid, 1, 1.0)
-        out = kb.apply_multiplier("omega", s, coeffs)
-        assert out.coeffs[1] == pytest.approx(0.25, abs=1e-15)
-        assert out.coeffs[-1] == pytest.approx(0.25, abs=1e-15)
+        out = s.coeffs * symbol_on_grid(small_grid, coeffs, "omega")
+        assert out[1] == pytest.approx(0.25, abs=1e-15)
+        assert out[-1] == pytest.approx(0.25, abs=1e-15)
 
     def test_phi_on_mode_two(self, small_grid, coeffs):
         s = kb.cos_mode(small_grid, 2, 1.0)
-        out = kb.apply_multiplier("phi", s, coeffs)
+        out = s.coeffs * symbol_on_grid(small_grid, coeffs, "phi")
         expected = 0.5 * kb.evaluate_symbol("phi", 2.0, coeffs)
-        assert out.coeffs[2] == pytest.approx(expected, abs=1e-14)
+        assert out[2] == pytest.approx(expected, abs=1e-14)
 
     @pytest.mark.parametrize("kind", ["varphi", "omega", "kappa"])
     def test_even_symbols_preserve_hermitian(self, small_grid, coeffs, kind):
         u = kb.random_field(small_grid, "band_limited", 5)
-        out = kb.apply_multiplier(kind, u, coeffs)
+        out = kb.Spectrum(small_grid, u.coeffs * symbol_on_grid(small_grid, coeffs, kind))
         assert out.hermitian_defect() < 1e-13
 
     @pytest.mark.parametrize("kind", ["phi", "psi", "tau"])
     def test_odd_symbols_give_anti_hermitian(self, small_grid, coeffs, kind):
         # i times an odd-symbol image of a real field is again a real field
         u = kb.random_field(small_grid, "band_limited", 5)
-        out = kb.apply_multiplier(kind, u, coeffs)
-        restored = kb.Spectrum(small_grid, 1j * out.coeffs)
+        restored = kb.Spectrum(small_grid, 1j * u.coeffs * symbol_on_grid(small_grid, coeffs, kind))
         assert restored.hermitian_defect() < 1e-13
-
-    def test_nyquist_zeroed(self, small_grid, coeffs):
-        c = np.zeros(64, complex)
-        c[32] = 1.0  # the unpaired mode
-        out = kb.apply_multiplier("kappa", kb.Spectrum(small_grid, c), coeffs)
-        assert out.coeffs[32] == 0.0
 
 
 class TestDerivative:
-    def test_cos_to_minus_sin(self, small_grid):
+    """The derivative the tendency applies: i*xi in half layout, 0 at the unpaired mode."""
+
+    @staticmethod
+    def _derivative(s, coeffs):
+        ik = _half_symbols(s.grid, coeffs)[1]
+        return kb.Spectrum(s.grid, full_spectrum(ik * half_spectrum(s.coeffs)))
+
+    def test_cos_to_minus_sin(self, small_grid, coeffs):
         s = kb.cos_mode(small_grid, 1, 1.0)
-        ds = kb.spatial_derivative(s)
+        ds = self._derivative(s, coeffs)
         # -sin(x) has coefficients +-i/2 at k = +-1
         assert ds.coeffs[1] == pytest.approx(0.5j, abs=1e-15)
         assert ds.coeffs[-1] == pytest.approx(-0.5j, abs=1e-15)
         back = kb.transform_inverse(ds)
         assert np.max(np.abs(back.samples + np.sin(small_grid.x))) < 1e-13
 
-    def test_constant_derivative_zero(self, small_grid):
+    def test_constant_derivative_zero(self, small_grid, coeffs):
         s = kb.cos_mode(small_grid, 0, 4.0)
-        assert np.all(kb.spatial_derivative(s).coeffs == 0)
+        assert np.all(self._derivative(s, coeffs).coeffs == 0)
 
-    def test_derivative_keeps_field_real(self, grid):
+    def test_derivative_keeps_field_real(self, grid, coeffs):
         s = kb.transform_forward(_random_real_field(grid, 11))
-        ds = kb.spatial_derivative(s)
+        ds = self._derivative(s, coeffs)
         f = kb.transform_inverse(ds)  # raises if the imaginary residual is large
         assert np.all(np.isfinite(f.samples))
+
+
+def _product(factors):
+    """The dealiased product of one stack of real-field spectra."""
+    return product_spectra(np.array([f.coeffs for f in factors]))
 
 
 class TestDealiasedProduct:
     def test_cos_squared(self, small_grid):
         s = kb.cos_mode(small_grid, 1, 1.0)
-        p = kb.dealiased_product([s, s])
+        p = _product([s, s])
         oracle = convolve_project(small_grid, s.coeffs, s.coeffs)
-        assert np.max(np.abs(p.coeffs - oracle)) < 1e-14
-        assert p.coeffs[0] == pytest.approx(0.5, abs=1e-14)
-        assert p.coeffs[2] == pytest.approx(0.25, abs=1e-14)
+        assert np.max(np.abs(p - oracle)) < 1e-14
+        assert p[0] == pytest.approx(0.5, abs=1e-14)
+        assert p[2] == pytest.approx(0.25, abs=1e-14)
 
     def test_zero_factor(self, small_grid):
         s = kb.cos_mode(small_grid, 3, 2.0)
         z = kb.Spectrum(small_grid, np.zeros(64, complex))
-        assert np.all(kb.dealiased_product([s, z]).coeffs == 0)
+        assert np.all(_product([s, z]) == 0)
 
     def test_cos_cubed(self, small_grid):
         s = kb.cos_mode(small_grid, 1, 1.0)
-        p = kb.dealiased_product([s, s, s])
-        assert p.coeffs[1] == pytest.approx(0.375, abs=1e-14)
-        assert p.coeffs[3] == pytest.approx(0.125, abs=1e-14)
+        p = _product([s, s, s])
+        assert p[1] == pytest.approx(0.375, abs=1e-14)
+        assert p[3] == pytest.approx(0.125, abs=1e-14)
         oracle = convolve_project(small_grid, s.coeffs, s.coeffs, s.coeffs)
-        assert np.max(np.abs(p.coeffs - oracle)) < 1e-14
+        assert np.max(np.abs(p - oracle)) < 1e-14
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_pair_matches_convolution(self, small_grid, seed):
         u = kb.random_field(small_grid, "band_limited", seed, cutoff=20)
         v = kb.random_field(small_grid, "band_limited", seed + 100, cutoff=20)
-        p = kb.dealiased_product([u, v])
+        p = _product([u, v])
         oracle = convolve_project(small_grid, u.coeffs, v.coeffs)
         scale = np.max(np.abs(oracle))
-        assert np.max(np.abs(p.coeffs - oracle)) < 1e-12 * scale
+        assert np.max(np.abs(p - oracle)) < 1e-12 * scale
 
     def test_triple_matches_convolution(self, small_grid):
         u = kb.random_field(small_grid, "band_limited", 7, cutoff=9)
         v = kb.random_field(small_grid, "band_limited", 8, cutoff=9)
         w = kb.random_field(small_grid, "band_limited", 9, cutoff=9)
-        p = kb.dealiased_product([u, v, w])
+        p = _product([u, v, w])
         oracle = convolve_project(small_grid, u.coeffs, v.coeffs, w.coeffs)
         scale = np.max(np.abs(oracle))
-        assert np.max(np.abs(p.coeffs - oracle)) < 1e-12 * scale
+        assert np.max(np.abs(p - oracle)) < 1e-12 * scale
 
     @pytest.mark.parametrize("arity", [2, 3])
     @pytest.mark.parametrize("nyquist", [0.7, 0.4 - 0.9j])
@@ -267,8 +268,8 @@ class TestDealiasedProduct:
         oracle = np.zeros(n, complex)
         oracle[:half] = exact[:half]
         oracle[half + 1 :] = exact[2 * n - half + 1 :]
-        p = kb.dealiased_product(factors)
-        assert np.max(np.abs(p.coeffs - oracle)) < 1e-12 * np.max(np.abs(oracle))
+        p = _product(factors)
+        assert np.max(np.abs(p - oracle)) < 1e-12 * np.max(np.abs(oracle))
 
     def test_batched_rows_equal_single_rows(self, small_grid):
         rows = np.stack(
@@ -287,28 +288,17 @@ class TestDealiasedProduct:
         c = u.coeffs.copy()
         c[mode] += 0.5j  # breaks c_{-k} = conj(c_k)
         with pytest.raises(kb.SymmetryError):
-            kb.dealiased_product([u, kb.Spectrum(small_grid, c)])
+            _product([u, kb.Spectrum(small_grid, c)])
 
     def test_triple_equals_nested_for_resolvable_band(self, small_grid):
         # inputs band-limited below n/4 keep the intermediate product exact
         u = kb.random_field(small_grid, "band_limited", 21, cutoff=15)
         v = kb.random_field(small_grid, "band_limited", 22, cutoff=15)
         w = kb.random_field(small_grid, "band_limited", 23, cutoff=15)
-        flat = kb.dealiased_product([u, v, w])
-        nested = kb.dealiased_product([kb.dealiased_product([u, v]), w])
-        scale = np.max(np.abs(flat.coeffs))
-        assert np.max(np.abs(flat.coeffs - nested.coeffs)) < 1e-12 * scale
-
-    def test_grid_mismatch(self, small_grid, grid):
-        u = kb.cos_mode(small_grid, 1, 1.0)
-        v = kb.cos_mode(grid, 1, 1.0)
-        with pytest.raises(kb.GridMismatchError):
-            kb.dealiased_product([u, v])
-
-    def test_factor_count(self, small_grid):
-        u = kb.cos_mode(small_grid, 1, 1.0)
-        with pytest.raises(ValueError):
-            kb.dealiased_product([u])
+        flat = _product([u, v, w])
+        nested = _product([kb.Spectrum(small_grid, _product([u, v])), w])
+        scale = np.max(np.abs(flat))
+        assert np.max(np.abs(flat - nested)) < 1e-12 * scale
 
 
 def test_csv_rows_ordering(small_grid):
