@@ -33,8 +33,6 @@ from .errors import (
     NoConvergenceError,
     NonFiniteError,
     NormOverflowError,
-    QuadratureError,
-    StepCollapseError,
     SymmetryError,
 )
 from .estimates import (

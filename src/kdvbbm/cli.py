@@ -3,11 +3,11 @@
 Runs are described by a YAML file validated against a strict schema (unknown
 keys are rejected; every module precondition is checked before any compute
 starts).  Artifacts (CSV files plus a JSON manifest with content digests) are
-written to a staging directory and promoted atomically on success, so failed
-runs leave no partial outputs.
+written to a staging directory and promoted atomically once computed, so a run
+that raises leaves no partial outputs.
 
-Exit codes: 0 success, 1 enabled check failed, 2 configuration error,
-3 runtime/numerical error.
+Exit codes: 0 success, 1 enabled check failed (artifacts written), 2 configuration
+error, 3 runtime/numerical error (divergence, or an input that is not a real field).
 """
 
 from __future__ import annotations
@@ -542,6 +542,11 @@ def _skip(note) -> dict:
     return {"skipped": True, "note": note}
 
 
+def _resolvable_radius(cfg) -> float:
+    """pi/L, one wavenumber spacing: a radius below it is steeper than the grid can witness."""
+    return math.pi / cfg.data["grid"]["half_length"]
+
+
 def _simulate_checks(cfg, coeffs, traj, tracked, t_bar, x0):
     cks = cfg.data["checks"]
     checks: dict = {}
@@ -569,6 +574,11 @@ def _simulate_checks(cfg, coeffs, traj, tracked, t_bar, x0):
 
     checks["growth_bound"] = _growth_bound(cks, traj.records, t_bar, x0)
     if tracked is not None:
+        resolvable = _resolvable_radius(cfg)
+        below = [t for t, sigma in tracked.sigma_series if sigma < resolvable]
+        note = f"sigma < pi/L first at t = {below[0]:.6g}" if below else None
+        sigma_low = min(sigma for _, sigma in tracked.sigma_series)
+        checks["sigma_resolvable"] = _check(sigma_low, not below, resolvable, note)
         sigmas, slack = tracked.sigmas, 1.0 + 1e-12
         zero_datum = not np.any(traj.records[0].state.coeffs)
         defined = [(f.sigma_hat, sg) for f, sg in zip(tracked.fits, sigmas) if f.defined]
@@ -601,8 +611,7 @@ def run_simulate(cfg: RunConfig, tracking: bool = False):
     _check_marched_horizon(cfg.data["solver"])  # this march is IFRK4 whatever solver.method says
     sol, ana = cfg.data["solver"], cfg.data["analyticity"]
     tracking = tracking or ana["enabled"]
-    if tracking and ana["sigma0"] <= math.pi / cfg.data["grid"]["half_length"]:
-        # sigma(t) is tracked down to the grid's smallest resolvable radius, pi/L
+    if tracking and ana["sigma0"] <= _resolvable_radius(cfg):  # sigma_resolvable fails at t = 0
         raise ConfigError("analyticity.sigma0: a tracked march needs sigma0 > pi/grid.half_length")
     coeffs, eta0, g, x0, t_bar, _ = _setup(cfg)
 
@@ -676,6 +685,11 @@ def run_picard(cfg: RunConfig):
         ),
         "growth_bound": _growth_bound(cks, traj.records, t_bar, x0),
     }
+    if sol["mesh_check"]:
+        shift, tol = diag.mesh_delta, sol["tol"]
+        checks["mesh_refinement"] = _check(shift, shift <= tol, tol)
+    else:
+        checks["mesh_refinement"] = _skip("solver.mesh_check is off")
     if sol["crosscheck"]:
         n_steps = max(1, round(T / sol["dt"]))
         dt_cross = T / n_steps
@@ -790,6 +804,18 @@ def _failure(exc: Exception) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 
 
+def _top_level_split(text):
+    """text split at its commas outside [] and {}, so a list or mapping value stays whole."""
+    parts, depth = [""], 0
+    for ch in text:
+        depth += (ch in "[{") - (ch in "]}")
+        if ch == "," and depth == 0:
+            parts.append("")
+        else:
+            parts[-1] += ch
+    return parts
+
+
 def _expand_sweep(set_specs):
     """Cross product of comma-separated override values."""
     axes = []
@@ -797,7 +823,7 @@ def _expand_sweep(set_specs):
         if "=" not in spec:
             raise ConfigError(f"--set {spec!r} must look like section.key=v1,v2,...")
         path, _, text = spec.partition("=")
-        values = [v for v in text.split(",") if v != ""]
+        values = [v for v in _top_level_split(text) if v != ""]
         if not values:
             raise ConfigError(f"--set {spec!r} lists no values")
         axes.append([(path, v) for v in values])
@@ -855,10 +881,10 @@ def run_sweep(config_path, set_specs, command, outroot, force, workers) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _output_root(cfg_dir: str | None, cli_out: str | None) -> str:
-    """--out, else the environment, else the config's directory; rejected before any compute
-    unless its nearest existing component is a directory."""
-    root = cli_out or os.environ.get(OUTPUT_ROOT_ENV) or cfg_dir or "runs"
+def _output_root(cfg_root: str | None, cli_out: str | None) -> str:
+    """--out, else the environment, else the config's output.directory key; rejected before
+    any compute unless its nearest existing component is a directory."""
+    root = cli_out or os.environ.get(OUTPUT_ROOT_ENV) or cfg_root or "runs"
     existing = os.path.abspath(root)
     while not os.path.exists(existing):
         existing = os.path.dirname(existing)

@@ -30,17 +30,6 @@ class NoConvergenceError(KdvBbmError, RuntimeError):
     """Fixed-point iteration did not converge within the allowed iterations."""
 
 
-class QuadratureError(KdvBbmError, RuntimeError):
-    """Refining the quadrature mesh moved the fixed point by more than the tolerance."""
-
-    def __init__(self, delta, tol):
-        self.delta = delta
-        self.tol = tol
-        super().__init__(
-            f"mesh refinement changed the fixed point by {delta:.3e} (> tol {tol:.3e})"
-        )
-
-
 class BlowUpError(KdvBbmError, RuntimeError):
     """A tracked norm exceeded the configured ceiling during time stepping."""
 
@@ -49,18 +38,6 @@ class BlowUpError(KdvBbmError, RuntimeError):
         self.value = value
         self.ceiling = ceiling
         super().__init__(f"norm {value:.3e} exceeded ceiling {ceiling:.3e} at t={t:.6g}")
-
-
-class StepCollapseError(KdvBbmError, RuntimeError):
-    """The tracked analyticity radius fell below the grid-resolvable threshold."""
-
-    def __init__(self, t, sigma, threshold):
-        self.t = t
-        self.sigma = sigma
-        self.threshold = threshold
-        super().__init__(
-            f"sigma collapsed to {sigma:.3e} (< resolvable {threshold:.3e}) at t={t:.6g}"
-        )
 
 
 class ConfigError(KdvBbmError, ValueError):

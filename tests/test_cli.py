@@ -405,6 +405,24 @@ class TestRadius:
         expected = max(kb.gevrey_norm(r.state, g) for r in traj.records if r.t <= t_bar)
         assert manifest["checks"]["growth_bound"]["value"] == expected
 
+    def test_collapse_is_a_failed_check(self, tmp_path):
+        # sigma0 just above pi/L = 1/16 crosses it within T: a recorded outcome, not a crash
+        path = _write_config(tmp_path / "c.yaml", _small_sim(analyticity={"sigma0": 0.07}))
+        out = str(tmp_path / "out")
+        assert cli.main(["radius", path, "--out", out]) == 1
+        manifest, rundir = _manifest(out)
+        names = {"trajectory.csv", "sigma.csv", "final_spectrum.csv", "manifest.json"}
+        assert set(os.listdir(rundir)) == names
+        failed = [name for name, c in manifest["checks"].items() if c.get("passed") is False]
+        assert failed == ["sigma_resolvable"]
+        entry = manifest["checks"]["sigma_resolvable"]
+        sigma_rows = _read_csv(os.path.join(rundir, "sigma.csv"))
+        first_below = next(r["t"] for r in sigma_rows if float(r["sigma"]) < 1.0 / 16.0)
+        assert entry["limit"] == pytest.approx(1.0 / 16.0, rel=1e-15)
+        assert entry["value"] == min(float(r["sigma"]) for r in sigma_rows)
+        assert entry["note"] == f"sigma < pi/L first at t = {float(first_below):.6g}"
+        assert float(sigma_rows[-1]["t"]) == pytest.approx(0.2)
+
 
 class TestGrowthGate:
     """One growth gate serves every command that marches or solves."""
@@ -476,6 +494,29 @@ class TestPicardCommand:
             with open(os.path.join(rundir, name)) as fh:
                 data = json.load(fh, parse_constant=reject)
         assert data["existence_window"] is None  # picard_meta.json, the last name
+
+    def test_mesh_refinement_failure_is_recorded(self, tmp_path):
+        # two nodes leave a quadrature error far above tol: exit 1 with every artifact written
+        path = _write_config(tmp_path / "c.yaml", _small_picard())
+        out = str(tmp_path / "out")
+        argv = ["picard", path, "--out", out, "--set", "solver.n_nodes=2",
+                "--set", "solver.crosscheck=false"]
+        assert cli.main(argv) == 1
+        manifest, rundir = _manifest(out)
+        with open(os.path.join(rundir, "picard_meta.json")) as fh:
+            meta = json.load(fh)
+        entry = manifest["checks"]["mesh_refinement"]
+        assert entry == {"passed": False, "value": meta["mesh_delta"], "limit": 1e-9}
+        assert meta["mesh_delta"] > 1e-9
+
+    def test_mesh_refinement_skipped_without_mesh_check(self, tmp_path):
+        path = _write_config(tmp_path / "c.yaml", _small_picard())
+        out = str(tmp_path / "out")
+        argv = ["picard", path, "--out", out, "--set", "solver.mesh_check=false",
+                "--set", "solver.T=0.2"]
+        assert cli.main(argv) == 0
+        manifest, _ = _manifest(out)
+        assert manifest["checks"]["mesh_refinement"].get("skipped") is True
 
     @pytest.mark.parametrize(
         "command, solver",
@@ -565,6 +606,24 @@ class TestSweep:
         assert code == 0
         with open(os.path.join(out, "sweep_manifest.json")) as fh:
             summary = json.load(fh)
+        assert [p["exit_code"] for p in summary["points"]] == [0, 0]
+
+    def test_list_values_split_at_top_level_commas(self, tmp_path):
+        # the commas inside [8,16] belong to the value, not to the axis
+        cfg = _small_estimates()
+        cfg["estimates"]["campaigns"] = ["splitting_r1"]
+        path = _write_config(tmp_path / "c.yaml", cfg)
+        out = str(tmp_path / "out")
+        code = cli.main([
+            "sweep", path, "--out", out, "--workers", "1", "--command", "estimates",
+            "--set", "estimates.failure_ks=[8,16],[8,32]",
+        ])
+        assert code == 0
+        with open(os.path.join(out, "sweep_manifest.json")) as fh:
+            summary = json.load(fh)
+        assert [p["overrides"] for p in summary["points"]] == [
+            ["estimates.failure_ks=[8,16]"], ["estimates.failure_ks=[8,32]"]
+        ]
         assert [p["exit_code"] for p in summary["points"]] == [0, 0]
 
     def test_bad_point_reported(self, tmp_path):

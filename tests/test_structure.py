@@ -8,6 +8,8 @@ record rule and the sample columns from drifting apart between commands.
 Calling numpy.fft from `spectral` alone keeps the half layout and the Nyquist
 split written once.  Staging, writing and promoting run directories in one
 driver is what keeps every command's artifacts, manifest and exit code alike.
+Letting the numerics raise only on bad input and divergence is what leaves every
+gate to `cli`, where a failed one is a recorded check, not a run with no outputs.
 """
 
 import ast
@@ -198,3 +200,48 @@ def test_fft_only_in_spectral():
     ]
     assert offenders == []
     assert list(_fft_uses((PACKAGE / "spectral.py").read_text(encoding="utf-8"), "spectral.py"))
+
+
+def _raised(source, name):
+    """"file:line name" of every raise statement, by the raised class's name."""
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            what = "re-raise" if exc is None else getattr(exc, "id", getattr(exc, "attr", "?"))
+            yield f"{name}:{node.lineno} {what}"
+
+
+def test_guard_flags_raised_classes():
+    source = (
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise ValueError('bad input')\n"
+        "    raise CollapseError(1.0, 0.0, 1.0)\n"
+        "def g():\n"
+        "    try:\n"
+        "        raise errors.MeshError\n"
+        "    except ValueError:\n"
+        "        raise\n"
+    )
+    assert sorted(_raised(source, "bad.py")) == [
+        "bad.py:3 ValueError", "bad.py:4 CollapseError",
+        "bad.py:7 MeshError", "bad.py:9 re-raise",
+    ]
+
+
+#: what the numerics may raise: bad input, and in dynamics a diverging march or solve
+NUMERICS_RAISE = {
+    "analyticity.py": {"ValueError"},
+    "dynamics.py": {"ValueError", "BlowUpError", "NoConvergenceError"},
+}
+
+
+def test_numerics_leave_gates_to_cli():
+    # a tolerance judged by raising would end the run with nothing on disk
+    offenders = [
+        line
+        for name, allowed in NUMERICS_RAISE.items()
+        for line in _raised((PACKAGE / name).read_text(encoding="utf-8"), name)
+        if line.split()[-1] not in allowed
+    ]
+    assert offenders == []
