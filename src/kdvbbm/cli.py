@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import shutil
 import sys
 import traceback
@@ -119,13 +120,14 @@ def _number(interval="(-inf, inf)"):
     return parse
 
 
-def _list(item, min_len=0):
+def _list(item, min_len=0, increasing=False):
     def parse(value, path):
         ok = isinstance(value, list) and len(value) >= min_len
         _expect(ok, path, f"a list of {min_len} or more entries", value)
         for i, entry in enumerate(value):
             item(entry, f"{path}[{i}]")
-        return value
+        ok = not increasing or all(a < b for a, b in zip(value, value[1:]))
+        return _expect(ok, path, "a strictly increasing list", value)
 
     return parse
 
@@ -224,7 +226,7 @@ _SCHEMA = {
         ),
         "failure_demo": (True, _BOOLEAN),
         "failure_s": (-0.5, _number("(-inf, 0)")),
-        "failure_ks": ([8, 16, 32, 64], _list(_integer(2), 2)),
+        "failure_ks": ([8, 16, 32, 64], _list(_integer(2), 2, increasing=True)),
     },
     "checks": {
         "energy_drift_tol": (1.0e-6, _NONNEGATIVE),
@@ -475,6 +477,7 @@ def _manifest(command, cfg: RunConfig, rundir: RunDirectory, checks: dict, start
     enabled = [c for c in checks.values() if "passed" in c]
     manifest = {
         "tool": {"name": "kdvbbm", "version": __version__},
+        "environment": {"python": platform.python_version(), "numpy": np.__version__},
         "command": command,
         "run_id": rundir.run_id,
         "started": started,

@@ -24,10 +24,10 @@ PROFILES = ("band_limited", "exponential_decay", "polynomial_decay")
 #: Standard deviation of the lognormal jitter on the decaying profiles' magnitudes.
 JITTER = 0.2
 
-#: Trials run_trials evaluates together on grids of up to 256 modes.  Peak memory
-#: grows with trials times modes per block: a default `estimates` run (n = 256)
-#: peaks (ru_maxrss) at 40.2-40.5 MB one trial at a time, 41.2 MB with 32, 46.1 MB
-#: with 128 and 85.6 MB with 1000, so finer grids get proportionally fewer trials.
+#: Trials run_trials draws and evaluates together on grids of up to 256 modes.  Peak
+#: memory grows with trials times modes per block: a default `estimates` run (n = 256)
+#: peaks (ru_maxrss) at 40.4-40.5 MB one trial at a time, 40.8-41.0 MB with 32, 44.2 MB
+#: with 128 and 76.4-76.5 MB with 1000, so finer grids get proportionally fewer trials.
 TRIAL_BLOCK = 32
 
 #: lemma id -> (number of factors, lower validity bound on s, symbol, differentiate factors)
@@ -61,23 +61,36 @@ class TrialReport:
         }
 
 
+def _streams(seed):
+    """(normals, phases): a campaign's generators, the children 0 and 1 of seed, an int or a
+    SeedSequence (copied, not spawned from: one seed always gives the same streams)."""
+    if isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size)
+    else:
+        seed = np.random.SeedSequence(seed)
+    return tuple(np.random.default_rng(child) for child in seed.spawn(2))
+
+
 def random_fields(
     grid: SpectralGrid,
     profile: str,
-    seeds,
+    streams,
+    count: int,
     *,
     cutoff: int | None = None,
     rate: float | None = None,
     power: float | None = None,
 ) -> np.ndarray:
-    """Hermitian-symmetric random spectra (len(seeds), n); row i is determined by seeds[i].
+    """count Hermitian-symmetric random spectra (count, n) drawn from streams = (normals, phases).
 
-    band_limited:        iid complex Gaussian modes up to cutoff (default n/8), zero above.
+    band_limited:        iid complex Gaussian modes up to K = min(cutoff (default n/8), n/2 - 1),
+                         zero above; a row draws 2K + 1 normals (real parts, imaginary parts,
+                         c0), so at a fixed cutoff it is the same field on every grid.
     exponential_decay:   |c_k| = e^{-rate |xi_k|} with lognormal jitter, uniform phases.
-    polynomial_decay:    |c_k| = <xi_k>^(-power) with the same jitter and phases.
+    polynomial_decay:    |c_k| = <xi_k>^(-power) with the same jitter and phases; a row draws
+                         n/2 normals (modes 1..n/2-1, then c0) and n/2 - 1 phases.
 
-    Each row draws from its own np.random.default_rng(seed); everything after
-    the draws is done once for the whole stack.
+    One call per stream for the whole stack equals drawing its rows one after another.
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILES}")
@@ -85,41 +98,31 @@ def random_fields(
         raise ValueError("exponential_decay profile requires rate")
     if profile == "polynomial_decay" and power is None:
         raise ValueError("polynomial_decay profile requires power")
-    n = grid.n_modes
-    half = n // 2
-    first = np.empty((len(seeds), half - 1))  # real parts, or log-jitter
-    second = np.empty((len(seeds), half - 1))  # imaginary parts, or phases
-    c0 = np.empty(len(seeds))
-    for row, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        rng.standard_normal(out=first[row])
-        if profile == "band_limited":
-            rng.standard_normal(out=second[row])
-            c0[row] = rng.standard_normal()
-        else:
-            second[row] = rng.uniform(0.0, 2.0 * np.pi, half - 1)
-            # the scalar math.exp, not np.exp on the stack: the two can differ in the last bit
-            c0[row] = math.exp(JITTER * rng.standard_normal())
-    c = np.zeros((len(seeds), n), dtype=complex)
+    normals, phases = streams
+    half = grid.n_modes // 2
+    c = np.zeros((count, grid.n_modes), dtype=complex)
     if profile == "band_limited":
-        cut = half // 4 if cutoff is None else cutoff
-        c[:, 1:half] = (first + 1j * second) / math.sqrt(2.0)
-        c[:, 1 + max(cut, 0) : half] = 0.0  # modes above the cutoff
+        live = max(0, min(half // 4 if cutoff is None else cutoff, half - 1))
+        draws = normals.standard_normal((count, 2 * live + 1))
+        c[:, 1 : live + 1] = (draws[:, :live] + 1j * draws[:, live : 2 * live]) / math.sqrt(2.0)
+        c[:, 0] = draws[:, -1]
     else:
-        xi_pos = np.pi * np.arange(1, half) / grid.half_length
+        # modes 1..n/2-1, then c0 at xi = 0, where the magnitude is the jitter alone
+        xi = np.append(np.pi * np.arange(1, half) / grid.half_length, 0.0)
+        jitter = JITTER * normals.standard_normal((count, half))
         if profile == "exponential_decay":
-            mags = np.exp(-rate * xi_pos + JITTER * first)
+            mags = np.exp(-rate * xi + jitter)
         else:
-            mags = bracket(xi_pos) ** (-power) * np.exp(JITTER * first)
-        c[:, 1:half] = mags * np.exp(1j * second)
+            mags = bracket(xi) ** (-power) * np.exp(jitter)
+        c[:, 1:half] = mags[:, :-1] * np.exp(1j * phases.uniform(0.0, 2.0 * np.pi, (count, half - 1)))
+        c[:, 0] = mags[:, -1]
     c[:, half + 1 :] = np.conj(c[:, half - 1 : 0 : -1])
-    c[:, 0] = c0
     return c
 
 
 def random_field(grid: SpectralGrid, profile: str, seed, **profile_kw) -> Spectrum:
-    """One row of random_fields: the random spectrum drawn from seed."""
-    return Spectrum(grid, random_fields(grid, profile, [seed], **profile_kw)[0])
+    """The first row of random_fields on the streams of seed (an int or a SeedSequence)."""
+    return Spectrum(grid, random_fields(grid, profile, _streams(seed), 1, **profile_kw)[0])
 
 
 # Block kernels.  Each builder checks its arguments and computes what every
@@ -243,11 +246,11 @@ def failure_demo_bilinear(
     """
     if s_negative >= 0:
         raise ValueError(f"failure demo requires s < 0, got {s_negative}")
+    if len(ks) < 2 or min(ks) < 2 or any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ValueError(f"need two or more strictly increasing modes k >= 2, got {list(ks)}")
     g = GevreyIndex(0.0, s_negative)
     rows = []
     for k in ks:
-        if k < 2:
-            raise ValueError("modes must satisfy k >= 2")
         n = max(64, 2 ** math.ceil(math.log2(4 * k)))
         grid = SpectralGrid(n, half_length)
         u = cos_mode(grid, k, 1.0)
@@ -302,14 +305,14 @@ def run_trials(
 ) -> TrialReport | list[TrialReport]:
     """Run a seeded campaign and reduce to max/mean of the per-trial statistic.
 
-    Per-trial seeds are spawned from one SeedSequence (a multilinear trial
-    spawns one child per field), so the report is reproducible bit-for-bit
-    and independent of any execution order.  Trials are evaluated in blocks
-    of _trials_per_block(grid); the max is exact and the mean sums the
-    per-trial values left to right, so the report equals the per-trial
-    definition.  combo is the interpolation campaign's (s1, s2, theta), or a
-    tuple of such combos: each block is then drawn once and evaluated for
-    every combo, and the list of reports, one per combo, is returned.
+    The campaign draws its trials in order from the one pair of streams of seed; a
+    multilinear trial takes its arity fields as consecutive rows.  Each block of
+    _trials_per_block(grid) trials is drawn in one call per stream, which equals drawing
+    the trials one at a time, and the max is exact and the mean sums the per-trial values
+    left to right: the report is reproducible bit-for-bit whatever the block size.
+    combo is the interpolation campaign's (s1, s2, theta), or a tuple of such combos:
+    each block is then drawn once and evaluated for every combo, and the list of
+    reports, one per combo, is returned.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -317,16 +320,13 @@ def run_trials(
     combos = [tuple(c) for c in combo] if many else [combo]
     campaigns = [_campaign(lemma_id, grid, g, coeffs, one) for one in combos]
     arity = campaigns[0][0]
-    children = np.random.SeedSequence(seed).spawn(n_trials)
+    streams = _streams(seed)
     size = _trials_per_block(grid)
     values = [[] for _ in combos]
     for start in range(0, n_trials, size):
-        block = children[start : start + size]
-        if arity:
-            kids = [kid for child in block for kid in child.spawn(arity)]
-            c = random_fields(grid, profile, kids, **profile_kw).reshape(len(block), arity, -1)
-        else:
-            c = random_fields(grid, profile, block, **profile_kw)
+        b = min(size, n_trials - start)
+        c = random_fields(grid, profile, streams, b * max(arity, 1), **profile_kw)
+        c = c.reshape(b, arity, -1) if arity else c
         for (_, kernel), vals in zip(campaigns, values):
             vals.extend(kernel(c).tolist())
     reports = []
@@ -360,8 +360,5 @@ def existence_constant(
     """
     if g.s < 1.0:
         raise ValueError(f"existence constant requires s >= 1, got s = {g.s}")
-    worst = 0.0
-    for lemma_id in ("bilinear_tau", "trilinear_psi", "derivsq_psi"):
-        rep = run_trials(lemma_id, grid, g, coeffs, n_trials=n_trials, seed=seed)
-        worst = max(worst, rep.ratio_max)
-    return worst
+    lemmas = ("bilinear_tau", "trilinear_psi", "derivsq_psi")
+    return max(run_trials(one, grid, g, coeffs, n_trials=n_trials, seed=seed).ratio_max for one in lemmas)

@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import os
+import platform
 import re
 from pathlib import Path
 
@@ -98,6 +99,8 @@ class TestConfig:
             "checks.existence_trials=0",
             "estimates.failure_ks=[8, x]",
             "estimates.failure_ks=[8]",
+            "estimates.failure_ks=[2, 2]",
+            "estimates.failure_ks=[8, 4]",
             "estimates.cutoff=ten",
             "estimates.cutoff=2.5",
             "solver.dt=fast",
@@ -548,6 +551,8 @@ class TestEstimatesCommand:
         assert manifest["checks"]["splitting_r1"]["passed"]
         assert manifest["checks"]["antisymmetry"]["passed"]
         assert manifest["checks"]["bilinear_omega"]["informational"] is True
+        # estimate digests follow numpy's Generator streams, so the manifest names the release
+        assert manifest["environment"] == {"python": platform.python_version(), "numpy": np.__version__}
         rows = _read_csv(os.path.join(rundir, "interpolation.csv"))
         assert len(rows) == 5  # one row per (s1, s2, theta) combo
         assert os.path.exists(os.path.join(rundir, "failure_demo.csv"))

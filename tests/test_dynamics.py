@@ -368,5 +368,6 @@ def test_trajectory_must_start_at_zero(grid, coeffs):
 def test_antisymmetry_discrete_cancellation(grid, coeffs):
     # i * integral of v * phi-rotation(v) vanishes exactly on the grid
     _, residuals = _campaign("antisymmetry", grid, G01, coeffs, None)
-    v = kb.random_fields(grid, "band_limited", range(5))
+    streams = tuple(np.random.default_rng(seed) for seed in (0, 1))
+    v = kb.random_fields(grid, "band_limited", streams, 5)
     assert np.all(residuals(v) < 1e-12)

@@ -1,10 +1,10 @@
-import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import kdvbbm as kb
+from kdvbbm import estimates
 from kdvbbm.estimates import (
     MULTILINEAR,
     PROFILES,
@@ -28,6 +28,12 @@ class TestRandomField:
         assert np.array_equal(a.coeffs, b.coeffs)
         c = kb.random_field(grid, "band_limited", 124)
         assert not np.array_equal(a.coeffs, c.coeffs)
+
+    def test_seed_sequence_left_as_it_was(self, grid):
+        kid = np.random.SeedSequence(5).spawn(1)[0]
+        a = kb.random_field(grid, "band_limited", kid)
+        assert np.array_equal(a.coeffs, kb.random_field(grid, "band_limited", kid).coeffs)
+        assert kid.n_children_spawned == 0
 
     def test_band_limited_cutoff(self, grid):
         u = kb.random_field(grid, "band_limited", 5, cutoff=10)
@@ -239,6 +245,9 @@ class TestFailureDemo:
             kb.failure_demo_bilinear(0.5)
         with pytest.raises(ValueError):
             kb.failure_demo_bilinear(-0.5, ks=(1, 2))
+        for ks in ((2, 2), (8, 4), (8,)):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                kb.failure_demo_bilinear(-0.5, ks=ks)
 
 
 class TestTrialCampaigns:
@@ -282,29 +291,36 @@ class TestTrialCampaigns:
             kb.existence_constant(grid, kb.GevreyIndex(0.1, 0.5), coeffs)
 
 
-def _reference_field(grid, profile, seed, cutoff=None, rate=None, power=None, jitter=0.2):
-    """One field drawn and assembled on its own, the per-trial definition of random_field."""
-    rng = np.random.default_rng(seed)
+def _reference_streams(seed):
+    """A campaign's (normals, phases) by definition: children 0 and 1 of SeedSequence(seed)."""
+    return tuple(np.random.default_rng(kid) for kid in np.random.SeedSequence(seed).spawn(2))
+
+
+def _reference_field(grid, streams, profile, cutoff=None, rate=None, power=None, jitter=0.2):
+    """The next field of the streams, drawn one value after another and assembled on its own."""
+    normals, phases = streams
     half = grid.n_modes // 2
     xi_pos = np.pi * np.arange(1, half) / grid.half_length
+    pos = np.zeros(half - 1, dtype=complex)
     if profile == "band_limited":
-        re = rng.standard_normal(half - 1)
-        im = rng.standard_normal(half - 1)
-        pos = (re + 1j * im) / np.sqrt(2.0)
-        pos[np.arange(1, half) > (half // 4 if cutoff is None else cutoff)] = 0.0
-        c0 = rng.standard_normal()
+        live = min(half // 4 if cutoff is None else cutoff, half - 1)
+        re = normals.standard_normal(live)
+        im = normals.standard_normal(live)
+        pos[:live] = (re + 1j * im) / np.sqrt(2.0)
+        c0 = normals.standard_normal()
     else:
+        log_jitter = jitter * normals.standard_normal(half - 1)
         if profile == "exponential_decay":
-            mags = np.exp(-rate * xi_pos + jitter * rng.standard_normal(half - 1))
+            mags = np.exp(-rate * xi_pos + log_jitter)
         else:
-            mags = kb.bracket(xi_pos) ** (-power) * np.exp(jitter * rng.standard_normal(half - 1))
-        pos = mags * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, half - 1))
-        c0 = math.exp(jitter * rng.standard_normal())
+            mags = kb.bracket(xi_pos) ** (-power) * np.exp(log_jitter)
+        c0 = np.exp(jitter * normals.standard_normal())
+        pos = mags * np.exp(1j * phases.uniform(0.0, 2.0 * np.pi, half - 1))
     c = np.zeros(grid.n_modes, dtype=complex)
     c[1:half] = pos
     c[half + 1 :] = np.conj(pos[::-1])
     c[0] = c0
-    return 1.0 * c
+    return c
 
 
 PROFILE_KW = {
@@ -324,11 +340,17 @@ def _trial_statistic(lemma_id, fields, coeffs):
     return float(kernel(trial[None] if arity else trial)[0])
 
 
-def _per_trial_value(lemma_id, grid, coeffs, child, profile="band_limited", **kw):
-    """One trial, its fields seeded as run_trials seeds them."""
-    kids = child.spawn(MULTILINEAR[lemma_id][0]) if lemma_id in MULTILINEAR else [child]
-    fields = [kb.random_field(grid, profile, kid, **kw) for kid in kids]
+def _per_trial_value(lemma_id, grid, coeffs, streams, profile="band_limited", **kw):
+    """The next trial of the streams: its fields drawn one at a time, in order."""
+    arity = MULTILINEAR[lemma_id][0] if lemma_id in MULTILINEAR else 1
+    fields = [kb.Spectrum(grid, _reference_field(grid, streams, profile, **kw)) for _ in range(arity)]
     return _trial_statistic(lemma_id, fields, coeffs)
+
+
+def _reference_values(lemma_id, grid, coeffs, seed, n_trials, profile="band_limited", **kw):
+    """The per-trial values of a campaign, one trial after another from the streams of seed."""
+    streams = _reference_streams(seed)
+    return [_per_trial_value(lemma_id, grid, coeffs, streams, profile, **kw) for _ in range(n_trials)]
 
 
 def _assert_campaign_close(lemma_id, got, want):
@@ -342,21 +364,23 @@ def _assert_campaign_close(lemma_id, got, want):
 
 
 class TestBlockedCampaigns:
-    """Blocks of trials give what the kernels give on one trial at a time."""
+    """Blocks of trials give what the kernels give on one trial at a time, drawn in order."""
 
     @pytest.mark.parametrize("profile", PROFILES)
     def test_batched_rows_equal_single_draws(self, grid, profile):
         kw = PROFILE_KW[profile]
-        batched = kb.random_fields(grid, profile, np.random.SeedSequence(9).spawn(40), **kw)
-        for row, kid in zip(batched, np.random.SeedSequence(9).spawn(40)):
-            assert np.array_equal(row, _reference_field(grid, profile, kid, **kw))
-            assert np.array_equal(row, kb.random_field(grid, profile, kid, **kw).coeffs)
+        batched = kb.random_fields(grid, profile, _reference_streams(9), 40, **kw)
+        streams = _reference_streams(9)
+        for row in batched:
+            assert np.array_equal(row, _reference_field(grid, streams, profile, **kw))
+        assert np.array_equal(batched[0], kb.random_field(grid, profile, 9, **kw).coeffs)
+        assert np.array_equal(batched[0], kb.random_field(grid, profile, np.random.SeedSequence(9), **kw).coeffs)
 
     @pytest.mark.parametrize("lemma_id", CAMPAIGNS)
     def test_block_values_equal_per_row_functions(self, small_grid, coeffs, lemma_id):
         arity, kernel = _campaign(lemma_id, small_grid, G_CAMPAIGN, coeffs, COMBO)
-        kids = np.random.SeedSequence(4).spawn(TRIAL_BLOCK * max(arity, 1))
-        stack = kb.random_fields(small_grid, "band_limited", kids).reshape(TRIAL_BLOCK, max(arity, 1), -1)
+        stack = kb.random_fields(small_grid, "band_limited", _reference_streams(4), TRIAL_BLOCK * max(arity, 1))
+        stack = stack.reshape(TRIAL_BLOCK, max(arity, 1), -1)
         block = kernel(stack if arity else stack[:, 0])
         rows = [
             _trial_statistic(lemma_id, [kb.Spectrum(small_grid, c) for c in trial], coeffs)
@@ -369,11 +393,7 @@ class TestBlockedCampaigns:
     def test_reports_equal_trial_by_trial_reference(self, small_grid, coeffs, lemma_id, n_trials):
         rep = kb.run_trials(lemma_id, small_grid, G_CAMPAIGN, coeffs, n_trials=n_trials, seed=17,
                             combo=COMBO if lemma_id == "interpolation" else None)
-        # fresh children: spawning a grandchild advances its parent's counter
-        values = [
-            _per_trial_value(lemma_id, small_grid, coeffs, child)
-            for child in np.random.SeedSequence(17).spawn(n_trials)
-        ]
+        values = _reference_values(lemma_id, small_grid, coeffs, 17, n_trials)
         _assert_campaign_close(lemma_id, rep.ratio_max, max(values))
         _assert_campaign_close(lemma_id, rep.ratio_mean, sum(values) / n_trials)
 
@@ -381,10 +401,7 @@ class TestBlockedCampaigns:
         fine = kb.SpectralGrid(1024, 16.0 * np.pi)
         assert _trials_per_block(fine) == 8
         rep = kb.run_trials("trilinear_psi", fine, G_CAMPAIGN, coeffs, n_trials=9, seed=2)
-        values = [
-            _per_trial_value("trilinear_psi", fine, coeffs, child)
-            for child in np.random.SeedSequence(2).spawn(9)
-        ]
+        values = _reference_values("trilinear_psi", fine, coeffs, 2, 9)
         assert rep.ratio_max == max(values)
         assert rep.ratio_mean == sum(values) / 9
 
@@ -393,12 +410,36 @@ class TestBlockedCampaigns:
         kw = PROFILE_KW[profile]
         rep = kb.run_trials("trilinear_psi", small_grid, G_CAMPAIGN, coeffs, n_trials=40, seed=5,
                             profile=profile, **kw)
-        values = [
-            _per_trial_value("trilinear_psi", small_grid, coeffs, child, profile, **kw)
-            for child in np.random.SeedSequence(5).spawn(40)
-        ]
+        values = _reference_values("trilinear_psi", small_grid, coeffs, 5, 40, profile, **kw)
         assert rep.ratio_max == max(values)
         assert rep.ratio_mean == sum(values) / 40
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_reports_independent_of_block_size(self, small_grid, coeffs, monkeypatch, profile):
+        def reports():
+            return [
+                kb.run_trials(lemma_id, small_grid, G_CAMPAIGN, coeffs, n_trials=40, seed=6,
+                              profile=profile, **PROFILE_KW[profile])
+                for lemma_id in ("trilinear_psi", "splitting_r1")
+            ]
+
+        by_block = []
+        for size in (1, 7, 32):
+            monkeypatch.setattr(estimates, "TRIAL_BLOCK", size)
+            assert _trials_per_block(small_grid) == size
+            by_block.append(reports())
+        assert by_block[0] == by_block[1] == by_block[2]
+
+    def test_band_limited_trial_is_grid_independent(self):
+        # at a fixed cutoff a trial draws the same values on every grid, so it is one field
+        rows = [
+            kb.random_fields(kb.SpectralGrid(n, 16.0 * np.pi), "band_limited", _reference_streams(8), 3,
+                             cutoff=20)
+            for n in (128, 256, 512)
+        ]
+        for row in rows[1:]:
+            assert np.array_equal(row[:, :21], rows[0][:, :21])
+        assert all(np.count_nonzero(row[:, 21 : row.shape[1] // 2 + 1]) == 0 for row in rows)
 
     def test_checks_kept(self, small_grid, coeffs):
         with pytest.raises(ValueError, match="requires s >="):

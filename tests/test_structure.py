@@ -2,7 +2,8 @@
 
 Keeping the padding and truncation decisions behind public functions of
 `spectral` is what lets them be written exactly once.  Drawing only from
-explicitly seeded generators is what makes reruns reproduce their digests.
+explicitly seeded generators is what makes reruns reproduce their digests, and
+building them in one helper keeps a campaign on one pair of streams.
 Marching in one loop and building records in one function is what keeps the
 record rule and the sample columns from drifting apart between commands.
 Calling numpy.fft from `spectral` alone keeps the half layout and the Nyquist
@@ -121,6 +122,12 @@ def _package_call_sites(callee):
         for path in sorted(PACKAGE.glob("*.py"))
         for site in _call_sites(path.read_text(encoding="utf-8"), path.name, callee)
     ]
+
+
+def test_generators_built_in_one_helper():
+    # a campaign draws from one pair of streams, never from a generator per trial or field
+    for callee in ("default_rng", "SeedSequence"):
+        assert set(_package_call_sites(callee)) == {"estimates.py:_streams"}, callee
 
 
 def test_guard_flags_copied_loops():
