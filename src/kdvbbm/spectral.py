@@ -216,14 +216,19 @@ def full_spectrum(d: np.ndarray) -> np.ndarray:
     return np.concatenate([c, np.conj(c[..., -2:0:-1])], axis=-1)
 
 
-def half_padded_samples(d: np.ndarray) -> np.ndarray:
-    """Samples (..., 2n) on the factor-2 padded grid of half-layout spectra: one batched irfft."""
-    return np.fft.irfft(d, 4 * (d.shape[-1] - 1), norm="forward")
+def half_padded_samples(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Samples (..., 2n) on the factor-2 padded grid of half-layout spectra: one batched irfft,
+    written into out when it is given."""
+    return np.fft.irfft(d, 4 * (d.shape[-1] - 1), norm="forward", out=out)
 
 
-def half_truncated_spectrum(samples: np.ndarray) -> np.ndarray:
-    """Half-layout spectra of real samples (..., 2n): one batched rfft, index n/2 zeroed."""
-    d = np.fft.rfft(samples, norm="forward")[..., : samples.shape[-1] // 4 + 1]
+def half_truncated_spectrum(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Half-layout spectra of real samples (..., 2n): one batched rfft, index n/2 zeroed.
+
+    When out is given, the rfft writes its whole (..., n+1) output there and the
+    result is a view of it.
+    """
+    d = np.fft.rfft(samples, norm="forward", out=out)[..., : samples.shape[-1] // 4 + 1]
     d[..., -1] = 0.0
     return d
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kdvbbm as kb
-from kdvbbm.dynamics import CUBIC_COEFF, DERIV_SQ_COEFF, IFRK4Stepper, _half_symbols, _tendency
+from kdvbbm import dynamics
+from kdvbbm.dynamics import CUBIC_COEFF, DERIV_SQ_COEFF, IFRK4Stepper, _Tendency
 from kdvbbm.estimates import _campaign
 from kdvbbm.spectral import full_spectrum, half_spectrum, product_spectra
 from oracles import convolve_project, richardson_order
@@ -76,7 +77,8 @@ class TestUnpairedMode:
 
 def _rhs(c, grid, coeffs):
     """The nonlinear tendency of a real-field spectrum, in FFT layout."""
-    return full_spectrum(_tendency(_half_symbols(grid, coeffs), half_spectrum(c)))
+    d = half_spectrum(c)
+    return full_spectrum(_Tendency(grid, coeffs)(d, out=np.empty_like(d)))
 
 
 class TestNonlinearRhs:
@@ -212,6 +214,52 @@ class TestHalfLayoutMarcher:
             kb.evolve_ifrk4(kb.Spectrum(small_grid, c), 0.1, 0.01, coeffs)
 
 
+class TestTendencyWorkspace:
+    """The stepper and the Picard rows evaluate N in buffers allocated once; nothing may leak."""
+
+    def test_states_unchanged_by_later_steps(self, grid, coeffs):
+        eta0 = kb.gaussian(grid, 1.0, 0.5)
+        kept = [(d, d.copy()) for _, d in kb.iterate_ifrk4(eta0, 0.1, 0.01, coeffs)]
+        assert len(kept) == 11
+        assert all(np.array_equal(d, copy) for d, copy in kept)
+        short = kb.evolve_ifrk4(eta0, 0.05, 0.01, coeffs)
+        longer = kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs)
+        for a, b in zip(short.records, longer.records[:6], strict=True):
+            assert np.array_equal(a.state.coeffs, b.state.coeffs)
+
+    def test_step_keeps_no_state_between_calls(self, grid, coeffs):
+        d = half_spectrum(kb.gaussian(grid, 1.0, 0.5).coeffs)
+        copy = d.copy()
+        stepper = IFRK4Stepper(grid, coeffs, 0.01)
+        first, second = stepper.step(d), stepper.step(d)
+        assert first is not second and np.array_equal(first, second)
+        assert np.array_equal(d, copy)
+
+    @pytest.mark.parametrize("n", [16, 256])
+    def test_batched_rows_equal_single_calls(self, coeffs, n):
+        # one call on a stack of rows gives each row bit for bit, as Picard's blocks need
+        grid = kb.SpectralGrid(n, 16.0 * np.pi)
+        rng = np.random.default_rng(n)
+        shape = (65, n // 2 + 1)
+        d = 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        batched = _Tendency(grid, coeffs, shape[:1])(d, out=np.empty_like(d))
+        single = _Tendency(grid, coeffs)
+        for row, got in zip(d, batched, strict=True):
+            assert np.array_equal(single(row, out=np.empty_like(row)), got)
+
+    def test_picard_blocks_equal_row_by_row(self, grid, coeffs, monkeypatch):
+        # 21 and 41 rows: the last block of each mesh overlaps the one before it
+        eta0 = kb.cos_mode(grid, 1, 0.05)
+        solve = lambda: kb.picard_solve(eta0, 1.0, 1e-10, 30, coeffs, G01, n_nodes=20)
+        blocked, blocked_diag = solve()
+        monkeypatch.setattr(dynamics, "ROW_BLOCK", 1)
+        single, single_diag = solve()
+        assert blocked_diag.distances == single_diag.distances
+        assert blocked_diag.mesh_delta == single_diag.mesh_delta
+        for a, b in zip(blocked.records, single.records, strict=True):
+            assert np.array_equal(a.state.coeffs, b.state.coeffs)
+
+
 class TestIFRK4:
     def test_zero_datum(self, grid, coeffs):
         z = kb.Spectrum(grid, np.zeros(grid.n_modes, complex))
@@ -249,6 +297,16 @@ class TestIFRK4:
         eta0 = kb.cos_mode(grid, 1, 0.1)
         with pytest.raises(kb.BlowUpError):
             kb.evolve_ifrk4(eta0, 1.0, 0.01, coeffs, blowup_factor=0.5)
+
+    def test_blowup_size_is_l2_of_failing_state(self, grid, coeffs):
+        # the ceiling is checked in half layout, where c_{-n/2} counts four times
+        eta0 = _nyquist_datum(grid)
+        with pytest.raises(kb.BlowUpError) as err:
+            kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs, blowup_factor=0.9)
+        t = err.value.t
+        c = kb.evolve_ifrk4(eta0, t, 0.01, coeffs, record_every=10**6).final.state.coeffs
+        assert c[grid.nyquist] == 1e-3
+        assert err.value.value == pytest.approx(np.sqrt(np.sum(np.abs(c) ** 2)), rel=1e-12)
 
     def test_restart_matches_single_run(self, grid, coeffs):
         # the numerical flow is a fixed map per step, so a restart is exact

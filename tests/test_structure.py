@@ -7,8 +7,10 @@ building them in one helper keeps a campaign on one pair of streams.
 Marching in one loop and building records in one function is what keeps the
 record rule and the sample columns from drifting apart between commands.
 Calling numpy.fft from `spectral` alone keeps the half layout and the Nyquist
-split written once.  Staging, writing and promoting run directories in one
-driver is what keeps every command's artifacts, manifest and exit code alike.
+split written once, and spelling each call np.fft.<name>(...) keeps every
+transform visible to a tracer that replaces numpy.fft's functions.  Staging,
+writing and promoting run directories in `cli._run` alone is what keeps every
+command's artifacts, manifest and exit code alike.
 Letting the numerics raise only on bad input and divergence is what leaves every
 gate to `cli`, where a failed one is a recorded check, not a run with no outputs.
 """
@@ -207,6 +209,54 @@ def test_fft_only_in_spectral():
     ]
     assert offenders == []
     assert list(_fft_uses((PACKAGE / "spectral.py").read_text(encoding="utf-8"), "spectral.py"))
+
+
+def _unspelled_fft_uses(source, name):
+    """Lines of source that reach numpy.fft other than by a call spelled np.fft.<name>(...)."""
+    tree = ast.parse(source, filename=name)
+    spelled = {
+        id(node.func.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Attribute)
+        and isinstance(node.func.value.value, ast.Name)
+        and node.func.value.value.id == "np"
+    }
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "fft"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+            and id(node) not in spelled
+        ):
+            yield f"{name}:{node.lineno} reaches numpy.fft without calling np.fft.<name>"
+    yield from (line for line in _fft_uses(source, name) if " imports " in line)
+
+
+def test_guard_flags_unspelled_fft_calls():
+    source = (
+        "import numpy as np\n"
+        "import numpy\n"
+        "from numpy.fft import rfft\n"
+        "irfft = np.fft.irfft\n"
+        "x = numpy.fft.irfft([1.0, 0.0])\n"
+        "y = np.fft.fft([1.0])\n"
+        "z = getattr(np.fft, 'ifft')([1.0])\n"
+    )
+    assert len(list(_unspelled_fft_uses(source, "bad.py"))) == 4
+
+
+def test_fft_calls_spelled_out():
+    # perfbench traces the transforms by replacing the functions of numpy.fft at run time,
+    # which a name bound at import would escape; every call looks them up where it runs
+    offenders = [
+        line
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _unspelled_fft_uses(path.read_text(encoding="utf-8"), path.name)
+    ]
+    assert offenders == []
 
 
 def _raised(source, name):
