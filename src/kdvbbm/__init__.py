@@ -40,7 +40,6 @@ from .estimates import (
     TrialReport,
     existence_constant,
     failure_demo_bilinear,
-    random_field,
     random_fields,
     run_trials,
 )

@@ -25,7 +25,6 @@ import platform
 import shutil
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import yaml
@@ -857,6 +856,8 @@ def run_sweep(config_path, set_specs, command, outroot, force, workers) -> int:
     # a forking pool starts all its workers at the first submit: start no idle ones
     workers = min(workers, len(points))
     if workers > 1:
+        # imported here: it loads multiprocessing, socket and logging, which no other command uses
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_point, args))
     else:

@@ -25,7 +25,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import BlowUpError, NoConvergenceError
-from .norms import GevreyIndex, energy, gevrey_weights, row_norms
+from .norms import GevreyIndex, energy, gevrey_weights, half_weights, row_norms
 from .params import CoefficientSet
 from .spectral import (
     SpectralGrid,
@@ -237,10 +237,8 @@ def iterate_ifrk4(
     d = half_spectrum(eta0.coeffs)
     scale = float(np.sqrt(np.sum(np.abs(eta0.coeffs) ** 2)))
     ceiling = blowup_factor * (scale + np.finfo(float).tiny)
-    # Parseval in half layout: d_k stands for c_k and c_{-k}, and d_{n/2} for half of c_{-n/2};
     # summed with np.sum, since a BLAS dot would map OpenBLAS's buffers (0.2 MB of peak RSS)
-    parseval = np.full(d.shape, 2.0)
-    parseval[0], parseval[-1] = 1.0, 4.0
+    parseval = half_weights(np.ones(eta0.grid.n_modes))
     yield 0.0, d
     for i in range(1, n_steps + 1):
         # an overflowing step is caught by its non-finite size, not by each operation

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import cos_mode
-from .norms import GevreyIndex, bracket, gevrey_weights, row_norms
+from .norms import GevreyIndex, bracket, gevrey_weights, half_weights, row_norms
 from .params import DEFAULT_COEFFICIENTS, CoefficientSet
-from .spectral import SpectralGrid, Spectrum, product_spectra, real_samples, symbol_on_grid
+from .spectral import SpectralGrid, half_samples, half_spectrum, product_spectra, symbol_on_grid
 
 PROFILES = ("band_limited", "exponential_decay", "polynomial_decay")
 
@@ -26,8 +26,8 @@ JITTER = 0.2
 
 #: Trials run_trials draws and evaluates together on grids of up to 256 modes.  Peak
 #: memory grows with trials times modes per block: a default `estimates` run (n = 256)
-#: peaks (ru_maxrss) at 40.4-40.5 MB one trial at a time, 40.8-41.0 MB with 32, 44.2 MB
-#: with 128 and 76.4-76.5 MB with 1000, so finer grids get proportionally fewer trials.
+#: peaks (ru_maxrss) at 39.5 MB one trial at a time, 39.8 MB with 32, 41.5-42.4 MB with
+#: 128 and 59.8 MB with 1000, so finer grids get proportionally fewer trials.
 TRIAL_BLOCK = 32
 
 #: lemma id -> (number of factors, lower validity bound on s, symbol, differentiate factors)
@@ -81,7 +81,8 @@ def random_fields(
     rate: float | None = None,
     power: float | None = None,
 ) -> np.ndarray:
-    """count Hermitian-symmetric random spectra (count, n) drawn from streams = (normals, phases).
+    """count random real-field spectra (count, n/2+1) in half layout (spectral.half_spectrum),
+    drawn from streams = (normals, phases); the unpaired mode n/2 is 0.
 
     band_limited:        iid complex Gaussian modes up to K = min(cutoff (default n/8), n/2 - 1),
                          zero above; a row draws 2K + 1 normals (real parts, imaginary parts,
@@ -100,12 +101,12 @@ def random_fields(
         raise ValueError("polynomial_decay profile requires power")
     normals, phases = streams
     half = grid.n_modes // 2
-    c = np.zeros((count, grid.n_modes), dtype=complex)
+    d = np.zeros((count, half + 1), dtype=complex)
     if profile == "band_limited":
         live = max(0, min(half // 4 if cutoff is None else cutoff, half - 1))
         draws = normals.standard_normal((count, 2 * live + 1))
-        c[:, 1 : live + 1] = (draws[:, :live] + 1j * draws[:, live : 2 * live]) / math.sqrt(2.0)
-        c[:, 0] = draws[:, -1]
+        d[:, 1 : live + 1] = (draws[:, :live] + 1j * draws[:, live : 2 * live]) / math.sqrt(2.0)
+        d[:, 0] = draws[:, -1]
     else:
         # modes 1..n/2-1, then c0 at xi = 0, where the magnitude is the jitter alone
         xi = np.append(np.pi * np.arange(1, half) / grid.half_length, 0.0)
@@ -114,26 +115,21 @@ def random_fields(
             mags = np.exp(-rate * xi + jitter)
         else:
             mags = bracket(xi) ** (-power) * np.exp(jitter)
-        c[:, 1:half] = mags[:, :-1] * np.exp(1j * phases.uniform(0.0, 2.0 * np.pi, (count, half - 1)))
-        c[:, 0] = mags[:, -1]
-    c[:, half + 1 :] = np.conj(c[:, half - 1 : 0 : -1])
-    return c
-
-
-def random_field(grid: SpectralGrid, profile: str, seed, **profile_kw) -> Spectrum:
-    """The first row of random_fields on the streams of seed (an int or a SeedSequence)."""
-    return Spectrum(grid, random_fields(grid, profile, _streams(seed), 1, **profile_kw)[0])
+        d[:, 1:half] = mags[:, :-1] * np.exp(1j * phases.uniform(0.0, 2.0 * np.pi, (count, half - 1)))
+        d[:, 0] = mags[:, -1]
+    d *= grid.phase[: half + 1]  # d_k = (-1)^k c_k
+    return d
 
 
 # Block kernels.  Each builder checks its arguments and computes what every
 # trial shares (weights, symbols) once; the function it returns maps a block of
-# spectra, (b, n) or (b, arity, n), to the b per-trial values.  run_trials and
-# failure_demo_bilinear evaluate through them.
+# half-layout spectra, (b, n/2+1) or (b, arity, n/2+1), to the b per-trial values.
+# run_trials and failure_demo_bilinear evaluate through them.
 
 
 def _weights(grid, sigma, s):
     g = GevreyIndex(sigma, s)  # rejects a negative or non-finite sigma and a non-finite s
-    return gevrey_weights(grid, g.sigma, g.s)
+    return half_weights(gevrey_weights(grid, g.sigma, g.s))
 
 
 def _multilinear_values(lemma_id, grid, g, coeffs, strict=True):
@@ -150,16 +146,15 @@ def _multilinear_values(lemma_id, grid, g, coeffs, strict=True):
     _, s_min, kind, differentiate = MULTILINEAR[lemma_id]
     if strict and g.s < s_min - 1e-12:
         raise ValueError(f"{lemma_id} requires s >= {s_min}, got s = {g.s}")
-    weights = _weights(grid, g.sigma, g.s)
-    symbol = symbol_on_grid(grid, coeffs, kind)
+    h = grid.nyquist
+    weights = _weights(grid, g.sigma, g.s)  # half layout, as are the symbol and derivative
+    symbol = symbol_on_grid(grid, coeffs, kind)[: h + 1]
+    derivative = np.append(1j * grid.wavenumbers[:h], 0.0)
 
-    def values(c):
-        operands = c
-        if differentiate:
-            operands = c * (1j * grid.wavenumbers)
-            operands[..., grid.nyquist] = 0.0
+    def values(d):
+        operands = d * derivative if differentiate else d
         weighted = product_spectra(operands) * symbol
-        denominator = np.multiply.reduce(row_norms(grid, c, weights), axis=1)
+        denominator = np.multiply.reduce(row_norms(grid, d, weights), axis=1)
         if np.any(denominator == 0.0):
             raise ValueError("estimate ratio requires nonzero fields")
         return row_norms(grid, weighted, weights) / denominator
@@ -177,8 +172,8 @@ def _interpolation_values(grid, sigma, s1, s2, theta):
     s = theta * s1 + (1.0 - theta) * s2
     weights = [_weights(grid, sigma, t) for t in (s, s1, s2)]
 
-    def values(c):
-        lhs, n1, n2 = (row_norms(grid, c, w) for w in weights)
+    def values(d):
+        lhs, n1, n2 = (row_norms(grid, d, w) for w in weights)
         if np.any(n1 == 0.0) or np.any(n2 == 0.0):
             raise ValueError("interpolation check requires a nonzero field")
         # Python's float power is libm pow; numpy's vectorised power can differ in the last bit
@@ -196,9 +191,9 @@ def _splitting_parts(grid, s, r, sigma):
     weights = [_weights(grid, sigma, s), _weights(grid, 0.0, s), _weights(grid, sigma, s + r)]
     factor = sigma**r
 
-    def parts(c):
+    def parts(d):
         """|J^{s,sigma}u|, |J^s u| and sigma^r |J^{s+r,sigma}u| per row."""
-        lhs, sobolev, shifted = (row_norms(grid, c, w) for w in weights)
+        lhs, sobolev, shifted = (row_norms(grid, d, w) for w in weights)
         return lhs, sobolev, factor * shifted
 
     return parts
@@ -207,11 +202,13 @@ def _splitting_parts(grid, s, r, sigma):
 def _antisymmetry_values(grid, coeffs):
     """Normalized residual of (v, inverse transform of i*phi*v) = 0 for a real field v: phi
     is odd and real, so the residual is pure rounding."""
-    rotation = 1j * symbol_on_grid(grid, coeffs, "phi")
+    h = grid.nyquist
+    # rows v and i*phi*v, v's index n/2 doubled (see half_samples); phi reads 0 there
+    synthesis = np.stack([np.append(np.ones(h), 2.0), 1j * symbol_on_grid(grid, coeffs, "phi")[: h + 1]])
     quad = 2.0 * grid.half_length / grid.n_modes
 
-    def values(c):
-        v, w = np.moveaxis(real_samples(grid, np.stack([c, rotation * c], axis=1)), 1, 0)
+    def values(d):
+        v, w = np.moveaxis(half_samples(synthesis * d[:, None, :]), 1, 0)
         # a (1, n) @ (n, 1) product per row: the BLAS dot product np.dot takes
         inner = quad * (v[:, None, :] @ w[:, :, None])[:, 0, 0]
         norm_sq = quad * (v[:, None, :] @ v[:, :, None])[:, 0, 0]
@@ -256,7 +253,7 @@ def failure_demo_bilinear(
         u = cos_mode(grid, k, 1.0)
         v = cos_mode(grid, k - 1, 1.0)
         ratio = _multilinear_values("bilinear_omega", grid, g, coeffs, strict=False)(
-            np.array([[u.coeffs, v.coeffs]])
+            half_spectrum(np.array([[u.coeffs, v.coeffs]]))
         )[0]
         rows.append((k, n, float(ratio)))
     ratios = np.array([r for (_, _, r) in rows])
@@ -271,7 +268,7 @@ def _trials_per_block(grid):
 
 
 def _campaign(lemma_id, grid, g, coeffs, combo):
-    """(arity, kernel) of a campaign; arity 0 marks one field per trial, blocks (b, n)."""
+    """(arity, kernel) of a campaign; arity 0 marks one field per trial, blocks (b, n/2+1)."""
     if lemma_id in MULTILINEAR:
         return MULTILINEAR[lemma_id][0], _multilinear_values(lemma_id, grid, g, coeffs)
     if lemma_id == "interpolation":

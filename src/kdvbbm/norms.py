@@ -54,8 +54,18 @@ def gevrey_weights(grid: SpectralGrid, sigma: float, s: float) -> np.ndarray:
     return weights
 
 
+def half_weights(weights: np.ndarray) -> np.ndarray:
+    """Squared weights (n) in FFT layout, even in xi, folded to half layout (n/2+1) with the
+    Parseval factors: d_k stands for c_k and c_{-k} (2), d_0 for c_0 alone (1) and d_{n/2}
+    for half of c_{-n/2} (4; see spectral.half_spectrum)."""
+    folded = 2.0 * weights[: weights.shape[-1] // 2 + 1]
+    folded[0], folded[-1] = weights[0], 2.0 * folded[-1]
+    return folded
+
+
 def row_norms(grid: SpectralGrid, c: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted norms sqrt(2L sum_k w_k |c_k|^2) of spectra (..., n), one per row."""
+    """Weighted norms sqrt(2L sum_k w_k |c_k|^2) of spectra (..., n), one per row; of half-layout
+    spectra (..., n/2+1) with the weights passed through half_weights."""
     total = np.sum(weights * (c.real**2 + c.imag**2), axis=-1)
     return np.sqrt(2.0 * grid.half_length * total)
 

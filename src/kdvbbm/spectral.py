@@ -122,26 +122,19 @@ def transform_forward(f: RealField) -> Spectrum:
 
 
 def transform_inverse(s: Spectrum) -> RealField:
-    """Synthesize samples; raises SymmetryError when the field is not real."""
-    return RealField(s.grid, real_samples(s.grid, s.coeffs))
+    """Synthesize samples with one inverse FFT.
 
-
-def real_samples(grid: SpectralGrid, c: np.ndarray) -> np.ndarray:
-    """Collocation samples (..., n) of real-field spectra (..., n), one batched inverse FFT.
-
-    Raises SymmetryError when a row's imaginary residual exceeds 1e-10 of its
+    Raises SymmetryError when the imaginary residual exceeds 1e-10 of the
     largest real sample, and NonFiniteError when a sample is NaN or Inf.
     """
-    w = grid.n_modes * np.fft.ifft(grid.phase * c)
-    scale = np.max(np.abs(w.real), axis=-1)
-    imag = np.max(np.abs(w.imag), axis=-1)
-    bad = imag > 1e-10 * (scale + np.finfo(float).tiny)
-    if np.any(bad):
-        worst = float(np.max(imag[bad] / (scale[bad] + 1e-300)))
+    grid = s.grid
+    w = grid.n_modes * np.fft.ifft(grid.phase * s.coeffs)
+    scale = float(np.max(np.abs(w.real)))
+    imag = float(np.max(np.abs(w.imag)))
+    if imag > 1e-10 * (scale + np.finfo(float).tiny):
+        worst = imag / (scale + 1e-300)
         raise SymmetryError(f"inverse transform has relative imaginary residual {worst:.3e}")
-    if not np.all(np.isfinite(w.real)):
-        raise NonFiniteError("field samples contain NaN or Inf")
-    return w.real
+    return RealField(grid, w.real)
 
 
 def evaluate_symbol(kind: str, xi, coeffs: CoefficientSet):
@@ -216,6 +209,12 @@ def full_spectrum(d: np.ndarray) -> np.ndarray:
     return np.concatenate([c, np.conj(c[..., -2:0:-1])], axis=-1)
 
 
+def half_samples(d: np.ndarray) -> np.ndarray:
+    """Samples (..., n) of half-layout spectra (..., n/2+1), one batched irfft; it reads index
+    n/2 once, as all of c_{-n/2}, where half layout holds half of it (double it first)."""
+    return np.fft.irfft(d, 2 * (d.shape[-1] - 1), norm="forward")
+
+
 def half_padded_samples(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Samples (..., 2n) on the factor-2 padded grid of half-layout spectra: one batched irfft,
     written into out when it is given."""
@@ -233,17 +232,11 @@ def half_truncated_spectrum(samples: np.ndarray, out: np.ndarray | None = None) 
     return d
 
 
-def product_spectra(c: np.ndarray) -> np.ndarray:
-    """Dealiased spectra (..., n) of the products of the fields stacked on axis -2 of c.
-
-    c holds real-field spectra (..., factors, n); one half_spectrum (with its
-    Hermitian check), one padded synthesis, one product over the factor axis
-    and one truncation serve the whole stack, so the unpaired mode -n/2 of the
-    result is 0.  A row that is not the spectrum of a real field raises
-    SymmetryError.
-    """
-    samples = half_padded_samples(half_spectrum(c))
-    return full_spectrum(half_truncated_spectrum(np.multiply.reduce(samples, axis=-2)))
+def product_spectra(d: np.ndarray) -> np.ndarray:
+    """Dealiased half-layout spectra (..., n/2+1) of the products of the fields stacked on
+    axis -2 of d (..., factors, n/2+1): one padded synthesis, one product over the factor axis
+    and one truncation serve the whole stack, so the unpaired mode of the result is 0."""
+    return half_truncated_spectrum(np.multiply.reduce(half_padded_samples(d), axis=-2))
 
 
 def spectrum_csv_rows(s: Spectrum):

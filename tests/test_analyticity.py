@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import kdvbbm as kb
 from kdvbbm import analyticity
+from draws import random_spectrum
 
 
 class TestEstimateRadius:
@@ -36,7 +37,7 @@ class TestEstimateRadius:
         assert fit.sigma_hat == 0.0
 
     def test_scale_invariance(self, grid):
-        u = kb.random_field(grid, "exponential_decay", 4, rate=0.4)
+        u = random_spectrum(grid, "exponential_decay", 4, rate=0.4)
         a = kb.estimate_radius(u)
         b = kb.estimate_radius(kb.Spectrum(grid, 7.3 * u.coeffs))
         assert b.sigma_hat == pytest.approx(a.sigma_hat, rel=1e-12)

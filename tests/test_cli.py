@@ -1,3 +1,4 @@
+import concurrent.futures
 import copy
 import csv
 import json
@@ -687,7 +688,7 @@ class TestSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         path = _write_config(tmp_path / "c.yaml", _small_sim())
         out = str(tmp_path / "out")
         code = cli.main([

@@ -13,8 +13,11 @@ from kdvbbm.estimates import (
     _interpolation_values,
     _multilinear_values,
     _splitting_parts,
+    _streams,
     _trials_per_block,
 )
+from kdvbbm.spectral import half_spectrum
+from draws import random_spectrum
 from oracles import convolve_project
 
 G_S0 = kb.GevreyIndex(0.0, 0.0)
@@ -23,20 +26,20 @@ G_S1 = kb.GevreyIndex(0.1, 1.0)
 
 class TestRandomField:
     def test_deterministic(self, grid):
-        a = kb.random_field(grid, "band_limited", 123)
-        b = kb.random_field(grid, "band_limited", 123)
+        a = random_spectrum(grid, "band_limited", 123)
+        b = random_spectrum(grid, "band_limited", 123)
         assert np.array_equal(a.coeffs, b.coeffs)
-        c = kb.random_field(grid, "band_limited", 124)
+        c = random_spectrum(grid, "band_limited", 124)
         assert not np.array_equal(a.coeffs, c.coeffs)
 
     def test_seed_sequence_left_as_it_was(self, grid):
         kid = np.random.SeedSequence(5).spawn(1)[0]
-        a = kb.random_field(grid, "band_limited", kid)
-        assert np.array_equal(a.coeffs, kb.random_field(grid, "band_limited", kid).coeffs)
+        a = random_spectrum(grid, "band_limited", kid)
+        assert np.array_equal(a.coeffs, random_spectrum(grid, "band_limited", kid).coeffs)
         assert kid.n_children_spawned == 0
 
     def test_band_limited_cutoff(self, grid):
-        u = kb.random_field(grid, "band_limited", 5, cutoff=10)
+        u = random_spectrum(grid, "band_limited", 5, cutoff=10)
         high = np.abs(grid.modes) > 10
         assert np.all(u.coeffs[high] == 0)
         assert np.any(u.coeffs[~high] != 0)
@@ -47,44 +50,52 @@ class TestRandomField:
             ("exponential_decay", {"rate": 0.5}),
             ("polynomial_decay", {"power": 2.0}),
         ):
-            u = kb.random_field(grid, profile, 6, **kw)
+            d = kb.random_fields(grid, profile, _streams(6), 3, **kw)
+            assert np.all(d[:, 0].imag == 0)  # a real field's mean is real
+            assert np.all(d[:, grid.nyquist] == 0)
+            u = random_spectrum(grid, profile, 6, **kw)
             assert u.hermitian_defect() < 1e-14
             assert u.coeffs[grid.nyquist] == 0
 
     def test_exponential_rate_recovered_on_average(self, grid):
         fits = [
-            kb.estimate_radius(kb.random_field(grid, "exponential_decay", seed, rate=0.5)).sigma_hat
+            kb.estimate_radius(random_spectrum(grid, "exponential_decay", seed, rate=0.5)).sigma_hat
             for seed in range(100)
         ]
         assert np.mean(fits) == pytest.approx(0.5, rel=0.1)
 
     def test_profile_validation(self, grid):
         with pytest.raises(ValueError, match="unknown profile"):
-            kb.random_field(grid, "white", 0)
+            random_spectrum(grid, "white", 0)
         with pytest.raises(ValueError, match="rate"):
-            kb.random_field(grid, "exponential_decay", 0)
+            random_spectrum(grid, "exponential_decay", 0)
         with pytest.raises(ValueError, match="power"):
-            kb.random_field(grid, "polynomial_decay", 0)
+            random_spectrum(grid, "polynomial_decay", 0)
+
+
+# The kernels take half-layout blocks; a Spectrum enters through half_spectrum, the gate
+# that checks it is the spectrum of a real field.
 
 
 def _ratio(lemma_id, fields, g, coeffs, strict=True):
     """The multilinear kernel on one trial of fields."""
     values = _multilinear_values(lemma_id, fields[0].grid, g, coeffs, strict)
-    return float(values(np.array([[f.coeffs for f in fields]]))[0])
+    return float(values(half_spectrum(np.array([[f.coeffs for f in fields]])))[0])
 
 
 def _interpolation(u, s1, s2, theta, sigma):
-    return float(_interpolation_values(u.grid, sigma, s1, s2, theta)(u.coeffs[None])[0])
+    return float(_interpolation_values(u.grid, sigma, s1, s2, theta)(half_spectrum(u.coeffs[None]))[0])
 
 
 def _splitting(u, s, r, sigma):
     """|J^{s,sigma}u|, |J^s u| and sigma^r |J^{s+r,sigma}u| of one field."""
-    return (float(part[0]) for part in _splitting_parts(u.grid, s, r, sigma)(u.coeffs[None]))
+    parts = _splitting_parts(u.grid, s, r, sigma)(half_spectrum(u.coeffs[None]))
+    return (float(part[0]) for part in parts)
 
 
 def _antisymmetry(v, coeffs):
     _, residuals = _campaign("antisymmetry", v.grid, G_S0, coeffs, None)
-    return float(residuals(v.coeffs[None])[0])
+    return float(residuals(half_spectrum(v.coeffs[None]))[0])
 
 
 class TestMultilinearRatio:
@@ -127,7 +138,7 @@ class TestMultilinearRatio:
     def test_trilinear_and_derivsq_run_in_range(self, grid, coeffs):
         g = kb.GevreyIndex(0.1, 2.0)
         kids = np.random.SeedSequence(0).spawn(3)
-        fields = [kb.random_field(grid, "band_limited", k, cutoff=20) for k in kids]
+        fields = [random_spectrum(grid, "band_limited", k, cutoff=20) for k in kids]
         r3 = _ratio("trilinear_psi", fields, g, coeffs)
         r2 = _ratio("derivsq_psi", fields[:2], g, coeffs)
         assert np.isfinite(r3) and r3 > 0
@@ -136,7 +147,7 @@ class TestMultilinearRatio:
 
 class TestInterpolation:
     def test_theta_one_exact(self, grid):
-        u = kb.random_field(grid, "band_limited", 11)
+        u = random_spectrum(grid, "band_limited", 11)
         assert _interpolation(u, 0.0, 2.0, 1.0, 0.1) == 1.0
 
     def test_single_mode_equality(self, grid):
@@ -146,11 +157,11 @@ class TestInterpolation:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_fields_bounded_by_one(self, grid, seed):
-        u = kb.random_field(grid, "band_limited", seed)
+        u = random_spectrum(grid, "band_limited", seed)
         assert _interpolation(u, 0.0, 2.0, 0.5, 0.1) <= 1.0 + 1e-12
 
     def test_validation(self, grid):
-        u = kb.random_field(grid, "band_limited", 0)
+        u = random_spectrum(grid, "band_limited", 0)
         with pytest.raises(ValueError):
             _interpolation(u, 2.0, 0.0, 0.5, 0.1)
         with pytest.raises(ValueError):
@@ -159,7 +170,7 @@ class TestInterpolation:
 
 class TestSplitting:
     def test_sigma_zero_trivial(self, grid):
-        u = kb.random_field(grid, "band_limited", 2)
+        u = random_spectrum(grid, "band_limited", 2)
         lhs, sob, shifted = _splitting(u, 1.0, 1.0, 0.0)
         assert lhs <= sob + shifted + 1e-12 * (sob + shifted) + 1e-300
         assert shifted == 0.0
@@ -168,7 +179,7 @@ class TestSplitting:
     @pytest.mark.parametrize("seed", range(5))
     def test_r1_unit_constants(self, grid, seed):
         # c1 = c2 = 1 holds at r = 1 (pointwise e^x <= 1 + x e^x plus Minkowski)
-        u = kb.random_field(grid, "band_limited", seed)
+        u = random_spectrum(grid, "band_limited", seed)
         lhs, sob, shifted = _splitting(u, 1.0, 1.0, 0.1)
         assert lhs <= sob + shifted + 1e-12 * (sob + shifted) + 1e-300
         assert max(0.0, lhs - sob) / shifted <= 1.0
@@ -182,7 +193,7 @@ class TestSplitting:
             c2 = max(
                 max(0.0, lhs - sob) / shifted
                 for lhs, sob, shifted in (
-                    _splitting(kb.random_field(grid, "band_limited", k, cutoff=32), 1.0, 0.5, 0.1)
+                    _splitting(random_spectrum(grid, "band_limited", k, cutoff=32), 1.0, 0.5, 0.1)
                     for k in kids
                 )
             )
@@ -190,7 +201,7 @@ class TestSplitting:
         assert max(maxima) / min(maxima) < 2.0
 
     def test_validation(self, grid):
-        u = kb.random_field(grid, "band_limited", 3)
+        u = random_spectrum(grid, "band_limited", 3)
         with pytest.raises(ValueError):
             _splitting(u, 0.0, -1.0, 0.1)
 
@@ -198,7 +209,7 @@ class TestSplitting:
 class TestAntisymmetry:
     @pytest.mark.parametrize("seed", range(5))
     def test_random_fields(self, grid, coeffs, seed):
-        v = kb.random_field(grid, "band_limited", seed)
+        v = random_spectrum(grid, "band_limited", seed)
         assert _antisymmetry(v, coeffs) < 1e-12
 
     def test_zero(self, grid, coeffs):
@@ -333,18 +344,18 @@ G_CAMPAIGN = kb.GevreyIndex(0.1, 1.0)
 COMBO = (0.0, 2.0, 0.25)
 
 
-def _trial_statistic(lemma_id, fields, coeffs):
-    """One trial's value from its fields: the campaign kernel on a block of one trial."""
-    arity, kernel = _campaign(lemma_id, fields[0].grid, G_CAMPAIGN, coeffs, COMBO)
-    trial = np.array([f.coeffs for f in fields])
+def _trial_statistic(lemma_id, grid, trial, coeffs):
+    """One trial's value from its half-layout fields (arity, n/2+1): the campaign kernel on a
+    block of one trial."""
+    arity, kernel = _campaign(lemma_id, grid, G_CAMPAIGN, coeffs, COMBO)
     return float(kernel(trial[None] if arity else trial)[0])
 
 
 def _per_trial_value(lemma_id, grid, coeffs, streams, profile="band_limited", **kw):
     """The next trial of the streams: its fields drawn one at a time, in order."""
     arity = MULTILINEAR[lemma_id][0] if lemma_id in MULTILINEAR else 1
-    fields = [kb.Spectrum(grid, _reference_field(grid, streams, profile, **kw)) for _ in range(arity)]
-    return _trial_statistic(lemma_id, fields, coeffs)
+    fields = [_reference_field(grid, streams, profile, **kw) for _ in range(arity)]
+    return _trial_statistic(lemma_id, grid, half_spectrum(np.array(fields)), coeffs)
 
 
 def _reference_values(lemma_id, grid, coeffs, seed, n_trials, profile="band_limited", **kw):
@@ -370,11 +381,12 @@ class TestBlockedCampaigns:
     def test_batched_rows_equal_single_draws(self, grid, profile):
         kw = PROFILE_KW[profile]
         batched = kb.random_fields(grid, profile, _reference_streams(9), 40, **kw)
+        assert batched.shape == (40, grid.nyquist + 1)
         streams = _reference_streams(9)
         for row in batched:
-            assert np.array_equal(row, _reference_field(grid, streams, profile, **kw))
-        assert np.array_equal(batched[0], kb.random_field(grid, profile, 9, **kw).coeffs)
-        assert np.array_equal(batched[0], kb.random_field(grid, profile, np.random.SeedSequence(9), **kw).coeffs)
+            assert np.array_equal(row, half_spectrum(_reference_field(grid, streams, profile, **kw)))
+        for seed in (9, np.random.SeedSequence(9)):
+            assert np.array_equal(batched[0], kb.random_fields(grid, profile, _streams(seed), 1, **kw)[0])
 
     @pytest.mark.parametrize("lemma_id", CAMPAIGNS)
     def test_block_values_equal_per_row_functions(self, small_grid, coeffs, lemma_id):
@@ -382,10 +394,7 @@ class TestBlockedCampaigns:
         stack = kb.random_fields(small_grid, "band_limited", _reference_streams(4), TRIAL_BLOCK * max(arity, 1))
         stack = stack.reshape(TRIAL_BLOCK, max(arity, 1), -1)
         block = kernel(stack if arity else stack[:, 0])
-        rows = [
-            _trial_statistic(lemma_id, [kb.Spectrum(small_grid, c) for c in trial], coeffs)
-            for trial in stack
-        ]
+        rows = [_trial_statistic(lemma_id, small_grid, trial, coeffs) for trial in stack]
         _assert_campaign_close(lemma_id, block, rows)
 
     @pytest.mark.parametrize("n_trials", [1, 31, 32, 33, 65])
@@ -439,7 +448,7 @@ class TestBlockedCampaigns:
         ]
         for row in rows[1:]:
             assert np.array_equal(row[:, :21], rows[0][:, :21])
-        assert all(np.count_nonzero(row[:, 21 : row.shape[1] // 2 + 1]) == 0 for row in rows)
+        assert all(np.count_nonzero(row[:, 21:]) == 0 for row in rows)
 
     def test_checks_kept(self, small_grid, coeffs):
         with pytest.raises(ValueError, match="requires s >="):
@@ -470,3 +479,66 @@ class TestBlockedCampaigns:
                 tracemalloc.stop()
 
         assert peak(1024) <= 1.5 * peak(64)
+
+
+def _unfold(grid, d):
+    """The FFT-layout coefficients of a half-layout row, written out by hand."""
+    h = grid.nyquist
+    half = d * (-1.0) ** np.arange(h + 1)
+    c = np.zeros(grid.n_modes, dtype=complex)
+    c[:h] = half[:h]
+    c[h] = 2.0 * np.conj(half[h])
+    c[h + 1 :] = np.conj(half[h - 1 : 0 : -1])
+    return c
+
+
+def _oracle_value(lemma_id, grid, coeffs, fields):
+    """One trial's value from FFT-layout fields: products by direct convolution, norms by
+    Parseval sums over every mode."""
+    xi = grid.wavenumbers
+    sigma, s = G_CAMPAIGN.sigma, G_CAMPAIGN.s
+
+    def norm(c, sigma, s):
+        weight = (1.0 + np.abs(xi)) ** (2.0 * s) * np.exp(2.0 * sigma * (1.0 + np.abs(xi)))
+        return np.sqrt(2.0 * grid.half_length * np.sum(weight * np.abs(c) ** 2))
+
+    if lemma_id in MULTILINEAR:
+        _, _, kind, differentiate = MULTILINEAR[lemma_id]
+        operands = fields
+        if differentiate:
+            operands = [1j * xi * c for c in fields]
+            for c in operands:
+                c[grid.nyquist] = 0.0
+        product = convolve_project(grid, *operands)
+        return norm(kb.evaluate_symbol(kind, xi, coeffs) * product, sigma, s) / np.prod(
+            [norm(c, sigma, s) for c in fields]
+        )
+    (c,) = fields
+    if lemma_id == "interpolation":
+        s1, s2, theta = COMBO
+        mid = theta * s1 + (1.0 - theta) * s2
+        return norm(c, sigma, mid) / (norm(c, sigma, s1) ** theta * norm(c, sigma, s2) ** (1.0 - theta))
+    if lemma_id == "splitting_r1":
+        return norm(c, sigma, s) / (norm(c, 0.0, s) + sigma * norm(c, sigma, s + 1.0))
+    phi = kb.evaluate_symbol("phi", xi, coeffs)
+    phi[grid.nyquist] = 0.0
+    inner = np.sum(c * np.conj(1j * phi * c)).real
+    return abs(inner) / np.sum(np.abs(c) ** 2)
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("lemma_id", CAMPAIGNS)
+def test_kernels_match_full_layout_oracle(small_grid, coeffs, lemma_id, profile):
+    # each kernel on half-layout draws against the estimate written out in FFT layout
+    arity, kernel = _campaign(lemma_id, small_grid, G_CAMPAIGN, coeffs, COMBO)
+    trials = kb.random_fields(small_grid, profile, _streams(12), 8 * max(arity, 1), **PROFILE_KW[profile])
+    trials = trials.reshape(8, max(arity, 1), -1)
+    got = kernel(trials if arity else trials[:, 0])
+    want = [
+        _oracle_value(lemma_id, small_grid, coeffs, [_unfold(small_grid, d) for d in trial])
+        for trial in trials
+    ]
+    if lemma_id == "antisymmetry":
+        assert np.all(got < 1e-12) and np.all(np.abs(got - np.array(want)) < 1e-12)
+    else:
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 import kdvbbm as kb
+from kdvbbm.norms import gevrey_weights, half_weights, row_norms
+from kdvbbm.spectral import half_spectrum
+from draws import random_spectrum
 from oracles import inner_quadrature, l2_quadrature
 
 
@@ -22,7 +25,7 @@ class TestSobolev:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_s0_matches_quadrature(self, grid, seed):
-        u = kb.random_field(grid, "band_limited", seed)
+        u = random_spectrum(grid, "band_limited", seed)
         f = kb.transform_inverse(u)
         assert kb.sobolev_norm(u, 0.0) == pytest.approx(
             l2_quadrature(grid, f.samples), rel=1e-10
@@ -31,7 +34,7 @@ class TestSobolev:
 
 class TestGevrey:
     def test_sigma_zero_reduces_to_sobolev(self, grid):
-        u = kb.random_field(grid, "band_limited", 3)
+        u = random_spectrum(grid, "band_limited", 3)
         for s in (0.0, 1.0, 2.5):
             assert kb.gevrey_norm(u, kb.GevreyIndex(0.0, s)) == pytest.approx(
                 kb.sobolev_norm(u, s), rel=1e-14
@@ -44,7 +47,7 @@ class TestGevrey:
         assert kb.gevrey_norm(s, kb.GevreyIndex(0.1, 2.0)) == pytest.approx(expected, rel=1e-14)
 
     def test_monotone_in_sigma_and_s(self, grid):
-        u = kb.random_field(grid, "band_limited", 5)
+        u = random_spectrum(grid, "band_limited", 5)
         n1 = kb.gevrey_norm(u, kb.GevreyIndex(0.1, 2.0))
         n2 = kb.gevrey_norm(u, kb.GevreyIndex(0.2, 2.0))
         n3 = kb.gevrey_norm(u, kb.GevreyIndex(0.1, 3.0))
@@ -52,19 +55,29 @@ class TestGevrey:
         assert n3 >= n1
 
     def test_overflow_guard(self, grid):
-        u = kb.random_field(grid, "band_limited", 6)
+        u = random_spectrum(grid, "band_limited", 6)
         with pytest.raises(kb.NormOverflowError):
             kb.gevrey_norm(u, kb.GevreyIndex(100.0, 2.0))
 
     def test_overflow_guard_polynomial_factor(self, grid):
         # <xi_max>^(2s) = 9^800 overflows at n = 256 although sigma is small
-        u = kb.random_field(grid, "band_limited", 6)
+        u = random_spectrum(grid, "band_limited", 6)
         with pytest.raises(kb.NormOverflowError):
             kb.gevrey_norm(u, kb.GevreyIndex(0.1, 400.0))
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
             kb.GevreyIndex(-0.1, 2.0)
+
+
+def test_half_layout_norms_equal_full_layout(grid):
+    # the unpaired mode carries Parseval factor 4: half layout holds half of c_{-n/2}
+    c = random_spectrum(grid, "polynomial_decay", 3, power=1.0).coeffs.copy()
+    c[grid.nyquist] = -0.3
+    for sigma, s in ((0.0, 0.0), (0.1, 2.0)):
+        w = gevrey_weights(grid, sigma, s)
+        half = row_norms(grid, half_spectrum(c), half_weights(w))
+        assert half == pytest.approx(row_norms(grid, c, w), rel=1e-14)
 
 
 class TestEnergy:
@@ -78,7 +91,7 @@ class TestEnergy:
         assert kb.energy(s, coeffs) == pytest.approx(17 * np.pi / 15, rel=1e-14)
 
     def test_physical_quadrature_oracle(self, grid, coeffs):
-        u = kb.random_field(grid, "band_limited", 8)
+        u = random_spectrum(grid, "band_limited", 8)
         ik = 1j * grid.wavenumbers  # u is band-limited, so its unpaired mode -n/2 is 0
         eta = kb.transform_inverse(u).samples
         eta_x = kb.transform_inverse(kb.Spectrum(grid, ik * u.coeffs)).samples
@@ -91,7 +104,7 @@ class TestEnergy:
         assert kb.energy(u, coeffs) == pytest.approx(oracle, rel=1e-11)
 
     def test_dominates_l2(self, grid, coeffs):
-        u = kb.random_field(grid, "band_limited", 9)
+        u = random_spectrum(grid, "band_limited", 9)
         l2_sq = 2.0 * grid.half_length * np.sum(np.abs(u.coeffs) ** 2)
         assert kb.energy(u, coeffs) >= l2_sq
 
@@ -100,7 +113,7 @@ class TestEnergy:
         xi = grid.wavenumbers
         w = kb.evaluate_symbol("varphi", xi, coeffs) / (1 + xi**2 + xi**4)
         for seed in range(4):
-            u = kb.random_field(grid, "band_limited", seed)
+            u = random_spectrum(grid, "band_limited", seed)
             ratio = kb.energy(u, coeffs) / kb.h2_polynomial_sq(u)
             assert w.min() - 1e-12 <= ratio <= w.max() + 1e-12
             assert ratio >= coeffs.c_min - 1e-12  # c_min bound is one-sided and universal

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import kdvbbm as kb
 from kdvbbm.dynamics import _half_symbols
 from kdvbbm.spectral import full_spectrum, half_spectrum, product_spectra, symbol_on_grid
+from draws import random_spectrum
 from oracles import convolve_project, l2_quadrature
 
 
@@ -161,14 +162,14 @@ class TestSymbolsOnGrid:
 
     @pytest.mark.parametrize("kind", ["varphi", "omega", "kappa"])
     def test_even_symbols_preserve_hermitian(self, small_grid, coeffs, kind):
-        u = kb.random_field(small_grid, "band_limited", 5)
+        u = random_spectrum(small_grid, "band_limited", 5)
         out = kb.Spectrum(small_grid, u.coeffs * symbol_on_grid(small_grid, coeffs, kind))
         assert out.hermitian_defect() < 1e-13
 
     @pytest.mark.parametrize("kind", ["phi", "psi", "tau"])
     def test_odd_symbols_give_anti_hermitian(self, small_grid, coeffs, kind):
         # i times an odd-symbol image of a real field is again a real field
-        u = kb.random_field(small_grid, "band_limited", 5)
+        u = random_spectrum(small_grid, "band_limited", 5)
         restored = kb.Spectrum(small_grid, 1j * u.coeffs * symbol_on_grid(small_grid, coeffs, kind))
         assert restored.hermitian_defect() < 1e-13
 
@@ -202,8 +203,9 @@ class TestDerivative:
 
 
 def _product(factors):
-    """The dealiased product of one stack of real-field spectra."""
-    return product_spectra(np.array([f.coeffs for f in factors]))
+    """The dealiased product of one stack of real-field spectra, in FFT layout; a factor
+    enters through half_spectrum and its Hermitian check."""
+    return full_spectrum(product_spectra(half_spectrum(np.array([f.coeffs for f in factors]))))
 
 
 class TestDealiasedProduct:
@@ -230,17 +232,17 @@ class TestDealiasedProduct:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_pair_matches_convolution(self, small_grid, seed):
-        u = kb.random_field(small_grid, "band_limited", seed, cutoff=20)
-        v = kb.random_field(small_grid, "band_limited", seed + 100, cutoff=20)
+        u = random_spectrum(small_grid, "band_limited", seed, cutoff=20)
+        v = random_spectrum(small_grid, "band_limited", seed + 100, cutoff=20)
         p = _product([u, v])
         oracle = convolve_project(small_grid, u.coeffs, v.coeffs)
         scale = np.max(np.abs(oracle))
         assert np.max(np.abs(p - oracle)) < 1e-12 * scale
 
     def test_triple_matches_convolution(self, small_grid):
-        u = kb.random_field(small_grid, "band_limited", 7, cutoff=9)
-        v = kb.random_field(small_grid, "band_limited", 8, cutoff=9)
-        w = kb.random_field(small_grid, "band_limited", 9, cutoff=9)
+        u = random_spectrum(small_grid, "band_limited", 7, cutoff=9)
+        v = random_spectrum(small_grid, "band_limited", 8, cutoff=9)
+        w = random_spectrum(small_grid, "band_limited", 9, cutoff=9)
         p = _product([u, v, w])
         oracle = convolve_project(small_grid, u.coeffs, v.coeffs, w.coeffs)
         scale = np.max(np.abs(oracle))
@@ -255,7 +257,7 @@ class TestDealiasedProduct:
         fine = kb.SpectralGrid(2 * n, small_grid.half_length)
         factors, embedded = [], []
         for i in range(arity):
-            c = kb.random_field(small_grid, "band_limited", 30 + i, cutoff=half - 1).coeffs
+            c = random_spectrum(small_grid, "band_limited", 30 + i, cutoff=half - 1).coeffs
             c[half] = (i + 1) * nyquist
             factors.append(kb.Spectrum(small_grid, c))
             e = np.zeros(2 * n, complex)
@@ -273,18 +275,18 @@ class TestDealiasedProduct:
 
     def test_batched_rows_equal_single_rows(self, small_grid):
         rows = np.stack(
-            [kb.random_field(small_grid, "band_limited", 40 + i).coeffs for i in range(3)]
+            [random_spectrum(small_grid, "band_limited", 40 + i).coeffs for i in range(3)]
         )
-        pairs = np.stack([rows, rows], axis=1)  # (3, 2, n): the square of each row
+        pairs = half_spectrum(np.stack([rows, rows], axis=1))  # (3, 2, n/2+1): each row squared
         spectra = product_spectra(pairs)
-        assert spectra.shape == rows.shape
+        assert spectra.shape == pairs[:, 0].shape
         for i in range(3):
             single = product_spectra(pairs[i])
             assert np.max(np.abs(spectra[i] - single)) <= 1e-15 * np.max(np.abs(single))
 
     @pytest.mark.parametrize("mode", [0, 3])
     def test_non_real_factor_rejected(self, small_grid, mode):
-        u = kb.random_field(small_grid, "band_limited", 50)
+        u = random_spectrum(small_grid, "band_limited", 50)
         c = u.coeffs.copy()
         c[mode] += 0.5j  # breaks c_{-k} = conj(c_k)
         with pytest.raises(kb.SymmetryError):
@@ -292,9 +294,9 @@ class TestDealiasedProduct:
 
     def test_triple_equals_nested_for_resolvable_band(self, small_grid):
         # inputs band-limited below n/4 keep the intermediate product exact
-        u = kb.random_field(small_grid, "band_limited", 21, cutoff=15)
-        v = kb.random_field(small_grid, "band_limited", 22, cutoff=15)
-        w = kb.random_field(small_grid, "band_limited", 23, cutoff=15)
+        u = random_spectrum(small_grid, "band_limited", 21, cutoff=15)
+        v = random_spectrum(small_grid, "band_limited", 22, cutoff=15)
+        w = random_spectrum(small_grid, "band_limited", 23, cutoff=15)
         flat = _product([u, v, w])
         nested = _product([kb.Spectrum(small_grid, _product([u, v])), w])
         scale = np.max(np.abs(flat))
