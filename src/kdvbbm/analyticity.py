@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory, evolve_ifrk4
-from .norms import GevreyIndex, gevrey_norm
+from .norms import GevreyIndex, bracket, gevrey_weights, half_weights
 from .params import CoefficientSet
-from .spectral import Spectrum
+from .spectral import SpectralGrid, Spectrum
 
 LOWER_BOUND_VARIANTS = ("exact_integral", "printed")
 
@@ -99,14 +99,16 @@ def estimate_radius(u: Spectrum, noise_floor: float = 1e-8) -> RadiusFit:
         )
     x = np.abs(u.grid.wavenumbers[mask])
     y = np.log(mags[mask])
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    # the closed-form least-squares line, on centred data (x takes at least 4 values)
+    x_mean, y_mean = float(np.mean(x)), float(np.mean(y))
+    xc, yc = x - x_mean, y - y_mean
+    slope = float(np.sum(xc * yc)) / float(np.sum(xc * xc))
+    ss_res = float(np.sum((yc - slope * xc) ** 2))
+    ss_tot = float(np.sum(yc * yc))
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
     return RadiusFit(
-        sigma_hat=max(0.0, -float(slope)),
-        intercept=float(intercept),
+        sigma_hat=max(0.0, -slope),
+        intercept=y_mean - slope * x_mean,
         r_squared=r_squared,
         band=(float(np.min(x)), float(np.max(x))),
         n_points=n_points,
@@ -135,46 +137,58 @@ def upper_bound_radius(t: float, b: BoundInputs) -> float:
     return b.c_upper * b.sigma0 * math.exp(-b.h2sq * t)
 
 
-def _advance_sigma(state, sigma, g, dt, s, max_rel_step):
+def _profile_norm(profile: np.ndarray, growth: np.ndarray, sigma: float) -> float:
+    """G at sigma of the state with this weighted profile (see _sigma_tracker)."""
+    return math.sqrt(float(np.sum(profile * np.exp(sigma * growth))))
+
+
+def _advance_sigma(profile, growth, sigma, g, dt, max_rel_step):
     """One explicit Euler step of the shrinkage law, sub-stepped.
 
-    g is the Gevrey norm of state at (sigma, s).  The spectrum is frozen over
-    the step; the norm is re-evaluated at the current sigma each later
-    substep.  The substep count keeps the relative change of sigma below
-    max_rel_step (the rate only shrinks as sigma drops), so sigma stays
-    positive whatever its size; the caller judges it against the grid.
+    g is the Gevrey norm at sigma of the state whose profile is given.  The
+    spectrum is frozen over the step; the norm is re-evaluated at the current
+    sigma each later substep.  The substep count keeps the relative change of
+    sigma below max_rel_step (the rate only shrinks as sigma drops), so sigma
+    stays positive whatever its size; the caller judges it against the grid.
     """
     n_sub = max(1, math.ceil((g + g * g) * dt / max_rel_step))
     h = dt / n_sub
     for i in range(n_sub):
         if i:
-            g = gevrey_norm(state, GevreyIndex(sigma, s))
+            g = _profile_norm(profile, growth, sigma)
         sigma = sigma * (1.0 - (g + g * g) * h)
     return sigma
 
 
-def _sigma_tracker(sigma0: float, s: float, max_rel_step: float, series: list):
-    """A per-step callable f(t, state) that integrates the shrinkage law into series.
+def _sigma_tracker(grid: SpectralGrid, sigma0: float, s: float, max_rel_step: float, series: list):
+    """A per-step callable f(t, d) that integrates the shrinkage law into series.
 
-    The first call (at t = 0 in evolve_ifrk4) appends (t, sigma0, G(t)); each later
-    call advances sigma over the step from the previous call's state and
-    appends (t, sigma(t), G(t)), where G(t) is the Gevrey norm of its state at
-    (sigma(t), s); the next step starts from it.
+    d is the state in half layout (spectral.half_spectrum).  The first call (at
+    t = 0 in evolve_ifrk4) appends (t, sigma0, G(t)); each later call advances
+    sigma over the step from the previous call's state and appends
+    (t, sigma(t), G(t)), where G(t) is the Gevrey norm of its state at
+    (sigma(t), s); the next step starts from it.  G is read from one profile per
+    state, p_k = 2L w_k |d_k|^2 with w = half_weights(<xi>^{2s}) built once, as
+    G(sigma)^2 = sum_k p_k e^{2 sigma <xi_k>}; sigma stays at most sigma0, whose
+    weights the march's records guard against overflow.
     """
     if sigma0 <= 0:
         raise ValueError(f"sigma0 must be positive, got {sigma0}")
-    prev = None  # (t, state, sigma, G) of the previous call
+    weights = 2.0 * grid.half_length * half_weights(gevrey_weights(grid, 0.0, s))
+    growth = 2.0 * bracket(grid.wavenumbers[: grid.nyquist + 1])
+    prev = None  # (t, profile, sigma, G) of the previous call
 
-    def step(t, state):
+    def step(t, d):
         nonlocal prev
+        profile = weights * (d.real**2 + d.imag**2)
         if prev is None:
             sigma = sigma0
         else:
-            prev_t, prev_state, sigma, g = prev
-            sigma = _advance_sigma(prev_state, sigma, g, t - prev_t, s, max_rel_step)
-        g = gevrey_norm(state, GevreyIndex(sigma, s))
+            prev_t, prev_profile, sigma, g = prev
+            sigma = _advance_sigma(prev_profile, growth, sigma, g, t - prev_t, max_rel_step)
+        g = _profile_norm(profile, growth, sigma)
         series.append((float(t), float(sigma), g))
-        prev = (t, state, sigma, g)
+        prev = (t, profile, sigma, g)
 
     return step
 
@@ -249,7 +263,7 @@ def tracked_run(
     series: list[tuple[float, float, float]] = []
     traj = evolve_ifrk4(
         eta0, T, dt, coeffs,
-        on_step=_sigma_tracker(sigma0, s, max_rel_step, series),
+        on_step=_sigma_tracker(eta0.grid, sigma0, s, max_rel_step, series),
         record_every=record_every,
         gevrey_index=GevreyIndex(sigma0, s),
         blowup_factor=blowup_factor,

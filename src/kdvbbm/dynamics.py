@@ -33,8 +33,9 @@ from .spectral import (
     full_spectrum,
     half_padded_samples,
     half_spectrum,
-    half_truncated_spectrum,
+    half_truncated_sums,
     symbol_on_grid,
+    truncation_scale,
 )
 
 CUBIC_COEFF = 1.0 / 8.0
@@ -127,7 +128,9 @@ class _Tendency:
 
     def __init__(self, grid: SpectralGrid, coeffs: CoefficientSet, shape: tuple[int, ...] = ()):
         h = grid.nyquist
-        self.phi, self._ik, self._tau, self._psi = _half_symbols(grid, coeffs)
+        self.phi, self._ik, tau, psi = _half_symbols(grid, coeffs)
+        # the truncation's scale rides on the two symbols applied after it
+        self._tau, self._psi = tau * truncation_scale(grid), psi * truncation_scale(grid)
         # eta and eta_x share one padded synthesis; psi multiplies both the cubic
         # and the derivative-square term, so by linearity they share one transform.
         self._pair = np.empty((*shape, 2, h + 1), complex)
@@ -149,7 +152,7 @@ class _Tendency:
         np.multiply(cubic, eta, out=cubic)
         np.multiply(DERIV_SQ_COEFF, eta_x, out=eta_x)
         np.add(cubic, eta_x, out=eta_x)  # the psi terms from here on
-        spectra = half_truncated_spectrum(samples, out=self._spectra)
+        spectra = half_truncated_sums(samples, out=self._spectra)
         sq, psi_terms = spectra[..., 0, :], spectra[..., 1, :]
         # symbol first: complex products are not bitwise commutative (see IFRK4Stepper.step)
         np.multiply(self._tau, sq, out=out)
@@ -256,7 +259,7 @@ def evolve_ifrk4(
     T: float,
     dt: float,
     coeffs: CoefficientSet,
-    on_step: Callable[[float, Spectrum], None] | None = None,
+    on_step: Callable[[float, np.ndarray], None] | None = None,
     record_every: int = 1,
     gevrey_index: GevreyIndex | None = None,
     blowup_factor: float = 1e6,
@@ -265,21 +268,19 @@ def evolve_ifrk4(
 
     The first and last steps are always recorded.  When gevrey_index is given,
     each record carries the Gevrey norm at that fixed index.  on_step is called
-    as f(t, state) at every step, t = 0 included, before the step is recorded;
-    an exception it raises ends the march.
+    as f(t, d) at every step, t = 0 included, before the step is recorded, with
+    d the state in half layout (half_spectrum), a fresh array each step; an
+    exception it raises ends the march.  Only recorded steps get a full spectrum.
     """
     n_steps = _step_count(T, dt)
     grid = eta0.grid
     weights = _record_weights(grid, gevrey_index)
     records: list[SampleRecord] = []
     for i, (t, d) in enumerate(iterate_ifrk4(eta0, T, dt, coeffs, blowup_factor)):
-        recorded = i % record_every == 0 or i == n_steps
-        if on_step is None and not recorded:
-            continue
-        state = eta0 if i == 0 else Spectrum(grid, full_spectrum(d))
         if on_step is not None:
-            on_step(t, state)
-        if recorded:
+            on_step(t, d)
+        if i % record_every == 0 or i == n_steps:
+            state = eta0 if i == 0 else Spectrum(grid, full_spectrum(d))
             records.append(_sample(t, state, coeffs, weights))
     return Trajectory(coeffs, grid, records)
 

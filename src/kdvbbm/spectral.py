@@ -215,19 +215,23 @@ def half_samples(d: np.ndarray) -> np.ndarray:
     return np.fft.irfft(d, 2 * (d.shape[-1] - 1), norm="forward")
 
 
-def half_padded_samples(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def half_padded_samples(d: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Samples (..., 2n) on the factor-2 padded grid of half-layout spectra: one batched irfft,
-    written into out when it is given."""
+    written into out."""
     return np.fft.irfft(d, 4 * (d.shape[-1] - 1), norm="forward", out=out)
 
 
-def half_truncated_spectrum(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Half-layout spectra of real samples (..., 2n): one batched rfft, index n/2 zeroed.
+def truncation_scale(grid: SpectralGrid) -> float:
+    """1/(2n), the factor half_truncated_sums leaves out: a power of two, so a caller that
+    folds it into the symbol it applies next gets the same bits as scaling the spectra."""
+    return 1.0 / (2 * grid.n_modes)
 
-    When out is given, the rfft writes its whole (..., n+1) output there and the
-    result is a view of it.
-    """
-    d = np.fft.rfft(samples, norm="forward", out=out)[..., : samples.shape[-1] // 4 + 1]
+
+def half_truncated_sums(samples: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Half-layout spectra (..., n/2+1) of real samples (..., 2n) on the padded grid, times 2n
+    (see truncation_scale): one batched unnormalized rfft into out (..., n+1), returned as a
+    view of its first n/2+1 entries with index n/2 zeroed (the dealiasing truncation)."""
+    d = np.fft.rfft(samples, out=out)[..., : samples.shape[-1] // 4 + 1]
     d[..., -1] = 0.0
     return d
 
@@ -235,8 +239,21 @@ def half_truncated_spectrum(samples: np.ndarray, out: np.ndarray | None = None) 
 def product_spectra(d: np.ndarray) -> np.ndarray:
     """Dealiased half-layout spectra (..., n/2+1) of the products of the fields stacked on
     axis -2 of d (..., factors, n/2+1): one padded synthesis, one product over the factor axis
-    and one truncation serve the whole stack, so the unpaired mode of the result is 0."""
-    return half_truncated_spectrum(np.multiply.reduce(half_padded_samples(d), axis=-2))
+    and one truncation serve the whole stack, so the unpaired mode of the result is 0.  The
+    padded grid has the fewest points, a power of two, above 2 * factors * B, B the highest
+    mode of the stack, and at most 2n: exact on every retained mode, sized by the band."""
+    h = d.shape[-1] - 1
+    live = np.flatnonzero(d.reshape(-1, h + 1).any(axis=0))
+    band = int(live[-1]) if live.size else 0
+    size = min(4 * h, 2 << (d.shape[-2] * band).bit_length())  # 2 for a constant stack
+    spectra = np.fft.rfft(
+        np.multiply.reduce(np.fft.irfft(d, size, norm="forward"), axis=-2), norm="forward"
+    )
+    # modes below n/2 and below the padded grid's own Nyquist, which the product never reaches
+    kept = min(h, size // 2)
+    out = np.zeros((*spectra.shape[:-1], h + 1), complex)
+    out[..., :kept] = spectra[..., :kept]
+    return out
 
 
 def spectrum_csv_rows(s: Spectrum):

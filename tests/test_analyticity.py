@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kdvbbm as kb
-from kdvbbm import analyticity
+from kdvbbm import analyticity, dynamics, norms
+from kdvbbm.spectral import half_spectrum
 from draws import random_spectrum
 
 
@@ -41,6 +42,30 @@ class TestEstimateRadius:
         a = kb.estimate_radius(u)
         b = kb.estimate_radius(kb.Spectrum(grid, 7.3 * u.coeffs))
         assert b.sigma_hat == pytest.approx(a.sigma_hat, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "rate,roll_off", [(0.1, 0.0), (0.3, 0.0), (0.5, 0.0), (1.0, 0.0), (0.6, 2.0), (0.6, 4.0)]
+    )
+    def test_line_equals_polyfit(self, grid, rate, roll_off):
+        # the C09 spectra and the rolled-off datum of the radius runs, fitted by numpy's
+        # least-squares polynomial on the same band
+        u = kb.gevrey_synthetic(grid, rate, roll_off=roll_off)
+        fit = kb.estimate_radius(u)
+        mags = np.abs(u.coeffs)
+        mask = (np.abs(grid.modes) >= 2) & (mags > 1e-8 * mags.max())
+        x, y = np.abs(grid.wavenumbers[mask]), np.log(mags[mask])
+        slope, intercept = np.polyfit(x, y, 1)
+        r_squared = 1.0 - np.sum((y - slope * x - intercept) ** 2) / np.sum((y - y.mean()) ** 2)
+        assert fit.n_points == int(np.count_nonzero(mask))
+        assert -fit.sigma_hat == pytest.approx(slope, rel=1e-12)
+        assert fit.intercept == pytest.approx(intercept, rel=1e-12)
+        assert fit.r_squared == pytest.approx(r_squared, rel=1e-12)
+
+    def test_undefined_reasons(self, grid):
+        z = kb.Spectrum(grid, np.zeros(grid.n_modes, complex))
+        assert kb.estimate_radius(z).reason == "spectrum is identically zero"
+        fit = kb.estimate_radius(kb.cos_mode(grid, 3, 1.0))
+        assert fit.reason == "only 2 modes above the noise floor (need 8)"
 
     def test_noise_floor_excludes_tail(self, grid):
         u = kb.gevrey_synthetic(grid, 1.0)
@@ -226,11 +251,11 @@ class TestTrackedRun:
         # run's gevreys entry (no sub-stepping at this size, so nothing else is evaluated)
         calls = []
 
-        def counting(u, g, _real=analyticity.gevrey_norm):
-            calls.append(g)
-            return _real(u, g)
+        def counting(profile, growth, sigma, _real=analyticity._profile_norm):
+            calls.append(sigma)
+            return _real(profile, growth, sigma)
 
-        monkeypatch.setattr(analyticity, "gevrey_norm", counting)
+        monkeypatch.setattr(analyticity, "_profile_norm", counting)
         eta0 = kb.gevrey_synthetic(grid, 0.6, roll_off=2.0, amplitude=0.002)
         kb.tracked_run(eta0, 0.1, 2e-3, coeffs, sigma0=0.5, record_every=7)
         assert len(calls) == 50 + 1
@@ -239,9 +264,10 @@ class TestTrackedRun:
         sigma = dict(run.sigma_series)
         records = run.trajectory.records
         assert run.sigmas.tolist() == [sigma[r.t] for r in records]
-        assert run.gevreys.tolist() == [
-            kb.gevrey_norm(r.state, kb.GevreyIndex(sigma[r.t], 2.0)) for r in records
-        ]
+        # the tracker reads G from its half-layout profile: equal at round-off
+        assert run.gevreys.tolist() == pytest.approx(
+            [kb.gevrey_norm(r.state, kb.GevreyIndex(sigma[r.t], 2.0)) for r in records], rel=1e-14
+        )
         assert [f.sigma_hat for f in run.fits] == [kb.estimate_radius(r.state).sigma_hat for r in records]
 
     def test_records_final_at_sigma0(self, run):
@@ -259,10 +285,79 @@ class TestTrackedRun:
         assert len(run.fits) == len(run.lower) == len(run.upper) == 9
         sigma = dict(run.sigma_series)
         last = run.trajectory.final
-        assert run.gevreys[-1] == kb.gevrey_norm(last.state, kb.GevreyIndex(sigma[last.t], 2.0))
+        expected = kb.gevrey_norm(last.state, kb.GevreyIndex(sigma[last.t], 2.0))
+        assert run.gevreys[-1] == pytest.approx(expected, rel=1e-14)
 
     def test_csv_ready_series(self, run):
         assert len(run.lower) == len(run.trajectory.records)
         assert len(run.sigma_series) == 501  # every step plus t = 0
         ts = [t for (t, _) in run.sigma_series]
         assert ts[0] == 0.0 and ts[-1] == pytest.approx(1.0)
+
+
+def _exponential_state(n, half_length, seed, nyquist):
+    """A real field with |c_k| ~ e^{-0.3 |xi_k|} and c_{-n/2} = nyquist, in FFT layout."""
+    grid = kb.SpectralGrid(n, half_length)
+    c = random_spectrum(grid, "exponential_decay", seed, rate=0.3).coeffs.copy()
+    c[grid.nyquist] = nyquist
+    return grid, c
+
+
+class TestSigmaTracker:
+    @pytest.mark.parametrize("n,half_length", [(16, math.pi), (256, 16.0 * math.pi), (1024, 16.0 * math.pi)])
+    @pytest.mark.parametrize("nyquist", [0.0, 0.3 - 0.2j])
+    @pytest.mark.parametrize("sigma,s", [(0.5, 2.0), (0.1, 1.0), (1e-3, 0.0)])
+    def test_profile_norm_equals_gevrey_norm(self, n, half_length, nyquist, sigma, s):
+        grid, c = _exponential_state(n, half_length, n, nyquist)
+        series = []
+        analyticity._sigma_tracker(grid, sigma, s, 0.01, series)(0.0, half_spectrum(c))
+        assert series[0][:2] == (0.0, sigma)
+        expected = kb.gevrey_norm(kb.Spectrum(grid, c), kb.GevreyIndex(sigma, s))
+        assert series[0][2] == pytest.approx(expected, rel=1e-14)
+
+    def test_sigma_series_matches_reference_tracker(self, coeffs):
+        # a reference built on gevrey_norm of the full spectra, with the same Euler rule and
+        # sub-step count; the small max_rel_step makes every step sub-step
+        grid = kb.SpectralGrid(128, 4.0 * math.pi)
+        eta0 = kb.gevrey_synthetic(grid, 0.6, roll_off=2.0, amplitude=0.05)
+        sigma0, s, dt, max_rel_step = 0.5, 2.0, 1e-2, 2e-3
+        run = kb.tracked_run(eta0, 0.2, dt, coeffs, sigma0=sigma0, max_rel_step=max_rel_step)
+        states = [r.state for r in run.trajectory.records]  # every step is recorded
+
+        def norm(state, sigma):
+            return kb.gevrey_norm(state, kb.GevreyIndex(sigma, s))
+
+        sigma, g = sigma0, norm(states[0], sigma0)
+        sigmas, gevreys, substeps = [sigma], [g], 0
+        for prev in states[:-1]:
+            n_sub = max(1, math.ceil((g + g * g) * dt / max_rel_step))
+            substeps += n_sub
+            for i in range(n_sub):
+                if i:
+                    g = norm(prev, sigma)
+                sigma = sigma * (1.0 - (g + g * g) * dt / n_sub)
+            sigmas.append(sigma)
+            g = norm(states[len(sigmas) - 1], sigma)
+            gevreys.append(g)
+        assert substeps > 2 * (len(states) - 1)
+        assert [t for t, _ in run.sigma_series] == [r.t for r in run.trajectory.records]
+        np.testing.assert_allclose([sg for _, sg in run.sigma_series], sigmas, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(run.gevreys, gevreys, rtol=1e-13, atol=0)
+
+    def test_weights_built_once_per_run(self, grid, coeffs, monkeypatch):
+        # a per-step rebuild would make the count grow with the number of steps
+        calls = []
+
+        def counting(*args, _real=norms.gevrey_weights):
+            calls.append(args)
+            return _real(*args)
+
+        for module in (analyticity, dynamics, norms):
+            monkeypatch.setattr(module, "gevrey_weights", counting)
+        eta0 = kb.gevrey_synthetic(grid, 0.6, roll_off=2.0, amplitude=0.002)
+        counts = []
+        for T in (0.02, 0.2):
+            calls.clear()
+            kb.tracked_run(eta0, T, 2e-3, coeffs, sigma0=0.5, record_every=5)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 3

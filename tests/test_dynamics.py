@@ -324,10 +324,14 @@ class TestIFRK4:
             eta0, 0.1, 0.01, coeffs, on_step=lambda t, s: seen.append((t, s)), record_every=3,
         )
         assert len(seen) == 11  # every step plus t = 0, recorded or not
-        assert seen[0][0] == 0.0 and seen[0][1] is eta0
+        assert seen[0][0] == 0.0 and np.array_equal(seen[0][1], half_spectrum(eta0.coeffs))
         assert seen[-1][0] == pytest.approx(0.1)
         assert [r.t for r in traj.records] == [seen[i][0] for i in (0, 3, 6, 9, 10)]
-        assert all(r.state is seen[i][1] for r, i in zip(traj.records, (0, 3, 6, 9, 10)))
+        # the hook gets the half-layout states; a record holds the full spectrum of its state
+        assert traj.records[0].state is eta0
+        for r, i in zip(traj.records[1:], (3, 6, 9, 10)):
+            assert np.array_equal(r.state.coeffs, full_spectrum(seen[i][1]))
+        assert len({id(d) for _, d in seen}) == 11  # a fresh array each step
 
     def test_on_step_error_ends_march(self, grid, coeffs):
         eta0 = kb.cos_mode(grid, 1, 0.01)

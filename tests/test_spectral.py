@@ -284,6 +284,52 @@ class TestDealiasedProduct:
             single = product_spectra(pairs[i])
             assert np.max(np.abs(spectra[i] - single)) <= 1e-15 * np.max(np.abs(single))
 
+    @pytest.mark.parametrize("arity", [2, 3])
+    @pytest.mark.parametrize("cutoff", [4, 8, 15, 31])
+    def test_band_sized_grid_matches_convolution(self, small_grid, arity, cutoff):
+        # the padded grid follows the band: 32 points for cutoff 4 (below n, the result is
+        # padded), n for 8 (and for 15 at arity 2), 2n at the full band n/2 - 1
+        factors = [
+            random_spectrum(small_grid, "band_limited", 60 + i, cutoff=cutoff) for i in range(arity)
+        ]
+        p = _product(factors)
+        oracle = convolve_project(small_grid, *(f.coeffs for f in factors))
+        assert np.max(np.abs(p - oracle)) < 1e-12 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_full_band_stack_unchanged(self, small_grid, arity):
+        # a stack reaching mode n/2 - 1 keeps the factor-2 padded grid of 2n points
+        factors = [
+            random_spectrum(small_grid, "exponential_decay", 70 + i, rate=0.05) for i in range(arity)
+        ]
+        d = half_spectrum(np.array([f.coeffs for f in factors]))
+        h = small_grid.nyquist
+        padded = np.fft.rfft(np.prod(np.fft.irfft(d, 4 * h, norm="forward"), axis=0), norm="forward")
+        expected = padded[: h + 1]
+        expected[h] = 0.0
+        assert np.array_equal(product_spectra(d), expected)
+        oracle = convolve_project(small_grid, *(f.coeffs for f in factors))
+        assert np.max(np.abs(full_spectrum(product_spectra(d)) - oracle)) < 1e-12 * np.max(np.abs(oracle))
+
+    def test_rows_of_different_bands_equal_single_rows(self, small_grid):
+        # the stack's grid follows its widest row; each narrower row still gets its own result
+        pairs = half_spectrum(np.stack([
+            np.stack([random_spectrum(small_grid, "band_limited", 80 + 2 * i + j, cutoff=cutoff).coeffs
+                      for j in range(2)])
+            for i, cutoff in enumerate((3, 10, 31))
+        ]))
+        spectra = product_spectra(pairs)
+        for i in range(3):
+            single = product_spectra(pairs[i])
+            assert np.max(np.abs(spectra[i] - single)) <= 1e-15 * np.max(np.abs(single))
+
+    def test_constant_factors(self, small_grid):
+        # a stack holding mode 0 alone needs a single sample
+        c = np.zeros(small_grid.n_modes, complex)
+        c[0] = 1.5
+        p = _product([kb.Spectrum(small_grid, c), kb.Spectrum(small_grid, -2.0 * c)])
+        assert p[0] == -4.5 and np.all(p[1:] == 0.0)
+
     @pytest.mark.parametrize("mode", [0, 3])
     def test_non_real_factor_rejected(self, small_grid, mode):
         u = random_spectrum(small_grid, "band_limited", 50)
