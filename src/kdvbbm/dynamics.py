@@ -44,8 +44,8 @@ DERIV_SQ_COEFF = 7.0 / 48.0
 #: Mesh rows the Picard solver passes to the tendency in one call.  The block bounds
 #: the tendency's buffers (about 96n bytes a row); one call per block keeps the per-call
 #: overhead off each row.  The benchmark solve (n = 256, 64 nodes and the 128-node mesh
-#: check; shared 2-core Xeon, numpy 2.4.6) takes a median 51 ms with a traced peak of
-#: 3.67 MB; one call per row took 93-100 ms and 3.73 MB, all rows at once 41-49 ms and 6.65 MB.
+#: check; shared 2-core Xeon, numpy 2.4.6) takes a median 31-34 ms with a traced peak of
+#: 1.68 MB; one call per row took 59-66 ms and 1.51 MB, all rows at once 29-31 ms and 4.92 MB.
 ROW_BLOCK = 8
 
 
@@ -294,23 +294,32 @@ class PicardDiagnostics:
     mesh_delta: float | None
 
 
-def _sup_distance(grid: SpectralGrid, weights: np.ndarray, diff: np.ndarray) -> float:
-    """Largest weighted norm over the rows (mesh times) of diff."""
-    sq_norms = np.sum(weights * np.abs(diff) ** 2, axis=1)
-    return float(np.sqrt(2.0 * grid.half_length * np.max(sq_norms)))
+def _sup_norm(grid: SpectralGrid, hw: np.ndarray, diff: np.ndarray, scratch: np.ndarray) -> float:
+    """Largest weighted norm over the rows (mesh times) of half-layout spectra diff, hw the
+    weights from half_weights; scratch is a real array of diff's shape, overwritten."""
+    np.abs(diff, out=scratch)
+    np.multiply(scratch, scratch, out=scratch)
+    np.multiply(hw, scratch, out=scratch)
+    return float(np.sqrt(2.0 * grid.half_length * np.max(np.sum(scratch, axis=1))))
 
 
 def _picard_iterate(
     eta0: Spectrum,
     coeffs: CoefficientSet,
-    weights: np.ndarray,
+    hw: np.ndarray,
     T: float,
     n_nodes: int,
     tol: float,
     max_iter: int,
 ):
-    """Picard iteration on one time mesh in half layout; returns (states, distances).  Raises
-    NoConvergenceError on a non-finite distance or one still >= tol after max_iter iterations."""
+    """Picard iteration on one time mesh in half layout; returns (states, distances), the
+    states (n_nodes+1, n/2+1) in half layout and the distances in the norm of hw (half_weights).
+    Raises NoConvergenceError on a non-finite distance or one still >= tol after max_iter
+    iterations.
+
+    A sweep allocates nothing mesh-sized: the rotations, the current and next iterate, the
+    integrand and one real array live in buffers allocated once per mesh.
+    """
     grid = eta0.grid
     ts = np.linspace(0.0, T, n_nodes + 1)
     dt = T / n_nodes
@@ -318,33 +327,42 @@ def _picard_iterate(
     tendency = _Tendency(grid, coeffs, (block,))
     # the last block ends at the last row, so it may recompute rows of the one before it
     starts = [*range(0, n_nodes + 1 - block, block), n_nodes + 1 - block]
-    e_minus = np.exp(-1j * np.outer(ts, tendency.phi))  # S(t_j) per row
-    e_plus = np.conj(e_minus)
+    shape = (n_nodes + 1, grid.nyquist + 1)
+    e_minus, cur, nxt, rhs = (np.empty(shape, complex) for _ in range(4))
+    scratch = np.empty(shape)
+    # S(t_j) per row, built in place: exp(-1j * outer(ts, phi))
+    np.multiply(-1j, np.outer(ts, tendency.phi, out=scratch), out=e_minus)
+    np.exp(e_minus, out=e_minus)
     eta0_h = half_spectrum(eta0.coeffs)
 
-    cur = e_minus * eta0_h[None, :]  # iterate 0: the free evolution
-    rhs_rows = np.empty_like(cur)
+    np.multiply(e_minus, eta0_h, out=cur)  # iterate 0: the free evolution
     distances: list[float] = []
     # an overflowing iterate is caught by its non-finite distance, not by each operation
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iter):
             for lo in starts:
-                tendency(cur[lo : lo + block], out=rhs_rows[lo : lo + block])
-            # complex products are not bitwise commutative: the operand orders are part of the digests
-            integrand = np.multiply(e_plus, rhs_rows, out=rhs_rows)
-            # composite trapezoid prefix integrals of S(-t') N(t')
-            segments = 0.5 * dt * (integrand[:-1] + integrand[1:])
-            prefix = np.vstack([np.zeros_like(eta0_h), np.cumsum(segments, axis=0)])
-            new = (eta0_h[None, :] + prefix) * e_minus
-            d = _sup_distance(grid, weights, full_spectrum(new - cur))
+                tendency(cur[lo : lo + block], out=rhs[lo : lo + block])
+            # the integrand S(-t') N(t'), with S(-t') = conj(S(t')) held in nxt until the
+            # prefix overwrites it; complex products are not bitwise commutative, so the
+            # operand orders below are part of the digests
+            np.multiply(np.conjugate(e_minus, out=nxt), rhs, out=rhs)
+            # composite trapezoid prefix integrals, each segment scaled before the sum
+            prefix = nxt[1:]
+            np.add(rhs[:-1], rhs[1:], out=prefix)
+            np.multiply(0.5 * dt, prefix, out=prefix)
+            np.cumsum(prefix, axis=0, out=prefix)
+            nxt[0] = 0.0
+            np.add(eta0_h, nxt, out=nxt)
+            np.multiply(nxt, e_minus, out=nxt)
+            d = _sup_norm(grid, hw, np.subtract(nxt, cur, out=rhs), scratch)
             if not np.isfinite(d):
                 raise NoConvergenceError(
                     "Picard iterate diverged (non-finite distance); T is too large for the data"
                 )
             distances.append(d)
-            cur = new
+            cur, nxt = nxt, cur
             if d < tol:
-                return full_spectrum(cur), distances
+                return cur, distances
     raise NoConvergenceError(
         f"no convergence after {max_iter} Picard iterations on {n_nodes} nodes "
         f"(last distance {distances[-1]:.3e}); reduce T or the data size"
@@ -374,13 +392,13 @@ def picard_solve(
         raise ValueError(f"T must be positive, got {T}")
     grid = eta0.grid
     record_weights = _record_weights(grid, g)
-    weights = record_weights[1]
-    states, distances = _picard_iterate(eta0, coeffs, weights, T, n_nodes, tol, max_iter)
+    hw = half_weights(record_weights[1])
+    states, distances = _picard_iterate(eta0, coeffs, hw, T, n_nodes, tol, max_iter)
 
     mesh_delta = None
     if mesh_check:
-        fine, _ = _picard_iterate(eta0, coeffs, weights, T, 2 * n_nodes, tol, max_iter)
-        mesh_delta = _sup_distance(grid, weights, fine[::2] - states)
+        fine, _ = _picard_iterate(eta0, coeffs, hw, T, 2 * n_nodes, tol, max_iter)
+        mesh_delta = _sup_norm(grid, hw, fine[::2] - states, np.empty(states.shape))
 
     ratios = [
         distances[i + 1] / distances[i]
@@ -397,7 +415,8 @@ def picard_solve(
 
     ts = np.linspace(0.0, T, n_nodes + 1)
     records = [
-        _sample(float(t), Spectrum(grid, c), coeffs, record_weights) for t, c in zip(ts, states)
+        _sample(float(t), Spectrum(grid, c), coeffs, record_weights)
+        for t, c in zip(ts, full_spectrum(states))
     ]
     diag = PicardDiagnostics(len(distances), distances, ratios, contraction, mesh_delta)
     return Trajectory(coeffs, grid, records), diag

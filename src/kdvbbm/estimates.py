@@ -258,7 +258,11 @@ def failure_demo_bilinear(
         rows.append((k, n, float(ratio)))
     ratios = np.array([r for (_, _, r) in rows])
     monotone = bool(np.all(np.diff(ratios) > 0.0))
-    slope = float(np.polyfit(np.log([k for (k, _, _) in rows]), np.log(ratios), 1)[0])
+    # the closed-form least-squares slope on centred data, as in estimate_radius (polyfit's
+    # LAPACK call would map OpenBLAS's buffers, about 1.1 MB of peak RSS)
+    x, y = np.log([k for (k, _, _) in rows]), np.log(ratios)
+    xc, yc = x - np.mean(x), y - np.mean(y)
+    slope = float(np.sum(xc * yc)) / float(np.sum(xc * xc))
     return FailureDemo(s=s_negative, rows=tuple(rows), monotone=monotone, growth_exponent=slope)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import kdvbbm as kb
 from kdvbbm import dynamics
 from kdvbbm.dynamics import CUBIC_COEFF, DERIV_SQ_COEFF, IFRK4Stepper, _Tendency
 from kdvbbm.estimates import _campaign
+from kdvbbm.norms import gevrey_weights
 from kdvbbm.spectral import full_spectrum, half_spectrum
 from draws import random_spectrum
 from oracles import convolve_project, richardson_order
@@ -392,6 +394,77 @@ class TestPicard:
         eta0 = kb.cos_mode(grid, 1, 0.01)
         with pytest.raises(ValueError):
             kb.picard_solve(eta0, -1.0, 1e-10, 10, coeffs, G01)
+
+
+def _allocating_sweep(eta0, coeffs, weights, T, n_nodes, tol, max_iter):
+    """The Picard sweep as it was before the workspace: fresh temporaries every iteration,
+    the distance taken in FFT layout; returns (half-layout states, distances)."""
+    grid = eta0.grid
+    ts = np.linspace(0.0, T, n_nodes + 1)
+    dt = T / n_nodes
+    block = min(n_nodes + 1, dynamics.ROW_BLOCK)
+    tendency = _Tendency(grid, coeffs, (block,))
+    starts = [*range(0, n_nodes + 1 - block, block), n_nodes + 1 - block]
+    e_minus = np.exp(-1j * np.outer(ts, tendency.phi))
+    e_plus = np.conj(e_minus)
+    eta0_h = half_spectrum(eta0.coeffs)
+    cur = e_minus * eta0_h[None, :]
+    rhs_rows = np.empty_like(cur)
+    distances = []
+    for _ in range(max_iter):
+        for lo in starts:
+            tendency(cur[lo : lo + block], out=rhs_rows[lo : lo + block])
+        integrand = np.multiply(e_plus, rhs_rows, out=rhs_rows)
+        segments = 0.5 * dt * (integrand[:-1] + integrand[1:])
+        prefix = np.vstack([np.zeros_like(eta0_h), np.cumsum(segments, axis=0)])
+        new = (eta0_h[None, :] + prefix) * e_minus
+        distances.append(_full_sup_distance(grid, weights, new - cur))
+        cur = new
+        if distances[-1] < tol:
+            return cur, distances
+    raise AssertionError("the reference sweep did not converge")
+
+
+def _full_sup_distance(grid, weights, diff):
+    sq_norms = np.sum(weights * np.abs(full_spectrum(diff)) ** 2, axis=1)
+    return float(np.sqrt(2.0 * grid.half_length * np.max(sq_norms)))
+
+
+class TestPicardWorkspace:
+    """The solve runs in buffers allocated once per mesh and measures in half layout."""
+
+    @pytest.mark.parametrize(
+        "amplitude, n_nodes",
+        # 129 and 257 rows of 129 modes: both meshes above numpy's 256 KiB size for
+        # computing in place into temporaries; the zero datum carries signed zeros
+        [(0.05, 128), (0.0, 16)],
+    )
+    def test_matches_allocating_sweep(self, grid, coeffs, amplitude, n_nodes):
+        eta0 = kb.cos_mode(grid, 1, amplitude)
+        T, tol = 2.0, 1e-10
+        traj, diag = kb.picard_solve(eta0, T, tol, 30, coeffs, G01, n_nodes=n_nodes)
+        weights = gevrey_weights(grid, G01.sigma, G01.s)
+        states, distances = _allocating_sweep(eta0, coeffs, weights, T, n_nodes, tol, 30)
+        fine, _ = _allocating_sweep(eta0, coeffs, weights, T, 2 * n_nodes, tol, 30)
+        mesh_delta = _full_sup_distance(grid, weights, fine[::2] - states)
+        for r, d in zip(traj.records, full_spectrum(states), strict=True):
+            assert r.state.coeffs.tobytes() == d.tobytes()  # bit for bit, signs of zeros too
+        assert diag.distances == pytest.approx(distances, rel=1e-15, abs=0.0)
+        assert diag.mesh_delta == pytest.approx(mesh_delta, rel=1e-15, abs=0.0)
+
+    def test_solve_peak_memory(self, grid, coeffs):
+        # the benchmark's solve: 64 nodes and the 128-node mesh check, caches warmed
+        eta0 = kb.cos_mode(grid, 1, 0.05)
+        solve = lambda: kb.picard_solve(eta0, 2.0, 1e-9, 30, coeffs, G01, n_nodes=64)
+        solve()
+        tracemalloc.start()
+        try:
+            solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        fine_mesh_array = (2 * 64 + 1) * (grid.nyquist + 1) * 16
+        assert peak <= 7 * fine_mesh_array
 
 
 class TestLocalExistenceTime:

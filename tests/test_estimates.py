@@ -237,6 +237,13 @@ class TestFailureDemo:
         assert ratios == sorted(ratios)
         assert demo.growth_exponent > 0.5
 
+    @pytest.mark.parametrize("s, ks", [(-0.5, (8, 16, 32, 64)), (-1.0, (4, 8)), (-0.1, (3, 5, 9))])
+    def test_growth_exponent_is_least_squares_slope(self, s, ks):
+        demo = kb.failure_demo_bilinear(s, ks=ks)
+        x = np.log([k for (k, _, _) in demo.rows])
+        y = np.log([r for (_, _, r) in demo.rows])
+        assert demo.growth_exponent == pytest.approx(np.polyfit(x, y, 1)[0], rel=1e-12)
+
     def test_zero_s_is_bounded_on_same_pairs(self, coeffs):
         ratios = []
         for k in (8, 16, 32, 64):

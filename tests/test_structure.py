@@ -11,6 +11,8 @@ split written once, and spelling each call np.fft.<name>(...) keeps every
 transform visible to a tracer that replaces numpy.fft's functions.  Staging,
 writing and promoting run directories in `cli._run` alone is what keeps every
 command's artifacts, manifest and exit code alike.
+Calling no LAPACK routine (np.polyfit, np.linalg) keeps the buffers OpenBLAS maps for it,
+about 1 MB of peak RSS, out of every command.
 Letting the numerics raise only on bad input and divergence is what leaves every
 gate to `cli`, where a failed one is a recorded check, not a run with no outputs.
 """
@@ -255,6 +257,55 @@ def test_fft_calls_spelled_out():
         line
         for path in sorted(PACKAGE.glob("*.py"))
         for line in _unspelled_fft_uses(path.read_text(encoding="utf-8"), path.name)
+    ]
+    assert offenders == []
+
+
+#: numpy names whose calls run LAPACK: each maps OpenBLAS's buffers, about 1 MB of peak RSS
+LAPACK_NAMES = {"polyfit", "linalg"}
+
+
+def _lapack_uses(source, name):
+    """Lines of source that reach numpy.polyfit or numpy.linalg, by attribute or import."""
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in LAPACK_NAMES
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        ):
+            yield f"{name}:{node.lineno} uses numpy.{node.attr}"
+        elif isinstance(node, ast.Import) and any(
+            a.name.split(".")[:2] == ["numpy", "linalg"] for a in node.names
+        ):
+            yield f"{name}:{node.lineno} imports numpy.linalg"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.linalg"):
+            yield f"{name}:{node.lineno} imports from numpy.linalg"
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            if any(alias.name in LAPACK_NAMES for alias in node.names):
+                yield f"{name}:{node.lineno} imports numpy's LAPACK names"
+
+
+def test_guard_flags_lapack_calls():
+    source = (
+        "import numpy as np\n"
+        "import numpy.linalg\n"
+        "from numpy.linalg import lstsq\n"
+        "from numpy import polyfit\n"
+        "a = np.polyfit([0.0, 1.0], [0.0, 1.0], 1)\n"
+        "b = numpy.linalg.norm([1.0])\n"
+        "c = np.linalg.solve([[1.0]], [1.0])\n"
+        "d = np.ones((2, 2)) @ np.ones(2)\n"
+    )
+    assert len(list(_lapack_uses(source, "bad.py"))) == 6
+
+
+def test_no_lapack_calls():
+    # matrix products (@, BLAS) are allowed; a least-squares line is two sums in closed form
+    offenders = [
+        line
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _lapack_uses(path.read_text(encoding="utf-8"), path.name)
     ]
     assert offenders == []
 
