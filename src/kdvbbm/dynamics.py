@@ -49,13 +49,22 @@ DERIV_SQ_COEFF = 7.0 / 48.0
 ROW_BLOCK = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SampleRecord:
+    """One recorded state, kept in half layout (spectral.half_spectrum), with its energy,
+    H^2 norm and, when the march or solve has a Gevrey index, its Gevrey norm; .state
+    builds the FFT-layout Spectrum on each read and the record does not keep it."""
+
     t: float
-    state: Spectrum
+    grid: SpectralGrid
+    half: np.ndarray
     energy: float
     h2: float
     gevrey: float | None = None
+
+    @property
+    def state(self) -> Spectrum:
+        return Spectrum(self.grid, full_spectrum(self.half))
 
 
 @dataclass
@@ -87,16 +96,18 @@ def _record_weights(
 
 def _sample(
     t: float,
+    d: np.ndarray,
     state: Spectrum,
     coeffs: CoefficientSet,
     weights: tuple[np.ndarray, np.ndarray | None],
 ) -> SampleRecord:
-    """The record of one state: energy, H^2 norm and, with Gevrey weights, the Gevrey norm
-    (weights from _record_weights)."""
+    """The record of the half-layout state d: energy, H^2 norm and, with Gevrey weights,
+    the Gevrey norm (weights from _record_weights), read from state, d's FFT-layout
+    spectrum, which the record does not keep."""
     h2_weights, g_weights = weights
     gevrey = None if g_weights is None else float(row_norms(state.grid, state.coeffs, g_weights))
     h2 = float(row_norms(state.grid, state.coeffs, h2_weights))
-    return SampleRecord(t, state, energy(state, coeffs), h2, gevrey)
+    return SampleRecord(t, state.grid, d, energy(state, coeffs), h2, gevrey)
 
 
 def linear_propagate(u: Spectrum, t: float, coeffs: CoefficientSet) -> Spectrum:
@@ -270,7 +281,8 @@ def evolve_ifrk4(
     each record carries the Gevrey norm at that fixed index.  on_step is called
     as f(t, d) at every step, t = 0 included, before the step is recorded, with
     d the state in half layout (half_spectrum), a fresh array each step; an
-    exception it raises ends the march.  Only recorded steps get a full spectrum.
+    exception it raises ends the march.  Records keep d; only recorded steps get a full
+    spectrum, for their values, which is not kept.
     """
     n_steps = _step_count(T, dt)
     grid = eta0.grid
@@ -281,7 +293,7 @@ def evolve_ifrk4(
             on_step(t, d)
         if i % record_every == 0 or i == n_steps:
             state = eta0 if i == 0 else Spectrum(grid, full_spectrum(d))
-            records.append(_sample(t, state, coeffs, weights))
+            records.append(_sample(t, d, state, coeffs, weights))
     return Trajectory(coeffs, grid, records)
 
 
@@ -415,8 +427,8 @@ def picard_solve(
 
     ts = np.linspace(0.0, T, n_nodes + 1)
     records = [
-        _sample(float(t), Spectrum(grid, c), coeffs, record_weights)
-        for t, c in zip(ts, full_spectrum(states))
+        _sample(float(t), d, Spectrum(grid, full_spectrum(d)), coeffs, record_weights)
+        for t, d in zip(ts, states)
     ]
     diag = PicardDiagnostics(len(distances), distances, ratios, contraction, mesh_delta)
     return Trajectory(coeffs, grid, records), diag

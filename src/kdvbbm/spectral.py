@@ -258,7 +258,8 @@ def product_spectra(d: np.ndarray) -> np.ndarray:
 
 def spectrum_csv_rows(s: Spectrum):
     """Rows (k, xi_k, Re c_k, Im c_k, |c_k|) in increasing-k order."""
-    order = np.argsort(s.grid.modes)
+    n = s.grid.n_modes
+    order = np.roll(np.arange(n), n // 2)  # FFT layout's -n/2..-1 first, then 0..n/2-1
     for i in order:
         c = s.coeffs[i]
         yield (

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import kdvbbm as kb
 from kdvbbm import dynamics
-from kdvbbm.dynamics import CUBIC_COEFF, DERIV_SQ_COEFF, IFRK4Stepper, _Tendency
+from kdvbbm.dynamics import IFRK4Stepper, _Tendency
 from kdvbbm.estimates import _campaign
 from kdvbbm.norms import gevrey_weights
 from kdvbbm.spectral import full_spectrum, half_spectrum
@@ -16,6 +16,10 @@ from draws import random_spectrum
 from oracles import convolve_project, richardson_order
 
 G01 = kb.GevreyIndex(0.1, 2.0)
+
+# The paper's coefficients of the cubic and derivative-square terms, written out here so
+# that the oracles below do not inherit a change to the package's constants.
+CUBIC, DERIV_SQ = 1.0 / 8.0, 7.0 / 48.0
 
 
 class TestLinearPropagate:
@@ -105,7 +109,7 @@ class TestNonlinearRhs:
         xi = small_grid.wavenumbers
         tau = kb.evaluate_symbol("tau", xi, coeffs)
         psi = kb.evaluate_symbol("psi", xi, coeffs)
-        oracle = -1j * (tau * sq - CUBIC_COEFF * psi * cube - DERIV_SQ_COEFF * psi * dsq)
+        oracle = -1j * (tau * sq - CUBIC * psi * cube - DERIV_SQ * psi * dsq)
         oracle[small_grid.nyquist] = 0.0
         scale = np.max(np.abs(oracle))
         assert np.max(np.abs(out - oracle)) < 1e-12 * scale
@@ -167,7 +171,7 @@ def _reference_tendency(grid, coeffs, c):
     sq, cube, dsq = (project(convolve_project(fine, *f)) for f in ((e, e), (e, e, e), (de, de)))
     tau = kb.evaluate_symbol("tau", grid.wavenumbers, coeffs)
     psi = kb.evaluate_symbol("psi", grid.wavenumbers, coeffs)
-    out = -1j * (tau * sq - psi * (CUBIC_COEFF * cube + DERIV_SQ_COEFF * dsq))
+    out = -1j * (tau * sq - psi * (CUBIC * cube + DERIV_SQ * dsq))
     out[half] = 0.0
     return out
 
@@ -329,10 +333,12 @@ class TestIFRK4:
         assert seen[0][0] == 0.0 and np.array_equal(seen[0][1], half_spectrum(eta0.coeffs))
         assert seen[-1][0] == pytest.approx(0.1)
         assert [r.t for r in traj.records] == [seen[i][0] for i in (0, 3, 6, 9, 10)]
-        # the hook gets the half-layout states; a record holds the full spectrum of its state
-        assert traj.records[0].state is eta0
-        for r, i in zip(traj.records[1:], (3, 6, 9, 10)):
+        # the hook gets the half-layout states; a record keeps its step's and builds the
+        # full spectrum on read, at t = 0 that of half_spectrum(eta0), here eta0's values
+        for r, i in zip(traj.records, (0, 3, 6, 9, 10), strict=True):
+            assert r.half is seen[i][1]
             assert np.array_equal(r.state.coeffs, full_spectrum(seen[i][1]))
+        assert np.array_equal(traj.records[0].state.coeffs, eta0.coeffs)
         assert len({id(d) for _, d in seen}) == 11  # a fresh array each step
 
     def test_on_step_error_ends_march(self, grid, coeffs):
@@ -355,6 +361,32 @@ class TestIFRK4:
         eta0 = kb.cos_mode(grid, 1, 0.01)
         traj = kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs, gevrey_index=G01, record_every=5)
         assert traj.records[0].gevrey == pytest.approx(kb.gevrey_norm(eta0, G01), rel=1e-12)
+
+    def test_first_record_values_from_datum(self, small_grid, coeffs):
+        # the record keeps the datum's half layout, so its state is the datum's Hermitian
+        # projection, but its values are read from the datum itself
+        eta0 = kb.gaussian(small_grid, 0.5, 0.5)
+        first = kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs, gevrey_index=G01).records[0]
+        assert np.array_equal(first.state.coeffs, full_spectrum(half_spectrum(eta0.coeffs)))
+        assert (first.energy, first.h2, first.gevrey) == (
+            kb.energy(eta0, coeffs), kb.sobolev_norm(eta0, 2.0), kb.gevrey_norm(eta0, G01)
+        )
+
+    def test_records_keep_half_layout(self, grid, coeffs):
+        # 500 steps, all recorded, caches warmed; a record's half-layout state takes
+        # (n/2+1) * 16 B and its Python objects (array header, record, four floats) about
+        # 0.13 of that at n = 256, where a full spectrum would take n * 16 B
+        eta0 = kb.cos_mode(grid, 1, 0.05)
+        march = lambda: kb.evolve_ifrk4(eta0, 0.5, 1e-3, coeffs)
+        march()
+        tracemalloc.start()
+        try:
+            traj = march()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.records) == 501
+        assert retained <= 1.15 * 501 * (grid.nyquist + 1) * 16
 
 
 class TestPicard:
@@ -494,7 +526,7 @@ class TestLocalExistenceTime:
 
 def test_trajectory_must_start_at_zero(grid, coeffs):
     state = kb.cos_mode(grid, 1, 0.1)
-    rec = kb.SampleRecord(t=1.0, state=state, energy=0.0, h2=0.0)
+    rec = kb.SampleRecord(t=1.0, grid=grid, half=half_spectrum(state.coeffs), energy=0.0, h2=0.0)
     with pytest.raises(ValueError):
         kb.Trajectory(coeffs, grid, [rec])
 

@@ -358,3 +358,18 @@ def test_csv_rows_ordering(small_grid):
     by_k = {r[0]: r for r in rows}
     assert by_k[1][2] == pytest.approx(0.5)
     assert by_k[1][1] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n", [4, 8, 256])
+def test_csv_rows_match_sorted_oracle(n):
+    grid = kb.SpectralGrid(n, 3.0)
+    rng = np.random.default_rng(n)
+    s = kb.Spectrum(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    rows = list(kb.spectrum_csv_rows(s))
+    assert [r[0] for r in rows] == list(range(-n // 2, n // 2))
+    c, modes, xi = s.coeffs, grid.modes, grid.wavenumbers
+    oracle = [
+        (int(modes[i]), float(xi[i]), float(c[i].real), float(c[i].imag), float(abs(c[i])))
+        for i in np.argsort(modes)
+    ]
+    assert rows == oracle

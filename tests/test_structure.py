@@ -12,7 +12,8 @@ transform visible to a tracer that replaces numpy.fft's functions.  Staging,
 writing and promoting run directories in `cli._run` alone is what keeps every
 command's artifacts, manifest and exit code alike.
 Calling no LAPACK routine (np.polyfit, np.linalg) keeps the buffers OpenBLAS maps for it,
-about 1 MB of peak RSS, out of every command.
+about 1 MB of peak RSS, out of every command, and calling no numpy sort keeps its kernels,
+0.25-0.38 MB, out as well.
 Letting the numerics raise only on bad input and divergence is what leaves every
 gate to `cli`, where a failed one is a recorded check, not a run with no outputs.
 """
@@ -306,6 +307,50 @@ def test_no_lapack_calls():
         line
         for path in sorted(PACKAGE.glob("*.py"))
         for line in _lapack_uses(path.read_text(encoding="utf-8"), path.name)
+    ]
+    assert offenders == []
+
+
+#: numpy's sorts: the first call maps numpy's sort kernels, 0.25-0.38 MB of peak RSS
+SORT_NAMES = {"argsort", "sort", "lexsort", "partition", "argpartition"}
+
+
+def _sort_uses(source, name):
+    """Lines of source that reach a numpy sort, by attribute or import."""
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in SORT_NAMES
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        ):
+            yield f"{name}:{node.lineno} uses numpy.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            if any(alias.name in SORT_NAMES for alias in node.names):
+                yield f"{name}:{node.lineno} imports numpy's sorts"
+
+
+def test_guard_flags_sort_calls():
+    source = (
+        "import numpy as np\n"
+        "import numpy\n"
+        "from numpy import sort\n"
+        "from numpy import argpartition as ap\n"
+        "a = np.argsort([2, 1])\n"
+        "b = numpy.lexsort(([1, 2],))\n"
+        "c = np.partition([3, 1, 2], 1)\n"
+        "key, _, value = 'a=b'.partition('=')\n"
+        "d = sorted([2, 1])\n"
+    )
+    assert len(list(_sort_uses(source, "bad.py"))) == 5
+
+
+def test_no_sort_calls():
+    # the modes' order is known in closed form, so no output needs a sort to be ordered
+    offenders = [
+        line
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _sort_uses(path.read_text(encoding="utf-8"), path.name)
     ]
     assert offenders == []
 
