@@ -41,9 +41,9 @@ from .estimates import (
     run_trials,
 )
 from .fields import cos_mode, gaussian, gevrey_synthetic
-from .norms import GevreyIndex, gevrey_norm, gevrey_weights, h2_polynomial_sq
+from .norms import GevreyIndex, gevrey_norm, gevrey_weights, h2_polynomial_weights, row_squares
 from .params import ABCDParams, CoefficientSet, derive_coefficients, validate_coefficients
-from .spectral import SpectralGrid, Spectrum, spectrum_csv_rows
+from .spectral import SpectralGrid, Spectrum, full_spectrum, spectrum_csv_rows
 
 OUTPUT_ROOT_ENV = "KDVBBM_OUTPUT_ROOT"
 
@@ -561,7 +561,11 @@ def _simulate_checks(cfg, coeffs, traj, tracked, t_bar, x0):
     else:
         checks["energy_drift"] = _skip("coefficients are not Hamiltonian (gamma != 7/48)")
 
-    h2p = np.array([h2_polynomial_sq(r.state) for r in traj.records])
+    # h2_polynomial_sq of each record, its weights built once per run
+    h2_weights = h2_polynomial_weights(traj.grid)
+    h2p = np.array(
+        [float(row_squares(traj.grid, full_spectrum(r.half), h2_weights)) for r in traj.records]
+    )
     if h2p[0] > 0.0:
         ratios = h2p / h2p[0]
         slack = cks["h2_band_slack"]
@@ -582,7 +586,7 @@ def _simulate_checks(cfg, coeffs, traj, tracked, t_bar, x0):
         sigma_low = min(sigma for _, sigma in tracked.sigma_series)
         checks["sigma_resolvable"] = _check(sigma_low, not below, resolvable, note)
         sigmas, slack = tracked.sigmas, 1.0 + 1e-12
-        zero_datum = not np.any(traj.records[0].state.coeffs)
+        zero_datum = not np.any(traj.records[0].half)
         defined = [(f.sigma_hat, sg) for f, sg in zip(tracked.fits, sigmas) if f.defined]
         checks["sigma_lower_le_tracked"] = _check(None, np.all(tracked.lower <= sigmas * slack))
         checks["sigma_tracked_le_upper"] = _check(None, np.all(sigmas <= tracked.upper * slack))

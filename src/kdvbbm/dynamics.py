@@ -25,7 +25,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import BlowUpError, NoConvergenceError
-from .norms import GevreyIndex, energy, gevrey_weights, half_weights, row_norms
+from .norms import GevreyIndex, gevrey_weights, half_weights, row_squares
 from .params import CoefficientSet
 from .spectral import (
     SpectralGrid,
@@ -86,28 +86,27 @@ class Trajectory:
 
 
 def _record_weights(
-    grid: SpectralGrid, g: GevreyIndex | None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The squared weights of a record's H^2 norm and, when g is given, of its Gevrey norm;
-    built once per march or solve, not once per record."""
-    h2_weights = gevrey_weights(grid, 0.0, 2.0)
-    return h2_weights, None if g is None else gevrey_weights(grid, g.sigma, g.s)
+    grid: SpectralGrid, coeffs: CoefficientSet, g: GevreyIndex | None
+) -> np.ndarray:
+    """The squared weights of a record's values, stacked in FFT layout (rows, n): varphi
+    (energy), the H^2 weights and, when g is given, the Gevrey weights; built once per march
+    or solve, not once per record."""
+    rows = [symbol_on_grid(grid, coeffs, "varphi"), gevrey_weights(grid, 0.0, 2.0)]
+    if g is not None:
+        rows.append(gevrey_weights(grid, g.sigma, g.s))
+    return np.stack(rows)
 
 
 def _sample(
-    t: float,
-    d: np.ndarray,
-    state: Spectrum,
-    coeffs: CoefficientSet,
-    weights: tuple[np.ndarray, np.ndarray | None],
+    t: float, grid: SpectralGrid, d: np.ndarray, c: np.ndarray, table: np.ndarray
 ) -> SampleRecord:
-    """The record of the half-layout state d: energy, H^2 norm and, with Gevrey weights,
-    the Gevrey norm (weights from _record_weights), read from state, d's FFT-layout
-    spectrum, which the record does not keep."""
-    h2_weights, g_weights = weights
-    gevrey = None if g_weights is None else float(row_norms(state.grid, state.coeffs, g_weights))
-    h2 = float(row_norms(state.grid, state.coeffs, h2_weights))
-    return SampleRecord(t, state.grid, d, energy(state, coeffs), h2, gevrey)
+    """The record of the half-layout state d: energy, H^2 norm and, when table has a third
+    row, the Gevrey norm, read from c, d's FFT-layout spectrum (not kept), through the
+    weights of _record_weights.  One row sum over the table gives each value bit for bit
+    as norms.energy and norms.row_norms compute it from c alone."""
+    values = row_squares(grid, c, table).tolist()
+    gevrey = math.sqrt(values[2]) if len(values) > 2 else None
+    return SampleRecord(t, grid, d, values[0], math.sqrt(values[1]), gevrey)
 
 
 def linear_propagate(u: Spectrum, t: float, coeffs: CoefficientSet) -> Spectrum:
@@ -135,6 +134,8 @@ class _Tendency:
 
     Every intermediate lives in buffers allocated once, so a call allocates nothing; the
     rows of a stack of states are independent and each comes out as if evaluated alone.
+    A call copies d into the input buffer .d, unless d is that buffer: a caller that builds
+    its state in .d saves the copy.
     """
 
     def __init__(self, grid: SpectralGrid, coeffs: CoefficientSet, shape: tuple[int, ...] = ()):
@@ -150,21 +151,26 @@ class _Tendency:
         self._spectra = np.empty((*shape, 2, 2 * h + 1), complex)
         # row views made once (with both rows squared in one call, a step at n = 256 ran
         # 7 % faster than with views made per call: 246 -> 229 us, medians of 5 rounds)
-        self._d, self._ik_d = self._pair[..., 0, :], self._pair[..., 1, :]
+        self.d, self._ik_d = self._pair[..., 0, :], self._pair[..., 1, :]
         self._eta, self._eta_x = self._samples[..., 0, :], self._samples[..., 1, :]
+        # the rows of half_truncated_sums's result, which is a view of _spectra
+        self._sq, self._psi_terms = self._spectra[..., 0, : h + 1], self._spectra[..., 1, : h + 1]
+        # coefficients as 0-d arrays (see IFRK4Stepper.__init__)
+        self._cubic_coeff, self._deriv_sq_coeff = np.array(CUBIC_COEFF), np.array(DERIV_SQ_COEFF)
 
     def __call__(self, d: np.ndarray, out: np.ndarray) -> np.ndarray:
         samples, cubic, eta, eta_x = self._samples, self._cubic, self._eta, self._eta_x
-        self._d[...] = d
+        if d is not self.d:
+            self.d[...] = d
         np.multiply(self._ik, d, out=self._ik_d)
         half_padded_samples(self._pair, out=samples)
-        np.multiply(CUBIC_COEFF, eta, out=cubic)
+        np.multiply(self._cubic_coeff, eta, out=cubic)
         np.multiply(samples, samples, out=samples)  # eta^2 and eta_x^2 from here on
         np.multiply(cubic, eta, out=cubic)
-        np.multiply(DERIV_SQ_COEFF, eta_x, out=eta_x)
+        np.multiply(self._deriv_sq_coeff, eta_x, out=eta_x)
         np.add(cubic, eta_x, out=eta_x)  # the psi terms from here on
-        spectra = half_truncated_sums(samples, out=self._spectra)
-        sq, psi_terms = spectra[..., 0, :], spectra[..., 1, :]
+        half_truncated_sums(samples, out=self._spectra)
+        sq, psi_terms = self._sq, self._psi_terms
         # symbol first: complex products are not bitwise commutative (see IFRK4Stepper.step)
         np.multiply(self._tau, sq, out=out)
         np.multiply(self._psi, psi_terms, out=psi_terms)
@@ -180,7 +186,8 @@ class IFRK4Stepper:
         k3 = N(a c + dt/2 k2),   k4 = N(b c + dt a k3),
         c' = b c + dt/6 (b k1 + 2 a (k2 + k3) + k4),
 
-    evaluated in buffers allocated once; step returns c' as a fresh array.
+    evaluated in buffers allocated once, stages 2-4 built in the tendency's input buffer;
+    step returns c' as a fresh array.
     """
 
     def __init__(self, grid: SpectralGrid, coeffs: CoefficientSet, dt: float):
@@ -190,22 +197,30 @@ class IFRK4Stepper:
         self.tendency = _Tendency(grid, coeffs)
         self.e_half = np.exp((-0.5j * dt) * self.tendency.phi)
         self.e_full = self.e_half * self.e_half
-        self._stages = np.empty((6, grid.nyquist + 1), complex)
+        self._stages = np.empty((5, grid.nyquist + 1), complex)
+        # the real factors as 0-d complex arrays: a Python float is converted and cast on
+        # every call (a multiply at n = 256 took 1.25 us with it, 0.53 us without), and with
+        # a zero imaginary part the product is the same correctly rounded one
+        self._half_dt, self._dt, self._sixth_dt, self._two = (
+            np.array(f + 0j) for f in (0.5 * dt, dt, dt / 6.0, 2.0)
+        )
 
     def step(self, c: np.ndarray) -> np.ndarray:
         # Complex products are not bitwise commutative here (numpy's SIMD loops round
         # a*b and b*a differently), so each product below keeps the operand order of
         # the formula in the class docstring: the states, and every digest built from
         # them, are those of that formula evaluated with temporaries.
-        dt, a, b, N = self.dt, self.e_half, self.e_full, self.tendency
-        k1, k2, k3, k4, u, bc = self._stages
+        a, b, N = self.e_half, self.e_full, self.tendency
+        half_dt, dt, sixth_dt, two = self._half_dt, self._dt, self._sixth_dt, self._two
+        k1, k2, k3, k4, bc = self._stages
+        u = N.d
         N(c, out=k1)
-        np.multiply(0.5 * dt, k1, out=u)
+        np.multiply(half_dt, k1, out=u)
         np.add(c, u, out=u)
         np.multiply(a, u, out=u)
         N(u, out=k2)
         np.multiply(a, c, out=k4)
-        np.multiply(0.5 * dt, k2, out=u)
+        np.multiply(half_dt, k2, out=u)
         np.add(k4, u, out=u)
         N(u, out=k3)
         np.multiply(b, c, out=bc)
@@ -215,12 +230,12 @@ class IFRK4Stepper:
         N(u, out=k4)
         np.add(k2, k3, out=k2)
         np.multiply(a, k2, out=k2)
-        np.multiply(2.0, k2, out=k2)
+        np.multiply(two, k2, out=k2)
         np.multiply(b, k1, out=k1)
         np.add(k1, k2, out=k1)
         np.add(k1, k4, out=k1)
-        np.multiply(dt / 6.0, k1, out=k1)
-        return bc + k1
+        np.multiply(sixth_dt, k1, out=k1)
+        return np.add(bc, k1)
 
 
 def _step_count(T: float, dt: float) -> int:
@@ -251,18 +266,23 @@ def iterate_ifrk4(
     d = half_spectrum(eta0.coeffs)
     scale = float(np.sqrt(np.sum(np.abs(eta0.coeffs) ** 2)))
     ceiling = blowup_factor * (scale + np.finfo(float).tiny)
-    # summed with np.sum, since a BLAS dot would map OpenBLAS's buffers (0.2 MB of peak RSS)
+    # summed with np.add.reduce, since a BLAS dot would map OpenBLAS's buffers (0.2 MB of
+    # peak RSS); |d_k|^2 times the Parseval factors in one buffer allocated per march
     parseval = half_weights(np.ones(eta0.grid.n_modes))
+    power = np.empty(parseval.shape)
     yield 0.0, d
     for i in range(1, n_steps + 1):
-        # an overflowing step is caught by its non-finite size, not by each operation
+        # an overflowing step is caught by its non-finite size, not by each operation; numpy's
+        # errstate objects cannot be entered twice, so each step makes its own
         with np.errstate(over="ignore", invalid="ignore"):
             d = stepper.step(d)
-            size = float(np.sqrt(np.sum(parseval * (d.real**2 + d.imag**2))))
-        t = i * dt
-        if not np.isfinite(size) or size > ceiling:
-            raise BlowUpError(t, size, ceiling)
-        yield t, d
+            np.abs(d, out=power)
+            np.multiply(power, power, out=power)
+            np.multiply(parseval, power, out=power)
+            size = math.sqrt(np.add.reduce(power))
+        if not size <= ceiling:  # NaN compares false
+            raise BlowUpError(i * dt, size, ceiling)
+        yield i * dt, d
 
 
 def evolve_ifrk4(
@@ -281,19 +301,20 @@ def evolve_ifrk4(
     each record carries the Gevrey norm at that fixed index.  on_step is called
     as f(t, d) at every step, t = 0 included, before the step is recorded, with
     d the state in half layout (half_spectrum), a fresh array each step; an
-    exception it raises ends the march.  Records keep d; only recorded steps get a full
-    spectrum, for their values, which is not kept.
+    exception it raises ends the march.  Records keep d; only recorded steps after the
+    first get a full spectrum, for their values, which is not kept (the first is valued
+    from eta0 itself).
     """
     n_steps = _step_count(T, dt)
     grid = eta0.grid
-    weights = _record_weights(grid, gevrey_index)
+    table = _record_weights(grid, coeffs, gevrey_index)
     records: list[SampleRecord] = []
     for i, (t, d) in enumerate(iterate_ifrk4(eta0, T, dt, coeffs, blowup_factor)):
         if on_step is not None:
             on_step(t, d)
         if i % record_every == 0 or i == n_steps:
-            state = eta0 if i == 0 else Spectrum(grid, full_spectrum(d))
-            records.append(_sample(t, d, state, coeffs, weights))
+            c = eta0.coeffs if i == 0 else full_spectrum(d)
+            records.append(_sample(t, grid, d, c, table))
     return Trajectory(coeffs, grid, records)
 
 
@@ -403,8 +424,8 @@ def picard_solve(
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
     grid = eta0.grid
-    record_weights = _record_weights(grid, g)
-    hw = half_weights(record_weights[1])
+    table = _record_weights(grid, coeffs, g)
+    hw = half_weights(table[2])  # the Gevrey row
     states, distances = _picard_iterate(eta0, coeffs, hw, T, n_nodes, tol, max_iter)
 
     mesh_delta = None
@@ -426,10 +447,7 @@ def picard_solve(
     contraction = max(meaningful) if meaningful else (max(ratios) if ratios else 0.0)
 
     ts = np.linspace(0.0, T, n_nodes + 1)
-    records = [
-        _sample(float(t), d, Spectrum(grid, full_spectrum(d)), coeffs, record_weights)
-        for t, d in zip(ts, states)
-    ]
+    records = [_sample(float(t), grid, d, full_spectrum(d), table) for t, d in zip(ts, states)]
     diag = PicardDiagnostics(len(distances), distances, ratios, contraction, mesh_delta)
     return Trajectory(coeffs, grid, records), diag
 

@@ -63,11 +63,17 @@ def half_weights(weights: np.ndarray) -> np.ndarray:
     return folded
 
 
+def row_squares(grid: SpectralGrid, c: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted squares 2L sum_k w_k |c_k|^2 of spectra (..., n), one per row of c or, for one
+    spectrum c (n), one per row of a C-contiguous weight table (rows, n): a row sum along the
+    last axis equals the 1-D np.sum of that row bit for bit."""
+    return 2.0 * grid.half_length * np.add.reduce(weights * (c.real**2 + c.imag**2), axis=-1)
+
+
 def row_norms(grid: SpectralGrid, c: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Weighted norms sqrt(2L sum_k w_k |c_k|^2) of spectra (..., n), one per row; of half-layout
     spectra (..., n/2+1) with the weights passed through half_weights."""
-    total = np.sum(weights * (c.real**2 + c.imag**2), axis=-1)
-    return np.sqrt(2.0 * grid.half_length * total)
+    return np.sqrt(row_squares(grid, c, weights))
 
 
 def sobolev_norm(u: Spectrum, s: float) -> float:
@@ -86,9 +92,13 @@ def energy(u: Spectrum, coeffs: CoefficientSet) -> float:
     Spectrally this is 2L * sum_k (1 + gamma1*xi^2 + delta1*xi^4)|c_k|^2; the
     weight is exactly the polynomial varphi.
     """
-    w = symbol_on_grid(u.grid, coeffs, "varphi")
-    total = np.sum(w * (u.coeffs.real**2 + u.coeffs.imag**2))
-    return float(2.0 * u.grid.half_length * total)
+    return float(row_squares(u.grid, u.coeffs, symbol_on_grid(u.grid, coeffs, "varphi")))
+
+
+def h2_polynomial_weights(grid: SpectralGrid) -> np.ndarray:
+    """The weight 1 + xi^2 + xi^4 of h2_polynomial_sq on the grid."""
+    xi2 = grid.wavenumbers**2
+    return 1.0 + xi2 + xi2 * xi2
 
 
 def h2_polynomial_sq(u: Spectrum) -> float:
@@ -98,7 +108,4 @@ def h2_polynomial_sq(u: Spectrum) -> float:
     min/max{gamma1, delta1} is exact; the bracket-weight version carries an
     extra fixed equivalence factor.
     """
-    xi2 = u.grid.wavenumbers**2
-    w = 1.0 + xi2 + xi2 * xi2
-    total = np.sum(w * (u.coeffs.real**2 + u.coeffs.imag**2))
-    return float(2.0 * u.grid.half_length * total)
+    return float(row_squares(u.grid, u.coeffs, h2_polynomial_weights(u.grid)))

@@ -10,7 +10,7 @@ import kdvbbm as kb
 from kdvbbm import dynamics
 from kdvbbm.dynamics import IFRK4Stepper, _Tendency
 from kdvbbm.estimates import _campaign
-from kdvbbm.norms import gevrey_weights
+from kdvbbm.norms import gevrey_weights, row_squares
 from kdvbbm.spectral import full_spectrum, half_spectrum
 from draws import random_spectrum
 from oracles import convolve_project, richardson_order
@@ -387,6 +387,90 @@ class TestIFRK4:
             tracemalloc.stop()
         assert len(traj.records) == 501
         assert retained <= 1.15 * 501 * (grid.nyquist + 1) * 16
+
+
+BOOKKEEPING_DATA = {
+    "cos_mode": lambda grid: kb.cos_mode(grid, 1, 0.05),
+    "gaussian": HALF_LAYOUT_DATA["gaussian"],
+}
+
+
+class TestMarchBookkeeping:
+    """Records are read from one full spectrum and one row sum over a stacked weight table,
+    and the divergence guard from one power buffer; neither may move a value."""
+
+    @staticmethod
+    def _assert_values_equal(record, u, coeffs, g):
+        # == on purpose: the records reproduce the public full-layout norms bit for bit
+        assert record.energy == kb.energy(u, coeffs)
+        assert record.h2 == kb.sobolev_norm(u, 2.0)
+        assert record.gevrey == (None if g is None else kb.gevrey_norm(u, g))
+
+    @pytest.mark.parametrize("g", [None, G01])
+    @pytest.mark.parametrize("name", ["cos_mode", "gaussian"])
+    def test_march_records_equal_public_norms(self, small_grid, coeffs, name, g):
+        eta0 = BOOKKEEPING_DATA[name](small_grid)
+        traj = kb.evolve_ifrk4(eta0, 0.2, 0.01, coeffs, record_every=3, gevrey_index=g)
+        assert [round(r.t / 0.01) for r in traj.records] == [0, 3, 6, 9, 12, 15, 18, 20]
+        self._assert_values_equal(traj.records[0], eta0, coeffs, g)
+        for r in traj.records[1:]:
+            self._assert_values_equal(r, r.state, coeffs, g)
+
+    @pytest.mark.parametrize("name", ["cos_mode", "gaussian"])
+    def test_picard_records_equal_public_norms(self, small_grid, coeffs, name):
+        eta0 = BOOKKEEPING_DATA[name](small_grid)
+        traj, _ = kb.picard_solve(eta0, 0.05, 1e-10, 30, coeffs, G01, n_nodes=8)
+        assert len(traj.records) == 9
+        for r in traj.records:
+            self._assert_values_equal(r, r.state, coeffs, G01)
+
+    def test_one_full_spectrum_per_record_and_no_spectrum(self, small_grid, coeffs, monkeypatch):
+        eta0 = kb.cos_mode(small_grid, 1, 0.05)
+        counts = {"full_spectrum": 0, "Spectrum": 0}
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return f(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(dynamics, "full_spectrum", counted("full_spectrum", full_spectrum))
+        monkeypatch.setattr(dynamics, "Spectrum", counted("Spectrum", kb.Spectrum))
+        traj = kb.evolve_ifrk4(eta0, 1.0, 0.01, coeffs, record_every=7)
+        assert len(traj.records) == 16  # steps 0, 7, ..., 98 and the last, 100
+        assert counts == {"full_spectrum": 15, "Spectrum": 0}
+
+    def test_guard_raises_at_first_step_above_ceiling(self, small_grid, coeffs):
+        # L^2 sizes of a known run by the guard's former formula, on full spectra
+        eta0 = BOOKKEEPING_DATA["gaussian"](small_grid)
+        dt = 0.01
+        traj = kb.evolve_ifrk4(eta0, 0.5, dt, coeffs)
+        l2 = lambda c: np.sqrt(np.sum(c.real**2 + c.imag**2))
+        sizes = np.array([l2(r.state.coeffs) for r in traj.records[1:]])
+        scale = l2(eta0.coeffs)
+        ratios = sizes / scale
+        # ratios[j], of step j + 1, is the first from the tenth on to top every earlier one
+        j = next(i for i in range(10, len(ratios)) if ratios[i] > ratios[:i].max() * (1 + 1e-9))
+        factor = 0.5 * (ratios[:j].max() + ratios[j])
+        with pytest.raises(kb.BlowUpError) as err:
+            kb.evolve_ifrk4(eta0, 0.5, dt, coeffs, blowup_factor=factor)
+        assert err.value.t == (j + 1) * dt
+        assert err.value.value == pytest.approx(sizes[j], rel=1e-12)
+        assert err.value.ceiling == pytest.approx(factor * scale, rel=1e-15)
+        done = kb.evolve_ifrk4(eta0, 0.5, dt, coeffs, blowup_factor=ratios.max() * (1 + 1e-9))
+        assert len(done.records) == len(traj.records)
+
+    @pytest.mark.parametrize("n", [64, 256, 4096])
+    def test_table_row_sums_equal_single_sums(self, coeffs, n):
+        grid = kb.SpectralGrid(n, 16.0 * np.pi)
+        rng = np.random.default_rng(n)
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        table = dynamics._record_weights(grid, coeffs, kb.GevreyIndex(0.05, 2.0))
+        stacked = row_squares(grid, c, table)
+        assert table.flags.c_contiguous and stacked.shape == (3,)
+        for w, value in zip(table, stacked, strict=True):
+            assert value == 2.0 * grid.half_length * np.sum(w * (c.real**2 + c.imag**2))
 
 
 class TestPicard:
