@@ -54,13 +54,11 @@ from .params import (
     validate_coefficients,
 )
 from .spectral import (
-    RealField,
     SpectralGrid,
     Spectrum,
     evaluate_symbol,
     spectrum_csv_rows,
-    transform_forward,
-    transform_inverse,
+    spectrum_from_samples,
 )
 
 __version__ = "0.1.0"

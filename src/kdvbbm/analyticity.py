@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory, evolve_ifrk4
-from .norms import GevreyIndex, bracket, gevrey_weights, half_weights
+from .norms import GevreyIndex, bracket, gevrey_weights
 from .params import CoefficientSet
 from .spectral import SpectralGrid, Spectrum
 
@@ -82,29 +82,34 @@ def estimate_radius(u: Spectrum, noise_floor: float = 1e-8) -> RadiusFit:
     """Least-squares line fit of log|c_k| against |xi_k| over the usable band.
 
     Modes with |k| <= 1 bias the slope and are excluded, as are modes below
-    noise_floor times the peak magnitude.  The fit is undefined (a value, not
-    an error) when fewer than 8 modes qualify.  The result is invariant under
-    positive rescaling of the spectrum.
+    noise_floor times the peak magnitude.  Each mode k and -k is a point of the
+    fit, so a paired mode of half layout counts twice and the unpaired mode
+    -n/2 once.  The fit is undefined (a value, not an error) when fewer than 8
+    points qualify.  The result is invariant under positive rescaling of the
+    spectrum.
     """
-    mags = np.abs(u.coeffs)
+    grid = u.grid
+    mags = np.abs(u.half)
+    mags[-1] *= 2.0  # |c_{-n/2}|, of which half layout holds half
     peak = float(np.max(mags))
     if peak <= 0.0:
         return RadiusFit(None, math.nan, math.nan, None, 0, "spectrum is identically zero")
-    mask = (np.abs(u.grid.modes) >= 2) & (mags > noise_floor * peak)
-    n_points = int(np.count_nonzero(mask))
+    mask = (grid.modes >= 2) & (mags > noise_floor * peak)
+    w = np.where(grid.modes == grid.nyquist, 1.0, 2.0)[mask]  # points per mode
+    n_points = int(np.sum(w))
     if n_points < 8:
         return RadiusFit(
             None, math.nan, math.nan, None, n_points,
             f"only {n_points} modes above the noise floor (need 8)",
         )
-    x = np.abs(u.grid.wavenumbers[mask])
+    x = grid.wavenumbers[mask]
     y = np.log(mags[mask])
-    # the closed-form least-squares line, on centred data (x takes at least 4 values)
-    x_mean, y_mean = float(np.mean(x)), float(np.mean(y))
+    # the closed-form weighted least-squares line, on centred data (x takes at least 4 values)
+    x_mean, y_mean = float(np.sum(w * x)) / n_points, float(np.sum(w * y)) / n_points
     xc, yc = x - x_mean, y - y_mean
-    slope = float(np.sum(xc * yc)) / float(np.sum(xc * xc))
-    ss_res = float(np.sum((yc - slope * xc) ** 2))
-    ss_tot = float(np.sum(yc * yc))
+    slope = float(np.sum(w * xc * yc)) / float(np.sum(w * xc * xc))
+    ss_res = float(np.sum(w * (yc - slope * xc) ** 2))
+    ss_tot = float(np.sum(w * yc * yc))
     r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
     return RadiusFit(
         sigma_hat=max(0.0, -slope),
@@ -163,19 +168,19 @@ def _advance_sigma(profile, growth, sigma, g, dt, max_rel_step):
 def _sigma_tracker(grid: SpectralGrid, sigma0: float, s: float, max_rel_step: float, series: list):
     """A per-step callable f(t, d) that integrates the shrinkage law into series.
 
-    d is the state in half layout (spectral.half_spectrum).  The first call (at
+    d is the state in half layout.  The first call (at
     t = 0 in evolve_ifrk4) appends (t, sigma0, G(t)); each later call advances
     sigma over the step from the previous call's state and appends
     (t, sigma(t), G(t)), where G(t) is the Gevrey norm of its state at
     (sigma(t), s); the next step starts from it.  G is read from one profile per
-    state, p_k = 2L w_k |d_k|^2 with w = half_weights(<xi>^{2s}) built once, as
+    state, p_k = 2L w_k |d_k|^2 with w = gevrey_weights(grid, 0, s) built once, as
     G(sigma)^2 = sum_k p_k e^{2 sigma <xi_k>}; sigma stays at most sigma0, whose
     weights the march's records guard against overflow.
     """
     if sigma0 <= 0:
         raise ValueError(f"sigma0 must be positive, got {sigma0}")
-    weights = 2.0 * grid.half_length * half_weights(gevrey_weights(grid, 0.0, s))
-    growth = 2.0 * bracket(grid.wavenumbers[: grid.nyquist + 1])
+    weights = 2.0 * grid.half_length * gevrey_weights(grid, 0.0, s)
+    growth = 2.0 * bracket(grid.wavenumbers)
     prev = None  # (t, profile, sigma, G) of the previous call
 
     def step(t, d):

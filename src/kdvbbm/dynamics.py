@@ -10,8 +10,8 @@ with the nonlinear tendency
 
 The linear part is a unitary rotation e^{-i phi t} per mode, so the production
 marcher integrates the rotated variable w = e^{i phi t} c with classical RK4
-(integrating-factor RK4) on the half-layout state of spectral.half_spectrum,
-and the fixed-point solver iterates the equivalent integral equation
+(integrating-factor RK4) on the half-layout state (see spectral), and the
+fixed-point solver iterates the equivalent integral equation
 
     eta(t) = S(t) eta0 + int_0^t S(t - t') N(eta(t')) dt',    S(t) = e^{-i phi t}.
 """
@@ -25,14 +25,12 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import BlowUpError, NoConvergenceError
-from .norms import GevreyIndex, gevrey_weights, half_weights, row_squares
+from .norms import GevreyIndex, energy_weights, gevrey_weights, row_squares
 from .params import CoefficientSet
 from .spectral import (
     SpectralGrid,
     Spectrum,
-    full_spectrum,
     half_padded_samples,
-    half_spectrum,
     half_truncated_sums,
     symbol_on_grid,
     truncation_scale,
@@ -51,9 +49,8 @@ ROW_BLOCK = 8
 
 @dataclass(frozen=True, slots=True)
 class SampleRecord:
-    """One recorded state, kept in half layout (spectral.half_spectrum), with its energy,
-    H^2 norm and, when the march or solve has a Gevrey index, its Gevrey norm; .state
-    builds the FFT-layout Spectrum on each read and the record does not keep it."""
+    """One recorded state in half layout with its energy, H^2 norm and, when the march or
+    solve has a Gevrey index, its Gevrey norm; .state wraps half as a Spectrum."""
 
     t: float
     grid: SpectralGrid
@@ -64,7 +61,7 @@ class SampleRecord:
 
     @property
     def state(self) -> Spectrum:
-        return Spectrum(self.grid, full_spectrum(self.half))
+        return Spectrum(self.grid, self.half)
 
 
 @dataclass
@@ -88,23 +85,20 @@ class Trajectory:
 def _record_weights(
     grid: SpectralGrid, coeffs: CoefficientSet, g: GevreyIndex | None
 ) -> np.ndarray:
-    """The squared weights of a record's values, stacked in FFT layout (rows, n): varphi
-    (energy), the H^2 weights and, when g is given, the Gevrey weights; built once per march
-    or solve, not once per record."""
-    rows = [symbol_on_grid(grid, coeffs, "varphi"), gevrey_weights(grid, 0.0, 2.0)]
+    """The squared weights of a record's values, stacked (rows, n/2+1): the energy weights,
+    the H^2 weights and, when g is given, the Gevrey weights; built once per march or solve,
+    not once per record."""
+    rows = [energy_weights(grid, coeffs), gevrey_weights(grid, 0.0, 2.0)]
     if g is not None:
         rows.append(gevrey_weights(grid, g.sigma, g.s))
     return np.stack(rows)
 
 
-def _sample(
-    t: float, grid: SpectralGrid, d: np.ndarray, c: np.ndarray, table: np.ndarray
-) -> SampleRecord:
+def _sample(t: float, grid: SpectralGrid, d: np.ndarray, table: np.ndarray) -> SampleRecord:
     """The record of the half-layout state d: energy, H^2 norm and, when table has a third
-    row, the Gevrey norm, read from c, d's FFT-layout spectrum (not kept), through the
-    weights of _record_weights.  One row sum over the table gives each value bit for bit
-    as norms.energy and norms.row_norms compute it from c alone."""
-    values = row_squares(grid, c, table).tolist()
+    row, the Gevrey norm, through the weights of _record_weights.  One row sum over the
+    table gives each value bit for bit as norms.energy and norms.row_norms compute it."""
+    values = row_squares(grid, d, table).tolist()
     gevrey = math.sqrt(values[2]) if len(values) > 2 else None
     return SampleRecord(t, grid, d, values[0], math.sqrt(values[1]), gevrey)
 
@@ -117,20 +111,19 @@ def linear_propagate(u: Spectrum, t: float, coeffs: CoefficientSet) -> Spectrum:
     S(t1) S(t2) = S(t1 + t2).
     """
     phi = _half_symbols(u.grid, coeffs)[0]
-    return Spectrum(u.grid, full_spectrum(half_spectrum(u.coeffs) * np.exp((-1j * t) * phi)))
+    return Spectrum(u.grid, u.half * np.exp((-1j * t) * phi))
 
 
 def _half_symbols(grid: SpectralGrid, coeffs: CoefficientSet) -> tuple[np.ndarray, ...]:
-    """phi, i*xi, -i*tau and i*psi at k = 0..n/2, all 0 at n/2 (symbol_on_grid reads the odd
-    symbols so): the free group and the tendency leave the unpaired mode fixed."""
-    h = grid.nyquist
-    phi, tau, psi = (symbol_on_grid(grid, coeffs, kind)[: h + 1] for kind in ("phi", "tau", "psi"))
-    return phi, np.append(1j * grid.wavenumbers[:h], 0.0), -1j * tau, 1j * psi
+    """phi, i*xi, -i*tau and i*psi, all 0 at n/2 (symbol_on_grid reads the odd symbols so):
+    the free group and the tendency leave the unpaired mode fixed."""
+    phi, tau, psi = (symbol_on_grid(grid, coeffs, kind) for kind in ("phi", "tau", "psi"))
+    return phi, np.append(1j * grid.wavenumbers[:-1], 0.0), -1j * tau, 1j * psi
 
 
 class _Tendency:
     """N in half layout for states of one leading shape: a call N(d, out) writes N(d) into
-    out, both (*shape, n/2+1) holding (-1)^k c_k, k = 0..n/2 (see half_spectrum).
+    out, both (*shape, n/2+1).
 
     Every intermediate lives in buffers allocated once, so a call allocates nothing; the
     rows of a stack of states are independent and each comes out as if evaluated alone.
@@ -178,7 +171,7 @@ class _Tendency:
 
 
 class IFRK4Stepper:
-    """Classical RK4 on d/dt(e^{i phi t} c) = e^{i phi t} N, in half layout (half_spectrum).
+    """Classical RK4 on d/dt(e^{i phi t} c) = e^{i phi t} N, in half layout.
 
     With a = e^{-i phi dt/2} and b = a^2, one step is
 
@@ -252,23 +245,22 @@ def iterate_ifrk4(
     coeffs: CoefficientSet,
     blowup_factor: float = 1e6,
 ) -> Iterator[tuple[float, np.ndarray]]:
-    """Yield (t, d) from t = 0 to t = T in steps of dt, d the state in half layout
-    (half_spectrum), a fresh array each step.
+    """Yield (t, d) from t = 0 to t = T in steps of dt, d the state in half layout: eta0.half
+    at t = 0, a fresh array each later step.
 
-    Its one consumer is evolve_ifrk4, which builds the full spectrum only of
-    the states it reads.  Raises BlowUpError when the L^2 norm of the state
-    exceeds blowup_factor times its initial value or overflows (instability,
-    or genuinely large data), and SymmetryError when eta0 is not the spectrum
-    of a real field.
+    Its one consumer is evolve_ifrk4.  Raises BlowUpError when the L^2 norm of the
+    state exceeds blowup_factor times its initial value or overflows (instability,
+    or genuinely large data).
     """
     n_steps = _step_count(T, dt)
     stepper = IFRK4Stepper(eta0.grid, coeffs, dt)
-    d = half_spectrum(eta0.coeffs)
-    scale = float(np.sqrt(np.sum(np.abs(eta0.coeffs) ** 2)))
+    d = eta0.half
+    # sizes sqrt(sum_k p_k |d_k|^2), p the Parseval fold, summed with np.add.reduce, since a
+    # BLAS dot would map OpenBLAS's buffers (0.2 MB of peak RSS); each step's in one buffer
+    # allocated per march
+    parseval = eta0.grid.parseval
+    scale = math.sqrt(np.add.reduce(parseval * np.abs(d) ** 2))
     ceiling = blowup_factor * (scale + np.finfo(float).tiny)
-    # summed with np.add.reduce, since a BLAS dot would map OpenBLAS's buffers (0.2 MB of
-    # peak RSS); |d_k|^2 times the Parseval factors in one buffer allocated per march
-    parseval = half_weights(np.ones(eta0.grid.n_modes))
     power = np.empty(parseval.shape)
     yield 0.0, d
     for i in range(1, n_steps + 1):
@@ -300,10 +292,8 @@ def evolve_ifrk4(
     The first and last steps are always recorded.  When gevrey_index is given,
     each record carries the Gevrey norm at that fixed index.  on_step is called
     as f(t, d) at every step, t = 0 included, before the step is recorded, with
-    d the state in half layout (half_spectrum), a fresh array each step; an
-    exception it raises ends the march.  Records keep d; only recorded steps after the
-    first get a full spectrum, for their values, which is not kept (the first is valued
-    from eta0 itself).
+    d the state in half layout (see iterate_ifrk4); an exception it raises ends the
+    march.  Records keep d and read their values from it.
     """
     n_steps = _step_count(T, dt)
     grid = eta0.grid
@@ -313,8 +303,7 @@ def evolve_ifrk4(
         if on_step is not None:
             on_step(t, d)
         if i % record_every == 0 or i == n_steps:
-            c = eta0.coeffs if i == 0 else full_spectrum(d)
-            records.append(_sample(t, grid, d, c, table))
+            records.append(_sample(t, grid, d, table))
     return Trajectory(coeffs, grid, records)
 
 
@@ -329,7 +318,7 @@ class PicardDiagnostics:
 
 def _sup_norm(grid: SpectralGrid, hw: np.ndarray, diff: np.ndarray, scratch: np.ndarray) -> float:
     """Largest weighted norm over the rows (mesh times) of half-layout spectra diff, hw the
-    weights from half_weights; scratch is a real array of diff's shape, overwritten."""
+    folded weights of norms; scratch is a real array of diff's shape, overwritten."""
     np.abs(diff, out=scratch)
     np.multiply(scratch, scratch, out=scratch)
     np.multiply(hw, scratch, out=scratch)
@@ -346,7 +335,7 @@ def _picard_iterate(
     max_iter: int,
 ):
     """Picard iteration on one time mesh in half layout; returns (states, distances), the
-    states (n_nodes+1, n/2+1) in half layout and the distances in the norm of hw (half_weights).
+    states (n_nodes+1, n/2+1) and the distances in the norm of the folded weights hw.
     Raises NoConvergenceError on a non-finite distance or one still >= tol after max_iter
     iterations.
 
@@ -366,9 +355,8 @@ def _picard_iterate(
     # S(t_j) per row, built in place: exp(-1j * outer(ts, phi))
     np.multiply(-1j, np.outer(ts, tendency.phi, out=scratch), out=e_minus)
     np.exp(e_minus, out=e_minus)
-    eta0_h = half_spectrum(eta0.coeffs)
 
-    np.multiply(e_minus, eta0_h, out=cur)  # iterate 0: the free evolution
+    np.multiply(e_minus, eta0.half, out=cur)  # iterate 0: the free evolution
     distances: list[float] = []
     # an overflowing iterate is caught by its non-finite distance, not by each operation
     with np.errstate(over="ignore", invalid="ignore"):
@@ -385,7 +373,7 @@ def _picard_iterate(
             np.multiply(0.5 * dt, prefix, out=prefix)
             np.cumsum(prefix, axis=0, out=prefix)
             nxt[0] = 0.0
-            np.add(eta0_h, nxt, out=nxt)
+            np.add(eta0.half, nxt, out=nxt)
             np.multiply(nxt, e_minus, out=nxt)
             d = _sup_norm(grid, hw, np.subtract(nxt, cur, out=rhs), scratch)
             if not np.isfinite(d):
@@ -425,7 +413,7 @@ def picard_solve(
         raise ValueError(f"T must be positive, got {T}")
     grid = eta0.grid
     table = _record_weights(grid, coeffs, g)
-    hw = half_weights(table[2])  # the Gevrey row
+    hw = table[2]  # the Gevrey row
     states, distances = _picard_iterate(eta0, coeffs, hw, T, n_nodes, tol, max_iter)
 
     mesh_delta = None
@@ -447,7 +435,7 @@ def picard_solve(
     contraction = max(meaningful) if meaningful else (max(ratios) if ratios else 0.0)
 
     ts = np.linspace(0.0, T, n_nodes + 1)
-    records = [_sample(float(t), grid, d, full_spectrum(d), table) for t, d in zip(ts, states)]
+    records = [_sample(float(t), grid, d, table) for t, d in zip(ts, states)]
     diag = PicardDiagnostics(len(distances), distances, ratios, contraction, mesh_delta)
     return Trajectory(coeffs, grid, records), diag
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import cos_mode
-from .norms import GevreyIndex, bracket, gevrey_weights, half_weights, row_norms
+from .norms import GevreyIndex, bracket, gevrey_weights, row_norms
 from .params import DEFAULT_COEFFICIENTS, CoefficientSet
-from .spectral import SpectralGrid, half_samples, half_spectrum, product_spectra, symbol_on_grid
+from .spectral import SpectralGrid, half_samples, product_spectra, symbol_on_grid
 
 PROFILES = ("band_limited", "exponential_decay", "polynomial_decay")
 
@@ -81,8 +81,8 @@ def random_fields(
     rate: float | None = None,
     power: float | None = None,
 ) -> np.ndarray:
-    """count random real-field spectra (count, n/2+1) in half layout (spectral.half_spectrum),
-    drawn from streams = (normals, phases); the unpaired mode n/2 is 0.
+    """count random real-field spectra (count, n/2+1) in half layout, drawn from
+    streams = (normals, phases); the unpaired mode n/2 is 0.
 
     band_limited:        iid complex Gaussian modes up to K = min(cutoff (default n/8), n/2 - 1),
                          zero above; a row draws 2K + 1 normals (real parts, imaginary parts,
@@ -117,7 +117,7 @@ def random_fields(
             mags = bracket(xi) ** (-power) * np.exp(jitter)
         d[:, 1:half] = mags[:, :-1] * np.exp(1j * phases.uniform(0.0, 2.0 * np.pi, (count, half - 1)))
         d[:, 0] = mags[:, -1]
-    d *= grid.phase[: half + 1]  # d_k = (-1)^k c_k
+    d *= grid.phase  # d_k = (-1)^k c_k
     return d
 
 
@@ -129,7 +129,7 @@ def random_fields(
 
 def _weights(grid, sigma, s):
     g = GevreyIndex(sigma, s)  # rejects a negative or non-finite sigma and a non-finite s
-    return half_weights(gevrey_weights(grid, g.sigma, g.s))
+    return gevrey_weights(grid, g.sigma, g.s)
 
 
 def _multilinear_values(lemma_id, grid, g, coeffs, strict=True):
@@ -146,10 +146,9 @@ def _multilinear_values(lemma_id, grid, g, coeffs, strict=True):
     _, s_min, kind, differentiate = MULTILINEAR[lemma_id]
     if strict and g.s < s_min - 1e-12:
         raise ValueError(f"{lemma_id} requires s >= {s_min}, got s = {g.s}")
-    h = grid.nyquist
-    weights = _weights(grid, g.sigma, g.s)  # half layout, as are the symbol and derivative
-    symbol = symbol_on_grid(grid, coeffs, kind)[: h + 1]
-    derivative = np.append(1j * grid.wavenumbers[:h], 0.0)
+    weights = _weights(grid, g.sigma, g.s)
+    symbol = symbol_on_grid(grid, coeffs, kind)
+    derivative = np.append(1j * grid.wavenumbers[:-1], 0.0)
 
     def values(d):
         operands = d * derivative if differentiate else d
@@ -202,9 +201,9 @@ def _splitting_parts(grid, s, r, sigma):
 def _antisymmetry_values(grid, coeffs):
     """Normalized residual of (v, inverse transform of i*phi*v) = 0 for a real field v: phi
     is odd and real, so the residual is pure rounding."""
-    h = grid.nyquist
     # rows v and i*phi*v, v's index n/2 doubled (see half_samples); phi reads 0 there
-    synthesis = np.stack([np.append(np.ones(h), 2.0), 1j * symbol_on_grid(grid, coeffs, "phi")[: h + 1]])
+    phi = symbol_on_grid(grid, coeffs, "phi")
+    synthesis = np.stack([np.append(np.ones(grid.nyquist), 2.0), 1j * phi])
     quad = 2.0 * grid.half_length / grid.n_modes
 
     def values(d):
@@ -253,7 +252,7 @@ def failure_demo_bilinear(
         u = cos_mode(grid, k, 1.0)
         v = cos_mode(grid, k - 1, 1.0)
         ratio = _multilinear_values("bilinear_omega", grid, g, coeffs, strict=False)(
-            half_spectrum(np.array([[u.coeffs, v.coeffs]]))
+            np.array([[u.half, v.half]])
         )[0]
         rows.append((k, n, float(ratio)))
     ratios = np.array([r for (_, _, r) in rows])

@@ -5,28 +5,23 @@ from __future__ import annotations
 import numpy as np
 
 from .norms import bracket
-from .spectral import RealField, SpectralGrid, Spectrum, transform_forward
+from .spectral import SpectralGrid, Spectrum, spectrum_from_samples
 
 
 def cos_mode(grid: SpectralGrid, k: int, amplitude: float) -> Spectrum:
     """amplitude * cos(pi*k*x/L): coefficients amplitude/2 at modes +-k."""
     if not (0 <= k < grid.n_modes // 2):
         raise ValueError(f"mode k must satisfy 0 <= k < n/2, got {k}")
-    c = np.zeros(grid.n_modes, dtype=complex)
-    if k == 0:
-        c[0] = amplitude
-    else:
-        c[k] = 0.5 * amplitude
-        c[-k] = 0.5 * amplitude
-    return Spectrum(grid, c)
+    c = np.zeros(grid.nyquist + 1, dtype=complex)
+    c[k] = amplitude if k == 0 else 0.5 * amplitude
+    return Spectrum(grid, c * grid.phase)
 
 
 def gaussian(grid: SpectralGrid, width: float, amplitude: float) -> Spectrum:
     """Periodized Gaussian bump amplitude * exp(-x^2/(2 width^2)) centered at 0."""
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
-    samples = amplitude * np.exp(-0.5 * (grid.x / width) ** 2)
-    return transform_forward(RealField(grid, samples))
+    return spectrum_from_samples(grid, amplitude * np.exp(-0.5 * (grid.x / width) ** 2))
 
 
 def gevrey_synthetic(
@@ -45,4 +40,4 @@ def gevrey_synthetic(
     mags = amplitude * np.exp(-decay * np.abs(xi)) * bracket(xi) ** (-roll_off)
     c = mags.astype(complex)
     c[grid.nyquist] = 0.0
-    return Spectrum(grid, c)
+    return Spectrum(grid, c * grid.phase)

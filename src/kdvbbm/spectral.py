@@ -1,17 +1,23 @@
-"""Periodic spectral toolbox: grid, transforms, multiplier symbols, dealiased products.
+"""Periodic spectral toolbox: grid, the spectrum layout, multiplier symbols, dealiased products.
 
-Conventions.  Fields live on the uniform grid x_j = -L + 2L*j/n of [-L, L).
-A spectrum holds the Fourier-series coefficients c_k of
+Conventions.  Fields live on the uniform grid x_j = -L + 2L*j/n of [-L, L) and are real.
+Their Fourier-series coefficients c_k of
 
     f(x) = sum_k c_k exp(i*pi*k*x/L),      k = -n/2 .. n/2-1,
 
-stored in FFT layout (k = 0..n/2-1, -n/2..-1) so wavenumber arrays align with
-numpy's fft output.  With this normalization Parseval reads
+satisfy c_{-k} = conj(c_k), so the modes k = 0..n/2 fix them all.  A spectrum holds them
+in half layout, n/2+1 entries
 
-    integral |f|^2 dx = 2L * sum_k |c_k|^2.
+    d_k = (-1)^k c_k  (k = 0..n/2-1),      d_{n/2} = conj(c_{-n/2})/2,
 
-The collocation offset x_0 = -L is absorbed by the alternating phase (-1)^k
-when converting between FFT output and series coefficients.
+the alternating phase absorbing the collocation offset x_0 = -L and the unpaired mode
+-n/2 split evenly onto +-n/2: d is numpy's rfft of the samples over n, with index n/2
+halved.  Wavenumbers and symbols are sampled at k = 0..n/2, and Parseval reads
+
+    integral |f|^2 dx = 2L * sum_k |c_k|^2 = 2L * sum_{k=0}^{n/2} p_k |d_k|^2,
+
+with the fold p = (1, 2, ..., 2, 4) of SpectralGrid.parseval.  spectrum_csv_rows alone
+writes the coefficients c_k of k < 0.
 """
 
 from __future__ import annotations
@@ -25,6 +31,11 @@ from .errors import NonFiniteError, SymmetryError
 from .params import CoefficientSet
 
 SYMBOL_KINDS = ("varphi", "phi", "psi", "tau", "omega", "kappa")
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -41,100 +52,71 @@ class SpectralGrid:
         if not (self.half_length > 0.0 and np.isfinite(self.half_length)):
             raise ValueError(f"half_length must be positive and finite, got {self.half_length}")
 
+    @property
+    def nyquist(self) -> int:
+        """n/2, the last index of half layout: the unpaired mode k = -n/2."""
+        return self.n_modes // 2
+
     @cached_property
     def modes(self) -> np.ndarray:
-        """Integer mode numbers in FFT layout: 0..n/2-1, -n/2..-1."""
-        n = self.n_modes
-        m = np.concatenate([np.arange(0, n // 2), np.arange(-(n // 2), 0)])
-        m.setflags(write=False)
-        return m
+        """Mode numbers k = 0..n/2 of half layout."""
+        return _read_only(np.arange(self.nyquist + 1))
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:
-        """xi_k = pi*k/L in FFT layout."""
-        xi = np.pi * self.modes / self.half_length
-        xi.setflags(write=False)
-        return xi
+        """xi_k = pi*k/L, k = 0..n/2."""
+        return _read_only(np.pi * self.modes / self.half_length)
 
     @cached_property
     def x(self) -> np.ndarray:
         """Collocation points -L + 2L*j/n."""
-        pts = -self.half_length + 2.0 * self.half_length * np.arange(self.n_modes) / self.n_modes
-        pts.setflags(write=False)
-        return pts
+        n, L = self.n_modes, self.half_length
+        return _read_only(-L + 2.0 * L * np.arange(n) / n)
 
-    @property
+    @cached_property
     def phase(self) -> np.ndarray:
-        """(-1)^k, the shift between FFT coefficients and series coefficients."""
-        return _alternating(self.n_modes)  # n/2 is even, so the sign keeps alternating at -n/2
+        """(-1)^k, k = 0..n/2: the shift between series coefficients and half layout."""
+        return _read_only(np.resize([1.0, -1.0], self.nyquist + 1))
 
-    @property
-    def nyquist(self) -> int:
-        """Index of the unpaired mode k = -n/2."""
-        return self.n_modes // 2
-
-
-@dataclass(frozen=True)
-class RealField:
-    """Real samples of a field at the grid's collocation points."""
-
-    grid: SpectralGrid
-    samples: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=float)
-        if arr.shape != (self.grid.n_modes,):
-            raise ValueError(f"expected {self.grid.n_modes} samples, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise NonFiniteError("field samples contain NaN or Inf")
-        object.__setattr__(self, "samples", arr)
+    @cached_property
+    def parseval(self) -> np.ndarray:
+        """Parseval fold (1, 2, ..., 2, 4): d_0 stands for c_0 alone, d_k for c_k and
+        c_{-k}, and d_{n/2} for half of c_{-n/2}."""
+        fold = np.full(self.nyquist + 1, 2.0)
+        fold[0], fold[-1] = 1.0, 4.0
+        return _read_only(fold)
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Fourier-series coefficients of a field, in FFT layout."""
+    """A real field's Fourier-series coefficients in half layout (n/2+1 entries).
+
+    The constructor is the package's real-field gate: c_{-k} = conj(c_k) holds by
+    construction except at k = 0, where it asks d_0 to be real; an imaginary part above
+    1e-10 of the largest |d_k| raises SymmetryError.
+    """
 
     grid: SpectralGrid
-    coeffs: np.ndarray
+    half: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=complex)
-        if arr.shape != (self.grid.n_modes,):
-            raise ValueError(f"expected {self.grid.n_modes} coefficients, got shape {arr.shape}")
-        object.__setattr__(self, "coeffs", arr)
-
-    def hermitian_defect(self) -> float:
-        """Relative deviation from c_{-k} = conj(c_k); ~0 for spectra of real fields."""
-        c = self.coeffs
-        n = self.grid.n_modes
-        mirrored = np.conj(c[(-np.arange(n)) % n])
-        scale = float(np.max(np.abs(c)))
-        if scale == 0.0:
-            return 0.0
-        return float(np.max(np.abs(c - mirrored))) / scale
+        d = np.asarray(self.half, dtype=complex)
+        if d.shape != (self.grid.nyquist + 1,):
+            raise ValueError(f"expected {self.grid.nyquist + 1} coefficients, got shape {d.shape}")
+        if abs(d[0].imag) > 1e-10 * np.abs(d).max():
+            raise SymmetryError(f"spectrum is not that of a real field: Im d_0 = {d[0].imag:.3e}")
+        object.__setattr__(self, "half", d)
 
 
-def transform_forward(f: RealField) -> Spectrum:
-    """Series coefficients of a real field; round trip with transform_inverse."""
-    grid = f.grid
-    c = grid.phase * np.fft.fft(f.samples) / grid.n_modes
-    return Spectrum(grid, c)
-
-
-def transform_inverse(s: Spectrum) -> RealField:
-    """Synthesize samples with one inverse FFT.
-
-    Raises SymmetryError when the imaginary residual exceeds 1e-10 of the
-    largest real sample, and NonFiniteError when a sample is NaN or Inf.
-    """
-    grid = s.grid
-    w = grid.n_modes * np.fft.ifft(grid.phase * s.coeffs)
-    scale = float(np.max(np.abs(w.real)))
-    imag = float(np.max(np.abs(w.imag)))
-    if imag > 1e-10 * (scale + np.finfo(float).tiny):
-        worst = imag / (scale + 1e-300)
-        raise SymmetryError(f"inverse transform has relative imaginary residual {worst:.3e}")
-    return RealField(grid, w.real)
+def spectrum_from_samples(grid: SpectralGrid, samples) -> Spectrum:
+    """The spectrum of a real field from its samples at the grid's collocation points: one
+    rfft.  Raises NonFiniteError when a sample is NaN or Inf."""
+    f = np.asarray(samples, dtype=float)
+    if not np.all(np.isfinite(f)):
+        raise NonFiniteError("field samples contain NaN or Inf")
+    d = np.fft.rfft(f, norm="forward")
+    d[-1] *= 0.5
+    return Spectrum(grid, d)
 
 
 def evaluate_symbol(kind: str, xi, coeffs: CoefficientSet):
@@ -170,43 +152,12 @@ def evaluate_symbol(kind: str, xi, coeffs: CoefficientSet):
 
 @lru_cache(maxsize=None)
 def symbol_on_grid(grid: SpectralGrid, coeffs: CoefficientSet, kind: str) -> np.ndarray:
-    """Symbol sampled at the grid wavenumbers (cached, read-only).  The odd ones (phi, psi,
-    tau) read 0 at the unpaired mode -n/2, so i times them keeps a real field real."""
+    """Symbol sampled at the grid wavenumbers, k = 0..n/2 (cached, read-only).  The odd ones
+    (phi, psi, tau) read 0 at the unpaired mode -n/2, so i times them keeps a real field real."""
     arr = evaluate_symbol(kind, grid.wavenumbers, coeffs)
     if kind in ("phi", "psi", "tau"):
         arr[grid.nyquist] = 0.0
-    arr.setflags(write=False)
-    return arr
-
-
-@lru_cache(maxsize=64)
-def _alternating(length: int) -> np.ndarray:
-    ph = np.resize([1.0, -1.0], length)  # (-1)^k for k = 0..length-1
-    ph.setflags(write=False)
-    return ph
-
-
-def half_spectrum(c: np.ndarray) -> np.ndarray:
-    """Half layout (..., n/2+1) of real-field spectra (..., n): d_k = (-1)^k c_k, k < n/2.
-
-    Index n/2 carries conj(d_{-n/2})/2, the unpaired mode split evenly onto +-n/2 and
-    exempt from the Hermitian check; a defect above 1e-10 raises SymmetryError.
-    """
-    half = c.shape[-1] // 2
-    mirrored = np.take(c, -np.arange(half), axis=-1).conj()
-    defect = np.abs(c[..., :half] - mirrored).max(axis=-1)
-    if (defect > 1e-10 * np.abs(c).max(axis=-1)).any():
-        raise SymmetryError("spectra must be those of real fields")
-    d = c[..., : half + 1] * _alternating(half + 1)
-    d[..., half] = 0.5 * np.conj(d[..., half])
-    return d
-
-
-def full_spectrum(d: np.ndarray) -> np.ndarray:
-    """FFT layout (..., n) of half-layout spectra (..., n/2+1); inverts half_spectrum."""
-    c = d * _alternating(d.shape[-1])
-    c[..., -1] = 2.0 * np.conj(c[..., -1])  # c_{-n/2}, no longer split onto +-n/2
-    return np.concatenate([c, np.conj(c[..., -2:0:-1])], axis=-1)
+    return _read_only(arr)
 
 
 def half_samples(d: np.ndarray) -> np.ndarray:
@@ -257,15 +208,13 @@ def product_spectra(d: np.ndarray) -> np.ndarray:
 
 
 def spectrum_csv_rows(s: Spectrum):
-    """Rows (k, xi_k, Re c_k, Im c_k, |c_k|) in increasing-k order."""
-    n = s.grid.n_modes
-    order = np.roll(np.arange(n), n // 2)  # FFT layout's -n/2..-1 first, then 0..n/2-1
-    for i in order:
-        c = s.coeffs[i]
-        yield (
-            int(s.grid.modes[i]),
-            float(s.grid.wavenumbers[i]),
-            float(c.real),
-            float(c.imag),
-            float(abs(c)),
-        )
+    """Rows (k, xi_k, Re c_k, Im c_k, |c_k|) for k = -n/2..n/2-1 in increasing order: the one
+    place the coefficients of k < 0 are written out."""
+    h = s.grid.nyquist
+    c = s.half * s.grid.phase  # c_k, k = 0..n/2-1
+    c[-1] = 2.0 * np.conj(c[-1])  # c_{-n/2}, no longer split onto +-n/2
+    xi = s.grid.wavenumbers
+    coeffs = np.concatenate([c[h:], np.conj(c[h - 1 : 0 : -1]), c[:h]])
+    wavenumbers = np.concatenate([-xi[h:0:-1], xi[:h]])
+    for k, x, c_k in zip(range(-h, h), wavenumbers, coeffs):
+        yield k, float(x), float(c_k.real), float(c_k.imag), float(abs(c_k))

@@ -37,7 +37,9 @@ CASES = {
     }),
     "radius": ("radius", {
         "grid": {"n_modes": 128, "half_length": 4.0 * math.pi},
-        "initial": {"family": "gevrey_synthetic", "sigma0": 0.6, "roll_off": 2.0, "amplitude": 0.05},
+        "initial": {
+            "family": "gevrey_synthetic", "sigma0": 0.6, "roll_off": 2.0, "amplitude": 0.05,
+        },
         "solver": {"T": 0.5, "dt": 0.01, "record_every": 5},
         "analyticity": {"sigma0": 0.5, "s": 0.5},
     }),

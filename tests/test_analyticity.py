@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import kdvbbm as kb
 from kdvbbm import analyticity, dynamics, norms
-from kdvbbm.spectral import half_spectrum
 from draws import random_spectrum
+from oracles import fft_to_half, fft_wavenumbers, half_to_fft, radius_fit
 
 
 class TestEstimateRadius:
@@ -28,19 +28,19 @@ class TestEstimateRadius:
         assert fit.n_points < 8
 
     def test_zero_spectrum_undefined(self, grid):
-        z = kb.Spectrum(grid, np.zeros(grid.n_modes, complex))
+        z = kb.Spectrum(grid, np.zeros(grid.nyquist + 1, complex))
         assert not kb.estimate_radius(z).defined
 
     def test_flat_spectrum_gives_zero(self, grid):
         c = np.ones(grid.n_modes, complex)
-        fit = kb.estimate_radius(kb.Spectrum(grid, c))
+        fit = kb.estimate_radius(kb.Spectrum(grid, fft_to_half(c)))
         assert fit.defined
         assert fit.sigma_hat == 0.0
 
     def test_scale_invariance(self, grid):
         u = random_spectrum(grid, "exponential_decay", 4, rate=0.4)
         a = kb.estimate_radius(u)
-        b = kb.estimate_radius(kb.Spectrum(grid, 7.3 * u.coeffs))
+        b = kb.estimate_radius(kb.Spectrum(grid, 7.3 * u.half))
         assert b.sigma_hat == pytest.approx(a.sigma_hat, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -51,9 +51,10 @@ class TestEstimateRadius:
         # least-squares polynomial on the same band
         u = kb.gevrey_synthetic(grid, rate, roll_off=roll_off)
         fit = kb.estimate_radius(u)
-        mags = np.abs(u.coeffs)
-        mask = (np.abs(grid.modes) >= 2) & (mags > 1e-8 * mags.max())
-        x, y = np.abs(grid.wavenumbers[mask]), np.log(mags[mask])
+        mags = np.abs(half_to_fft(u.half))
+        modes = np.fft.fftfreq(grid.n_modes, 1.0 / grid.n_modes)
+        mask = (np.abs(modes) >= 2) & (mags > 1e-8 * mags.max())
+        x, y = np.abs(fft_wavenumbers(grid)[mask]), np.log(mags[mask])
         slope, intercept = np.polyfit(x, y, 1)
         r_squared = 1.0 - np.sum((y - slope * x - intercept) ** 2) / np.sum((y - y.mean()) ** 2)
         assert fit.n_points == int(np.count_nonzero(mask))
@@ -61,8 +62,38 @@ class TestEstimateRadius:
         assert fit.intercept == pytest.approx(intercept, rel=1e-12)
         assert fit.r_squared == pytest.approx(r_squared, rel=1e-12)
 
+    @pytest.mark.parametrize("rate", [0.1, 0.3, 0.5, 1.0])
+    def test_c09_data_match_fft_layout_fit(self, grid, rate):
+        u = kb.gevrey_synthetic(grid, rate)
+        sigma_hat, n_points = radius_fit(grid, half_to_fft(u.half))
+        fit = kb.estimate_radius(u)
+        assert fit.n_points == n_points
+        assert fit.sigma_hat == pytest.approx(sigma_hat, rel=1e-12)
+
+    @pytest.mark.parametrize("nyquist", [0.3 - 0.2j, 1e-9])
+    def test_unpaired_mode_counts_once(self, grid, nyquist):
+        # d_{n/2} holds half of c_{-n/2}, which is one point of the fit, where each other mode
+        # is two (k and -k); a c_{-n/2} below the noise floor is left out
+        c = half_to_fft(random_spectrum(grid, "exponential_decay", 2, rate=0.05).half)
+        c[grid.nyquist] = nyquist
+        sigma_hat, n_points = radius_fit(grid, c)
+        fit = kb.estimate_radius(kb.Spectrum(grid, fft_to_half(c)))
+        assert fit.n_points == n_points == 2 * (grid.nyquist - 2) + (abs(nyquist) > 1e-8)
+        assert fit.sigma_hat == pytest.approx(sigma_hat, rel=1e-12)
+
+    @pytest.mark.parametrize("top, defined", [(4, False), (5, True)])
+    def test_need_eight_points_counts_pairs(self, small_grid, top, defined):
+        # modes 2..4 and the unpaired mode are 7 points, one mode more makes 9
+        c = np.zeros(small_grid.n_modes, complex)
+        for k in range(2, top + 1):
+            c[k] = c[-k] = np.exp(-0.5 * k)
+        c[small_grid.nyquist] = 1e-3
+        fit = kb.estimate_radius(kb.Spectrum(small_grid, fft_to_half(c)))
+        assert (fit.defined, fit.n_points) == (defined, radius_fit(small_grid, c)[1])
+        assert fit.n_points == 2 * (top - 1) + 1
+
     def test_undefined_reasons(self, grid):
-        z = kb.Spectrum(grid, np.zeros(grid.n_modes, complex))
+        z = kb.Spectrum(grid, np.zeros(grid.nyquist + 1, complex))
         assert kb.estimate_radius(z).reason == "spectrum is identically zero"
         fit = kb.estimate_radius(kb.cos_mode(grid, 3, 1.0))
         assert fit.reason == "only 2 modes above the noise floor (need 8)"
@@ -154,7 +185,7 @@ class TestSigmaTracking:
         return [s for (_, s) in run.sigma_series]
 
     def test_zero_solution_constant(self, grid, coeffs):
-        z = kb.Spectrum(grid, np.zeros(grid.n_modes, complex))
+        z = kb.Spectrum(grid, np.zeros(grid.nyquist + 1, complex))
         assert self._sigmas(z, 1.0, 0.5, coeffs, 0.4) == [0.4, 0.4, 0.4]
 
     def test_small_datum_strictly_decreasing(self, grid, coeffs):
@@ -298,7 +329,7 @@ class TestTrackedRun:
 def _exponential_state(n, half_length, seed, nyquist):
     """A real field with |c_k| ~ e^{-0.3 |xi_k|} and c_{-n/2} = nyquist, in FFT layout."""
     grid = kb.SpectralGrid(n, half_length)
-    c = random_spectrum(grid, "exponential_decay", seed, rate=0.3).coeffs.copy()
+    c = half_to_fft(random_spectrum(grid, "exponential_decay", seed, rate=0.3).half)
     c[grid.nyquist] = nyquist
     return grid, c
 
@@ -310,13 +341,15 @@ class TestSigmaTracker:
     def test_profile_norm_equals_gevrey_norm(self, n, half_length, nyquist, sigma, s):
         grid, c = _exponential_state(n, half_length, n, nyquist)
         series = []
-        analyticity._sigma_tracker(grid, sigma, s, 0.01, series)(0.0, half_spectrum(c))
+        analyticity._sigma_tracker(grid, sigma, s, 0.01, series)(0.0, fft_to_half(c))
         assert series[0][:2] == (0.0, sigma)
-        expected = kb.gevrey_norm(kb.Spectrum(grid, c), kb.GevreyIndex(sigma, s))
+        br = 1.0 + np.abs(fft_wavenumbers(grid))
+        weights = br ** (2 * s) * np.exp(2 * sigma * br)
+        expected = np.sqrt(2.0 * grid.half_length * np.sum(weights * np.abs(c) ** 2))
         assert series[0][2] == pytest.approx(expected, rel=1e-14)
 
     def test_sigma_series_matches_reference_tracker(self, coeffs):
-        # a reference built on gevrey_norm of the full spectra, with the same Euler rule and
+        # a reference built on gevrey_norm of the states, with the same Euler rule and
         # sub-step count; the small max_rel_step makes every step sub-step
         grid = kb.SpectralGrid(128, 4.0 * math.pi)
         eta0 = kb.gevrey_synthetic(grid, 0.6, roll_off=2.0, amplitude=0.05)

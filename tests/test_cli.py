@@ -230,6 +230,25 @@ class TestSimulate:
         assert len(uppers) == 1  # constant, = c_upper * sigma0
         assert manifest["checks"]["h2_band"].get("skipped") is True
 
+    def test_h2_band_reads_each_record_state_as_it_is(self, coeffs, monkeypatch):
+        # one row sum per record over its half-layout state, no conversion, gives each
+        # record's h2_polynomial_sq
+        sums = []
+
+        def recording(grid, d, weights, _real=cli.row_squares):
+            assert any(d is r.half for r in traj.records)
+            sums.append(float(_real(grid, d, weights)))
+            return sums[-1]
+
+        monkeypatch.setattr(cli, "row_squares", recording)
+        cfg = cli.RunConfig(_small_sim())
+        eta0 = kb.gaussian(cfg.grid(), 1.0, 0.5)
+        traj = kb.evolve_ifrk4(eta0, 0.2, 0.005, coeffs, record_every=10)
+        checks = cli._simulate_checks(cfg, coeffs, traj, None, None, None)
+        assert sums == [kb.h2_polynomial_sq(r.state) for r in traj.records]
+        h2p = np.array(sums)
+        assert checks["h2_band"]["value"] == float(np.max(np.abs(h2p / h2p[0] - 1.0)))
+
     def test_check_failure_gives_exit_one(self, tmp_path):
         path = _write_config(tmp_path / "c.yaml", _small_sim())
         out = str(tmp_path / "out")

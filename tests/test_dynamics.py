@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kdvbbm as kb
-from kdvbbm import dynamics
+from kdvbbm import cli, dynamics, spectral
 from kdvbbm.dynamics import IFRK4Stepper, _Tendency
 from kdvbbm.estimates import _campaign
-from kdvbbm.norms import gevrey_weights, row_squares
-from kdvbbm.spectral import full_spectrum, half_spectrum
+from kdvbbm.norms import row_squares
 from draws import random_spectrum
-from oracles import convolve_project, richardson_order
+from oracles import convolve_project, fft_to_half, fft_wavenumbers, half_to_fft, richardson_order
 
 G01 = kb.GevreyIndex(0.1, 2.0)
 
@@ -26,7 +25,7 @@ class TestLinearPropagate:
     def test_t_zero_identity(self, grid, coeffs):
         u = random_spectrum(grid, "band_limited", 0)
         v = kb.linear_propagate(u, 0.0, coeffs)
-        assert np.max(np.abs(v.coeffs - u.coeffs)) == 0.0
+        assert np.max(np.abs(v.half - u.half)) == 0.0
 
     def test_norm_preservation(self, grid, coeffs):
         rng = np.random.default_rng(1)
@@ -42,15 +41,15 @@ class TestLinearPropagate:
         u = random_spectrum(grid, "band_limited", 2)
         a = kb.linear_propagate(kb.linear_propagate(u, 1.3, coeffs), 2.4, coeffs)
         b = kb.linear_propagate(u, 3.7, coeffs)
-        scale = np.max(np.abs(u.coeffs))
-        assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12 * scale
+        scale = np.max(np.abs(u.half))
+        assert np.max(np.abs(a.half - b.half)) < 1e-12 * scale
 
     def test_single_mode_phase(self, small_grid, coeffs):
         u = kb.cos_mode(small_grid, 3, 1.0)
         t = 0.7
         v = kb.linear_propagate(u, t, coeffs)
         phase = np.exp(-1j * kb.evaluate_symbol("phi", 3.0, coeffs) * t)
-        assert v.coeffs[3] == pytest.approx(0.5 * phase, abs=1e-15)
+        assert half_to_fft(v.half)[3] == pytest.approx(0.5 * phase, abs=1e-15)
 
 
 class TestUnpairedMode:
@@ -58,15 +57,12 @@ class TestUnpairedMode:
 
     @pytest.fixture
     def eta0(self, small_grid):
-        u = kb.cos_mode(small_grid, 1, 0.01)
-        c = u.coeffs.copy()
-        c[small_grid.nyquist] = 1e-3
-        return kb.Spectrum(small_grid, c)
+        return _nyquist_datum(small_grid)
 
     def _assert_fixed_and_real(self, eta0, state):
         nyq = eta0.grid.nyquist
-        assert state.coeffs[nyq] == eta0.coeffs[nyq]
-        kb.transform_inverse(state)  # raises SymmetryError on a complex field
+        assert state.half[nyq] == eta0.half[nyq]
+        assert state.half[0].imag == 0.0  # the one entry that could break realness
 
     def test_linear_propagate(self, eta0, coeffs):
         self._assert_fixed_and_real(eta0, kb.linear_propagate(eta0, 0.1, coeffs))
@@ -82,31 +78,32 @@ class TestUnpairedMode:
             self._assert_fixed_and_real(eta0, r.state)
 
 
-def _rhs(c, grid, coeffs):
-    """The nonlinear tendency of a real-field spectrum, in FFT layout."""
-    d = half_spectrum(c)
-    return full_spectrum(_Tendency(grid, coeffs)(d, out=np.empty_like(d)))
+def _rhs(u, coeffs):
+    """The nonlinear tendency of a spectrum, in FFT layout."""
+    return half_to_fft(_Tendency(u.grid, coeffs)(u.half, out=np.empty_like(u.half)))
 
 
 class TestNonlinearRhs:
     def test_zero(self, grid, coeffs):
-        assert np.all(_rhs(np.zeros(grid.n_modes, complex), grid, coeffs) == 0)
+        assert np.all(_rhs(kb.Spectrum(grid, np.zeros(grid.nyquist + 1, complex)), coeffs) == 0)
 
     def test_constant_field(self, grid, coeffs):
         # psi(0) = tau(0) = 0 and the derivative of a constant vanishes
-        out = _rhs(kb.cos_mode(grid, 0, 2.5).coeffs, grid, coeffs)
+        out = _rhs(kb.cos_mode(grid, 0, 2.5), coeffs)
         assert np.max(np.abs(out)) < 1e-16
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_convolution_oracle(self, small_grid, coeffs, seed):
-        c = 0.05 * random_spectrum(small_grid, "band_limited", seed, cutoff=9).coeffs
-        out = _rhs(c, small_grid, coeffs)
-        dc = c * (1j * small_grid.wavenumbers)
+        u = random_spectrum(small_grid, "band_limited", seed, cutoff=9)
+        u = kb.Spectrum(small_grid, 0.05 * u.half)
+        out = _rhs(u, coeffs)
+        c = half_to_fft(u.half)
+        xi = fft_wavenumbers(small_grid)
+        dc = c * (1j * xi)
         dc[small_grid.nyquist] = 0.0
         sq = convolve_project(small_grid, c, c)
         cube = convolve_project(small_grid, c, c, c)
         dsq = convolve_project(small_grid, dc, dc)
-        xi = small_grid.wavenumbers
         tau = kb.evaluate_symbol("tau", xi, coeffs)
         psi = kb.evaluate_symbol("psi", xi, coeffs)
         oracle = -1j * (tau * sq - CUBIC * psi * cube - DERIV_SQ * psi * dsq)
@@ -115,31 +112,33 @@ class TestNonlinearRhs:
         assert np.max(np.abs(out - oracle)) < 1e-12 * scale
 
     def test_preserves_realness(self, grid, coeffs):
-        out = _rhs(0.1 * random_spectrum(grid, "band_limited", 7).coeffs, grid, coeffs)
-        assert kb.Spectrum(grid, out).hermitian_defect() < 1e-12
+        # mode 0 of the tendency is 0 (tau(0) = psi(0) = 0), so it is again a real field's
+        u = kb.Spectrum(grid, 0.1 * random_spectrum(grid, "band_limited", 7).half)
+        d = _Tendency(grid, coeffs)(u.half, out=np.empty_like(u.half))
+        assert d[0] == 0
+        kb.Spectrum(grid, d)
 
     def test_non_real_input_rejected(self, small_grid, coeffs):
-        # the tendency reads only the half spectrum, so a non-real input must not pass silently
+        # the tendency reads only half layout, so a non-real input must not reach it silently
         rng = np.random.default_rng(5)
-        u = kb.Spectrum(small_grid, rng.standard_normal(64) + 1j * rng.standard_normal(64))
-        assert u.hermitian_defect() > 1.0
+        d = rng.standard_normal(33) + 1j * rng.standard_normal(33)
         with pytest.raises(kb.SymmetryError):
-            _rhs(u.coeffs, small_grid, coeffs)
+            _rhs(kb.Spectrum(small_grid, d), coeffs)
 
-    def test_hermitian_check_tolerance_and_nyquist_exemption(self, small_grid, coeffs):
-        c = 0.1 * random_spectrum(small_grid, "band_limited", 3).coeffs
-        c[small_grid.nyquist] = 0.02 - 0.03j  # exempt: read as split onto +-n/2
-        c[5] += 1e-12  # within 1e-10 of the largest mode
-        _rhs(c, small_grid, coeffs)
-        c[5] += 1e-6
+    def test_real_field_gate_tolerance_and_nyquist_freedom(self, small_grid, coeffs):
+        d = 0.1 * random_spectrum(small_grid, "band_limited", 3).half
+        d[small_grid.nyquist] = 0.02 - 0.03j  # any value: split onto +-n/2
+        d[0] += 1e-12j * np.abs(d).max()  # within 1e-10 of the largest mode
+        _rhs(kb.Spectrum(small_grid, d), coeffs)
+        d[0] += 1e-6j
         with pytest.raises(kb.SymmetryError):
-            _rhs(c, small_grid, coeffs)
+            _rhs(kb.Spectrum(small_grid, d), coeffs)
 
 
 def _nyquist_datum(grid):
-    c = kb.cos_mode(grid, 1, 0.01).coeffs.copy()
+    c = half_to_fft(kb.cos_mode(grid, 1, 0.01).half)
     c[grid.nyquist] = 1e-3
-    return kb.Spectrum(grid, c)
+    return kb.Spectrum(grid, fft_to_half(c))
 
 
 HALF_LAYOUT_DATA = {
@@ -165,12 +164,13 @@ def _reference_tendency(grid, coeffs, c):
         out[:half], out[half + 1 :] = e[:half], e[2 * n - half + 1 :]
         return out
 
-    dc = c * (1j * grid.wavenumbers)
+    xi = fft_wavenumbers(grid)
+    dc = c * (1j * xi)
     dc[half] = 0.0
     e, de = embed(c), embed(dc)
     sq, cube, dsq = (project(convolve_project(fine, *f)) for f in ((e, e), (e, e, e), (de, de)))
-    tau = kb.evaluate_symbol("tau", grid.wavenumbers, coeffs)
-    psi = kb.evaluate_symbol("psi", grid.wavenumbers, coeffs)
+    tau = kb.evaluate_symbol("tau", xi, coeffs)
+    psi = kb.evaluate_symbol("psi", xi, coeffs)
     out = -1j * (tau * sq - psi * (CUBIC * cube + DERIV_SQ * dsq))
     out[half] = 0.0
     return out
@@ -183,15 +183,17 @@ class TestHalfLayoutMarcher:
     def test_step_matches_full_layout_rk4(self, small_grid, coeffs, name):
         eta0 = HALF_LAYOUT_DATA[name](small_grid)
         dt = 0.01
-        S = lambda a, t: kb.linear_propagate(kb.Spectrum(small_grid, a), t, coeffs).coeffs
+        S = lambda a, t: half_to_fft(
+            kb.linear_propagate(kb.Spectrum(small_grid, fft_to_half(a)), t, coeffs).half
+        )
         N = lambda a: _reference_tendency(small_grid, coeffs, a)
-        c = eta0.coeffs
+        c = half_to_fft(eta0.half)
         k1 = N(c)
         k2 = N(S(c + 0.5 * dt * k1, 0.5 * dt))
         k3 = N(S(c, 0.5 * dt) + 0.5 * dt * k2)
         k4 = N(S(c, dt) + dt * S(k3, 0.5 * dt))
         reference = S(c, dt) + (dt / 6.0) * (S(k1, dt) + 2.0 * S(k2 + k3, 0.5 * dt) + k4)
-        stepped = full_spectrum(IFRK4Stepper(small_grid, coeffs, dt).step(half_spectrum(c)))
+        stepped = half_to_fft(IFRK4Stepper(small_grid, coeffs, dt).step(eta0.half))
         assert np.max(np.abs(stepped - reference)) <= 1e-13 * np.max(np.abs(reference))
 
     @pytest.mark.parametrize("name", sorted(HALF_LAYOUT_DATA))
@@ -200,8 +202,8 @@ class TestHalfLayoutMarcher:
         nyq = small_grid.nyquist
         traj = kb.evolve_ifrk4(eta0, 0.2, 0.01, coeffs, record_every=4)
         for r in traj.records[1:]:
-            assert r.state.coeffs[nyq] == eta0.coeffs[nyq]
-            assert r.state.hermitian_defect() == 0.0
+            assert r.half[nyq] == eta0.half[nyq]
+            assert r.half[0].imag == 0.0
 
     def test_one_step_call_per_step(self, grid, coeffs, monkeypatch):
         # perfbench counts traced IFRK4Stepper.step calls as the march's steps
@@ -213,10 +215,10 @@ class TestHalfLayoutMarcher:
         assert len(calls) == round(T / dt) == 30
 
     def test_non_real_datum_rejected(self, small_grid, coeffs):
-        c = kb.cos_mode(small_grid, 1, 0.01).coeffs.copy()
-        c[3] += 1e-3j
+        d = kb.cos_mode(small_grid, 1, 0.01).half.copy()
+        d[0] += 1e-3j
         with pytest.raises(kb.SymmetryError):
-            kb.evolve_ifrk4(kb.Spectrum(small_grid, c), 0.1, 0.01, coeffs)
+            kb.evolve_ifrk4(kb.Spectrum(small_grid, d), 0.1, 0.01, coeffs)
 
 
 class TestTendencyWorkspace:
@@ -230,10 +232,10 @@ class TestTendencyWorkspace:
         short = kb.evolve_ifrk4(eta0, 0.05, 0.01, coeffs)
         longer = kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs)
         for a, b in zip(short.records, longer.records[:6], strict=True):
-            assert np.array_equal(a.state.coeffs, b.state.coeffs)
+            assert np.array_equal(a.half, b.half)
 
     def test_step_keeps_no_state_between_calls(self, grid, coeffs):
-        d = half_spectrum(kb.gaussian(grid, 1.0, 0.5).coeffs)
+        d = kb.gaussian(grid, 1.0, 0.5).half
         copy = d.copy()
         stepper = IFRK4Stepper(grid, coeffs, 0.01)
         first, second = stepper.step(d), stepper.step(d)
@@ -262,17 +264,17 @@ class TestTendencyWorkspace:
         assert blocked_diag.distances == single_diag.distances
         assert blocked_diag.mesh_delta == single_diag.mesh_delta
         for a, b in zip(blocked.records, single.records, strict=True):
-            assert np.array_equal(a.state.coeffs, b.state.coeffs)
+            assert np.array_equal(a.half, b.half)
 
 
 class TestIFRK4:
     def test_zero_datum(self, grid, coeffs):
-        z = kb.Spectrum(grid, np.zeros(grid.n_modes, complex))
+        z = kb.Spectrum(grid, np.zeros(grid.nyquist + 1, complex))
         traj = kb.evolve_ifrk4(z, 0.1, 0.01, coeffs)
-        assert all(np.all(r.state.coeffs == 0) for r in traj.records)
+        assert all(np.all(r.half == 0) for r in traj.records)
 
     def test_step_count_mismatch(self, grid, coeffs):
-        z = kb.Spectrum(grid, np.zeros(grid.n_modes, complex))
+        z = kb.Spectrum(grid, np.zeros(grid.nyquist + 1, complex))
         with pytest.raises(ValueError, match="integral multiple"):
             kb.evolve_ifrk4(z, 1.0, 0.3, coeffs)
 
@@ -286,16 +288,16 @@ class TestIFRK4:
     def test_realness_preserved(self, grid, coeffs):
         eta0 = kb.gaussian(grid, 1.0, 0.5)
         traj = kb.evolve_ifrk4(eta0, 1.0, 2e-3, coeffs, record_every=100)
-        assert traj.final.state.hermitian_defect() < 1e-11
+        assert traj.final.half[0].imag == 0.0
 
     def test_self_convergence_order(self, grid, coeffs):
         eta0 = kb.gaussian(grid, 1.0, 1.0)
         finals = [
-            kb.evolve_ifrk4(eta0, 1.0, dt, coeffs, record_every=10**6).final.state.coeffs
+            kb.evolve_ifrk4(eta0, 1.0, dt, coeffs, record_every=10**6).final.half
             for dt in (0.04, 0.02, 0.01)
         ]
-        e1 = np.sqrt(np.sum(np.abs(finals[0] - finals[1]) ** 2))
-        e2 = np.sqrt(np.sum(np.abs(finals[1] - finals[2]) ** 2))
+        e1 = np.sqrt(np.sum(grid.parseval * np.abs(finals[0] - finals[1]) ** 2))
+        e2 = np.sqrt(np.sum(grid.parseval * np.abs(finals[1] - finals[2]) ** 2))
         assert 3.5 < richardson_order(e1, e2) < 4.5
 
     def test_blowup_guard(self, grid, coeffs):
@@ -309,7 +311,7 @@ class TestIFRK4:
         with pytest.raises(kb.BlowUpError) as err:
             kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs, blowup_factor=0.9)
         t = err.value.t
-        c = kb.evolve_ifrk4(eta0, t, 0.01, coeffs, record_every=10**6).final.state.coeffs
+        c = half_to_fft(kb.evolve_ifrk4(eta0, t, 0.01, coeffs, record_every=10**6).final.half)
         assert c[grid.nyquist] == 1e-3
         assert err.value.value == pytest.approx(np.sqrt(np.sum(np.abs(c) ** 2)), rel=1e-12)
 
@@ -319,8 +321,8 @@ class TestIFRK4:
         full = kb.evolve_ifrk4(eta0, 1.0, 1e-2, coeffs, record_every=10**6)
         half = kb.evolve_ifrk4(eta0, 0.5, 1e-2, coeffs, record_every=10**6)
         rest = kb.evolve_ifrk4(half.final.state, 0.5, 1e-2, coeffs, record_every=10**6)
-        scale = np.max(np.abs(full.final.state.coeffs))
-        diff = np.max(np.abs(full.final.state.coeffs - rest.final.state.coeffs))
+        scale = np.max(np.abs(full.final.half))
+        diff = np.max(np.abs(full.final.half - rest.final.half))
         assert diff < 1e-12 * scale
 
     def test_on_step_called_every_step(self, grid, coeffs):
@@ -330,15 +332,12 @@ class TestIFRK4:
             eta0, 0.1, 0.01, coeffs, on_step=lambda t, s: seen.append((t, s)), record_every=3,
         )
         assert len(seen) == 11  # every step plus t = 0, recorded or not
-        assert seen[0][0] == 0.0 and np.array_equal(seen[0][1], half_spectrum(eta0.coeffs))
+        assert seen[0][0] == 0.0 and seen[0][1] is eta0.half
         assert seen[-1][0] == pytest.approx(0.1)
         assert [r.t for r in traj.records] == [seen[i][0] for i in (0, 3, 6, 9, 10)]
-        # the hook gets the half-layout states; a record keeps its step's and builds the
-        # full spectrum on read, at t = 0 that of half_spectrum(eta0), here eta0's values
+        # the hook gets the states; a record keeps its step's, which its state wraps as it is
         for r, i in zip(traj.records, (0, 3, 6, 9, 10), strict=True):
-            assert r.half is seen[i][1]
-            assert np.array_equal(r.state.coeffs, full_spectrum(seen[i][1]))
-        assert np.array_equal(traj.records[0].state.coeffs, eta0.coeffs)
+            assert r.half is seen[i][1] and r.state.half is seen[i][1]
         assert len({id(d) for _, d in seen}) == 11  # a fresh array each step
 
     def test_on_step_error_ends_march(self, grid, coeffs):
@@ -363,11 +362,10 @@ class TestIFRK4:
         assert traj.records[0].gevrey == pytest.approx(kb.gevrey_norm(eta0, G01), rel=1e-12)
 
     def test_first_record_values_from_datum(self, small_grid, coeffs):
-        # the record keeps the datum's half layout, so its state is the datum's Hermitian
-        # projection, but its values are read from the datum itself
+        # the first record keeps the datum's own state and is valued from it
         eta0 = kb.gaussian(small_grid, 0.5, 0.5)
         first = kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs, gevrey_index=G01).records[0]
-        assert np.array_equal(first.state.coeffs, full_spectrum(half_spectrum(eta0.coeffs)))
+        assert first.half is eta0.half
         assert (first.energy, first.h2, first.gevrey) == (
             kb.energy(eta0, coeffs), kb.sobolev_norm(eta0, 2.0), kb.gevrey_norm(eta0, G01)
         )
@@ -396,12 +394,12 @@ BOOKKEEPING_DATA = {
 
 
 class TestMarchBookkeeping:
-    """Records are read from one full spectrum and one row sum over a stacked weight table,
-    and the divergence guard from one power buffer; neither may move a value."""
+    """Records are read from their half-layout state by one row sum over a stacked weight
+    table, and the divergence guard from one power buffer; neither may move a value."""
 
     @staticmethod
     def _assert_values_equal(record, u, coeffs, g):
-        # == on purpose: the records reproduce the public full-layout norms bit for bit
+        # == on purpose: the records reproduce the public norms bit for bit
         assert record.energy == kb.energy(u, coeffs)
         assert record.h2 == kb.sobolev_norm(u, 2.0)
         assert record.gevrey == (None if g is None else kb.gevrey_norm(u, g))
@@ -424,9 +422,12 @@ class TestMarchBookkeeping:
         for r in traj.records:
             self._assert_values_equal(r, r.state, coeffs, G01)
 
-    def test_one_full_spectrum_per_record_and_no_spectrum(self, small_grid, coeffs, monkeypatch):
+    def test_no_fft_layout_on_march_and_picard_paths(self, small_grid, coeffs, monkeypatch):
+        # spectrum_csv_rows is the one function in the package that builds the n coefficients
+        # of FFT layout (test_structure pins that); neither path calls it or builds a
+        # Spectrum, and every record holds the n/2+1 entries it was stepped or solved in
         eta0 = kb.cos_mode(small_grid, 1, 0.05)
-        counts = {"full_spectrum": 0, "Spectrum": 0}
+        counts = {"spectrum_csv_rows": 0, "Spectrum": 0}
 
         def counted(name, f):
             def wrapper(*args, **kwargs):
@@ -435,20 +436,25 @@ class TestMarchBookkeeping:
 
             return wrapper
 
-        monkeypatch.setattr(dynamics, "full_spectrum", counted("full_spectrum", full_spectrum))
+        rows = counted("spectrum_csv_rows", spectral.spectrum_csv_rows)
+        for module in (kb, spectral, cli):
+            monkeypatch.setattr(module, "spectrum_csv_rows", rows)
         monkeypatch.setattr(dynamics, "Spectrum", counted("Spectrum", kb.Spectrum))
         traj = kb.evolve_ifrk4(eta0, 1.0, 0.01, coeffs, record_every=7)
         assert len(traj.records) == 16  # steps 0, 7, ..., 98 and the last, 100
-        assert counts == {"full_spectrum": 15, "Spectrum": 0}
+        solved, _ = kb.picard_solve(eta0, 0.05, 1e-10, 30, coeffs, G01, n_nodes=8)
+        assert counts == {"spectrum_csv_rows": 0, "Spectrum": 0}
+        for r in traj.records + solved.records:
+            assert r.half.shape == (small_grid.nyquist + 1,)
 
     def test_guard_raises_at_first_step_above_ceiling(self, small_grid, coeffs):
         # L^2 sizes of a known run by the guard's former formula, on full spectra
         eta0 = BOOKKEEPING_DATA["gaussian"](small_grid)
         dt = 0.01
         traj = kb.evolve_ifrk4(eta0, 0.5, dt, coeffs)
-        l2 = lambda c: np.sqrt(np.sum(c.real**2 + c.imag**2))
-        sizes = np.array([l2(r.state.coeffs) for r in traj.records[1:]])
-        scale = l2(eta0.coeffs)
+        l2 = lambda d: np.sqrt(np.sum(np.abs(half_to_fft(d)) ** 2))
+        sizes = np.array([l2(r.half) for r in traj.records[1:]])
+        scale = l2(eta0.half)
         ratios = sizes / scale
         # ratios[j], of step j + 1, is the first from the tenth on to top every earlier one
         j = next(i for i in range(10, len(ratios)) if ratios[i] > ratios[:i].max() * (1 + 1e-9))
@@ -465,7 +471,7 @@ class TestMarchBookkeeping:
     def test_table_row_sums_equal_single_sums(self, coeffs, n):
         grid = kb.SpectralGrid(n, 16.0 * np.pi)
         rng = np.random.default_rng(n)
-        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        c = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
         table = dynamics._record_weights(grid, coeffs, kb.GevreyIndex(0.05, 2.0))
         stacked = row_squares(grid, c, table)
         assert table.flags.c_contiguous and stacked.shape == (3,)
@@ -475,10 +481,10 @@ class TestMarchBookkeeping:
 
 class TestPicard:
     def test_zero_datum_one_iteration(self, grid, coeffs):
-        z = kb.Spectrum(grid, np.zeros(grid.n_modes, complex))
+        z = kb.Spectrum(grid, np.zeros(grid.nyquist + 1, complex))
         traj, diag = kb.picard_solve(z, 1.0, 1e-10, 10, coeffs, G01, n_nodes=16)
         assert diag.iterations == 1
-        assert all(np.all(r.state.coeffs == 0) for r in traj.records)
+        assert all(np.all(r.half == 0) for r in traj.records)
 
     def test_small_data_contracts_and_matches_marcher(self, grid, coeffs):
         eta0 = kb.cos_mode(grid, 1, 0.01)
@@ -490,9 +496,7 @@ class TestPicard:
         assert sup_g <= 2.0 * (1.0 + 1e-6) * kb.gevrey_norm(eta0, G01)
         assert diag.mesh_delta is not None and diag.mesh_delta <= 1e-11
         rk = kb.evolve_ifrk4(eta0, T, 1e-3, coeffs, record_every=10**6)
-        delta = kb.gevrey_norm(
-            kb.Spectrum(grid, traj.final.state.coeffs - rk.final.state.coeffs), G01
-        )
+        delta = kb.gevrey_norm(kb.Spectrum(grid, traj.final.half - rk.final.half), G01)
         assert delta < 1e-8
 
     def test_distances_decrease_geometrically(self, grid, coeffs):
@@ -523,7 +527,7 @@ def _allocating_sweep(eta0, coeffs, weights, T, n_nodes, tol, max_iter):
     starts = [*range(0, n_nodes + 1 - block, block), n_nodes + 1 - block]
     e_minus = np.exp(-1j * np.outer(ts, tendency.phi))
     e_plus = np.conj(e_minus)
-    eta0_h = half_spectrum(eta0.coeffs)
+    eta0_h = eta0.half
     cur = e_minus * eta0_h[None, :]
     rhs_rows = np.empty_like(cur)
     distances = []
@@ -542,7 +546,7 @@ def _allocating_sweep(eta0, coeffs, weights, T, n_nodes, tol, max_iter):
 
 
 def _full_sup_distance(grid, weights, diff):
-    sq_norms = np.sum(weights * np.abs(full_spectrum(diff)) ** 2, axis=1)
+    sq_norms = np.sum(weights * np.abs(half_to_fft(diff)) ** 2, axis=1)
     return float(np.sqrt(2.0 * grid.half_length * np.max(sq_norms)))
 
 
@@ -559,12 +563,13 @@ class TestPicardWorkspace:
         eta0 = kb.cos_mode(grid, 1, amplitude)
         T, tol = 2.0, 1e-10
         traj, diag = kb.picard_solve(eta0, T, tol, 30, coeffs, G01, n_nodes=n_nodes)
-        weights = gevrey_weights(grid, G01.sigma, G01.s)
+        br = 1.0 + np.abs(fft_wavenumbers(grid))
+        weights = br ** (2.0 * G01.s) * np.exp(2.0 * G01.sigma * br)  # FFT layout
         states, distances = _allocating_sweep(eta0, coeffs, weights, T, n_nodes, tol, 30)
         fine, _ = _allocating_sweep(eta0, coeffs, weights, T, 2 * n_nodes, tol, 30)
         mesh_delta = _full_sup_distance(grid, weights, fine[::2] - states)
-        for r, d in zip(traj.records, full_spectrum(states), strict=True):
-            assert r.state.coeffs.tobytes() == d.tobytes()  # bit for bit, signs of zeros too
+        for r, d in zip(traj.records, states, strict=True):
+            assert r.half.tobytes() == d.tobytes()  # bit for bit, signs of zeros too
         assert diag.distances == pytest.approx(distances, rel=1e-15, abs=0.0)
         assert diag.mesh_delta == pytest.approx(mesh_delta, rel=1e-15, abs=0.0)
 
@@ -610,7 +615,7 @@ class TestLocalExistenceTime:
 
 def test_trajectory_must_start_at_zero(grid, coeffs):
     state = kb.cos_mode(grid, 1, 0.1)
-    rec = kb.SampleRecord(t=1.0, grid=grid, half=half_spectrum(state.coeffs), energy=0.0, h2=0.0)
+    rec = kb.SampleRecord(t=1.0, grid=grid, half=state.half, energy=0.0, h2=0.0)
     with pytest.raises(ValueError):
         kb.Trajectory(coeffs, grid, [rec])
 

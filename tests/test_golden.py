@@ -35,14 +35,10 @@ def _mismatch(fresh, golden):
     return f"{a!r} != {b!r} (relative {abs(a - b) / max(abs(a), abs(b)):.3e})"
 
 
-def _csv_cells(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.reader(fh))
-
-
 def _compare_csv(content, path):
     columns, rows = content
-    header, *golden_rows = _csv_cells(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *golden_rows = csv.reader(fh)
     assert list(columns) == header
     rows = [tuple(row) for row in rows]
     assert len(rows) == len(golden_rows)
@@ -58,10 +54,11 @@ def _compare_csv(content, path):
 def _compare_json(fresh, golden, where="$"):
     if isinstance(fresh, dict):
         assert isinstance(golden, dict) and sorted(fresh) == sorted(golden), where
-        return [p for key in fresh for p in _compare_json(fresh[key], golden[key], f"{where}.{key}")]
+        return [p for k in fresh for p in _compare_json(fresh[k], golden[k], f"{where}.{k}")]
     if isinstance(fresh, (list, tuple)):
         assert isinstance(golden, list) and len(fresh) == len(golden), where
-        return [p for i, (a, b) in enumerate(zip(fresh, golden)) for p in _compare_json(a, b, f"{where}[{i}]")]
+        pairs = enumerate(zip(fresh, golden))
+        return [p for i, (a, b) in pairs for p in _compare_json(a, b, f"{where}[{i}]")]
     why = _mismatch(fresh, golden)
     return [f"{where}: {why}"] if why else []
 

@@ -5,14 +5,21 @@ from hypothesis import strategies as st
 
 import kdvbbm as kb
 from kdvbbm.dynamics import _half_symbols
-from kdvbbm.spectral import full_spectrum, half_spectrum, product_spectra, symbol_on_grid
+from kdvbbm.spectral import product_spectra, symbol_on_grid
 from draws import random_spectrum
-from oracles import convolve_project, l2_quadrature
+from oracles import (
+    convolve_project,
+    fft_to_half,
+    fft_wavenumbers,
+    half_to_fft,
+    hermitian_defect,
+    l2_quadrature,
+    synthesize,
+)
 
 
-def _random_real_field(grid, seed):
-    rng = np.random.default_rng(seed)
-    return kb.RealField(grid, rng.standard_normal(grid.n_modes))
+def _random_samples(grid, seed):
+    return np.random.default_rng(seed).standard_normal(grid.n_modes)
 
 
 class TestGrid:
@@ -25,70 +32,115 @@ class TestGrid:
             kb.SpectralGrid(64, -1.0)
 
     def test_mode_layout(self, small_grid):
-        assert small_grid.modes[0] == 0
-        assert small_grid.modes[31] == 31
-        assert small_grid.modes[32] == -32
-        assert small_grid.modes[-1] == -1
         assert small_grid.nyquist == 32
-        # symmetric about zero except the unpaired -n/2
-        assert set(small_grid.modes) == set(range(-32, 32))
+        assert list(small_grid.modes) == list(range(33))
+        assert list(small_grid.phase) == [(-1.0) ** k for k in range(33)]
+        assert list(small_grid.parseval) == [1.0] + [2.0] * 31 + [4.0]
 
     def test_wavenumbers(self, small_grid):
         assert small_grid.wavenumbers[1] == pytest.approx(1.0)
-        assert small_grid.wavenumbers[-1] == pytest.approx(-1.0)
+        assert small_grid.wavenumbers[-1] == pytest.approx(32.0)
+        assert np.array_equal(small_grid.wavenumbers, np.abs(fft_wavenumbers(small_grid)[:33]))
+
+
+class TestSpectrumGate:
+    """The Spectrum constructor is the one real-field gate: d_0 must be real."""
+
+    def test_rejects_non_real_mode_zero(self, small_grid):
+        d = random_spectrum(small_grid, "band_limited", 12).half.copy()
+        d[0] += 1e-3j
+        with pytest.raises(kb.SymmetryError):
+            kb.Spectrum(small_grid, d)
+
+    def test_accepts_mode_zero_imaginary_at_round_off(self, small_grid):
+        d = random_spectrum(small_grid, "band_limited", 12).half.copy()
+        d[0] += 1e-12j * np.abs(d).max()
+        assert kb.Spectrum(small_grid, d).half[0] == d[0]
+
+    def test_every_other_mode_and_nyquist_free(self, small_grid):
+        rng = np.random.default_rng(4)
+        d = rng.standard_normal(33) + 1j * rng.standard_normal(33)
+        d[0] = d[0].real
+        kb.Spectrum(small_grid, d)  # any d_k of k > 0 is a real field's
+
+    def test_rejects_wrong_length(self, small_grid):
+        with pytest.raises(ValueError, match="33 coefficients"):
+            kb.Spectrum(small_grid, np.zeros(64, complex))
 
 
 class TestTransforms:
     def test_cos_single_mode(self, small_grid):
-        f = kb.RealField(small_grid, np.cos(small_grid.x))
-        s = kb.transform_forward(f)
-        assert s.coeffs[1] == pytest.approx(0.5, abs=1e-14)
-        assert s.coeffs[-1] == pytest.approx(0.5, abs=1e-14)
-        others = np.delete(s.coeffs, [1, small_grid.n_modes - 1])
+        c = half_to_fft(kb.spectrum_from_samples(small_grid, np.cos(small_grid.x)).half)
+        assert c[1] == pytest.approx(0.5, abs=1e-14)
+        assert c[-1] == pytest.approx(0.5, abs=1e-14)
+        others = np.delete(c, [1, small_grid.n_modes - 1])
         assert np.max(np.abs(others)) < 1e-14
 
     def test_zero_field(self, small_grid):
-        s = kb.transform_forward(kb.RealField(small_grid, np.zeros(64)))
-        assert np.all(s.coeffs == 0)
+        s = kb.spectrum_from_samples(small_grid, np.zeros(64))
+        assert np.all(s.half == 0)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_round_trip_identity(self, small_grid, seed):
-        f = _random_real_field(small_grid, seed)
-        back = kb.transform_inverse(kb.transform_forward(f))
-        assert np.max(np.abs(back.samples - f.samples)) < 1e-12
+        f = _random_samples(small_grid, seed)
+        back = synthesize(half_to_fft(kb.spectrum_from_samples(small_grid, f).half))
+        assert np.max(np.abs(back - f)) < 1e-12
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_parseval(self, grid, seed):
-        f = _random_real_field(grid, seed)
-        s = kb.transform_forward(f)
-        spectral = 2.0 * grid.half_length * np.sum(np.abs(s.coeffs) ** 2)
-        physical = l2_quadrature(grid, f.samples) ** 2
+        f = _random_samples(grid, seed)
+        d = kb.spectrum_from_samples(grid, f).half
+        spectral = 2.0 * grid.half_length * np.sum(np.abs(half_to_fft(d)) ** 2)
+        folded = 2.0 * grid.half_length * np.sum(grid.parseval * np.abs(d) ** 2)
+        physical = l2_quadrature(grid, f) ** 2
         assert spectral == pytest.approx(physical, rel=1e-12)
+        assert folded == pytest.approx(physical, rel=1e-12)
 
-    def test_inverse_constant_mode(self, small_grid):
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_matches_complex_fft_of_samples(self, small_grid, seed):
+        f = _random_samples(small_grid, seed)
+        c = (-1.0) ** np.arange(64) * np.fft.fft(f) / 64
+        d = kb.spectrum_from_samples(small_grid, f).half
+        assert np.max(np.abs(d - fft_to_half(c))) <= 1e-15 * np.max(np.abs(d))
+
+    @pytest.mark.parametrize("width, amplitude", [(0.3, 0.5), (1.0, 0.05)])
+    def test_gaussian_matches_complex_fft(self, grid, width, amplitude):
+        # the rfft of gaussian against the complex FFT, phase and projection it replaced
+        samples = amplitude * np.exp(-0.5 * (grid.x / width) ** 2)
+        c = (-1.0) ** np.arange(grid.n_modes) * np.fft.fft(samples) / grid.n_modes
+        d = kb.gaussian(grid, width, amplitude).half
+        assert np.max(np.abs(d - fft_to_half(c))) <= 1e-15 * np.max(np.abs(d))
+
+    def test_synthesis_oracle_constant_mode(self, small_grid):
         c = np.zeros(64, complex)
         c[0] = 3.0
-        f = kb.transform_inverse(kb.Spectrum(small_grid, c))
-        assert np.max(np.abs(f.samples - 3.0)) < 1e-13
+        assert np.max(np.abs(synthesize(c) - 3.0)) < 1e-13
 
-    def test_inverse_rejects_broken_symmetry(self, small_grid):
+    def test_synthesis_oracle_rejects_broken_symmetry(self):
         c = np.zeros(64, complex)
         c[1] = 1j  # no conjugate partner at -1
-        with pytest.raises(kb.SymmetryError):
-            kb.transform_inverse(kb.Spectrum(small_grid, c))
+        with pytest.raises(ValueError):
+            synthesize(c)
 
     def test_non_finite_samples_rejected(self, small_grid):
         bad = np.zeros(64)
         bad[3] = np.inf
         with pytest.raises(kb.NonFiniteError):
-            kb.RealField(small_grid, bad)
+            kb.spectrum_from_samples(small_grid, bad)
 
-    def test_hermitian_defect(self, small_grid):
-        s = kb.transform_forward(_random_real_field(small_grid, 9))
-        assert s.hermitian_defect() < 1e-14
-        c = s.coeffs.copy()
+    def test_hermitian_defect_oracle(self, small_grid):
+        c = np.fft.fft(_random_samples(small_grid, 9)) / 64
+        assert hermitian_defect(c) < 1e-14
         c[2] += 1.0
-        assert kb.Spectrum(small_grid, c).hermitian_defect() > 0.1
+        assert hermitian_defect(c) > 0.1
+
+    def test_converters_invert_each_other(self, small_grid):
+        c = half_to_fft(random_spectrum(small_grid, "polynomial_decay", 8, power=1.0).half)
+        c[small_grid.nyquist] = 0.3 - 0.4j  # the unpaired mode is exempt from the symmetry
+        assert np.array_equal(half_to_fft(fft_to_half(c)), c)
+        c[3] += 1e-3j
+        with pytest.raises(ValueError):
+            fft_to_half(c)
 
 
 class TestSymbols:
@@ -150,28 +202,35 @@ class TestSymbols:
 class TestSymbolsOnGrid:
     def test_omega_on_cos(self, small_grid, coeffs):
         s = kb.cos_mode(small_grid, 1, 1.0)
-        out = s.coeffs * symbol_on_grid(small_grid, coeffs, "omega")
+        out = half_to_fft(s.half * symbol_on_grid(small_grid, coeffs, "omega"))
         assert out[1] == pytest.approx(0.25, abs=1e-15)
         assert out[-1] == pytest.approx(0.25, abs=1e-15)
 
     def test_phi_on_mode_two(self, small_grid, coeffs):
         s = kb.cos_mode(small_grid, 2, 1.0)
-        out = s.coeffs * symbol_on_grid(small_grid, coeffs, "phi")
+        out = half_to_fft(s.half * symbol_on_grid(small_grid, coeffs, "phi"))
         expected = 0.5 * kb.evaluate_symbol("phi", 2.0, coeffs)
         assert out[2] == pytest.approx(expected, abs=1e-14)
 
     @pytest.mark.parametrize("kind", ["varphi", "omega", "kappa"])
-    def test_even_symbols_preserve_hermitian(self, small_grid, coeffs, kind):
+    def test_even_symbols_act_on_every_mode(self, small_grid, coeffs, kind):
+        # sampled at k = 0..n/2, an even symbol multiplies c_k and c_{-k} alike
         u = random_spectrum(small_grid, "band_limited", 5)
-        out = kb.Spectrum(small_grid, u.coeffs * symbol_on_grid(small_grid, coeffs, kind))
-        assert out.hermitian_defect() < 1e-13
+        out = half_to_fft(u.half * symbol_on_grid(small_grid, coeffs, kind))
+        full = half_to_fft(u.half) * kb.evaluate_symbol(kind, fft_wavenumbers(small_grid), coeffs)
+        assert np.max(np.abs(out - full)) <= 1e-15 * np.max(np.abs(full))
 
     @pytest.mark.parametrize("kind", ["phi", "psi", "tau"])
-    def test_odd_symbols_give_anti_hermitian(self, small_grid, coeffs, kind):
-        # i times an odd-symbol image of a real field is again a real field
-        u = random_spectrum(small_grid, "band_limited", 5)
-        restored = kb.Spectrum(small_grid, 1j * u.coeffs * symbol_on_grid(small_grid, coeffs, kind))
-        assert restored.hermitian_defect() < 1e-13
+    def test_odd_symbols_act_on_every_mode(self, small_grid, coeffs, kind):
+        # i times an odd-symbol image of a real field is again a real field; the unpaired
+        # mode, whose partner is missing, reads 0
+        u = random_spectrum(small_grid, "polynomial_decay", 5, power=1.0)
+        out = half_to_fft(1j * u.half * symbol_on_grid(small_grid, coeffs, kind))
+        symbol = kb.evaluate_symbol(kind, fft_wavenumbers(small_grid), coeffs)
+        symbol[small_grid.nyquist] = 0.0
+        full = 1j * half_to_fft(u.half) * symbol
+        assert hermitian_defect(full) < 1e-13
+        assert np.max(np.abs(out - full)) <= 1e-15 * np.max(np.abs(full))
 
 
 class TestDerivative:
@@ -179,47 +238,48 @@ class TestDerivative:
 
     @staticmethod
     def _derivative(s, coeffs):
-        ik = _half_symbols(s.grid, coeffs)[1]
-        return kb.Spectrum(s.grid, full_spectrum(ik * half_spectrum(s.coeffs)))
+        return kb.Spectrum(s.grid, _half_symbols(s.grid, coeffs)[1] * s.half)
 
     def test_cos_to_minus_sin(self, small_grid, coeffs):
-        s = kb.cos_mode(small_grid, 1, 1.0)
-        ds = self._derivative(s, coeffs)
+        ds = half_to_fft(self._derivative(kb.cos_mode(small_grid, 1, 1.0), coeffs).half)
         # -sin(x) has coefficients +-i/2 at k = +-1
-        assert ds.coeffs[1] == pytest.approx(0.5j, abs=1e-15)
-        assert ds.coeffs[-1] == pytest.approx(-0.5j, abs=1e-15)
-        back = kb.transform_inverse(ds)
-        assert np.max(np.abs(back.samples + np.sin(small_grid.x))) < 1e-13
+        assert ds[1] == pytest.approx(0.5j, abs=1e-15)
+        assert ds[-1] == pytest.approx(-0.5j, abs=1e-15)
+        assert np.max(np.abs(synthesize(ds) + np.sin(small_grid.x))) < 1e-13
 
     def test_constant_derivative_zero(self, small_grid, coeffs):
         s = kb.cos_mode(small_grid, 0, 4.0)
-        assert np.all(self._derivative(s, coeffs).coeffs == 0)
+        assert np.all(self._derivative(s, coeffs).half == 0)
 
-    def test_derivative_keeps_field_real(self, grid, coeffs):
-        s = kb.transform_forward(_random_real_field(grid, 11))
-        ds = self._derivative(s, coeffs)
-        f = kb.transform_inverse(ds)  # raises if the imaginary residual is large
-        assert np.all(np.isfinite(f.samples))
+    def test_derivative_matches_fft_layout(self, grid, coeffs):
+        s = kb.spectrum_from_samples(grid, _random_samples(grid, 11))
+        expected = 1j * fft_wavenumbers(grid) * half_to_fft(s.half)
+        expected[grid.nyquist] = 0.0
+        got = half_to_fft(self._derivative(s, coeffs).half)
+        assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
 
 
 def _product(factors):
-    """The dealiased product of one stack of real-field spectra, in FFT layout; a factor
-    enters through half_spectrum and its Hermitian check."""
-    return full_spectrum(product_spectra(half_spectrum(np.array([f.coeffs for f in factors]))))
+    """The dealiased product of one stack of real-field spectra, in FFT layout."""
+    return half_to_fft(product_spectra(np.array([f.half for f in factors])))
+
+
+def _fft(u):
+    return half_to_fft(u.half)
 
 
 class TestDealiasedProduct:
     def test_cos_squared(self, small_grid):
         s = kb.cos_mode(small_grid, 1, 1.0)
         p = _product([s, s])
-        oracle = convolve_project(small_grid, s.coeffs, s.coeffs)
+        oracle = convolve_project(small_grid, _fft(s), _fft(s))
         assert np.max(np.abs(p - oracle)) < 1e-14
         assert p[0] == pytest.approx(0.5, abs=1e-14)
         assert p[2] == pytest.approx(0.25, abs=1e-14)
 
     def test_zero_factor(self, small_grid):
         s = kb.cos_mode(small_grid, 3, 2.0)
-        z = kb.Spectrum(small_grid, np.zeros(64, complex))
+        z = kb.Spectrum(small_grid, np.zeros(33, complex))
         assert np.all(_product([s, z]) == 0)
 
     def test_cos_cubed(self, small_grid):
@@ -227,7 +287,7 @@ class TestDealiasedProduct:
         p = _product([s, s, s])
         assert p[1] == pytest.approx(0.375, abs=1e-14)
         assert p[3] == pytest.approx(0.125, abs=1e-14)
-        oracle = convolve_project(small_grid, s.coeffs, s.coeffs, s.coeffs)
+        oracle = convolve_project(small_grid, _fft(s), _fft(s), _fft(s))
         assert np.max(np.abs(p - oracle)) < 1e-14
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -235,7 +295,7 @@ class TestDealiasedProduct:
         u = random_spectrum(small_grid, "band_limited", seed, cutoff=20)
         v = random_spectrum(small_grid, "band_limited", seed + 100, cutoff=20)
         p = _product([u, v])
-        oracle = convolve_project(small_grid, u.coeffs, v.coeffs)
+        oracle = convolve_project(small_grid, _fft(u), _fft(v))
         scale = np.max(np.abs(oracle))
         assert np.max(np.abs(p - oracle)) < 1e-12 * scale
 
@@ -244,7 +304,7 @@ class TestDealiasedProduct:
         v = random_spectrum(small_grid, "band_limited", 8, cutoff=9)
         w = random_spectrum(small_grid, "band_limited", 9, cutoff=9)
         p = _product([u, v, w])
-        oracle = convolve_project(small_grid, u.coeffs, v.coeffs, w.coeffs)
+        oracle = convolve_project(small_grid, _fft(u), _fft(v), _fft(w))
         scale = np.max(np.abs(oracle))
         assert np.max(np.abs(p - oracle)) < 1e-12 * scale
 
@@ -257,9 +317,9 @@ class TestDealiasedProduct:
         fine = kb.SpectralGrid(2 * n, small_grid.half_length)
         factors, embedded = [], []
         for i in range(arity):
-            c = random_spectrum(small_grid, "band_limited", 30 + i, cutoff=half - 1).coeffs
+            c = _fft(random_spectrum(small_grid, "band_limited", 30 + i, cutoff=half - 1))
             c[half] = (i + 1) * nyquist
-            factors.append(kb.Spectrum(small_grid, c))
+            factors.append(kb.Spectrum(small_grid, fft_to_half(c)))
             e = np.zeros(2 * n, complex)
             e[:half] = c[:half]
             e[2 * n - half + 1 :] = c[half + 1 :]
@@ -275,9 +335,9 @@ class TestDealiasedProduct:
 
     def test_batched_rows_equal_single_rows(self, small_grid):
         rows = np.stack(
-            [random_spectrum(small_grid, "band_limited", 40 + i).coeffs for i in range(3)]
+            [random_spectrum(small_grid, "band_limited", 40 + i).half for i in range(3)]
         )
-        pairs = half_spectrum(np.stack([rows, rows], axis=1))  # (3, 2, n/2+1): each row squared
+        pairs = np.stack([rows, rows], axis=1)  # (3, 2, n/2+1): each row squared
         spectra = product_spectra(pairs)
         assert spectra.shape == pairs[:, 0].shape
         for i in range(3):
@@ -293,7 +353,7 @@ class TestDealiasedProduct:
             random_spectrum(small_grid, "band_limited", 60 + i, cutoff=cutoff) for i in range(arity)
         ]
         p = _product(factors)
-        oracle = convolve_project(small_grid, *(f.coeffs for f in factors))
+        oracle = convolve_project(small_grid, *(_fft(f) for f in factors))
         assert np.max(np.abs(p - oracle)) < 1e-12 * np.max(np.abs(oracle))
 
     @pytest.mark.parametrize("arity", [2, 3])
@@ -302,22 +362,22 @@ class TestDealiasedProduct:
         factors = [
             random_spectrum(small_grid, "exponential_decay", 70 + i, rate=0.05) for i in range(arity)
         ]
-        d = half_spectrum(np.array([f.coeffs for f in factors]))
+        d = np.array([f.half for f in factors])
         h = small_grid.nyquist
         padded = np.fft.rfft(np.prod(np.fft.irfft(d, 4 * h, norm="forward"), axis=0), norm="forward")
         expected = padded[: h + 1]
         expected[h] = 0.0
         assert np.array_equal(product_spectra(d), expected)
-        oracle = convolve_project(small_grid, *(f.coeffs for f in factors))
-        assert np.max(np.abs(full_spectrum(product_spectra(d)) - oracle)) < 1e-12 * np.max(np.abs(oracle))
+        oracle = convolve_project(small_grid, *(_fft(f) for f in factors))
+        assert np.max(np.abs(_product(factors) - oracle)) < 1e-12 * np.max(np.abs(oracle))
 
     def test_rows_of_different_bands_equal_single_rows(self, small_grid):
         # the stack's grid follows its widest row; each narrower row still gets its own result
-        pairs = half_spectrum(np.stack([
-            np.stack([random_spectrum(small_grid, "band_limited", 80 + 2 * i + j, cutoff=cutoff).coeffs
-                      for j in range(2)])
+        pairs = np.array([
+            [random_spectrum(small_grid, "band_limited", 80 + 2 * i + j, cutoff=cutoff).half
+             for j in range(2)]
             for i, cutoff in enumerate((3, 10, 31))
-        ]))
+        ])
         spectra = product_spectra(pairs)
         for i in range(3):
             single = product_spectra(pairs[i])
@@ -325,18 +385,18 @@ class TestDealiasedProduct:
 
     def test_constant_factors(self, small_grid):
         # a stack holding mode 0 alone needs a single sample
-        c = np.zeros(small_grid.n_modes, complex)
-        c[0] = 1.5
-        p = _product([kb.Spectrum(small_grid, c), kb.Spectrum(small_grid, -2.0 * c)])
+        d = np.zeros(small_grid.nyquist + 1, complex)
+        d[0] = 1.5
+        p = _product([kb.Spectrum(small_grid, d), kb.Spectrum(small_grid, -2.0 * d)])
         assert p[0] == -4.5 and np.all(p[1:] == 0.0)
 
-    @pytest.mark.parametrize("mode", [0, 3])
-    def test_non_real_factor_rejected(self, small_grid, mode):
-        u = random_spectrum(small_grid, "band_limited", 50)
-        c = u.coeffs.copy()
-        c[mode] += 0.5j  # breaks c_{-k} = conj(c_k)
+    @pytest.mark.parametrize("offset", [0.5j, 1e-6j])
+    def test_non_real_factor_rejected(self, small_grid, offset):
+        # a factor reaches the product only as a Spectrum, whose d_0 must be real
+        d = random_spectrum(small_grid, "band_limited", 50).half.copy()
+        d[0] += offset
         with pytest.raises(kb.SymmetryError):
-            _product([u, kb.Spectrum(small_grid, c)])
+            _product([random_spectrum(small_grid, "band_limited", 51), kb.Spectrum(small_grid, d)])
 
     def test_triple_equals_nested_for_resolvable_band(self, small_grid):
         # inputs band-limited below n/4 keep the intermediate product exact
@@ -344,7 +404,7 @@ class TestDealiasedProduct:
         v = random_spectrum(small_grid, "band_limited", 22, cutoff=15)
         w = random_spectrum(small_grid, "band_limited", 23, cutoff=15)
         flat = _product([u, v, w])
-        nested = _product([kb.Spectrum(small_grid, _product([u, v])), w])
+        nested = _product([kb.Spectrum(small_grid, fft_to_half(_product([u, v]))), w])
         scale = np.max(np.abs(flat))
         assert np.max(np.abs(flat - nested)) < 1e-12 * scale
 
@@ -364,10 +424,11 @@ def test_csv_rows_ordering(small_grid):
 def test_csv_rows_match_sorted_oracle(n):
     grid = kb.SpectralGrid(n, 3.0)
     rng = np.random.default_rng(n)
-    s = kb.Spectrum(grid, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    rows = list(kb.spectrum_csv_rows(s))
+    d = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+    d[0] = d[0].real
+    rows = list(kb.spectrum_csv_rows(kb.Spectrum(grid, d)))
     assert [r[0] for r in rows] == list(range(-n // 2, n // 2))
-    c, modes, xi = s.coeffs, grid.modes, grid.wavenumbers
+    c, modes, xi = half_to_fft(d), np.fft.fftfreq(n, 1.0 / n), fft_wavenumbers(grid)
     oracle = [
         (int(modes[i]), float(xi[i]), float(c[i].real), float(c[i].imag), float(abs(c[i])))
         for i in np.argsort(modes)

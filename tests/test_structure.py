@@ -16,6 +16,8 @@ about 1 MB of peak RSS, out of every command, and calling no numpy sort keeps it
 0.25-0.38 MB, out as well.
 Letting the numerics raise only on bad input and divergence is what leaves every
 gate to `cli`, where a failed one is a recorded check, not a run with no outputs.
+Keeping spectra in the one half layout, checked for realness once by the `Spectrum`
+constructor, is what spares every module a layout conversion and a second check.
 """
 
 import ast
@@ -398,3 +400,63 @@ def test_numerics_leave_gates_to_cli():
         if line.split()[-1] not in allowed
     ]
     assert offenders == []
+
+
+def _symmetry_raisers():
+    """"file:scope" of every statement raising SymmetryError in the package, scope the names
+    of the enclosing classes and functions joined by dots."""
+    sites = []
+
+    def visit(node, scope, name):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = (*scope, node.name)
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "SymmetryError":
+                sites.append(f"{name}:{'.'.join(scope)}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, name)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=path.name), (), path.name)
+    return sites
+
+
+def test_one_real_field_gate():
+    # a spectrum is checked for realness once, when it is built; nothing downstream re-checks
+    assert _symmetry_raisers() == ["spectral.py:Spectrum.__post_init__"]
+
+
+#: names of the FFT-layout converters and checks that the one half layout made unnecessary
+FFT_LAYOUT_NAMES = (
+    "full_spectrum", "half_spectrum", "transform_inverse", "RealField", "hermitian_defect",
+)
+
+
+def _defined_names(source, name):
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+def test_guard_flags_fft_layout_names():
+    source = (
+        "def full_spectrum(d):\n"
+        "    return d\n"
+        "class RealField:\n"
+        "    def hermitian_defect(self):\n"
+        "        return half_spectrum(self)\n"
+    )
+    assert sorted(set(_defined_names(source, "bad.py")) & set(FFT_LAYOUT_NAMES)) == [
+        "RealField", "full_spectrum", "hermitian_defect",
+    ]
+    assert _call_sites(source, "bad.py", "half_spectrum") == ["bad.py:hermitian_defect"]
+
+
+def test_one_spectrum_layout():
+    # spectra live in half layout alone; spectrum_csv_rows writes the FFT order itself
+    for path in sorted(PACKAGE.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        assert not set(_defined_names(source, path.name)) & set(FFT_LAYOUT_NAMES), path.name
+        for callee in FFT_LAYOUT_NAMES:
+            assert _call_sites(source, path.name, callee) == [], callee
