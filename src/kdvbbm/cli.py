@@ -740,7 +740,8 @@ def run_estimates(cfg: RunConfig):
             cutoff=est["cutoff"], rate=est["rate"], power=est["power"],
         )
         reports = reports if name == "interpolation" else [reports]
-        rows = [tuple(rep.csv_row()[col] for col in ESTIMATE_COLUMNS) for rep in reports]
+        # each column is a field of the report or, for s, sigma and n_modes, of its config
+        rows = [tuple({**rep.config, **vars(rep)}[c] for c in ESTIMATE_COLUMNS) for rep in reports]
         artifacts[f"{name}.csv"] = (ESTIMATE_COLUMNS, rows)
         worst = max(rep.ratio_max for rep in reports)
         if name == "interpolation" or name == "splitting_r1":

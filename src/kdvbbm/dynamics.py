@@ -30,7 +30,7 @@ from .params import CoefficientSet
 from .spectral import (
     SpectralGrid,
     Spectrum,
-    half_padded_samples,
+    half_samples,
     half_truncated_sums,
     symbol_on_grid,
     truncation_scale,
@@ -103,6 +103,18 @@ def _sample(t: float, grid: SpectralGrid, d: np.ndarray, table: np.ndarray) -> S
     return SampleRecord(t, grid, d, values[0], math.sqrt(values[1]), gevrey)
 
 
+def _free_group(
+    grid: SpectralGrid, coeffs: CoefficientSet, t, out: np.ndarray | None = None
+) -> np.ndarray:
+    """S(t) = e^{-i phi t} in half layout: (n/2+1,) for a time t, (m, n/2+1) for a column
+    of times t (m, 1), written into out when given.  phi reads 0 at n/2, so S(t) leaves the
+    unpaired mode fixed.  Each entry rounds t*phi once and takes exp of its negative times
+    i, so each row of a column is bit for bit S at its time."""
+    out = np.multiply(t, symbol_on_grid(grid, coeffs, "phi"), out=out, dtype=complex)
+    np.multiply(-1j, out, out=out)
+    return np.exp(out, out=out)
+
+
 def linear_propagate(u: Spectrum, t: float, coeffs: CoefficientSet) -> Spectrum:
     """Apply the free group S(t): c_k -> e^{-i phi(xi_k) t} c_k to a real field.
 
@@ -110,15 +122,7 @@ def linear_propagate(u: Spectrum, t: float, coeffs: CoefficientSet) -> Spectrum:
     1), so all Sobolev and Gevrey norms are preserved exactly and
     S(t1) S(t2) = S(t1 + t2).
     """
-    phi = _half_symbols(u.grid, coeffs)[0]
-    return Spectrum(u.grid, u.half * np.exp((-1j * t) * phi))
-
-
-def _half_symbols(grid: SpectralGrid, coeffs: CoefficientSet) -> tuple[np.ndarray, ...]:
-    """phi, i*xi, -i*tau and i*psi, all 0 at n/2 (symbol_on_grid reads the odd symbols so):
-    the free group and the tendency leave the unpaired mode fixed."""
-    phi, tau, psi = (symbol_on_grid(grid, coeffs, kind) for kind in ("phi", "tau", "psi"))
-    return phi, np.append(1j * grid.wavenumbers[:-1], 0.0), -1j * tau, 1j * psi
+    return Spectrum(u.grid, u.half * _free_group(u.grid, coeffs, t))
 
 
 class _Tendency:
@@ -132,10 +136,12 @@ class _Tendency:
     """
 
     def __init__(self, grid: SpectralGrid, coeffs: CoefficientSet, shape: tuple[int, ...] = ()):
-        h = grid.nyquist
-        self.phi, self._ik, tau, psi = _half_symbols(grid, coeffs)
+        h = self._h = grid.nyquist
+        self._ik = grid.derivative
         # the truncation's scale rides on the two symbols applied after it
-        self._tau, self._psi = tau * truncation_scale(grid), psi * truncation_scale(grid)
+        tau, psi = (symbol_on_grid(grid, coeffs, kind) for kind in ("tau", "psi"))
+        self._tau = -1j * tau * truncation_scale(grid)
+        self._psi = 1j * psi * truncation_scale(grid)
         # eta and eta_x share one padded synthesis; psi multiplies both the cubic
         # and the derivative-square term, so by linearity they share one transform.
         self._pair = np.empty((*shape, 2, h + 1), complex)
@@ -156,13 +162,13 @@ class _Tendency:
         if d is not self.d:
             self.d[...] = d
         np.multiply(self._ik, d, out=self._ik_d)
-        half_padded_samples(self._pair, out=samples)
+        half_samples(self._pair, samples.shape[-1], out=samples)
         np.multiply(self._cubic_coeff, eta, out=cubic)
         np.multiply(samples, samples, out=samples)  # eta^2 and eta_x^2 from here on
         np.multiply(cubic, eta, out=cubic)
         np.multiply(self._deriv_sq_coeff, eta_x, out=eta_x)
         np.add(cubic, eta_x, out=eta_x)  # the psi terms from here on
-        half_truncated_sums(samples, out=self._spectra)
+        half_truncated_sums(samples, self._h, out=self._spectra)
         sq, psi_terms = self._sq, self._psi_terms
         # symbol first: complex products are not bitwise commutative (see IFRK4Stepper.step)
         np.multiply(self._tau, sq, out=out)
@@ -188,7 +194,7 @@ class IFRK4Stepper:
             raise ValueError(f"dt must be positive, got {dt}")
         self.dt = dt
         self.tendency = _Tendency(grid, coeffs)
-        self.e_half = np.exp((-0.5j * dt) * self.tendency.phi)
+        self.e_half = _free_group(grid, coeffs, 0.5 * dt)
         self.e_full = self.e_half * self.e_half
         self._stages = np.empty((5, grid.nyquist + 1), complex)
         # the real factors as 0-d complex arrays: a Python float is converted and cast on
@@ -255,23 +261,26 @@ def iterate_ifrk4(
     n_steps = _step_count(T, dt)
     stepper = IFRK4Stepper(eta0.grid, coeffs, dt)
     d = eta0.half
-    # sizes sqrt(sum_k p_k |d_k|^2), p the Parseval fold, summed with np.add.reduce, since a
-    # BLAS dot would map OpenBLAS's buffers (0.2 MB of peak RSS); each step's in one buffer
-    # allocated per march
+    # sizes sqrt(sum_k p_k |d_k|^2), p the Parseval fold, each in one buffer allocated per
+    # march and summed with np.add.reduce, since a BLAS dot would map OpenBLAS's buffers
+    # (0.2 MB of peak RSS)
     parseval = eta0.grid.parseval
-    scale = math.sqrt(np.add.reduce(parseval * np.abs(d) ** 2))
-    ceiling = blowup_factor * (scale + np.finfo(float).tiny)
     power = np.empty(parseval.shape)
+
+    def l2_size(d):
+        np.abs(d, out=power)
+        np.multiply(power, power, out=power)
+        np.multiply(parseval, power, out=power)
+        return math.sqrt(np.add.reduce(power))
+
+    ceiling = blowup_factor * (l2_size(d) + np.finfo(float).tiny)
     yield 0.0, d
     for i in range(1, n_steps + 1):
         # an overflowing step is caught by its non-finite size, not by each operation; numpy's
         # errstate objects cannot be entered twice, so each step makes its own
         with np.errstate(over="ignore", invalid="ignore"):
             d = stepper.step(d)
-            np.abs(d, out=power)
-            np.multiply(power, power, out=power)
-            np.multiply(parseval, power, out=power)
-            size = math.sqrt(np.add.reduce(power))
+            size = l2_size(d)
         if not size <= ceiling:  # NaN compares false
             raise BlowUpError(i * dt, size, ceiling)
         yield i * dt, d
@@ -352,9 +361,7 @@ def _picard_iterate(
     shape = (n_nodes + 1, grid.nyquist + 1)
     e_minus, cur, nxt, rhs = (np.empty(shape, complex) for _ in range(4))
     scratch = np.empty(shape)
-    # S(t_j) per row, built in place: exp(-1j * outer(ts, phi))
-    np.multiply(-1j, np.outer(ts, tendency.phi, out=scratch), out=e_minus)
-    np.exp(e_minus, out=e_minus)
+    _free_group(grid, coeffs, ts[:, None], out=e_minus)  # S(t_j) per row
 
     np.multiply(e_minus, eta0.half, out=cur)  # iterate 0: the free evolution
     distances: list[float] = []

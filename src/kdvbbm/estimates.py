@@ -48,18 +48,6 @@ class TrialReport:
     seed: int
     config: dict
 
-    def csv_row(self) -> dict:
-        return {
-            "lemma_id": self.lemma_id,
-            "s": self.config.get("s"),
-            "sigma": self.config.get("sigma"),
-            "n_modes": self.config.get("n_modes"),
-            "n_trials": self.n_trials,
-            "ratio_max": self.ratio_max,
-            "ratio_mean": self.ratio_mean,
-            "seed": self.seed,
-        }
-
 
 def _streams(seed):
     """(normals, phases): a campaign's generators, the children 0 and 1 of seed, an int or a
@@ -148,10 +136,9 @@ def _multilinear_values(lemma_id, grid, g, coeffs, strict=True):
         raise ValueError(f"{lemma_id} requires s >= {s_min}, got s = {g.s}")
     weights = _weights(grid, g.sigma, g.s)
     symbol = symbol_on_grid(grid, coeffs, kind)
-    derivative = np.append(1j * grid.wavenumbers[:-1], 0.0)
 
     def values(d):
-        operands = d * derivative if differentiate else d
+        operands = d * grid.derivative if differentiate else d
         weighted = product_spectra(operands) * symbol
         denominator = np.multiply.reduce(row_norms(grid, d, weights), axis=1)
         if np.any(denominator == 0.0):
@@ -207,7 +194,7 @@ def _antisymmetry_values(grid, coeffs):
     quad = 2.0 * grid.half_length / grid.n_modes
 
     def values(d):
-        v, w = np.moveaxis(half_samples(synthesis * d[:, None, :]), 1, 0)
+        v, w = np.moveaxis(half_samples(synthesis * d[:, None, :], grid.n_modes), 1, 0)
         # a (1, n) @ (n, 1) product per row: the BLAS dot product np.dot takes
         inner = quad * (v[:, None, :] @ w[:, :, None])[:, 0, 0]
         norm_sq = quad * (v[:, None, :] @ v[:, :, None])[:, 0, 0]

@@ -68,6 +68,11 @@ class SpectralGrid:
         return _read_only(np.pi * self.modes / self.half_length)
 
     @cached_property
+    def derivative(self) -> np.ndarray:
+        """i*xi_k, k = 0..n/2, with 0 at the unpaired mode: the symbol of dx on real fields."""
+        return _read_only(np.append(1j * self.wavenumbers[:-1], 0.0))
+
+    @cached_property
     def x(self) -> np.ndarray:
         """Collocation points -L + 2L*j/n."""
         n, L = self.n_modes, self.half_length
@@ -160,29 +165,27 @@ def symbol_on_grid(grid: SpectralGrid, coeffs: CoefficientSet, kind: str) -> np.
     return _read_only(arr)
 
 
-def half_samples(d: np.ndarray) -> np.ndarray:
-    """Samples (..., n) of half-layout spectra (..., n/2+1), one batched irfft; it reads index
-    n/2 once, as all of c_{-n/2}, where half layout holds half of it (double it first)."""
-    return np.fft.irfft(d, 2 * (d.shape[-1] - 1), norm="forward")
-
-
-def half_padded_samples(d: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Samples (..., 2n) on the factor-2 padded grid of half-layout spectra: one batched irfft,
-    written into out."""
-    return np.fft.irfft(d, 4 * (d.shape[-1] - 1), norm="forward", out=out)
+def half_samples(d: np.ndarray, size: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Samples (..., size) of half-layout spectra (..., n/2+1): the package's one irfft,
+    batched, into out when given.  size n synthesizes the field, size 2n its factor-2
+    padded grid; it reads index n/2 as all of c_{-n/2} when size is n, where half layout
+    holds half of it (double it first), and as the split pair +-n/2 when size exceeds n."""
+    return np.fft.irfft(d, size, norm="forward", out=out)
 
 
 def truncation_scale(grid: SpectralGrid) -> float:
-    """1/(2n), the factor half_truncated_sums leaves out: a power of two, so a caller that
-    folds it into the symbol it applies next gets the same bits as scaling the spectra."""
+    """1/(2n), the factor half_truncated_sums leaves out on the tendency's grid: a power of
+    two, so a caller that folds it into the symbol it applies next gets the same bits as
+    scaling the spectra."""
     return 1.0 / (2 * grid.n_modes)
 
 
-def half_truncated_sums(samples: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Half-layout spectra (..., n/2+1) of real samples (..., 2n) on the padded grid, times 2n
-    (see truncation_scale): one batched unnormalized rfft into out (..., n+1), returned as a
-    view of its first n/2+1 entries with index n/2 zeroed (the dealiasing truncation)."""
-    d = np.fft.rfft(samples, out=out)[..., : samples.shape[-1] // 4 + 1]
+def half_truncated_sums(samples: np.ndarray, h: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Half-layout spectra (..., h+1), times size (see truncation_scale), of real samples
+    (..., size) on a padded grid of n = 2h to 2n points: the package's one truncation, an
+    unnormalized rfft, batched, into out (..., size/2+1) when given, returned as a view of
+    its first h+1 entries with index h zeroed."""
+    d = np.fft.rfft(samples, out=out)[..., : h + 1]
     d[..., -1] = 0.0
     return d
 
@@ -192,19 +195,13 @@ def product_spectra(d: np.ndarray) -> np.ndarray:
     axis -2 of d (..., factors, n/2+1): one padded synthesis, one product over the factor axis
     and one truncation serve the whole stack, so the unpaired mode of the result is 0.  The
     padded grid has the fewest points, a power of two, above 2 * factors * B, B the highest
-    mode of the stack, and at most 2n: exact on every retained mode, sized by the band."""
+    mode of the stack, clamped to between n and 2n: exact on every retained mode."""
     h = d.shape[-1] - 1
     live = np.flatnonzero(d.reshape(-1, h + 1).any(axis=0))
     band = int(live[-1]) if live.size else 0
-    size = min(4 * h, 2 << (d.shape[-2] * band).bit_length())  # 2 for a constant stack
-    spectra = np.fft.rfft(
-        np.multiply.reduce(np.fft.irfft(d, size, norm="forward"), axis=-2), norm="forward"
-    )
-    # modes below n/2 and below the padded grid's own Nyquist, which the product never reaches
-    kept = min(h, size // 2)
-    out = np.zeros((*spectra.shape[:-1], h + 1), complex)
-    out[..., :kept] = spectra[..., :kept]
-    return out
+    size = min(4 * h, max(2 * h, 2 << (d.shape[-2] * band).bit_length()))
+    # 1/size is a power of two, so these are the values of a normalized rfft
+    return half_truncated_sums(np.multiply.reduce(half_samples(d, size), axis=-2), h) * (1.0 / size)
 
 
 def spectrum_csv_rows(s: Spectrum):

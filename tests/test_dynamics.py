@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import kdvbbm as kb
 from kdvbbm import cli, dynamics, spectral
-from kdvbbm.dynamics import IFRK4Stepper, _Tendency
+from kdvbbm.dynamics import IFRK4Stepper, _free_group, _Tendency
 from kdvbbm.estimates import _campaign
 from kdvbbm.norms import row_squares
 from draws import random_spectrum
@@ -19,6 +19,32 @@ G01 = kb.GevreyIndex(0.1, 2.0)
 # The paper's coefficients of the cubic and derivative-square terms, written out here so
 # that the oracles below do not inherit a change to the package's constants.
 CUBIC, DERIV_SQ = 1.0 / 8.0, 7.0 / 48.0
+
+
+class TestFreeGroup:
+    """One builder of S(t) = e^{-i phi t}: the rotation C01 checks through linear_propagate
+    is the one the IFRK4 marcher and the Picard mesh run."""
+
+    def test_column_rows_equal_single_times(self, grid, coeffs):
+        # the Picard mesh's rotations: 65 times as a column, written into a given array
+        ts = np.linspace(0.0, 4.7, 65)
+        out = np.empty((ts.size, grid.nyquist + 1), complex)
+        assert _free_group(grid, coeffs, ts[:, None], out=out) is out
+        rows = _free_group(grid, coeffs, ts[:, None])
+        for t, row, written in zip(ts, rows, out, strict=True):
+            single = _free_group(grid, coeffs, float(t)).tobytes()
+            assert row.tobytes() == single
+            assert written.tobytes() == single
+
+    @pytest.mark.parametrize("dt", [1e-3, 2e-3, 0.05])
+    def test_stepper_rotation_is_the_half_step(self, grid, coeffs, dt):
+        stepper = IFRK4Stepper(grid, coeffs, dt)
+        assert stepper.e_half.tobytes() == _free_group(grid, coeffs, dt / 2).tobytes()
+
+    def test_linear_propagate_applies_it(self, grid, coeffs):
+        u = random_spectrum(grid, "band_limited", 3)
+        rotated = u.half * _free_group(grid, coeffs, 1.7)
+        assert kb.linear_propagate(u, 1.7, coeffs).half.tobytes() == rotated.tobytes()
 
 
 class TestLinearPropagate:
@@ -525,7 +551,7 @@ def _allocating_sweep(eta0, coeffs, weights, T, n_nodes, tol, max_iter):
     block = min(n_nodes + 1, dynamics.ROW_BLOCK)
     tendency = _Tendency(grid, coeffs, (block,))
     starts = [*range(0, n_nodes + 1 - block, block), n_nodes + 1 - block]
-    e_minus = np.exp(-1j * np.outer(ts, tendency.phi))
+    e_minus = np.exp(-1j * np.outer(ts, spectral.symbol_on_grid(grid, coeffs, "phi")))
     e_plus = np.conj(e_minus)
     eta0_h = eta0.half
     cur = e_minus * eta0_h[None, :]

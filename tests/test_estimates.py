@@ -275,9 +275,8 @@ class TestTrialCampaigns:
         rep = kb.run_trials("interpolation", grid, kb.GevreyIndex(0.1, 0.0), coeffs,
                             n_trials=20, seed=1, combo=(0.0, 2.0, 0.5))
         assert rep.ratio_max >= rep.ratio_mean >= 0.0
-        row = rep.csv_row()
-        assert row["lemma_id"] == "interpolation"
-        assert row["n_trials"] == 20
+        assert rep.lemma_id == "interpolation"
+        assert rep.n_trials == 20
 
     @pytest.mark.parametrize("profile, kw", [
         ("band_limited", {}),

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kdvbbm as kb
-from kdvbbm.dynamics import _half_symbols
 from kdvbbm.spectral import product_spectra, symbol_on_grid
 from draws import random_spectrum
 from oracles import (
@@ -237,25 +236,25 @@ class TestDerivative:
     """The derivative the tendency applies: i*xi in half layout, 0 at the unpaired mode."""
 
     @staticmethod
-    def _derivative(s, coeffs):
-        return kb.Spectrum(s.grid, _half_symbols(s.grid, coeffs)[1] * s.half)
+    def _derivative(s):
+        return kb.Spectrum(s.grid, s.grid.derivative * s.half)
 
-    def test_cos_to_minus_sin(self, small_grid, coeffs):
-        ds = half_to_fft(self._derivative(kb.cos_mode(small_grid, 1, 1.0), coeffs).half)
+    def test_cos_to_minus_sin(self, small_grid):
+        ds = half_to_fft(self._derivative(kb.cos_mode(small_grid, 1, 1.0)).half)
         # -sin(x) has coefficients +-i/2 at k = +-1
         assert ds[1] == pytest.approx(0.5j, abs=1e-15)
         assert ds[-1] == pytest.approx(-0.5j, abs=1e-15)
         assert np.max(np.abs(synthesize(ds) + np.sin(small_grid.x))) < 1e-13
 
-    def test_constant_derivative_zero(self, small_grid, coeffs):
+    def test_constant_derivative_zero(self, small_grid):
         s = kb.cos_mode(small_grid, 0, 4.0)
-        assert np.all(self._derivative(s, coeffs).half == 0)
+        assert np.all(self._derivative(s).half == 0)
 
-    def test_derivative_matches_fft_layout(self, grid, coeffs):
+    def test_derivative_matches_fft_layout(self, grid):
         s = kb.spectrum_from_samples(grid, _random_samples(grid, 11))
         expected = 1j * fft_wavenumbers(grid) * half_to_fft(s.half)
         expected[grid.nyquist] = 0.0
-        got = half_to_fft(self._derivative(s, coeffs).half)
+        got = half_to_fft(self._derivative(s).half)
         assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
 
 
@@ -347,8 +346,8 @@ class TestDealiasedProduct:
     @pytest.mark.parametrize("arity", [2, 3])
     @pytest.mark.parametrize("cutoff", [4, 8, 15, 31])
     def test_band_sized_grid_matches_convolution(self, small_grid, arity, cutoff):
-        # the padded grid follows the band: 32 points for cutoff 4 (below n, the result is
-        # padded), n for 8 (and for 15 at arity 2), 2n at the full band n/2 - 1
+        # the padded grid follows the band between n and 2n: n for cutoffs 4 and 8 (and for
+        # 15 at arity 2), 2n at the full band n/2 - 1
         factors = [
             random_spectrum(small_grid, "band_limited", 60 + i, cutoff=cutoff) for i in range(arity)
         ]

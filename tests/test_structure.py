@@ -18,6 +18,8 @@ Letting the numerics raise only on bad input and divergence is what leaves every
 gate to `cli`, where a failed one is a recorded check, not a run with no outputs.
 Keeping spectra in the one half layout, checked for realness once by the `Spectrum`
 constructor, is what spares every module a layout conversion and a second check.
+Building each spectral operator in one place (one irfft, one free-group builder, one
+derivative symbol) is what keeps the rotation that C01 checks the one the integrators run.
 """
 
 import ast
@@ -460,3 +462,110 @@ def test_one_spectrum_layout():
         assert not set(_defined_names(source, path.name)) & set(FFT_LAYOUT_NAMES), path.name
         for callee in FFT_LAYOUT_NAMES:
             assert _call_sites(source, path.name, callee) == [], callee
+
+
+def test_guard_flags_irfft_call_sites():
+    source = (
+        "import numpy as np\n"
+        "def synthesize(d):\n"
+        "    return np.fft.irfft(d, 8, norm='forward')\n"
+        "def padded(d, out):\n"
+        "    return numpy.fft.irfft(d, 16, out=out)\n"
+    )
+    assert _call_sites(source, "bad.py", "irfft") == ["bad.py:synthesize", "bad.py:padded"]
+
+
+def test_one_inverse_transform():
+    # every synthesis, n points or padded, goes through one irfft; the truncation likewise
+    assert _package_call_sites("irfft") == ["spectral.py:half_samples"]
+
+
+def _symbol_readers(source, name, kind):
+    """"file:function" of every function that calls symbol_on_grid and names the symbol kind
+    as a string anywhere in its body, so a kind passed through a loop or a tuple counts."""
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        inner = list(ast.walk(node))
+        calls = any(
+            isinstance(n, ast.Call)
+            and (n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None))
+            == "symbol_on_grid"
+            for n in inner
+        )
+        if calls and any(isinstance(n, ast.Constant) and n.value == kind for n in inner):
+            yield f"{name}:{node.name}"
+
+
+def test_guard_flags_symbol_readers():
+    source = (
+        "def symbols(grid, coeffs):\n"
+        "    return [symbol_on_grid(grid, coeffs, k) for k in ('phi', 'tau')]\n"
+        "def rotation(grid, coeffs, t):\n"
+        "    return np.exp(-1j * t * spectral.symbol_on_grid(grid, coeffs, 'phi'))\n"
+        "def tendency(grid, coeffs):\n"
+        "    return symbol_on_grid(grid, coeffs, 'psi')\n"
+        "def label():\n"
+        "    return 'phi'\n"
+    )
+    assert sorted(_symbol_readers(source, "bad.py", "phi")) == ["bad.py:rotation", "bad.py:symbols"]
+
+
+def test_one_free_group_builder():
+    # S(t) = e^{-i phi t} is built in one place, for the IFRK4 marcher, the Picard mesh and
+    # linear_propagate alike; the antisymmetry campaign reads phi itself, the generator of
+    # S(t), to check (v, i phi v) = 0
+    readers = [
+        site
+        for path in sorted(PACKAGE.glob("*.py"))
+        for site in _symbol_readers(path.read_text(encoding="utf-8"), path.name, "phi")
+    ]
+    assert sorted(readers) == ["dynamics.py:_free_group", "estimates.py:_antisymmetry_values"]
+
+
+def _derivative_symbols(source, name):
+    """Lines of source that multiply an expression holding a complex constant by one reading
+    .wavenumbers, written with * or np.multiply: a derivative symbol built in place."""
+
+    def is_imaginary(node):
+        return any(isinstance(n, ast.Constant) and type(n.value) is complex for n in ast.walk(node))
+
+    def reads_wavenumbers(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == "wavenumbers" for n in ast.walk(node))
+
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "multiply":
+            operands = tuple(node.args[:2])
+        else:
+            continue
+        if any(map(is_imaginary, operands)) and any(map(reads_wavenumbers, operands)):
+            yield f"{name}:{node.lineno} builds i*xi"
+
+
+def test_guard_flags_derivative_symbols():
+    source = (
+        "import numpy as np\n"
+        "a = 1j * grid.wavenumbers\n"
+        "b = np.append(grid.wavenumbers[:-1] * 1j, 0.0)\n"
+        "c = -1j * np.pi * g.wavenumbers\n"
+        "d = np.multiply(1j, grid.wavenumbers)\n"
+        "e = 2.0 * grid.wavenumbers\n"
+        "f = -1j * tau\n"
+    )
+    assert len(list(_derivative_symbols(source, "bad.py"))) == 4
+
+
+def test_one_derivative_symbol():
+    # i*xi, 0 at the unpaired mode, is SpectralGrid.derivative; the tendency and the
+    # derivative-square campaign read it there
+    offenders = [
+        line
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "spectral.py"
+        for line in _derivative_symbols(path.read_text(encoding="utf-8"), path.name)
+    ]
+    assert offenders == []
+    spectral = (PACKAGE / "spectral.py").read_text(encoding="utf-8")
+    assert list(_derivative_symbols(spectral, "spectral.py"))
