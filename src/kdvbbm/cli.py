@@ -41,7 +41,7 @@ from .estimates import (
     run_trials,
 )
 from .fields import cos_mode, gaussian, gevrey_synthetic
-from .norms import GevreyIndex, gevrey_norm, gevrey_weights, h2_polynomial_weights, row_squares
+from .norms import GevreyIndex, gevrey_norm, gevrey_weights
 from .params import ABCDParams, CoefficientSet, derive_coefficients, validate_coefficients
 from .spectral import SpectralGrid, Spectrum, spectrum_csv_rows
 
@@ -561,11 +561,7 @@ def _simulate_checks(cfg, coeffs, traj, tracked, t_bar, x0):
     else:
         checks["energy_drift"] = _skip("coefficients are not Hamiltonian (gamma != 7/48)")
 
-    # h2_polynomial_sq of each record, its weights built once per run; one sum over the stacked
-    # states would raise a default simulate's peak RSS from 38.6 to 41.1 MB (n = 256, 501
-    # records, numpy 2.4.6)
-    h2_weights = h2_polynomial_weights(traj.grid)
-    h2p = np.array([float(row_squares(traj.grid, r.half, h2_weights)) for r in traj.records])
+    h2p = np.array([r.h2_polynomial_sq for r in traj.records])
     if h2p[0] > 0.0:
         ratios = h2p / h2p[0]
         slack = cks["h2_band_slack"]

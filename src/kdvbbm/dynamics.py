@@ -25,7 +25,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import BlowUpError, NoConvergenceError
-from .norms import GevreyIndex, energy_weights, gevrey_weights, row_squares
+from .norms import GevreyIndex, energy_weights, gevrey_weights, h2_polynomial_weights, row_squares
 from .params import CoefficientSet
 from .spectral import (
     SpectralGrid,
@@ -49,14 +49,16 @@ ROW_BLOCK = 8
 
 @dataclass(frozen=True, slots=True)
 class SampleRecord:
-    """One recorded state in half layout with its energy, H^2 norm and, when the march or
-    solve has a Gevrey index, its Gevrey norm; .state wraps half as a Spectrum."""
+    """One recorded state in half layout with its energy, H^2 norm, squared polynomial H^2
+    norm (norms.h2_polynomial_sq) and, when the march or solve has a Gevrey index, its Gevrey
+    norm; .state wraps half as a Spectrum."""
 
     t: float
     grid: SpectralGrid
     half: np.ndarray
     energy: float
     h2: float
+    h2_polynomial_sq: float
     gevrey: float | None = None
 
     @property
@@ -86,21 +88,23 @@ def _record_weights(
     grid: SpectralGrid, coeffs: CoefficientSet, g: GevreyIndex | None
 ) -> np.ndarray:
     """The squared weights of a record's values, stacked (rows, n/2+1): the energy weights,
-    the H^2 weights and, when g is given, the Gevrey weights; built once per march or solve,
-    not once per record."""
+    the H^2 weights, the polynomial H^2 weights and, when g is given, the Gevrey weights;
+    built once per march or solve, not once per record."""
     rows = [energy_weights(grid, coeffs), gevrey_weights(grid, 0.0, 2.0)]
+    rows.append(h2_polynomial_weights(grid))
     if g is not None:
         rows.append(gevrey_weights(grid, g.sigma, g.s))
     return np.stack(rows)
 
 
 def _sample(t: float, grid: SpectralGrid, d: np.ndarray, table: np.ndarray) -> SampleRecord:
-    """The record of the half-layout state d: energy, H^2 norm and, when table has a third
-    row, the Gevrey norm, through the weights of _record_weights.  One row sum over the
-    table gives each value bit for bit as norms.energy and norms.row_norms compute it."""
+    """The record of the half-layout state d: energy, H^2 norm, squared polynomial H^2 norm
+    and, when table has a fourth row, the Gevrey norm, through the weights of _record_weights.
+    One row sum over the table gives each value bit for bit as norms.energy,
+    norms.h2_polynomial_sq and norms.row_norms compute it."""
     values = row_squares(grid, d, table).tolist()
-    gevrey = math.sqrt(values[2]) if len(values) > 2 else None
-    return SampleRecord(t, grid, d, values[0], math.sqrt(values[1]), gevrey)
+    gevrey = math.sqrt(values[3]) if len(values) > 3 else None
+    return SampleRecord(t, grid, d, values[0], math.sqrt(values[1]), values[2], gevrey)
 
 
 def _free_group(
@@ -259,30 +263,23 @@ def iterate_ifrk4(
     or genuinely large data).
     """
     n_steps = _step_count(T, dt)
-    stepper = IFRK4Stepper(eta0.grid, coeffs, dt)
-    d = eta0.half
-    # sizes sqrt(sum_k p_k |d_k|^2), p the Parseval fold, each in one buffer allocated per
-    # march and summed with np.add.reduce, since a BLAS dot would map OpenBLAS's buffers
-    # (0.2 MB of peak RSS)
-    parseval = eta0.grid.parseval
-    power = np.empty(parseval.shape)
+    grid, d = eta0.grid, eta0.half
+    stepper = IFRK4Stepper(grid, coeffs, dt)
+    parseval, power = grid.parseval, np.empty(d.shape)  # the squares, one buffer per march
 
-    def l2_size(d):
-        np.abs(d, out=power)
-        np.multiply(power, power, out=power)
-        np.multiply(parseval, power, out=power)
-        return math.sqrt(np.add.reduce(power))
+    def l2_norm(d):
+        return math.sqrt(row_squares(grid, d, parseval, out=power))
 
-    ceiling = blowup_factor * (l2_size(d) + np.finfo(float).tiny)
+    ceiling = blowup_factor * (l2_norm(d) + np.finfo(float).tiny)
     yield 0.0, d
     for i in range(1, n_steps + 1):
-        # an overflowing step is caught by its non-finite size, not by each operation; numpy's
+        # an overflowing step is caught by its non-finite norm, not by each operation; numpy's
         # errstate objects cannot be entered twice, so each step makes its own
         with np.errstate(over="ignore", invalid="ignore"):
             d = stepper.step(d)
-            size = l2_size(d)
-        if not size <= ceiling:  # NaN compares false
-            raise BlowUpError(i * dt, size, ceiling)
+            norm = l2_norm(d)
+        if not norm <= ceiling:  # NaN compares false
+            raise BlowUpError(i * dt, norm, ceiling)
         yield i * dt, d
 
 
@@ -325,15 +322,6 @@ class PicardDiagnostics:
     mesh_delta: float | None
 
 
-def _sup_norm(grid: SpectralGrid, hw: np.ndarray, diff: np.ndarray, scratch: np.ndarray) -> float:
-    """Largest weighted norm over the rows (mesh times) of half-layout spectra diff, hw the
-    folded weights of norms; scratch is a real array of diff's shape, overwritten."""
-    np.abs(diff, out=scratch)
-    np.multiply(scratch, scratch, out=scratch)
-    np.multiply(hw, scratch, out=scratch)
-    return float(np.sqrt(2.0 * grid.half_length * np.max(np.sum(scratch, axis=1))))
-
-
 def _picard_iterate(
     eta0: Spectrum,
     coeffs: CoefficientSet,
@@ -348,8 +336,9 @@ def _picard_iterate(
     Raises NoConvergenceError on a non-finite distance or one still >= tol after max_iter
     iterations.
 
-    A sweep allocates nothing mesh-sized: the rotations, the current and next iterate, the
-    integrand and one real array live in buffers allocated once per mesh.
+    The rotations, the current and next iterate, the integrand and one real array live in
+    buffers allocated once per mesh; a sweep allocates one real mesh-sized temporary, the
+    imaginary squares of its distance (norms.row_squares).
     """
     grid = eta0.grid
     ts = np.linspace(0.0, T, n_nodes + 1)
@@ -382,7 +371,9 @@ def _picard_iterate(
             nxt[0] = 0.0
             np.add(eta0.half, nxt, out=nxt)
             np.multiply(nxt, e_minus, out=nxt)
-            d = _sup_norm(grid, hw, np.subtract(nxt, cur, out=rhs), scratch)
+            # the sup-in-time distance: the largest weighted square over the mesh rows
+            diff = np.subtract(nxt, cur, out=rhs)
+            d = math.sqrt(np.max(row_squares(grid, diff, hw, out=scratch)))
             if not np.isfinite(d):
                 raise NoConvergenceError(
                     "Picard iterate diverged (non-finite distance); T is too large for the data"
@@ -420,13 +411,14 @@ def picard_solve(
         raise ValueError(f"T must be positive, got {T}")
     grid = eta0.grid
     table = _record_weights(grid, coeffs, g)
-    hw = table[2]  # the Gevrey row
+    hw = table[3]  # the Gevrey row
     states, distances = _picard_iterate(eta0, coeffs, hw, T, n_nodes, tol, max_iter)
 
     mesh_delta = None
     if mesh_check:
         fine, _ = _picard_iterate(eta0, coeffs, hw, T, 2 * n_nodes, tol, max_iter)
-        mesh_delta = _sup_norm(grid, hw, fine[::2] - states, np.empty(states.shape))
+        shift = np.subtract(fine[::2], states, out=fine[::2])  # fine is not read again
+        mesh_delta = math.sqrt(np.max(row_squares(grid, shift, hw)))
 
     ratios = [
         distances[i + 1] / distances[i]

@@ -72,9 +72,10 @@ def random_fields(
     """count random real-field spectra (count, n/2+1) in half layout, drawn from
     streams = (normals, phases); the unpaired mode n/2 is 0.
 
-    band_limited:        iid complex Gaussian modes up to K = min(cutoff (default n/8), n/2 - 1),
-                         zero above; a row draws 2K + 1 normals (real parts, imaginary parts,
-                         c0), so at a fixed cutoff it is the same field on every grid.
+    band_limited:        iid complex Gaussian modes up to K = min(cutoff, n/2 - 1), cutoff
+                         max(1, n/8) by default, zero above; a row draws 2K + 1 normals (real
+                         parts, imaginary parts, c0), so at a fixed cutoff it is the same field
+                         on every grid.
     exponential_decay:   |c_k| = e^{-rate |xi_k|} with lognormal jitter, uniform phases.
     polynomial_decay:    |c_k| = <xi_k>^(-power) with the same jitter and phases; a row draws
                          n/2 normals (modes 1..n/2-1, then c0) and n/2 - 1 phases.
@@ -91,7 +92,7 @@ def random_fields(
     half = grid.n_modes // 2
     d = np.zeros((count, half + 1), dtype=complex)
     if profile == "band_limited":
-        live = max(0, min(half // 4 if cutoff is None else cutoff, half - 1))
+        live = max(0, min(max(1, half // 4) if cutoff is None else cutoff, half - 1))
         draws = normals.standard_normal((count, 2 * live + 1))
         d[:, 1 : live + 1] = (draws[:, :live] + 1j * draws[:, live : 2 * live]) / math.sqrt(2.0)
         d[:, 0] = draws[:, -1]

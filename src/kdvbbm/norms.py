@@ -56,11 +56,19 @@ def gevrey_weights(grid: SpectralGrid, sigma: float, s: float) -> np.ndarray:
     return grid.parseval * weights
 
 
-def row_squares(grid: SpectralGrid, d: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def row_squares(grid: SpectralGrid, d: np.ndarray, weights: np.ndarray, out=None) -> np.ndarray:
     """Weighted squares 2L sum_k w_k |d_k|^2 of spectra (..., n/2+1), one per row of d or, for
     one spectrum d (n/2+1), one per row of a C-contiguous weight table (rows, n/2+1): a row sum
-    along the last axis equals the 1-D np.sum of that row bit for bit."""
-    return 2.0 * grid.half_length * np.add.reduce(weights * (d.real**2 + d.imag**2), axis=-1)
+    along the last axis equals the 1-D np.sum of that row bit for bit.  The package's one
+    weighted Parseval sum.  Given out, a real array of d's shape, re^2 + im^2 is formed (and,
+    unless a table stacks d into more rows, weighted) in it, with the same bits."""
+    squares = np.square(d.real, out=out)
+    np.add(squares, np.square(d.imag), out=squares)
+    if weights.ndim <= squares.ndim:
+        np.multiply(weights, squares, out=squares)
+    else:
+        squares = weights * squares
+    return 2.0 * grid.half_length * np.add.reduce(squares, axis=-1)
 
 
 def row_norms(grid: SpectralGrid, d: np.ndarray, weights: np.ndarray) -> np.ndarray:

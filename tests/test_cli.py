@@ -1,10 +1,13 @@
 import concurrent.futures
 import copy
 import csv
+import dataclasses
+import importlib.util
 import json
 import os
 import platform
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -230,23 +233,20 @@ class TestSimulate:
         assert len(uppers) == 1  # constant, = c_upper * sigma0
         assert manifest["checks"]["h2_band"].get("skipped") is True
 
-    def test_h2_band_reads_each_record_state_as_it_is(self, coeffs, monkeypatch):
-        # one row sum per record over its half-layout state, no conversion, gives each
-        # record's h2_polynomial_sq
-        sums = []
-
-        def recording(grid, d, weights, _real=cli.row_squares):
-            assert any(d is r.half for r in traj.records)
-            sums.append(float(_real(grid, d, weights)))
-            return sums[-1]
-
-        monkeypatch.setattr(cli, "row_squares", recording)
+    def test_h2_band_reads_each_record_value(self, coeffs):
+        # each record carries h2_polynomial_sq of its state, and the band reads that value:
+        # scaling the carried values moves the check, the states being unchanged
         cfg = cli.RunConfig(_small_sim())
         eta0 = kb.gaussian(cfg.grid(), 1.0, 0.5)
         traj = kb.evolve_ifrk4(eta0, 0.2, 0.005, coeffs, record_every=10)
+        h2p = np.array([kb.h2_polynomial_sq(r.state) for r in traj.records])
         checks = cli._simulate_checks(cfg, coeffs, traj, None, None, None)
-        assert sums == [kb.h2_polynomial_sq(r.state) for r in traj.records]
-        h2p = np.array(sums)
+        assert checks["h2_band"]["value"] == float(np.max(np.abs(h2p / h2p[0] - 1.0)))
+        h2p[1:] *= 1.5
+        traj.records[:] = [
+            dataclasses.replace(r, h2_polynomial_sq=float(v)) for r, v in zip(traj.records, h2p)
+        ]
+        checks = cli._simulate_checks(cfg, coeffs, traj, None, None, None)
         assert checks["h2_band"]["value"] == float(np.max(np.abs(h2p / h2p[0] - 1.0)))
 
     def test_check_failure_gives_exit_one(self, tmp_path):
@@ -396,6 +396,33 @@ class TestSimulate:
         monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(env_out))
         assert cli.main(["simulate", path]) == 0
         assert env_out.exists()
+
+
+class TestFourModeGrid:
+    """grid.n_modes = 4 passes the schema, so each command on it ends in a recorded outcome;
+    the existence constant's band-limited trials keep mode 1 there."""
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("simulate", _small_sim()),
+            ("radius", _small_radius()),
+            ("picard", dict(_small_picard(), solver={"method": "picard", "T": 0.5, "dt": 0.01})),
+        ],
+    )
+    def test_command_ends_without_traceback(self, tmp_path, capfd, command, config):
+        cfg = copy.deepcopy(config)
+        cfg["grid"] = {"n_modes": 4}
+        path = _write_config(tmp_path / "c.yaml", cfg)
+        out = str(tmp_path / "out")
+        code = cli.main([command, path, "--out", out])
+        err = capfd.readouterr().err
+        assert code in (0, 1), err
+        assert "Traceback" not in err and "error" not in err
+        if command == "picard":
+            _, rundir = _manifest(out)
+            with open(os.path.join(rundir, "picard_meta.json")) as fh:
+                assert json.load(fh)["existence_constant"] > 0
 
 
 class TestRadius:
@@ -760,3 +787,41 @@ class TestRunnerEntry:
         assert cli.main([command, path, "--out", str(tmp_path / "out")]) == 0
         computes = [] if command == "estimates" else ["existence_constant"]
         assert events == [runner] + computes
+
+
+WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def benchmark_workloads():
+    """perfbench/workloads.py, loaded by path as the benchmark runs it, not imported as a
+    package module."""
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", WORKLOADS_PY)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+class TestBenchmarkConfigs:
+    """Every op the benchmark runs validates: a schema change that dropped a key it writes
+    (solver.method, analyticity.enabled, checks.existence_seed) would fail each of its ops
+    with exit 2."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_every_op_validates(self, benchmark_workloads, seed):
+        ops = [
+            (name, op) for name, ops in benchmark_workloads.WORKLOADS.items() for op in ops
+        ]
+        assert {name for name, _ in ops} >= {*benchmark_workloads.MEASURED, "known_failures"}
+        for name, op in ops:
+            assert op.command in cli._COMMANDS, name
+            raw = op.seeded(seed)
+            cfg = cli.RunConfig(copy.deepcopy(raw))
+            assert cfg.data["run"]["seed"] == cfg.data["checks"]["existence_seed"] == seed
+            for section, values in raw.items():
+                for key, value in values.items():
+                    assert cfg.data[section][key] == value, (name, section, key)

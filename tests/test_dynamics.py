@@ -336,10 +336,13 @@ class TestIFRK4:
         eta0 = _nyquist_datum(grid)
         with pytest.raises(kb.BlowUpError) as err:
             kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs, blowup_factor=0.9)
-        t = err.value.t
-        c = half_to_fft(kb.evolve_ifrk4(eta0, t, 0.01, coeffs, record_every=10**6).final.half)
+        failing = kb.evolve_ifrk4(eta0, err.value.t, 0.01, coeffs, record_every=10**6).final
+        c = half_to_fft(failing.half)
         assert c[grid.nyquist] == 1e-3
-        assert err.value.value == pytest.approx(np.sqrt(np.sum(np.abs(c) ** 2)), rel=1e-12)
+        l2 = np.sqrt(2.0 * grid.half_length * np.sum(np.abs(c) ** 2))
+        assert err.value.value == pytest.approx(l2, rel=1e-12)
+        # the guard's size is the package's L^2 norm of that state, bit for bit
+        assert err.value.value == kb.sobolev_norm(failing.state, 0.0)
 
     def test_restart_matches_single_run(self, grid, coeffs):
         # the numerical flow is a fixed map per step, so a restart is exact
@@ -421,13 +424,15 @@ BOOKKEEPING_DATA = {
 
 class TestMarchBookkeeping:
     """Records are read from their half-layout state by one row sum over a stacked weight
-    table, and the divergence guard from one power buffer; neither may move a value."""
+    table, and the divergence guard through the same sum in one buffer per march; neither
+    may move a value."""
 
     @staticmethod
     def _assert_values_equal(record, u, coeffs, g):
         # == on purpose: the records reproduce the public norms bit for bit
         assert record.energy == kb.energy(u, coeffs)
         assert record.h2 == kb.sobolev_norm(u, 2.0)
+        assert record.h2_polynomial_sq == kb.h2_polynomial_sq(u)
         assert record.gevrey == (None if g is None else kb.gevrey_norm(u, g))
 
     @pytest.mark.parametrize("g", [None, G01])
@@ -474,11 +479,12 @@ class TestMarchBookkeeping:
             assert r.half.shape == (small_grid.nyquist + 1,)
 
     def test_guard_raises_at_first_step_above_ceiling(self, small_grid, coeffs):
-        # L^2 sizes of a known run by the guard's former formula, on full spectra
+        # L^2 norms of a known run, summed over full spectra
         eta0 = BOOKKEEPING_DATA["gaussian"](small_grid)
         dt = 0.01
         traj = kb.evolve_ifrk4(eta0, 0.5, dt, coeffs)
-        l2 = lambda d: np.sqrt(np.sum(np.abs(half_to_fft(d)) ** 2))
+        two_l = 2.0 * small_grid.half_length
+        l2 = lambda d: np.sqrt(two_l * np.sum(np.abs(half_to_fft(d)) ** 2))
         sizes = np.array([l2(r.half) for r in traj.records[1:]])
         scale = l2(eta0.half)
         ratios = sizes / scale
@@ -500,7 +506,7 @@ class TestMarchBookkeeping:
         c = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
         table = dynamics._record_weights(grid, coeffs, kb.GevreyIndex(0.05, 2.0))
         stacked = row_squares(grid, c, table)
-        assert table.flags.c_contiguous and stacked.shape == (3,)
+        assert table.flags.c_contiguous and stacked.shape == (4,)
         for w, value in zip(table, stacked, strict=True):
             assert value == 2.0 * grid.half_length * np.sum(w * (c.real**2 + c.imag**2))
 
@@ -641,7 +647,9 @@ class TestLocalExistenceTime:
 
 def test_trajectory_must_start_at_zero(grid, coeffs):
     state = kb.cos_mode(grid, 1, 0.1)
-    rec = kb.SampleRecord(t=1.0, grid=grid, half=state.half, energy=0.0, h2=0.0)
+    rec = kb.SampleRecord(
+        t=1.0, grid=grid, half=state.half, energy=0.0, h2=0.0, h2_polynomial_sq=0.0
+    )
     with pytest.raises(ValueError):
         kb.Trajectory(coeffs, grid, [rec])
 

@@ -43,6 +43,22 @@ class TestRandomField:
         assert np.all(u.half[high] == 0)
         assert np.any(u.half[~high] != 0)
 
+    @pytest.mark.parametrize("n", [4, 8, 64, 256])
+    def test_default_cutoff_is_at_least_one(self, n):
+        # the default cutoff is max(1, n/8): from n = 8 on it is n/8, draw for draw, and at
+        # n = 4 a field still holds mode 1, not only its mean
+        grid = kb.SpectralGrid(n, 16.0 * np.pi)
+        d = kb.random_fields(grid, "band_limited", _streams(3), 5)
+        live = max(1, n // 8)
+        assert np.all(d[:, live + 1 :] == 0) and np.all(d[:, live] != 0)
+        if n >= 8:
+            fixed = kb.random_fields(grid, "band_limited", _streams(3), 5, cutoff=n // 8)
+            assert d.tobytes() == fixed.tobytes()
+
+    def test_existence_constant_positive_on_four_modes(self, coeffs):
+        grid = kb.SpectralGrid(4, 16.0 * np.pi)
+        assert kb.existence_constant(grid, kb.GevreyIndex(0.1, 2.0), coeffs, n_trials=20) > 0
+
     def test_real_and_zero_nyquist(self, grid):
         for profile, kw in (
             ("band_limited", {}),

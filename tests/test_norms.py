@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import kdvbbm as kb
-from kdvbbm.norms import gevrey_weights, row_norms
+from kdvbbm.norms import energy_weights, gevrey_weights, row_norms, row_squares
 from draws import random_spectrum
 from oracles import (
     fft_to_half,
@@ -122,3 +122,36 @@ class TestEnergy:
             ratio = kb.energy(u, coeffs) / kb.h2_polynomial_sq(u)
             assert w.min() - 1e-12 <= ratio <= w.max() + 1e-12
             assert ratio >= coeffs.c_min - 1e-12  # c_min bound is one-sided and universal
+
+
+class TestRowSquares:
+    """The package's one weighted Parseval sum, with and without a buffer for the squares."""
+
+    def test_buffer_keeps_the_bits_on_a_stack(self, grid):
+        rng = np.random.default_rng(8)
+        shape = (9, grid.nyquist + 1)
+        d = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        w = gevrey_weights(grid, 0.1, 2.0)
+        out = np.empty(d.shape)
+        kept = d.copy()
+        assert row_squares(grid, d, w, out=out).tobytes() == row_squares(grid, d, w).tobytes()
+        assert out.tobytes() == (w * (d.real**2 + d.imag**2)).tobytes()  # weighted in place
+        assert d.tobytes() == kept.tobytes()
+        # a strided view, as the mesh-refinement shift is
+        view = d[::2]
+        assert (
+            row_squares(grid, view, w, out=np.empty(view.shape)).tobytes()
+            == row_squares(grid, view.copy(), w).tobytes()
+        )
+
+    def test_buffer_keeps_the_bits_against_a_table(self, grid, coeffs):
+        u = random_spectrum(grid, "polynomial_decay", 4, power=1.0)
+        table = np.stack(
+            [energy_weights(grid, coeffs), gevrey_weights(grid, 0.0, 2.0), gevrey_weights(grid, 0.3, 1)]
+        )
+        out = np.empty(u.half.shape)
+        stacked = row_squares(grid, u.half, table, out=out)
+        assert stacked.tobytes() == row_squares(grid, u.half, table).tobytes()
+        assert out.tobytes() == (u.half.real**2 + u.half.imag**2).tobytes()  # unweighted
+        single = [row_squares(grid, u.half, w, out=np.empty(u.half.shape)) for w in table]
+        assert stacked.tolist() == [float(v) for v in single]

@@ -20,6 +20,8 @@ Keeping spectra in the one half layout, checked for realness once by the `Spectr
 constructor, is what spares every module a layout conversion and a second check.
 Building each spectral operator in one place (one irfft, one free-group builder, one
 derivative symbol) is what keeps the rotation that C01 checks the one the integrators run.
+Forming |d_k|^2 in one weighted Parseval sum (`norms.row_squares`) is what keeps the records,
+the march's guard and Picard's distances measuring the same norm the same way.
 """
 
 import ast
@@ -569,3 +571,89 @@ def test_one_derivative_symbol():
     assert offenders == []
     spectral = (PACKAGE / "spectral.py").read_text(encoding="utf-8")
     assert list(_derivative_symbols(spectral, "spectral.py"))
+
+
+def _squared_moduli(source, name):
+    """"file:function" of every top-level function or method that squares a modulus: a .real
+    or .imag part or an abs() (by ** 2, np.square or a product with itself), directly, through
+    the out= buffer of the abs() call or through the name it is assigned to.  Only the sites
+    of the package's weighted |d_k|^2 sums may hold such a square."""
+
+    def callee(node):
+        if not isinstance(node, ast.Call):
+            return None
+        return node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+
+    def squared(node):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            if isinstance(node.right, ast.Constant) and node.right.value == 2:
+                return node.left
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            if ast.unparse(node.left) == ast.unparse(node.right):
+                return node.left
+        if callee(node) == "square" and node.args:
+            return node.args[0]
+        if callee(node) == "multiply" and len(node.args) >= 2:
+            if ast.unparse(node.args[0]) == ast.unparse(node.args[1]):
+                return node.args[0]
+        return None
+
+    def flags(func):
+        moduli = set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Attribute) and node.attr in ("real", "imag"):
+                moduli.add(ast.unparse(node))
+            elif callee(node) in ("abs", "absolute"):
+                moduli.add(ast.unparse(node))
+                moduli.update(ast.unparse(k.value) for k in node.keywords if k.arg == "out")
+            if isinstance(node, ast.Assign) and callee(node.value) in ("abs", "absolute"):
+                moduli.update(ast.unparse(t) for t in node.targets)
+        return any(
+            (operand := squared(node)) is not None and ast.unparse(operand) in moduli
+            for node in ast.walk(func)
+        )
+
+    tree = ast.parse(source, filename=name)
+    tops = [n for n in tree.body if isinstance(n, ast.ClassDef)]
+    funcs = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+    funcs += [n for c in tops for n in c.body if isinstance(n, ast.FunctionDef)]
+    return [f"{name}:{func.name}" for func in funcs if flags(func)]
+
+
+def test_guard_flags_squared_moduli():
+    source = (
+        "import numpy as np\n"
+        "def size(d, p, power):\n"
+        "    np.abs(d, out=power)\n"
+        "    np.multiply(power, power, out=power)\n"
+        "    return np.sum(p * power)\n"
+        "def profile(w, d):\n"
+        "    def step(t, d):\n"
+        "        return w * (d.real**2 + d.imag**2)\n"
+        "    return step\n"
+        "def full(c):\n"
+        "    return np.sum(np.abs(c) ** 2)\n"
+        "class Tracker:\n"
+        "    def magnitude(self, c):\n"
+        "        m = np.abs(c)\n"
+        "        return np.square(m)\n"
+        "def products(d):\n"
+        "    return d.real * d.real + np.multiply(d.imag, d.imag)\n"
+        "def harmless(d, xi):\n"
+        "    return np.abs(d) * xi**2 + d.real * xi\n"
+    )
+    assert _squared_moduli(source, "bad.py") == [
+        "bad.py:size", "bad.py:profile", "bad.py:full", "bad.py:products", "bad.py:magnitude",
+    ]
+
+
+def test_one_weighted_parseval_sum():
+    # records, the march's guard, Picard's distances and the h2 band all read norms.row_squares;
+    # the sigma tracker keeps its own profile, p_k = 2L w_k |d_k|^2, from which it reads
+    # G(sigma) at every sigma it tries
+    sites = [
+        site
+        for path in sorted(PACKAGE.glob("*.py"))
+        for site in _squared_moduli(path.read_text(encoding="utf-8"), path.name)
+    ]
+    assert sorted(sites) == ["analyticity.py:_sigma_tracker", "norms.py:row_squares"]
