@@ -31,15 +31,9 @@ import yaml
 
 from . import __version__
 from .analyticity import tracked_run
-from .dynamics import evolve_ifrk4, local_existence_time, picard_solve
+from .dynamics import evolve_ifrk4, local_existence_time, picard_solve, step_count, whole_steps
 from .errors import ConfigError, KdvBbmError
-from .estimates import (
-    MULTILINEAR,
-    PROFILES,
-    existence_constant,
-    failure_demo_bilinear,
-    run_trials,
-)
+from .estimates import CAMPAIGNS, PROFILES, campaign, existence_constant, failure_demo_bilinear, run_trials
 from .fields import cos_mode, gaussian, gevrey_synthetic
 from .norms import GevreyIndex, gevrey_norm, gevrey_weights
 from .params import ABCDParams, CoefficientSet, derive_coefficients, validate_coefficients
@@ -67,8 +61,6 @@ ESTIMATE_COLUMNS = (
     "ratio_mean",
     "seed",
 )
-
-_CAMPAIGNS = tuple(MULTILINEAR) + ("interpolation", "splitting_r1", "antisymmetry")
 
 # ---------------------------------------------------------------------------
 # configuration schema
@@ -123,8 +115,7 @@ def _list(item, min_len=0, increasing=False):
     def parse(value, path):
         ok = isinstance(value, list) and len(value) >= min_len
         _expect(ok, path, f"a list of {min_len} or more entries", value)
-        for i, entry in enumerate(value):
-            item(entry, f"{path}[{i}]")
+        value = [item(entry, f"{path}[{i}]") for i, entry in enumerate(value)]
         ok = not increasing or all(a < b for a, b in zip(value, value[1:]))
         return _expect(ok, path, "a strictly increasing list", value)
 
@@ -150,10 +141,11 @@ def _horizon(value, path):
 
 
 def _combo(value, path):
-    """An interpolation combo [s1, s2, theta] with s1 <= s2 and 0 <= theta <= 1."""
+    """An interpolation combo [s1, s2, theta] with s1 <= s2 and 0 <= theta <= 1, as floats."""
     _expect(isinstance(value, list) and len(value) == 3, path, "[s1, s2, theta]", value)
-    s1, s2, _ = _FINITE(value[0], path), _FINITE(value[1], path), _UNIT(value[2], path)
-    return _expect(s1 <= s2, path, "s1 <= s2", value)
+    combo = [_FINITE(value[0], path), _FINITE(value[1], path), _UNIT(value[2], path)]
+    _expect(combo[0] <= combo[1], path, "s1 <= s2", value)
+    return combo
 
 
 _ABCD_KEYS = ("a", "b", "c", "d", "a1", "b1", "c1", "d1")
@@ -211,7 +203,7 @@ _SCHEMA = {
         "calibration_fraction": (0.1, _UNIT),
     },
     "estimates": {
-        "campaigns": (list(_CAMPAIGNS), _list(_one_of(*_CAMPAIGNS))),
+        "campaigns": (list(CAMPAIGNS), _list(_one_of(*CAMPAIGNS))),
         "n_trials": (1000, _integer(1)),
         "sigma": (0.1, _NONNEGATIVE),
         "s": (1.0, _FINITE),
@@ -258,12 +250,20 @@ def _merge_section(user, schema, path):
     return merged
 
 
+def _asked(section, check, *args):
+    """check(*args), the rule of the module that enforces it; its error becomes a ConfigError
+    that names the config section."""
+    try:
+        return check(*args)
+    except (KdvBbmError, ValueError) as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
 def _check_marched_horizon(sol):
     """solver.T of an IFRK4 march: not 'auto', and a whole number of solver.dt steps."""
     if sol["T"] == "auto":
         raise ConfigError("solver.T: 'auto' needs the picard command with method 'picard'")
-    if abs(round(sol["T"] / sol["dt"]) * sol["dt"] - sol["T"]) > 1e-9 * sol["T"]:
-        raise ConfigError("solver.T: must be an integral multiple of solver.dt")
+    _asked("solver", step_count, sol["T"], sol["dt"])
 
 
 class RunConfig:
@@ -306,42 +306,23 @@ class RunConfig:
     # -- validation --------------------------------------------------------
 
     def _validate(self):
-        """The rules that tie keys together; each key's own domain is its schema type."""
-        d = self.data
-        try:
-            coeffs = self.coefficients()
-        except (KdvBbmError, ValueError) as exc:
-            raise ConfigError(f"coefficients: {exc}") from exc
-        try:
-            grid = self.grid()
-        except ValueError as exc:
-            raise ConfigError(f"grid: {exc}") from exc
+        """The rules that tie keys together, each asked of the module that enforces it; each
+        key's own domain is its schema type."""
+        coeffs = _asked("coefficients", self.coefficients)
+        grid = _asked("grid", self.grid)
         report = validate_coefficients(coeffs)
         if not report.passed:
             names = ", ".join(c.name for c in report.failures())
             raise ConfigError(f"coefficients: invariants failed: {names}")
-
-        ini, sol = d["initial"], d["solver"]
-        if ini["family"] == "cos_mode" and ini["k"] >= grid.n_modes // 2:
-            raise ConfigError("initial.k: must be < n_modes/2 for cos_mode")
-        if sol["method"] == "ifrk4":
-            _check_marched_horizon(sol)
-
-        ana, est = d["analyticity"], d["estimates"]
+        _asked("initial", self.initial_state, grid)
+        if self.data["solver"]["method"] == "ifrk4":
+            _check_marched_horizon(self.data["solver"])
+        ana, est = self.data["analyticity"], self.data["estimates"]
+        _asked("analyticity", gevrey_weights, grid, ana["sigma0"], ana["s"])
+        g = GevreyIndex(est["sigma"], est["s"])
         for name in est["campaigns"]:
-            if name in MULTILINEAR and est["s"] < MULTILINEAR[name][1] - 1e-12:
-                raise ConfigError(
-                    f"estimates.s: {name} requires s >= {MULTILINEAR[name][1]}, got {est['s']}"
-                )
-        campaign_s = [est["s"], est["s"] + 1.0]
-        campaign_s += [float(v) for combo in est["interpolation_combos"] for v in combo[:2]]
-        probes = [("analyticity", ana["sigma0"], ana["s"])]
-        probes += [("estimates", est["sigma"], s) for s in campaign_s]
-        for section, sigma, s in probes:
-            try:
-                gevrey_weights(grid, sigma, s)
-            except KdvBbmError as exc:
-                raise ConfigError(f"{section}: {exc}") from exc
+            for combo in est["interpolation_combos"] if name == "interpolation" else [None]:
+                _asked("estimates", campaign, name, grid, g, coeffs, combo)
 
     def canonical_json(self) -> str:
         return json.dumps(self.data, sort_keys=True, separators=(",", ":"))
@@ -693,8 +674,7 @@ def run_picard(cfg: RunConfig):
     else:
         checks["mesh_refinement"] = _skip("solver.mesh_check is off")
     if sol["crosscheck"]:
-        n_steps = max(1, round(T / sol["dt"]))
-        dt_cross = T / n_steps
+        n_steps, dt_cross = whole_steps(T, sol["dt"])
         rk = evolve_ifrk4(eta0, T, dt_cross, coeffs, record_every=n_steps, gevrey_index=g)
         delta = gevrey_norm(Spectrum(eta0.grid, traj.final.half - rk.final.half), g)
         checks["marcher_crosscheck"] = _check(delta, delta <= cks["crosscheck_tol"], cks["crosscheck_tol"])
@@ -724,15 +704,14 @@ def run_estimates(cfg: RunConfig):
     est = cfg.data["estimates"]
     seed = cfg.data["run"]["seed"]
     g = GevreyIndex(est["sigma"], est["s"])
-    # every interpolation combo is evaluated on the same draws
-    combos = tuple(tuple(float(v) for v in combo) for combo in est["interpolation_combos"])
 
     artifacts: dict = {}
     checks: dict = {}
     for name in est["campaigns"]:
         reports = run_trials(
             name, grid, g, coeffs, n_trials=est["n_trials"], seed=seed, profile=est["profile"],
-            combo=combos if name == "interpolation" else None,
+            # every interpolation combo is evaluated on the same draws
+            combo=est["interpolation_combos"] if name == "interpolation" else None,
             cutoff=est["cutoff"], rate=est["rate"], power=est["power"],
         )
         reports = reports if name == "interpolation" else [reports]

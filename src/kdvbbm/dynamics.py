@@ -113,8 +113,12 @@ def _free_group(
     """S(t) = e^{-i phi t} in half layout: (n/2+1,) for a time t, (m, n/2+1) for a column
     of times t (m, 1), written into out when given.  phi reads 0 at n/2, so S(t) leaves the
     unpaired mode fixed.  Each entry rounds t*phi once and takes exp of its negative times
-    i, so each row of a column is bit for bit S at its time."""
-    out = np.multiply(t, symbol_on_grid(grid, coeffs, "phi"), out=out, dtype=complex)
+    i, so each row of a column is bit for bit S at its time.  t*phi is a real product
+    written into out's real part, so no complex cast buffers a real operand."""
+    phi = symbol_on_grid(grid, coeffs, "phi")
+    out = np.empty(np.broadcast_shapes(np.shape(t), phi.shape), complex) if out is None else out
+    np.multiply(t, phi, out=out.real)
+    out.imag = 0.0
     np.multiply(-1j, out, out=out)
     return np.exp(out, out=out)
 
@@ -241,11 +245,18 @@ class IFRK4Stepper:
         return np.add(bc, k1)
 
 
-def _step_count(T: float, dt: float) -> int:
+def step_count(T: float, dt: float) -> int:
+    """The number of dt steps in a march to T; ValueError unless T is a whole number of them."""
     n_steps = round(T / dt)
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(T, dt):
         raise ValueError(f"T = {T} is not an integral multiple of dt = {dt}")
     return n_steps
+
+
+def whole_steps(T: float, dt: float) -> tuple[int, float]:
+    """(n, T/n): the n >= 1 steps nearest dt that end a march exactly at T."""
+    n_steps = max(1, round(T / dt))
+    return n_steps, T / n_steps
 
 
 def iterate_ifrk4(
@@ -262,7 +273,7 @@ def iterate_ifrk4(
     state exceeds blowup_factor times its initial value or overflows (instability,
     or genuinely large data).
     """
-    n_steps = _step_count(T, dt)
+    n_steps = step_count(T, dt)
     grid, d = eta0.grid, eta0.half
     stepper = IFRK4Stepper(grid, coeffs, dt)
     parseval, power = grid.parseval, np.empty(d.shape)  # the squares, one buffer per march
@@ -301,7 +312,7 @@ def evolve_ifrk4(
     d the state in half layout (see iterate_ifrk4); an exception it raises ends the
     march.  Records keep d and read their values from it.
     """
-    n_steps = _step_count(T, dt)
+    n_steps = step_count(T, dt)
     grid = eta0.grid
     table = _record_weights(grid, coeffs, gevrey_index)
     records: list[SampleRecord] = []

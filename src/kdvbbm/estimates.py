@@ -38,6 +38,9 @@ MULTILINEAR = {
     "derivsq_psi": (2, 1.0, "psi", True),
 }
 
+#: Every campaign run_trials runs, in the order a run lists them by default.
+CAMPAIGNS = (*MULTILINEAR, "interpolation", "splitting_r1", "antisymmetry")
+
 
 @dataclass(frozen=True)
 class TrialReport:
@@ -113,7 +116,8 @@ def random_fields(
 # Block kernels.  Each builder checks its arguments and computes what every
 # trial shares (weights, symbols) once; the function it returns maps a block of
 # half-layout spectra, (b, n/2+1) or (b, arity, n/2+1), to the b per-trial values.
-# run_trials and failure_demo_bilinear evaluate through them.
+# run_trials evaluates through campaign, which also enforces each multilinear
+# estimate's range of s; failure_demo_bilinear calls its kernel below that range.
 
 
 def _weights(grid, sigma, s):
@@ -121,20 +125,15 @@ def _weights(grid, sigma, s):
     return gevrey_weights(grid, g.sigma, g.s)
 
 
-def _multilinear_values(lemma_id, grid, g, coeffs, strict=True):
+def _multilinear_values(lemma_id, grid, g, coeffs):
     """Left-side Gevrey norm of the estimate divided by the right-side product.
 
     bilinear_omega:  |omega(dx)(u v)|_G   / (|u|_G |v|_G)        valid s >= 0
     bilinear_tau:    |tau(dx)(u v)|_G     / (|u|_G |v|_G)        valid s >= 0
     trilinear_psi:   |psi(dx)(u v w)|_G   / (|u|_G |v|_G |w|_G)  valid s >= 1/6
     derivsq_psi:     |psi(dx)(u_x v_x)|_G / (|u|_G |v|_G)        valid s >= 1
-
-    In strict mode an s below the validity bound raises ValueError; non-strict
-    mode permits the below-range failure demonstration.
     """
-    _, s_min, kind, differentiate = MULTILINEAR[lemma_id]
-    if strict and g.s < s_min - 1e-12:
-        raise ValueError(f"{lemma_id} requires s >= {s_min}, got s = {g.s}")
+    _, _, kind, differentiate = MULTILINEAR[lemma_id]
     weights = _weights(grid, g.sigma, g.s)
     symbol = symbol_on_grid(grid, coeffs, kind)
 
@@ -239,9 +238,7 @@ def failure_demo_bilinear(
         grid = SpectralGrid(n, half_length)
         u = cos_mode(grid, k, 1.0)
         v = cos_mode(grid, k - 1, 1.0)
-        ratio = _multilinear_values("bilinear_omega", grid, g, coeffs, strict=False)(
-            np.array([[u.half, v.half]])
-        )[0]
+        ratio = _multilinear_values("bilinear_omega", grid, g, coeffs)(np.array([[u.half, v.half]]))[0]
         rows.append((k, n, float(ratio)))
     ratios = np.array([r for (_, _, r) in rows])
     monotone = bool(np.all(np.diff(ratios) > 0.0))
@@ -258,10 +255,18 @@ def _trials_per_block(grid):
     return max(1, min(TRIAL_BLOCK, TRIAL_BLOCK * 256 // grid.n_modes))
 
 
-def _campaign(lemma_id, grid, g, coeffs, combo):
-    """(arity, kernel) of a campaign; arity 0 marks one field per trial, blocks (b, n/2+1)."""
+def campaign(lemma_id, grid, g, coeffs, combo=None):
+    """(arity, kernel) of a campaign; arity 0 marks one field per trial, blocks (b, n/2+1).
+
+    The one check of a campaign's preconditions: it raises ValueError for an s below a
+    multilinear estimate's validity range or a bad combo, and NormOverflowError for a
+    weight that overflows on the grid.
+    """
     if lemma_id in MULTILINEAR:
-        return MULTILINEAR[lemma_id][0], _multilinear_values(lemma_id, grid, g, coeffs)
+        arity, s_min = MULTILINEAR[lemma_id][:2]
+        if g.s < s_min - 1e-12:
+            raise ValueError(f"{lemma_id} requires s >= {s_min}, got s = {g.s}")
+        return arity, _multilinear_values(lemma_id, grid, g, coeffs)
     if lemma_id == "interpolation":
         if combo is None:
             raise ValueError("interpolation campaign requires combo = (s1, s2, theta)")
@@ -306,7 +311,7 @@ def run_trials(
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     many = combo is not None and not np.isscalar(combo[0])
     combos = [tuple(c) for c in combo] if many else [combo]
-    campaigns = [_campaign(lemma_id, grid, g, coeffs, one) for one in combos]
+    campaigns = [campaign(lemma_id, grid, g, coeffs, one) for one in combos]
     arity = campaigns[0][0]
     streams = _streams(seed)
     size = _trials_per_block(grid)

@@ -128,6 +128,8 @@ class TestConfig:
             "estimates.power=-1",
             "coefficients.abcd={a: [1], b: 0.0833, c: 0.0833, d: 0.0833,"
             " a1: 0.0889, b1: 0.05, c1: 0.0889, d1: 0.05}",
+            "initial.k=128",  # cos_mode needs k < n/2 = 128
+            "estimates.s=0.5",  # derivsq_psi, a default campaign, needs s >= 1
         ],
     )
     def test_bad_values_rejected_before_compute(self, tmp_path, override):
@@ -135,6 +137,27 @@ class TestConfig:
         out = tmp_path / "out"
         assert cli.main(["estimates", path, "--out", str(out), "--set", override]) == 2
         assert not out.exists()
+
+    def test_ifrk4_horizon_checked_for_picard(self, tmp_path):
+        # method ifrk4 asks for a whole number of dt steps whatever the command
+        path = _write_config(tmp_path / "c.yaml", _small_sim(solver={"T": 0.2033, "dt": 0.005}))
+        out = tmp_path / "out"
+        assert cli.main(["picard", path, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_unconfigured_campaign_not_weighed(self):
+        # only the configured campaigns build their weights: an s2 of 400 overflows them
+        # at sigma 0.1, but interpolation is not run
+        est = {"campaigns": ["bilinear_tau"], "interpolation_combos": [[0.0, 400.0, 0.5]]}
+        assert cli.RunConfig({"estimates": est}).data["estimates"]["campaigns"] == ["bilinear_tau"]
+        with pytest.raises(cli.ConfigError, match="^estimates: "):
+            cli.RunConfig({"estimates": {**est, "campaigns": ["interpolation"]}})
+
+    def test_combos_stored_as_floats(self):
+        cfg = cli.RunConfig({"estimates": {"interpolation_combos": [[0, 2, "5e-1"]]}})
+        (combo,) = cfg.data["estimates"]["interpolation_combos"]
+        assert combo == [0.0, 2.0, 0.5]
+        assert all(type(v) is float for v in combo)
 
     def test_abcd_coefficients_accepted(self, tmp_path):
         cfg = _small_sim()

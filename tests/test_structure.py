@@ -22,12 +22,16 @@ Building each spectral operator in one place (one irfft, one free-group builder,
 derivative symbol) is what keeps the rotation that C01 checks the one the integrators run.
 Forming |d_k|^2 in one weighted Parseval sum (`norms.row_squares`) is what keeps the records,
 the march's guard and Picard's distances measuring the same norm the same way.
+Writing each precondition once, in the module that enforces it (the campaign table and the
+estimates' validity ranges in `estimates`, the step tolerance in `dynamics`), and having
+`cli` ask that module is what keeps config validation and the numerics from drifting apart.
 """
 
 import ast
 import pathlib
 
 import kdvbbm
+from kdvbbm.estimates import CAMPAIGNS
 
 PACKAGE = pathlib.Path(kdvbbm.__file__).resolve().parent
 
@@ -657,3 +661,71 @@ def test_one_weighted_parseval_sum():
         for site in _squared_moduli(path.read_text(encoding="utf-8"), path.name)
     ]
     assert sorted(sites) == ["analyticity.py:_sigma_tracker", "norms.py:row_squares"]
+
+
+def _campaign_tables(source, name):
+    """Lines of source that name MULTILINEAR (imported, read or assigned) or spell two or more
+    campaign names in one tuple, list, set or dict literal: a copy of the campaign table."""
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, ast.Name) and node.id == "MULTILINEAR":
+            yield f"{name}:{node.lineno} reads MULTILINEAR"
+        elif isinstance(node, ast.Attribute) and node.attr == "MULTILINEAR":
+            yield f"{name}:{node.lineno} reads MULTILINEAR"
+        elif isinstance(node, ast.alias) and node.name == "MULTILINEAR":
+            yield f"{name}:{node.lineno} imports MULTILINEAR"
+        elif isinstance(node, (ast.Tuple, ast.List, ast.Set, ast.Dict)):
+            items = node.keys if isinstance(node, ast.Dict) else node.elts
+            spelled = [n for n in items if isinstance(n, ast.Constant) and n.value in CAMPAIGNS]
+            if len(spelled) >= 2:
+                yield f"{name}:{node.lineno} lists campaigns"
+
+
+def _step_arithmetic(source, name):
+    """Lines of source that divide, floor-divide or take a remainder of an expression reading
+    a horizon T or a step dt (a name or a key): a march's step count worked out in place."""
+
+    def reads_step(node):
+        return any(
+            (isinstance(n, ast.Name) and n.id in ("T", "dt"))
+            or (isinstance(n, ast.Constant) and n.value in ("T", "dt"))
+            for n in ast.walk(node)
+        )
+
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Div, ast.FloorDiv, ast.Mod)):
+            operands = (node.left, node.right)
+        elif isinstance(node, ast.Call) and (
+            node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        ) in ("divmod", "fmod", "remainder", "divide", "floor_divide", "mod"):
+            operands = tuple(node.args)
+        else:
+            continue
+        if any(map(reads_step, operands)):
+            yield f"{name}:{node.lineno} divides by or into T or dt"
+
+
+def test_guard_flags_copied_preconditions():
+    source = (
+        "import math\n"
+        "from .estimates import MULTILINEAR, campaign\n"
+        "NAMES = tuple(MULTILINEAR) + ('interpolation', 'splitting_r1', 'antisymmetry')\n"
+        "RANGES = {'bilinear_omega': 0.0, 'derivsq_psi': 1.0}\n"
+        "def check(sol, est):\n"
+        "    if est['s'] < estimates.MULTILINEAR['derivsq_psi'][1]:\n"
+        "        raise ValueError\n"
+        "    n_steps = round(sol['T'] / sol['dt'])\n"
+        "    lag = math.fmod(T, step)\n"
+        "    return name == 'interpolation', sol['T'] * 2.0, 1.0 / n_steps\n"
+    )
+    assert len(list(_campaign_tables(source, "bad.py"))) == 5
+    assert len(list(_step_arithmetic(source, "bad.py"))) == 2
+
+
+def test_one_owner_per_precondition():
+    # estimates owns the campaign table and each estimate's range of s, dynamics the step
+    # tolerance (step_count); cli validates a config by asking them
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    tables = [line for name, src in sources.items() for line in _campaign_tables(src, name)]
+    assert tables and all(line.startswith("estimates.py:") for line in tables)
+    assert list(_step_arithmetic(sources["cli.py"], "cli.py")) == []
+    assert list(_step_arithmetic(sources["dynamics.py"], "dynamics.py"))
