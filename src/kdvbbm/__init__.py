@@ -20,7 +20,6 @@ from .dynamics import (
     SampleRecord,
     Trajectory,
     evolve_ifrk4,
-    iterate_ifrk4,
     linear_propagate,
     local_existence_time,
     picard_solve,

@@ -111,11 +111,14 @@ def _number(interval="(-inf, inf)"):
     return parse
 
 
-def _list(item, min_len=0, increasing=False):
+def _list(item, min_len=0, increasing=False, distinct=False):
     def parse(value, path):
         ok = isinstance(value, list) and len(value) >= min_len
         _expect(ok, path, f"a list of {min_len} or more entries", value)
         value = [item(entry, f"{path}[{i}]") for i, entry in enumerate(value)]
+        for i, entry in enumerate(value if distinct else ()):
+            if entry in value[:i]:
+                raise ConfigError(f"{path}: {entry!r} is listed more than once")
         ok = not increasing or all(a < b for a, b in zip(value, value[1:]))
         return _expect(ok, path, "a strictly increasing list", value)
 
@@ -203,7 +206,7 @@ _SCHEMA = {
         "calibration_fraction": (0.1, _UNIT),
     },
     "estimates": {
-        "campaigns": (list(CAMPAIGNS), _list(_one_of(*CAMPAIGNS))),
+        "campaigns": (list(CAMPAIGNS), _list(_one_of(*CAMPAIGNS), distinct=True)),
         "n_trials": (1000, _integer(1)),
         "sigma": (0.1, _NONNEGATIVE),
         "s": (1.0, _FINITE),
@@ -270,7 +273,7 @@ class RunConfig:
     """A validated run configuration; builders for every module input."""
 
     def __init__(self, raw: dict):
-        self.data = _merge_section(raw or {}, _SCHEMA, "")
+        self.data = _merge_section(raw, _SCHEMA, "")
         self._validate()
 
     # -- builders ----------------------------------------------------------
@@ -335,11 +338,13 @@ class RunConfig:
 def load_config(path: str, overrides=()) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh) or {}
+            raw = yaml.safe_load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    if raw is None:  # an empty document; [], false, 0 and '' are not mappings
+        raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a mapping at top level")
     for spec in overrides:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -68,7 +68,6 @@ class SampleRecord:
 
 @dataclass
 class Trajectory:
-    coeffs: CoefficientSet
     grid: SpectralGrid
     records: list[SampleRecord]
 
@@ -259,41 +258,6 @@ def whole_steps(T: float, dt: float) -> tuple[int, float]:
     return n_steps, T / n_steps
 
 
-def iterate_ifrk4(
-    eta0: Spectrum,
-    T: float,
-    dt: float,
-    coeffs: CoefficientSet,
-    blowup_factor: float = 1e6,
-) -> Iterator[tuple[float, np.ndarray]]:
-    """Yield (t, d) from t = 0 to t = T in steps of dt, d the state in half layout: eta0.half
-    at t = 0, a fresh array each later step.
-
-    Its one consumer is evolve_ifrk4.  Raises BlowUpError when the L^2 norm of the
-    state exceeds blowup_factor times its initial value or overflows (instability,
-    or genuinely large data).
-    """
-    n_steps = step_count(T, dt)
-    grid, d = eta0.grid, eta0.half
-    stepper = IFRK4Stepper(grid, coeffs, dt)
-    parseval, power = grid.parseval, np.empty(d.shape)  # the squares, one buffer per march
-
-    def l2_norm(d):
-        return math.sqrt(row_squares(grid, d, parseval, out=power))
-
-    ceiling = blowup_factor * (l2_norm(d) + np.finfo(float).tiny)
-    yield 0.0, d
-    for i in range(1, n_steps + 1):
-        # an overflowing step is caught by its non-finite norm, not by each operation; numpy's
-        # errstate objects cannot be entered twice, so each step makes its own
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = stepper.step(d)
-            norm = l2_norm(d)
-        if not norm <= ceiling:  # NaN compares false
-            raise BlowUpError(i * dt, norm, ceiling)
-        yield i * dt, d
-
-
 def evolve_ifrk4(
     eta0: Spectrum,
     T: float,
@@ -304,24 +268,45 @@ def evolve_ifrk4(
     gevrey_index: GevreyIndex | None = None,
     blowup_factor: float = 1e6,
 ) -> Trajectory:
-    """March with integrating-factor RK4, recording every record_every-th step.
+    """March with integrating-factor RK4 from t = 0 to t = T in steps of dt, recording
+    every record_every-th step.
 
     The first and last steps are always recorded.  When gevrey_index is given,
     each record carries the Gevrey norm at that fixed index.  on_step is called
     as f(t, d) at every step, t = 0 included, before the step is recorded, with
-    d the state in half layout (see iterate_ifrk4); an exception it raises ends the
-    march.  Records keep d and read their values from it.
+    d the state in half layout: eta0.half at t = 0, a fresh array each later step;
+    an exception it raises ends the march.  Records keep d and read their values
+    from it.  Raises BlowUpError when the L^2 norm of a state exceeds blowup_factor
+    times its initial value or overflows (instability, or genuinely large data);
+    on_step never sees that state.
     """
     n_steps = step_count(T, dt)
-    grid = eta0.grid
+    grid, d = eta0.grid, eta0.half
     table = _record_weights(grid, coeffs, gevrey_index)
+    stepper = IFRK4Stepper(grid, coeffs, dt)
+    parseval, power = grid.parseval, np.empty(d.shape)  # the squares, one buffer per march
+
+    def l2_norm(d):
+        return math.sqrt(row_squares(grid, d, parseval, out=power))
+
+    ceiling = blowup_factor * (l2_norm(d) + np.finfo(float).tiny)
     records: list[SampleRecord] = []
-    for i, (t, d) in enumerate(iterate_ifrk4(eta0, T, dt, coeffs, blowup_factor)):
+    t = 0.0
+    for i in range(n_steps + 1):
+        if i:
+            t = i * dt
+            # an overflowing step is caught by its non-finite norm, not by each operation;
+            # numpy's errstate objects cannot be entered twice, so each step makes its own
+            with np.errstate(over="ignore", invalid="ignore"):
+                d = stepper.step(d)
+                norm = l2_norm(d)
+            if not norm <= ceiling:  # NaN compares false
+                raise BlowUpError(t, norm, ceiling)
         if on_step is not None:
             on_step(t, d)
         if i % record_every == 0 or i == n_steps:
             records.append(_sample(t, grid, d, table))
-    return Trajectory(coeffs, grid, records)
+    return Trajectory(grid, records)
 
 
 @dataclass
@@ -447,7 +432,7 @@ def picard_solve(
     ts = np.linspace(0.0, T, n_nodes + 1)
     records = [_sample(float(t), grid, d, table) for t, d in zip(ts, states)]
     diag = PicardDiagnostics(len(distances), distances, ratios, contraction, mesh_delta)
-    return Trajectory(coeffs, grid, records), diag
+    return Trajectory(grid, records), diag
 
 
 def local_existence_time(norm0: float, C_s: float) -> float:

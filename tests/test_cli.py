@@ -76,6 +76,31 @@ def _read_csv(path):
 
 
 class TestConfig:
+    @pytest.mark.parametrize("document", ["[]", "false", "0", "''", "[1]"])
+    def test_non_mapping_document_rejected(self, tmp_path, capsys, document):
+        # only an empty document stands for the defaults; a falsy one is not a mapping
+        path = tmp_path / "c.yaml"
+        path.write_text(document + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["simulate", str(path), "--out", str(out)]) == 2
+        assert "must be a mapping at top level" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_document_loads_defaults(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_text("", encoding="utf-8")
+        assert cli.load_config(str(path)).data == cli.RunConfig({}).data
+
+    def test_repeated_campaign_rejected(self, tmp_path, capsys):
+        # a second run of a campaign would overwrite the first one's CSV and check
+        path = _write_config(tmp_path / "c.yaml", _small_estimates())
+        out = tmp_path / "out"
+        repeated = "estimates.campaigns=[bilinear_omega, bilinear_tau, bilinear_omega]"
+        assert cli.main(["estimates", path, "--out", str(out), "--set", repeated]) == 2
+        err = capsys.readouterr().err
+        assert "estimates.campaigns" in err and "'bilinear_omega'" in err
+        assert not out.exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         path = _write_config(tmp_path / "c.yaml", {"bogus": 1})
         assert cli.main(["simulate", path, "--out", str(tmp_path / "out")]) == 2

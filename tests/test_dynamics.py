@@ -252,7 +252,8 @@ class TestTendencyWorkspace:
 
     def test_states_unchanged_by_later_steps(self, grid, coeffs):
         eta0 = kb.gaussian(grid, 1.0, 0.5)
-        kept = [(d, d.copy()) for _, d in kb.iterate_ifrk4(eta0, 0.1, 0.01, coeffs)]
+        kept = []
+        kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs, on_step=lambda t, d: kept.append((d, d.copy())))
         assert len(kept) == 11
         assert all(np.array_equal(d, copy) for d, copy in kept)
         short = kb.evolve_ifrk4(eta0, 0.05, 0.01, coeffs)
@@ -368,6 +369,29 @@ class TestIFRK4:
         for r, i in zip(traj.records, (0, 3, 6, 9, 10), strict=True):
             assert r.half is seen[i][1] and r.state.half is seen[i][1]
         assert len({id(d) for _, d in seen}) == 11  # a fresh array each step
+
+    def test_on_step_never_sees_rejected_state(self, grid, coeffs, monkeypatch):
+        # the guard rejects step i's state (made NaN here) before the hook would see it:
+        # the hook ran exactly i times, t = 0 included, and never with that state
+        i, stepped = 4, []
+        step = IFRK4Stepper.step
+
+        def failing_step(self, c):
+            d = step(self, c)
+            if len(stepped) == i - 1:
+                d[:] = np.nan
+            stepped.append(d)
+            return d
+
+        monkeypatch.setattr(IFRK4Stepper, "step", failing_step)
+        eta0 = kb.cos_mode(grid, 1, 0.1)
+        seen = []
+        with pytest.raises(kb.BlowUpError) as err:
+            kb.evolve_ifrk4(eta0, 1.0, 0.01, coeffs, on_step=lambda t, d: seen.append((t, d)))
+        assert len(stepped) == i and err.value.t == i * 0.01 and math.isnan(err.value.value)
+        assert len(seen) == i
+        assert all(d is s for (_, d), s in zip(seen[1:], stepped[:-1], strict=True))
+        assert all(d is not stepped[-1] for _, d in seen)
 
     def test_on_step_error_ends_march(self, grid, coeffs):
         eta0 = kb.cos_mode(grid, 1, 0.01)
@@ -651,7 +675,7 @@ def test_trajectory_must_start_at_zero(grid, coeffs):
         t=1.0, grid=grid, half=state.half, energy=0.0, h2=0.0, h2_polynomial_sq=0.0
     )
     with pytest.raises(ValueError):
-        kb.Trajectory(coeffs, grid, [rec])
+        kb.Trajectory(grid, [rec])
 
 
 def test_antisymmetry_discrete_cancellation(grid, coeffs):

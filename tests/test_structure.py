@@ -147,15 +147,16 @@ def test_generators_built_in_one_helper():
 
 def test_guard_flags_copied_loops():
     source = (
-        "def run(eta0):\n"
-        "    for t, s in iterate_ifrk4(eta0):\n"
-        "        rec = kb.SampleRecord(t, s)\n"
+        "def run(eta0, dt):\n"
+        "    stepper = IFRK4Stepper(eta0.grid, coeffs, dt)\n"
+        "    for i in range(10):\n"
+        "        rec = kb.SampleRecord(i * dt, stepper.step(eta0.half))\n"
         "    def inner():\n"
         "        return SampleRecord(0.0, None)\n"
-        "    return dynamics.iterate_ifrk4(eta0)\n"
+        "    return dynamics.IFRK4Stepper(eta0.grid, coeffs, dt)\n"
     )
     assert _call_sites(source, "bad.py", "SampleRecord") == ["bad.py:run", "bad.py:inner"]
-    assert _call_sites(source, "bad.py", "iterate_ifrk4") == ["bad.py:run", "bad.py:run"]
+    assert _call_sites(source, "bad.py", "IFRK4Stepper") == ["bad.py:run", "bad.py:run"]
 
 
 def test_one_record_constructor():
@@ -165,8 +166,8 @@ def test_one_record_constructor():
 
 
 def test_one_marching_loop():
-    # the IFRK4 state stream is consumed by evolve_ifrk4 alone; others hook into it
-    assert _package_call_sites("iterate_ifrk4") == ["dynamics.py:evolve_ifrk4"]
+    # evolve_ifrk4 alone builds a stepper and steps it; others hook into its loop
+    assert _package_call_sites("IFRK4Stepper") == ["dynamics.py:evolve_ifrk4"]
 
 
 def test_one_run_driver():
