@@ -2,8 +2,8 @@
 
 Simulates the periodic initial-value problem with spectral accuracy, computes
 Sobolev/Gevrey norms and the conserved energy, tracks the radius of spatial
-analyticity along solutions, and probes every multilinear estimate underlying
-the local existence theory with randomized trials.
+analyticity along solutions, probes every multilinear estimate underlying the
+local existence theory with randomized trials, and bounds its constant C_s.
 """
 
 from .analyticity import (

@@ -438,8 +438,8 @@ def picard_solve(
 def local_existence_time(norm0: float, C_s: float) -> float:
     """Guaranteed existence window 1/(8*C_s*norm0*(1 + norm0)).
 
-    norm0 is the Gevrey norm of the datum and C_s the (empirical) constant of
-    the nonlinear estimates; a zero datum gives +inf.
+    norm0 is the Gevrey norm of the datum and C_s the constant of the nonlinear
+    estimates, as estimates.existence_constant bounds it; a zero datum gives +inf.
     """
     if norm0 < 0:
         raise ValueError(f"norm0 must be nonnegative, got {norm0}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -338,20 +339,29 @@ def run_trials(
     return reports if many else reports[0]
 
 
-def existence_constant(
-    grid: SpectralGrid,
-    g: GevreyIndex,
-    coeffs: CoefficientSet,
-    n_trials: int = 200,
-    seed: int = 2024,
-) -> float:
-    """Empirical surrogate for the nonlinear-estimate constant C_s.
+def constant_bound(lemma_id: str, grid: SpectralGrid, g: GevreyIndex, coeffs: CoefficientSet) -> float:
+    """Cauchy-Schwarz upper bound on every ratio of a multilinear estimate on the grid:
+    ratio^2 <= max_k w_k^2 m_k^2 S_k / (2L)^(arity-1), w_k^2 = <xi_k>^{2s} e^{2 sigma <xi_k>},
+    m the symbol, S the arity-fold convolution over the modes |j| < n/2 of f = 1/w^2 (xi^2/w^2
+    for derivsq_psi), even in k like w and m^2.  Summed from f tilted by e^{2 sigma (1 + xi_j)},
+    every term is O(1) and positive, so np.convolve's direct sums lose nothing."""
+    arity, _, kind, differentiate = MULTILINEAR[lemma_id]
+    h = grid.nyquist
+    xi = grid.wavenumbers[:h]
+    br = bracket(xi)
+    tilted = br ** (-2.0 * g.s) * (xi * xi if differentiate else 1.0)  # modes 0..h-1
+    f = np.concatenate([(tilted * np.exp(-4.0 * g.sigma * xi))[:0:-1], tilted])  # 1-h..h-1
+    sums = reduce(np.convolve, [f] * arity)[arity * (h - 1) :][:h]  # modes 0..h-1
+    m = symbol_on_grid(grid, coeffs, kind)[:h]
+    top = float(np.max(br ** (2.0 * g.s) * m * m * sums))
+    untilt = math.exp(2.0 * g.sigma * (1 - arity))  # e^{2 sigma <xi_k>} / e^{2 sigma (arity + xi_k)}
+    return math.sqrt(top * untilt / (2.0 * grid.half_length) ** (arity - 1))
 
-    The largest observed ratio across the three nonlinear estimates feeding
-    the contraction argument (quadratic, cubic, derivative-square) at the
-    given (sigma, s) and grid, on band-limited random fields.  Requires s >= 1.
-    """
+
+def existence_constant(grid: SpectralGrid, g: GevreyIndex, coeffs: CoefficientSet) -> float:
+    """The nonlinear-estimate constant C_s: the largest constant_bound of the three estimates feeding
+    the contraction (quadratic, cubic, derivative-square).  Deterministic; requires s >= 1."""
     if g.s < 1.0:
         raise ValueError(f"existence constant requires s >= 1, got s = {g.s}")
     lemmas = ("bilinear_tau", "trilinear_psi", "derivsq_psi")
-    return max(run_trials(one, grid, g, coeffs, n_trials=n_trials, seed=seed).ratio_max for one in lemmas)
+    return max(constant_bound(one, grid, g, coeffs) for one in lemmas)

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the package's FFT/padding code paths:
 products are brute-force coefficient convolutions, norms are physical-space
-quadrature sums.  The package keeps spectra in half layout (see kdvbbm.spectral);
+quadrature sums, and the Cauchy-Schwarz bound on an estimate's constant is a
+direct double or triple sum over the modes.  The package keeps spectra in half layout (see kdvbbm.spectral);
 the oracles work on the FFT layout, all n coefficients c_k ordered k = 0..n/2-1,
 -n/2..-1 as numpy's fft returns them, and fft_to_half / half_to_fft convert.
 """
@@ -116,3 +117,28 @@ def inner_quadrature(grid, f, g):
 def richardson_order(err_coarse, err_fine):
     """Observed convergence order from two successive error levels."""
     return float(np.log2(err_coarse / err_fine))
+
+
+def cauchy_schwarz_bound(grid, sigma, s, symbol, arity, differentiate):
+    """sqrt(max_k w_k^2 m_k^2 S_k / (2L)^(arity-1)) over the modes |k| < n/2, S_k the direct
+    sum of f_j1 ... f_jarity over all j1 + ... + jarity = k with every |j| < n/2, where
+    w^2 = <xi>^{2s} e^{2 sigma <xi>}, f = 1/w^2 (xi^2/w^2 when differentiate) and m the
+    FFT-layout symbol: the Cauchy-Schwarz bound on a multilinear estimate's ratio."""
+    n, h = grid.n_modes, grid.n_modes // 2
+    xi = fft_wavenumbers(grid)
+    w2 = (1.0 + np.abs(xi)) ** (2.0 * s) * np.exp(2.0 * sigma * (1.0 + np.abs(xi)))
+    f = (xi**2 if differentiate else 1.0) / w2
+    modes = np.arange(1 - h, h)
+    fj = f[modes % n]
+    best = 0.0
+    for k in modes:
+        if arity == 2:
+            rest = k - modes
+            inside = np.abs(rest) < h
+            total = np.sum(fj[inside] * f[rest[inside] % n])
+        else:
+            rest = k - modes[:, None] - modes[None, :]
+            inside = np.abs(rest) < h
+            total = np.sum((fj[:, None] * fj[None, :])[inside] * f[rest[inside] % n])
+        best = max(best, w2[k % n] * symbol[k % n] ** 2 * total)
+    return float(np.sqrt(best / (2.0 * grid.half_length) ** (arity - 1)))

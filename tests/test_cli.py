@@ -7,6 +7,7 @@ import json
 import os
 import platform
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -29,7 +30,6 @@ def _small_sim(**extra):
         "run": {"seed": 3},
         "initial": {"family": "cos_mode", "k": 1, "amplitude": 0.05},
         "solver": {"T": 0.2, "dt": 0.005, "record_every": 10},
-        "checks": {"existence_trials": 16},
     }
     for section, values in extra.items():
         cfg.setdefault(section, {}).update(values)
@@ -43,7 +43,6 @@ def _small_radius():
                     "roll_off": 2.0, "amplitude": 0.002},
         "solver": {"T": 0.5, "dt": 0.002, "record_every": 25},
         "analyticity": {"sigma0": 0.5},
-        "checks": {"existence_trials": 16},
     }
 
 
@@ -53,7 +52,7 @@ def _small_picard():
         "initial": {"family": "cos_mode", "k": 1, "amplitude": 0.01},
         "solver": {"method": "picard", "T": "auto", "dt": 0.01, "n_nodes": 32},
         "analyticity": {"sigma0": 0.1},
-        "checks": {"existence_trials": 32, "crosscheck_tol": 1e-6},
+        "checks": {"crosscheck_tol": 1e-6},
     }
 
 
@@ -448,7 +447,7 @@ class TestSimulate:
 
 class TestFourModeGrid:
     """grid.n_modes = 4 passes the schema, so each command on it ends in a recorded outcome;
-    the existence constant's band-limited trials keep mode 1 there."""
+    the existence constant's bound sums over modes -1..1 there."""
 
     @pytest.mark.parametrize(
         "command, config",
@@ -492,7 +491,6 @@ class TestRadius:
         data = {
             "initial": {"family": "cos_mode", "k": 2, "amplitude": 0.1},
             "solver": {"T": 0.5, "dt": 0.005, "record_every": 10},
-            "checks": {"existence_trials": 16},
         }
         path = _write_config(tmp_path / "c.yaml", data)
         out = str(tmp_path / "out")
@@ -594,11 +592,12 @@ class TestPicardCommand:
         assert data["existence_window"] is None  # picard_meta.json, the last name
 
     def test_mesh_refinement_failure_is_recorded(self, tmp_path):
-        # two nodes leave a quadrature error far above tol: exit 1 with every artifact written
+        # two nodes over T = 35 leave a quadrature error far above tol (1.7e-7; over the
+        # window T_bar = 3.87 it is 2.3e-10): exit 1 with every artifact written
         path = _write_config(tmp_path / "c.yaml", _small_picard())
         out = str(tmp_path / "out")
         argv = ["picard", path, "--out", out, "--set", "solver.n_nodes=2",
-                "--set", "solver.crosscheck=false"]
+                "--set", "solver.crosscheck=false", "--set", "solver.T=35"]
         assert cli.main(argv) == 1
         manifest, rundir = _manifest(out)
         with open(os.path.join(rundir, "picard_meta.json")) as fh:
@@ -873,3 +872,62 @@ class TestBenchmarkConfigs:
             for section, values in raw.items():
                 for key, value in values.items():
                     assert cfg.data[section][key] == value, (name, section, key)
+
+
+class TestAutoWindow:
+    """T: auto takes the window from the certified constant, which reads no seed and
+    converges under grid refinement."""
+
+    def test_window_deterministic_and_grid_stable(self, tmp_path, benchmark_workloads):
+        op = benchmark_workloads.KNOWN_FAILURES[0]  # picard at n = 1024 with T: auto
+        assert op.command == "picard" and op.config["solver"]["T"] == "auto"
+        metas = {}
+        for n in (256, 1024):
+            for seed in (1, 2):
+                cfg = op.seeded(seed)
+                cfg["grid"]["n_modes"] = n
+                path = _write_config(tmp_path / f"c{n}-{seed}.yaml", cfg)
+                out = str(tmp_path / f"out{n}-{seed}")
+                assert cli.main(["picard", path, "--out", out]) in (0, 1)
+                _, rundir = _manifest(out)
+                with open(os.path.join(rundir, "picard_meta.json")) as fh:
+                    metas[n, seed] = json.load(fh)
+        for n in (256, 1024):
+            assert metas[n, 1]["existence_constant"] == metas[n, 2]["existence_constant"]
+        coarse, fine = metas[256, 1]["existence_window"], metas[1024, 1]["existence_window"]
+        assert coarse == pytest.approx(fine, rel=0.01)
+
+
+_RUN_COMMANDS = """
+import json, sys
+import kdvbbm.cli as cli
+seen = []
+for command, path, out in json.loads(sys.argv[1]):
+    seen.append([cli.main([command, path, "--out", out]), "numpy.random" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_no_random_numbers_outside_estimates(tmp_path):
+    # a fresh interpreter, since pytest and hypothesis import numpy.random in this one; the
+    # marches and the solve at analyticity.s >= 1 compute C_s, and only estimates draws
+    runs = []
+    for command, config in (
+        ("simulate", _small_sim()),
+        ("radius", _small_radius()),
+        ("picard", _small_picard()),
+        ("estimates", _small_estimates()),
+    ):
+        path = _write_config(tmp_path / f"{command}.yaml", config)
+        runs.append([command, path, str(tmp_path / f"out-{command}")])
+        assert command == "estimates" or cli.RunConfig(config).data["analyticity"]["s"] >= 1.0
+    env = dict(os.environ)
+    src = str(Path(kb.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_COMMANDS, json.dumps(runs)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen == [[0, False], [0, False], [0, False], [0, True]]

@@ -18,7 +18,7 @@ from kdvbbm.estimates import (
     campaign,
 )
 from draws import random_spectrum
-from oracles import convolve_project, fft_to_half, fft_wavenumbers, half_to_fft
+from oracles import cauchy_schwarz_bound, convolve_project, fft_to_half, fft_wavenumbers, half_to_fft
 
 G_S0 = kb.GevreyIndex(0.0, 0.0)
 G_S1 = kb.GevreyIndex(0.1, 1.0)
@@ -58,7 +58,7 @@ class TestRandomField:
 
     def test_existence_constant_positive_on_four_modes(self, coeffs):
         grid = kb.SpectralGrid(4, 16.0 * np.pi)
-        assert kb.existence_constant(grid, kb.GevreyIndex(0.1, 2.0), coeffs, n_trials=20) > 0
+        assert kb.existence_constant(grid, kb.GevreyIndex(0.1, 2.0), coeffs) > 0
 
     def test_real_and_zero_nyquist(self, grid):
         for profile, kw in (
@@ -315,11 +315,54 @@ class TestTrialCampaigns:
             kb.run_trials("bogus", grid, G_S1, coeffs, n_trials=2, seed=0)
 
     def test_existence_constant_positive(self, grid, coeffs):
-        c_s = kb.existence_constant(grid, kb.GevreyIndex(0.1, 2.0), coeffs,
-                                    n_trials=20, seed=11)
+        c_s = kb.existence_constant(grid, kb.GevreyIndex(0.1, 2.0), coeffs)
         assert c_s > 0
         with pytest.raises(ValueError):
             kb.existence_constant(grid, kb.GevreyIndex(0.1, 0.5), coeffs)
+
+
+#: The three estimates feeding the contraction argument, whose largest bound is C_s.
+EXISTENCE_LEMMAS = ("bilinear_tau", "trilinear_psi", "derivsq_psi")
+BOUND_INDICES = [kb.GevreyIndex(0.1, 2.0), kb.GevreyIndex(0.5, 2.0), kb.GevreyIndex(0.0, 1.0)]
+
+
+class TestConstantBound:
+    @pytest.mark.parametrize("g", BOUND_INDICES, ids=str)
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_equals_direct_sum(self, coeffs, n, g):
+        grid = kb.SpectralGrid(n, 16.0 * np.pi)
+        for lemma_id in EXISTENCE_LEMMAS:
+            arity, _, kind, differentiate = MULTILINEAR[lemma_id]
+            symbol = kb.evaluate_symbol(kind, fft_wavenumbers(grid), coeffs)
+            want = cauchy_schwarz_bound(grid, g.sigma, g.s, symbol, arity, differentiate)
+            got = estimates.constant_bound(lemma_id, grid, g, coeffs)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), lemma_id
+
+    @pytest.mark.parametrize("profile", ["band_limited", "exponential_decay"])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_above_every_trial(self, coeffs, n, profile):
+        grid = kb.SpectralGrid(n, 16.0 * np.pi)
+        kw = {"rate": 0.5} if profile == "exponential_decay" else {}
+        for g in BOUND_INDICES:
+            for lemma_id in EXISTENCE_LEMMAS:
+                report = kb.run_trials(lemma_id, grid, g, coeffs, n_trials=256, seed=n,
+                                       profile=profile, **kw)
+                bound = estimates.constant_bound(lemma_id, grid, g, coeffs)
+                assert report.ratio_max <= bound, (lemma_id, g)
+
+    @pytest.mark.parametrize("g", [i for i in BOUND_INDICES if i.sigma > 0.0], ids=str)
+    def test_converges_under_refinement(self, coeffs, g):
+        coarse, fine = (kb.SpectralGrid(n, 16.0 * np.pi) for n in (1024, 4096))
+        for lemma_id in EXISTENCE_LEMMAS:
+            bound = estimates.constant_bound(lemma_id, fine, g, coeffs)
+            assert estimates.constant_bound(lemma_id, coarse, g, coeffs) == pytest.approx(
+                bound, rel=1e-3
+            ), lemma_id
+
+    def test_existence_constant_is_largest_bound(self, grid, coeffs):
+        g = kb.GevreyIndex(0.5, 2.0)
+        bounds = [estimates.constant_bound(one, grid, g, coeffs) for one in EXISTENCE_LEMMAS]
+        assert kb.existence_constant(grid, g, coeffs) == max(bounds)
 
 
 def _reference_streams(seed):

@@ -145,6 +145,12 @@ def test_generators_built_in_one_helper():
         assert set(_package_call_sites(callee)) == {"estimates.py:_streams"}, callee
 
 
+def test_trials_drawn_by_estimates_command_alone():
+    # the existence constant is a closed-form bound, so simulate, radius and picard draw no
+    # random numbers; the randomized campaigns run only for the estimates command
+    assert _package_call_sites("run_trials") == ["cli.py:run_estimates"]
+
+
 def test_guard_flags_copied_loops():
     source = (
         "def run(eta0, dt):\n"
