@@ -44,14 +44,7 @@ from .estimates import (
 )
 from .fields import cos_mode, gaussian, gevrey_synthetic
 from .norms import GevreyIndex, bracket, energy, gevrey_norm, h2_polynomial_sq, sobolev_norm
-from .params import (
-    ABCDParams,
-    CoefficientSet,
-    DEFAULT_COEFFICIENTS,
-    ValidationReport,
-    derive_coefficients,
-    validate_coefficients,
-)
+from .params import ABCDParams, CoefficientSet, DEFAULT_COEFFICIENTS, derive_coefficients
 from .spectral import (
     SpectralGrid,
     Spectrum,

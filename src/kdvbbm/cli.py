@@ -36,7 +36,7 @@ from .errors import ConfigError, KdvBbmError
 from .estimates import CAMPAIGNS, PROFILES, campaign, existence_constant, failure_demo_bilinear, run_trials
 from .fields import cos_mode, gaussian, gevrey_synthetic
 from .norms import GevreyIndex, gevrey_norm, gevrey_weights
-from .params import ABCDParams, CoefficientSet, derive_coefficients, validate_coefficients
+from .params import ABCDParams, CoefficientSet, derive_coefficients
 from .spectral import SpectralGrid, Spectrum, spectrum_csv_rows
 
 OUTPUT_ROOT_ENV = "KDVBBM_OUTPUT_ROOT"
@@ -254,11 +254,12 @@ def _merge_section(user, schema, path):
     return merged
 
 
-def _asked(section, check, *args):
-    """check(*args), the rule of the module that enforces it; its error becomes a ConfigError
-    that names the config section."""
+@contextlib.contextmanager
+def _asked(section):
+    """A block that asks the module enforcing a rule; its error becomes a ConfigError that
+    names the config section."""
     try:
-        return check(*args)
+        yield
     except (KdvBbmError, ValueError) as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
@@ -267,66 +268,51 @@ def _check_marched_horizon(sol):
     """solver.T of an IFRK4 march: not 'auto', and a whole number of solver.dt steps."""
     if sol["T"] == "auto":
         raise ConfigError("solver.T: 'auto' needs the picard command with method 'picard'")
-    _asked("solver", step_count, sol["T"], sol["dt"])
+    with _asked("solver"):
+        step_count(sol["T"], sol["dt"])
 
 
 class RunConfig:
-    """A validated run configuration; builders for every module input."""
+    """A validated run configuration and the module inputs it built, once each, through the
+    constructors that check them: coefficients, grid, initial_state (the datum), gevrey_index
+    (the march's (sigma0, s)) and estimates_index (the campaigns' (sigma, s))."""
 
     def __init__(self, raw: dict):
         self.data = _merge_section(raw, _SCHEMA, "")
         self._validate()
 
-    # -- builders ----------------------------------------------------------
-
-    def coefficients(self) -> CoefficientSet:
-        sec = self.data["coefficients"]
-        if sec["abcd"] is not None:
-            return derive_coefficients(ABCDParams(**{k: float(v) for k, v in sec["abcd"].items()}))
-        return CoefficientSet(
-            gamma1=sec["gamma1"],
-            gamma2=sec["gamma2"],
-            delta1=sec["delta1"],
-            delta2=sec["delta2"],
-            gamma=sec["gamma"],
-        )
-
-    def grid(self) -> SpectralGrid:
-        sec = self.data["grid"]
-        return SpectralGrid(sec["n_modes"], sec["half_length"])
-
-    def gevrey_index(self) -> GevreyIndex:
-        sec = self.data["analyticity"]
-        return GevreyIndex(sec["sigma0"], sec["s"])
-
-    def initial_state(self, grid: SpectralGrid) -> Spectrum:
-        sec = self.data["initial"]
-        if sec["family"] == "cos_mode":
-            return cos_mode(grid, sec["k"], sec["amplitude"])
-        if sec["family"] == "gaussian":
-            return gaussian(grid, sec["width"], sec["amplitude"])
-        return gevrey_synthetic(grid, sec["sigma0"], sec["roll_off"], sec["amplitude"])
-
-    # -- validation --------------------------------------------------------
-
     def _validate(self):
-        """The rules that tie keys together, each asked of the module that enforces it; each
-        key's own domain is its schema type."""
-        coeffs = _asked("coefficients", self.coefficients)
-        grid = _asked("grid", self.grid)
-        report = validate_coefficients(coeffs)
-        if not report.passed:
-            names = ", ".join(c.name for c in report.failures())
-            raise ConfigError(f"coefficients: invariants failed: {names}")
-        _asked("initial", self.initial_state, grid)
+        """Build the run inputs and check the rules that tie keys together, each asked of the
+        module that enforces it; each key's own domain is its schema type."""
+        coef, init = self.data["coefficients"], self.data["initial"]
+        ana, est = self.data["analyticity"], self.data["estimates"]
+        with _asked("coefficients"):
+            if coef["abcd"] is None:
+                self.coefficients = CoefficientSet(**{k: v for k, v in coef.items() if k != "abcd"})
+            else:
+                abcd = ABCDParams(**{k: float(v) for k, v in coef["abcd"].items()})
+                self.coefficients = derive_coefficients(abcd)
+        with _asked("grid"):
+            self.grid = SpectralGrid(**self.data["grid"])
+        with _asked("initial"):
+            if init["family"] == "cos_mode":
+                self.initial_state = cos_mode(self.grid, init["k"], init["amplitude"])
+            elif init["family"] == "gaussian":
+                self.initial_state = gaussian(self.grid, init["width"], init["amplitude"])
+            else:
+                self.initial_state = gevrey_synthetic(
+                    self.grid, init["sigma0"], init["roll_off"], init["amplitude"]
+                )
         if self.data["solver"]["method"] == "ifrk4":
             _check_marched_horizon(self.data["solver"])
-        ana, est = self.data["analyticity"], self.data["estimates"]
-        _asked("analyticity", gevrey_weights, grid, ana["sigma0"], ana["s"])
-        g = GevreyIndex(est["sigma"], est["s"])
-        for name in est["campaigns"]:
-            for combo in est["interpolation_combos"] if name == "interpolation" else [None]:
-                _asked("estimates", campaign, name, grid, g, coeffs, combo)
+        with _asked("analyticity"):
+            self.gevrey_index = GevreyIndex(ana["sigma0"], ana["s"])
+            gevrey_weights(self.grid, ana["sigma0"], ana["s"])
+        self.estimates_index = GevreyIndex(est["sigma"], est["s"])
+        with _asked("estimates"):
+            for name in est["campaigns"]:
+                for combo in est["interpolation_combos"] if name == "interpolation" else [None]:
+                    campaign(name, self.grid, self.estimates_index, self.coefficients, combo)
 
     def canonical_json(self) -> str:
         return json.dumps(self.data, sort_keys=True, separators=(",", ":"))
@@ -343,7 +329,7 @@ def load_config(path: str, overrides=()) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+        raise ConfigError(f"cannot parse config {path}: {_yaml_problem(exc)}") from exc
     if raw is None:  # an empty document; [], false, 0 and '' are not mappings
         raw = {}
     if not isinstance(raw, dict):
@@ -351,6 +337,13 @@ def load_config(path: str, overrides=()) -> RunConfig:
     for spec in overrides:
         raw = apply_override(raw, spec)
     return RunConfig(raw)
+
+
+def _yaml_problem(exc: yaml.YAMLError) -> str:
+    """PyYAML's problem on one line, with the line and column where it found it."""
+    mark = getattr(exc, "problem_mark", None)
+    where = "" if mark is None else f" at line {mark.line + 1}, column {mark.column + 1}"
+    return " ".join(str(getattr(exc, "problem", None) or exc).split()) + where
 
 
 def apply_override(raw: dict, spec: str) -> dict:
@@ -364,7 +357,7 @@ def apply_override(raw: dict, spec: str) -> dict:
     try:
         value = yaml.safe_load(text)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"override {spec!r}: cannot parse value: {exc}") from exc
+        raise ConfigError(f"override {spec!r}: cannot parse value: {_yaml_problem(exc)}") from exc
     out = copy.deepcopy(raw)
     node = out
     for key in keys[:-1]:
@@ -487,21 +480,20 @@ def _now() -> str:
 
 
 def _setup(cfg: RunConfig):
-    """(coefficients, datum, Gevrey index, X0, T_bar, C_s) of a march or a solve.
+    """(X0, T_bar, C_s) of a march or a solve, X0 being G of the datum at (sigma0, s).
 
     T_bar, the guaranteed window, is inf for a zero datum; T_bar and the
     existence constant C_s are None when C_s needs analyticity.s >= 1.
     """
-    coeffs, grid, g = cfg.coefficients(), cfg.grid(), cfg.gevrey_index()
-    eta0 = cfg.initial_state(grid)
-    x0 = gevrey_norm(eta0, g)
+    g = cfg.gevrey_index
+    x0 = gevrey_norm(cfg.initial_state, g)
     t_bar = c_s = None
     if x0 == 0.0:
         t_bar = math.inf
     elif g.s >= 1.0:
-        c_s = existence_constant(grid, g, coeffs)
+        c_s = existence_constant(cfg.grid, g, cfg.coefficients)
         t_bar = local_existence_time(x0, c_s)
-    return coeffs, eta0, g, x0, t_bar, c_s
+    return x0, t_bar, c_s
 
 
 def _trajectory_csv(traj, tracked=None):
@@ -533,8 +525,8 @@ def _resolvable_radius(cfg) -> float:
     return math.pi / cfg.data["grid"]["half_length"]
 
 
-def _simulate_checks(cfg, coeffs, traj, tracked, t_bar, x0):
-    cks = cfg.data["checks"]
+def _simulate_checks(cfg, traj, tracked, t_bar, x0):
+    cks, coeffs = cfg.data["checks"], cfg.coefficients
     checks: dict = {}
 
     energies = np.array([r.energy for r in traj.records])
@@ -599,15 +591,15 @@ def run_simulate(cfg: RunConfig, tracking: bool = False):
     tracking = tracking or ana["enabled"]
     if tracking and ana["sigma0"] <= _resolvable_radius(cfg):  # sigma_resolvable fails at t = 0
         raise ConfigError("analyticity.sigma0: a tracked march needs sigma0 > pi/grid.half_length")
-    coeffs, eta0, g, x0, t_bar, _ = _setup(cfg)
+    x0, t_bar, _ = _setup(cfg)
 
     tracked = None
     if tracking:
         tracked = tracked_run(
-            eta0,
+            cfg.initial_state,
             sol["T"],
             sol["dt"],
-            coeffs,
+            cfg.coefficients,
             sigma0=ana["sigma0"],
             s=ana["s"],
             record_every=sol["record_every"],
@@ -620,12 +612,12 @@ def run_simulate(cfg: RunConfig, tracking: bool = False):
         traj = tracked.trajectory
     else:
         traj = evolve_ifrk4(
-            eta0,
+            cfg.initial_state,
             sol["T"],
             sol["dt"],
-            coeffs,
+            cfg.coefficients,
             record_every=sol["record_every"],
-            gevrey_index=g,
+            gevrey_index=cfg.gevrey_index,
             blowup_factor=sol["blowup_factor"],
         )
 
@@ -635,12 +627,13 @@ def run_simulate(cfg: RunConfig, tracking: bool = False):
     }
     if tracked is not None:
         artifacts["sigma.csv"] = (("t", "sigma"), tracked.sigma_series)
-    return artifacts, _simulate_checks(cfg, coeffs, traj, tracked, t_bar, x0)
+    return artifacts, _simulate_checks(cfg, traj, tracked, t_bar, x0)
 
 
 def run_picard(cfg: RunConfig):
     """Solve the integral equation by Picard iteration, optionally cross-checked by IFRK4."""
-    coeffs, eta0, g, x0, t_bar, c_s = _setup(cfg)
+    coeffs, eta0, g = cfg.coefficients, cfg.initial_state, cfg.gevrey_index
+    x0, t_bar, c_s = _setup(cfg)
     sol = cfg.data["solver"]
     cks = cfg.data["checks"]
 
@@ -702,11 +695,9 @@ def run_picard(cfg: RunConfig):
 
 def run_estimates(cfg: RunConfig):
     """The randomized estimate campaigns and the below-range failure demo."""
-    coeffs = cfg.coefficients()
-    grid = cfg.grid()
+    coeffs, grid, g = cfg.coefficients, cfg.grid, cfg.estimates_index
     est = cfg.data["estimates"]
     seed = cfg.data["run"]["seed"]
-    g = GevreyIndex(est["sigma"], est["s"])
 
     artifacts: dict = {}
     checks: dict = {}

@@ -2,8 +2,9 @@
 
 The evolution equation is parametrized by (gamma1, gamma2, delta1, delta2, gamma),
 which derive from an eight-parameter family (a, b, c, d, a1, b1, c1, d1) of the
-underlying two-way expansion.  All algebraic relations between them are enforced
-to a fixed absolute tolerance; no discretization error is involved here.
+underlying two-way expansion.  Each class checks its own invariants when it is
+constructed, the algebraic relations to a fixed absolute tolerance; no
+discretization error is involved here.
 """
 
 from __future__ import annotations
@@ -47,10 +48,12 @@ class ABCDParams:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """The five model coefficients.
+    """The five model coefficients, checked when constructed.
 
-    May be constructed directly without going through ABCDParams; use
-    validate_coefficients to confirm the algebraic relations hold.
+    The constructor is the package's coefficient gate: gamma1 > 0 and delta1 > 0 keep
+    the BBM symbol varphi positive, and the three relations of the derivation hold to
+    ARITH_TOL.  A set failing any of them raises ConstraintError naming the failing
+    invariant with the largest residual.
     """
 
     gamma1: float
@@ -58,6 +61,20 @@ class CoefficientSet:
     delta1: float
     delta2: float
     gamma: float
+
+    def __post_init__(self):
+        positive = {"gamma1 > 0": self.gamma1, "delta1 > 0": self.delta1}
+        relations = {
+            "gamma1 + gamma2 = 1/6": self.gamma1 + self.gamma2 - 1.0 / 6.0,
+            "gamma = (5 - 18*gamma1)/24": self.gamma - (5.0 - 18.0 * self.gamma1) / 24.0,
+            "delta2 - delta1 = 19/360 - gamma1/6": (
+                (self.delta2 - self.delta1) - (19.0 / 360.0 - self.gamma1 / 6.0)
+            ),
+        }
+        failures = [(name, max(0.0, -x)) for name, x in positive.items() if not x > 0.0]
+        failures += [(name, abs(r)) for name, r in relations.items() if not abs(r) <= ARITH_TOL]
+        if failures:
+            raise ConstraintError(*max(failures, key=lambda f: f[1]))
 
     @property
     def c_min(self) -> float:
@@ -85,48 +102,11 @@ DEFAULT_COEFFICIENTS = CoefficientSet(
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    residual: float
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-
-def validate_coefficients(coeffs: CoefficientSet) -> ValidationReport:
-    """Report pass/fail and residual for every coefficient invariant."""
-    eq = [
-        ("gamma1 + gamma2 = 1/6", coeffs.gamma1 + coeffs.gamma2 - 1.0 / 6.0),
-        ("gamma = (5 - 18*gamma1)/24", coeffs.gamma - (5.0 - 18.0 * coeffs.gamma1) / 24.0),
-        (
-            "delta2 - delta1 = 19/360 - gamma1/6",
-            (coeffs.delta2 - coeffs.delta1) - (19.0 / 360.0 - coeffs.gamma1 / 6.0),
-        ),
-    ]
-    checks = [
-        CheckResult("gamma1 > 0", coeffs.gamma1 > 0.0, max(0.0, -coeffs.gamma1)),
-        CheckResult("delta1 > 0", coeffs.delta1 > 0.0, max(0.0, -coeffs.delta1)),
-    ]
-    checks += [CheckResult(name, abs(res) <= ARITH_TOL, abs(res)) for name, res in eq]
-    return ValidationReport(tuple(checks))
-
-
 def derive_coefficients(p: ABCDParams) -> CoefficientSet:
     """Derive the model coefficients from the two-way expansion parameters.
 
-    Raises ConstraintError when the inputs are inconsistent, i.e. when the
-    derived set fails any coefficient invariant (including delta1 > 0).
+    Raises ConstraintError, from the CoefficientSet constructor, when the inputs are
+    inconsistent, i.e. when the derived set fails any coefficient invariant.
     """
     rho = p.rho
     gamma1 = 0.5 * (p.b + p.d - rho)
@@ -140,9 +120,4 @@ def derive_coefficients(p: ABCDParams) -> CoefficientSet:
         2.0 * (p.a1 + p.c1) - (p.c - p.a + rho) * (1.0 / 6.0 - p.a) + rho / 3.0
     )
     gamma = (5.0 - 9.0 * (p.b + p.d) + 9.0 * rho) / 24.0
-    coeffs = CoefficientSet(gamma1, gamma2, delta1, delta2, gamma)
-    report = validate_coefficients(coeffs)
-    if not report.passed:
-        worst = max(report.failures(), key=lambda c: c.residual)
-        raise ConstraintError(worst.name, worst.residual)
-    return coeffs
+    return CoefficientSet(gamma1, gamma2, delta1, delta2, gamma)

@@ -74,6 +74,15 @@ def _read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def _config_error(capsys, argv, out):
+    """The one stderr line of a run that exits 2 with nothing under --out."""
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), lines
+    assert not out.exists() or os.listdir(out) == []
+    return lines[0]
+
+
 class TestConfig:
     @pytest.mark.parametrize("document", ["[]", "false", "0", "''", "[1]"])
     def test_non_mapping_document_rejected(self, tmp_path, capsys, document):
@@ -108,11 +117,76 @@ class TestConfig:
         path = _write_config(tmp_path / "c.yaml", {"solver": {"Dt": 0.1}})
         assert cli.main(["simulate", path, "--out", str(tmp_path / "out")]) == 2
 
-    def test_invalid_coefficients_fail_before_compute(self, tmp_path):
+    def test_invalid_coefficients_fail_before_compute(self, tmp_path, capsys):
+        # the CoefficientSet constructor names the invariant with the largest residual
         cfg = _small_sim(coefficients={"delta1": -1.0})
         path = _write_config(tmp_path / "c.yaml", cfg)
-        assert cli.main(["simulate", path, "--out", str(tmp_path / "out")]) == 2
-        assert not os.path.exists(tmp_path / "out")
+        line = _config_error(capsys, ["simulate", path], tmp_path / "out")
+        assert line.startswith(
+            "config error: coefficients: constraint violated: delta2 - delta1 = 19/360 - gamma1/6"
+        )
+
+    def test_invalid_abcd_coefficients_fail_before_compute(self, tmp_path, capsys):
+        abcd = {
+            "a": 1 / 12, "b": 1 / 12, "c": 1 / 12, "d": 1 / 12,
+            "a1": 4 / 45, "b1": -1.0, "c1": 4 / 45, "d1": -1.0,
+        }
+        path = _write_config(tmp_path / "c.yaml", _small_sim(coefficients={"abcd": abcd}))
+        line = _config_error(capsys, ["simulate", path], tmp_path / "out")
+        assert line.startswith("config error: coefficients: constraint violated: ")
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        line = _config_error(capsys, ["simulate", str(tmp_path / "none.yaml")], tmp_path / "out")
+        assert line.startswith(f"config error: cannot read config {tmp_path / 'none.yaml'}: ")
+
+    def test_unparsable_config(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("grid: [1\n", encoding="utf-8")
+        line = _config_error(capsys, ["simulate", str(path)], tmp_path / "out")
+        assert line == (
+            f"config error: cannot parse config {path}: "
+            "expected ',' or ']', but got '<stream end>' at line 2, column 1"
+        )
+
+    def test_section_not_a_mapping(self, tmp_path, capsys):
+        path = _write_config(tmp_path / "c.yaml", {"grid": 3})
+        line = _config_error(capsys, ["simulate", path], tmp_path / "out")
+        assert line == "config error: grid: expected a mapping, got int"
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("grid", "override 'grid' must look like section.key=value"),
+            (".n_modes=64", "override '.n_modes=64' has an empty key component"),
+            (
+                "grid.n_modes=[1",
+                "override 'grid.n_modes=[1': cannot parse value: "
+                "expected ',' or ']', but got '<stream end>' at line 1, column 3",
+            ),
+            ("grid.n_modes.x=1", "override 'grid.n_modes.x=1': n_modes is not a section"),
+        ],
+    )
+    def test_malformed_override(self, tmp_path, capsys, override, message):
+        path = _write_config(tmp_path / "c.yaml", _small_sim(grid={"n_modes": 64}))
+        line = _config_error(capsys, ["simulate", path, "--set", override], tmp_path / "out")
+        assert line == f"config error: {message}"
+
+    def test_unparsable_sweep_value_is_one_line(self, tmp_path):
+        path = _write_config(tmp_path / "c.yaml", _small_sim())
+        out = tmp_path / "out"
+        argv = ["sweep", path, "--out", str(out), "--set", "grid.n_modes=[1", "--workers", "1"]
+        assert cli.main(argv) == 2
+        with open(out / "sweep_manifest.json") as fh:
+            (point,) = json.load(fh)["points"]
+        assert point["error"].startswith("config error: override 'grid.n_modes=[1': ")
+        assert "\n" not in point["error"]
+
+    def test_auto_horizon_on_zero_datum(self, tmp_path, capsys):
+        # T_bar is unbounded for a zero datum, so picard has no window to solve on
+        path = _write_config(tmp_path / "c.yaml", _small_picard())
+        argv = ["picard", path, "--set", "initial.amplitude=0"]
+        line = _config_error(capsys, argv, tmp_path / "out")
+        assert line == "config error: solver.T: 'auto' needs a nonzero datum and analyticity.s >= 1"
 
     def test_type_errors_rejected(self, tmp_path):
         cfg = _small_sim()
@@ -280,20 +354,20 @@ class TestSimulate:
         assert len(uppers) == 1  # constant, = c_upper * sigma0
         assert manifest["checks"]["h2_band"].get("skipped") is True
 
-    def test_h2_band_reads_each_record_value(self, coeffs):
+    def test_h2_band_reads_each_record_value(self):
         # each record carries h2_polynomial_sq of its state, and the band reads that value:
         # scaling the carried values moves the check, the states being unchanged
         cfg = cli.RunConfig(_small_sim())
-        eta0 = kb.gaussian(cfg.grid(), 1.0, 0.5)
-        traj = kb.evolve_ifrk4(eta0, 0.2, 0.005, coeffs, record_every=10)
+        eta0 = kb.gaussian(cfg.grid, 1.0, 0.5)
+        traj = kb.evolve_ifrk4(eta0, 0.2, 0.005, cfg.coefficients, record_every=10)
         h2p = np.array([kb.h2_polynomial_sq(r.state) for r in traj.records])
-        checks = cli._simulate_checks(cfg, coeffs, traj, None, None, None)
+        checks = cli._simulate_checks(cfg, traj, None, None, None)
         assert checks["h2_band"]["value"] == float(np.max(np.abs(h2p / h2p[0] - 1.0)))
         h2p[1:] *= 1.5
         traj.records[:] = [
             dataclasses.replace(r, h2_polynomial_sq=float(v)) for r, v in zip(traj.records, h2p)
         ]
-        checks = cli._simulate_checks(cfg, coeffs, traj, None, None, None)
+        checks = cli._simulate_checks(cfg, traj, None, None, None)
         assert checks["h2_band"]["value"] == float(np.max(np.abs(h2p / h2p[0] - 1.0)))
 
     def test_check_failure_gives_exit_one(self, tmp_path):
@@ -496,9 +570,10 @@ class TestRadius:
         out = str(tmp_path / "out")
         assert cli.main(["radius", path, "--out", out]) == 0
         manifest, _ = _manifest(out)
-        coeffs, eta0, g, _, t_bar, _ = cli._setup(cli.load_config(path))
-        traj = kb.evolve_ifrk4(eta0, 0.5, 0.005, coeffs, record_every=10)
-        expected = max(kb.gevrey_norm(r.state, g) for r in traj.records if r.t <= t_bar)
+        cfg = cli.load_config(path)
+        _, t_bar, _ = cli._setup(cfg)
+        traj = kb.evolve_ifrk4(cfg.initial_state, 0.5, 0.005, cfg.coefficients, record_every=10)
+        expected = max(kb.gevrey_norm(r.state, cfg.gevrey_index) for r in traj.records if r.t <= t_bar)
         assert manifest["checks"]["growth_bound"]["value"] == expected
 
     def test_collapse_is_a_failed_check(self, tmp_path):
@@ -535,7 +610,7 @@ class TestGrowthGate:
         entry = manifest["checks"]["growth_bound"]
         assert set(entry) == {"passed", "value", "limit", "note"}
         cfg = cli.load_config(path)
-        x0 = kb.gevrey_norm(cfg.initial_state(cfg.grid()), cfg.gevrey_index())
+        x0 = kb.gevrey_norm(cfg.initial_state, cfg.gevrey_index)
         assert entry["limit"] == 2.0 * x0 * (1.0 + 0.5)
         assert entry["passed"] and entry["value"] <= entry["limit"]
 

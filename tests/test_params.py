@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import kdvbbm as kb
-from kdvbbm.params import ABCDParams, CoefficientSet, derive_coefficients, validate_coefficients
+from kdvbbm.params import ABCDParams, CoefficientSet, derive_coefficients
 
 
 def test_derive_example_exact():
@@ -46,7 +46,6 @@ def test_rho_convention_forces_hamiltonian_coefficients():
         assert cs.gamma2 == pytest.approx(1 / 12, abs=1e-12)
         assert cs.gamma == pytest.approx(7 / 48, abs=1e-12)
         assert cs.is_hamiltonian
-        assert validate_coefficients(cs).passed
         produced += 1
 
 
@@ -68,37 +67,54 @@ def test_derive_nonpositive_delta1_raises():
         derive_coefficients(p)
 
 
-def test_validate_default_passes():
-    report = validate_coefficients(kb.DEFAULT_COEFFICIENTS)
-    assert report.passed
-    assert all(c.residual <= 1e-15 for c in report.checks)
+def _consistent(gamma1=1 / 12, delta1=1 / 20, **moved):
+    """The five coefficients tied by the three relations, then any entry moved."""
+    values = dict(gamma1=gamma1, gamma2=1 / 6 - gamma1, delta1=delta1,
+                  delta2=delta1 + 19 / 360 - gamma1 / 6, gamma=(5 - 18 * gamma1) / 24)
+    return {**values, **moved}
 
 
-def test_validate_reports_negative_gamma1():
-    bad = CoefficientSet(gamma1=-0.1, gamma2=1 / 6 + 0.1, delta1=1 / 20,
-                         delta2=1 / 20 + 19 / 360 + 0.1 / 6, gamma=(5 + 1.8) / 24)
-    report = validate_coefficients(bad)
-    assert not report.passed
-    names = [c.name for c in report.failures()]
-    assert "gamma1 > 0" in names
+def test_default_coefficients_construct():
+    cs = kb.DEFAULT_COEFFICIENTS
+    assert CoefficientSet(cs.gamma1, cs.gamma2, cs.delta1, cs.delta2, cs.gamma) == cs
 
 
-def test_validate_reports_gamma_relation_residual():
-    bad = CoefficientSet(gamma1=1 / 12, gamma2=1 / 12, delta1=1 / 20, delta2=4 / 45, gamma=0.2)
-    report = validate_coefficients(bad)
-    assert not report.passed
-    (fail,) = report.failures()
-    assert fail.name == "gamma = (5 - 18*gamma1)/24"
-    assert fail.residual == pytest.approx(abs(0.2 - 7 / 48), abs=1e-15)
+@pytest.mark.parametrize(
+    "values, invariant, residual",
+    [
+        (_consistent(gamma1=-0.1), "gamma1 > 0", 0.1),
+        (_consistent(gamma1=0.0), "gamma1 > 0", 0.0),  # varphi needs gamma1 > 0, not >= 0
+        (_consistent(delta1=-0.01), "delta1 > 0", 0.01),
+        (_consistent(gamma2=1 / 12 + 1e-6), "gamma1 + gamma2 = 1/6", 1e-6),
+        (_consistent(gamma=0.2), "gamma = (5 - 18*gamma1)/24", 0.2 - 7 / 48),
+        (_consistent(delta2=4 / 45 + 1e-6), "delta2 - delta1 = 19/360 - gamma1/6", 1e-6),
+    ],
+)
+def test_constructor_rejects_each_invariant(values, invariant, residual):
+    with pytest.raises(kb.ConstraintError) as info:
+        CoefficientSet(**values)
+    assert info.value.name == invariant
+    assert info.value.residual == pytest.approx(residual, rel=1e-9, abs=1e-15)
+    assert str(info.value).startswith(f"constraint violated: {invariant} (residual ")
 
 
-def test_min_max_and_report():
+def test_constructor_names_the_largest_residual():
+    with pytest.raises(kb.ConstraintError) as info:
+        CoefficientSet(**_consistent(gamma2=1 / 12 + 1e-6, gamma=0.2))
+    assert info.value.name == "gamma = (5 - 18*gamma1)/24"
+    assert info.value.residual == pytest.approx(abs(0.2 - 7 / 48), abs=1e-15)
+
+
+def test_relations_hold_to_arith_tol():
+    CoefficientSet(**_consistent(gamma=7 / 48 + 1e-13))
+    with pytest.raises(kb.ConstraintError):
+        CoefficientSet(**_consistent(gamma=7 / 48 + 1e-11))
+
+
+def test_min_max():
     cs = kb.DEFAULT_COEFFICIENTS
     assert cs.c_min == 1 / 20
     assert cs.c_max == 1 / 12
-    report = validate_coefficients(cs)
-    assert report.passed is True
-    assert len(report.checks) == 5
 
 
 def test_non_hamiltonian_set_is_accepted_when_relations_hold():
@@ -106,5 +122,5 @@ def test_non_hamiltonian_set_is_accepted_when_relations_hold():
     g1 = 0.1
     cs = CoefficientSet(gamma1=g1, gamma2=1 / 6 - g1, delta1=0.05,
                         delta2=0.05 + 19 / 360 - g1 / 6, gamma=(5 - 18 * g1) / 24)
-    assert validate_coefficients(cs).passed
     assert not cs.is_hamiltonian
+

@@ -25,6 +25,9 @@ the march's guard and Picard's distances measuring the same norm the same way.
 Writing each precondition once, in the module that enforces it (the campaign table and the
 estimates' validity ranges in `estimates`, the step tolerance in `dynamics`), and having
 `cli` ask that module is what keeps config validation and the numerics from drifting apart.
+Building each run input once, in `RunConfig._validate`, through the constructor that checks
+it (the `CoefficientSet` constructor is the one coefficient gate), is what keeps a run
+computing on the very objects its config check accepted.
 """
 
 import ast
@@ -137,6 +140,25 @@ def _package_call_sites(callee):
         for path in sorted(PACKAGE.glob("*.py"))
         for site in _call_sites(path.read_text(encoding="utf-8"), path.name, callee)
     ]
+
+
+def test_run_inputs_built_once():
+    # RunConfig._validate builds the coefficients, grid and datum, and the runners read them
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    builders = ("CoefficientSet", "derive_coefficients", "SpectralGrid", "cos_mode", "gaussian",
+                "gevrey_synthetic")
+    for callee in builders:
+        assert _call_sites(source, "cli.py", callee) == ["cli.py:_validate"], callee
+    # the constructor is the coefficient gate: no second check of the invariants
+    assert _package_call_sites("validate_coefficients") == []
+    defined = [
+        f"{path.name}:{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name in ("validate_coefficients", "ValidationReport", "CheckResult")
+    ]
+    assert defined == []
 
 
 def test_generators_built_in_one_helper():
