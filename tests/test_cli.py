@@ -571,9 +571,9 @@ class TestRadius:
         assert cli.main(["radius", path, "--out", out]) == 0
         manifest, _ = _manifest(out)
         cfg = cli.load_config(path)
-        _, t_bar, _ = cli._setup(cfg)
+        g, (_, t_bar, _) = cfg.gevrey_index, cli._setup(cfg)
         traj = kb.evolve_ifrk4(cfg.initial_state, 0.5, 0.005, cfg.coefficients, record_every=10)
-        expected = max(kb.gevrey_norm(r.state, cfg.gevrey_index) for r in traj.records if r.t <= t_bar)
+        expected = max(kb.gevrey_norm(r.state, g) for r in traj.records if r.t <= t_bar)
         assert manifest["checks"]["growth_bound"]["value"] == expected
 
     def test_collapse_is_a_failed_check(self, tmp_path):

@@ -4,11 +4,11 @@ Floats compare at |a - b| <= RTOL * max(|a|, |b|) + ATOL, which admits a round-o
 reordering (a few ulp) and rejects a moved constant; the absolute floor covers columns
 that are rounding noise themselves, such as the antisymmetry residuals.  A check value
 that is a difference of nearly equal numbers, listed in NOISE, compares at its own
-absolute tolerance alone.  Integers,
-strings, booleans and empty cells compare exactly.  The random campaigns follow numpy's
-Generator streams, which NEP 19 does not promise across releases, so their files are
-compared only under the numpy version the goldens were made with; failure_demo.csv draws
-nothing and is always compared.  Regenerate with tests/regenerate_golden.py.
+absolute tolerance alone.  Integers, strings, booleans and empty cells compare exactly.
+The random campaigns follow numpy's Generator streams, which NEP 19 does not promise
+across releases, so their files are compared only under the numpy version the goldens
+were made with; failure_demo.csv draws nothing and is always compared.  Regenerate with
+tests/regenerate_golden.py.
 """
 
 import csv
