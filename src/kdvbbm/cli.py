@@ -308,8 +308,8 @@ class RunConfig:
         with _asked("analyticity"):
             self.gevrey_index = GevreyIndex(ana["sigma0"], ana["s"])
             gevrey_weights(self.grid, ana["sigma0"], ana["s"])
-        self.estimates_index = GevreyIndex(est["sigma"], est["s"])
         with _asked("estimates"):
+            self.estimates_index = GevreyIndex(est["sigma"], est["s"])
             for name in est["campaigns"]:
                 for combo in est["interpolation_combos"] if name == "interpolation" else [None]:
                     campaign(name, self.grid, self.estimates_index, self.coefficients, combo)

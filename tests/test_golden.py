@@ -2,9 +2,9 @@
 
 Floats compare at |a - b| <= RTOL * max(|a|, |b|) + ATOL, which admits a round-off
 reordering (a few ulp) and rejects a moved constant; the absolute floor covers columns
-that are rounding noise themselves, such as the antisymmetry residuals.  A check value
-that is a difference of nearly equal numbers, listed in NOISE, compares at its own
-absolute tolerance alone.  Integers, strings, booleans and empty cells compare exactly.
+that are rounding noise themselves, such as the antisymmetry residuals.  The energy
+drift check, a difference of nearly equal energies, compares at DRIFT_ATOL alone.
+Integers, strings, booleans and empty cells compare exactly.
 The random campaigns follow numpy's Generator streams, which NEP 19 does not promise
 across releases, so their files are compared only under the numpy version the goldens
 were made with; failure_demo.csv draws nothing and is always compared.  Regenerate with
@@ -22,22 +22,23 @@ from regenerate_golden import CASES, GOLDEN, STREAM_FREE, run_case
 RTOL = 1e-12
 ATOL = 1e-15
 
-#: JSON path -> (relative, absolute) tolerance.  The energy drift is a difference of nearly
-#: equal energies (2.4e-12 and 8.7e-16 in the goldens) that a reordered sum has moved by
-#: 5.5e-16; 1e-14 is 20 times that and 1e8 times below the 1e-6 gate.
-NOISE = {"$.energy_drift.value": (0.0, 1e-14)}
+#: The energy drift is a difference of nearly equal energies (2.4e-12 and 8.7e-16 in the
+#: goldens) that a reordered sum has moved by 5.5e-16; 1e-14 is 20 times that and 1e8 times
+#: below the 1e-6 gate.
+DRIFT = "$.energy_drift.value"
+DRIFT_ATOL = 1e-14
 
 GOLDEN_NUMPY = json.loads((GOLDEN / "numpy_version.json").read_text())["numpy"]
 
 
-def _mismatch(fresh, golden, rtol=RTOL, atol=ATOL):
+def _mismatch(fresh, golden):
     """Why the fresh value differs from the golden one, or None when they agree."""
     if fresh is None or golden is None or isinstance(fresh, (bool, str)):
         return None if fresh == golden else f"{fresh!r} != {golden!r}"
     if isinstance(fresh, (int, np.integer)):
         return None if int(fresh) == int(golden) else f"{fresh} != {golden}"
     a, b = float(fresh), float(golden)
-    if abs(a - b) <= rtol * max(abs(a), abs(b)) + atol:
+    if abs(a - b) <= RTOL * max(abs(a), abs(b)) + ATOL:
         return None
     return f"{a!r} != {b!r} (relative {abs(a - b) / max(abs(a), abs(b)):.3e})"
 
@@ -66,7 +67,11 @@ def _compare_json(fresh, golden, where="$"):
         assert isinstance(golden, list) and len(fresh) == len(golden), where
         pairs = enumerate(zip(fresh, golden))
         return [p for i, (a, b) in pairs for p in _compare_json(a, b, f"{where}[{i}]")]
-    why = _mismatch(fresh, golden, *NOISE.get(where, (RTOL, ATOL)))
+    if where == DRIFT:
+        a, b = float(fresh), float(golden)
+        why = None if abs(a - b) <= DRIFT_ATOL else f"{a!r} != {b!r} (absolute {abs(a - b):.3e})"
+    else:
+        why = _mismatch(fresh, golden)
     return [f"{where}: {why}"] if why else []
 
 
