@@ -255,11 +255,11 @@ def tracked_run(
     record_every: int = 1,
     noise_floor: float = 1e-8,
     max_rel_step: float = 0.01,
-    variant: str = "exact_integral",
     prefix_fraction: float = 0.1,
     blowup_factor: float = 1e6,
 ) -> TrackedRun:
-    """Evolve eta0, integrate sigma(t), fit sigma_hat, and evaluate both bounds.
+    """Evolve eta0, integrate sigma(t), fit sigma_hat, and evaluate both bounds (the
+    lower one in its exact_integral form).
 
     sigma is advanced every PDE step; radius fits and records are taken every
     record_every-th step.  The bound constants are calibrated on the first
@@ -282,6 +282,6 @@ def tracked_run(
     )
     sigma_series = [(t, sigma) for t, sigma, _ in series]
     fits = [estimate_radius(r.state, noise_floor) for r in records]
-    lower = np.array([lower_bound_radius(t, bounds, variant) for t in rec_times])
+    lower = np.array([lower_bound_radius(t, bounds) for t in rec_times])
     upper = np.array([upper_bound_radius(t, bounds) for t in rec_times])
     return TrackedRun(traj, sigma_series, fits, bounds, rec_sigmas, gevreys, lower, upper)

@@ -416,17 +416,10 @@ def picard_solve(
         shift = np.subtract(fine[::2], states, out=fine[::2])  # fine is not read again
         mesh_delta = math.sqrt(np.max(row_squares(grid, shift, hw)))
 
-    ratios = [
-        distances[i + 1] / distances[i]
-        for i in range(len(distances) - 1)
-        if distances[i] > 0.0
-    ]
+    # every distance before the last is >= tol > 0, or the iteration would have stopped there
+    ratios = [later / earlier for earlier, later in zip(distances, distances[1:])]
     # ratios where the later distance sits at the noise floor say nothing
-    meaningful = [
-        r
-        for i, r in enumerate(ratios)
-        if distances[i + 1] > 10.0 * tol
-    ]
+    meaningful = [r for r, later in zip(ratios, distances[1:]) if later > 10.0 * tol]
     contraction = max(meaningful) if meaningful else (max(ratios) if ratios else 0.0)
 
     ts = np.linspace(0.0, T, n_nodes + 1)

@@ -46,7 +46,7 @@ CASES = {
     "picard": ("picard", {
         "grid": _SMALL_GRID,
         "initial": {"family": "cos_mode", "k": 1, "amplitude": 0.05},
-        "solver": {"method": "picard", "T": 0.5, "dt": 0.05, "n_nodes": 32},
+        "solver": {"T": 0.5, "dt": 0.05, "n_nodes": 32},
         "analyticity": {"sigma0": 0.1, "s": 0.5},
     }),
     "estimates": ("estimates", {

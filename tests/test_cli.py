@@ -50,7 +50,7 @@ def _small_picard():
     return {
         "run": {"seed": 7},
         "initial": {"family": "cos_mode", "k": 1, "amplitude": 0.01},
-        "solver": {"method": "picard", "T": "auto", "dt": 0.01, "n_nodes": 32},
+        "solver": {"T": "auto", "dt": 0.01, "n_nodes": 32},
         "analyticity": {"sigma0": 0.1},
         "checks": {"crosscheck_tol": 1e-6},
     }
@@ -236,12 +236,11 @@ class TestConfig:
         assert cli.main(["estimates", path, "--out", str(out), "--set", override]) == 2
         assert not out.exists()
 
-    def test_ifrk4_horizon_checked_for_picard(self, tmp_path):
-        # method ifrk4 asks for a whole number of dt steps whatever the command
-        path = _write_config(tmp_path / "c.yaml", _small_sim(solver={"T": 0.2033, "dt": 0.005}))
-        out = tmp_path / "out"
-        assert cli.main(["picard", path, "--out", str(out)]) == 2
-        assert not out.exists()
+    def test_variant_knob_removed(self, tmp_path, capsys):
+        # the tracked march evaluates the exact-integral lower bound, with no key to pick another
+        path = _write_config(tmp_path / "c.yaml", _small_sim(analyticity={"variant": "printed"}))
+        line = _config_error(capsys, ["radius", path], tmp_path / "out")
+        assert line == "config error: unknown config key: analyticity.variant"
 
     def test_unconfigured_campaign_not_weighed(self):
         # only the configured campaigns build their weights: an s2 of 400 overflows them
@@ -270,12 +269,12 @@ class TestConfig:
 
     def test_run_ids_pinned(self):
         # canonical_json, and with it every run id, is the identity of a config
-        assert cli.RunConfig({}).run_id("simulate") == "simulate-95a37eb3e45c"
+        assert cli.RunConfig({}).run_id("simulate") == "simulate-380a424924c3"
         abcd = {
             "a": 1 / 12, "b": 1 / 12, "c": 1 / 12, "d": 1 / 12,
             "a1": 4 / 45, "b1": 1 / 20, "c1": 4 / 45, "d1": 1 / 20,
         }
-        assert cli.RunConfig({"coefficients": {"abcd": abcd}}).run_id("simulate") == "simulate-4e083f4f1ad1"
+        assert cli.RunConfig({"coefficients": {"abcd": abcd}}).run_id("simulate") == "simulate-d93d9215e05e"
 
     def test_readme_config_loads(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -528,7 +527,7 @@ class TestFourModeGrid:
         [
             ("simulate", _small_sim()),
             ("radius", _small_radius()),
-            ("picard", dict(_small_picard(), solver={"method": "picard", "T": 0.5, "dt": 0.01})),
+            ("picard", dict(_small_picard(), solver={"T": 0.5, "dt": 0.01})),
         ],
     )
     def test_command_ends_without_traceback(self, tmp_path, capfd, command, config):
@@ -698,16 +697,37 @@ class TestPicardCommand:
             ("simulate", {"method": "picard", "T": 0.2033, "dt": 0.005}),
             ("radius", {"method": "picard", "T": "auto"}),
             ("radius", {"method": "picard", "T": 0.2033, "dt": 0.005}),
+            ("radius", {"T": "auto"}),
+            ("simulate", {"T": 0.2033, "dt": 0.005}),
+            ("radius", {"T": 0.2033, "dt": 0.005}),
         ],
     )
-    def test_auto_needs_picard_method(self, tmp_path, command, solver):
-        # simulate and radius march with IFRK4 whatever solver.method says
+    def test_auto_needs_picard_method(self, tmp_path, capsys, command, solver):
+        # simulate and radius march with IFRK4 whatever solver.method says: T is a whole
+        # number of dt steps, and T: auto is the picard command's
         cfg = _small_sim()
         cfg["solver"].update(solver)
         path = _write_config(tmp_path / "c.yaml", cfg)
-        out = tmp_path / "o"
-        assert cli.main([command, path, "--out", str(out)]) == 2
-        assert not out.exists()
+        line = _config_error(capsys, [command, path], tmp_path / "o")
+        if solver["T"] == "auto":
+            assert line == "config error: solver.T: 'auto' needs the picard command"
+        else:
+            assert line == "config error: solver: T = 0.2033 is not an integral multiple of dt = 0.005"
+
+    @pytest.mark.parametrize("solver", [{"T": "auto"}, {"T": 0.4567, "dt": 0.01}])
+    def test_command_picks_the_solver(self, tmp_path, solver):
+        # no solver.method: the march's horizon rule is not picard's, whose cross-check
+        # marches T in the whole number of steps nearest dt
+        cfg = _small_picard()
+        cfg["solver"].update(solver)
+        assert "method" not in cfg["solver"]
+        path = _write_config(tmp_path / "c.yaml", cfg)
+        out = str(tmp_path / "out")
+        assert cli.main(["picard", path, "--out", out]) == 0
+        manifest, _ = _manifest(out)
+        enabled = {name: c["passed"] for name, c in manifest["checks"].items() if "passed" in c}
+        assert set(enabled) == {"contraction", "growth_bound", "mesh_refinement", "marcher_crosscheck"}
+        assert all(enabled.values())
 
 
 class TestEstimatesCommand:
@@ -726,10 +746,119 @@ class TestEstimatesCommand:
         assert len(rows) == 5  # one row per (s1, s2, theta) combo
         assert os.path.exists(os.path.join(rundir, "failure_demo.csv"))
 
+    def test_reads_no_solver_key(self, tmp_path):
+        # a horizon that is not a whole number of steps is no concern of the campaigns
+        cfg = _small_estimates()
+        cfg["estimates"]["campaigns"] = ["splitting_r1"]
+        cfg["solver"] = {"T": 0.2033, "dt": 0.005}
+        path = _write_config(tmp_path / "c.yaml", cfg)
+        assert cli.main(["estimates", path, "--out", str(tmp_path / "out")]) == 0
+
     def test_below_range_s_rejected(self, tmp_path):
         cfg = {"estimates": {"s": 0.5, "campaigns": ["derivsq_psi"]}}
         path = _write_config(tmp_path / "c.yaml", cfg)
         assert cli.main(["estimates", path, "--out", str(tmp_path / "o")]) == 2
+
+
+def _campaign(**profile):
+    """The campaign of _campaign_config() through the library: [(ratio_max, ratio_mean)]."""
+    grid = kb.SpectralGrid(256, 16.0 * np.pi)
+    g = kb.GevreyIndex(0.1, 1.0)
+    rep = kb.run_trials("bilinear_omega", grid, g, kb.DEFAULT_COEFFICIENTS, 30, seed=11, **profile)
+    return [(rep.ratio_max, rep.ratio_mean)]
+
+
+def _campaign_config():
+    cfg = _small_estimates()
+    cfg["estimates"].update(campaigns=["bilinear_omega"], failure_demo=False)
+    return cfg
+
+
+def _tracked(datum=("gevrey_synthetic", 0.6, 2.0, 0.002), s=2.0, **knobs):
+    """_small_radius(), or the datum and s of _calibration_config(), through the library."""
+    grid = kb.SpectralGrid(256, 16.0 * np.pi)
+    family, *args = datum
+    eta0 = getattr(kb, family)(grid, *args)
+    return kb.tracked_run(
+        eta0, 0.5, 0.002, kb.DEFAULT_COEFFICIENTS, sigma0=0.5, s=s, record_every=25, **knobs
+    )
+
+
+def _calibration_config():
+    # sigma(t)/(sigma0 e^{-h2sq t}) peaks after the first record only where h2sq exceeds the
+    # shrinkage rate G + G^2, as here at s = 0; on _small_radius() the constants do not move
+    cfg = _small_radius()
+    cfg["initial"] = {"family": "gaussian", "width": 1.0, "amplitude": 0.5}
+    cfg["analyticity"]["s"] = 0.0
+    return cfg
+
+
+def _calibrated_bounds():
+    run = _tracked(("gaussian", 1.0, 0.5), s=0.0, prefix_fraction=1.0)
+    return list(zip(run.lower, run.upper))
+
+
+class TestKnobs:
+    """Each knob that shapes a campaign's fields or the radius tracker reaches its artifact:
+    a non-default value gives what the library gives with it, and not the default run.  A
+    run whose check fails writes every artifact too, so either outcome is compared."""
+
+    @pytest.mark.parametrize(
+        "command, config, overrides, artifact, columns, library",
+        [
+            (
+                "estimates", _campaign_config,
+                ["estimates.profile=exponential_decay", "estimates.rate=0.3"],
+                "bilinear_omega.csv", ("ratio_max", "ratio_mean"),
+                lambda: _campaign(profile="exponential_decay", rate=0.3),
+            ),
+            (
+                "estimates", _campaign_config,
+                ["estimates.profile=polynomial_decay", "estimates.power=1.5"],
+                "bilinear_omega.csv", ("ratio_max", "ratio_mean"),
+                lambda: _campaign(profile="polynomial_decay", power=1.5),
+            ),
+            (
+                "estimates", _campaign_config, ["estimates.cutoff=5"],
+                "bilinear_omega.csv", ("ratio_max", "ratio_mean"),
+                lambda: _campaign(cutoff=5),
+            ),
+            (
+                "radius", _small_radius, ["analyticity.noise_floor=0.01"],
+                "trajectory.csv", ("sigma_hat",),
+                lambda: [(fit.sigma_hat,) for fit in _tracked(noise_floor=0.01).fits],
+            ),
+            (
+                "radius", _small_radius, ["analyticity.max_rel_step=1e-4"],
+                "sigma.csv", ("t", "sigma"),
+                lambda: _tracked(max_rel_step=1e-4).sigma_series,
+            ),
+            (
+                "radius", _calibration_config, ["analyticity.calibration_fraction=1"],
+                "trajectory.csv", ("sigma_lower", "sigma_upper"),
+                _calibrated_bounds,
+            ),
+        ],
+        ids=["profile-rate", "profile-power", "cutoff", "noise_floor", "max_rel_step",
+             "calibration_fraction"],
+    )
+    def test_knob_moves_its_artifact(
+        self, tmp_path, command, config, overrides, artifact, columns, library
+    ):
+        path = _write_config(tmp_path / "c.yaml", config())
+        cells = {}
+        for name, extra in (("default", []), ("knob", overrides)):
+            out = str(tmp_path / name)
+            argv = [command, path, "--out", out]
+            for spec in extra:
+                argv += ["--set", spec]
+            assert cli.main(argv) in (0, 1)
+            _, rundir = _manifest(out)
+            rows = _read_csv(os.path.join(rundir, artifact))
+            cells[name] = [tuple(row[c] for c in columns) for row in rows]
+        expected = [tuple(f"{v:.17g}" for v in row) for row in library()]
+        assert cells["knob"] == expected
+        assert cells["knob"] != cells["default"]
 
 
 class TestReproducibility:
@@ -768,6 +897,33 @@ class TestSweep:
         out = tmp_path / "out"
         assert cli.main(["sweep", path, "--out", str(out), "--workers", "1"]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("grid.n_modes", "--set 'grid.n_modes' must look like section.key=v1,v2,..."),
+            ("grid.n_modes=,", "--set 'grid.n_modes=,' lists no values"),
+        ],
+        ids=["no-equals", "no-values"],
+    )
+    def test_malformed_axis_rejected(self, tmp_path, capsys, spec, message):
+        path = _write_config(tmp_path / "c.yaml", _small_sim())
+        argv = ["sweep", path, "--workers", "1", "--set", spec]
+        assert _config_error(capsys, argv, tmp_path / "out") == f"config error: {message}"
+
+    def test_base_config_its_command_rejects(self, tmp_path):
+        # the base config validates, so each point records the error of the command it runs
+        path = _write_config(tmp_path / "c.yaml", _small_sim(solver={"T": "auto"}))
+        out = tmp_path / "out"
+        code = cli.main([
+            "sweep", str(path), "--out", str(out), "--workers", "1",
+            "--set", "initial.amplitude=0.01,0.05",
+        ])
+        assert code == 2
+        assert os.listdir(out) == ["sweep_manifest.json"]
+        with open(out / "sweep_manifest.json") as fh:
+            points = json.load(fh)["points"]
+        assert [p["error"] for p in points] == 2 * ["config error: solver.T: 'auto' needs the picard command"]
 
     def test_exponent_notation_values(self, tmp_path):
         # YAML 1.1 reads 1e-3 as a string; float fields must still take it
@@ -930,8 +1086,8 @@ def benchmark_workloads():
 
 class TestBenchmarkConfigs:
     """Every op the benchmark runs validates: a schema change that dropped a key it writes
-    (solver.method, analyticity.enabled, checks.existence_seed) would fail each of its ops
-    with exit 2."""
+    would fail each of its ops with exit 2.  Two of those keys, solver.method (the command
+    picks the solver) and checks.existence_seed, are read by nothing and kept for it alone."""
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_every_op_validates(self, benchmark_workloads, seed):

@@ -61,10 +61,13 @@ def test_explicit_rho_mismatch_raises():
 
 
 def test_derive_nonpositive_delta1_raises():
+    # a1 + c1 meets the delta relation, so delta1 > 0 is the one invariant this set fails
     p = ABCDParams(a=1 / 12, b=1 / 12, c=1 / 12, d=1 / 12,
-                   a1=4 / 45, b1=-1.0, c1=4 / 45, d1=-1.0)
-    with pytest.raises(kb.ConstraintError, match="delta1"):
+                   a1=-1 + 7 / 180, b1=-1.0, c1=-1 + 7 / 180, d1=-1.0)
+    with pytest.raises(kb.ConstraintError) as info:
         derive_coefficients(p)
+    assert info.value.name == "delta1 > 0"
+    assert info.value.residual == pytest.approx(1.0, rel=1e-12)
 
 
 def _consistent(gamma1=1 / 12, delta1=1 / 20, **moved):

@@ -28,6 +28,8 @@ estimates' validity ranges in `estimates`, the step tolerance in `dynamics`), an
 Building each run input once, in `RunConfig._validate`, through the constructor that checks
 it (the `CoefficientSet` constructor is the one coefficient gate), is what keeps a run
 computing on the very objects its config check accepted.
+Letting the command alone pick the solver (no code reads `solver.method`, and the march's
+horizon rule is asked by `run_simulate` alone) is what keeps a rule of one solver off the other.
 """
 
 import ast
@@ -758,3 +760,34 @@ def test_one_owner_per_precondition():
     assert tables and all(line.startswith("estimates.py:") for line in tables)
     assert list(_step_arithmetic(sources["cli.py"], "cli.py")) == []
     assert list(_step_arithmetic(sources["dynamics.py"], "dynamics.py"))
+
+
+def _key_reads(source, name, key):
+    """Lines of source that spell key other than as a key of a dict literal."""
+    tree = ast.parse(source, filename=name)
+    dict_keys = {id(k) for node in ast.walk(tree) if isinstance(node, ast.Dict) for k in node.keys}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and node.value == key and id(node) not in dict_keys:
+            yield f"{name}:{node.lineno} reads {key!r}"
+
+
+def test_guard_flags_key_reads():
+    source = (
+        "SCHEMA = {'solver': {'method': ('ifrk4', str)}}\n"
+        "def pick(sol):\n"
+        "    return sol['method'] == 'ifrk4' or sol.get('method')\n"
+    )
+    assert len(list(_key_reads(source, "bad.py", "method"))) == 2
+
+
+def test_command_picks_the_solver():
+    # solver.method stays a schema key that nothing reads; the march's horizon rule
+    # (dynamics.step_count) is asked by the march and by run_simulate, which simulate and
+    # radius run, and not by config validation or picard
+    reads = [
+        line
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _key_reads(path.read_text(encoding="utf-8"), path.name, "method")
+    ]
+    assert reads == []
+    assert _package_call_sites("step_count") == ["cli.py:run_simulate", "dynamics.py:evolve_ifrk4"]
