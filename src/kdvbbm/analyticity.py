@@ -13,8 +13,7 @@ whose closed-form consequences give a lower bound
     sigma0 * exp{ -(X0 + 2 X0^2) t - (2/3) t^{3/2} Y0 - t^2 Y0^2 }
 
 (the exact antiderivative of the rate envelope A(t) = X0 + sqrt(t) Y0 + 2 X0^2
-+ 2 t Y0^2; the "printed" variant carries 3/2 instead of 2/3 on the t^{3/2}
-term and is dominated by the exact one) and an upper bound
++ 2 t Y0^2) and an upper bound
 
     c_upper * sigma0 * exp{ -h2sq * t }.
 """
@@ -30,8 +29,6 @@ from .dynamics import Trajectory, evolve_ifrk4
 from .norms import GevreyIndex, bracket, gevrey_weights
 from .params import CoefficientSet
 from .spectral import SpectralGrid, Spectrum
-
-LOWER_BOUND_VARIANTS = ("exact_integral", "printed")
 
 
 @dataclass(frozen=True)
@@ -120,16 +117,13 @@ def estimate_radius(u: Spectrum, noise_floor: float = 1e-8) -> RadiusFit:
     )
 
 
-def lower_bound_radius(t: float, b: BoundInputs, variant: str = "exact_integral") -> float:
-    """Guaranteed lower bound for sigma(t); exact_integral dominates printed."""
+def lower_bound_radius(t: float, b: BoundInputs) -> float:
+    """Guaranteed lower bound sigma0 e^{-integral of A over [0, t]} for sigma(t)."""
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    if variant not in LOWER_BOUND_VARIANTS:
-        raise ValueError(f"variant must be one of {LOWER_BOUND_VARIANTS}, got {variant!r}")
-    half_coeff = 2.0 / 3.0 if variant == "exact_integral" else 3.0 / 2.0
     exponent = (
         (b.X0 + 2.0 * b.X0**2) * t
-        + half_coeff * t**1.5 * b.Y0
+        + 2.0 / 3.0 * t**1.5 * b.Y0
         + t * t * b.Y0**2
     )
     return b.sigma0 * math.exp(-exponent)
@@ -258,8 +252,7 @@ def tracked_run(
     prefix_fraction: float = 0.1,
     blowup_factor: float = 1e6,
 ) -> TrackedRun:
-    """Evolve eta0, integrate sigma(t), fit sigma_hat, and evaluate both bounds (the
-    lower one in its exact_integral form).
+    """Evolve eta0, integrate sigma(t), fit sigma_hat, and evaluate both bounds.
 
     sigma is advanced every PDE step; radius fits and records are taken every
     record_every-th step.  The bound constants are calibrated on the first

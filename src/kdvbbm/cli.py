@@ -185,8 +185,8 @@ _SCHEMA = {
         "roll_off": (2.0, _FINITE),
     },
     "solver": {
-        # read by nothing (the command picks the solver); kept, like checks.existence_*, while
-        # the benchmark writes it
+        # read by nothing (the command picks the solver); kept, like analyticity.enabled and
+        # checks.existence_*, while the benchmark writes it
         "method": ("ifrk4", _one_of("ifrk4", "picard")),
         "T": (5.0, _horizon),  # "auto" (the guaranteed window) for the picard command
         "dt": (1.0e-3, _POSITIVE),
@@ -199,7 +199,7 @@ _SCHEMA = {
         "blowup_factor": (1.0e6, _POSITIVE),
     },
     "analyticity": {
-        "enabled": (False, _BOOLEAN),
+        "enabled": (False, _BOOLEAN),  # read by nothing (radius alone tracks sigma)
         "sigma0": (0.5, _POSITIVE),
         "s": (2.0, _FINITE),
         "noise_floor": (1.0e-8, _NONNEGATIVE),
@@ -229,7 +229,7 @@ _SCHEMA = {
         "growth_slack": (1.0e-6, _NONNEGATIVE),
         "contraction_limit": (0.55, _NONNEGATIVE),
         "crosscheck_tol": (1.0e-6, _NONNEGATIVE),
-        # read by nothing (C_s is a closed-form bound); kept while the benchmark writes the seed
+        # read by nothing (C_s is a closed-form bound); kept while the benchmark writes them
         "existence_trials": (128, _integer(1)),
         "existence_seed": (2024, _SEED),
     },
@@ -300,10 +300,9 @@ class RunConfig:
             self.gevrey_index = GevreyIndex(ana["sigma0"], ana["s"])
             gevrey_weights(self.grid, ana["sigma0"], ana["s"])
         with _asked("estimates"):
-            self.estimates_index = GevreyIndex(est["sigma"], est["s"])
+            self.estimates_index = g = GevreyIndex(est["sigma"], est["s"])
             for name in est["campaigns"]:
-                for combo in est["interpolation_combos"] if name == "interpolation" else [None]:
-                    campaign(name, self.grid, self.estimates_index, self.coefficients, combo)
+                campaign(name, self.grid, g, self.coefficients, est["interpolation_combos"])
 
     def canonical_json(self) -> str:
         return json.dumps(self.data, sort_keys=True, separators=(",", ":"))
@@ -576,13 +575,12 @@ def _growth_bound(cks, records, t_bar, x0) -> dict:
 
 
 def run_simulate(cfg: RunConfig, tracking: bool = False):
-    """March the datum with IFRK4; sigma(t) is tracked for radius or analyticity.enabled."""
+    """March the datum with IFRK4; sigma(t) is tracked for radius."""
     sol, ana = cfg.data["solver"], cfg.data["analyticity"]
     if sol["T"] == "auto":
         raise ConfigError("solver.T: 'auto' needs the picard command")
     with _asked("solver"):
         step_count(sol["T"], sol["dt"])
-    tracking = tracking or ana["enabled"]
     if tracking and ana["sigma0"] <= _resolvable_radius(cfg):  # sigma_resolvable fails at t = 0
         raise ConfigError("analyticity.sigma0: a tracked march needs sigma0 > pi/grid.half_length")
     x0, t_bar, _ = _setup(cfg)
@@ -697,13 +695,10 @@ def run_estimates(cfg: RunConfig):
     for name in est["campaigns"]:
         reports = run_trials(
             name, grid, g, coeffs, n_trials=est["n_trials"], seed=seed, profile=est["profile"],
-            # every interpolation combo is evaluated on the same draws
-            combo=est["interpolation_combos"] if name == "interpolation" else None,
+            combos=est["interpolation_combos"],
             cutoff=est["cutoff"], rate=est["rate"], power=est["power"],
         )
-        reports = reports if name == "interpolation" else [reports]
-        # each column is a field of the report or, for s, sigma and n_modes, of its config
-        rows = [tuple({**rep.config, **vars(rep)}[c] for c in ESTIMATE_COLUMNS) for rep in reports]
+        rows = [tuple(getattr(rep, c) for c in ESTIMATE_COLUMNS) for rep in reports]
         artifacts[f"{name}.csv"] = (ESTIMATE_COLUMNS, rows)
         worst = max(rep.ratio_max for rep in reports)
         if name == "interpolation" or name == "splitting_r1":

@@ -45,12 +45,17 @@ CAMPAIGNS = (*MULTILINEAR, "interpolation", "splitting_r1", "antisymmetry")
 
 @dataclass(frozen=True)
 class TrialReport:
+    """One campaign's max and mean ratio over its trials, at the Gevrey index (sigma, s) on a
+    grid of n_modes."""
+
     lemma_id: str
+    s: float
+    sigma: float
+    n_modes: int
     n_trials: int
     ratio_max: float
     ratio_mean: float
     seed: int
-    config: dict
 
 
 def _streams(seed):
@@ -256,8 +261,10 @@ def _trials_per_block(grid):
     return max(1, min(TRIAL_BLOCK, TRIAL_BLOCK * 256 // grid.n_modes))
 
 
-def campaign(lemma_id, grid, g, coeffs, combo=None):
-    """(arity, kernel) of a campaign; arity 0 marks one field per trial, blocks (b, n/2+1).
+def campaign(lemma_id, grid, g, coeffs, combos=()):
+    """(arity, kernels) of a campaign, one kernel per report; arity 0 marks one field per
+    trial, blocks (b, n/2+1).  The interpolation campaign has one kernel per (s1, s2, theta)
+    of combos, which every other campaign ignores; the others have one.
 
     The one check of a campaign's preconditions: it raises ValueError for an s below a
     multilinear estimate's validity range or a bad combo, and NormOverflowError for a
@@ -267,11 +274,11 @@ def campaign(lemma_id, grid, g, coeffs, combo=None):
         arity, s_min = MULTILINEAR[lemma_id][:2]
         if g.s < s_min - 1e-12:
             raise ValueError(f"{lemma_id} requires s >= {s_min}, got s = {g.s}")
-        return arity, _multilinear_values(lemma_id, grid, g, coeffs)
+        return arity, [_multilinear_values(lemma_id, grid, g, coeffs)]
     if lemma_id == "interpolation":
-        if combo is None:
-            raise ValueError("interpolation campaign requires combo = (s1, s2, theta)")
-        return 0, _interpolation_values(grid, g.sigma, *combo)
+        if not combos:
+            raise ValueError("interpolation campaign requires combos of (s1, s2, theta)")
+        return 0, [_interpolation_values(grid, g.sigma, *combo) for combo in combos]
     if lemma_id == "splitting_r1":
         parts = _splitting_parts(grid, g.s, 1.0, g.sigma)
 
@@ -280,9 +287,9 @@ def campaign(lemma_id, grid, g, coeffs, combo=None):
             rhs = sob + shifted
             return np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs > 0.0)
 
-        return 0, ratios
+        return 0, [ratios]
     if lemma_id == "antisymmetry":
-        return 0, _antisymmetry_values(grid, coeffs)
+        return 0, [_antisymmetry_values(grid, coeffs)]
     raise ValueError(f"unknown lemma_id {lemma_id!r}")
 
 
@@ -294,49 +301,36 @@ def run_trials(
     n_trials: int = 1000,
     seed: int = 0,
     profile: str = "band_limited",
-    combo: tuple | None = None,
+    combos=(),
     **profile_kw,
-) -> TrialReport | list[TrialReport]:
-    """Run a seeded campaign and reduce to max/mean of the per-trial statistic.
+) -> list[TrialReport]:
+    """Run a seeded campaign and reduce each of its kernels to max/mean of the per-trial
+    statistic: one report per kernel of campaign(lemma_id, grid, g, coeffs, combos).
 
     The campaign draws its trials in order from the one pair of streams of seed; a
     multilinear trial takes its arity fields as consecutive rows.  Each block of
     _trials_per_block(grid) trials is drawn in one call per stream, which equals drawing
-    the trials one at a time, and the max is exact and the mean sums the per-trial values
-    left to right: the report is reproducible bit-for-bit whatever the block size.
-    combo is the interpolation campaign's (s1, s2, theta), or a tuple of such combos:
-    each block is then drawn once and evaluated for every combo, and the list of
-    reports, one per combo, is returned.
+    the trials one at a time, and evaluated by every kernel; the max is exact and the mean
+    sums the per-trial values left to right: the reports are reproducible bit-for-bit
+    whatever the block size.  For the interpolation campaign reports[i] belongs to
+    combos[i]; a report does not name its combo.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
-    many = combo is not None and not np.isscalar(combo[0])
-    combos = [tuple(c) for c in combo] if many else [combo]
-    campaigns = [campaign(lemma_id, grid, g, coeffs, one) for one in combos]
-    arity = campaigns[0][0]
+    arity, kernels = campaign(lemma_id, grid, g, coeffs, combos)
     streams = _streams(seed)
     size = _trials_per_block(grid)
-    values = [[] for _ in combos]
+    values = [[] for _ in kernels]
     for start in range(0, n_trials, size):
         b = min(size, n_trials - start)
         c = random_fields(grid, profile, streams, b * max(arity, 1), **profile_kw)
         c = c.reshape(b, arity, -1) if arity else c
-        for (_, kernel), vals in zip(campaigns, values):
+        for kernel, vals in zip(kernels, values):
             vals.extend(kernel(c).tolist())
-    reports = []
-    for one, vals in zip(combos, values):
-        config = {
-            "n_modes": grid.n_modes,
-            "half_length": grid.half_length,
-            "sigma": g.sigma,
-            "s": g.s,
-            "profile": profile,
-        }
-        if one is not None:
-            config["combo"] = tuple(one)
-        config.update(profile_kw)
-        reports.append(TrialReport(lemma_id, n_trials, max(vals), sum(vals) / n_trials, seed, config))
-    return reports if many else reports[0]
+    return [
+        TrialReport(lemma_id, g.s, g.sigma, grid.n_modes, n_trials, max(vals), sum(vals) / n_trials, seed)
+        for vals in values
+    ]
 
 
 def constant_bound(lemma_id: str, grid: SpectralGrid, g: GevreyIndex, coeffs: CoefficientSet) -> float:

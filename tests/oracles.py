@@ -8,6 +8,8 @@ the oracles work on the FFT layout, all n coefficients c_k ordered k = 0..n/2-1,
 -n/2..-1 as numpy's fft returns them, and fft_to_half / half_to_fft convert.
 """
 
+import math
+
 import numpy as np
 
 
@@ -142,3 +144,10 @@ def cauchy_schwarz_bound(grid, sigma, s, symbol, arity, differentiate):
             total = np.sum((fj[:, None] * fj[None, :])[inside] * f[rest[inside] % n])
         best = max(best, w2[k % n] * symbol[k % n] ** 2 * total)
     return float(np.sqrt(best / (2.0 * grid.half_length) ** (arity - 1)))
+
+
+def printed_lower_bound(t, b):
+    """The radius lower bound as printed, sigma0 exp{-(X0 + 2 X0^2) t - (3/2) t^{3/2} Y0 -
+    t^2 Y0^2}: 3/2 where the exact antiderivative of the rate envelope has 2/3, so the exact
+    bound of kdvbbm.lower_bound_radius dominates it, strictly when Y0 t > 0."""
+    return b.sigma0 * math.exp(-((b.X0 + 2.0 * b.X0**2) * t + 1.5 * t**1.5 * b.Y0 + t * t * b.Y0**2))

@@ -17,7 +17,7 @@ import yaml
 import kdvbbm as kb
 import kdvbbm.cli as cli
 from draws import random_spectrum
-from oracles import richardson_order
+from oracles import printed_lower_bound, richardson_order
 
 G_TRACK = kb.GevreyIndex(0.1, 2.0)
 
@@ -134,8 +134,8 @@ def test_c06_interpolation_inequality(grid, coeffs):
     worst = 0.0
     violations = 0
     for i, combo in enumerate(combos):
-        rep = kb.run_trials("interpolation", grid, kb.GevreyIndex(0.1, 0.0), coeffs,
-                            n_trials=1000, seed=600 + i, combo=combo)
+        [rep] = kb.run_trials("interpolation", grid, kb.GevreyIndex(0.1, 0.0), coeffs,
+                              n_trials=1000, seed=600 + i, combos=[combo])
         worst = max(worst, rep.ratio_max)
         if rep.ratio_max > 1.0 + 1e-12:
             violations += 1
@@ -146,8 +146,8 @@ def test_c06_interpolation_inequality(grid, coeffs):
 
 def test_c07_splitting_inequality_r1(grid, coeffs):
     t0 = time.perf_counter()
-    rep = kb.run_trials("splitting_r1", grid, kb.GevreyIndex(0.1, 1.0), coeffs,
-                        n_trials=1000, seed=700)
+    [rep] = kb.run_trials("splitting_r1", grid, kb.GevreyIndex(0.1, 1.0), coeffs,
+                          n_trials=1000, seed=700)
     ok = rep.ratio_max <= 1.0 + 1e-12
     elapsed = time.perf_counter() - t0
     _line("C07", "splitting at r=1 with c1=c2=1", ok,
@@ -156,8 +156,8 @@ def test_c07_splitting_inequality_r1(grid, coeffs):
 
 def test_c08_antisymmetry_cancellation(grid, coeffs):
     t0 = time.perf_counter()
-    rep = kb.run_trials("antisymmetry", grid, kb.GevreyIndex(0.0, 0.0), coeffs,
-                        n_trials=1000, seed=800)
+    [rep] = kb.run_trials("antisymmetry", grid, kb.GevreyIndex(0.0, 0.0), coeffs,
+                          n_trials=1000, seed=800)
     ok = rep.ratio_max < 1e-12
     elapsed = time.perf_counter() - t0
     _line("C08", "antisymmetry cancellation", ok,
@@ -182,7 +182,7 @@ def test_c10_bound_ordering(c10_run):
     times = run.trajectory.times()
     sig_by_time = dict(run.sigma_series)
     tracked = np.array([sig_by_time[t] for t in times])
-    printed = np.array([kb.lower_bound_radius(t, run.bounds, "printed") for t in times])
+    printed = np.array([printed_lower_bound(t, run.bounds) for t in times])
     ok_lower = bool(np.all(run.lower <= tracked * (1 + 1e-12)))
     ok_upper = bool(np.all(tracked <= run.upper * (1 + 1e-12)))
     ok_printed = bool(np.all(printed <= run.lower * (1 + 1e-12)))
@@ -195,7 +195,7 @@ def test_c10_bound_ordering(c10_run):
     _line("C10", "radius bound ordering on a tracked run", ok,
           f"lower<=sigma:{ok_lower} sigma<=upper:{ok_upper} printed<=exact:{ok_printed} "
           f"decreasing:{ok_decreasing} sigma_hat>=0.95*sigma:{ok_hat} "
-          f"sigma(T)={tracked[-1]:.4f}", elapsed, 60.0)
+          f"sigma(T)={tracked[-1]:.4f} Y0={run.bounds.Y0:.6g}", elapsed, 60.0)
 
 
 def test_c11_bilinear_signature(coeffs):
@@ -206,8 +206,8 @@ def test_c11_bilinear_signature(coeffs):
         g = kb.GevreyIndex(0.1, s)
         maxima = []
         for n in (256, 512):
-            rep = kb.run_trials("bilinear_omega", kb.SpectralGrid(n, 16 * np.pi), g,
-                                coeffs, n_trials=1000, seed=1100, cutoff=32)
+            [rep] = kb.run_trials("bilinear_omega", kb.SpectralGrid(n, 16 * np.pi), g,
+                                  coeffs, n_trials=1000, seed=1100, cutoff=32)
             maxima.append(rep.ratio_max)
         factor = max(maxima) / min(maxima)
         stable &= factor < 2.0

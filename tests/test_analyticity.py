@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import kdvbbm as kb
 from kdvbbm import analyticity, dynamics, norms
 from draws import random_spectrum
-from oracles import fft_to_half, fft_wavenumbers, half_to_fft, radius_fit
+from oracles import fft_to_half, fft_wavenumbers, half_to_fft, printed_lower_bound, radius_fit
 
 
 class TestEstimateRadius:
@@ -109,26 +109,23 @@ class TestEstimateRadius:
 class TestBoundFormulas:
     def test_lower_at_zero(self):
         b = kb.BoundInputs(0.7, 1.0, 1.0, 1.0, 1.0)
-        assert kb.lower_bound_radius(0.0, b, "exact_integral") == pytest.approx(0.7)
-        assert kb.lower_bound_radius(0.0, b, "printed") == pytest.approx(0.7)
+        assert kb.lower_bound_radius(0.0, b) == pytest.approx(0.7)
+        assert printed_lower_bound(0.0, b) == pytest.approx(0.7)
 
     def test_lower_frozen_values(self):
         b = kb.BoundInputs(1.0, 1.0, 1.0, 1.0, 1.0)
         # exponent (X0 + 2 X0^2) t + (2/3) t^{3/2} Y0 + t^2 Y0^2 at t = 1: 14/3
-        assert kb.lower_bound_radius(1.0, b, "exact_integral") == pytest.approx(
-            math.exp(-14.0 / 3.0), rel=1e-14
-        )
-        # printed coefficient 3/2 gives exponent 5.5
-        assert kb.lower_bound_radius(1.0, b, "printed") == pytest.approx(
-            math.exp(-5.5), rel=1e-14
-        )
+        assert kb.lower_bound_radius(1.0, b) == pytest.approx(math.exp(-14.0 / 3.0), rel=1e-14)
+        # the printed coefficient 3/2 gives exponent 5.5
+        assert printed_lower_bound(1.0, b) == pytest.approx(math.exp(-5.5), rel=1e-14)
 
     def test_lower_y0_zero(self):
+        # with Y0 = 0 the t^{3/2} term vanishes and the printed bound equals the exact one
         b = kb.BoundInputs(0.5, 0.8, 0.0, 1.0, 1.0)
         for t in (0.0, 0.5, 2.0):
             expected = 0.5 * math.exp(-(0.8 + 2 * 0.64) * t)
-            assert kb.lower_bound_radius(t, b, "exact_integral") == pytest.approx(expected)
-            assert kb.lower_bound_radius(t, b, "printed") == pytest.approx(expected)
+            assert kb.lower_bound_radius(t, b) == pytest.approx(expected)
+            assert printed_lower_bound(t, b) == pytest.approx(expected)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -138,9 +135,7 @@ class TestBoundFormulas:
     )
     def test_exact_dominates_printed(self, t, x0, y0):
         b = kb.BoundInputs(1.0, x0, y0, 1.0, 1.0)
-        assert kb.lower_bound_radius(t, b, "exact_integral") >= kb.lower_bound_radius(
-            t, b, "printed"
-        )
+        assert kb.lower_bound_radius(t, b) >= printed_lower_bound(t, b)
 
     def test_lower_envelope_log_concave(self):
         # the rate envelope increases in t, so the bound's log is concave
@@ -170,8 +165,6 @@ class TestBoundFormulas:
         b = kb.BoundInputs(1.0, 1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             kb.lower_bound_radius(-0.1, b)
-        with pytest.raises(ValueError):
-            kb.lower_bound_radius(1.0, b, variant="bogus")
         with pytest.raises(ValueError):
             kb.upper_bound_radius(-1.0, b)
 

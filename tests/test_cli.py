@@ -283,7 +283,8 @@ class TestConfig:
         path = tmp_path / "readme.yaml"
         path.write_text(block.group(1), encoding="utf-8")
         cfg = cli.load_config(str(path))
-        assert cfg.data["analyticity"]["enabled"] is True
+        assert cfg.data["analyticity"]["sigma0"] == 0.5
+        assert "enabled" not in block.group(1)  # radius alone tracks sigma
 
     def test_override_flag(self, tmp_path):
         path = _write_config(tmp_path / "c.yaml", _small_sim())
@@ -338,11 +339,10 @@ class TestSimulate:
         assert list(rows[0]) == list(cli.TRAJECTORY_COLUMNS)
 
     def test_zero_datum_columns(self, tmp_path):
-        cfg = _small_sim(initial={"amplitude": 0.0},
-                         analyticity={"enabled": True, "sigma0": 0.5})
+        cfg = _small_sim(initial={"amplitude": 0.0}, analyticity={"sigma0": 0.5})
         path = _write_config(tmp_path / "c.yaml", cfg)
         out = str(tmp_path / "out")
-        assert cli.main(["simulate", path, "--out", out]) == 0
+        assert cli.main(["radius", path, "--out", out]) == 0
         manifest, rundir = _manifest(out)
         rows = _read_csv(os.path.join(rundir, "trajectory.csv"))
         assert all(float(r["energy"]) == 0.0 for r in rows)
@@ -448,6 +448,30 @@ class TestSimulate:
         assert os.listdir(root) == ["run"]  # no .staging-* left behind
         assert (root / "run" / "a.csv").read_text() == "other\n"
 
+    def test_failed_promotion_without_force_propagates(self, tmp_path, monkeypatch, capsys):
+        # no run directory exists, and the rename of the staging directory fails: the OSError
+        # propagates and neither a .staging-* nor a run directory is left
+        real_replace = os.replace
+
+        def refuse_staging(src, dst):
+            if os.path.basename(src).startswith(".staging-"):
+                raise OSError("simulated failure during promotion")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", refuse_staging)
+        root = tmp_path / "lib"
+        with pytest.raises(OSError, match="simulated failure"):
+            with cli.RunDirectory(str(root), "run", force=False) as rundir:
+                Path(rundir.path("a.csv")).write_text("ours\n")
+        assert os.listdir(root) == []
+        # through the command line: an internal error, exit 3
+        path = _write_config(tmp_path / "c.yaml", _small_sim())
+        out = tmp_path / "out"
+        assert cli.main(["simulate", path, "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[-1] == "internal error: simulated failure during promotion"
+        assert os.listdir(out) == []
+
     def test_blowup_leaves_no_artifacts(self, tmp_path):
         cfg = _small_sim(solver={"blowup_factor": 0.5})
         path = _write_config(tmp_path / "c.yaml", cfg)
@@ -474,19 +498,29 @@ class TestSimulate:
         assert line.startswith("runtime error: ") and message in line
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "command, extra", [("radius", []), ("simulate", ["analyticity.enabled=true"])]
-    )
-    def test_sigma0_below_resolvable_radius_rejected(self, tmp_path, capsys, command, extra):
+    def test_sigma0_below_resolvable_radius_rejected(self, tmp_path, capsys):
         # pi/L = 1 on this grid, above the default sigma0 = 0.5: sigma(t) would collapse at once
         path = _write_config(tmp_path / "c.yaml", _small_sim(grid={"n_modes": 64, "half_length": np.pi}))
         out = tmp_path / "out"
-        argv = [command, path, "--out", str(out)]
-        for spec in extra:
-            argv += ["--set", spec]
-        assert cli.main(argv) == 2
+        assert cli.main(["radius", path, "--out", str(out)]) == 2
         assert "analyticity.sigma0" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_simulate_never_tracks(self, tmp_path):
+        # analyticity.enabled is read by nothing: radius alone tracks sigma, so simulate with
+        # it set writes what simulate writes without it (on a grid radius would refuse)
+        cfg = _small_sim(grid={"n_modes": 64, "half_length": np.pi})
+        outs = {}
+        for enabled in (False, True):
+            cfg["analyticity"] = {"enabled": enabled}
+            path = _write_config(tmp_path / f"{enabled}.yaml", cfg)
+            outs[enabled] = str(tmp_path / f"out-{enabled}")
+            assert cli.main(["simulate", path, "--out", outs[enabled]]) == 0
+        (plain, _), (flagged, rundir) = (_manifest(outs[False]), _manifest(outs[True]))
+        assert sorted(os.listdir(rundir)) == ["final_spectrum.csv", "manifest.json", "trajectory.csv"]
+        assert flagged["checks"] == plain["checks"]
+        assert not any(name.startswith("sigma") for name in flagged["checks"])
+        assert flagged["artifacts"] == plain["artifacts"]
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     @pytest.mark.parametrize("below", [False, True])
@@ -665,6 +699,18 @@ class TestPicardCommand:
                 data = json.load(fh, parse_constant=reject)
         assert data["existence_window"] is None  # picard_meta.json, the last name
 
+    def test_max_iter_exhausted(self, tmp_path, capfd):
+        # one sweep leaves the distance far above tol: exit 3, one line, no output root
+        cfg = _small_picard()
+        cfg["grid"] = {"n_modes": 64}
+        cfg["solver"].update(T=0.5, n_nodes=16, max_iter=1)
+        path = _write_config(tmp_path / "c.yaml", cfg)
+        out = tmp_path / "out"
+        assert cli.main(["picard", path, "--out", str(out)]) == 3
+        (line,) = capfd.readouterr().err.splitlines()
+        assert line.startswith("runtime error: no convergence after 1 Picard iterations on 16 nodes")
+        assert not out.exists()
+
     def test_mesh_refinement_failure_is_recorded(self, tmp_path):
         # two nodes over T = 35 leave a quadrature error far above tol (1.7e-7; over the
         # window T_bar = 3.87 it is 2.3e-10): exit 1 with every artifact written
@@ -742,8 +788,14 @@ class TestEstimatesCommand:
         assert manifest["checks"]["bilinear_omega"]["informational"] is True
         # estimate digests follow numpy's Generator streams, so the manifest names the release
         assert manifest["environment"] == {"python": platform.python_version(), "numpy": np.__version__}
+        # one row per (s1, s2, theta) combo, in interpolation_combos order
         rows = _read_csv(os.path.join(rundir, "interpolation.csv"))
-        assert len(rows) == 5  # one row per (s1, s2, theta) combo
+        combos = manifest["config"]["estimates"]["interpolation_combos"]
+        grid, g = kb.SpectralGrid(256, 16.0 * np.pi), kb.GevreyIndex(0.1, 1.0)
+        reports = kb.run_trials("interpolation", grid, g, kb.DEFAULT_COEFFICIENTS, 30, seed=11,
+                                combos=combos)
+        assert [row["ratio_max"] for row in rows] == [f"{rep.ratio_max:.17g}" for rep in reports]
+        assert len(rows) == 5
         assert os.path.exists(os.path.join(rundir, "failure_demo.csv"))
 
     def test_reads_no_solver_key(self, tmp_path):
@@ -764,7 +816,7 @@ def _campaign(**profile):
     """The campaign of _campaign_config() through the library: [(ratio_max, ratio_mean)]."""
     grid = kb.SpectralGrid(256, 16.0 * np.pi)
     g = kb.GevreyIndex(0.1, 1.0)
-    rep = kb.run_trials("bilinear_omega", grid, g, kb.DEFAULT_COEFFICIENTS, 30, seed=11, **profile)
+    [rep] = kb.run_trials("bilinear_omega", grid, g, kb.DEFAULT_COEFFICIENTS, 30, seed=11, **profile)
     return [(rep.ratio_max, rep.ratio_mean)]
 
 
@@ -1086,8 +1138,10 @@ def benchmark_workloads():
 
 class TestBenchmarkConfigs:
     """Every op the benchmark runs validates: a schema change that dropped a key it writes
-    would fail each of its ops with exit 2.  Two of those keys, solver.method (the command
-    picks the solver) and checks.existence_seed, are read by nothing and kept for it alone."""
+    would fail each of its ops with exit 2.  Four keys it writes, solver.method (the command
+    picks the solver), analyticity.enabled (radius alone tracks sigma),
+    checks.existence_trials (its span test's config) and checks.existence_seed, are read by
+    nothing and kept for it alone."""
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_every_op_validates(self, benchmark_workloads, seed):

@@ -566,6 +566,14 @@ class TestPicard:
         with pytest.raises(kb.NoConvergenceError):
             kb.picard_solve(eta0, 5.0, 1e-10, 8, coeffs, G01, n_nodes=16, mesh_check=False)
 
+    def test_max_iter_exhausted_raises(self, coeffs):
+        # a finite distance still above tol after max_iter sweeps, reported with the last one
+        grid = kb.SpectralGrid(64, 16.0 * np.pi)
+        eta0 = kb.cos_mode(grid, 1, 0.05)
+        message = r"^no convergence after 1 Picard iterations on 16 nodes \(last distance \d"
+        with pytest.raises(kb.NoConvergenceError, match=message):
+            kb.picard_solve(eta0, 0.5, 1e-9, 1, coeffs, G01, n_nodes=16)
+
     def test_bad_horizon(self, grid, coeffs):
         eta0 = kb.cos_mode(grid, 1, 0.01)
         with pytest.raises(ValueError):
@@ -680,7 +688,7 @@ def test_trajectory_must_start_at_zero(grid, coeffs):
 
 def test_antisymmetry_discrete_cancellation(grid, coeffs):
     # i * integral of v * phi-rotation(v) vanishes exactly on the grid
-    _, residuals = campaign("antisymmetry", grid, G01, coeffs)
+    _, [residuals] = campaign("antisymmetry", grid, G01, coeffs)
     streams = tuple(np.random.default_rng(seed) for seed in (0, 1))
     v = kb.random_fields(grid, "band_limited", streams, 5)
     assert np.all(residuals(v) < 1e-12)

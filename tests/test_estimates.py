@@ -108,7 +108,7 @@ def _splitting(u, s, r, sigma):
 
 
 def _antisymmetry(v, coeffs):
-    _, residuals = campaign("antisymmetry", v.grid, G_S0, coeffs)
+    _, [residuals] = campaign("antisymmetry", v.grid, G_S0, coeffs)
     return float(residuals(v.half[None])[0])
 
 
@@ -289,11 +289,25 @@ class TestTrialCampaigns:
         assert a == b
 
     def test_report_shape(self, grid, coeffs):
-        rep = kb.run_trials("interpolation", grid, kb.GevreyIndex(0.1, 0.0), coeffs,
-                            n_trials=20, seed=1, combo=(0.0, 2.0, 0.5))
+        [rep] = kb.run_trials("interpolation", grid, kb.GevreyIndex(0.1, 0.0), coeffs,
+                              n_trials=20, seed=1, combos=[(0.0, 2.0, 0.5)])
         assert rep.ratio_max >= rep.ratio_mean >= 0.0
-        assert rep.lemma_id == "interpolation"
-        assert rep.n_trials == 20
+        assert (rep.lemma_id, rep.s, rep.sigma, rep.n_modes) == ("interpolation", 0.0, 0.1, grid.n_modes)
+        assert (rep.n_trials, rep.seed) == (20, 1)
+
+    @pytest.mark.parametrize("lemma_id", CAMPAIGNS)
+    def test_one_report_per_kernel(self, small_grid, coeffs, lemma_id):
+        # every campaign returns a list; only interpolation reads combos, one report each
+        combos = [(0.0, 2.0, 0.5), (1.0, 3.0, 0.5)]
+        reports = kb.run_trials(lemma_id, small_grid, G_CAMPAIGN, coeffs, n_trials=3, combos=combos)
+        assert len(reports) == (2 if lemma_id == "interpolation" else 1)
+        assert all(isinstance(rep, kb.TrialReport) for rep in reports)
+        if lemma_id != "interpolation":
+            assert reports == kb.run_trials(lemma_id, small_grid, G_CAMPAIGN, coeffs, n_trials=3)
+
+    def test_interpolation_needs_combos(self, small_grid, coeffs):
+        with pytest.raises(ValueError, match="requires combos"):
+            kb.run_trials("interpolation", small_grid, G_CAMPAIGN, coeffs, n_trials=2)
 
     @pytest.mark.parametrize("profile, kw", [
         ("band_limited", {}),
@@ -301,13 +315,14 @@ class TestTrialCampaigns:
         ("polynomial_decay", {"power": 2.0, "cutoff": 20}),
     ])
     def test_combos_share_draws(self, grid, coeffs, profile, kw):
-        # a tuple of combos evaluates every combo on one set of draws
+        # every combo is evaluated on one set of draws
         g = kb.GevreyIndex(0.1, 0.0)
         combos = ((0.0, 2.0, 0.5), (1.0, 3.0, 0.5), (0.5, 2.5, 1.0 / 3.0))
         together = kb.run_trials("interpolation", grid, g, coeffs, n_trials=40, seed=4,
-                                 profile=profile, combo=combos, **kw)
-        apart = [kb.run_trials("interpolation", grid, g, coeffs, n_trials=40, seed=4,
-                               profile=profile, combo=combo, **kw) for combo in combos]
+                                 profile=profile, combos=combos, **kw)
+        apart = [rep for combo in combos
+                 for rep in kb.run_trials("interpolation", grid, g, coeffs, n_trials=40, seed=4,
+                                          profile=profile, combos=[combo], **kw)]
         assert together == apart
 
     def test_unknown_lemma(self, grid, coeffs):
@@ -345,8 +360,8 @@ class TestConstantBound:
         kw = {"rate": 0.5} if profile == "exponential_decay" else {}
         for g in BOUND_INDICES:
             for lemma_id in EXISTENCE_LEMMAS:
-                report = kb.run_trials(lemma_id, grid, g, coeffs, n_trials=256, seed=n,
-                                       profile=profile, **kw)
+                [report] = kb.run_trials(lemma_id, grid, g, coeffs, n_trials=256, seed=n,
+                                         profile=profile, **kw)
                 bound = estimates.constant_bound(lemma_id, grid, g, coeffs)
                 assert report.ratio_max <= bound, (lemma_id, g)
 
@@ -409,7 +424,7 @@ COMBO = (0.0, 2.0, 0.25)
 def _trial_statistic(lemma_id, grid, trial, coeffs):
     """One trial's value from its half-layout fields (arity, n/2+1): the campaign kernel on a
     block of one trial."""
-    arity, kernel = campaign(lemma_id, grid, G_CAMPAIGN, coeffs, COMBO)
+    arity, [kernel] = campaign(lemma_id, grid, G_CAMPAIGN, coeffs, [COMBO])
     return float(kernel(trial[None] if arity else trial)[0])
 
 
@@ -452,7 +467,7 @@ class TestBlockedCampaigns:
 
     @pytest.mark.parametrize("lemma_id", CAMPAIGNS)
     def test_block_values_equal_per_row_functions(self, small_grid, coeffs, lemma_id):
-        arity, kernel = campaign(lemma_id, small_grid, G_CAMPAIGN, coeffs, COMBO)
+        arity, [kernel] = campaign(lemma_id, small_grid, G_CAMPAIGN, coeffs, [COMBO])
         stack = kb.random_fields(small_grid, "band_limited", _reference_streams(4), TRIAL_BLOCK * max(arity, 1))
         stack = stack.reshape(TRIAL_BLOCK, max(arity, 1), -1)
         block = kernel(stack if arity else stack[:, 0])
@@ -462,8 +477,8 @@ class TestBlockedCampaigns:
     @pytest.mark.parametrize("n_trials", [1, 31, 32, 33, 65])
     @pytest.mark.parametrize("lemma_id", CAMPAIGNS)
     def test_reports_equal_trial_by_trial_reference(self, small_grid, coeffs, lemma_id, n_trials):
-        rep = kb.run_trials(lemma_id, small_grid, G_CAMPAIGN, coeffs, n_trials=n_trials, seed=17,
-                            combo=COMBO if lemma_id == "interpolation" else None)
+        [rep] = kb.run_trials(lemma_id, small_grid, G_CAMPAIGN, coeffs, n_trials=n_trials, seed=17,
+                              combos=[COMBO])
         values = _reference_values(lemma_id, small_grid, coeffs, 17, n_trials)
         _assert_campaign_close(lemma_id, rep.ratio_max, max(values))
         _assert_campaign_close(lemma_id, rep.ratio_mean, sum(values) / n_trials)
@@ -471,7 +486,7 @@ class TestBlockedCampaigns:
     def test_fine_grid_blocks_match_reference(self, coeffs):
         fine = kb.SpectralGrid(1024, 16.0 * np.pi)
         assert _trials_per_block(fine) == 8
-        rep = kb.run_trials("trilinear_psi", fine, G_CAMPAIGN, coeffs, n_trials=9, seed=2)
+        [rep] = kb.run_trials("trilinear_psi", fine, G_CAMPAIGN, coeffs, n_trials=9, seed=2)
         values = _reference_values("trilinear_psi", fine, coeffs, 2, 9)
         assert rep.ratio_max == max(values)
         assert rep.ratio_mean == sum(values) / 9
@@ -479,8 +494,8 @@ class TestBlockedCampaigns:
     @pytest.mark.parametrize("profile", ["exponential_decay", "polynomial_decay"])
     def test_decay_profiles_match_reference(self, small_grid, coeffs, profile):
         kw = PROFILE_KW[profile]
-        rep = kb.run_trials("trilinear_psi", small_grid, G_CAMPAIGN, coeffs, n_trials=40, seed=5,
-                            profile=profile, **kw)
+        [rep] = kb.run_trials("trilinear_psi", small_grid, G_CAMPAIGN, coeffs, n_trials=40, seed=5,
+                              profile=profile, **kw)
         values = _reference_values("trilinear_psi", small_grid, coeffs, 5, 40, profile, **kw)
         assert rep.ratio_max == max(values)
         assert rep.ratio_mean == sum(values) / 40
@@ -519,10 +534,10 @@ class TestBlockedCampaigns:
             kb.run_trials("bilinear_tau", small_grid, kb.GevreyIndex(50.0, 1.0), coeffs, n_trials=2)
         with pytest.raises(ValueError, match="s1 <= s2"):
             kb.run_trials("interpolation", small_grid, G_CAMPAIGN, coeffs, n_trials=2,
-                          combo=(2.0, 0.0, 0.5))
+                          combos=[(2.0, 0.0, 0.5)])
         with pytest.raises(ValueError, match="theta"):
             kb.run_trials("interpolation", small_grid, G_CAMPAIGN, coeffs, n_trials=2,
-                          combo=(0.0, 2.0, 1.5))
+                          combos=[(0.0, 2.0, 1.5)])
         with pytest.raises(ValueError, match="n_trials"):
             kb.run_trials("bilinear_tau", small_grid, G_CAMPAIGN, coeffs, n_trials=0)
         with pytest.raises(kb.SymmetryError):
@@ -580,7 +595,7 @@ def _oracle_value(lemma_id, grid, coeffs, fields):
 @pytest.mark.parametrize("lemma_id", CAMPAIGNS)
 def test_kernels_match_full_layout_oracle(small_grid, coeffs, lemma_id, profile):
     # each kernel on half-layout draws against the estimate written out in FFT layout
-    arity, kernel = campaign(lemma_id, small_grid, G_CAMPAIGN, coeffs, COMBO)
+    arity, [kernel] = campaign(lemma_id, small_grid, G_CAMPAIGN, coeffs, [COMBO])
     trials = kb.random_fields(small_grid, profile, _streams(12), 8 * max(arity, 1), **PROFILE_KW[profile])
     trials = trials.reshape(8, max(arity, 1), -1)
     got = kernel(trials if arity else trials[:, 0])

@@ -30,13 +30,19 @@ it (the `CoefficientSet` constructor is the one coefficient gate), is what keeps
 computing on the very objects its config check accepted.
 Letting the command alone pick the solver (no code reads `solver.method`, and the march's
 horizon rule is asked by `run_simulate` alone) is what keeps a rule of one solver off the other.
+Giving each choice one selector (the `radius` command alone tracks sigma, the lower bound has
+one formula, and every campaign returns a list of reports with the CSV's columns) is what
+keeps two ways of asking for one output from drifting apart.
 """
 
 import ast
+import dataclasses
+import inspect
 import pathlib
 
 import kdvbbm
-from kdvbbm.estimates import CAMPAIGNS
+from kdvbbm import analyticity, cli
+from kdvbbm.estimates import CAMPAIGNS, TrialReport
 
 PACKAGE = pathlib.Path(kdvbbm.__file__).resolve().parent
 
@@ -780,14 +786,39 @@ def test_guard_flags_key_reads():
     assert len(list(_key_reads(source, "bad.py", "method"))) == 2
 
 
+def _package_key_reads(key):
+    return [
+        line
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in _key_reads(path.read_text(encoding="utf-8"), path.name, key)
+    ]
+
+
 def test_command_picks_the_solver():
     # solver.method stays a schema key that nothing reads; the march's horizon rule
     # (dynamics.step_count) is asked by the march and by run_simulate, which simulate and
     # radius run, and not by config validation or picard
-    reads = [
-        line
-        for path in sorted(PACKAGE.glob("*.py"))
-        for line in _key_reads(path.read_text(encoding="utf-8"), path.name, "method")
-    ]
-    assert reads == []
+    assert _package_key_reads("method") == []
     assert _package_call_sites("step_count") == ["cli.py:run_simulate", "dynamics.py:evolve_ifrk4"]
+
+
+def test_radius_alone_tracks_sigma():
+    # analyticity.enabled stays a schema key that nothing reads; radius is the one command
+    # whose runner is asked to track
+    assert _package_key_reads("enabled") == []
+    tracking = [name for name, (_, options, _) in cli._COMMANDS.items() if options.get("tracking")]
+    assert tracking == ["radius"]
+
+
+def test_one_lower_bound_formula():
+    # the printed 3/2 form is a test oracle (tests/oracles.py), not a variant of the bound
+    assert not hasattr(analyticity, "LOWER_BOUND_VARIANTS")
+    assert list(inspect.signature(analyticity.lower_bound_radius).parameters) == ["t", "b"]
+
+
+def test_one_report_shape():
+    # every campaign returns a list of reports whose fields are the CSV's columns, so cli
+    # names the interpolation campaign only where it gates the worst ratio
+    assert tuple(f.name for f in dataclasses.fields(TrialReport)) == cli.ESTIMATE_COLUMNS
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert len(list(_key_reads(source, "cli.py", "interpolation"))) == 1
