@@ -17,7 +17,6 @@ from .analyticity import (
 )
 from .dynamics import (
     PicardDiagnostics,
-    SampleRecord,
     Trajectory,
     evolve_ifrk4,
     linear_propagate,

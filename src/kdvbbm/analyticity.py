@@ -6,9 +6,10 @@ slope of log|c_k| against |xi_k| over the trustworthy band of the spectrum.
 
 Alongside a PDE run the sufficient radius sigma(t) is integrated from
 
-    sigma' = -sigma * (G + G^2),      G(t) = Gevrey norm of eta(t) at (sigma(t), 2),
+    sigma' = -sigma * (G + G^2),      G(t) = Gevrey norm of eta(t) at (sigma(t), s),
 
-whose closed-form consequences give a lower bound
+s being the Sobolev index the tracker is given (a run's analyticity.s).  Its
+closed-form consequences give a lower bound
 
     sigma0 * exp{ -(X0 + 2 X0^2) t - (2/3) t^{3/2} Y0 - t^2 Y0^2 }
 
@@ -52,7 +53,7 @@ class BoundInputs:
     """Inputs of the radius bound formulas.
 
     sigma0:  initial radius
-    X0:      Gevrey norm of the datum at (sigma0, 2)
+    X0:      Gevrey norm of the datum at (sigma0, s)
     Y0:      calibrated coefficient of the sqrt(t) growth term
     h2sq:    squared H^2 norm of the datum (upper-bound decay rate)
     c_upper: calibrated constant of the upper bound
@@ -224,7 +225,7 @@ def calibrate_bounds(
 class TrackedRun:
     """A PDE run with the shrinkage law integrated alongside it.
 
-    Each record's gevrey is G at the fixed index (sigma0, s).  At the record
+    The trajectory's gevrey column is G at the fixed index (sigma0, s).  At its
     times, sigmas holds sigma(t), gevreys G(t) at (sigma(t), s), fits the tail
     fits, and lower and upper the two bounds.
     """
@@ -266,15 +267,12 @@ def tracked_run(
         gevrey_index=GevreyIndex(sigma0, s),
         blowup_factor=blowup_factor,
     )
-    records = traj.records
     tracked = {t: (sigma, g) for t, sigma, g in series}
-    rec_times = traj.times()
-    rec_sigmas, gevreys = np.array([tracked[t] for t in rec_times]).T
-    bounds = calibrate_bounds(
-        rec_times, rec_sigmas, gevreys, records[0].gevrey, records[0].h2, sigma0, prefix_fraction
-    )
+    rec_sigmas, gevreys = np.array([tracked[t] for t in traj.t]).T
+    x0, h2 = float(traj.gevrey[0]), float(traj.h2[0])
+    bounds = calibrate_bounds(traj.t, rec_sigmas, gevreys, x0, h2, sigma0, prefix_fraction)
     sigma_series = [(t, sigma) for t, sigma, _ in series]
-    fits = [estimate_radius(r.state, noise_floor) for r in records]
-    lower = np.array([lower_bound_radius(t, bounds) for t in rec_times])
-    upper = np.array([upper_bound_radius(t, bounds) for t in rec_times])
+    fits = [estimate_radius(Spectrum(traj.grid, d), noise_floor) for d in traj.half]
+    lower = np.array([lower_bound_radius(t, bounds) for t in traj.t])
+    upper = np.array([upper_bound_radius(t, bounds) for t in traj.t])
     return TrackedRun(traj, sigma_series, fits, bounds, rec_sigmas, gevreys, lower, upper)

@@ -487,14 +487,15 @@ def _setup(cfg: RunConfig):
 
 
 def _trajectory_csv(traj, tracked=None):
-    """trajectory.csv: one row per record.  A tracked run's gevrey_norm is G at sigma(t) and
-    its fits give sigma_hat; without tracking, sigma_hat and the bound columns stay empty."""
+    """trajectory.csv: one row per recorded time.  A tracked run's gevrey_norm is G at sigma(t)
+    and its fits give sigma_hat; without tracking, sigma_hat and the bound columns stay empty."""
     if tracked is None:
-        rows = [(r.t, r.energy, r.h2, r.gevrey, None, None, None) for r in traj.records]
+        empty = [None] * traj.t.size
+        columns = (traj.gevrey, empty, empty, empty)
     else:
-        columns = zip(traj.records, tracked.gevreys, tracked.fits, tracked.lower, tracked.upper)
-        rows = [(r.t, r.energy, r.h2, g, fit.sigma_hat, lo, up) for r, g, fit, lo, up in columns]
-    return TRAJECTORY_COLUMNS, rows
+        hats = [fit.sigma_hat for fit in tracked.fits]
+        columns = (tracked.gevreys, hats, tracked.lower, tracked.upper)
+    return TRAJECTORY_COLUMNS, zip(traj.t, traj.energy, traj.h2, *columns)
 
 
 def _check(value, passed, limit=None, note=None) -> dict:
@@ -519,7 +520,7 @@ def _simulate_checks(cfg, traj, tracked, t_bar, x0):
     cks, coeffs = cfg.data["checks"], cfg.coefficients
     checks: dict = {}
 
-    energies = np.array([r.energy for r in traj.records])
+    energies = traj.energy
     if coeffs.is_hamiltonian:
         scale = max(abs(energies[0]), np.finfo(float).tiny)
         drift = float(np.max(np.abs(energies - energies[0])) / scale)
@@ -527,7 +528,7 @@ def _simulate_checks(cfg, traj, tracked, t_bar, x0):
     else:
         checks["energy_drift"] = _skip("coefficients are not Hamiltonian (gamma != 7/48)")
 
-    h2p = np.array([r.h2_polynomial_sq for r in traj.records])
+    h2p = traj.h2_polynomial_sq
     if h2p[0] > 0.0:
         ratios = h2p / h2p[0]
         slack = cks["h2_band_slack"]
@@ -540,7 +541,7 @@ def _simulate_checks(cfg, traj, tracked, t_bar, x0):
     else:
         checks["h2_band"] = _skip("zero datum")
 
-    checks["growth_bound"] = _growth_bound(cks, traj.records, t_bar, x0)
+    checks["growth_bound"] = _growth_bound(cks, traj, t_bar, x0)
     if tracked is not None:
         resolvable = _resolvable_radius(cfg)
         below = [t for t, sigma in tracked.sigma_series if sigma < resolvable]
@@ -548,7 +549,7 @@ def _simulate_checks(cfg, traj, tracked, t_bar, x0):
         sigma_low = min(sigma for _, sigma in tracked.sigma_series)
         checks["sigma_resolvable"] = _check(sigma_low, not below, resolvable, note)
         sigmas, slack = tracked.sigmas, 1.0 + 1e-12
-        zero_datum = not np.any(traj.records[0].half)
+        zero_datum = not np.any(traj.half[0])
         defined = [(f.sigma_hat, sg) for f, sg in zip(tracked.fits, sigmas) if f.defined]
         checks["sigma_lower_le_tracked"] = _check(None, np.all(tracked.lower <= sigmas * slack))
         checks["sigma_tracked_le_upper"] = _check(None, np.all(sigmas <= tracked.upper * slack))
@@ -564,12 +565,13 @@ def _simulate_checks(cfg, traj, tracked, t_bar, x0):
     return checks
 
 
-def _growth_bound(cks, records, t_bar, x0) -> dict:
-    """The growth gate: each record's gevrey, G at (sigma0, s), stays at most
+def _growth_bound(cks, traj, t_bar, x0) -> dict:
+    """The growth gate: the trajectory's gevrey column, G at (sigma0, s), stays at most
     2 X0 (1 + growth_slack) on the guaranteed window t <= T_bar."""
     if t_bar is None:
         return _skip("existence constant needs analyticity.s >= 1")
-    worst = max((r.gevrey for r in records if r.t <= t_bar), default=0.0)
+    window = traj.gevrey[traj.t <= t_bar]
+    worst = float(window.max()) if window.size else 0.0
     limit = 2.0 * x0 * (1.0 + cks["growth_slack"])
     return _check(worst, worst <= limit, limit, note=f"window T_bar = {t_bar:.6g}")
 
@@ -614,7 +616,9 @@ def run_simulate(cfg: RunConfig, tracking: bool = False):
 
     artifacts = {
         "trajectory.csv": _trajectory_csv(traj, tracked),
-        "final_spectrum.csv": (("k", "xi", "re", "im", "abs"), spectrum_csv_rows(traj.final.state)),
+        "final_spectrum.csv": (
+            ("k", "xi", "re", "im", "abs"), spectrum_csv_rows(Spectrum(traj.grid, traj.half[-1]))
+        ),
     }
     if tracked is not None:
         artifacts["sigma.csv"] = (("t", "sigma"), tracked.sigma_series)
@@ -653,7 +657,7 @@ def run_picard(cfg: RunConfig):
             diag.contraction_ratio <= cks["contraction_limit"],
             cks["contraction_limit"],
         ),
-        "growth_bound": _growth_bound(cks, traj.records, t_bar, x0),
+        "growth_bound": _growth_bound(cks, traj, t_bar, x0),
     }
     if sol["mesh_check"]:
         shift, tol = diag.mesh_delta, sol["tol"]
@@ -663,7 +667,7 @@ def run_picard(cfg: RunConfig):
     if sol["crosscheck"]:
         n_steps, dt_cross = whole_steps(T, sol["dt"])
         rk = evolve_ifrk4(eta0, T, dt_cross, coeffs, record_every=n_steps, gevrey_index=g)
-        delta = gevrey_norm(Spectrum(eta0.grid, traj.final.half - rk.final.half), g)
+        delta = gevrey_norm(Spectrum(eta0.grid, traj.half[-1] - rk.half[-1]), g)
         checks["marcher_crosscheck"] = _check(delta, delta <= cks["crosscheck_tol"], cks["crosscheck_tol"])
 
     iterations = [

@@ -33,62 +33,47 @@ from .spectral import (
     half_samples,
     half_truncated_sums,
     symbol_on_grid,
-    truncation_scale,
 )
 
 CUBIC_COEFF = 1.0 / 8.0
 DERIV_SQ_COEFF = 7.0 / 48.0
 
-#: Mesh rows the Picard solver passes to the tendency in one call.  The block bounds
-#: the tendency's buffers (about 96n bytes a row); one call per block keeps the per-call
-#: overhead off each row.  The benchmark solve (n = 256, 64 nodes and the 128-node mesh
-#: check; shared 2-core Xeon, numpy 2.4.6) takes a median 31-34 ms with a traced peak of
-#: 1.68 MB; one call per row took 59-66 ms and 1.51 MB, all rows at once 29-31 ms and 4.92 MB.
+#: Mesh rows the Picard solver passes to the tendency in one call, and states a trajectory
+#: measures in one call per column.  The block bounds the tendency's buffers (about 96n
+#: bytes a row) and the columns' squares (16n bytes a row); one call per block keeps the
+#: per-call overhead off each row.  The benchmark solve (n = 256, 64 nodes and the 128-node
+#: mesh check; shared 2-core Xeon, numpy 2.4.6) takes a median 31-34 ms with a traced peak
+#: of 1.68 MB; one call per row took 59-66 ms and 1.51 MB, all rows at once 29-31 ms and
+#: 4.92 MB.
 ROW_BLOCK = 8
 
 
-@dataclass(frozen=True, slots=True)
-class SampleRecord:
-    """One recorded state in half layout with its energy, H^2 norm, squared polynomial H^2
-    norm (norms.h2_polynomial_sq) and, when the march or solve has a Gevrey index, its Gevrey
-    norm; .state wraps half as a Spectrum."""
-
-    t: float
-    grid: SpectralGrid
-    half: np.ndarray
-    energy: float
-    h2: float
-    h2_polynomial_sq: float
-    gevrey: float | None = None
-
-    @property
-    def state(self) -> Spectrum:
-        return Spectrum(self.grid, self.half)
-
-
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
+    """A march or a solve as a table, one row per recorded time: the times t (m,), the
+    half-layout states half (m, n/2+1) and, each (m,), their energy, H^2 norm, squared
+    polynomial H^2 norm (norms.h2_polynomial_sq) and, when the march or solve has a Gevrey
+    index, Gevrey norm (else gevrey is None)."""
+
     grid: SpectralGrid
-    records: list[SampleRecord]
+    t: np.ndarray
+    half: np.ndarray
+    energy: np.ndarray
+    h2: np.ndarray
+    h2_polynomial_sq: np.ndarray
+    gevrey: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.records and self.records[0].t != 0.0:
+        if self.t.size and self.t[0] != 0.0:
             raise ValueError("trajectory must start at t = 0")
-
-    def times(self) -> np.ndarray:
-        return np.array([r.t for r in self.records])
-
-    @property
-    def final(self) -> SampleRecord:
-        return self.records[-1]
 
 
 def _record_weights(
     grid: SpectralGrid, coeffs: CoefficientSet, g: GevreyIndex | None
 ) -> np.ndarray:
-    """The squared weights of a record's values, stacked (rows, n/2+1): the energy weights,
-    the H^2 weights, the polynomial H^2 weights and, when g is given, the Gevrey weights;
-    built once per march or solve, not once per record."""
+    """The squared weights of a trajectory's value columns, stacked (rows, n/2+1): the
+    energy weights, the H^2 weights, the polynomial H^2 weights and, when g is given, the
+    Gevrey weights; built once per march or solve."""
     rows = [energy_weights(grid, coeffs), gevrey_weights(grid, 0.0, 2.0)]
     rows.append(h2_polynomial_weights(grid))
     if g is not None:
@@ -96,14 +81,21 @@ def _record_weights(
     return np.stack(rows)
 
 
-def _sample(t: float, grid: SpectralGrid, d: np.ndarray, table: np.ndarray) -> SampleRecord:
-    """The record of the half-layout state d: energy, H^2 norm, squared polynomial H^2 norm
-    and, when table has a fourth row, the Gevrey norm, through the weights of _record_weights.
-    One row sum over the table gives each value bit for bit as norms.energy,
-    norms.h2_polynomial_sq and norms.row_norms compute it."""
-    values = row_squares(grid, d, table).tolist()
-    gevrey = math.sqrt(values[3]) if len(values) > 3 else None
-    return SampleRecord(t, grid, d, values[0], math.sqrt(values[1]), values[2], gevrey)
+def _trajectory(grid: SpectralGrid, t: np.ndarray, half: np.ndarray, table: np.ndarray):
+    """The table of the states half (m, n/2+1) recorded at times t: each column the
+    row_squares of the states with one row of the weights of _record_weights, ROW_BLOCK
+    states a call, so no temporary grows with m, and each entry bit for bit the value
+    norms.energy, norms.sobolev_norm, norms.h2_polynomial_sq or norms.gevrey_norm gives
+    that state alone."""
+    sums = np.empty((len(table), len(t)))
+    power = np.empty((ROW_BLOCK, half.shape[-1]))  # the squares of one block
+    for lo in range(0, len(t), ROW_BLOCK):
+        block = half[lo : lo + ROW_BLOCK]
+        for w, column in zip(table, sums):
+            column[lo : lo + len(block)] = row_squares(grid, block, w, out=power[: len(block)])
+    energy, h2_sq, h2_polynomial_sq, *gevrey_sq = sums
+    gevrey = np.sqrt(gevrey_sq[0]) if gevrey_sq else None
+    return Trajectory(grid, t, half, energy, np.sqrt(h2_sq), h2_polynomial_sq, gevrey)
 
 
 def _free_group(
@@ -145,10 +137,8 @@ class _Tendency:
     def __init__(self, grid: SpectralGrid, coeffs: CoefficientSet, shape: tuple[int, ...] = ()):
         h = self._h = grid.nyquist
         self._ik = grid.derivative
-        # the truncation's scale rides on the two symbols applied after it
-        tau, psi = (symbol_on_grid(grid, coeffs, kind) for kind in ("tau", "psi"))
-        self._tau = -1j * tau * truncation_scale(grid)
-        self._psi = 1j * psi * truncation_scale(grid)
+        self._tau = -1j * symbol_on_grid(grid, coeffs, "tau")
+        self._psi = 1j * symbol_on_grid(grid, coeffs, "psi")
         # eta and eta_x share one padded synthesis; psi multiplies both the cubic
         # and the derivative-square term, so by linearity they share one transform.
         self._pair = np.empty((*shape, 2, h + 1), complex)
@@ -272,16 +262,18 @@ def evolve_ifrk4(
     every record_every-th step.
 
     The first and last steps are always recorded.  When gevrey_index is given,
-    each record carries the Gevrey norm at that fixed index.  on_step is called
-    as f(t, d) at every step, t = 0 included, before the step is recorded, with
-    d the state in half layout: eta0.half at t = 0, a fresh array each later step;
-    an exception it raises ends the march.  Records keep d and read their values
-    from it.  Raises BlowUpError when the L^2 norm of a state exceeds blowup_factor
-    times its initial value or overflows (instability, or genuinely large data);
-    on_step never sees that state.
+    the trajectory's gevrey column holds the Gevrey norm at that fixed index.
+    on_step is called as f(t, d) at every step, t = 0 included, before the step is
+    recorded, with d the state in half layout: eta0.half at t = 0, a fresh array
+    each later step; an exception it raises ends the march.  A recorded d is copied
+    into its row of the trajectory's states.  Raises BlowUpError when the L^2 norm
+    of a state exceeds blowup_factor times its initial value or overflows
+    (instability, or genuinely large data); on_step never sees that state.
     """
     n_steps = step_count(T, dt)
     grid, d = eta0.grid, eta0.half
+    steps = [*range(0, n_steps, record_every), n_steps]
+    states = np.empty((len(steps), d.size), complex)
     table = _record_weights(grid, coeffs, gevrey_index)
     stepper = IFRK4Stepper(grid, coeffs, dt)
     parseval, power = grid.parseval, np.empty(d.shape)  # the squares, one buffer per march
@@ -290,8 +282,7 @@ def evolve_ifrk4(
         return math.sqrt(row_squares(grid, d, parseval, out=power))
 
     ceiling = blowup_factor * (l2_norm(d) + np.finfo(float).tiny)
-    records: list[SampleRecord] = []
-    t = 0.0
+    row, t = 0, 0.0
     for i in range(n_steps + 1):
         if i:
             t = i * dt
@@ -304,9 +295,10 @@ def evolve_ifrk4(
                 raise BlowUpError(t, norm, ceiling)
         if on_step is not None:
             on_step(t, d)
-        if i % record_every == 0 or i == n_steps:
-            records.append(_sample(t, grid, d, table))
-    return Trajectory(grid, records)
+        if i == steps[row]:
+            states[row] = d
+            row += 1
+    return _trajectory(grid, np.array(steps) * dt, states, table)
 
 
 @dataclass
@@ -422,10 +414,8 @@ def picard_solve(
     meaningful = [r for r, later in zip(ratios, distances[1:]) if later > 10.0 * tol]
     contraction = max(meaningful) if meaningful else (max(ratios) if ratios else 0.0)
 
-    ts = np.linspace(0.0, T, n_nodes + 1)
-    records = [_sample(float(t), grid, d, table) for t, d in zip(ts, states)]
-    diag = PicardDiagnostics(len(distances), distances, ratios, contraction, mesh_delta)
-    return Trajectory(grid, records), diag
+    traj = _trajectory(grid, np.linspace(0.0, T, n_nodes + 1), states, table)
+    return traj, PicardDiagnostics(len(distances), distances, ratios, contraction, mesh_delta)
 
 
 def local_existence_time(norm0: float, C_s: float) -> float:

@@ -222,14 +222,14 @@ class FailureDemo:
 def failure_demo_bilinear(
     s_negative: float,
     ks=(8, 16, 32, 64),
-    half_length: float = math.pi,
     coeffs: CoefficientSet = DEFAULT_COEFFICIENTS,
 ) -> FailureDemo:
     """Adversarial pairs showing the bilinear estimate degrade for s < 0.
 
-    u and v are single cosine modes at k and k-1, whose product puts mass at
-    the lowest nonzero wavenumber where the bracket weight is largest for
-    negative s while the inputs' norms shrink like <xi_k>^s.  The ratio then
+    u and v are single cosine modes at k and k-1 on a grid of half-length pi
+    with at least 4k modes, whose product puts mass at the lowest nonzero
+    wavenumber where the bracket weight is largest for negative s while the
+    inputs' norms shrink like <xi_k>^s.  The ratio then
     grows without bound in k (sigma = 0; a positive sigma would mask the
     effect by exponentially penalizing the inputs).
     """
@@ -241,7 +241,7 @@ def failure_demo_bilinear(
     rows = []
     for k in ks:
         n = max(64, 2 ** math.ceil(math.log2(4 * k)))
-        grid = SpectralGrid(n, half_length)
+        grid = SpectralGrid(n, math.pi)
         u = cos_mode(grid, k, 1.0)
         v = cos_mode(grid, k - 1, 1.0)
         ratio = _multilinear_values("bilinear_omega", grid, g, coeffs)(np.array([[u.half, v.half]]))[0]

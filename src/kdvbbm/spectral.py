@@ -173,19 +173,13 @@ def half_samples(d: np.ndarray, size: int, out: np.ndarray | None = None) -> np.
     return np.fft.irfft(d, size, norm="forward", out=out)
 
 
-def truncation_scale(grid: SpectralGrid) -> float:
-    """1/(2n), the factor half_truncated_sums leaves out on the tendency's grid: a power of
-    two, so a caller that folds it into the symbol it applies next gets the same bits as
-    scaling the spectra."""
-    return 1.0 / (2 * grid.n_modes)
-
-
 def half_truncated_sums(samples: np.ndarray, h: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Half-layout spectra (..., h+1), times size (see truncation_scale), of real samples
-    (..., size) on a padded grid of n = 2h to 2n points: the package's one truncation, an
-    unnormalized rfft, batched, into out (..., size/2+1) when given, returned as a view of
-    its first h+1 entries with index h zeroed."""
-    d = np.fft.rfft(samples, out=out)[..., : h + 1]
+    """Half-layout spectra (..., h+1) of real samples (..., size) on a padded grid of n = 2h
+    to 2n points: the package's one truncation, an rfft over size, batched, into out
+    (..., size/2+1) when given, returned as a view of its first h+1 entries with index h
+    zeroed.  The scale 1/size is a power of two: each value is the unnormalized sum, scaled
+    exactly."""
+    d = np.fft.rfft(samples, norm="forward", out=out)[..., : h + 1]
     d[..., -1] = 0.0
     return d
 
@@ -200,8 +194,7 @@ def product_spectra(d: np.ndarray) -> np.ndarray:
     live = np.flatnonzero(d.reshape(-1, h + 1).any(axis=0))
     band = int(live[-1]) if live.size else 0
     size = min(4 * h, max(2 * h, 2 << (d.shape[-2] * band).bit_length()))
-    # 1/size is a power of two, so these are the values of a normalized rfft
-    return half_truncated_sums(np.multiply.reduce(half_samples(d, size), axis=-2), h) * (1.0 / size)
+    return half_truncated_sums(np.multiply.reduce(half_samples(d, size), axis=-2), h)
 
 
 def spectrum_csv_rows(s: Spectrum):

@@ -82,7 +82,7 @@ def test_c01_unitarity(grid, coeffs):
 
 def test_c02_energy_conservation(c2_run):
     traj, elapsed = c2_run
-    energies = np.array([r.energy for r in traj.records])
+    energies = traj.energy
     drift = float(np.max(np.abs(energies - energies[0])) / energies[0])
     _line("C02", "energy conservation (T=5, dt=1e-3)", drift < 1e-6,
           f"rel_drift={drift:.2e} tol=1e-6", elapsed, 30.0)
@@ -91,7 +91,7 @@ def test_c02_energy_conservation(c2_run):
 def test_c03_h2_two_sided_bound(c2_run, coeffs):
     traj, _ = c2_run
     t0 = time.perf_counter()
-    h2p = np.array([kb.h2_polynomial_sq(r.state) for r in traj.records])
+    h2p = np.array([kb.h2_polynomial_sq(kb.Spectrum(traj.grid, d)) for d in traj.half])
     ratios = h2p / h2p[0]
     lo = (coeffs.c_min / coeffs.c_max) * (1.0 - 1e-6)   # 3/5 for the defaults
     hi = (coeffs.c_max / coeffs.c_min) * (1.0 + 1e-6)   # 5/3
@@ -104,10 +104,10 @@ def test_c03_h2_two_sided_bound(c2_run, coeffs):
 
 def test_c04_picard_marcher_cross_validation(c4_run):
     picard, rk = c4_run["picard"], c4_run["marcher"]
-    assert len(picard.records) == len(rk.records)
+    assert picard.half.shape == rk.half.shape
     sup = 0.0
-    for a, b in zip(picard.records, rk.records):
-        diff = kb.Spectrum(a.grid, a.half - b.half)
+    for a, b in zip(picard.half, rk.half):
+        diff = kb.Spectrum(picard.grid, a - b)
         sup = max(sup, kb.gevrey_norm(diff, G_TRACK))
     ratio = c4_run["diag"].contraction_ratio
     ok = sup < 1e-6 and ratio <= 0.55
@@ -120,7 +120,7 @@ def test_c04_picard_marcher_cross_validation(c4_run):
 def test_c05_growth_bound_in_window(c4_run):
     t0 = time.perf_counter()
     x0 = c4_run["x0"]
-    sup_g = max(r.gevrey for r in c4_run["picard"].records)
+    sup_g = max(c4_run["picard"].gevrey)
     limit = 2.0 * x0 * (1.0 + 1e-6)
     elapsed = time.perf_counter() - t0
     _line("C05", "growth bound on [0, T_bar]", sup_g <= limit,
@@ -179,7 +179,7 @@ def test_c09_radius_estimator_oracle(grid):
 
 def test_c10_bound_ordering(c10_run):
     run, elapsed = c10_run
-    times = run.trajectory.times()
+    times = run.trajectory.t
     sig_by_time = dict(run.sigma_series)
     tracked = np.array([sig_by_time[t] for t in times])
     printed = np.array([printed_lower_bound(t, run.bounds) for t in times])
@@ -225,7 +225,7 @@ def test_c12_ifrk4_self_convergence(grid, coeffs):
     t0 = time.perf_counter()
     eta0 = kb.gaussian(grid, 1.0, 1.0)
     finals = [
-        kb.evolve_ifrk4(eta0, 2.0, dt, coeffs, record_every=10**6).final.half
+        kb.evolve_ifrk4(eta0, 2.0, dt, coeffs, record_every=10**6).half[-1]
         for dt in (0.04, 0.02, 0.01)
     ]
     # sums over all n modes: a paired half-layout entry counts twice, d_{n/2} four times

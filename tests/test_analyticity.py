@@ -261,11 +261,11 @@ class TestTrackedRun:
     def test_bound_inputs_calibrated(self, run):
         assert run.bounds.Y0 >= 0.0
         assert run.bounds.c_upper >= 1.0
-        assert run.bounds.X0 == pytest.approx(run.trajectory.records[0].gevrey, rel=1e-12)
+        assert run.bounds.X0 == pytest.approx(run.trajectory.gevrey[0], rel=1e-12)
 
     def test_growth_ratio_bounded(self, run):
         # (G(t) - X0)/sqrt(t) stays below the calibrated Y0 over the window
-        times = run.trajectory.times()
+        times = run.trajectory.t
         later = times > 0
         ratio = (run.gevreys[later] - run.bounds.X0) / np.sqrt(times[later])
         assert np.max(ratio) <= run.bounds.Y0 + 1e-12
@@ -286,37 +286,44 @@ class TestTrackedRun:
 
     def test_record_gevrey_at_tracked_sigma(self, run):
         sigma = dict(run.sigma_series)
-        records = run.trajectory.records
-        assert run.sigmas.tolist() == [sigma[r.t] for r in records]
+        traj = run.trajectory
+        states = _states(traj)
+        assert run.sigmas.tolist() == [sigma[t] for t in traj.t]
         # the tracker reads G from its half-layout profile: equal at round-off
         assert run.gevreys.tolist() == pytest.approx(
-            [kb.gevrey_norm(r.state, kb.GevreyIndex(sigma[r.t], 2.0)) for r in records], rel=1e-14
+            [kb.gevrey_norm(u, kb.GevreyIndex(sigma[t], 2.0)) for t, u in zip(traj.t, states)],
+            rel=1e-14,
         )
-        assert [f.sigma_hat for f in run.fits] == [kb.estimate_radius(r.state).sigma_hat for r in records]
+        assert [f.sigma_hat for f in run.fits] == [kb.estimate_radius(u).sigma_hat for u in states]
 
     def test_records_final_at_sigma0(self, run):
-        # a record carries G at the fixed index (sigma0, s), as every other command's records do
-        for r in run.trajectory.records:
-            assert r.gevrey == kb.gevrey_norm(r.state, kb.GevreyIndex(0.5, 2.0))
+        # the gevrey column is G at the fixed index (sigma0, s), as every other command's is
+        for value, u in zip(run.trajectory.gevrey, _states(run.trajectory), strict=True):
+            assert value == kb.gevrey_norm(u, kb.GevreyIndex(0.5, 2.0))
         with pytest.raises(dataclasses.FrozenInstanceError):
-            run.trajectory.final.gevrey = 0.0
+            run.trajectory.gevrey = np.zeros_like(run.trajectory.gevrey)
 
     def test_final_step_recorded_off_stride(self, grid, coeffs):
         eta0 = kb.gevrey_synthetic(grid, 0.6, roll_off=2.0, amplitude=0.002)
         run = kb.tracked_run(eta0, 0.1, 2e-3, coeffs, sigma0=0.5, record_every=7)
-        times = [r.t for r in run.trajectory.records]
+        times = run.trajectory.t.tolist()
         assert times == [i * 2e-3 for i in (0, 7, 14, 21, 28, 35, 42, 49, 50)]
         assert len(run.fits) == len(run.lower) == len(run.upper) == 9
         sigma = dict(run.sigma_series)
-        last = run.trajectory.final
-        expected = kb.gevrey_norm(last.state, kb.GevreyIndex(sigma[last.t], 2.0))
+        last = _states(run.trajectory)[-1]
+        expected = kb.gevrey_norm(last, kb.GevreyIndex(sigma[times[-1]], 2.0))
         assert run.gevreys[-1] == pytest.approx(expected, rel=1e-14)
 
     def test_csv_ready_series(self, run):
-        assert len(run.lower) == len(run.trajectory.records)
+        assert len(run.lower) == run.trajectory.t.size
         assert len(run.sigma_series) == 501  # every step plus t = 0
         ts = [t for (t, _) in run.sigma_series]
         assert ts[0] == 0.0 and ts[-1] == pytest.approx(1.0)
+
+
+def _states(traj):
+    """The recorded states of a trajectory, one Spectrum per row."""
+    return [kb.Spectrum(traj.grid, d) for d in traj.half]
 
 
 def _exponential_state(n, half_length, seed, nyquist):
@@ -348,7 +355,7 @@ class TestSigmaTracker:
         eta0 = kb.gevrey_synthetic(grid, 0.6, roll_off=2.0, amplitude=0.05)
         sigma0, s, dt, max_rel_step = 0.5, 2.0, 1e-2, 2e-3
         run = kb.tracked_run(eta0, 0.2, dt, coeffs, sigma0=sigma0, max_rel_step=max_rel_step)
-        states = [r.state for r in run.trajectory.records]  # every step is recorded
+        states = _states(run.trajectory)  # every step is recorded
 
         def norm(state, sigma):
             return kb.gevrey_norm(state, kb.GevreyIndex(sigma, s))
@@ -366,7 +373,7 @@ class TestSigmaTracker:
             g = norm(states[len(sigmas) - 1], sigma)
             gevreys.append(g)
         assert substeps > 2 * (len(states) - 1)
-        assert [t for t, _ in run.sigma_series] == [r.t for r in run.trajectory.records]
+        assert [t for t, _ in run.sigma_series] == run.trajectory.t.tolist()
         np.testing.assert_allclose([sg for _, sg in run.sigma_series], sigmas, rtol=1e-13, atol=0)
         np.testing.assert_allclose(run.gevreys, gevreys, rtol=1e-13, atol=0)
 

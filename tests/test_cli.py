@@ -354,18 +354,16 @@ class TestSimulate:
         assert manifest["checks"]["h2_band"].get("skipped") is True
 
     def test_h2_band_reads_each_record_value(self):
-        # each record carries h2_polynomial_sq of its state, and the band reads that value:
-        # scaling the carried values moves the check, the states being unchanged
+        # the h2_polynomial_sq column holds the value of each state, and the band reads it:
+        # scaling the column moves the check, the states being unchanged
         cfg = cli.RunConfig(_small_sim())
         eta0 = kb.gaussian(cfg.grid, 1.0, 0.5)
         traj = kb.evolve_ifrk4(eta0, 0.2, 0.005, cfg.coefficients, record_every=10)
-        h2p = np.array([kb.h2_polynomial_sq(r.state) for r in traj.records])
+        h2p = np.array([kb.h2_polynomial_sq(kb.Spectrum(traj.grid, d)) for d in traj.half])
         checks = cli._simulate_checks(cfg, traj, None, None, None)
         assert checks["h2_band"]["value"] == float(np.max(np.abs(h2p / h2p[0] - 1.0)))
         h2p[1:] *= 1.5
-        traj.records[:] = [
-            dataclasses.replace(r, h2_polynomial_sq=float(v)) for r, v in zip(traj.records, h2p)
-        ]
+        traj = dataclasses.replace(traj, h2_polynomial_sq=h2p)
         checks = cli._simulate_checks(cfg, traj, None, None, None)
         assert checks["h2_band"]["value"] == float(np.max(np.abs(h2p / h2p[0] - 1.0)))
 
@@ -606,7 +604,9 @@ class TestRadius:
         cfg = cli.load_config(path)
         g, (_, t_bar, _) = cfg.gevrey_index, cli._setup(cfg)
         traj = kb.evolve_ifrk4(cfg.initial_state, 0.5, 0.005, cfg.coefficients, record_every=10)
-        expected = max(kb.gevrey_norm(r.state, g) for r in traj.records if r.t <= t_bar)
+        expected = max(
+            kb.gevrey_norm(kb.Spectrum(traj.grid, d), g) for t, d in zip(traj.t, traj.half) if t <= t_bar
+        )
         assert manifest["checks"]["growth_bound"]["value"] == expected
 
     def test_collapse_is_a_failed_check(self, tmp_path):

@@ -95,13 +95,18 @@ class TestUnpairedMode:
 
     def test_evolve_ifrk4(self, eta0, coeffs):
         traj = kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs)
-        for r in traj.records:
-            self._assert_fixed_and_real(eta0, r.state)
+        for u in _states(traj):
+            self._assert_fixed_and_real(eta0, u)
 
     def test_picard_solve(self, eta0, coeffs):
         traj, _ = kb.picard_solve(eta0, 0.1, 1e-12, 30, coeffs, G01, n_nodes=16, mesh_check=False)
-        for r in traj.records:
-            self._assert_fixed_and_real(eta0, r.state)
+        for u in _states(traj):
+            self._assert_fixed_and_real(eta0, u)
+
+
+def _states(traj):
+    """The recorded states of a trajectory, one Spectrum per row."""
+    return [kb.Spectrum(traj.grid, d) for d in traj.half]
 
 
 def _rhs(u, coeffs):
@@ -227,9 +232,8 @@ class TestHalfLayoutMarcher:
         eta0 = HALF_LAYOUT_DATA[name](small_grid)
         nyq = small_grid.nyquist
         traj = kb.evolve_ifrk4(eta0, 0.2, 0.01, coeffs, record_every=4)
-        for r in traj.records[1:]:
-            assert r.half[nyq] == eta0.half[nyq]
-            assert r.half[0].imag == 0.0
+        assert np.all(traj.half[1:, nyq] == eta0.half[nyq])
+        assert np.all(traj.half[1:, 0].imag == 0.0)
 
     def test_one_step_call_per_step(self, grid, coeffs, monkeypatch):
         # perfbench counts traced IFRK4Stepper.step calls as the march's steps
@@ -258,8 +262,7 @@ class TestTendencyWorkspace:
         assert all(np.array_equal(d, copy) for d, copy in kept)
         short = kb.evolve_ifrk4(eta0, 0.05, 0.01, coeffs)
         longer = kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs)
-        for a, b in zip(short.records, longer.records[:6], strict=True):
-            assert np.array_equal(a.half, b.half)
+        assert np.array_equal(short.half, longer.half[:6])
 
     def test_step_keeps_no_state_between_calls(self, grid, coeffs):
         d = kb.gaussian(grid, 1.0, 0.5).half
@@ -290,15 +293,14 @@ class TestTendencyWorkspace:
         single, single_diag = solve()
         assert blocked_diag.distances == single_diag.distances
         assert blocked_diag.mesh_delta == single_diag.mesh_delta
-        for a, b in zip(blocked.records, single.records, strict=True):
-            assert np.array_equal(a.half, b.half)
+        assert np.array_equal(blocked.half, single.half)
 
 
 class TestIFRK4:
     def test_zero_datum(self, grid, coeffs):
         z = kb.Spectrum(grid, np.zeros(grid.nyquist + 1, complex))
         traj = kb.evolve_ifrk4(z, 0.1, 0.01, coeffs)
-        assert all(np.all(r.half == 0) for r in traj.records)
+        assert traj.half.shape == (11, grid.nyquist + 1) and np.all(traj.half == 0)
 
     def test_step_count_mismatch(self, grid, coeffs):
         z = kb.Spectrum(grid, np.zeros(grid.nyquist + 1, complex))
@@ -308,19 +310,19 @@ class TestIFRK4:
     def test_energy_conservation_short(self, grid, coeffs):
         eta0 = kb.cos_mode(grid, 1, 0.05)
         traj = kb.evolve_ifrk4(eta0, 1.0, 1e-3, coeffs, record_every=50)
-        energies = [r.energy for r in traj.records]
+        energies = traj.energy
         drift = max(abs(e - energies[0]) for e in energies) / energies[0]
         assert drift < 1e-10
 
     def test_realness_preserved(self, grid, coeffs):
         eta0 = kb.gaussian(grid, 1.0, 0.5)
         traj = kb.evolve_ifrk4(eta0, 1.0, 2e-3, coeffs, record_every=100)
-        assert traj.final.half[0].imag == 0.0
+        assert traj.half[-1, 0].imag == 0.0
 
     def test_self_convergence_order(self, grid, coeffs):
         eta0 = kb.gaussian(grid, 1.0, 1.0)
         finals = [
-            kb.evolve_ifrk4(eta0, 1.0, dt, coeffs, record_every=10**6).final.half
+            kb.evolve_ifrk4(eta0, 1.0, dt, coeffs, record_every=10**6).half[-1]
             for dt in (0.04, 0.02, 0.01)
         ]
         e1 = np.sqrt(np.sum(grid.parseval * np.abs(finals[0] - finals[1]) ** 2))
@@ -337,22 +339,22 @@ class TestIFRK4:
         eta0 = _nyquist_datum(grid)
         with pytest.raises(kb.BlowUpError) as err:
             kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs, blowup_factor=0.9)
-        failing = kb.evolve_ifrk4(eta0, err.value.t, 0.01, coeffs, record_every=10**6).final
+        failing = _states(kb.evolve_ifrk4(eta0, err.value.t, 0.01, coeffs, record_every=10**6))[-1]
         c = half_to_fft(failing.half)
         assert c[grid.nyquist] == 1e-3
         l2 = np.sqrt(2.0 * grid.half_length * np.sum(np.abs(c) ** 2))
         assert err.value.value == pytest.approx(l2, rel=1e-12)
         # the guard's size is the package's L^2 norm of that state, bit for bit
-        assert err.value.value == kb.sobolev_norm(failing.state, 0.0)
+        assert err.value.value == kb.sobolev_norm(failing, 0.0)
 
     def test_restart_matches_single_run(self, grid, coeffs):
         # the numerical flow is a fixed map per step, so a restart is exact
         eta0 = kb.gaussian(grid, 1.0, 0.5)
         full = kb.evolve_ifrk4(eta0, 1.0, 1e-2, coeffs, record_every=10**6)
         half = kb.evolve_ifrk4(eta0, 0.5, 1e-2, coeffs, record_every=10**6)
-        rest = kb.evolve_ifrk4(half.final.state, 0.5, 1e-2, coeffs, record_every=10**6)
-        scale = np.max(np.abs(full.final.half))
-        diff = np.max(np.abs(full.final.half - rest.final.half))
+        rest = kb.evolve_ifrk4(_states(half)[-1], 0.5, 1e-2, coeffs, record_every=10**6)
+        scale = np.max(np.abs(full.half[-1]))
+        diff = np.max(np.abs(full.half[-1] - rest.half[-1]))
         assert diff < 1e-12 * scale
 
     def test_on_step_called_every_step(self, grid, coeffs):
@@ -364,10 +366,10 @@ class TestIFRK4:
         assert len(seen) == 11  # every step plus t = 0, recorded or not
         assert seen[0][0] == 0.0 and seen[0][1] is eta0.half
         assert seen[-1][0] == pytest.approx(0.1)
-        assert [r.t for r in traj.records] == [seen[i][0] for i in (0, 3, 6, 9, 10)]
-        # the hook gets the states; a record keeps its step's, which its state wraps as it is
-        for r, i in zip(traj.records, (0, 3, 6, 9, 10), strict=True):
-            assert r.half is seen[i][1] and r.state.half is seen[i][1]
+        assert traj.t.tolist() == [seen[i][0] for i in (0, 3, 6, 9, 10)]
+        # the hook gets the states; a recorded row holds its step's, bit for bit
+        for row, i in zip(traj.half, (0, 3, 6, 9, 10), strict=True):
+            assert row.tobytes() == seen[i][1].tobytes()
         assert len({id(d) for _, d in seen}) == 11  # a fresh array each step
 
     def test_on_step_never_sees_rejected_state(self, grid, coeffs, monkeypatch):
@@ -412,21 +414,21 @@ class TestIFRK4:
     def test_gevrey_column(self, grid, coeffs):
         eta0 = kb.cos_mode(grid, 1, 0.01)
         traj = kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs, gevrey_index=G01, record_every=5)
-        assert traj.records[0].gevrey == pytest.approx(kb.gevrey_norm(eta0, G01), rel=1e-12)
+        assert traj.gevrey[0] == pytest.approx(kb.gevrey_norm(eta0, G01), rel=1e-12)
 
     def test_first_record_values_from_datum(self, small_grid, coeffs):
-        # the first record keeps the datum's own state and is valued from it
+        # the first row holds the datum's own state and is valued from it
         eta0 = kb.gaussian(small_grid, 0.5, 0.5)
-        first = kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs, gevrey_index=G01).records[0]
-        assert first.half is eta0.half
-        assert (first.energy, first.h2, first.gevrey) == (
+        traj = kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs, gevrey_index=G01)
+        assert traj.half[0].tobytes() == eta0.half.tobytes()
+        assert (traj.energy[0], traj.h2[0], traj.gevrey[0]) == (
             kb.energy(eta0, coeffs), kb.sobolev_norm(eta0, 2.0), kb.gevrey_norm(eta0, G01)
         )
 
     def test_records_keep_half_layout(self, grid, coeffs):
-        # 500 steps, all recorded, caches warmed; a record's half-layout state takes
-        # (n/2+1) * 16 B and its Python objects (array header, record, four floats) about
-        # 0.13 of that at n = 256, where a full spectrum would take n * 16 B
+        # 500 steps, all recorded, caches warmed; a recorded half-layout state takes
+        # (n/2+1) * 16 B and its row of the four value columns 32 B, about 0.02 of that at
+        # n = 256, where a full spectrum would take n * 16 B
         eta0 = kb.cos_mode(grid, 1, 0.05)
         march = lambda: kb.evolve_ifrk4(eta0, 0.5, 1e-3, coeffs)
         march()
@@ -436,8 +438,8 @@ class TestIFRK4:
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert len(traj.records) == 501
-        assert retained <= 1.15 * 501 * (grid.nyquist + 1) * 16
+        assert traj.half.shape == (501, grid.nyquist + 1)
+        assert retained <= 1.05 * 501 * (grid.nyquist + 1) * 16
 
 
 BOOKKEEPING_DATA = {
@@ -447,40 +449,43 @@ BOOKKEEPING_DATA = {
 
 
 class TestMarchBookkeeping:
-    """Records are read from their half-layout state by one row sum over a stacked weight
-    table, and the divergence guard through the same sum in one buffer per march; neither
-    may move a value."""
+    """The value columns are read from the recorded half-layout states by one row sum per
+    weight row of a stacked table, and the divergence guard through the same sum in one
+    buffer per march; neither may move a value."""
 
     @staticmethod
-    def _assert_values_equal(record, u, coeffs, g):
-        # == on purpose: the records reproduce the public norms bit for bit
-        assert record.energy == kb.energy(u, coeffs)
-        assert record.h2 == kb.sobolev_norm(u, 2.0)
-        assert record.h2_polynomial_sq == kb.h2_polynomial_sq(u)
-        assert record.gevrey == (None if g is None else kb.gevrey_norm(u, g))
+    def _assert_values_equal(traj, i, u, coeffs, g):
+        # == on purpose: row i of the columns reproduces the public norms bit for bit
+        assert traj.energy[i] == kb.energy(u, coeffs)
+        assert traj.h2[i] == kb.sobolev_norm(u, 2.0)
+        assert traj.h2_polynomial_sq[i] == kb.h2_polynomial_sq(u)
+        if g is None:
+            assert traj.gevrey is None
+        else:
+            assert traj.gevrey[i] == kb.gevrey_norm(u, g)
 
     @pytest.mark.parametrize("g", [None, G01])
     @pytest.mark.parametrize("name", ["cos_mode", "gaussian"])
     def test_march_records_equal_public_norms(self, small_grid, coeffs, name, g):
         eta0 = BOOKKEEPING_DATA[name](small_grid)
         traj = kb.evolve_ifrk4(eta0, 0.2, 0.01, coeffs, record_every=3, gevrey_index=g)
-        assert [round(r.t / 0.01) for r in traj.records] == [0, 3, 6, 9, 12, 15, 18, 20]
-        self._assert_values_equal(traj.records[0], eta0, coeffs, g)
-        for r in traj.records[1:]:
-            self._assert_values_equal(r, r.state, coeffs, g)
+        assert [round(t / 0.01) for t in traj.t] == [0, 3, 6, 9, 12, 15, 18, 20]
+        self._assert_values_equal(traj, 0, eta0, coeffs, g)
+        for i, u in enumerate(_states(traj)):
+            self._assert_values_equal(traj, i, u, coeffs, g)
 
     @pytest.mark.parametrize("name", ["cos_mode", "gaussian"])
     def test_picard_records_equal_public_norms(self, small_grid, coeffs, name):
         eta0 = BOOKKEEPING_DATA[name](small_grid)
         traj, _ = kb.picard_solve(eta0, 0.05, 1e-10, 30, coeffs, G01, n_nodes=8)
-        assert len(traj.records) == 9
-        for r in traj.records:
-            self._assert_values_equal(r, r.state, coeffs, G01)
+        assert traj.t.shape == (9,)
+        for i, u in enumerate(_states(traj)):
+            self._assert_values_equal(traj, i, u, coeffs, G01)
 
     def test_no_fft_layout_on_march_and_picard_paths(self, small_grid, coeffs, monkeypatch):
         # spectrum_csv_rows is the one function in the package that builds the n coefficients
         # of FFT layout (test_structure pins that); neither path calls it or builds a
-        # Spectrum, and every record holds the n/2+1 entries it was stepped or solved in
+        # Spectrum, and every row holds the n/2+1 entries it was stepped or solved in
         eta0 = kb.cos_mode(small_grid, 1, 0.05)
         counts = {"spectrum_csv_rows": 0, "Spectrum": 0}
 
@@ -496,11 +501,11 @@ class TestMarchBookkeeping:
             monkeypatch.setattr(module, "spectrum_csv_rows", rows)
         monkeypatch.setattr(dynamics, "Spectrum", counted("Spectrum", kb.Spectrum))
         traj = kb.evolve_ifrk4(eta0, 1.0, 0.01, coeffs, record_every=7)
-        assert len(traj.records) == 16  # steps 0, 7, ..., 98 and the last, 100
         solved, _ = kb.picard_solve(eta0, 0.05, 1e-10, 30, coeffs, G01, n_nodes=8)
         assert counts == {"spectrum_csv_rows": 0, "Spectrum": 0}
-        for r in traj.records + solved.records:
-            assert r.half.shape == (small_grid.nyquist + 1,)
+        # steps 0, 7, ..., 98 and the last, 100; the solve's 9 mesh rows
+        assert traj.half.shape == (16, small_grid.nyquist + 1)
+        assert solved.half.shape == (9, small_grid.nyquist + 1)
 
     def test_guard_raises_at_first_step_above_ceiling(self, small_grid, coeffs):
         # L^2 norms of a known run, summed over full spectra
@@ -509,7 +514,7 @@ class TestMarchBookkeeping:
         traj = kb.evolve_ifrk4(eta0, 0.5, dt, coeffs)
         two_l = 2.0 * small_grid.half_length
         l2 = lambda d: np.sqrt(two_l * np.sum(np.abs(half_to_fft(d)) ** 2))
-        sizes = np.array([l2(r.half) for r in traj.records[1:]])
+        sizes = np.array([l2(d) for d in traj.half[1:]])
         scale = l2(eta0.half)
         ratios = sizes / scale
         # ratios[j], of step j + 1, is the first from the tenth on to top every earlier one
@@ -521,7 +526,7 @@ class TestMarchBookkeeping:
         assert err.value.value == pytest.approx(sizes[j], rel=1e-12)
         assert err.value.ceiling == pytest.approx(factor * scale, rel=1e-15)
         done = kb.evolve_ifrk4(eta0, 0.5, dt, coeffs, blowup_factor=ratios.max() * (1 + 1e-9))
-        assert len(done.records) == len(traj.records)
+        assert done.t.size == traj.t.size
 
     @pytest.mark.parametrize("n", [64, 256, 4096])
     def test_table_row_sums_equal_single_sums(self, coeffs, n):
@@ -540,7 +545,7 @@ class TestPicard:
         z = kb.Spectrum(grid, np.zeros(grid.nyquist + 1, complex))
         traj, diag = kb.picard_solve(z, 1.0, 1e-10, 10, coeffs, G01, n_nodes=16)
         assert diag.iterations == 1
-        assert all(np.all(r.half == 0) for r in traj.records)
+        assert traj.half.shape == (17, grid.nyquist + 1) and np.all(traj.half == 0)
 
     def test_small_data_contracts_and_matches_marcher(self, grid, coeffs):
         eta0 = kb.cos_mode(grid, 1, 0.01)
@@ -548,11 +553,11 @@ class TestPicard:
         traj, diag = kb.picard_solve(eta0, T, 1e-11, 30, coeffs, G01, n_nodes=64)
         assert diag.distances[-1] < 1e-11
         assert diag.contraction_ratio <= 0.55
-        sup_g = max(r.gevrey for r in traj.records)
+        sup_g = max(traj.gevrey)
         assert sup_g <= 2.0 * (1.0 + 1e-6) * kb.gevrey_norm(eta0, G01)
         assert diag.mesh_delta is not None and diag.mesh_delta <= 1e-11
         rk = kb.evolve_ifrk4(eta0, T, 1e-3, coeffs, record_every=10**6)
-        delta = kb.gevrey_norm(kb.Spectrum(grid, traj.final.half - rk.final.half), G01)
+        delta = kb.gevrey_norm(kb.Spectrum(grid, traj.half[-1] - rk.half[-1]), G01)
         assert delta < 1e-8
 
     def test_distances_decrease_geometrically(self, grid, coeffs):
@@ -632,8 +637,7 @@ class TestPicardWorkspace:
         states, distances = _allocating_sweep(eta0, coeffs, weights, T, n_nodes, tol, 30)
         fine, _ = _allocating_sweep(eta0, coeffs, weights, T, 2 * n_nodes, tol, 30)
         mesh_delta = _full_sup_distance(grid, weights, fine[::2] - states)
-        for r, d in zip(traj.records, states, strict=True):
-            assert r.half.tobytes() == d.tobytes()  # bit for bit, signs of zeros too
+        assert traj.half.tobytes() == states.tobytes()  # bit for bit, signs of zeros too
         assert diag.distances == pytest.approx(distances, rel=1e-15, abs=0.0)
         assert diag.mesh_delta == pytest.approx(mesh_delta, rel=1e-15, abs=0.0)
 
@@ -679,11 +683,9 @@ class TestLocalExistenceTime:
 
 def test_trajectory_must_start_at_zero(grid, coeffs):
     state = kb.cos_mode(grid, 1, 0.1)
-    rec = kb.SampleRecord(
-        t=1.0, grid=grid, half=state.half, energy=0.0, h2=0.0, h2_polynomial_sq=0.0
-    )
+    zero = np.zeros(1)
     with pytest.raises(ValueError):
-        kb.Trajectory(grid, [rec])
+        kb.Trajectory(grid, np.array([1.0]), state.half[None, :], zero, zero, zero)
 
 
 def test_antisymmetry_discrete_cancellation(grid, coeffs):

@@ -4,8 +4,8 @@ Keeping the padding and truncation decisions behind public functions of
 `spectral` is what lets them be written exactly once.  Drawing only from
 explicitly seeded generators is what makes reruns reproduce their digests, and
 building them in one helper keeps a campaign on one pair of streams.
-Marching in one loop and building records in one function is what keeps the
-record rule and the sample columns from drifting apart between commands.
+Marching in one loop and building every trajectory's table in one function is what keeps
+the record rule and the value columns from drifting apart between commands.
 Calling numpy.fft from `spectral` alone keeps the half layout and the Nyquist
 split written once, and spelling each call np.fft.<name>(...) keeps every
 transform visible to a tracer that replaces numpy.fft's functions.  Staging,
@@ -186,19 +186,18 @@ def test_guard_flags_copied_loops():
         "def run(eta0, dt):\n"
         "    stepper = IFRK4Stepper(eta0.grid, coeffs, dt)\n"
         "    for i in range(10):\n"
-        "        rec = kb.SampleRecord(i * dt, stepper.step(eta0.half))\n"
+        "        traj = kb.Trajectory(eta0.grid, i * dt, stepper.step(eta0.half))\n"
         "    def inner():\n"
-        "        return SampleRecord(0.0, None)\n"
+        "        return Trajectory(eta0.grid, 0.0, None)\n"
         "    return dynamics.IFRK4Stepper(eta0.grid, coeffs, dt)\n"
     )
-    assert _call_sites(source, "bad.py", "SampleRecord") == ["bad.py:run", "bad.py:inner"]
+    assert _call_sites(source, "bad.py", "Trajectory") == ["bad.py:run", "bad.py:inner"]
     assert _call_sites(source, "bad.py", "IFRK4Stepper") == ["bad.py:run", "bad.py:run"]
 
 
-def test_one_record_constructor():
-    # every SampleRecord, marched or solved, is built by one function
-    sites = _package_call_sites("SampleRecord")
-    assert len(sites) == 1, sites
+def test_one_trajectory_builder():
+    # every trajectory, marched or solved, is built by one function from its stacked states
+    assert _package_call_sites("Trajectory") == ["dynamics.py:_trajectory"]
 
 
 def test_one_marching_loop():
