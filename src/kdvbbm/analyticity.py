@@ -9,14 +9,22 @@ Alongside a PDE run the sufficient radius sigma(t) is integrated from
     sigma' = -sigma * (G + G^2),      G(t) = Gevrey norm of eta(t) at (sigma(t), s),
 
 s being the Sobolev index the tracker is given (a run's analyticity.s).  Its
-closed-form consequences give a lower bound
+closed-form consequences bound sigma(t) on both sides, with no fitted constant.
+The lower bound
 
     sigma0 * exp{ -(X0 + 2 X0^2) t - (2/3) t^{3/2} Y0 - t^2 Y0^2 }
 
-(the exact antiderivative of the rate envelope A(t) = X0 + sqrt(t) Y0 + 2 X0^2
-+ 2 t Y0^2) and an upper bound
+is the exact antiderivative of the rate envelope A(t) = X0 + sqrt(t) Y0 + 2 X0^2
++ 2 t Y0^2; it holds while G(t) <= X0 + sqrt(t) Y0, and Y0, the largest positive
+(G(t) - X0)/sqrt(t) over the tracked series, makes that so.  The upper bound
 
-    c_upper * sigma0 * exp{ -h2sq * t }.
+    sigma0 * exp{ -(m + m^2) t },      m^2 = E / max(1, gamma1, delta1),
+
+holds at s >= 2 with Hamiltonian coefficients, E being the conserved energy (the
+smallest recorded one).  There the Gevrey weight <xi>^{2s} e^{2 sigma <xi>} is at
+least (1 + |xi|)^4 >= 1 + xi^2 + xi^4, which the energy weight 1 + gamma1 xi^2 +
+delta1 xi^4 is at most max(1, gamma1, delta1) times, so G >= m and each tracker
+sub-step multiplies sigma by 1 - (G + G^2) h <= e^{-(m + m^2) h}.
 """
 
 from __future__ import annotations
@@ -54,26 +62,24 @@ class BoundInputs:
 
     sigma0:  initial radius
     X0:      Gevrey norm of the datum at (sigma0, s)
-    Y0:      calibrated coefficient of the sqrt(t) growth term
-    h2sq:    squared H^2 norm of the datum (upper-bound decay rate)
-    c_upper: calibrated constant of the upper bound
+    Y0:      coefficient of the sqrt(t) growth term (0 while G(t) <= X0)
+    m:       floor of G, sqrt(E / max(1, gamma1, delta1)) (the upper bound's rate is m + m^2)
     """
 
     sigma0: float
     X0: float
     Y0: float
-    h2sq: float
-    c_upper: float
+    m: float
 
     def __post_init__(self):
-        for name in ("sigma0", "X0", "Y0", "h2sq", "c_upper"):
+        for name in ("sigma0", "X0", "Y0", "m"):
             v = getattr(self, name)
             if not np.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
-        if self.sigma0 <= 0 or self.c_upper <= 0:
-            raise ValueError("sigma0 and c_upper must be positive")
-        if self.X0 < 0 or self.Y0 < 0 or self.h2sq < 0:
-            raise ValueError("X0, Y0 and h2sq must be nonnegative")
+        if self.sigma0 <= 0:
+            raise ValueError("sigma0 must be positive")
+        if self.X0 < 0 or self.Y0 < 0 or self.m < 0:
+            raise ValueError("X0, Y0 and m must be nonnegative")
 
 
 def estimate_radius(u: Spectrum, noise_floor: float = 1e-8) -> RadiusFit:
@@ -131,10 +137,10 @@ def lower_bound_radius(t: float, b: BoundInputs) -> float:
 
 
 def upper_bound_radius(t: float, b: BoundInputs) -> float:
-    """Upper bound c_upper * sigma0 * e^{-h2sq t}; log-linear, vanishing as t grows."""
+    """Upper bound sigma0 e^{-(m + m^2) t} for sigma(t) at s >= 2 with Hamiltonian coefficients."""
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    return b.c_upper * b.sigma0 * math.exp(-b.h2sq * t)
+    return b.sigma0 * math.exp(-(b.m + b.m * b.m) * t)
 
 
 def _profile_norm(profile: np.ndarray, growth: np.ndarray, sigma: float) -> float:
@@ -193,41 +199,15 @@ def _sigma_tracker(grid: SpectralGrid, sigma0: float, s: float, max_rel_step: fl
     return step
 
 
-def calibrate_bounds(
-    times: np.ndarray,
-    sigmas: np.ndarray,
-    gevreys: np.ndarray,
-    X0: float,
-    h2: float,
-    sigma0: float,
-    prefix_fraction: float = 0.1,
-) -> BoundInputs:
-    """Fit the non-constructive constants from the early part of a tracked run.
-
-    Y0 covers the positive excursions of (G(t) - X0)/sqrt(t) over the prefix
-    window (times a safety factor 1.1); c_upper covers sigma(t)/(sigma0 e^{-h2sq t})
-    there, floored at 1.
-    """
-    h2sq = h2 * h2
-    t_end = times[-1] * prefix_fraction
-    in_prefix = (times > 0.0) & (times <= max(t_end, times[times > 0.0][0] if np.any(times > 0.0) else 0.0))
-    if not np.any(in_prefix):
-        return BoundInputs(sigma0, X0, 0.0, h2sq, 1.0)
-    tp = times[in_prefix]
-    ratio_y = np.max((gevreys[in_prefix] - X0) / np.sqrt(tp))
-    y0 = 1.1 * max(0.0, float(ratio_y))
-    ratio_c = np.max(sigmas[in_prefix] / (sigma0 * np.exp(-h2sq * tp)))
-    c_upper = max(1.0, 1.05 * float(ratio_c))
-    return BoundInputs(sigma0, X0, y0, h2sq, c_upper)
-
-
 @dataclass
 class TrackedRun:
     """A PDE run with the shrinkage law integrated alongside it.
 
     The trajectory's gevrey column is G at the fixed index (sigma0, s).  At its
     times, sigmas holds sigma(t), gevreys G(t) at (sigma(t), s), fits the tail
-    fits, and lower and upper the two bounds.
+    fits, and lower and upper the two bounds.  upper is None where the upper bound
+    does not hold (s < 2, or coefficients that conserve no energy), and upper_gap
+    then says why.
     """
 
     trajectory: Trajectory
@@ -237,7 +217,8 @@ class TrackedRun:
     sigmas: np.ndarray
     gevreys: np.ndarray
     lower: np.ndarray
-    upper: np.ndarray
+    upper: np.ndarray | None
+    upper_gap: str | None
 
 
 def tracked_run(
@@ -250,14 +231,13 @@ def tracked_run(
     record_every: int = 1,
     noise_floor: float = 1e-8,
     max_rel_step: float = 0.01,
-    prefix_fraction: float = 0.1,
     blowup_factor: float = 1e6,
 ) -> TrackedRun:
     """Evolve eta0, integrate sigma(t), fit sigma_hat, and evaluate both bounds.
 
     sigma is advanced every PDE step; radius fits and records are taken every
-    record_every-th step.  The bound constants are calibrated on the first
-    prefix_fraction of the run.
+    record_every-th step.  Y0 is read from the whole per-step series and m from the
+    smallest recorded energy.
     """
     series: list[tuple[float, float, float]] = []
     traj = evolve_ifrk4(
@@ -269,10 +249,20 @@ def tracked_run(
     )
     tracked = {t: (sigma, g) for t, sigma, g in series}
     rec_sigmas, gevreys = np.array([tracked[t] for t in traj.t]).T
-    x0, h2 = float(traj.gevrey[0]), float(traj.h2[0])
-    bounds = calibrate_bounds(traj.t, rec_sigmas, gevreys, x0, h2, sigma0, prefix_fraction)
+    x0 = float(traj.gevrey[0])
+    y0 = max([0.0] + [(g - x0) / math.sqrt(t) for t, _, g in series[1:]])
+    m = math.sqrt(float(np.min(traj.energy)) / max(1.0, coeffs.gamma1, coeffs.delta1))
+    bounds = BoundInputs(sigma0, x0, y0, m)
+    if s < 2.0:
+        upper_gap = f"s = {s:g} < 2, where G need not dominate the energy"
+    elif not coeffs.is_hamiltonian:
+        upper_gap = "coefficients are not Hamiltonian (gamma != 7/48), so no energy is conserved"
+    else:
+        upper_gap = None
     sigma_series = [(t, sigma) for t, sigma, _ in series]
     fits = [estimate_radius(Spectrum(traj.grid, d), noise_floor) for d in traj.half]
     lower = np.array([lower_bound_radius(t, bounds) for t in traj.t])
-    upper = np.array([upper_bound_radius(t, bounds) for t in traj.t])
-    return TrackedRun(traj, sigma_series, fits, bounds, rec_sigmas, gevreys, lower, upper)
+    upper = None if upper_gap else np.array([upper_bound_radius(t, bounds) for t in traj.t])
+    return TrackedRun(
+        traj, sigma_series, fits, bounds, rec_sigmas, gevreys, lower, upper, upper_gap
+    )

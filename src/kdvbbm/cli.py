@@ -204,7 +204,6 @@ _SCHEMA = {
         "s": (2.0, _FINITE),
         "noise_floor": (1.0e-8, _NONNEGATIVE),
         "max_rel_step": (0.01, _number("(0, 0.5]")),
-        "calibration_fraction": (0.1, _UNIT),
     },
     "estimates": {
         "campaigns": (list(CAMPAIGNS), _list(_one_of(*CAMPAIGNS), distinct=True)),
@@ -488,13 +487,15 @@ def _setup(cfg: RunConfig):
 
 def _trajectory_csv(traj, tracked=None):
     """trajectory.csv: one row per recorded time.  A tracked run's gevrey_norm is G at sigma(t)
-    and its fits give sigma_hat; without tracking, sigma_hat and the bound columns stay empty."""
+    and its fits give sigma_hat; without tracking, sigma_hat and the bound columns stay empty,
+    and sigma_upper stays empty where the upper bound does not hold."""
+    empty = [None] * traj.t.size
     if tracked is None:
-        empty = [None] * traj.t.size
         columns = (traj.gevrey, empty, empty, empty)
     else:
         hats = [fit.sigma_hat for fit in tracked.fits]
-        columns = (tracked.gevreys, hats, tracked.lower, tracked.upper)
+        upper = empty if tracked.upper is None else tracked.upper
+        columns = (tracked.gevreys, hats, tracked.lower, upper)
     return TRAJECTORY_COLUMNS, zip(traj.t, traj.energy, traj.h2, *columns)
 
 
@@ -551,8 +552,13 @@ def _simulate_checks(cfg, traj, tracked, t_bar, x0):
         sigmas, slack = tracked.sigmas, 1.0 + 1e-12
         zero_datum = not np.any(traj.half[0])
         defined = [(f.sigma_hat, sg) for f, sg in zip(tracked.fits, sigmas) if f.defined]
-        checks["sigma_lower_le_tracked"] = _check(None, np.all(tracked.lower <= sigmas * slack))
-        checks["sigma_tracked_le_upper"] = _check(None, np.all(sigmas <= tracked.upper * slack))
+        lower_ok = np.all(tracked.lower <= sigmas * slack)
+        checks["sigma_lower_le_tracked"] = _check(tracked.bounds.Y0, lower_ok)
+        if tracked.upper is None:
+            checks["sigma_tracked_le_upper"] = _skip(tracked.upper_gap)
+        else:
+            upper_ok = np.all(sigmas <= tracked.upper * slack)
+            checks["sigma_tracked_le_upper"] = _check(tracked.bounds.m, upper_ok)
         checks["sigma_strictly_decreasing"] = _check(
             None, zero_datum or np.all(np.diff(sigmas) < 0.0)
         )
@@ -599,7 +605,6 @@ def run_simulate(cfg: RunConfig, tracking: bool = False):
             record_every=sol["record_every"],
             noise_floor=ana["noise_floor"],
             max_rel_step=ana["max_rel_step"],
-            prefix_fraction=ana["calibration_fraction"],
             blowup_factor=sol["blowup_factor"],
         )
         traj = tracked.trajectory

@@ -4,17 +4,21 @@ Each case is one command on a small config.  Its artifacts are the runner's own
 (columns, rows) and JSON dicts, written as the command line writes them, plus the
 runner's checks as checks.json.  test_golden.py reruns every case and compares.
 
-Regenerate (after a change that moves outputs on purpose) with
+Regenerate the cases whose outputs a change moves on purpose (all cases when none is
+named) with
 
-    PYTHONPATH=src python tests/regenerate_golden.py
+    PYTHONPATH=src python tests/regenerate_golden.py [case ...]
 
-and list each moved file with its largest relative change in CHANGES.md.
+It prints, for each file it writes, the largest relative change against the file
+it replaces; list each moved file with that change in CHANGES.md.
 """
 
+import csv
 import json
 import math
 import pathlib
 import shutil
+import sys
 
 import numpy as np
 
@@ -25,8 +29,8 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 _SMALL_GRID = {"n_modes": 64, "half_length": math.pi}
 
 #: case -> (command, config).  Every march and solve has analyticity.s < 1, so no existence
-#: constant (a random campaign) is computed and only the estimates case depends on numpy's
-#: random streams.
+#: constant is computed (growth_bound is a skip) and the radius case has no upper bound
+#: (sigma_tracked_le_upper is a skip); only the estimates case draws random numbers.
 CASES = {
     # a datum large enough that the cubic term moves the final spectrum above round-off
     "simulate": ("simulate", {
@@ -68,19 +72,66 @@ def run_case(name):
     return {**artifacts, "checks.json": checks}
 
 
-def main():
-    if GOLDEN.exists():
-        shutil.rmtree(GOLDEN)
-    for name in CASES:
+def _values(path):
+    """{where: value} of a golden file: CSV cells by (row, column), JSON leaves by path."""
+    if path.suffix == ".csv":
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        return {(i, c): v for i, row in enumerate(rows) for c, v in zip(header, row)}
+
+    def leaves(value, where):
+        if isinstance(value, dict):
+            for key, item in value.items():
+                yield from leaves(item, f"{where}.{key}")
+        elif isinstance(value, list):
+            for i, item in enumerate(value):
+                yield from leaves(item, f"{where}[{i}]")
+        else:
+            yield where, value
+
+    return dict(leaves(json.loads(path.read_text(encoding="utf-8")), "$"))
+
+
+def _change(old, new):
+    """The largest relative change from the values old to new, and where; values that
+    change kind (a cell emptied or filled, a key added or removed) are counted apart."""
+    worst, where, kind = 0.0, None, []
+    for key in sorted(old.keys() | new.keys(), key=str):
+        a, b = old.get(key), new.get(key)
+        if a == b:
+            continue
+        try:
+            change = abs(float(a) - float(b)) / max(abs(float(a)), abs(float(b)))
+        except (TypeError, ValueError):
+            kind.append(key)
+            continue
+        if change > worst:
+            worst, where = change, key
+    text = [f"{len(kind)} values change kind, first at {kind[0]}"] if kind else []
+    if where is not None:
+        text.append(f"largest relative change {worst:.3g} at {where}")
+    return "; ".join(text) or "unchanged"
+
+
+def main(names):
+    """Rewrite the golden files of the named cases, printing how each file moved."""
+    for name in names:
         folder = GOLDEN / name
+        old = {path.name: _values(path) for path in folder.glob("*")}
+        if folder.exists():
+            shutil.rmtree(folder)
         folder.mkdir(parents=True)
         for file, content in run_case(name).items():
             if isinstance(content, dict):
                 cli._write_json(folder / file, content)
             else:
                 cli._write_csv(folder / file, *content)
+            moved = _change(old.pop(file), _values(folder / file)) if file in old else "new"
+            print(f"{name}/{file}: {moved}")
+        for file in sorted(old):
+            print(f"{name}/{file}: removed")
     (GOLDEN / "numpy_version.json").write_text(json.dumps({"numpy": np.__version__}) + "\n")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:] or list(CASES))

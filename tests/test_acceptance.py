@@ -182,20 +182,25 @@ def test_c10_bound_ordering(c10_run):
     times = run.trajectory.t
     sig_by_time = dict(run.sigma_series)
     tracked = np.array([sig_by_time[t] for t in times])
-    printed = np.array([printed_lower_bound(t, run.bounds) for t in times])
+    b = run.bounds
+    printed = np.array([printed_lower_bound(t, b) for t in times])
     ok_lower = bool(np.all(run.lower <= tracked * (1 + 1e-12)))
-    ok_upper = bool(np.all(tracked <= run.upper * (1 + 1e-12)))
+    # the lower bound's hypothesis: G(sigma(t)) <= X0 + sqrt(t) Y0
+    ok_hypothesis = bool(np.all(run.gevreys <= (b.X0 + np.sqrt(times) * b.Y0) * (1 + 1e-12)))
+    ok_upper = run.upper is not None and bool(np.all(tracked <= run.upper * (1 + 1e-12)))
+    # vacuous while Y0 = 0, where the printed and exact bounds are one formula
     ok_printed = bool(np.all(printed <= run.lower * (1 + 1e-12)))
     ok_decreasing = bool(np.all(np.diff(tracked) < 0))
     fits = [f.sigma_hat for f in run.fits if f.defined]
     ok_hat = len(fits) == len(run.fits) and all(
         h >= 0.95 * s for h, s in zip(fits, tracked)
     )
-    ok = ok_lower and ok_upper and ok_printed and ok_decreasing and ok_hat
+    ok = ok_lower and ok_hypothesis and ok_upper and ok_printed and ok_decreasing and ok_hat
     _line("C10", "radius bound ordering on a tracked run", ok,
-          f"lower<=sigma:{ok_lower} sigma<=upper:{ok_upper} printed<=exact:{ok_printed} "
-          f"decreasing:{ok_decreasing} sigma_hat>=0.95*sigma:{ok_hat} "
-          f"sigma(T)={tracked[-1]:.4f} Y0={run.bounds.Y0:.6g}", elapsed, 60.0)
+          f"lower<=sigma:{ok_lower} G<=X0+sqrt(t)Y0:{ok_hypothesis} sigma<=upper:{ok_upper} "
+          f"printed<=exact:{ok_printed} decreasing:{ok_decreasing} "
+          f"sigma_hat>=0.95*sigma:{ok_hat} sigma(T)={tracked[-1]:.4f} Y0={b.Y0:.6g} "
+          f"m={b.m:.6g}", elapsed, 60.0)
 
 
 def test_c11_bilinear_signature(coeffs):

@@ -108,12 +108,12 @@ class TestEstimateRadius:
 
 class TestBoundFormulas:
     def test_lower_at_zero(self):
-        b = kb.BoundInputs(0.7, 1.0, 1.0, 1.0, 1.0)
+        b = kb.BoundInputs(0.7, 1.0, 1.0, 1.0)
         assert kb.lower_bound_radius(0.0, b) == pytest.approx(0.7)
         assert printed_lower_bound(0.0, b) == pytest.approx(0.7)
 
     def test_lower_frozen_values(self):
-        b = kb.BoundInputs(1.0, 1.0, 1.0, 1.0, 1.0)
+        b = kb.BoundInputs(1.0, 1.0, 1.0, 1.0)
         # exponent (X0 + 2 X0^2) t + (2/3) t^{3/2} Y0 + t^2 Y0^2 at t = 1: 14/3
         assert kb.lower_bound_radius(1.0, b) == pytest.approx(math.exp(-14.0 / 3.0), rel=1e-14)
         # the printed coefficient 3/2 gives exponent 5.5
@@ -121,7 +121,7 @@ class TestBoundFormulas:
 
     def test_lower_y0_zero(self):
         # with Y0 = 0 the t^{3/2} term vanishes and the printed bound equals the exact one
-        b = kb.BoundInputs(0.5, 0.8, 0.0, 1.0, 1.0)
+        b = kb.BoundInputs(0.5, 0.8, 0.0, 1.0)
         for t in (0.0, 0.5, 2.0):
             expected = 0.5 * math.exp(-(0.8 + 2 * 0.64) * t)
             assert kb.lower_bound_radius(t, b) == pytest.approx(expected)
@@ -134,39 +134,74 @@ class TestBoundFormulas:
         y0=st.floats(0.0, 10.0),
     )
     def test_exact_dominates_printed(self, t, x0, y0):
-        b = kb.BoundInputs(1.0, x0, y0, 1.0, 1.0)
+        b = kb.BoundInputs(1.0, x0, y0, 1.0)
         assert kb.lower_bound_radius(t, b) >= printed_lower_bound(t, b)
 
     def test_lower_envelope_log_concave(self):
         # the rate envelope increases in t, so the bound's log is concave
-        b = kb.BoundInputs(0.5, 1.0, 1.0, 1.0, 1.0)
+        b = kb.BoundInputs(0.5, 1.0, 1.0, 1.0)
         ts = np.linspace(0.1, 3.0, 30)
         logs = np.log([kb.lower_bound_radius(t, b) for t in ts])
         assert np.all(np.diff(logs, 2) <= 1e-12)
 
     def test_upper_frozen_value(self):
-        b = kb.BoundInputs(0.5, 1.0, 0.0, 16 * math.pi, 1.0)
-        assert kb.upper_bound_radius(0.0, b) == pytest.approx(0.5)
-        assert kb.upper_bound_radius(0.1, b) == pytest.approx(
-            0.5 * math.exp(-1.6 * math.pi), rel=1e-14
-        )
+        # m = 2: the rate m + m^2 is 6
+        b = kb.BoundInputs(0.5, 1.0, 0.0, 2.0)
+        assert kb.upper_bound_radius(0.0, b) == 0.5
+        assert kb.upper_bound_radius(0.1, b) == pytest.approx(0.5 * math.exp(-0.6), rel=1e-14)
 
     def test_upper_log_linear(self):
-        b = kb.BoundInputs(0.5, 1.0, 0.0, 2.5, 1.3)
+        b = kb.BoundInputs(0.5, 1.0, 0.0, 1.5)
         for t, dt in ((0.0, 0.7), (1.1, 0.3)):
             ratio = kb.upper_bound_radius(t + dt, b) / kb.upper_bound_radius(t, b)
-            assert math.log(ratio) == pytest.approx(-2.5 * dt, rel=1e-12)
+            assert math.log(ratio) == pytest.approx(-3.75 * dt, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            kb.BoundInputs(0.0, 1.0, 1.0, 1.0, 1.0)
+            kb.BoundInputs(0.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            kb.BoundInputs(1.0, -1.0, 1.0, 1.0, 1.0)
-        b = kb.BoundInputs(1.0, 1.0, 1.0, 1.0, 1.0)
+            kb.BoundInputs(1.0, -1.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            kb.BoundInputs(1.0, 1.0, 1.0, -0.1)
+        with pytest.raises(ValueError):
+            kb.BoundInputs(1.0, 1.0, 1.0, math.nan)
+        b = kb.BoundInputs(1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             kb.lower_bound_radius(-0.1, b)
         with pytest.raises(ValueError):
             kb.upper_bound_radius(-1.0, b)
+
+
+def _rho_coefficients(delta1):
+    """The Hamiltonian coefficients of the rho convention (gamma1 = 1/12) with this delta1."""
+    return kb.CoefficientSet(1 / 12, 1 / 12, delta1, delta1 + 19 / 360 - 1 / 72, 7 / 48)
+
+
+class TestEnergyFloor:
+    """The upper bound's premise: G(sigma, s)^2 >= E / max(1, gamma1, delta1) = m^2."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        profile=st.sampled_from(["band_limited", "exponential_decay", "polynomial_decay"]),
+        sigma=st.floats(0.0, 2.0),
+        s=st.floats(2.0, 6.0),
+        delta1=st.floats(0.01, 3.0),
+    )
+    def test_gevrey_dominates_energy_at_s_ge_2(self, small_grid, seed, profile, sigma, s, delta1):
+        u = random_spectrum(small_grid, profile, seed, rate=0.3, power=2.0)
+        coeffs = _rho_coefficients(delta1)
+        g = kb.gevrey_norm(u, kb.GevreyIndex(sigma, s))
+        m_sq = kb.energy(u, coeffs) / max(1.0, coeffs.gamma1, coeffs.delta1)
+        assert g * g >= m_sq * (1.0 - 1e-12)
+
+    def test_fails_at_s_0(self, small_grid, coeffs):
+        # at s = 0 the weight e^{2 sigma <xi>} = e^{1.8} at xi = 8 is below the energy's
+        # 1 + 64/12 + 4096/20 = 211.1, which is why the upper-bound check skips there
+        u = kb.cos_mode(small_grid, 8, 1.0)
+        m_sq = kb.energy(u, coeffs) / max(1.0, coeffs.gamma1, coeffs.delta1)
+        assert kb.gevrey_norm(u, kb.GevreyIndex(0.1, 0.0)) ** 2 < m_sq / 30
+        assert kb.gevrey_norm(u, kb.GevreyIndex(0.1, 2.0)) ** 2 > m_sq
 
 
 class TestSigmaTracking:
@@ -208,36 +243,6 @@ class TestSigmaTracking:
             kb.tracked_run(u, 0.1, 0.1, coeffs, sigma0=0.0)
 
 
-class TestCalibrateBounds:
-    """Y0 and c_upper by hand on a 4-point series with sigma0 0.5, X0 1 and h2 1; each
-    sigma is given as its ratio to the envelope sigma0 e^{-h2^2 t} = 0.5 e^{-t}."""
-
-    TIMES = np.array([0.0, 0.25, 1.0, 16.0])
-
-    def _calibrate(self, gevreys, ratios, prefix_fraction):
-        sigmas = 0.5 * np.exp(-self.TIMES) * np.array(ratios)
-        return analyticity.calibrate_bounds(
-            self.TIMES, sigmas, np.array(gevreys), 1.0, 1.0, 0.5, prefix_fraction
-        )
-
-    def test_prefix_fraction(self):
-        # the prefix is (0, 1.6]: t = 16, with (G - X0)/sqrt(t) = 2 and ratio 3, is left out
-        b = self._calibrate([1.0, 1.25, 1.8, 9.0], [1.0, 1.1, 1.2, 3.0], 0.1)
-        assert (b.sigma0, b.X0, b.h2sq) == (0.5, 1.0, 1.0)
-        assert b.Y0 == pytest.approx(1.1 * 0.8, rel=1e-12)  # max(0.25/0.5, 0.8/1)
-        assert b.c_upper == pytest.approx(1.05 * 1.2, rel=1e-12)
-
-    def test_zero_fraction_keeps_first_positive_record(self):
-        b = self._calibrate([1.0, 1.25, 1.8, 9.0], [1.0, 1.1, 1.2, 3.0], 0.0)
-        assert b.Y0 == pytest.approx(1.1 * 0.5, rel=1e-12)  # t = 0.25 alone
-        assert b.c_upper == pytest.approx(1.05 * 1.1, rel=1e-12)
-
-    def test_gevrey_never_above_x0(self):
-        b = self._calibrate([1.0, 0.9, 0.8, 0.7], [1.0, 0.9, 0.9, 0.9], 0.1)
-        assert b.Y0 == 0.0
-        assert b.c_upper == 1.0  # 1.05 * 0.9 is below the floor
-
-
 @pytest.fixture(scope="module")
 def tracked(grid, coeffs):
     eta0 = kb.gevrey_synthetic(grid, 0.6, roll_off=2.0, amplitude=0.002)
@@ -258,17 +263,61 @@ class TestTrackedRun:
         defined = [(f.sigma_hat, sg) for f, sg in zip(run.fits, sigmas) if f.defined]
         assert defined and all(hat >= 0.95 * sg for hat, sg in defined)
 
-    def test_bound_inputs_calibrated(self, run):
-        assert run.bounds.Y0 >= 0.0
-        assert run.bounds.c_upper >= 1.0
-        assert run.bounds.X0 == pytest.approx(run.trajectory.gevrey[0], rel=1e-12)
+    def test_bound_inputs_derived(self, run, coeffs):
+        traj = run.trajectory
+        assert run.bounds.X0 == traj.gevrey[0]
+        assert run.bounds.Y0 == 0.0  # G(t) never exceeds X0 on this run
+        m_sq = float(np.min(traj.energy)) / max(1.0, coeffs.gamma1, coeffs.delta1)
+        assert run.bounds.m == math.sqrt(m_sq)
+        assert run.upper.tolist() == [kb.upper_bound_radius(t, run.bounds) for t in traj.t]
+        assert run.upper_gap is None
 
-    def test_growth_ratio_bounded(self, run):
-        # (G(t) - X0)/sqrt(t) stays below the calibrated Y0 over the window
-        times = run.trajectory.t
-        later = times > 0
-        ratio = (run.gevreys[later] - run.bounds.X0) / np.sqrt(times[later])
-        assert np.max(ratio) <= run.bounds.Y0 + 1e-12
+    def test_lower_bound_hypothesis(self, run):
+        # the lower bound holds because G(t) <= X0 + sqrt(t) Y0 along the run
+        envelope = run.bounds.X0 + np.sqrt(run.trajectory.t) * run.bounds.Y0
+        assert np.all(run.gevreys <= envelope * (1 + 1e-12))
+
+    def test_y0_reads_every_step(self, grid, coeffs, monkeypatch):
+        # a bump of G at step 3, which record_every = 7 does not record, sets Y0
+        real, bumps = analyticity._sigma_tracker, []
+
+        def bumped(grid, sigma0, s, max_rel_step, series):
+            step = real(grid, sigma0, s, max_rel_step, series)
+
+            def wrapped(t, d):
+                step(t, d)
+                if len(series) == 4:
+                    t, sigma, g = series[-1]
+                    series[-1] = (t, sigma, g + 0.25)
+                    bumps.append((t, g + 0.25))
+
+            return wrapped
+
+        monkeypatch.setattr(analyticity, "_sigma_tracker", bumped)
+        eta0 = kb.gevrey_synthetic(grid, 0.6, roll_off=2.0, amplitude=0.002)
+        run = kb.tracked_run(eta0, 0.02, 2e-3, coeffs, sigma0=0.5, record_every=7)
+        [(t3, g3)] = bumps
+        assert t3 not in run.trajectory.t
+        assert run.bounds.Y0 == (g3 - run.bounds.X0) / math.sqrt(t3) > 0.0
+
+    @pytest.mark.parametrize(
+        "s, coefficients, gap",
+        [
+            (1.5, kb.DEFAULT_COEFFICIENTS, "s = 1.5 < 2"),
+            (
+                2.0,
+                kb.CoefficientSet(0.1, 1 / 6 - 0.1, 0.05, 0.05 + 19 / 360 - 0.1 / 6, (5 - 1.8) / 24),
+                "not Hamiltonian (gamma != 7/48)",
+            ),
+        ],
+        ids=["s-below-2", "not-hamiltonian"],
+    )
+    def test_no_upper_curve_where_it_does_not_hold(self, grid, s, coefficients, gap):
+        eta0 = kb.gevrey_synthetic(grid, 0.6, roll_off=2.0, amplitude=0.002)
+        run = kb.tracked_run(eta0, 0.02, 2e-3, coefficients, sigma0=0.5, s=s, record_every=5)
+        assert run.upper is None
+        assert gap in run.upper_gap
+        assert run.bounds.m > 0.0 and run.lower.size == run.trajectory.t.size
 
     def test_one_norm_per_tracked_step(self, grid, coeffs, monkeypatch):
         # G(t_i, sigma_i) is evaluated once: it starts the next sigma step and is the

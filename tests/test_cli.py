@@ -242,6 +242,14 @@ class TestConfig:
         line = _config_error(capsys, ["radius", path], tmp_path / "out")
         assert line == "config error: unknown config key: analyticity.variant"
 
+    def test_calibration_fraction_knob_removed(self, tmp_path, capsys):
+        # both radius bounds are closed-form, so there is no prefix to calibrate them on
+        cfg = _small_radius()
+        cfg["analyticity"]["calibration_fraction"] = 0.1
+        path = _write_config(tmp_path / "c.yaml", cfg)
+        line = _config_error(capsys, ["radius", path], tmp_path / "out")
+        assert line == "config error: unknown config key: analyticity.calibration_fraction"
+
     def test_unconfigured_campaign_not_weighed(self):
         # only the configured campaigns build their weights: an s2 of 400 overflows them
         # at sigma 0.1, but interpolation is not run
@@ -269,12 +277,12 @@ class TestConfig:
 
     def test_run_ids_pinned(self):
         # canonical_json, and with it every run id, is the identity of a config
-        assert cli.RunConfig({}).run_id("simulate") == "simulate-380a424924c3"
+        assert cli.RunConfig({}).run_id("simulate") == "simulate-26735be83dca"
         abcd = {
             "a": 1 / 12, "b": 1 / 12, "c": 1 / 12, "d": 1 / 12,
             "a1": 4 / 45, "b1": 1 / 20, "c1": 4 / 45, "d1": 1 / 20,
         }
-        assert cli.RunConfig({"coefficients": {"abcd": abcd}}).run_id("simulate") == "simulate-d93d9215e05e"
+        assert cli.RunConfig({"coefficients": {"abcd": abcd}}).run_id("simulate") == "simulate-ce5a79d829e8"
 
     def test_readme_config_loads(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -349,8 +357,7 @@ class TestSimulate:
         assert all(float(r["gevrey_norm"]) == 0.0 for r in rows)
         assert all(r["sigma_hat"] == "" for r in rows)  # fit undefined on empty spectra
         assert all(float(r["sigma_lower"]) == 0.5 for r in rows)
-        uppers = {r["sigma_upper"] for r in rows}
-        assert len(uppers) == 1  # constant, = c_upper * sigma0
+        assert all(float(r["sigma_upper"]) == 0.5 for r in rows)  # m = 0 on a zero datum
         assert manifest["checks"]["h2_band"].get("skipped") is True
 
     def test_h2_band_reads_each_record_value(self):
@@ -590,6 +597,54 @@ class TestRadius:
         assert float(rows[-1]["sigma_lower"]) <= float(rows[-1]["sigma_upper"])
         assert os.path.exists(os.path.join(rundir, "sigma.csv"))
 
+    def test_upper_bound_from_energy(self, tmp_path):
+        # sigma_upper is sigma0 e^{-(m + m^2) t}, m^2 the smallest recorded energy over
+        # max(1, gamma1, delta1), with no fitted constant; the manifest records m, and Y0,
+        # which tells whether the lower bound's sqrt(t) term ever acts
+        path = _write_config(tmp_path / "c.yaml", _small_radius())
+        out = str(tmp_path / "out")
+        assert cli.main(["radius", path, "--out", out]) == 0
+        manifest, rundir = _manifest(out)
+        rows = _read_csv(os.path.join(rundir, "trajectory.csv"))
+        coeffs = kb.DEFAULT_COEFFICIENTS
+        energy = min(float(r["energy"]) for r in rows)
+        m = np.sqrt(energy / max(1.0, coeffs.gamma1, coeffs.delta1))
+        for r in rows:
+            expected = 0.5 * np.exp(-(m + m * m) * float(r["t"]))
+            assert float(r["sigma_upper"]) == pytest.approx(expected, rel=1e-15)
+        assert manifest["checks"]["sigma_tracked_le_upper"]["value"] == pytest.approx(m, rel=1e-15)
+        assert manifest["checks"]["sigma_lower_le_tracked"]["value"] == 0.0
+
+    @pytest.mark.parametrize(
+        "initial, analyticity, coefficients, note",
+        [
+            # a run whose fitted upper bound failed: sigma(t)/(sigma0 e^{-h2^2 t}) peaked
+            # after the calibration prefix
+            ({"family": "gaussian", "width": 1.0, "amplitude": 0.5}, {"s": 0.0}, None,
+             "s = 0 < 2"),
+            (None, None, {"gamma1": 0.1, "gamma2": 1 / 6 - 0.1, "delta1": 0.05,
+                          "delta2": 0.05 + 19 / 360 - 0.1 / 6, "gamma": (5 - 18 * 0.1) / 24},
+             "coefficients are not Hamiltonian (gamma != 7/48)"),
+        ],
+        ids=["s-below-2", "not-hamiltonian"],
+    )
+    def test_upper_bound_skipped(self, tmp_path, initial, analyticity, coefficients, note):
+        cfg = _small_radius()
+        if initial:
+            cfg["initial"] = initial
+        cfg["analyticity"].update(analyticity or {})
+        if coefficients:
+            cfg["coefficients"] = coefficients
+        path = _write_config(tmp_path / "c.yaml", cfg)
+        out = str(tmp_path / "out")
+        assert cli.main(["radius", path, "--out", out]) == 0
+        manifest, rundir = _manifest(out)
+        check = manifest["checks"]["sigma_tracked_le_upper"]
+        assert check["skipped"] is True and check["note"].startswith(note)
+        assert manifest["passed"] is True
+        rows = _read_csv(os.path.join(rundir, "trajectory.csv"))
+        assert all(r["sigma_upper"] == "" and r["sigma_lower"] != "" for r in rows)
+
 
     def test_growth_gate_at_sigma0(self, tmp_path):
         # the trajectory's gevrey column is G at sigma(t) <= sigma0; the gate takes G at sigma0
@@ -826,28 +881,12 @@ def _campaign_config():
     return cfg
 
 
-def _tracked(datum=("gevrey_synthetic", 0.6, 2.0, 0.002), s=2.0, **knobs):
-    """_small_radius(), or the datum and s of _calibration_config(), through the library."""
-    grid = kb.SpectralGrid(256, 16.0 * np.pi)
-    family, *args = datum
-    eta0 = getattr(kb, family)(grid, *args)
+def _tracked(**knobs):
+    """_small_radius() through the library."""
+    eta0 = kb.gevrey_synthetic(kb.SpectralGrid(256, 16.0 * np.pi), 0.6, 2.0, 0.002)
     return kb.tracked_run(
-        eta0, 0.5, 0.002, kb.DEFAULT_COEFFICIENTS, sigma0=0.5, s=s, record_every=25, **knobs
+        eta0, 0.5, 0.002, kb.DEFAULT_COEFFICIENTS, sigma0=0.5, record_every=25, **knobs
     )
-
-
-def _calibration_config():
-    # sigma(t)/(sigma0 e^{-h2sq t}) peaks after the first record only where h2sq exceeds the
-    # shrinkage rate G + G^2, as here at s = 0; on _small_radius() the constants do not move
-    cfg = _small_radius()
-    cfg["initial"] = {"family": "gaussian", "width": 1.0, "amplitude": 0.5}
-    cfg["analyticity"]["s"] = 0.0
-    return cfg
-
-
-def _calibrated_bounds():
-    run = _tracked(("gaussian", 1.0, 0.5), s=0.0, prefix_fraction=1.0)
-    return list(zip(run.lower, run.upper))
 
 
 class TestKnobs:
@@ -885,14 +924,8 @@ class TestKnobs:
                 "sigma.csv", ("t", "sigma"),
                 lambda: _tracked(max_rel_step=1e-4).sigma_series,
             ),
-            (
-                "radius", _calibration_config, ["analyticity.calibration_fraction=1"],
-                "trajectory.csv", ("sigma_lower", "sigma_upper"),
-                _calibrated_bounds,
-            ),
         ],
-        ids=["profile-rate", "profile-power", "cutoff", "noise_floor", "max_rel_step",
-             "calibration_fraction"],
+        ids=["profile-rate", "profile-power", "cutoff", "noise_floor", "max_rel_step"],
     )
     def test_knob_moves_its_artifact(
         self, tmp_path, command, config, overrides, artifact, columns, library

@@ -32,7 +32,9 @@ Letting the command alone pick the solver (no code reads `solver.method`, and th
 horizon rule is asked by `run_simulate` alone) is what keeps a rule of one solver off the other.
 Giving each choice one selector (the `radius` command alone tracks sigma, the lower bound has
 one formula, and every campaign returns a list of reports with the CSV's columns) is what
-keeps two ways of asking for one output from drifting apart.
+keeps two ways of asking for one output from drifting apart.  Taking both radius bounds from
+closed-form formulas in the run's measurements, with no fitted constant, is what keeps them
+bounds on every run they apply to.
 """
 
 import ast
@@ -813,6 +815,16 @@ def test_one_lower_bound_formula():
     # the printed 3/2 form is a test oracle (tests/oracles.py), not a variant of the bound
     assert not hasattr(analyticity, "LOWER_BOUND_VARIANTS")
     assert list(inspect.signature(analyticity.lower_bound_radius).parameters) == ["t", "b"]
+
+
+def test_bounds_from_formulas():
+    # both radius bounds are closed-form in the run's measurements: no fitted constant, no
+    # calibration prefix, and no config key to size one
+    fields = [f.name for f in dataclasses.fields(analyticity.BoundInputs)]
+    assert fields == ["sigma0", "X0", "Y0", "m"]
+    assert "prefix_fraction" not in inspect.signature(analyticity.tracked_run).parameters
+    assert not hasattr(analyticity, "calibrate_bounds")
+    assert "calibration_fraction" not in cli._SCHEMA["analyticity"]
 
 
 def test_one_report_shape():
