@@ -469,20 +469,13 @@ def _now() -> str:
 
 
 def _setup(cfg: RunConfig):
-    """(X0, T_bar, C_s) of a march or a solve, X0 being G of the datum at (sigma0, s).
-
-    T_bar, the guaranteed window, is inf for a zero datum; T_bar and the
-    existence constant C_s are None when C_s needs analyticity.s >= 1.
-    """
+    """(X0, T_bar, C_s) of a march or a solve: X0 is G of the datum at (sigma0, s), C_s the
+    existence constant on the grid and T_bar the guaranteed window, inf for a zero datum."""
     g = cfg.gevrey_index
     x0 = gevrey_norm(cfg.initial_state, g)
-    t_bar = c_s = None
-    if x0 == 0.0:
-        t_bar = math.inf
-    elif g.s >= 1.0:
+    with _asked("analyticity"):
         c_s = existence_constant(cfg.grid, g, cfg.coefficients)
-        t_bar = local_existence_time(x0, c_s)
-    return x0, t_bar, c_s
+    return x0, local_existence_time(x0, c_s), c_s
 
 
 def _trajectory_csv(traj, tracked=None):
@@ -574,10 +567,7 @@ def _simulate_checks(cfg, traj, tracked, t_bar, x0):
 def _growth_bound(cks, traj, t_bar, x0) -> dict:
     """The growth gate: the trajectory's gevrey column, G at (sigma0, s), stays at most
     2 X0 (1 + growth_slack) on the guaranteed window t <= T_bar."""
-    if t_bar is None:
-        return _skip("existence constant needs analyticity.s >= 1")
-    window = traj.gevrey[traj.t <= t_bar]
-    worst = float(window.max()) if window.size else 0.0
+    worst = float(traj.gevrey[traj.t <= t_bar].max())  # t = 0 lies in every window
     limit = 2.0 * x0 * (1.0 + cks["growth_slack"])
     return _check(worst, worst <= limit, limit, note=f"window T_bar = {t_bar:.6g}")
 
@@ -639,10 +629,8 @@ def run_picard(cfg: RunConfig):
 
     T = sol["T"]
     if T == "auto":
-        if t_bar is None or not math.isfinite(t_bar):
-            raise ConfigError(
-                "solver.T: 'auto' needs a nonzero datum and analyticity.s >= 1"
-            )
+        if not math.isfinite(t_bar):
+            raise ConfigError("solver.T: 'auto' needs a nonzero datum")
         T = t_bar
 
     traj, diag = picard_solve(

@@ -15,6 +15,7 @@ from functools import reduce
 
 import numpy as np
 
+from .errors import NormOverflowError
 from .fields import cos_mode
 from .norms import GevreyIndex, bracket, gevrey_weights, row_norms
 from .params import DEFAULT_COEFFICIENTS, CoefficientSet
@@ -338,24 +339,31 @@ def constant_bound(lemma_id: str, grid: SpectralGrid, g: GevreyIndex, coeffs: Co
     ratio^2 <= max_k w_k^2 m_k^2 S_k / (2L)^(arity-1), w_k^2 = <xi_k>^{2s} e^{2 sigma <xi_k>},
     m the symbol, S the arity-fold convolution over the modes |j| < n/2 of f = 1/w^2 (xi^2/w^2
     for derivsq_psi), even in k like w and m^2.  Summed from f tilted by e^{2 sigma (1 + xi_j)},
-    every term is O(1) and positive, so np.convolve's direct sums lose nothing."""
+    every term is O(1) and positive, so np.convolve's direct sums lose nothing.  A bound that
+    is not finite in double precision (f overflows at a very negative s) raises
+    NormOverflowError."""
     arity, _, kind, differentiate = MULTILINEAR[lemma_id]
     h = grid.nyquist
     xi = grid.wavenumbers[:h]
     br = bracket(xi)
-    tilted = br ** (-2.0 * g.s) * (xi * xi if differentiate else 1.0)  # modes 0..h-1
-    f = np.concatenate([(tilted * np.exp(-4.0 * g.sigma * xi))[:0:-1], tilted])  # 1-h..h-1
-    sums = reduce(np.convolve, [f] * arity)[arity * (h - 1) :][:h]  # modes 0..h-1
-    m = symbol_on_grid(grid, coeffs, kind)[:h]
-    top = float(np.max(br ** (2.0 * g.s) * m * m * sums))
-    untilt = math.exp(2.0 * g.sigma * (1 - arity))  # e^{2 sigma <xi_k>} / e^{2 sigma (arity + xi_k)}
-    return math.sqrt(top * untilt / (2.0 * grid.half_length) ** (arity - 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # a bound that is not finite raises below
+        tilted = br ** (-2.0 * g.s) * (xi * xi if differentiate else 1.0)  # modes 0..h-1
+        f = np.concatenate([(tilted * np.exp(-4.0 * g.sigma * xi))[:0:-1], tilted])  # 1-h..h-1
+        sums = reduce(np.convolve, [f] * arity)[arity * (h - 1) :][:h]  # modes 0..h-1
+        m = symbol_on_grid(grid, coeffs, kind)[:h]
+        top = float(np.max(br ** (2.0 * g.s) * m * m * sums))
+        untilt = math.exp(2.0 * g.sigma * (1 - arity))  # e^{2 sigma <xi_k>} / e^{2 sigma (arity + xi_k)}
+        bound = math.sqrt(top * untilt / (2.0 * grid.half_length) ** (arity - 1))
+    if not math.isfinite(bound):
+        raise NormOverflowError(
+            f"the {lemma_id} bound overflows at s = {g.s}; s is too small for this grid"
+        )
+    return bound
 
 
 def existence_constant(grid: SpectralGrid, g: GevreyIndex, coeffs: CoefficientSet) -> float:
-    """The nonlinear-estimate constant C_s: the largest constant_bound of the three estimates feeding
-    the contraction (quadratic, cubic, derivative-square).  Deterministic; requires s >= 1."""
-    if g.s < 1.0:
-        raise ValueError(f"existence constant requires s >= 1, got s = {g.s}")
+    """The nonlinear-estimate constant C_s: the largest constant_bound of the three estimates
+    feeding the contraction (quadratic, cubic, derivative-square).  Deterministic, and a bound
+    on the grid at every (sigma, s): unlike the continuum lemmas it needs no s >= 1."""
     lemmas = ("bilinear_tau", "trilinear_psi", "derivsq_psi")
     return max(constant_bound(one, grid, g, coeffs) for one in lemmas)

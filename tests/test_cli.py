@@ -186,7 +186,22 @@ class TestConfig:
         path = _write_config(tmp_path / "c.yaml", _small_picard())
         argv = ["picard", path, "--set", "initial.amplitude=0"]
         line = _config_error(capsys, argv, tmp_path / "out")
-        assert line == "config error: solver.T: 'auto' needs a nonzero datum and analyticity.s >= 1"
+        assert line == "config error: solver.T: 'auto' needs a nonzero datum"
+
+    @pytest.mark.parametrize("s", [-40, -200])
+    @pytest.mark.parametrize("command", ["simulate", "picard"])
+    def test_overflowing_existence_constant(self, tmp_path, capsys, command, s):
+        # the existence constant's terms overflow at a very negative s: rejected before any
+        # march, with no window of NaN and no floating-point warning
+        cfg = _small_sim(
+            grid={"n_modes": 64, "half_length": np.pi},
+            initial={"family": "gaussian", "width": 0.3, "amplitude": 0.5},
+            analyticity={"s": s},
+        )
+        path = _write_config(tmp_path / "c.yaml", cfg)
+        line = _config_error(capsys, [command, path], tmp_path / "out")
+        assert line.startswith("config error: analyticity: the ")
+        assert line.endswith(f"bound overflows at s = {float(s)}; s is too small for this grid")
 
     def test_type_errors_rejected(self, tmp_path):
         cfg = _small_sim()
@@ -364,14 +379,16 @@ class TestSimulate:
         # the h2_polynomial_sq column holds the value of each state, and the band reads it:
         # scaling the column moves the check, the states being unchanged
         cfg = cli.RunConfig(_small_sim())
-        eta0 = kb.gaussian(cfg.grid, 1.0, 0.5)
-        traj = kb.evolve_ifrk4(eta0, 0.2, 0.005, cfg.coefficients, record_every=10)
+        eta0, g = kb.gaussian(cfg.grid, 1.0, 0.5), cfg.gevrey_index
+        traj = kb.evolve_ifrk4(eta0, 0.2, 0.005, cfg.coefficients, record_every=10, gevrey_index=g)
+        x0 = kb.gevrey_norm(eta0, g)
+        t_bar = kb.local_existence_time(x0, kb.existence_constant(cfg.grid, g, cfg.coefficients))
         h2p = np.array([kb.h2_polynomial_sq(kb.Spectrum(traj.grid, d)) for d in traj.half])
-        checks = cli._simulate_checks(cfg, traj, None, None, None)
+        checks = cli._simulate_checks(cfg, traj, None, t_bar, x0)
         assert checks["h2_band"]["value"] == float(np.max(np.abs(h2p / h2p[0] - 1.0)))
         h2p[1:] *= 1.5
         traj = dataclasses.replace(traj, h2_polynomial_sq=h2p)
-        checks = cli._simulate_checks(cfg, traj, None, None, None)
+        checks = cli._simulate_checks(cfg, traj, None, t_bar, x0)
         assert checks["h2_band"]["value"] == float(np.max(np.abs(h2p / h2p[0] - 1.0)))
 
     def test_check_failure_gives_exit_one(self, tmp_path):
@@ -402,6 +419,40 @@ class TestSimulate:
         assert cli.main(["simulate", path, "--out", out]) == 0
         assert cli.main(["simulate", path, "--out", out]) == 2
         assert cli.main(["simulate", path, "--out", out, "--force"]) == 0
+
+    def test_left_over_staging_replaced(self, tmp_path):
+        # a staging directory that a killed run with this process id left, stray file and all
+        root = tmp_path / "out"
+        rundir = cli.RunDirectory(str(root), "run", force=False)
+        os.makedirs(rundir.staging)
+        Path(rundir.path("stray.csv")).write_text("left over\n")
+        with rundir:
+            assert os.listdir(rundir.staging) == []
+            Path(rundir.path("a.csv")).write_text("new\n")
+        assert os.listdir(root) == ["run"]
+        assert os.listdir(root / "run") == ["a.csv"]
+
+    def test_raising_body_leaves_nothing(self, tmp_path):
+        root = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="^body failed$"):
+            with cli.RunDirectory(str(root), "run", force=False) as rundir:
+                Path(rundir.path("a.csv")).write_text("partial\n")
+                raise RuntimeError("body failed")
+        assert os.listdir(root) == []
+
+    def test_unwritable_artifact_leaves_nothing(self, tmp_path, monkeypatch, capsys):
+        # strict JSON rejects a NaN after the CSV before it is staged: exit 3, and the
+        # staging directory goes with the CSV in it
+        def nan_runner(cfg, **options):
+            return {"a.csv": (("x",), [(1.0,)]), "b.json": {"x": np.nan}}, {}
+
+        monkeypatch.setattr(cli, "run_simulate", nan_runner)
+        path = _write_config(tmp_path / "c.yaml", _small_sim())
+        out = tmp_path / "out"
+        assert cli.main(["simulate", path, "--out", str(out)]) == 3
+        assert os.listdir(out) == []
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("internal error: Out of range float values are not JSON compliant")
 
     def test_failed_force_promotion_keeps_old_run(self, tmp_path, monkeypatch):
         root = str(tmp_path / "out")
@@ -702,24 +753,30 @@ class TestGrowthGate:
         assert entry["limit"] == 2.0 * x0 * (1.0 + 0.5)
         assert entry["passed"] and entry["value"] <= entry["limit"]
 
+    @pytest.mark.parametrize("s", [0.5, 0.0])
     @pytest.mark.parametrize(
-        "command, config, overrides",
-        [
-            ("simulate", _small_sim, []),
-            ("radius", _small_radius, []),
-            ("picard", _small_picard, ["solver.T=0.2"]),
-        ],
+        "command, config",
+        [("simulate", _small_sim), ("radius", _small_radius), ("picard", _small_picard)],
     )
-    def test_skipped_without_window(self, tmp_path, command, config, overrides):
-        # the existence constant, and with it T_bar, needs analyticity.s >= 1
+    def test_judged_below_s_one(self, tmp_path, command, config, s):
+        # the existence constant is a bound on the grid at every s, so the gate has a window
+        # there too, and picard's T: auto solves on it
         path = _write_config(tmp_path / "c.yaml", config())
         out = str(tmp_path / "out")
-        argv = [command, path, "--out", out, "--set", "analyticity.s=0.5"]
-        for spec in overrides:
-            argv += ["--set", spec]
-        assert cli.main(argv) == 0
-        manifest, _ = _manifest(out)
-        assert manifest["checks"]["growth_bound"].get("skipped") is True
+        assert cli.main([command, path, "--out", out, "--set", f"analyticity.s={s}"]) == 0
+        manifest, rundir = _manifest(out)
+        entry = manifest["checks"]["growth_bound"]
+        assert set(entry) == {"passed", "value", "limit", "note"} and entry["passed"]
+        cfg = cli.load_config(path, [f"analyticity.s={s}"])
+        g = cfg.gevrey_index
+        x0 = kb.gevrey_norm(cfg.initial_state, g)
+        t_bar = kb.local_existence_time(x0, kb.existence_constant(cfg.grid, g, cfg.coefficients))
+        assert entry["note"] == f"window T_bar = {t_bar:.6g}"
+        if command == "picard":
+            with open(os.path.join(rundir, "picard_meta.json")) as fh:
+                meta = json.load(fh)
+            assert meta["T"] == meta["existence_window"] == t_bar
+            assert meta["existence_constant"] > 0
 
 
 class TestPicardCommand:
@@ -1228,7 +1285,7 @@ print(json.dumps(seen))
 
 def test_no_random_numbers_outside_estimates(tmp_path):
     # a fresh interpreter, since pytest and hypothesis import numpy.random in this one; the
-    # marches and the solve at analyticity.s >= 1 compute C_s, and only estimates draws
+    # marches and the solve compute C_s, and only estimates draws
     runs = []
     for command, config in (
         ("simulate", _small_sim()),
@@ -1238,7 +1295,6 @@ def test_no_random_numbers_outside_estimates(tmp_path):
     ):
         path = _write_config(tmp_path / f"{command}.yaml", config)
         runs.append([command, path, str(tmp_path / f"out-{command}")])
-        assert command == "estimates" or cli.RunConfig(config).data["analyticity"]["s"] >= 1.0
     env = dict(os.environ)
     src = str(Path(kb.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -426,11 +426,11 @@ class TestIFRK4:
         )
 
     def test_records_keep_half_layout(self, grid, coeffs):
-        # 500 steps, all recorded, caches warmed; a recorded half-layout state takes
+        # 100 steps, all recorded, caches warmed; a recorded half-layout state takes
         # (n/2+1) * 16 B and its row of the four value columns 32 B, about 0.02 of that at
         # n = 256, where a full spectrum would take n * 16 B
         eta0 = kb.cos_mode(grid, 1, 0.05)
-        march = lambda: kb.evolve_ifrk4(eta0, 0.5, 1e-3, coeffs)
+        march = lambda: kb.evolve_ifrk4(eta0, 0.1, 1e-3, coeffs)
         march()
         tracemalloc.start()
         try:
@@ -438,8 +438,8 @@ class TestIFRK4:
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert traj.half.shape == (501, grid.nyquist + 1)
-        assert retained <= 1.05 * 501 * (grid.nyquist + 1) * 16
+        assert traj.half.shape == (101, grid.nyquist + 1)
+        assert retained <= 1.05 * 101 * (grid.nyquist + 1) * 16
 
 
 BOOKKEEPING_DATA = {

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -329,11 +330,11 @@ class TestTrialCampaigns:
         with pytest.raises(ValueError):
             kb.run_trials("bogus", grid, G_S1, coeffs, n_trials=2, seed=0)
 
-    def test_existence_constant_positive(self, grid, coeffs):
-        c_s = kb.existence_constant(grid, kb.GevreyIndex(0.1, 2.0), coeffs)
-        assert c_s > 0
-        with pytest.raises(ValueError):
-            kb.existence_constant(grid, kb.GevreyIndex(0.1, 0.5), coeffs)
+    @pytest.mark.parametrize("s", [2.0, 0.5])
+    def test_existence_constant_positive(self, grid, coeffs, s):
+        # a bound on the grid at every s, below the continuum lemmas' s >= 1 too
+        c_s = kb.existence_constant(grid, kb.GevreyIndex(0.1, s), coeffs)
+        assert math.isfinite(c_s) and c_s > 0
 
 
 #: The three estimates feeding the contraction argument, whose largest bound is C_s.
@@ -373,6 +374,23 @@ class TestConstantBound:
             assert estimates.constant_bound(lemma_id, coarse, g, coeffs) == pytest.approx(
                 bound, rel=1e-3
             ), lemma_id
+
+    def test_grid_stable_at_s_zero(self, coeffs):
+        # at sigma = 0.5 the tilted terms past n = 1024 are below round-off of the sums
+        g = kb.GevreyIndex(0.5, 0.0)
+        coarse, fine = (kb.existence_constant(kb.SpectralGrid(n, 16.0 * np.pi), g, coeffs)
+                        for n in (1024, 4096))
+        assert coarse == pytest.approx(fine, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("s", [-40.0, -200.0])
+    def test_overflow_raises(self, small_grid, coeffs, s):
+        # 1/w^2 = <xi>^{-2s} overflows at a very negative s: the bound raises rather than
+        # return a NaN or a sum that lost its overflowed terms, and warns of nothing
+        g = kb.GevreyIndex(0.1, s)
+        with pytest.raises(kb.NormOverflowError, match=f"overflows at s = {s}"):
+            kb.existence_constant(small_grid, g, coeffs)
+        with pytest.raises(kb.NormOverflowError, match="^the trilinear_psi bound overflows"):
+            estimates.constant_bound("trilinear_psi", small_grid, g, coeffs)
 
     def test_existence_constant_is_largest_bound(self, grid, coeffs):
         g = kb.GevreyIndex(0.5, 2.0)

@@ -1,78 +1,25 @@
 """Every command's outputs on small configs, against the files frozen under tests/golden/.
 
-Floats compare at |a - b| <= RTOL * max(|a|, |b|) + ATOL, which admits a round-off
-reordering (a few ulp) and rejects a moved constant; the absolute floor covers columns
-that are rounding noise themselves, such as the antisymmetry residuals.  The energy
-drift check, a difference of nearly equal energies, compares at DRIFT_ATOL alone.
-Integers, strings, booleans and empty cells compare exactly.
-The random campaigns follow numpy's Generator streams, which NEP 19 does not promise
-across releases, so their files are compared only under the numpy version the goldens
-were made with; failure_demo.csv draws nothing and is always compared.  Regenerate with
-tests/regenerate_golden.py.
+Values compare at the tolerances of regenerate_golden.py, which writes the files and
+rewrites only those that move beyond them.  The random campaigns follow numpy's
+Generator streams, which NEP 19 does not promise across releases, so their files are
+compared only under the numpy version the goldens were made with; failure_demo.csv draws
+nothing and is always compared.
 """
 
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from regenerate_golden import CASES, GOLDEN, STREAM_FREE, run_case
-
-RTOL = 1e-12
-ATOL = 1e-15
-
-#: The energy drift is a difference of nearly equal energies (2.4e-12 and 8.7e-16 in the
-#: goldens) that a reordered sum has moved by 5.5e-16; 1e-14 is 20 times that and 1e8 times
-#: below the 1e-6 gate.
-DRIFT = "$.energy_drift.value"
-DRIFT_ATOL = 1e-14
+import regenerate_golden
+from regenerate_golden import (
+    CASES, GOLDEN, STREAM_FREE, compare_json, differences, mismatch, run_case,
+)
 
 GOLDEN_NUMPY = json.loads((GOLDEN / "numpy_version.json").read_text())["numpy"]
-
-
-def _mismatch(fresh, golden):
-    """Why the fresh value differs from the golden one, or None when they agree."""
-    if fresh is None or golden is None or isinstance(fresh, (bool, str)):
-        return None if fresh == golden else f"{fresh!r} != {golden!r}"
-    if isinstance(fresh, (int, np.integer)):
-        return None if int(fresh) == int(golden) else f"{fresh} != {golden}"
-    a, b = float(fresh), float(golden)
-    if abs(a - b) <= RTOL * max(abs(a), abs(b)) + ATOL:
-        return None
-    return f"{a!r} != {b!r} (relative {abs(a - b) / max(abs(a), abs(b)):.3e})"
-
-
-def _compare_csv(content, path):
-    columns, rows = content
-    with open(path, newline="", encoding="utf-8") as fh:
-        header, *golden_rows = csv.reader(fh)
-    assert list(columns) == header
-    rows = [tuple(row) for row in rows]
-    assert len(rows) == len(golden_rows)
-    problems = []
-    for i, (row, golden) in enumerate(zip(rows, golden_rows)):
-        for column, fresh, text in zip(columns, row, golden):
-            why = _mismatch(fresh, None if text == "" else text)  # None is an empty cell
-            if why:
-                problems.append(f"row {i} {column}: {why}")
-    return problems
-
-
-def _compare_json(fresh, golden, where="$"):
-    if isinstance(fresh, dict):
-        assert isinstance(golden, dict) and sorted(fresh) == sorted(golden), where
-        return [p for k in fresh for p in _compare_json(fresh[k], golden[k], f"{where}.{k}")]
-    if isinstance(fresh, (list, tuple)):
-        assert isinstance(golden, list) and len(fresh) == len(golden), where
-        pairs = enumerate(zip(fresh, golden))
-        return [p for i, (a, b) in pairs for p in _compare_json(a, b, f"{where}[{i}]")]
-    if where == DRIFT:
-        a, b = float(fresh), float(golden)
-        why = None if abs(a - b) <= DRIFT_ATOL else f"{a!r} != {b!r} (absolute {abs(a - b):.3e})"
-    else:
-        why = _mismatch(fresh, golden)
-    return [f"{where}: {why}"] if why else []
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -84,27 +31,60 @@ def test_outputs_match_golden(case):
     for name, content in outputs.items():
         if streams and name not in STREAM_FREE and np.__version__ != GOLDEN_NUMPY:
             continue
-        path = folder / name
-        if isinstance(content, dict):
-            problems = _compare_json(content, json.loads(path.read_text(encoding="utf-8")))
-        else:
-            problems = _compare_csv(content, path)
+        problems = differences(content, folder / name)
         assert problems == [], f"{case}/{name}: {problems[:5]}"
 
 
 def test_tolerance_admits_round_off_and_rejects_a_moved_digit():
-    assert _mismatch(1.0 + 2.0**-52, "1") is None
-    assert _mismatch(3e-16, "1e-16") is None  # rounding-noise columns ride on the floor
-    assert _mismatch(1.0 + 1e-11, "1") is not None
-    assert _mismatch(7, "8") is not None
+    assert mismatch(1.0 + 2.0**-52, "1") is None
+    assert mismatch(3e-16, "1e-16") is None  # rounding-noise columns ride on the floor
+    assert mismatch(1.0 + 1e-11, "1") is not None
+    assert mismatch(7, "8") is not None
 
 
 def test_energy_drift_compares_at_its_own_floor():
     def compare(check, moved_by):
         drift = 2.3831237068779932e-12
-        return _compare_json({check: {"value": drift + moved_by}}, {check: {"value": drift}})
+        return compare_json({check: {"value": drift + moved_by}}, {check: {"value": drift}})
 
     assert compare("energy_drift", 9e-15) == []
     assert compare("energy_drift", 2e-14) != []
     # every other value keeps the relative tolerance and the 1e-15 floor
     assert compare("h2_band", 9e-15) != []
+
+
+def test_shape_change_is_a_difference(tmp_path):
+    # a column, row or key added or removed is a difference, so regeneration rewrites it
+    path = tmp_path / "a.csv"
+    path.write_text("t,x\n0,1\n", encoding="utf-8")
+    assert differences((("t", "x"), [(0.0, 1.0)]), path) == []
+    assert differences((("t", "x"), [(0.0, 1.0), (1.0, 1.0)]), path) != []
+    assert differences((("t",), [(0.0,)]), path) != []
+    assert compare_json({"a": {"passed": True}}, {"a": {"skipped": True}}) != []
+
+
+def test_regeneration_rewrites_only_what_moved(tmp_path, monkeypatch, capsys):
+    shutil.copytree(GOLDEN / "picard", tmp_path / "picard")
+    monkeypatch.setattr(regenerate_golden, "GOLDEN", tmp_path)
+    # a cell and a JSON value moved within the tolerance, and a JSON value moved beyond it
+    trajectory = tmp_path / "picard" / "trajectory.csv"
+    meta = tmp_path / "picard" / "picard_meta.json"
+    with open(trajectory, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[1][1] = repr(float(rows[1][1]) * (1.0 + 1e-13))
+    with open(trajectory, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    rounded = trajectory.read_bytes()
+    golden = json.loads(meta.read_text(encoding="utf-8"))
+    golden["existence_constant"] *= 1.0 + 1e-13
+    meta.write_text(json.dumps({**golden, "mesh_delta": 2.0 * golden["mesh_delta"]}), encoding="utf-8")
+
+    regenerate_golden.main(["picard"])
+    assert trajectory.read_bytes() == rounded
+    regenerated = json.loads(meta.read_text(encoding="utf-8"))
+    assert mismatch(regenerated.pop("mesh_delta"), golden.pop("mesh_delta")) is None
+    assert regenerated == golden  # every other value as it was
+    printed = capsys.readouterr().out.splitlines()
+    assert "picard/trajectory.csv: within tolerance, kept" in printed
+    assert "picard/picard_meta.json: largest relative change 0.5 at $.mesh_delta" in printed
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["picard"]  # numpy_version.json untouched
