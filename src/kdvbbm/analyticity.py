@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import Trajectory, evolve_ifrk4
-from .norms import GevreyIndex, bracket, gevrey_weights
+from .norms import GevreyIndex, bracket, gevrey_weights, row_squares
 from .params import CoefficientSet
 from .spectral import SpectralGrid, Spectrum
 
@@ -166,27 +166,29 @@ def _advance_sigma(profile, growth, sigma, g, dt, max_rel_step):
     return sigma
 
 
-def _sigma_tracker(grid: SpectralGrid, sigma0: float, s: float, max_rel_step: float, series: list):
-    """A per-step callable f(t, d) that integrates the shrinkage law into series.
+def _sigma_tracker(grid: SpectralGrid, g: GevreyIndex, max_rel_step: float, series: list):
+    """A per-step callable f(t, d) that integrates the shrinkage law from g = (sigma0, s).
 
     d is the state in half layout.  The first call (at
     t = 0 in evolve_ifrk4) appends (t, sigma0, G(t)); each later call advances
     sigma over the step from the previous call's state and appends
     (t, sigma(t), G(t)), where G(t) is the Gevrey norm of its state at
-    (sigma(t), s); the next step starts from it.  G is read from one profile per
-    state, p_k = 2L w_k |d_k|^2 with w = gevrey_weights(grid, 0, s) built once, as
-    G(sigma)^2 = sum_k p_k e^{2 sigma <xi_k>}; sigma stays at most sigma0, whose
-    weights the march's records guard against overflow.
+    (sigma(t), s) into series; the next step starts from it.  G is read from one profile,
+    p_k = 2L w_k |d_k|^2 (the out array of row_squares(grid, d, 2L w)), per state as
+    G(sigma)^2 = sum_k p_k e^{2 sigma <xi_k>}, w = gevrey_weights(grid, (0, s)) built once;
+    sigma stays at most sigma0, whose weights the march's records guard against overflow.
     """
+    sigma0 = g.sigma
     if sigma0 <= 0:
         raise ValueError(f"sigma0 must be positive, got {sigma0}")
-    weights = 2.0 * grid.half_length * gevrey_weights(grid, 0.0, s)
+    weights = 2.0 * grid.half_length * gevrey_weights(grid, GevreyIndex(0.0, g.s))
     growth = 2.0 * bracket(grid.wavenumbers)
     prev = None  # (t, profile, sigma, G) of the previous call
 
     def step(t, d):
         nonlocal prev
-        profile = weights * (d.real**2 + d.imag**2)
+        profile = np.empty(d.shape)
+        row_squares(grid, d, weights, out=profile)
         if prev is None:
             sigma = sigma0
         else:
@@ -226,14 +228,13 @@ def tracked_run(
     T: float,
     dt: float,
     coeffs: CoefficientSet,
-    sigma0: float,
-    s: float = 2.0,
+    g: GevreyIndex,
     record_every: int = 1,
     noise_floor: float = 1e-8,
     max_rel_step: float = 0.01,
     blowup_factor: float = 1e6,
 ) -> TrackedRun:
-    """Evolve eta0, integrate sigma(t), fit sigma_hat, and evaluate both bounds.
+    """Evolve eta0, integrate sigma(t) from g = (sigma0, s), fit sigma_hat, evaluate both bounds.
 
     sigma is advanced every PDE step; radius fits and records are taken every
     record_every-th step.  Y0 is read from the whole per-step series and m from the
@@ -241,10 +242,9 @@ def tracked_run(
     """
     series: list[tuple[float, float, float]] = []
     traj = evolve_ifrk4(
-        eta0, T, dt, coeffs,
-        on_step=_sigma_tracker(eta0.grid, sigma0, s, max_rel_step, series),
+        eta0, T, dt, coeffs, g,
+        on_step=_sigma_tracker(eta0.grid, g, max_rel_step, series),
         record_every=record_every,
-        gevrey_index=GevreyIndex(sigma0, s),
         blowup_factor=blowup_factor,
     )
     tracked = {t: (sigma, g) for t, sigma, g in series}
@@ -252,9 +252,9 @@ def tracked_run(
     x0 = float(traj.gevrey[0])
     y0 = max([0.0] + [(g - x0) / math.sqrt(t) for t, _, g in series[1:]])
     m = math.sqrt(float(np.min(traj.energy)) / max(1.0, coeffs.gamma1, coeffs.delta1))
-    bounds = BoundInputs(sigma0, x0, y0, m)
-    if s < 2.0:
-        upper_gap = f"s = {s:g} < 2, where G need not dominate the energy"
+    bounds = BoundInputs(g.sigma, x0, y0, m)
+    if g.s < 2.0:
+        upper_gap = f"s = {g.s:g} < 2, where G need not dominate the energy"
     elif not coeffs.is_hamiltonian:
         upper_gap = "coefficients are not Hamiltonian (gamma != 7/48), so no energy is conserved"
     else:

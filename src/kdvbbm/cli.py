@@ -25,6 +25,7 @@ import platform
 import shutil
 import sys
 import traceback
+from collections.abc import Hashable
 
 import numpy as np
 import yaml
@@ -155,11 +156,10 @@ _ABCD_KEYS = ("a", "b", "c", "d", "a1", "b1", "c1", "d1")
 
 
 def _abcd(value, path):
-    """The expansion parameters {a, b, c, d, a1, b1, c1, d1[, rho]}, all numbers."""
+    """The expansion parameters {a, b, c, d, a1, b1, c1, d1}, all numbers."""
     _expect(isinstance(value, dict), path, "a mapping", value)
     keys = sorted(value, key=str)
-    what = f"the keys {', '.join(_ABCD_KEYS)} and an optional rho"
-    _expect(set(keys) - {"rho"} == set(_ABCD_KEYS), path, what, keys)
+    _expect(set(keys) == set(_ABCD_KEYS), path, f"the keys {', '.join(_ABCD_KEYS)}", keys)
     for key, v in value.items():
         _FINITE(v, f"{path}.{key}")
     return value
@@ -297,7 +297,7 @@ class RunConfig:
                 )
         with _asked("analyticity"):
             self.gevrey_index = GevreyIndex(ana["sigma0"], ana["s"])
-            gevrey_weights(self.grid, ana["sigma0"], ana["s"])
+            gevrey_weights(self.grid, self.gevrey_index)  # the weights' overflow on this grid
         with _asked("estimates"):
             self.estimates_index = g = GevreyIndex(est["sigma"], est["s"])
             for name in est["campaigns"]:
@@ -311,10 +311,28 @@ class RunConfig:
         return f"{command}-{digest}"
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """yaml.SafeLoader rejecting a mapping that repeats a key, of which safe_load keeps the last
+    value; merge keys (<<) and unhashable keys are left to PyYAML."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep)
+            if isinstance(key, Hashable) and key in seen:
+                problem = f"duplicate key {key!r}"
+                raise yaml.constructor.ConstructorError(None, None, problem, key_node.start_mark)
+            if isinstance(key, Hashable):
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def load_config(path: str, overrides=()) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_UniqueKeyLoader)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -344,7 +362,7 @@ def apply_override(raw: dict, spec: str) -> dict:
     if not all(keys):
         raise ConfigError(f"override {spec!r} has an empty key component")
     try:
-        value = yaml.safe_load(text)
+        value = yaml.load(text, Loader=_UniqueKeyLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"override {spec!r}: cannot parse value: {_yaml_problem(exc)}") from exc
     out = copy.deepcopy(raw)
@@ -590,8 +608,7 @@ def run_simulate(cfg: RunConfig, tracking: bool = False):
             sol["T"],
             sol["dt"],
             cfg.coefficients,
-            sigma0=ana["sigma0"],
-            s=ana["s"],
+            cfg.gevrey_index,
             record_every=sol["record_every"],
             noise_floor=ana["noise_floor"],
             max_rel_step=ana["max_rel_step"],
@@ -604,8 +621,8 @@ def run_simulate(cfg: RunConfig, tracking: bool = False):
             sol["T"],
             sol["dt"],
             cfg.coefficients,
+            cfg.gevrey_index,
             record_every=sol["record_every"],
-            gevrey_index=cfg.gevrey_index,
             blowup_factor=sol["blowup_factor"],
         )
 
@@ -659,7 +676,7 @@ def run_picard(cfg: RunConfig):
         checks["mesh_refinement"] = _skip("solver.mesh_check is off")
     if sol["crosscheck"]:
         n_steps, dt_cross = whole_steps(T, sol["dt"])
-        rk = evolve_ifrk4(eta0, T, dt_cross, coeffs, record_every=n_steps, gevrey_index=g)
+        rk = evolve_ifrk4(eta0, T, dt_cross, coeffs, g, record_every=n_steps)
         delta = gevrey_norm(Spectrum(eta0.grid, traj.half[-1] - rk.half[-1]), g)
         checks["marcher_crosscheck"] = _check(delta, delta <= cks["crosscheck_tol"], cks["crosscheck_tol"])
 

@@ -52,8 +52,8 @@ ROW_BLOCK = 8
 class Trajectory:
     """A march or a solve as a table, one row per recorded time: the times t (m,), the
     half-layout states half (m, n/2+1) and, each (m,), their energy, H^2 norm, squared
-    polynomial H^2 norm (norms.h2_polynomial_sq) and, when the march or solve has a Gevrey
-    index, Gevrey norm (else gevrey is None)."""
+    polynomial H^2 norm (norms.h2_polynomial_sq) and Gevrey norm at the march's or solve's
+    index."""
 
     grid: SpectralGrid
     t: np.ndarray
@@ -61,23 +61,19 @@ class Trajectory:
     energy: np.ndarray
     h2: np.ndarray
     h2_polynomial_sq: np.ndarray
-    gevrey: np.ndarray | None = None
+    gevrey: np.ndarray
 
     def __post_init__(self):
         if self.t.size and self.t[0] != 0.0:
             raise ValueError("trajectory must start at t = 0")
 
 
-def _record_weights(
-    grid: SpectralGrid, coeffs: CoefficientSet, g: GevreyIndex | None
-) -> np.ndarray:
+def _record_weights(grid: SpectralGrid, coeffs: CoefficientSet, g: GevreyIndex) -> np.ndarray:
     """The squared weights of a trajectory's value columns, stacked (rows, n/2+1): the
-    energy weights, the H^2 weights, the polynomial H^2 weights and, when g is given, the
-    Gevrey weights; built once per march or solve."""
-    rows = [energy_weights(grid, coeffs), gevrey_weights(grid, 0.0, 2.0)]
-    rows.append(h2_polynomial_weights(grid))
-    if g is not None:
-        rows.append(gevrey_weights(grid, g.sigma, g.s))
+    energy weights, the H^2 weights, the polynomial H^2 weights and the Gevrey weights of g;
+    built once per march or solve."""
+    h2 = gevrey_weights(grid, GevreyIndex(0.0, 2.0))
+    rows = [energy_weights(grid, coeffs), h2, h2_polynomial_weights(grid), gevrey_weights(grid, g)]
     return np.stack(rows)
 
 
@@ -93,9 +89,8 @@ def _trajectory(grid: SpectralGrid, t: np.ndarray, half: np.ndarray, table: np.n
         block = half[lo : lo + ROW_BLOCK]
         for w, column in zip(table, sums):
             column[lo : lo + len(block)] = row_squares(grid, block, w, out=power[: len(block)])
-    energy, h2_sq, h2_polynomial_sq, *gevrey_sq = sums
-    gevrey = np.sqrt(gevrey_sq[0]) if gevrey_sq else None
-    return Trajectory(grid, t, half, energy, np.sqrt(h2_sq), h2_polynomial_sq, gevrey)
+    energy, h2_sq, h2_polynomial_sq, gevrey_sq = sums
+    return Trajectory(grid, t, half, energy, np.sqrt(h2_sq), h2_polynomial_sq, np.sqrt(gevrey_sq))
 
 
 def _free_group(
@@ -253,16 +248,16 @@ def evolve_ifrk4(
     T: float,
     dt: float,
     coeffs: CoefficientSet,
+    g: GevreyIndex,
     on_step: Callable[[float, np.ndarray], None] | None = None,
     record_every: int = 1,
-    gevrey_index: GevreyIndex | None = None,
     blowup_factor: float = 1e6,
 ) -> Trajectory:
     """March with integrating-factor RK4 from t = 0 to t = T in steps of dt, recording
     every record_every-th step.
 
-    The first and last steps are always recorded.  When gevrey_index is given,
-    the trajectory's gevrey column holds the Gevrey norm at that fixed index.
+    The first and last steps are always recorded.  The trajectory's gevrey column
+    holds the Gevrey norm at the fixed index g.
     on_step is called as f(t, d) at every step, t = 0 included, before the step is
     recorded, with d the state in half layout: eta0.half at t = 0, a fresh array
     each later step; an exception it raises ends the march.  A recorded d is copied
@@ -274,7 +269,7 @@ def evolve_ifrk4(
     grid, d = eta0.grid, eta0.half
     steps = [*range(0, n_steps, record_every), n_steps]
     states = np.empty((len(steps), d.size), complex)
-    table = _record_weights(grid, coeffs, gevrey_index)
+    table = _record_weights(grid, coeffs, g)
     stepper = IFRK4Stepper(grid, coeffs, dt)
     parseval, power = grid.parseval, np.empty(d.shape)  # the squares, one buffer per march
 

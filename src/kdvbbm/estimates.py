@@ -59,14 +59,9 @@ class TrialReport:
     seed: int
 
 
-def _streams(seed):
-    """(normals, phases): a campaign's generators, the children 0 and 1 of seed, an int or a
-    SeedSequence (copied, not spawned from: one seed always gives the same streams)."""
-    if isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size)
-    else:
-        seed = np.random.SeedSequence(seed)
-    return tuple(np.random.default_rng(child) for child in seed.spawn(2))
+def _streams(seed: int):
+    """(normals, phases): a campaign's generators, the children 0 and 1 of SeedSequence(seed)."""
+    return tuple(np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2))
 
 
 def random_fields(
@@ -127,11 +122,6 @@ def random_fields(
 # estimate's range of s; failure_demo_bilinear calls its kernel below that range.
 
 
-def _weights(grid, sigma, s):
-    g = GevreyIndex(sigma, s)  # rejects a negative or non-finite sigma and a non-finite s
-    return gevrey_weights(grid, g.sigma, g.s)
-
-
 def _multilinear_values(lemma_id, grid, g, coeffs):
     """Left-side Gevrey norm of the estimate divided by the right-side product.
 
@@ -141,7 +131,7 @@ def _multilinear_values(lemma_id, grid, g, coeffs):
     derivsq_psi:     |psi(dx)(u_x v_x)|_G / (|u|_G |v|_G)        valid s >= 1
     """
     _, _, kind, differentiate = MULTILINEAR[lemma_id]
-    weights = _weights(grid, g.sigma, g.s)
+    weights = gevrey_weights(grid, g)
     symbol = symbol_on_grid(grid, coeffs, kind)
 
     def values(d):
@@ -163,7 +153,7 @@ def _interpolation_values(grid, sigma, s1, s2, theta):
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     s = theta * s1 + (1.0 - theta) * s2
-    weights = [_weights(grid, sigma, t) for t in (s, s1, s2)]
+    weights = [gevrey_weights(grid, GevreyIndex(sigma, t)) for t in (s, s1, s2)]
 
     def values(d):
         lhs, n1, n2 = (row_norms(grid, d, w) for w in weights)
@@ -176,13 +166,14 @@ def _interpolation_values(grid, sigma, s1, s2, theta):
     return values
 
 
-def _splitting_parts(grid, s, r, sigma):
-    """The terms of |J^{s,sigma}u| <= c1 |J^s u| + c2 sigma^r |J^{s+r,sigma}u|, which holds
-    with c1 = c2 = 1 at r = 1 (pointwise e^x <= 1 + x e^x plus Minkowski)."""
-    if r < 0 or sigma < 0:
-        raise ValueError("r and sigma must be nonnegative")
-    weights = [_weights(grid, sigma, s), _weights(grid, 0.0, s), _weights(grid, sigma, s + r)]
-    factor = sigma**r
+def _splitting_parts(grid, g, r):
+    """The terms of |J^{s,sigma}u| <= c1 |J^s u| + c2 sigma^r |J^{s+r,sigma}u| at g = (sigma, s),
+    which holds with c1 = c2 = 1 at r = 1 (pointwise e^x <= 1 + x e^x plus Minkowski)."""
+    if r < 0:
+        raise ValueError(f"r must be nonnegative, got {r}")
+    indices = (g, GevreyIndex(0.0, g.s), GevreyIndex(g.sigma, g.s + r))
+    weights = [gevrey_weights(grid, index) for index in indices]
+    factor = g.sigma**r
 
     def parts(d):
         """|J^{s,sigma}u|, |J^s u| and sigma^r |J^{s+r,sigma}u| per row."""
@@ -281,7 +272,7 @@ def campaign(lemma_id, grid, g, coeffs, combos=()):
             raise ValueError("interpolation campaign requires combos of (s1, s2, theta)")
         return 0, [_interpolation_values(grid, g.sigma, *combo) for combo in combos]
     if lemma_id == "splitting_r1":
-        parts = _splitting_parts(grid, g.s, 1.0, g.sigma)
+        parts = _splitting_parts(grid, g, 1.0)
 
         def ratios(c):
             lhs, sob, shifted = parts(c)

@@ -40,19 +40,19 @@ def bracket(xi):
     return 1.0 + np.abs(xi)
 
 
-def gevrey_weights(grid: SpectralGrid, sigma: float, s: float) -> np.ndarray:
-    """Squared weights <xi>^{2s} exp(2*sigma*<xi>), folded, overflow-guarded."""
+def gevrey_weights(grid: SpectralGrid, g: GevreyIndex) -> np.ndarray:
+    """Squared weights <xi>^{2s} exp(2*sigma*<xi>) at g, folded; raises if they overflow here."""
     br = bracket(grid.wavenumbers)
-    exponent = 2.0 * sigma * float(np.max(br))
+    exponent = 2.0 * g.sigma * float(np.max(br))
     if exponent > MAX_GEVREY_EXPONENT:
         raise NormOverflowError(
             f"2*sigma*<xi_max> = {exponent:.1f} exceeds {MAX_GEVREY_EXPONENT}; "
             "sigma is too large for this grid"
         )
     with np.errstate(over="ignore"):
-        weights = br ** (2.0 * s) * np.exp(2.0 * sigma * br)
+        weights = br ** (2.0 * g.s) * np.exp(2.0 * g.sigma * br)
     if not np.isfinite(weights).all():
-        raise NormOverflowError(f"the weight overflows at s = {s}; s is too large for this grid")
+        raise NormOverflowError(f"the weight overflows at s = {g.s}; s is too large for this grid")
     return grid.parseval * weights
 
 
@@ -78,12 +78,12 @@ def row_norms(grid: SpectralGrid, d: np.ndarray, weights: np.ndarray) -> np.ndar
 
 def sobolev_norm(u: Spectrum, s: float) -> float:
     """H^s norm; reduces to the L^2 norm at s = 0."""
-    return float(row_norms(u.grid, u.half, gevrey_weights(u.grid, 0.0, s)))
+    return float(row_norms(u.grid, u.half, gevrey_weights(u.grid, GevreyIndex(0.0, s))))
 
 
 def gevrey_norm(u: Spectrum, g: GevreyIndex) -> float:
     """G^{sigma,s} norm; equals sobolev_norm(u, s) when sigma = 0."""
-    return float(row_norms(u.grid, u.half, gevrey_weights(u.grid, g.sigma, g.s)))
+    return float(row_norms(u.grid, u.half, gevrey_weights(u.grid, g)))
 
 
 def energy_weights(grid: SpectralGrid, coeffs: CoefficientSet) -> np.ndarray:

@@ -23,11 +23,8 @@ def _require(name: str, residual: float) -> None:
 
 @dataclass(frozen=True)
 class ABCDParams:
-    """Parameters of the underlying two-way expansion.
-
-    rho is redundant (rho = b + d - 1/6) but stored explicitly because the
-    coefficient formulas are written in terms of it; omit it to have it filled in.
-    """
+    """Parameters of the underlying two-way expansion; rho = b + d - 1/6, in whose terms the
+    coefficient formulas are written, is worked out from them."""
 
     a: float
     b: float
@@ -37,13 +34,13 @@ class ABCDParams:
     b1: float
     c1: float
     d1: float
-    rho: float | None = None
 
     def __post_init__(self):
-        if self.rho is None:
-            object.__setattr__(self, "rho", self.b + self.d - 1.0 / 6.0)
         _require("a+b+c+d = 1/3", (self.a + self.b + self.c + self.d) - 1.0 / 3.0)
-        _require("rho = b+d-1/6", self.rho - (self.b + self.d - 1.0 / 6.0))
+
+    @property
+    def rho(self) -> float:
+        return self.b + self.d - 1.0 / 6.0
 
 
 @dataclass(frozen=True)

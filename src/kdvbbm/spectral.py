@@ -30,7 +30,7 @@ import numpy as np
 from .errors import NonFiniteError, SymmetryError
 from .params import CoefficientSet
 
-SYMBOL_KINDS = ("varphi", "phi", "psi", "tau", "omega", "kappa")
+SYMBOL_KINDS = ("varphi", "phi", "psi", "tau", "omega")
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -132,7 +132,6 @@ def evaluate_symbol(kind: str, xi, coeffs: CoefficientSet):
     psi(xi)    = xi/varphi(xi)
     tau(xi)    = (3*xi - 4*gamma*xi^3)/(4*varphi(xi))
     omega(xi)  = |xi|/(1 + xi^2)
-    kappa(xi)  = (1 - gamma2*xi^2 + delta2*xi^4)/varphi(xi)   so phi = xi*kappa
     """
     scalar = np.isscalar(xi)
     xi = np.asarray(xi, dtype=float)
@@ -148,8 +147,6 @@ def evaluate_symbol(kind: str, xi, coeffs: CoefficientSet):
         out = (3.0 * xi - 4.0 * coeffs.gamma * xi2 * xi) / (4.0 * varphi)
     elif kind == "omega":
         out = np.abs(xi) / (1.0 + xi2)
-    elif kind == "kappa":
-        out = (1.0 - coeffs.gamma2 * xi2 + coeffs.delta2 * xi2 * xi2) / varphi
     else:
         raise ValueError(f"unknown symbol kind {kind!r}; expected one of {SYMBOL_KINDS}")
     return float(out) if scalar else out

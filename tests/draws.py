@@ -5,5 +5,5 @@ from kdvbbm.estimates import _streams
 
 
 def random_spectrum(grid, profile, seed, **profile_kw):
-    """The first field of the campaign streams of seed (an int or a SeedSequence)."""
+    """The first field of the campaign streams of the int seed."""
     return kb.Spectrum(grid, kb.random_fields(grid, profile, _streams(seed), 1, **profile_kw)[0])

@@ -33,7 +33,7 @@ def _line(cid, name, ok, detail, elapsed, budget):
 def c2_run(grid, coeffs):
     eta0 = kb.cos_mode(grid, 1, 0.05)
     t0 = time.perf_counter()
-    traj = kb.evolve_ifrk4(eta0, 5.0, 1e-3, coeffs, record_every=5, gevrey_index=G_TRACK)
+    traj = kb.evolve_ifrk4(eta0, 5.0, 1e-3, coeffs, G_TRACK, record_every=5)
     return traj, time.perf_counter() - t0
 
 
@@ -48,7 +48,7 @@ def c4_run(grid, coeffs):
     traj, diag = kb.picard_solve(eta0, t_bar, 1e-9, 30, coeffs, G_TRACK, n_nodes=64)
     m = max(1, round(t_bar / 1e-3 / 64))
     dt = t_bar / (64 * m)
-    rk = kb.evolve_ifrk4(eta0, t_bar, dt, coeffs, record_every=m, gevrey_index=G_TRACK)
+    rk = kb.evolve_ifrk4(eta0, t_bar, dt, coeffs, G_TRACK, record_every=m)
     elapsed = time.perf_counter() - t0
     return {
         "eta0": eta0, "x0": x0, "c_s": c_s, "t_bar": t_bar,
@@ -60,7 +60,7 @@ def c4_run(grid, coeffs):
 def c10_run(grid, coeffs):
     eta0 = kb.gevrey_synthetic(grid, 0.6, roll_off=2.0, amplitude=0.002)
     t0 = time.perf_counter()
-    run = kb.tracked_run(eta0, 2.0, 2e-3, coeffs, sigma0=0.5, record_every=10)
+    run = kb.tracked_run(eta0, 2.0, 2e-3, coeffs, kb.GevreyIndex(0.5, 2.0), record_every=10)
     return run, time.perf_counter() - t0
 
 
@@ -223,7 +223,7 @@ def test_c12_ifrk4_self_convergence(grid, coeffs):
     t0 = time.perf_counter()
     eta0 = kb.gaussian(grid, 1.0, 1.0)
     finals = [
-        kb.evolve_ifrk4(eta0, 2.0, dt, coeffs, record_every=10**6).half[-1]
+        kb.evolve_ifrk4(eta0, 2.0, dt, coeffs, G_TRACK, record_every=10**6).half[-1]
         for dt in (0.04, 0.02, 0.01)
     ]
     # sums over all n modes: a paired half-layout entry counts twice, d_{n/2} four times

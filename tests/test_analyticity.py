@@ -209,7 +209,8 @@ class TestSigmaTracking:
 
     @staticmethod
     def _sigmas(eta0, T, dt, coeffs, sigma0, **kw):
-        run = kb.tracked_run(eta0, T, dt, coeffs, sigma0, record_every=round(T / dt), **kw)
+        g = kb.GevreyIndex(sigma0, 2.0)
+        run = kb.tracked_run(eta0, T, dt, coeffs, g, record_every=round(T / dt), **kw)
         return [s for (_, s) in run.sigma_series]
 
     def test_zero_solution_constant(self, grid, coeffs):
@@ -232,7 +233,7 @@ class TestSigmaTracking:
         # a huge norm drives sigma through the resolvable radius pi/L within one step; the
         # tracker integrates on to T and leaves judging the crossing to its caller
         eta0 = kb.cos_mode(grid, 1, 50.0)
-        run = kb.tracked_run(eta0, 1e-3, 1e-3, coeffs, sigma0=0.3, max_rel_step=0.25)
+        run = kb.tracked_run(eta0, 1e-3, 1e-3, coeffs, kb.GevreyIndex(0.3, 2.0), max_rel_step=0.25)
         t_end, sigma_end = run.sigma_series[-1]
         assert t_end == pytest.approx(1e-3)
         assert 0.0 < sigma_end < np.pi / grid.half_length
@@ -240,13 +241,13 @@ class TestSigmaTracking:
     def test_sigma0_validation(self, grid, coeffs):
         u = kb.cos_mode(grid, 1, 0.1)
         with pytest.raises(ValueError):
-            kb.tracked_run(u, 0.1, 0.1, coeffs, sigma0=0.0)
+            kb.tracked_run(u, 0.1, 0.1, coeffs, kb.GevreyIndex(0.0, 2.0))
 
 
 @pytest.fixture(scope="module")
 def tracked(grid, coeffs):
     eta0 = kb.gevrey_synthetic(grid, 0.6, roll_off=2.0, amplitude=0.002)
-    return kb.tracked_run(eta0, 1.0, 2e-3, coeffs, sigma0=0.5, record_every=25)
+    return kb.tracked_run(eta0, 1.0, 2e-3, coeffs, kb.GevreyIndex(0.5, 2.0), record_every=25)
 
 
 class TestTrackedRun:
@@ -281,8 +282,8 @@ class TestTrackedRun:
         # a bump of G at step 3, which record_every = 7 does not record, sets Y0
         real, bumps = analyticity._sigma_tracker, []
 
-        def bumped(grid, sigma0, s, max_rel_step, series):
-            step = real(grid, sigma0, s, max_rel_step, series)
+        def bumped(grid, g, max_rel_step, series):
+            step = real(grid, g, max_rel_step, series)
 
             def wrapped(t, d):
                 step(t, d)
@@ -295,7 +296,7 @@ class TestTrackedRun:
 
         monkeypatch.setattr(analyticity, "_sigma_tracker", bumped)
         eta0 = kb.gevrey_synthetic(grid, 0.6, roll_off=2.0, amplitude=0.002)
-        run = kb.tracked_run(eta0, 0.02, 2e-3, coeffs, sigma0=0.5, record_every=7)
+        run = kb.tracked_run(eta0, 0.02, 2e-3, coeffs, kb.GevreyIndex(0.5, 2.0), record_every=7)
         [(t3, g3)] = bumps
         assert t3 not in run.trajectory.t
         assert run.bounds.Y0 == (g3 - run.bounds.X0) / math.sqrt(t3) > 0.0
@@ -314,7 +315,7 @@ class TestTrackedRun:
     )
     def test_no_upper_curve_where_it_does_not_hold(self, grid, s, coefficients, gap):
         eta0 = kb.gevrey_synthetic(grid, 0.6, roll_off=2.0, amplitude=0.002)
-        run = kb.tracked_run(eta0, 0.02, 2e-3, coefficients, sigma0=0.5, s=s, record_every=5)
+        run = kb.tracked_run(eta0, 0.02, 2e-3, coefficients, kb.GevreyIndex(0.5, s), record_every=5)
         assert run.upper is None
         assert gap in run.upper_gap
         assert run.bounds.m > 0.0 and run.lower.size == run.trajectory.t.size
@@ -330,7 +331,7 @@ class TestTrackedRun:
 
         monkeypatch.setattr(analyticity, "_profile_norm", counting)
         eta0 = kb.gevrey_synthetic(grid, 0.6, roll_off=2.0, amplitude=0.002)
-        kb.tracked_run(eta0, 0.1, 2e-3, coeffs, sigma0=0.5, record_every=7)
+        kb.tracked_run(eta0, 0.1, 2e-3, coeffs, kb.GevreyIndex(0.5, 2.0), record_every=7)
         assert len(calls) == 50 + 1
 
     def test_record_gevrey_at_tracked_sigma(self, run):
@@ -354,7 +355,7 @@ class TestTrackedRun:
 
     def test_final_step_recorded_off_stride(self, grid, coeffs):
         eta0 = kb.gevrey_synthetic(grid, 0.6, roll_off=2.0, amplitude=0.002)
-        run = kb.tracked_run(eta0, 0.1, 2e-3, coeffs, sigma0=0.5, record_every=7)
+        run = kb.tracked_run(eta0, 0.1, 2e-3, coeffs, kb.GevreyIndex(0.5, 2.0), record_every=7)
         times = run.trajectory.t.tolist()
         assert times == [i * 2e-3 for i in (0, 7, 14, 21, 28, 35, 42, 49, 50)]
         assert len(run.fits) == len(run.lower) == len(run.upper) == 9
@@ -390,7 +391,7 @@ class TestSigmaTracker:
     def test_profile_norm_equals_gevrey_norm(self, n, half_length, nyquist, sigma, s):
         grid, c = _exponential_state(n, half_length, n, nyquist)
         series = []
-        analyticity._sigma_tracker(grid, sigma, s, 0.01, series)(0.0, fft_to_half(c))
+        analyticity._sigma_tracker(grid, kb.GevreyIndex(sigma, s), 0.01, series)(0.0, fft_to_half(c))
         assert series[0][:2] == (0.0, sigma)
         br = 1.0 + np.abs(fft_wavenumbers(grid))
         weights = br ** (2 * s) * np.exp(2 * sigma * br)
@@ -403,7 +404,7 @@ class TestSigmaTracker:
         grid = kb.SpectralGrid(128, 4.0 * math.pi)
         eta0 = kb.gevrey_synthetic(grid, 0.6, roll_off=2.0, amplitude=0.05)
         sigma0, s, dt, max_rel_step = 0.5, 2.0, 1e-2, 2e-3
-        run = kb.tracked_run(eta0, 0.2, dt, coeffs, sigma0=sigma0, max_rel_step=max_rel_step)
+        run = kb.tracked_run(eta0, 0.2, dt, coeffs, kb.GevreyIndex(sigma0, s), max_rel_step=max_rel_step)
         states = _states(run.trajectory)  # every step is recorded
 
         def norm(state, sigma):
@@ -440,6 +441,6 @@ class TestSigmaTracker:
         counts = []
         for T in (0.02, 0.2):
             calls.clear()
-            kb.tracked_run(eta0, T, 2e-3, coeffs, sigma0=0.5, record_every=5)
+            kb.tracked_run(eta0, T, 2e-3, coeffs, kb.GevreyIndex(0.5, 2.0), record_every=5)
             counts.append(len(calls))
         assert counts[0] == counts[1] <= 3

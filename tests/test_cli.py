@@ -265,6 +265,38 @@ class TestConfig:
         line = _config_error(capsys, ["radius", path], tmp_path / "out")
         assert line == "config error: unknown config key: analyticity.calibration_fraction"
 
+    def test_duplicate_key_in_file_rejected(self, tmp_path, capsys):
+        # safe_load would keep the second solver mapping, and with it the default T and dt
+        path = tmp_path / "c.yaml"
+        path.write_text(
+            "solver:\n  T: 0.1\n  dt: 0.01\nsolver:\n  record_every: 5\n", encoding="utf-8"
+        )
+        line = _config_error(capsys, ["simulate", str(path)], tmp_path / "out")
+        assert line == (
+            f"config error: cannot parse config {path}: duplicate key 'solver' at line 4, column 1"
+        )
+
+    def test_duplicate_key_in_override_rejected(self, tmp_path, capsys):
+        path = _write_config(tmp_path / "c.yaml", _small_sim())
+        spec = "solver={T: 0.1, T: 0.2}"
+        line = _config_error(capsys, ["simulate", path, "--set", spec], tmp_path / "out")
+        assert line == (
+            f"config error: override {spec!r}: cannot parse value: "
+            "duplicate key 'T' at line 1, column 10"
+        )
+
+    def test_rho_knob_removed(self, tmp_path, capsys):
+        # rho = b + d - 1/6 is worked out from the other keys, so it is no key of its own
+        abcd = {
+            "a": 1 / 12, "b": 1 / 12, "c": 1 / 12, "d": 1 / 12,
+            "a1": 4 / 45, "b1": 1 / 20, "c1": 4 / 45, "d1": 1 / 20, "rho": 0.0,
+        }
+        path = _write_config(tmp_path / "c.yaml", _small_sim(coefficients={"abcd": abcd}))
+        line = _config_error(capsys, ["simulate", path], tmp_path / "out")
+        assert line.startswith(
+            "config error: coefficients.abcd: expected the keys a, b, c, d, a1, b1, c1, d1, got "
+        )
+
     def test_unconfigured_campaign_not_weighed(self):
         # only the configured campaigns build their weights: an s2 of 400 overflows them
         # at sigma 0.1, but interpolation is not run
@@ -380,7 +412,7 @@ class TestSimulate:
         # scaling the column moves the check, the states being unchanged
         cfg = cli.RunConfig(_small_sim())
         eta0, g = kb.gaussian(cfg.grid, 1.0, 0.5), cfg.gevrey_index
-        traj = kb.evolve_ifrk4(eta0, 0.2, 0.005, cfg.coefficients, record_every=10, gevrey_index=g)
+        traj = kb.evolve_ifrk4(eta0, 0.2, 0.005, cfg.coefficients, g, record_every=10)
         x0 = kb.gevrey_norm(eta0, g)
         t_bar = kb.local_existence_time(x0, kb.existence_constant(cfg.grid, g, cfg.coefficients))
         h2p = np.array([kb.h2_polynomial_sq(kb.Spectrum(traj.grid, d)) for d in traj.half])
@@ -709,7 +741,7 @@ class TestRadius:
         manifest, _ = _manifest(out)
         cfg = cli.load_config(path)
         g, (_, t_bar, _) = cfg.gevrey_index, cli._setup(cfg)
-        traj = kb.evolve_ifrk4(cfg.initial_state, 0.5, 0.005, cfg.coefficients, record_every=10)
+        traj = kb.evolve_ifrk4(cfg.initial_state, 0.5, 0.005, cfg.coefficients, g, record_every=10)
         expected = max(
             kb.gevrey_norm(kb.Spectrum(traj.grid, d), g) for t, d in zip(traj.t, traj.half) if t <= t_bar
         )
@@ -942,7 +974,7 @@ def _tracked(**knobs):
     """_small_radius() through the library."""
     eta0 = kb.gevrey_synthetic(kb.SpectralGrid(256, 16.0 * np.pi), 0.6, 2.0, 0.002)
     return kb.tracked_run(
-        eta0, 0.5, 0.002, kb.DEFAULT_COEFFICIENTS, sigma0=0.5, record_every=25, **knobs
+        eta0, 0.5, 0.002, kb.DEFAULT_COEFFICIENTS, kb.GevreyIndex(0.5, 2.0), record_every=25, **knobs
     )
 
 

@@ -94,7 +94,7 @@ class TestUnpairedMode:
         self._assert_fixed_and_real(eta0, kb.linear_propagate(eta0, 0.1, coeffs))
 
     def test_evolve_ifrk4(self, eta0, coeffs):
-        traj = kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs)
+        traj = kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs, G01)
         for u in _states(traj):
             self._assert_fixed_and_real(eta0, u)
 
@@ -231,7 +231,7 @@ class TestHalfLayoutMarcher:
     def test_states_exactly_hermitian_nyquist_fixed(self, small_grid, coeffs, name):
         eta0 = HALF_LAYOUT_DATA[name](small_grid)
         nyq = small_grid.nyquist
-        traj = kb.evolve_ifrk4(eta0, 0.2, 0.01, coeffs, record_every=4)
+        traj = kb.evolve_ifrk4(eta0, 0.2, 0.01, coeffs, G01, record_every=4)
         assert np.all(traj.half[1:, nyq] == eta0.half[nyq])
         assert np.all(traj.half[1:, 0].imag == 0.0)
 
@@ -241,14 +241,14 @@ class TestHalfLayoutMarcher:
         step = IFRK4Stepper.step
         monkeypatch.setattr(IFRK4Stepper, "step", lambda self, c: calls.append(1) or step(self, c))
         T, dt = 0.3, 0.01  # T / dt = 29.999999999999996
-        kb.evolve_ifrk4(kb.cos_mode(grid, 1, 0.05), T, dt, coeffs, record_every=7)
+        kb.evolve_ifrk4(kb.cos_mode(grid, 1, 0.05), T, dt, coeffs, G01, record_every=7)
         assert len(calls) == round(T / dt) == 30
 
     def test_non_real_datum_rejected(self, small_grid, coeffs):
         d = kb.cos_mode(small_grid, 1, 0.01).half.copy()
         d[0] += 1e-3j
         with pytest.raises(kb.SymmetryError):
-            kb.evolve_ifrk4(kb.Spectrum(small_grid, d), 0.1, 0.01, coeffs)
+            kb.evolve_ifrk4(kb.Spectrum(small_grid, d), 0.1, 0.01, coeffs, G01)
 
 
 class TestTendencyWorkspace:
@@ -257,11 +257,11 @@ class TestTendencyWorkspace:
     def test_states_unchanged_by_later_steps(self, grid, coeffs):
         eta0 = kb.gaussian(grid, 1.0, 0.5)
         kept = []
-        kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs, on_step=lambda t, d: kept.append((d, d.copy())))
+        kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs, G01, on_step=lambda t, d: kept.append((d, d.copy())))
         assert len(kept) == 11
         assert all(np.array_equal(d, copy) for d, copy in kept)
-        short = kb.evolve_ifrk4(eta0, 0.05, 0.01, coeffs)
-        longer = kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs)
+        short = kb.evolve_ifrk4(eta0, 0.05, 0.01, coeffs, G01)
+        longer = kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs, G01)
         assert np.array_equal(short.half, longer.half[:6])
 
     def test_step_keeps_no_state_between_calls(self, grid, coeffs):
@@ -299,30 +299,30 @@ class TestTendencyWorkspace:
 class TestIFRK4:
     def test_zero_datum(self, grid, coeffs):
         z = kb.Spectrum(grid, np.zeros(grid.nyquist + 1, complex))
-        traj = kb.evolve_ifrk4(z, 0.1, 0.01, coeffs)
+        traj = kb.evolve_ifrk4(z, 0.1, 0.01, coeffs, G01)
         assert traj.half.shape == (11, grid.nyquist + 1) and np.all(traj.half == 0)
 
     def test_step_count_mismatch(self, grid, coeffs):
         z = kb.Spectrum(grid, np.zeros(grid.nyquist + 1, complex))
         with pytest.raises(ValueError, match="integral multiple"):
-            kb.evolve_ifrk4(z, 1.0, 0.3, coeffs)
+            kb.evolve_ifrk4(z, 1.0, 0.3, coeffs, G01)
 
     def test_energy_conservation_short(self, grid, coeffs):
         eta0 = kb.cos_mode(grid, 1, 0.05)
-        traj = kb.evolve_ifrk4(eta0, 1.0, 1e-3, coeffs, record_every=50)
+        traj = kb.evolve_ifrk4(eta0, 1.0, 1e-3, coeffs, G01, record_every=50)
         energies = traj.energy
         drift = max(abs(e - energies[0]) for e in energies) / energies[0]
         assert drift < 1e-10
 
     def test_realness_preserved(self, grid, coeffs):
         eta0 = kb.gaussian(grid, 1.0, 0.5)
-        traj = kb.evolve_ifrk4(eta0, 1.0, 2e-3, coeffs, record_every=100)
+        traj = kb.evolve_ifrk4(eta0, 1.0, 2e-3, coeffs, G01, record_every=100)
         assert traj.half[-1, 0].imag == 0.0
 
     def test_self_convergence_order(self, grid, coeffs):
         eta0 = kb.gaussian(grid, 1.0, 1.0)
         finals = [
-            kb.evolve_ifrk4(eta0, 1.0, dt, coeffs, record_every=10**6).half[-1]
+            kb.evolve_ifrk4(eta0, 1.0, dt, coeffs, G01, record_every=10**6).half[-1]
             for dt in (0.04, 0.02, 0.01)
         ]
         e1 = np.sqrt(np.sum(grid.parseval * np.abs(finals[0] - finals[1]) ** 2))
@@ -332,14 +332,14 @@ class TestIFRK4:
     def test_blowup_guard(self, grid, coeffs):
         eta0 = kb.cos_mode(grid, 1, 0.1)
         with pytest.raises(kb.BlowUpError):
-            kb.evolve_ifrk4(eta0, 1.0, 0.01, coeffs, blowup_factor=0.5)
+            kb.evolve_ifrk4(eta0, 1.0, 0.01, coeffs, G01, blowup_factor=0.5)
 
     def test_blowup_size_is_l2_of_failing_state(self, grid, coeffs):
         # the ceiling is checked in half layout, where c_{-n/2} counts four times
         eta0 = _nyquist_datum(grid)
         with pytest.raises(kb.BlowUpError) as err:
-            kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs, blowup_factor=0.9)
-        failing = _states(kb.evolve_ifrk4(eta0, err.value.t, 0.01, coeffs, record_every=10**6))[-1]
+            kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs, G01, blowup_factor=0.9)
+        failing = _states(kb.evolve_ifrk4(eta0, err.value.t, 0.01, coeffs, G01, record_every=10**6))[-1]
         c = half_to_fft(failing.half)
         assert c[grid.nyquist] == 1e-3
         l2 = np.sqrt(2.0 * grid.half_length * np.sum(np.abs(c) ** 2))
@@ -350,9 +350,9 @@ class TestIFRK4:
     def test_restart_matches_single_run(self, grid, coeffs):
         # the numerical flow is a fixed map per step, so a restart is exact
         eta0 = kb.gaussian(grid, 1.0, 0.5)
-        full = kb.evolve_ifrk4(eta0, 1.0, 1e-2, coeffs, record_every=10**6)
-        half = kb.evolve_ifrk4(eta0, 0.5, 1e-2, coeffs, record_every=10**6)
-        rest = kb.evolve_ifrk4(_states(half)[-1], 0.5, 1e-2, coeffs, record_every=10**6)
+        full = kb.evolve_ifrk4(eta0, 1.0, 1e-2, coeffs, G01, record_every=10**6)
+        half = kb.evolve_ifrk4(eta0, 0.5, 1e-2, coeffs, G01, record_every=10**6)
+        rest = kb.evolve_ifrk4(_states(half)[-1], 0.5, 1e-2, coeffs, G01, record_every=10**6)
         scale = np.max(np.abs(full.half[-1]))
         diff = np.max(np.abs(full.half[-1] - rest.half[-1]))
         assert diff < 1e-12 * scale
@@ -361,7 +361,7 @@ class TestIFRK4:
         eta0 = kb.cos_mode(grid, 1, 0.01)
         seen = []
         traj = kb.evolve_ifrk4(
-            eta0, 0.1, 0.01, coeffs, on_step=lambda t, s: seen.append((t, s)), record_every=3,
+            eta0, 0.1, 0.01, coeffs, G01, on_step=lambda t, s: seen.append((t, s)), record_every=3,
         )
         assert len(seen) == 11  # every step plus t = 0, recorded or not
         assert seen[0][0] == 0.0 and seen[0][1] is eta0.half
@@ -389,7 +389,7 @@ class TestIFRK4:
         eta0 = kb.cos_mode(grid, 1, 0.1)
         seen = []
         with pytest.raises(kb.BlowUpError) as err:
-            kb.evolve_ifrk4(eta0, 1.0, 0.01, coeffs, on_step=lambda t, d: seen.append((t, d)))
+            kb.evolve_ifrk4(eta0, 1.0, 0.01, coeffs, G01, on_step=lambda t, d: seen.append((t, d)))
         assert len(stepped) == i and err.value.t == i * 0.01 and math.isnan(err.value.value)
         assert len(seen) == i
         assert all(d is s for (_, d), s in zip(seen[1:], stepped[:-1], strict=True))
@@ -408,18 +408,18 @@ class TestIFRK4:
                 raise Stop
 
         with pytest.raises(Stop):
-            kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs, on_step=stop_at_third)
+            kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs, G01, on_step=stop_at_third)
         assert len(seen) == 3
 
     def test_gevrey_column(self, grid, coeffs):
         eta0 = kb.cos_mode(grid, 1, 0.01)
-        traj = kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs, gevrey_index=G01, record_every=5)
+        traj = kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs, G01, record_every=5)
         assert traj.gevrey[0] == pytest.approx(kb.gevrey_norm(eta0, G01), rel=1e-12)
 
     def test_first_record_values_from_datum(self, small_grid, coeffs):
         # the first row holds the datum's own state and is valued from it
         eta0 = kb.gaussian(small_grid, 0.5, 0.5)
-        traj = kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs, gevrey_index=G01)
+        traj = kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs, G01)
         assert traj.half[0].tobytes() == eta0.half.tobytes()
         assert (traj.energy[0], traj.h2[0], traj.gevrey[0]) == (
             kb.energy(eta0, coeffs), kb.sobolev_norm(eta0, 2.0), kb.gevrey_norm(eta0, G01)
@@ -430,7 +430,7 @@ class TestIFRK4:
         # (n/2+1) * 16 B and its row of the four value columns 32 B, about 0.02 of that at
         # n = 256, where a full spectrum would take n * 16 B
         eta0 = kb.cos_mode(grid, 1, 0.05)
-        march = lambda: kb.evolve_ifrk4(eta0, 0.1, 1e-3, coeffs)
+        march = lambda: kb.evolve_ifrk4(eta0, 0.1, 1e-3, coeffs, G01)
         march()
         tracemalloc.start()
         try:
@@ -459,20 +459,16 @@ class TestMarchBookkeeping:
         assert traj.energy[i] == kb.energy(u, coeffs)
         assert traj.h2[i] == kb.sobolev_norm(u, 2.0)
         assert traj.h2_polynomial_sq[i] == kb.h2_polynomial_sq(u)
-        if g is None:
-            assert traj.gevrey is None
-        else:
-            assert traj.gevrey[i] == kb.gevrey_norm(u, g)
+        assert traj.gevrey[i] == kb.gevrey_norm(u, g)
 
-    @pytest.mark.parametrize("g", [None, G01])
     @pytest.mark.parametrize("name", ["cos_mode", "gaussian"])
-    def test_march_records_equal_public_norms(self, small_grid, coeffs, name, g):
+    def test_march_records_equal_public_norms(self, small_grid, coeffs, name):
         eta0 = BOOKKEEPING_DATA[name](small_grid)
-        traj = kb.evolve_ifrk4(eta0, 0.2, 0.01, coeffs, record_every=3, gevrey_index=g)
+        traj = kb.evolve_ifrk4(eta0, 0.2, 0.01, coeffs, G01, record_every=3)
         assert [round(t / 0.01) for t in traj.t] == [0, 3, 6, 9, 12, 15, 18, 20]
-        self._assert_values_equal(traj, 0, eta0, coeffs, g)
+        self._assert_values_equal(traj, 0, eta0, coeffs, G01)
         for i, u in enumerate(_states(traj)):
-            self._assert_values_equal(traj, i, u, coeffs, g)
+            self._assert_values_equal(traj, i, u, coeffs, G01)
 
     @pytest.mark.parametrize("name", ["cos_mode", "gaussian"])
     def test_picard_records_equal_public_norms(self, small_grid, coeffs, name):
@@ -500,7 +496,7 @@ class TestMarchBookkeeping:
         for module in (kb, spectral, cli):
             monkeypatch.setattr(module, "spectrum_csv_rows", rows)
         monkeypatch.setattr(dynamics, "Spectrum", counted("Spectrum", kb.Spectrum))
-        traj = kb.evolve_ifrk4(eta0, 1.0, 0.01, coeffs, record_every=7)
+        traj = kb.evolve_ifrk4(eta0, 1.0, 0.01, coeffs, G01, record_every=7)
         solved, _ = kb.picard_solve(eta0, 0.05, 1e-10, 30, coeffs, G01, n_nodes=8)
         assert counts == {"spectrum_csv_rows": 0, "Spectrum": 0}
         # steps 0, 7, ..., 98 and the last, 100; the solve's 9 mesh rows
@@ -511,7 +507,7 @@ class TestMarchBookkeeping:
         # L^2 norms of a known run, summed over full spectra
         eta0 = BOOKKEEPING_DATA["gaussian"](small_grid)
         dt = 0.01
-        traj = kb.evolve_ifrk4(eta0, 0.5, dt, coeffs)
+        traj = kb.evolve_ifrk4(eta0, 0.5, dt, coeffs, G01)
         two_l = 2.0 * small_grid.half_length
         l2 = lambda d: np.sqrt(two_l * np.sum(np.abs(half_to_fft(d)) ** 2))
         sizes = np.array([l2(d) for d in traj.half[1:]])
@@ -521,11 +517,11 @@ class TestMarchBookkeeping:
         j = next(i for i in range(10, len(ratios)) if ratios[i] > ratios[:i].max() * (1 + 1e-9))
         factor = 0.5 * (ratios[:j].max() + ratios[j])
         with pytest.raises(kb.BlowUpError) as err:
-            kb.evolve_ifrk4(eta0, 0.5, dt, coeffs, blowup_factor=factor)
+            kb.evolve_ifrk4(eta0, 0.5, dt, coeffs, G01, blowup_factor=factor)
         assert err.value.t == (j + 1) * dt
         assert err.value.value == pytest.approx(sizes[j], rel=1e-12)
         assert err.value.ceiling == pytest.approx(factor * scale, rel=1e-15)
-        done = kb.evolve_ifrk4(eta0, 0.5, dt, coeffs, blowup_factor=ratios.max() * (1 + 1e-9))
+        done = kb.evolve_ifrk4(eta0, 0.5, dt, coeffs, G01, blowup_factor=ratios.max() * (1 + 1e-9))
         assert done.t.size == traj.t.size
 
     @pytest.mark.parametrize("n", [64, 256, 4096])
@@ -556,7 +552,7 @@ class TestPicard:
         sup_g = max(traj.gevrey)
         assert sup_g <= 2.0 * (1.0 + 1e-6) * kb.gevrey_norm(eta0, G01)
         assert diag.mesh_delta is not None and diag.mesh_delta <= 1e-11
-        rk = kb.evolve_ifrk4(eta0, T, 1e-3, coeffs, record_every=10**6)
+        rk = kb.evolve_ifrk4(eta0, T, 1e-3, coeffs, G01, record_every=10**6)
         delta = kb.gevrey_norm(kb.Spectrum(grid, traj.half[-1] - rk.half[-1]), G01)
         assert delta < 1e-8
 
@@ -685,7 +681,7 @@ def test_trajectory_must_start_at_zero(grid, coeffs):
     state = kb.cos_mode(grid, 1, 0.1)
     zero = np.zeros(1)
     with pytest.raises(ValueError):
-        kb.Trajectory(grid, np.array([1.0]), state.half[None, :], zero, zero, zero)
+        kb.Trajectory(grid, np.array([1.0]), state.half[None, :], zero, zero, zero, zero)
 
 
 def test_antisymmetry_discrete_cancellation(grid, coeffs):

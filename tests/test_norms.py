@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,17 @@ class TestGevrey:
         with pytest.raises(ValueError):
             kb.GevreyIndex(-0.1, 2.0)
 
+    @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
+    def test_sobolev_index_checked_by_its_constructor(self, grid, s):
+        # a non-finite s is a bad index, not an overflow of this grid's weights
+        u = random_spectrum(grid, "band_limited", 6)
+        with pytest.raises(ValueError, match="s must be finite"):
+            kb.sobolev_norm(u, s)
+
+    def test_weights_take_an_index(self):
+        # the GevreyIndex constructor is the one check of (sigma, s): the weights take the index
+        assert list(inspect.signature(gevrey_weights).parameters) == ["grid", "g"]
+
 
 def test_half_layout_norms_equal_full_layout(grid):
     # the unpaired mode carries Parseval factor 4: half layout holds half of c_{-n/2}
@@ -82,7 +95,7 @@ def test_half_layout_norms_equal_full_layout(grid):
     for sigma, s in ((0.0, 0.0), (0.1, 2.0)):
         weights = br ** (2 * s) * np.exp(2 * sigma * br)
         full = np.sqrt(2.0 * grid.half_length * np.sum(weights * np.abs(c) ** 2))
-        half = row_norms(grid, fft_to_half(c), gevrey_weights(grid, sigma, s))
+        half = row_norms(grid, fft_to_half(c), gevrey_weights(grid, kb.GevreyIndex(sigma, s)))
         assert half == pytest.approx(full, rel=1e-14)
 
 
@@ -131,7 +144,7 @@ class TestRowSquares:
         rng = np.random.default_rng(8)
         shape = (9, grid.nyquist + 1)
         d = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        w = gevrey_weights(grid, 0.1, 2.0)
+        w = gevrey_weights(grid, kb.GevreyIndex(0.1, 2.0))
         out = np.empty(d.shape)
         kept = d.copy()
         assert row_squares(grid, d, w, out=out).tobytes() == row_squares(grid, d, w).tobytes()
@@ -147,7 +160,11 @@ class TestRowSquares:
     def test_buffer_keeps_the_bits_against_a_table(self, grid, coeffs):
         u = random_spectrum(grid, "polynomial_decay", 4, power=1.0)
         table = np.stack(
-            [energy_weights(grid, coeffs), gevrey_weights(grid, 0.0, 2.0), gevrey_weights(grid, 0.3, 1)]
+            [
+                energy_weights(grid, coeffs),
+                gevrey_weights(grid, kb.GevreyIndex(0.0, 2.0)),
+                gevrey_weights(grid, kb.GevreyIndex(0.3, 1)),
+            ]
         )
         out = np.empty(u.half.shape)
         stacked = row_squares(grid, u.half, table, out=out)

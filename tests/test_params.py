@@ -19,6 +19,16 @@ def test_derive_example_exact():
     assert cs.delta2 == pytest.approx(4 / 45, abs=1e-15)
 
 
+def test_rho_worked_out_not_passed():
+    # rho = b + d - 1/6 has one valid value, so it is read from the parameters, never given
+    p = ABCDParams(a=0.05, b=0.1, c=0.1, d=1 / 3 - 0.25, a1=0, b1=0, c1=0, d1=0)
+    assert p.rho == p.b + p.d - 1.0 / 6.0
+    with pytest.raises(TypeError):
+        ABCDParams(a=1 / 12, b=1 / 12, c=1 / 12, d=1 / 12, a1=0, b1=0, c1=0, d1=0, rho=0.0)
+    with pytest.raises(AttributeError):
+        p.rho = 0.0
+
+
 def _random_valid_abcd(rng):
     # free choice of a, b, d with c pinned by the sum constraint
     a, b, d = rng.uniform(-0.1, 0.3, size=3)
@@ -52,12 +62,6 @@ def test_rho_convention_forces_hamiltonian_coefficients():
 def test_sum_constraint_violation_raises():
     with pytest.raises(kb.ConstraintError, match="a\\+b\\+c\\+d"):
         ABCDParams(a=0.1, b=0.1, c=0.1, d=0.1, a1=0, b1=0, c1=0, d1=0)
-
-
-def test_explicit_rho_mismatch_raises():
-    with pytest.raises(kb.ConstraintError, match="rho"):
-        ABCDParams(a=1 / 12, b=1 / 12, c=1 / 12, d=1 / 12,
-                   a1=0, b1=0, c1=0, d1=0, rho=0.25)
 
 
 def test_derive_nonpositive_delta1_raises():

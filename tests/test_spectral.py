@@ -149,7 +149,6 @@ class TestSymbols:
         assert kb.evaluate_symbol("varphi", 1.0, coeffs) == pytest.approx(17 / 15, abs=1e-15)
         assert kb.evaluate_symbol("phi", 1.0, coeffs) == pytest.approx(181 / 204, abs=1e-15)
         assert kb.evaluate_symbol("tau", 1.0, coeffs) == pytest.approx(145 / 272, abs=1e-15)
-        assert kb.evaluate_symbol("kappa", 0.0, coeffs) == pytest.approx(1.0, abs=1e-15)
         assert kb.evaluate_symbol("phi", 2.0, coeffs) == pytest.approx(47 / 24, abs=1e-14)
 
     def test_unknown_kind_rejected(self, coeffs):
@@ -161,7 +160,7 @@ class TestSymbols:
         for kind in ("phi", "psi", "tau"):
             odd = kb.evaluate_symbol(kind, xi, coeffs) + kb.evaluate_symbol(kind, -xi, coeffs)
             assert np.max(np.abs(odd)) < 1e-12
-        for kind in ("varphi", "omega", "kappa"):
+        for kind in ("varphi", "omega"):
             even = kb.evaluate_symbol(kind, xi, coeffs) - kb.evaluate_symbol(kind, -xi, coeffs)
             assert np.max(np.abs(even)) < 1e-12
 
@@ -211,7 +210,7 @@ class TestSymbolsOnGrid:
         expected = 0.5 * kb.evaluate_symbol("phi", 2.0, coeffs)
         assert out[2] == pytest.approx(expected, abs=1e-14)
 
-    @pytest.mark.parametrize("kind", ["varphi", "omega", "kappa"])
+    @pytest.mark.parametrize("kind", ["varphi", "omega"])
     def test_even_symbols_act_on_every_mode(self, small_grid, coeffs, kind):
         # sampled at k = 0..n/2, an even symbol multiplies c_k and c_{-k} alike
         u = random_spectrum(small_grid, "band_limited", 5)

@@ -159,6 +159,10 @@ def test_run_inputs_built_once():
                 "gevrey_synthetic")
     for callee in builders:
         assert _call_sites(source, "cli.py", callee) == ["cli.py:_validate"], callee
+    # the run's Gevrey indices too: the runners and tracked_run pass the index they are given
+    assert _call_sites(source, "cli.py", "GevreyIndex") == ["cli.py:_validate"] * 2
+    tracked = inspect.getsource(analyticity.tracked_run)
+    assert _call_sites(tracked, "analyticity.py", "GevreyIndex") == []
     # the constructor is the coefficient gate: no second check of the invariants
     assert _package_call_sites("validate_coefficients") == []
     defined = [
@@ -690,15 +694,14 @@ def test_guard_flags_squared_moduli():
 
 
 def test_one_weighted_parseval_sum():
-    # records, the march's guard, Picard's distances and the h2 band all read norms.row_squares;
-    # the sigma tracker keeps its own profile, p_k = 2L w_k |d_k|^2, from which it reads
-    # G(sigma) at every sigma it tries
+    # records, the march's guard, Picard's distances, the h2 band and the sigma tracker's
+    # profile, p_k = 2L w_k |d_k|^2 (the out array of row_squares), all read norms.row_squares
     sites = [
         site
         for path in sorted(PACKAGE.glob("*.py"))
         for site in _squared_moduli(path.read_text(encoding="utf-8"), path.name)
     ]
-    assert sorted(sites) == ["analyticity.py:_sigma_tracker", "norms.py:row_squares"]
+    assert sites == ["norms.py:row_squares"]
 
 
 def _campaign_tables(source, name):
