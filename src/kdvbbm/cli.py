@@ -36,7 +36,7 @@ from .dynamics import evolve_ifrk4, local_existence_time, picard_solve, step_cou
 from .errors import ConfigError, KdvBbmError
 from .estimates import CAMPAIGNS, PROFILES, campaign, existence_constant, failure_demo_bilinear, run_trials
 from .fields import cos_mode, gaussian, gevrey_synthetic
-from .norms import GevreyIndex, gevrey_norm, gevrey_weights
+from .norms import GevreyIndex, gevrey_norm
 from .params import ABCDParams, CoefficientSet, derive_coefficients
 from .spectral import SpectralGrid, Spectrum, spectrum_csv_rows
 
@@ -267,7 +267,8 @@ def _asked(section):
 class RunConfig:
     """A validated run configuration and the module inputs it built, once each, through the
     constructors that check them: coefficients, grid, initial_state (the datum), gevrey_index
-    (the march's (sigma0, s)) and estimates_index (the campaigns' (sigma, s))."""
+    (the march's (sigma0, s)), x0 (X0, the datum's G norm there) and estimates_index (the
+    campaigns' (sigma, s))."""
 
     def __init__(self, raw: dict):
         self.data = _merge_section(raw, _SCHEMA, "")
@@ -297,7 +298,7 @@ class RunConfig:
                 )
         with _asked("analyticity"):
             self.gevrey_index = GevreyIndex(ana["sigma0"], ana["s"])
-            gevrey_weights(self.grid, self.gevrey_index)  # the weights' overflow on this grid
+            self.x0 = gevrey_norm(self.initial_state, self.gevrey_index)
         with _asked("estimates"):
             self.estimates_index = g = GevreyIndex(est["sigma"], est["s"])
             for name in est["campaigns"]:
@@ -487,13 +488,11 @@ def _now() -> str:
 
 
 def _setup(cfg: RunConfig):
-    """(X0, T_bar, C_s) of a march or a solve: X0 is G of the datum at (sigma0, s), C_s the
-    existence constant on the grid and T_bar the guaranteed window, inf for a zero datum."""
-    g = cfg.gevrey_index
-    x0 = gevrey_norm(cfg.initial_state, g)
+    """(X0, T_bar, C_s) of a march or a solve: X0 is cfg.x0, C_s the existence constant on
+    the grid and T_bar the guaranteed window, inf for a zero datum."""
     with _asked("analyticity"):
-        c_s = existence_constant(cfg.grid, g, cfg.coefficients)
-    return x0, local_existence_time(x0, c_s), c_s
+        c_s = existence_constant(cfg.grid, cfg.gevrey_index, cfg.coefficients)
+    return cfg.x0, local_existence_time(cfg.x0, c_s), c_s
 
 
 def _trajectory_csv(traj, tracked=None):

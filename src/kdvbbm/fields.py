@@ -21,7 +21,8 @@ def gaussian(grid: SpectralGrid, width: float, amplitude: float) -> Spectrum:
     """Periodized Gaussian bump amplitude * exp(-x^2/(2 width^2)) centered at 0."""
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
-    return spectrum_from_samples(grid, amplitude * np.exp(-0.5 * (grid.x / width) ** 2))
+    with np.errstate(over="ignore"):  # x/width overflows far out on a narrow bump: exp gives 0
+        return spectrum_from_samples(grid, amplitude * np.exp(-0.5 * (grid.x / width) ** 2))
 
 
 def gevrey_synthetic(
@@ -37,7 +38,7 @@ def gevrey_synthetic(
     if decay < 0:
         raise ValueError(f"decay must be nonnegative, got {decay}")
     xi = grid.wavenumbers
-    mags = amplitude * np.exp(-decay * np.abs(xi)) * bracket(xi) ** (-roll_off)
-    c = mags.astype(complex)
-    c[grid.nyquist] = 0.0
-    return Spectrum(grid, c * grid.phase)
+    with np.errstate(over="ignore", invalid="ignore"):  # a coefficient not finite fails the gate
+        c = (amplitude * np.exp(-decay * np.abs(xi)) * bracket(xi) ** (-roll_off)).astype(complex)
+        c[grid.nyquist] = 0.0
+        return Spectrum(grid, c * grid.phase)

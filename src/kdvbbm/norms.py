@@ -57,17 +57,13 @@ def gevrey_weights(grid: SpectralGrid, g: GevreyIndex) -> np.ndarray:
 
 
 def row_squares(grid: SpectralGrid, d: np.ndarray, weights: np.ndarray, out=None) -> np.ndarray:
-    """Weighted squares 2L sum_k w_k |d_k|^2 of spectra (..., n/2+1), one per row of d or, for
-    one spectrum d (n/2+1), one per row of a C-contiguous weight table (rows, n/2+1): a row sum
-    along the last axis equals the 1-D np.sum of that row bit for bit.  The package's one
-    weighted Parseval sum.  Given out, a real array of d's shape, re^2 + im^2 is formed (and,
-    unless a table stacks d into more rows, weighted) in it, with the same bits."""
+    """Weighted squares 2L sum_k w_k |d_k|^2 of spectra (..., n/2+1), one per row of d, with
+    one weight row w (n/2+1): a row sum along the last axis equals the 1-D np.sum of that row
+    bit for bit.  The package's one weighted Parseval sum.  Given out, a real array of d's
+    shape, w |d_k|^2 is formed in it, with the same bits."""
     squares = np.square(d.real, out=out)
     np.add(squares, np.square(d.imag), out=squares)
-    if weights.ndim <= squares.ndim:
-        np.multiply(weights, squares, out=squares)
-    else:
-        squares = weights * squares
+    np.multiply(weights, squares, out=squares)
     return 2.0 * grid.half_length * np.add.reduce(squares, axis=-1)
 
 
@@ -82,8 +78,13 @@ def sobolev_norm(u: Spectrum, s: float) -> float:
 
 
 def gevrey_norm(u: Spectrum, g: GevreyIndex) -> float:
-    """G^{sigma,s} norm; equals sobolev_norm(u, s) when sigma = 0."""
-    return float(row_norms(u.grid, u.half, gevrey_weights(u.grid, g)))
+    """G^{sigma,s} norm; equals sobolev_norm(u, s) when sigma = 0.  Raises NormOverflowError
+    when the weights or the norm of this field overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(row_norms(u.grid, u.half, gevrey_weights(u.grid, g)))
+    if not np.isfinite(norm):
+        raise NormOverflowError(f"the G^(sigma,s) norm at sigma = {g.sigma}, s = {g.s} overflows")
+    return norm
 
 
 def energy_weights(grid: SpectralGrid, coeffs: CoefficientSet) -> np.ndarray:

@@ -96,9 +96,9 @@ class SpectralGrid:
 class Spectrum:
     """A real field's Fourier-series coefficients in half layout (n/2+1 entries).
 
-    The constructor is the package's real-field gate: c_{-k} = conj(c_k) holds by
-    construction except at k = 0, where it asks d_0 to be real; an imaginary part above
-    1e-10 of the largest |d_k| raises SymmetryError.
+    The constructor is the package's field gate: a NaN or an Inf raises NonFiniteError, and
+    c_{-k} = conj(c_k) holds by construction except at k = 0, where it asks d_0 to be real;
+    an imaginary part above 1e-10 of the largest |d_k| raises SymmetryError.
     """
 
     grid: SpectralGrid
@@ -108,6 +108,8 @@ class Spectrum:
         d = np.asarray(self.half, dtype=complex)
         if d.shape != (self.grid.nyquist + 1,):
             raise ValueError(f"expected {self.grid.nyquist + 1} coefficients, got shape {d.shape}")
+        if not np.isfinite(d).all():
+            raise NonFiniteError("spectrum contains NaN or Inf")
         if abs(d[0].imag) > 1e-10 * np.abs(d).max():
             raise SymmetryError(f"spectrum is not that of a real field: Im d_0 = {d[0].imag:.3e}")
         object.__setattr__(self, "half", d)
@@ -115,17 +117,15 @@ class Spectrum:
 
 def spectrum_from_samples(grid: SpectralGrid, samples) -> Spectrum:
     """The spectrum of a real field from its samples at the grid's collocation points: one
-    rfft.  Raises NonFiniteError when a sample is NaN or Inf."""
-    f = np.asarray(samples, dtype=float)
-    if not np.all(np.isfinite(f)):
-        raise NonFiniteError("field samples contain NaN or Inf")
-    d = np.fft.rfft(f, norm="forward")
-    d[-1] *= 0.5
+    rfft.  A NaN or Inf sample, or a sum that overflows, fails the Spectrum gate."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = np.fft.rfft(np.asarray(samples, dtype=float), norm="forward")
+        d[-1] *= 0.5
     return Spectrum(grid, d)
 
 
 def evaluate_symbol(kind: str, xi, coeffs: CoefficientSet):
-    """Evaluate a multiplier symbol at wavenumber(s) xi.
+    """Evaluate a multiplier symbol at wavenumber(s) xi, a numpy float at a scalar xi.
 
     varphi(xi) = 1 + gamma1*xi^2 + delta1*xi^4         (positive when gamma1, delta1 > 0)
     phi(xi)    = xi*(1 - gamma2*xi^2 + delta2*xi^4)/varphi(xi)
@@ -133,7 +133,6 @@ def evaluate_symbol(kind: str, xi, coeffs: CoefficientSet):
     tau(xi)    = (3*xi - 4*gamma*xi^3)/(4*varphi(xi))
     omega(xi)  = |xi|/(1 + xi^2)
     """
-    scalar = np.isscalar(xi)
     xi = np.asarray(xi, dtype=float)
     xi2 = xi * xi
     varphi = 1.0 + coeffs.gamma1 * xi2 + coeffs.delta1 * xi2 * xi2
@@ -149,7 +148,7 @@ def evaluate_symbol(kind: str, xi, coeffs: CoefficientSet):
         out = np.abs(xi) / (1.0 + xi2)
     else:
         raise ValueError(f"unknown symbol kind {kind!r}; expected one of {SYMBOL_KINDS}")
-    return float(out) if scalar else out
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -203,6 +203,30 @@ class TestConfig:
         assert line.startswith("config error: analyticity: the ")
         assert line.endswith(f"bound overflows at s = {float(s)}; s is too small for this grid")
 
+    @pytest.mark.parametrize(
+        "initial, section",
+        [
+            ({"family": "gevrey_synthetic", "roll_off": -400}, "initial"),
+            ({"amplitude": 1.0e200}, "analyticity"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "radius", "picard", "estimates"])
+    def test_overflowing_datum_rejected(self, tmp_path, capsys, command, initial, section):
+        # RunConfig builds every input for every command: a datum with an Inf coefficient
+        # fails the Spectrum gate and one whose X0 overflows fails gevrey_norm, each with no
+        # floating-point warning and before any compute
+        path = _write_config(tmp_path / "c.yaml", {"initial": initial})
+        line = _config_error(capsys, [command, path], tmp_path / "out")
+        assert line.startswith(f"config error: {section}: "), line
+
+    def test_underflowing_gaussian_is_a_field(self, tmp_path, capsys):
+        # a bump far narrower than the grid spacing samples to one spike at x = 0: a valid
+        # datum, built with no floating-point warning
+        cfg = dict(_small_estimates(), initial={"family": "gaussian", "width": 1.0e-300})
+        path = _write_config(tmp_path / "c.yaml", cfg)
+        assert cli.main(["estimates", path, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_type_errors_rejected(self, tmp_path):
         cfg = _small_sim()
         cfg["grid"] = {"n_modes": "many"}

@@ -10,7 +10,6 @@ import kdvbbm as kb
 from kdvbbm import cli, dynamics, spectral
 from kdvbbm.dynamics import IFRK4Stepper, _free_group, _Tendency
 from kdvbbm.estimates import campaign
-from kdvbbm.norms import row_squares
 from draws import random_spectrum
 from oracles import convolve_project, fft_to_half, fft_wavenumbers, half_to_fft, richardson_order
 
@@ -523,17 +522,6 @@ class TestMarchBookkeeping:
         assert err.value.ceiling == pytest.approx(factor * scale, rel=1e-15)
         done = kb.evolve_ifrk4(eta0, 0.5, dt, coeffs, G01, blowup_factor=ratios.max() * (1 + 1e-9))
         assert done.t.size == traj.t.size
-
-    @pytest.mark.parametrize("n", [64, 256, 4096])
-    def test_table_row_sums_equal_single_sums(self, coeffs, n):
-        grid = kb.SpectralGrid(n, 16.0 * np.pi)
-        rng = np.random.default_rng(n)
-        c = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
-        table = dynamics._record_weights(grid, coeffs, kb.GevreyIndex(0.05, 2.0))
-        stacked = row_squares(grid, c, table)
-        assert table.flags.c_contiguous and stacked.shape == (4,)
-        for w, value in zip(table, stacked, strict=True):
-            assert value == 2.0 * grid.half_length * np.sum(w * (c.real**2 + c.imag**2))
 
 
 class TestPicard:

@@ -1,10 +1,11 @@
 import inspect
+import warnings
 
 import numpy as np
 import pytest
 
 import kdvbbm as kb
-from kdvbbm.norms import energy_weights, gevrey_weights, row_norms, row_squares
+from kdvbbm.norms import gevrey_weights, row_norms, row_squares
 from draws import random_spectrum
 from oracles import (
     fft_to_half,
@@ -70,6 +71,14 @@ class TestGevrey:
         u = random_spectrum(grid, "band_limited", 6)
         with pytest.raises(kb.NormOverflowError):
             kb.gevrey_norm(u, kb.GevreyIndex(0.1, 400.0))
+
+    def test_overflowing_norm_of_a_finite_field(self, grid):
+        # finite weights and coefficients whose weighted sum leaves double range
+        u = kb.cos_mode(grid, 1, 1.0e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(kb.NormOverflowError, match="sigma = 0.1, s = 2.0 overflows"):
+                kb.gevrey_norm(u, kb.GevreyIndex(0.1, 2.0))
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
@@ -157,18 +166,8 @@ class TestRowSquares:
             == row_squares(grid, view.copy(), w).tobytes()
         )
 
-    def test_buffer_keeps_the_bits_against_a_table(self, grid, coeffs):
-        u = random_spectrum(grid, "polynomial_decay", 4, power=1.0)
-        table = np.stack(
-            [
-                energy_weights(grid, coeffs),
-                gevrey_weights(grid, kb.GevreyIndex(0.0, 2.0)),
-                gevrey_weights(grid, kb.GevreyIndex(0.3, 1)),
-            ]
-        )
-        out = np.empty(u.half.shape)
-        stacked = row_squares(grid, u.half, table, out=out)
-        assert stacked.tobytes() == row_squares(grid, u.half, table).tobytes()
-        assert out.tobytes() == (u.half.real**2 + u.half.imag**2).tobytes()  # unweighted
-        single = [row_squares(grid, u.half, w, out=np.empty(u.half.shape)) for w in table]
-        assert stacked.tolist() == [float(v) for v in single]
+    def test_one_weight_row(self, grid):
+        # one spectrum against a table of weight rows is no input shape: numpy refuses it
+        d = np.ones(grid.nyquist + 1, complex)
+        with pytest.raises(ValueError, match="broadcast"):
+            row_squares(grid, d, np.ones((3, grid.nyquist + 1)))

@@ -127,6 +127,21 @@ class TestTransforms:
         with pytest.raises(kb.NonFiniteError):
             kb.spectrum_from_samples(small_grid, bad)
 
+    @pytest.mark.parametrize("k", [0, 3, 32])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_non_finite_coefficient_rejected(self, small_grid, bad, k):
+        # the Spectrum constructor is the field gate, before the Im d_0 check reads the max
+        d = np.zeros(small_grid.nyquist + 1, complex)
+        d[k] = bad
+        with pytest.raises(kb.NonFiniteError):
+            kb.Spectrum(small_grid, d)
+
+    def test_underflowing_gaussian_is_one_spike(self, small_grid):
+        spike = np.zeros(64)
+        spike[32] = 0.5  # x_32 = 0
+        d = kb.gaussian(small_grid, 1.0e-300, 0.5).half
+        assert d.tobytes() == kb.spectrum_from_samples(small_grid, spike).half.tobytes()
+
     def test_hermitian_defect_oracle(self, small_grid):
         c = np.fft.fft(_random_samples(small_grid, 9)) / 64
         assert hermitian_defect(c) < 1e-14

@@ -163,6 +163,12 @@ def test_run_inputs_built_once():
     assert _call_sites(source, "cli.py", "GevreyIndex") == ["cli.py:_validate"] * 2
     tracked = inspect.getsource(analyticity.tracked_run)
     assert _call_sites(tracked, "analyticity.py", "GevreyIndex") == []
+    # X0 too, through gevrey_norm, which owns the overflow of the weights and of the norm;
+    # the Picard cross-check is the one other Gevrey norm the command line takes
+    assert _call_sites(source, "cli.py", "gevrey_norm") == ["cli.py:_validate", "cli.py:run_picard"]
+    assert _call_sites(source, "cli.py", "gevrey_weights") == []
+    # the Spectrum constructor is the field gate: no second finiteness scan of the samples
+    assert "isfinite" not in inspect.getsource(kdvbbm.spectrum_from_samples)
     # the constructor is the coefficient gate: no second check of the invariants
     assert _package_call_sites("validate_coefficients") == []
     defined = [
