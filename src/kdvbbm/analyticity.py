@@ -170,10 +170,10 @@ def _sigma_tracker(grid: SpectralGrid, g: GevreyIndex, max_rel_step: float, seri
     """A per-step callable f(t, d) that integrates the shrinkage law from g = (sigma0, s).
 
     d is the state in half layout.  The first call (at
-    t = 0 in evolve_ifrk4) appends (t, sigma0, G(t)); each later call advances
-    sigma over the step from the previous call's state and appends
-    (t, sigma(t), G(t)), where G(t) is the Gevrey norm of its state at
-    (sigma(t), s) into series; the next step starts from it.  G is read from one profile,
+    t = 0 in evolve_ifrk4) appends (t, sigma0, G(t)) to series; each later call advances
+    sigma over the step from series' last entry and the previous call's state and appends
+    (t, sigma(t), G(t)), where G(t) is the Gevrey norm of its state at (sigma(t), s); the
+    next step starts from it.  G is read from one profile,
     p_k = 2L w_k |d_k|^2 (the out array of row_squares(grid, d, 2L w)), per state as
     G(sigma)^2 = sum_k p_k e^{2 sigma <xi_k>}, w = gevrey_weights(grid, (0, s)) built once;
     sigma stays at most sigma0, whose weights the march's records guard against overflow.
@@ -183,41 +183,40 @@ def _sigma_tracker(grid: SpectralGrid, g: GevreyIndex, max_rel_step: float, seri
         raise ValueError(f"sigma0 must be positive, got {sigma0}")
     weights = 2.0 * grid.half_length * gevrey_weights(grid, GevreyIndex(0.0, g.s))
     growth = 2.0 * bracket(grid.wavenumbers)
-    prev = None  # (t, profile, sigma, G) of the previous call
+    profile = None  # the previous call's
 
     def step(t, d):
-        nonlocal prev
-        profile = np.empty(d.shape)
+        nonlocal profile
+        prev_profile, profile = profile, np.empty(d.shape)
         row_squares(grid, d, weights, out=profile)
-        if prev is None:
-            sigma = sigma0
-        else:
-            prev_t, prev_profile, sigma, g = prev
+        if series:
+            prev_t, sigma, g = series[-1]
             sigma = _advance_sigma(prev_profile, growth, sigma, g, t - prev_t, max_rel_step)
-        g = _profile_norm(profile, growth, sigma)
-        series.append((float(t), float(sigma), g))
-        prev = (t, profile, sigma, g)
+        else:
+            sigma = sigma0
+        series.append((float(t), float(sigma), _profile_norm(profile, growth, sigma)))
 
     return step
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrackedRun:
     """A PDE run with the shrinkage law integrated alongside it.
 
-    The trajectory's gevrey column is G at the fixed index (sigma0, s).  At its
-    times, sigmas holds sigma(t), gevreys G(t) at (sigma(t), s), fits the tail
-    fits, and lower and upper the two bounds.  upper is None where the upper bound
-    does not hold (s < 2, or coefficients that conserve no energy), and upper_gap
-    then says why.
+    The trajectory's gevrey column is G at the fixed index (sigma0, s).  t, sigma and gevrey
+    are the tracker's series, one row per step from t = 0: sigma(t) and G(t) at (sigma(t), s);
+    recorded indexes its rows at the trajectory's times, where fits holds the tail fits and
+    lower and upper the two bounds.  upper is None where the upper bound does not hold (s < 2,
+    or coefficients that conserve no energy), and upper_gap then says why.
     """
 
     trajectory: Trajectory
-    sigma_series: list[tuple[float, float]]
-    fits: list[RadiusFit]
+    t: np.ndarray
+    sigma: np.ndarray
+    gevrey: np.ndarray
+    recorded: np.ndarray
+    fits: tuple[RadiusFit, ...]
     bounds: BoundInputs
-    sigmas: np.ndarray
-    gevreys: np.ndarray
     lower: np.ndarray
     upper: np.ndarray | None
     upper_gap: str | None
@@ -247,10 +246,9 @@ def tracked_run(
         record_every=record_every,
         blowup_factor=blowup_factor,
     )
-    tracked = {t: (sigma, g) for t, sigma, g in series}
-    rec_sigmas, gevreys = np.array([tracked[t] for t in traj.t]).T
+    t, sigma, gevrey = np.array(series).T
     x0 = float(traj.gevrey[0])
-    y0 = max([0.0] + [(g - x0) / math.sqrt(t) for t, _, g in series[1:]])
+    y0 = float(np.max((gevrey[1:] - x0) / np.sqrt(t[1:]), initial=0.0))
     m = math.sqrt(float(np.min(traj.energy)) / max(1.0, coeffs.gamma1, coeffs.delta1))
     bounds = BoundInputs(g.sigma, x0, y0, m)
     if g.s < 2.0:
@@ -259,10 +257,8 @@ def tracked_run(
         upper_gap = "coefficients are not Hamiltonian (gamma != 7/48), so no energy is conserved"
     else:
         upper_gap = None
-    sigma_series = [(t, sigma) for t, sigma, _ in series]
-    fits = [estimate_radius(Spectrum(traj.grid, d), noise_floor) for d in traj.half]
-    lower = np.array([lower_bound_radius(t, bounds) for t in traj.t])
-    upper = None if upper_gap else np.array([upper_bound_radius(t, bounds) for t in traj.t])
-    return TrackedRun(
-        traj, sigma_series, fits, bounds, rec_sigmas, gevreys, lower, upper, upper_gap
-    )
+    fits = tuple(estimate_radius(Spectrum(traj.grid, d), noise_floor) for d in traj.half)
+    lower = np.array([lower_bound_radius(ti, bounds) for ti in traj.t])
+    upper = None if upper_gap else np.array([upper_bound_radius(ti, bounds) for ti in traj.t])
+    recorded = np.searchsorted(t, traj.t)  # the march steps through the recorded times
+    return TrackedRun(traj, t, sigma, gevrey, recorded, fits, bounds, lower, upper, upper_gap)

@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import copy
 import csv
+import dataclasses
 import datetime
 import hashlib
 import json
@@ -34,7 +35,9 @@ from . import __version__
 from .analyticity import tracked_run
 from .dynamics import evolve_ifrk4, local_existence_time, picard_solve, step_count, whole_steps
 from .errors import ConfigError, KdvBbmError
-from .estimates import CAMPAIGNS, PROFILES, campaign, existence_constant, failure_demo_bilinear, run_trials
+from .estimates import (
+    CAMPAIGNS, PROFILES, TrialReport, campaign, existence_constant, failure_demo_bilinear, run_trials
+)
 from .fields import cos_mode, gaussian, gevrey_synthetic
 from .norms import GevreyIndex, gevrey_norm
 from .params import ABCDParams, CoefficientSet, derive_coefficients
@@ -50,17 +53,6 @@ TRAJECTORY_COLUMNS = (
     "sigma_hat",
     "sigma_lower",
     "sigma_upper",
-)
-
-ESTIMATE_COLUMNS = (
-    "lemma_id",
-    "s",
-    "sigma",
-    "n_modes",
-    "n_trials",
-    "ratio_max",
-    "ratio_mean",
-    "seed",
 )
 
 # ---------------------------------------------------------------------------
@@ -505,7 +497,7 @@ def _trajectory_csv(traj, tracked=None):
     else:
         hats = [fit.sigma_hat for fit in tracked.fits]
         upper = empty if tracked.upper is None else tracked.upper
-        columns = (tracked.gevreys, hats, tracked.lower, upper)
+        columns = (tracked.gevrey[tracked.recorded], hats, tracked.lower, upper)
     return TRAJECTORY_COLUMNS, zip(traj.t, traj.energy, traj.h2, *columns)
 
 
@@ -524,7 +516,7 @@ def _skip(note) -> dict:
 
 def _resolvable_radius(cfg) -> float:
     """pi/L, one wavenumber spacing: a radius below it is steeper than the grid can witness."""
-    return math.pi / cfg.data["grid"]["half_length"]
+    return math.pi / cfg.grid.half_length
 
 
 def _simulate_checks(cfg, traj, tracked, t_bar, x0):
@@ -555,11 +547,11 @@ def _simulate_checks(cfg, traj, tracked, t_bar, x0):
     checks["growth_bound"] = _growth_bound(cks, traj, t_bar, x0)
     if tracked is not None:
         resolvable = _resolvable_radius(cfg)
-        below = [t for t, sigma in tracked.sigma_series if sigma < resolvable]
-        note = f"sigma < pi/L first at t = {below[0]:.6g}" if below else None
-        sigma_low = min(sigma for _, sigma in tracked.sigma_series)
-        checks["sigma_resolvable"] = _check(sigma_low, not below, resolvable, note)
-        sigmas, slack = tracked.sigmas, 1.0 + 1e-12
+        below = tracked.t[tracked.sigma < resolvable]
+        note = f"sigma < pi/L first at t = {below[0]:.6g}" if below.size else None
+        sigma_low = float(tracked.sigma.min())
+        checks["sigma_resolvable"] = _check(sigma_low, not below.size, resolvable, note)
+        sigmas, slack = tracked.sigma[tracked.recorded], 1.0 + 1e-12
         zero_datum = not np.any(traj.half[0])
         defined = [(f.sigma_hat, sg) for f, sg in zip(tracked.fits, sigmas) if f.defined]
         lower_ok = np.all(tracked.lower <= sigmas * slack)
@@ -596,7 +588,7 @@ def run_simulate(cfg: RunConfig, tracking: bool = False):
         raise ConfigError("solver.T: 'auto' needs the picard command")
     with _asked("solver"):
         step_count(sol["T"], sol["dt"])
-    if tracking and ana["sigma0"] <= _resolvable_radius(cfg):  # sigma_resolvable fails at t = 0
+    if tracking and cfg.gevrey_index.sigma <= _resolvable_radius(cfg):  # sigma_resolvable fails at t = 0
         raise ConfigError("analyticity.sigma0: a tracked march needs sigma0 > pi/grid.half_length")
     x0, t_bar, _ = _setup(cfg)
 
@@ -632,7 +624,7 @@ def run_simulate(cfg: RunConfig, tracking: bool = False):
         ),
     }
     if tracked is not None:
-        artifacts["sigma.csv"] = (("t", "sigma"), tracked.sigma_series)
+        artifacts["sigma.csv"] = (("t", "sigma"), zip(tracked.t, tracked.sigma))
     return artifacts, _simulate_checks(cfg, traj, tracked, t_bar, x0)
 
 
@@ -679,19 +671,18 @@ def run_picard(cfg: RunConfig):
         delta = gevrey_norm(Spectrum(eta0.grid, traj.half[-1] - rk.half[-1]), g)
         checks["marcher_crosscheck"] = _check(delta, delta <= cks["crosscheck_tol"], cks["crosscheck_tol"])
 
-    iterations = [
-        (i + 1, d, diag.ratios[i - 1] if i >= 1 else None) for i, d in enumerate(diag.distances)
-    ]
+    iterations = len(diag.distances)
     meta = {
         "T": T,
         "existence_window": None if t_bar == math.inf else t_bar,  # unbounded for a zero datum
         "existence_constant": c_s,
-        "iterations": diag.iterations,
+        "iterations": iterations,
         "mesh_delta": diag.mesh_delta,
     }
+    rows = zip(range(1, iterations + 1), diag.distances, (None, *diag.ratios))
     artifacts = {
         "trajectory.csv": _trajectory_csv(traj),
-        "picard.csv": (("iteration", "distance", "ratio"), iterations),
+        "picard.csv": (("iteration", "distance", "ratio"), rows),
         "picard_meta.json": meta,
     }
     return artifacts, checks
@@ -705,14 +696,14 @@ def run_estimates(cfg: RunConfig):
 
     artifacts: dict = {}
     checks: dict = {}
+    columns = tuple(f.name for f in dataclasses.fields(TrialReport))
     for name in est["campaigns"]:
         reports = run_trials(
             name, grid, g, coeffs, n_trials=est["n_trials"], seed=seed, profile=est["profile"],
             combos=est["interpolation_combos"],
             cutoff=est["cutoff"], rate=est["rate"], power=est["power"],
         )
-        rows = [tuple(getattr(rep, c) for c in ESTIMATE_COLUMNS) for rep in reports]
-        artifacts[f"{name}.csv"] = (ESTIMATE_COLUMNS, rows)
+        artifacts[f"{name}.csv"] = (columns, [dataclasses.astuple(rep) for rep in reports])
         worst = max(rep.ratio_max for rep in reports)
         if name == "interpolation" or name == "splitting_r1":
             checks[name] = _check(worst, worst <= 1.0 + 1e-12, 1.0 + 1e-12)

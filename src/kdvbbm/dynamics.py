@@ -296,11 +296,13 @@ def evolve_ifrk4(
     return _trajectory(grid, np.array(steps) * dt, states, table)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PicardDiagnostics:
-    iterations: int
-    distances: list[float]
-    ratios: list[float]
+    """Each iteration's sup-in-time distance and its ratio to the one before, the contraction
+    ratio read from them and the doubled mesh's shift (None without the mesh check)."""
+
+    distances: tuple[float, ...]
+    ratios: tuple[float, ...]
     contraction_ratio: float
     mesh_delta: float | None
 
@@ -404,13 +406,13 @@ def picard_solve(
         mesh_delta = math.sqrt(np.max(row_squares(grid, shift, hw)))
 
     # every distance before the last is >= tol > 0, or the iteration would have stopped there
-    ratios = [later / earlier for earlier, later in zip(distances, distances[1:])]
+    ratios = tuple(later / earlier for earlier, later in zip(distances, distances[1:]))
     # ratios where the later distance sits at the noise floor say nothing
     meaningful = [r for r, later in zip(ratios, distances[1:]) if later > 10.0 * tol]
     contraction = max(meaningful) if meaningful else (max(ratios) if ratios else 0.0)
 
     traj = _trajectory(grid, np.linspace(0.0, T, n_nodes + 1), states, table)
-    return traj, PicardDiagnostics(len(distances), distances, ratios, contraction, mesh_delta)
+    return traj, PicardDiagnostics(tuple(distances), ratios, contraction, mesh_delta)
 
 
 def local_existence_time(norm0: float, C_s: float) -> float:

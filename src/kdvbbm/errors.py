@@ -23,7 +23,7 @@ class NonFiniteError(KdvBbmError, FloatingPointError):
 
 
 class NormOverflowError(KdvBbmError, OverflowError):
-    """An exponential norm weight would overflow; sigma is too large for the grid."""
+    """A norm weight or norm overflows: (sigma, s) too large for the grid, or the field too large."""
 
 
 class NoConvergenceError(KdvBbmError, RuntimeError):

@@ -9,6 +9,7 @@ SpectralGrid.parseval, so a weighted sum over half layout is the sum over all mo
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,19 +73,25 @@ def row_norms(grid: SpectralGrid, d: np.ndarray, weights: np.ndarray) -> np.ndar
     return np.sqrt(row_squares(grid, d, weights))
 
 
+def _finite_sum(u: Spectrum, weights: np.ndarray, what: str) -> float:
+    """The weighted Parseval sum of u (row_squares), the one finiteness check of the four
+    norms below: NormOverflowError, naming what, when the sum leaves double range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(row_squares(u.grid, u.half, weights))
+    if not np.isfinite(total):
+        raise NormOverflowError(f"{what} overflows")
+    return total
+
+
 def sobolev_norm(u: Spectrum, s: float) -> float:
-    """H^s norm; reduces to the L^2 norm at s = 0."""
-    return float(row_norms(u.grid, u.half, gevrey_weights(u.grid, GevreyIndex(0.0, s))))
+    """H^s norm, the G norm at sigma = 0; reduces to the L^2 norm at s = 0."""
+    return gevrey_norm(u, GevreyIndex(0.0, s))
 
 
 def gevrey_norm(u: Spectrum, g: GevreyIndex) -> float:
-    """G^{sigma,s} norm; equals sobolev_norm(u, s) when sigma = 0.  Raises NormOverflowError
-    when the weights or the norm of this field overflow."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = float(row_norms(u.grid, u.half, gevrey_weights(u.grid, g)))
-    if not np.isfinite(norm):
-        raise NormOverflowError(f"the G^(sigma,s) norm at sigma = {g.sigma}, s = {g.s} overflows")
-    return norm
+    """G^{sigma,s} norm; NormOverflowError when the weights or the norm of this field overflow."""
+    what = f"the G^(sigma,s) norm at sigma = {g.sigma}, s = {g.s}"
+    return math.sqrt(_finite_sum(u, gevrey_weights(u.grid, g), what))
 
 
 def energy_weights(grid: SpectralGrid, coeffs: CoefficientSet) -> np.ndarray:
@@ -98,7 +105,7 @@ def energy(u: Spectrum, coeffs: CoefficientSet) -> float:
     Spectrally this is 2L * sum_k (1 + gamma1*xi^2 + delta1*xi^4)|c_k|^2; the
     weight is exactly the polynomial varphi.
     """
-    return float(row_squares(u.grid, u.half, energy_weights(u.grid, coeffs)))
+    return _finite_sum(u, energy_weights(u.grid, coeffs), "the energy")
 
 
 def h2_polynomial_weights(grid: SpectralGrid) -> np.ndarray:
@@ -114,4 +121,4 @@ def h2_polynomial_sq(u: Spectrum) -> float:
     min/max{gamma1, delta1} is exact; the bracket-weight version carries an
     extra fixed equivalence factor.
     """
-    return float(row_squares(u.grid, u.half, h2_polynomial_weights(u.grid)))
+    return _finite_sum(u, h2_polynomial_weights(u.grid), "the squared polynomial H^2 norm")

@@ -179,10 +179,11 @@ def test_c09_radius_estimator_oracle(grid):
 
 def test_c10_bound_ordering(c10_run):
     run, elapsed = c10_run
-    times, tracked, b = run.trajectory.t, run.sigmas, run.bounds
+    times, tracked, b = run.trajectory.t, run.sigma[run.recorded], run.bounds
     ok_lower = bool(np.all(run.lower <= tracked * (1 + 1e-12)))
     # the lower bound's hypothesis: G(sigma(t)) <= X0 + sqrt(t) Y0
-    ok_hypothesis = bool(np.all(run.gevreys <= (b.X0 + np.sqrt(times) * b.Y0) * (1 + 1e-12)))
+    gevrey = run.gevrey[run.recorded]
+    ok_hypothesis = bool(np.all(gevrey <= (b.X0 + np.sqrt(times) * b.Y0) * (1 + 1e-12)))
     ok_upper = run.upper is not None and bool(np.all(tracked <= run.upper * (1 + 1e-12)))
     ok_decreasing = bool(np.all(np.diff(tracked) < 0))
     fits = [f.sigma_hat for f in run.fits if f.defined]

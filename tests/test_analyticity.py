@@ -211,7 +211,7 @@ class TestSigmaTracking:
     def _sigmas(eta0, T, dt, coeffs, sigma0, **kw):
         g = kb.GevreyIndex(sigma0, 2.0)
         run = kb.tracked_run(eta0, T, dt, coeffs, g, record_every=round(T / dt), **kw)
-        return [s for (_, s) in run.sigma_series]
+        return run.sigma.tolist()
 
     def test_zero_solution_constant(self, grid, coeffs):
         z = kb.Spectrum(grid, np.zeros(grid.nyquist + 1, complex))
@@ -234,7 +234,7 @@ class TestSigmaTracking:
         # tracker integrates on to T and leaves judging the crossing to its caller
         eta0 = kb.cos_mode(grid, 1, 50.0)
         run = kb.tracked_run(eta0, 1e-3, 1e-3, coeffs, kb.GevreyIndex(0.3, 2.0), max_rel_step=0.25)
-        t_end, sigma_end = run.sigma_series[-1]
+        t_end, sigma_end = run.t[-1], run.sigma[-1]
         assert t_end == pytest.approx(1e-3)
         assert 0.0 < sigma_end < np.pi / grid.half_length
 
@@ -257,7 +257,7 @@ class TestTrackedRun:
 
     def test_ordering_checks(self, run):
         # the radius-ordering gates, at the slacks the command line judges them with
-        sigmas, slack = run.sigmas, 1.0 + 1e-12
+        sigmas, slack = run.sigma[run.recorded], 1.0 + 1e-12
         assert np.all(run.lower <= sigmas * slack)
         assert np.all(sigmas <= run.upper * slack)
         assert np.all(np.diff(sigmas) < 0.0)
@@ -276,7 +276,7 @@ class TestTrackedRun:
     def test_lower_bound_hypothesis(self, run):
         # the lower bound holds because G(t) <= X0 + sqrt(t) Y0 along the run
         envelope = run.bounds.X0 + np.sqrt(run.trajectory.t) * run.bounds.Y0
-        assert np.all(run.gevreys <= envelope * (1 + 1e-12))
+        assert np.all(run.gevrey[run.recorded] <= envelope * (1 + 1e-12))
 
     def test_y0_reads_every_step(self, grid, coeffs, monkeypatch):
         # a bump of G at step 3, which record_every = 7 does not record, sets Y0
@@ -322,7 +322,7 @@ class TestTrackedRun:
 
     def test_one_norm_per_tracked_step(self, grid, coeffs, monkeypatch):
         # G(t_i, sigma_i) is evaluated once: it starts the next sigma step and is the
-        # run's gevreys entry (no sub-stepping at this size, so nothing else is evaluated)
+        # run's gevrey entry (no sub-stepping at this size, so nothing else is evaluated)
         calls = []
 
         def counting(profile, growth, sigma, _real=analyticity._profile_norm):
@@ -335,13 +335,13 @@ class TestTrackedRun:
         assert len(calls) == 50 + 1
 
     def test_record_gevrey_at_tracked_sigma(self, run):
-        sigma = dict(run.sigma_series)
         traj = run.trajectory
         states = _states(traj)
-        assert run.sigmas.tolist() == [sigma[t] for t in traj.t]
+        assert run.t[run.recorded].tolist() == traj.t.tolist()
+        sigmas = run.sigma[run.recorded]
         # the tracker reads G from its half-layout profile: equal at round-off
-        assert run.gevreys.tolist() == pytest.approx(
-            [kb.gevrey_norm(u, kb.GevreyIndex(sigma[t], 2.0)) for t, u in zip(traj.t, states)],
+        assert run.gevrey[run.recorded].tolist() == pytest.approx(
+            [kb.gevrey_norm(u, kb.GevreyIndex(sg, 2.0)) for sg, u in zip(sigmas, states)],
             rel=1e-14,
         )
         assert [f.sigma_hat for f in run.fits] == [kb.estimate_radius(u).sigma_hat for u in states]
@@ -359,16 +359,15 @@ class TestTrackedRun:
         times = run.trajectory.t.tolist()
         assert times == [i * 2e-3 for i in (0, 7, 14, 21, 28, 35, 42, 49, 50)]
         assert len(run.fits) == len(run.lower) == len(run.upper) == 9
-        sigma = dict(run.sigma_series)
+        assert run.t[run.recorded].tolist() == times
         last = _states(run.trajectory)[-1]
-        expected = kb.gevrey_norm(last, kb.GevreyIndex(sigma[times[-1]], 2.0))
-        assert run.gevreys[-1] == pytest.approx(expected, rel=1e-14)
+        expected = kb.gevrey_norm(last, kb.GevreyIndex(run.sigma[run.recorded][-1], 2.0))
+        assert run.gevrey[run.recorded][-1] == pytest.approx(expected, rel=1e-14)
 
     def test_csv_ready_series(self, run):
         assert len(run.lower) == run.trajectory.t.size
-        assert len(run.sigma_series) == 501  # every step plus t = 0
-        ts = [t for (t, _) in run.sigma_series]
-        assert ts[0] == 0.0 and ts[-1] == pytest.approx(1.0)
+        assert run.t.size == run.sigma.size == run.gevrey.size == 501  # every step plus t = 0
+        assert run.t[0] == 0.0 and run.t[-1] == pytest.approx(1.0)
 
 
 def _states(traj):
@@ -423,9 +422,9 @@ class TestSigmaTracker:
             g = norm(states[len(sigmas) - 1], sigma)
             gevreys.append(g)
         assert substeps > 2 * (len(states) - 1)
-        assert [t for t, _ in run.sigma_series] == run.trajectory.t.tolist()
-        np.testing.assert_allclose([sg for _, sg in run.sigma_series], sigmas, rtol=1e-13, atol=0)
-        np.testing.assert_allclose(run.gevreys, gevreys, rtol=1e-13, atol=0)
+        assert run.t.tolist() == run.trajectory.t.tolist()
+        np.testing.assert_allclose(run.sigma, sigmas, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(run.gevrey, gevreys, rtol=1e-13, atol=0)
 
     def test_weights_built_once_per_run(self, grid, coeffs, monkeypatch):
         # a per-step rebuild would make the count grow with the number of steps

@@ -1002,6 +1002,11 @@ def _tracked(**knobs):
     )
 
 
+def _sigma_rows(run):
+    """The (t, sigma) rows of a tracked run's series, one per step."""
+    return zip(run.t, run.sigma)
+
+
 class TestKnobs:
     """Each knob that shapes a campaign's fields or the radius tracker reaches its artifact:
     a non-default value gives what the library gives with it, and not the default run.  A
@@ -1035,7 +1040,7 @@ class TestKnobs:
             (
                 "radius", _small_radius, ["analyticity.max_rel_step=1e-4"],
                 "sigma.csv", ("t", "sigma"),
-                lambda: _tracked(max_rel_step=1e-4).sigma_series,
+                lambda: _sigma_rows(_tracked(max_rel_step=1e-4)),
             ),
         ],
         ids=["profile-rate", "profile-power", "cutoff", "noise_floor", "max_rel_step"],
@@ -1329,6 +1334,39 @@ class TestAutoWindow:
         assert coarse == pytest.approx(fine, rel=0.01)
 
 
+def _child_env():
+    """The environment of a fresh interpreter that imports this package from its source."""
+    env = dict(os.environ)
+    src = str(Path(kb.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+class TestModuleEntryPoint:
+    """python -m kdvbbm, the entry point no in-process test reaches."""
+
+    @staticmethod
+    def _run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "kdvbbm", *args],
+            env=_child_env(), capture_output=True, text=True, timeout=60,
+        )
+
+    def test_help(self):
+        done = self._run("--help")
+        assert done.returncode == 0, done.stderr
+        assert "simulate" in done.stdout
+
+    def test_config_error(self, tmp_path):
+        path = _write_config(tmp_path / "c.yaml", _small_sim(solver={"dt": 0}))
+        out = tmp_path / "out"
+        done = self._run("simulate", path, "--out", str(out))
+        assert done.returncode == 2
+        (line,) = done.stderr.splitlines()
+        assert line.startswith("config error: solver.dt: ")
+        assert not out.exists() or not any(out.iterdir())
+
+
 _RUN_COMMANDS = """
 import json, sys
 import kdvbbm.cli as cli
@@ -1351,12 +1389,9 @@ def test_no_random_numbers_outside_estimates(tmp_path):
     ):
         path = _write_config(tmp_path / f"{command}.yaml", config)
         runs.append([command, path, str(tmp_path / f"out-{command}")])
-    env = dict(os.environ)
-    src = str(Path(kb.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", _RUN_COMMANDS, json.dumps(runs)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=_child_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout.splitlines()[-1])

@@ -528,7 +528,7 @@ class TestPicard:
     def test_zero_datum_one_iteration(self, grid, coeffs):
         z = kb.Spectrum(grid, np.zeros(grid.nyquist + 1, complex))
         traj, diag = kb.picard_solve(z, 1.0, 1e-10, 10, coeffs, G01, n_nodes=16)
-        assert diag.iterations == 1
+        assert len(diag.distances) == 1 and diag.ratios == ()
         assert traj.half.shape == (17, grid.nyquist + 1) and np.all(traj.half == 0)
 
     def test_small_data_contracts_and_matches_marcher(self, grid, coeffs):

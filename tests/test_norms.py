@@ -146,6 +146,25 @@ class TestEnergy:
             assert ratio >= coeffs.c_min - 1e-12  # c_min bound is one-sided and universal
 
 
+@pytest.mark.parametrize(
+    "norm",
+    [
+        lambda u: kb.sobolev_norm(u, 2.0),
+        lambda u: kb.energy(u, kb.DEFAULT_COEFFICIENTS),
+        kb.h2_polynomial_sq,
+    ],
+    ids=["sobolev_norm", "energy", "h2_polynomial_sq"],
+)
+def test_every_norm_owns_its_overflow(grid, norm):
+    # a finite field whose every norm leaves double range: each raises as gevrey_norm does,
+    # with no overflow warning on the way
+    u = kb.cos_mode(grid, 1, 1.0e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(kb.NormOverflowError, match="overflows"):
+            norm(u)
+
+
 class TestRowSquares:
     """The package's one weighted Parseval sum, with and without a buffer for the squares."""
 

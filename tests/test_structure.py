@@ -34,7 +34,9 @@ Giving each choice one selector (the `radius` command alone tracks sigma, the lo
 one formula, and every campaign returns a list of reports with the CSV's columns) is what
 keeps two ways of asking for one output from drifting apart.  Taking both radius bounds from
 closed-form formulas in the run's measurements, with no fitted constant, is what keeps them
-bounds on every run they apply to.
+bounds on every run they apply to.  Freezing every result record the package returns, with
+each value held once and the estimate CSV's columns read from `TrialReport`'s fields, is what
+keeps a record's copies of one value from drifting apart.
 """
 
 import ast
@@ -44,7 +46,9 @@ import pathlib
 
 import kdvbbm
 from kdvbbm import analyticity, cli
-from kdvbbm.estimates import CAMPAIGNS, TrialReport
+from kdvbbm.analyticity import BoundInputs, RadiusFit, TrackedRun
+from kdvbbm.dynamics import PicardDiagnostics, Trajectory
+from kdvbbm.estimates import CAMPAIGNS, FailureDemo, TrialReport
 
 PACKAGE = pathlib.Path(kdvbbm.__file__).resolve().parent
 
@@ -167,6 +171,12 @@ def test_run_inputs_built_once():
     # the Picard cross-check is the one other Gevrey norm the command line takes
     assert _call_sites(source, "cli.py", "gevrey_norm") == ["cli.py:_validate", "cli.py:run_picard"]
     assert _call_sites(source, "cli.py", "gevrey_weights") == []
+    # the runners read the grid and the index built (cfg.grid, cfg.gevrey_index), not the
+    # raw keys they were built from
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, ast.FunctionDef) and func.name != "_validate":
+            for key in ("half_length", "sigma0"):
+                assert list(_key_reads(ast.unparse(func), "cli.py", key)) == [], (func.name, key)
     # the Spectrum constructor is the field gate: no second finiteness scan of the samples
     assert "isfinite" not in inspect.getsource(kdvbbm.spectrum_from_samples)
     # the constructor is the coefficient gate: no second check of the invariants
@@ -836,9 +846,100 @@ def test_bounds_from_formulas():
     assert "calibration_fraction" not in cli._SCHEMA["analyticity"]
 
 
-def test_one_report_shape():
+def test_one_report_shape(tmp_path):
     # every campaign returns a list of reports whose fields are the CSV's columns, so cli
-    # names the interpolation campaign only where it gates the worst ratio
-    assert tuple(f.name for f in dataclasses.fields(TrialReport)) == cli.ESTIMATE_COLUMNS
+    # spells no column of its own and names the interpolation campaign only where it gates
+    # the worst ratio
+    fields = [f.name for f in dataclasses.fields(TrialReport)]
+    config = tmp_path / "c.yaml"
+    config.write_text("grid: {n_modes: 16}\nestimates: {n_trials: 2, failure_demo: false}\n")
+    assert cli.main(["estimates", str(config), "--out", str(tmp_path / "runs")]) in (0, 1)
+    (rundir,) = (tmp_path / "runs").iterdir()
+    headers = {p.name: p.read_text().splitlines()[0] for p in rundir.glob("*.csv")}
+    assert headers == {f"{name}.csv": ",".join(fields) for name in CAMPAIGNS}
     source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert list(_column_tuples(source, "cli.py", fields)) == []
     assert len(list(_key_reads(source, "cli.py", "interpolation"))) == 1
+
+
+def _column_tuples(source, name, columns):
+    """Lines of source with a tuple or list literal spelling two or more of columns: a copy
+    of a record's field names."""
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, (ast.Tuple, ast.List)):
+            spelled = [e for e in node.elts if isinstance(e, ast.Constant) and e.value in columns]
+            if len(spelled) >= 2:
+                yield f"{name}:{node.lineno} spells columns"
+
+
+def test_guard_flags_column_tuples():
+    source = (
+        "COLUMNS = ('lemma_id', 's', 'sigma')\n"
+        "def rows(reports):\n"
+        "    return [[getattr(r, c) for c in ['ratio_max', 'ratio_mean']] for r in reports]\n"
+        "SIGMA = ('t', 'sigma')\n"
+    )
+    columns = [f.name for f in dataclasses.fields(TrialReport)]
+    assert len(list(_column_tuples(source, "bad.py", columns))) == 2
+
+
+#: the records the package returns: marches and solves, tracked runs, tail fits and the
+#: bound inputs, campaign reports and the failure demo
+RESULT_RECORDS = (
+    Trajectory, TrackedRun, PicardDiagnostics, TrialReport, RadiusFit, BoundInputs, FailureDemo
+)
+
+
+def _mutable_dataclasses(source, name):
+    """"file:Class" of every class decorated as a dataclass without frozen=True."""
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for deco in node.decorator_list:
+            call = deco if isinstance(deco, ast.Call) else None
+            func = deco.func if call else deco
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != "dataclass":
+                continue
+            frozen = call is not None and any(
+                k.arg == "frozen" and isinstance(k.value, ast.Constant) and k.value.value is True
+                for k in call.keywords
+            )
+            if not frozen:
+                yield f"{name}:{node.name}"
+
+
+def test_guard_flags_mutable_dataclasses():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Loose:\n"
+        "    x: int\n"
+        "@dataclasses.dataclass(order=True)\n"
+        "class Ordered:\n"
+        "    x: int\n"
+        "@dataclass(frozen=False)\n"
+        "class Thawed:\n"
+        "    x: int\n"
+        "@dataclass(frozen=True)\n"
+        "class Final:\n"
+        "    x: int\n"
+        "class Plain:\n"
+        "    x = 1\n"
+    )
+    assert list(_mutable_dataclasses(source, "bad.py")) == [
+        "bad.py:Loose", "bad.py:Ordered", "bad.py:Thawed",
+    ]
+
+
+def test_result_records_frozen():
+    # a result is final once returned: a counter or a column is a field set when it is built
+    offenders = [
+        site
+        for path in sorted(PACKAGE.glob("*.py"))
+        for site in _mutable_dataclasses(path.read_text(encoding="utf-8"), path.name)
+    ]
+    assert offenders == []
+    for record in RESULT_RECORDS:
+        assert dataclasses.is_dataclass(record), record.__name__
+        assert record.__dataclass_params__.frozen, record.__name__
