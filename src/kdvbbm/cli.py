@@ -7,7 +7,8 @@ written to a staging directory and promoted atomically once computed, so a run
 that raises leaves no partial outputs.
 
 Exit codes: 0 success, 1 enabled check failed (artifacts written), 2 configuration
-error, 3 runtime/numerical error (divergence, or an input that is not a real field).
+error, 3 runtime/numerical error (divergence, an input that is not a real field, or a
+MemoryError).
 """
 
 from __future__ import annotations
@@ -215,12 +216,8 @@ _SCHEMA = {
         "failure_ks": ([8, 16, 32, 64], _list(_integer(2), 2, increasing=True)),
     },
     "checks": {
-        "energy_drift_tol": (1.0e-6, _NONNEGATIVE),
-        "h2_band_slack": (1.0e-6, _NONNEGATIVE),
-        "growth_slack": (1.0e-6, _NONNEGATIVE),
-        "contraction_limit": (0.55, _NONNEGATIVE),
-        "crosscheck_tol": (1.0e-6, _NONNEGATIVE),
-        # read by nothing (C_s is a closed-form bound); kept while the benchmark writes them
+        # read by nothing (C_s is a closed-form bound, and the gates read TOLERANCES); kept
+        # while the benchmark writes them
         "existence_trials": (128, _integer(1)),
         "existence_seed": (2024, _SEED),
     },
@@ -501,6 +498,26 @@ def _trajectory_csv(traj, tracked=None):
     return TRAJECTORY_COLUMNS, zip(traj.t, traj.energy, traj.h2, *columns)
 
 
+@dataclasses.dataclass(frozen=True)
+class GateTolerances:
+    """The tolerance of every gate.  They are constants: each gate records its measured
+    value, so a stricter or looser reading is a comparison with that value, and no config
+    moves a verdict."""
+
+    energy_drift_tol: float = 1.0e-6  # energy_drift: max |E(t) - E(0)| / |E(0)|
+    h2_band_slack: float = 1.0e-6  # h2_band: relative widening of [c_min/c_max, c_max/c_min]
+    growth_slack: float = 1.0e-6  # growth_bound: G <= 2 X0 (1 + growth_slack)
+    contraction_limit: float = 0.55  # contraction: Picard's worst contraction ratio
+    crosscheck_tol: float = 1.0e-6  # marcher_crosscheck: G distance of the final states
+    radius_slack: float = 1.0e-12  # sigma_lower_le_tracked, sigma_tracked_le_upper: relative
+    sigma_hat_fraction: float = 0.95  # sigma_hat_ge_tracked: sigma_hat >= fraction * sigma
+    identity_slack: float = 1.0e-12  # interpolation, splitting_r1: worst ratio <= 1 + slack
+    antisymmetry_tol: float = 1.0e-12  # antisymmetry: worst residual < tol
+
+
+TOLERANCES = GateTolerances()
+
+
 def _check(value, passed, limit=None, note=None) -> dict:
     entry = {"passed": bool(passed), "value": value}
     if limit is not None:
@@ -510,33 +527,37 @@ def _check(value, passed, limit=None, note=None) -> dict:
     return entry
 
 
+def _at_most(value, limit, note=None) -> dict:
+    """A gate that passes when the measured value is at most its limit."""
+    return _check(value, value <= limit, limit, note)
+
+
 def _skip(note) -> dict:
     return {"skipped": True, "note": note}
 
 
 def _resolvable_radius(cfg) -> float:
     """pi/L, one wavenumber spacing: a radius below it is steeper than the grid can witness."""
-    return math.pi / cfg.grid.half_length
+    return float(cfg.grid.wavenumbers[1])
 
 
 def _simulate_checks(cfg, traj, tracked, t_bar, x0):
-    cks, coeffs = cfg.data["checks"], cfg.coefficients
+    tol, coeffs = TOLERANCES, cfg.coefficients
     checks: dict = {}
 
     energies = traj.energy
     if coeffs.is_hamiltonian:
         scale = max(abs(energies[0]), np.finfo(float).tiny)
         drift = float(np.max(np.abs(energies - energies[0])) / scale)
-        checks["energy_drift"] = _check(drift, drift <= cks["energy_drift_tol"], cks["energy_drift_tol"])
+        checks["energy_drift"] = _at_most(drift, tol.energy_drift_tol)
     else:
         checks["energy_drift"] = _skip("coefficients are not Hamiltonian (gamma != 7/48)")
 
     h2p = traj.h2_polynomial_sq
     if h2p[0] > 0.0:
         ratios = h2p / h2p[0]
-        slack = cks["h2_band_slack"]
-        lo = (coeffs.c_min / coeffs.c_max) * (1.0 - slack)
-        hi = (coeffs.c_max / coeffs.c_min) * (1.0 + slack)
+        lo = (coeffs.c_min / coeffs.c_max) * (1.0 - tol.h2_band_slack)
+        hi = (coeffs.c_max / coeffs.c_min) * (1.0 + tol.h2_band_slack)
         ok = bool(np.all((ratios >= lo) & (ratios <= hi)))
         checks["h2_band"] = _check(
             float(np.max(np.abs(ratios - 1.0))), ok, note=f"band [{lo:.6g}, {hi:.6g}]"
@@ -544,14 +565,14 @@ def _simulate_checks(cfg, traj, tracked, t_bar, x0):
     else:
         checks["h2_band"] = _skip("zero datum")
 
-    checks["growth_bound"] = _growth_bound(cks, traj, t_bar, x0)
+    checks["growth_bound"] = _growth_bound(traj, t_bar, x0)
     if tracked is not None:
         resolvable = _resolvable_radius(cfg)
         below = tracked.t[tracked.sigma < resolvable]
         note = f"sigma < pi/L first at t = {below[0]:.6g}" if below.size else None
         sigma_low = float(tracked.sigma.min())
         checks["sigma_resolvable"] = _check(sigma_low, not below.size, resolvable, note)
-        sigmas, slack = tracked.sigma[tracked.recorded], 1.0 + 1e-12
+        sigmas, slack = tracked.sigma[tracked.recorded], 1.0 + tol.radius_slack
         zero_datum = not np.any(traj.half[0])
         defined = [(f.sigma_hat, sg) for f, sg in zip(tracked.fits, sigmas) if f.defined]
         lower_ok = np.all(tracked.lower <= sigmas * slack)
@@ -566,19 +587,19 @@ def _simulate_checks(cfg, traj, tracked, t_bar, x0):
         )
         if defined:
             checks["sigma_hat_ge_tracked"] = _check(
-                None, all(hat >= 0.95 * sg for hat, sg in defined)
+                None, all(hat >= tol.sigma_hat_fraction * sg for hat, sg in defined)
             )
         else:
             checks["sigma_hat_ge_tracked"] = _skip("tail fit undefined on this spectrum")
     return checks
 
 
-def _growth_bound(cks, traj, t_bar, x0) -> dict:
+def _growth_bound(traj, t_bar, x0) -> dict:
     """The growth gate: the trajectory's gevrey column, G at (sigma0, s), stays at most
     2 X0 (1 + growth_slack) on the guaranteed window t <= T_bar."""
     worst = float(traj.gevrey[traj.t <= t_bar].max())  # t = 0 lies in every window
-    limit = 2.0 * x0 * (1.0 + cks["growth_slack"])
-    return _check(worst, worst <= limit, limit, note=f"window T_bar = {t_bar:.6g}")
+    limit = 2.0 * x0 * (1.0 + TOLERANCES.growth_slack)
+    return _at_most(worst, limit, note=f"window T_bar = {t_bar:.6g}")
 
 
 def run_simulate(cfg: RunConfig, tracking: bool = False):
@@ -592,30 +613,16 @@ def run_simulate(cfg: RunConfig, tracking: bool = False):
         raise ConfigError("analyticity.sigma0: a tracked march needs sigma0 > pi/grid.half_length")
     x0, t_bar, _ = _setup(cfg)
 
+    inputs = (cfg.initial_state, sol["T"], sol["dt"], cfg.coefficients, cfg.gevrey_index)
+    options = {"record_every": sol["record_every"], "blowup_factor": sol["blowup_factor"]}
     tracked = None
     if tracking:
         tracked = tracked_run(
-            cfg.initial_state,
-            sol["T"],
-            sol["dt"],
-            cfg.coefficients,
-            cfg.gevrey_index,
-            record_every=sol["record_every"],
-            noise_floor=ana["noise_floor"],
-            max_rel_step=ana["max_rel_step"],
-            blowup_factor=sol["blowup_factor"],
+            *inputs, noise_floor=ana["noise_floor"], max_rel_step=ana["max_rel_step"], **options
         )
         traj = tracked.trajectory
     else:
-        traj = evolve_ifrk4(
-            cfg.initial_state,
-            sol["T"],
-            sol["dt"],
-            cfg.coefficients,
-            cfg.gevrey_index,
-            record_every=sol["record_every"],
-            blowup_factor=sol["blowup_factor"],
-        )
+        traj = evolve_ifrk4(*inputs, **options)
 
     artifacts = {
         "trajectory.csv": _trajectory_csv(traj, tracked),
@@ -633,7 +640,6 @@ def run_picard(cfg: RunConfig):
     coeffs, eta0, g = cfg.coefficients, cfg.initial_state, cfg.gevrey_index
     x0, t_bar, c_s = _setup(cfg)
     sol = cfg.data["solver"]
-    cks = cfg.data["checks"]
 
     T = sol["T"]
     if T == "auto":
@@ -642,34 +648,23 @@ def run_picard(cfg: RunConfig):
         T = t_bar
 
     traj, diag = picard_solve(
-        eta0,
-        T,
-        sol["tol"],
-        sol["max_iter"],
-        coeffs,
-        g,
-        n_nodes=sol["n_nodes"],
-        mesh_check=sol["mesh_check"],
+        eta0, T, sol["tol"], sol["max_iter"], coeffs, g,
+        n_nodes=sol["n_nodes"], mesh_check=sol["mesh_check"],
     )
 
     checks = {
-        "contraction": _check(
-            diag.contraction_ratio,
-            diag.contraction_ratio <= cks["contraction_limit"],
-            cks["contraction_limit"],
-        ),
-        "growth_bound": _growth_bound(cks, traj, t_bar, x0),
+        "contraction": _at_most(diag.contraction_ratio, TOLERANCES.contraction_limit),
+        "growth_bound": _growth_bound(traj, t_bar, x0),
     }
     if sol["mesh_check"]:
-        shift, tol = diag.mesh_delta, sol["tol"]
-        checks["mesh_refinement"] = _check(shift, shift <= tol, tol)
+        checks["mesh_refinement"] = _at_most(diag.mesh_delta, sol["tol"])
     else:
         checks["mesh_refinement"] = _skip("solver.mesh_check is off")
     if sol["crosscheck"]:
         n_steps, dt_cross = whole_steps(T, sol["dt"])
         rk = evolve_ifrk4(eta0, T, dt_cross, coeffs, g, record_every=n_steps)
         delta = gevrey_norm(Spectrum(eta0.grid, traj.half[-1] - rk.half[-1]), g)
-        checks["marcher_crosscheck"] = _check(delta, delta <= cks["crosscheck_tol"], cks["crosscheck_tol"])
+        checks["marcher_crosscheck"] = _at_most(delta, TOLERANCES.crosscheck_tol)
 
     iterations = len(diag.distances)
     meta = {
@@ -706,9 +701,10 @@ def run_estimates(cfg: RunConfig):
         artifacts[f"{name}.csv"] = (columns, [dataclasses.astuple(rep) for rep in reports])
         worst = max(rep.ratio_max for rep in reports)
         if name == "interpolation" or name == "splitting_r1":
-            checks[name] = _check(worst, worst <= 1.0 + 1e-12, 1.0 + 1e-12)
+            checks[name] = _at_most(worst, 1.0 + TOLERANCES.identity_slack)
         elif name == "antisymmetry":
-            checks[name] = _check(worst, worst < 1e-12, 1e-12)
+            limit = TOLERANCES.antisymmetry_tol
+            checks[name] = _check(worst, worst < limit, limit)
         else:
             checks[name] = {"informational": True, "ratio_max": worst}
 
@@ -757,10 +753,11 @@ def _run(command: str, cfg: RunConfig, outroot: str, force: bool) -> int:
 
 
 def _failure(exc: Exception) -> tuple[int, str]:
-    """The exit code and message of a run that raised exc."""
+    """The exit code and message of a run that raised exc; a MemoryError is a run larger than
+    the machine, not a fault of the program, so it ends as a runtime error."""
     if isinstance(exc, ConfigError):
         return 2, f"config error: {exc}"
-    if isinstance(exc, KdvBbmError):
+    if isinstance(exc, (KdvBbmError, MemoryError)):
         return 3, f"runtime error: {exc}"
     return 3, f"internal error: {exc}"
 
@@ -907,7 +904,7 @@ def main(argv=None) -> int:
         return _run(args.command, cfg, outroot, args.force)
     except Exception as exc:
         code, message = _failure(exc)
-        if not isinstance(exc, KdvBbmError):
+        if message.startswith("internal error"):
             traceback.print_exc()
         print(message, file=sys.stderr)
         return code

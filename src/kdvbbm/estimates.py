@@ -94,7 +94,7 @@ def random_fields(
     if profile == "polynomial_decay" and power is None:
         raise ValueError("polynomial_decay profile requires power")
     normals, phases = streams
-    half = grid.n_modes // 2
+    half = grid.nyquist
     d = np.zeros((count, half + 1), dtype=complex)
     if profile == "band_limited":
         live = max(0, min(max(1, half // 4) if cutoff is None else cutoff, half - 1))
@@ -103,7 +103,7 @@ def random_fields(
         d[:, 0] = draws[:, -1]
     else:
         # modes 1..n/2-1, then c0 at xi = 0, where the magnitude is the jitter alone
-        xi = np.append(np.pi * np.arange(1, half) / grid.half_length, 0.0)
+        xi = np.append(grid.wavenumbers[1:half], 0.0)
         jitter = JITTER * normals.standard_normal((count, half))
         if profile == "exponential_decay":
             mags = np.exp(-rate * xi + jitter)

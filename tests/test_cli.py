@@ -52,7 +52,6 @@ def _small_picard():
         "initial": {"family": "cos_mode", "k": 1, "amplitude": 0.01},
         "solver": {"T": "auto", "dt": 0.01, "n_nodes": 32},
         "analyticity": {"sigma0": 0.1},
-        "checks": {"crosscheck_tol": 1e-6},
     }
 
 
@@ -281,6 +280,20 @@ class TestConfig:
         line = _config_error(capsys, ["radius", path], tmp_path / "out")
         assert line == "config error: unknown config key: analyticity.variant"
 
+    @pytest.mark.parametrize(
+        "key", ["energy_drift_tol", "h2_band_slack", "growth_slack", "contraction_limit", "crosscheck_tol"]
+    )
+    @pytest.mark.parametrize("where", ["file", "override"])
+    def test_tolerance_keys_removed(self, tmp_path, capsys, key, where):
+        # the gate tolerances are constants of cli (cli.TOLERANCES), so no config moves a verdict
+        raw = _small_sim()
+        if where == "file":
+            raw["checks"] = {key: 1.0e9}
+        path = _write_config(tmp_path / "c.yaml", raw)
+        argv = ["simulate", path, *(["--set", f"checks.{key}=1e9"] if where == "override" else [])]
+        line = _config_error(capsys, argv, tmp_path / "out")
+        assert line == f"config error: unknown config key: checks.{key}"
+
     def test_calibration_fraction_knob_removed(self, tmp_path, capsys):
         # both radius bounds are closed-form, so there is no prefix to calibrate them on
         cfg = _small_radius()
@@ -299,6 +312,21 @@ class TestConfig:
         assert line == (
             f"config error: cannot parse config {path}: duplicate key 'solver' at line 4, column 1"
         )
+
+    def test_merge_key_loads(self, tmp_path):
+        # a YAML merge key (<<) is PyYAML's to expand, not a key of the mapping it sits in
+        path = tmp_path / "c.yaml"
+        path.write_text("solver: {<<: {T: 0.1, dt: 0.01}, record_every: 5}\n", encoding="utf-8")
+        solver = cli.load_config(str(path)).data["solver"]
+        assert (solver["T"], solver["dt"], solver["record_every"]) == (0.1, 0.01, 5)
+
+    def test_duplicate_key_beside_merge_key_rejected(self, tmp_path, capsys):
+        path = tmp_path / "c.yaml"
+        path.write_text(
+            "solver: {<<: {T: 0.1}, record_every: 5, record_every: 6}\n", encoding="utf-8"
+        )
+        line = _config_error(capsys, ["simulate", str(path)], tmp_path / "out")
+        assert line.startswith(f"config error: cannot parse config {path}: duplicate key 'record_every'")
 
     def test_duplicate_key_in_override_rejected(self, tmp_path, capsys):
         path = _write_config(tmp_path / "c.yaml", _small_sim())
@@ -348,12 +376,12 @@ class TestConfig:
 
     def test_run_ids_pinned(self):
         # canonical_json, and with it every run id, is the identity of a config
-        assert cli.RunConfig({}).run_id("simulate") == "simulate-26735be83dca"
+        assert cli.RunConfig({}).run_id("simulate") == "simulate-c80b98b421ff"
         abcd = {
             "a": 1 / 12, "b": 1 / 12, "c": 1 / 12, "d": 1 / 12,
             "a1": 4 / 45, "b1": 1 / 20, "c1": 4 / 45, "d1": 1 / 20,
         }
-        assert cli.RunConfig({"coefficients": {"abcd": abcd}}).run_id("simulate") == "simulate-ce5a79d829e8"
+        assert cli.RunConfig({"coefficients": {"abcd": abcd}}).run_id("simulate") == "simulate-921b41764037"
 
     def test_readme_config_loads(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -447,12 +475,12 @@ class TestSimulate:
         checks = cli._simulate_checks(cfg, traj, None, t_bar, x0)
         assert checks["h2_band"]["value"] == float(np.max(np.abs(h2p / h2p[0] - 1.0)))
 
-    def test_check_failure_gives_exit_one(self, tmp_path):
+    def test_check_failure_gives_exit_one(self, tmp_path, monkeypatch):
+        strict = dataclasses.replace(cli.TOLERANCES, energy_drift_tol=0.0)
+        monkeypatch.setattr(cli, "TOLERANCES", strict)
         path = _write_config(tmp_path / "c.yaml", _small_sim())
         out = str(tmp_path / "out")
-        code = cli.main(
-            ["simulate", path, "--out", out, "--set", "checks.energy_drift_tol=0.0"]
-        )
+        code = cli.main(["simulate", path, "--out", out])
         assert code == 1
         manifest, _ = _manifest(out)
         assert manifest["passed"] is False
@@ -609,6 +637,27 @@ class TestSimulate:
         (line,) = capfd.readouterr().err.splitlines()
         assert line.startswith("runtime error: ") and message in line
         assert not out.exists()
+
+    def test_memory_error_is_a_runtime_error(self, tmp_path, capsys, monkeypatch):
+        # a run larger than memory ends in one line, with no traceback and nothing on disk, and
+        # a sweep point records that line; numpy raises a MemoryError subclass with this message
+        message = "Unable to allocate 9.61 GiB for an array with shape (5000001, 129)"
+
+        def too_large(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "evolve_ifrk4", too_large)
+        path = _write_config(tmp_path / "c.yaml", _small_sim())
+        out = tmp_path / "out"
+        assert cli.main(["simulate", path, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [f"runtime error: {message}"]
+        assert not out.exists()
+        argv = ["sweep", path, "--out", str(out), "--workers", "1", "--set", "initial.amplitude=0.01"]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == ""
+        summary = json.loads((out / "sweep_manifest.json").read_text())
+        assert [p["error"] for p in summary["points"]] == [f"runtime error: {message}"]
+        assert os.listdir(out) == ["sweep_manifest.json"]
 
     def test_sigma0_below_resolvable_radius_rejected(self, tmp_path, capsys):
         # pi/L = 1 on this grid, above the default sigma0 = 0.5: sigma(t) would collapse at once
@@ -797,10 +846,12 @@ class TestGrowthGate:
         "command, config",
         [("simulate", _small_sim), ("radius", _small_radius), ("picard", _small_picard)],
     )
-    def test_same_entry_and_slack(self, tmp_path, command, config):
+    def test_same_entry_and_slack(self, tmp_path, monkeypatch, command, config):
+        loose = dataclasses.replace(cli.TOLERANCES, growth_slack=0.5)
+        monkeypatch.setattr(cli, "TOLERANCES", loose)
         path = _write_config(tmp_path / "c.yaml", config())
         out = str(tmp_path / "out")
-        assert cli.main([command, path, "--out", out, "--set", "checks.growth_slack=0.5"]) == 0
+        assert cli.main([command, path, "--out", out]) == 0
         manifest, _ = _manifest(out)
         entry = manifest["checks"]["growth_bound"]
         assert set(entry) == {"passed", "value", "limit", "note"}

@@ -34,9 +34,11 @@ Giving each choice one selector (the `radius` command alone tracks sigma, the lo
 one formula, and every campaign returns a list of reports with the CSV's columns) is what
 keeps two ways of asking for one output from drifting apart.  Taking both radius bounds from
 closed-form formulas in the run's measurements, with no fitted constant, is what keeps them
-bounds on every run they apply to.  Freezing every result record the package returns, with
-each value held once and the estimate CSV's columns read from `TrialReport`'s fields, is what
-keeps a record's copies of one value from drifting apart.
+bounds on every run they apply to.  Taking every gate's tolerance from one table of
+constants in `cli`, read by no config key, is what keeps a config from moving a verdict.
+Freezing every result record the package returns, with each value held once and the estimate
+CSV's columns read from `TrialReport`'s fields, is what keeps a record's copies of one value
+from drifting apart.
 """
 
 import ast
@@ -828,6 +830,39 @@ def test_radius_alone_tracks_sigma():
     assert _package_key_reads("enabled") == []
     tracking = [name for name, (_, options, _) in cli._COMMANDS.items() if options.get("tracking")]
     assert tracking == ["radius"]
+
+
+def _tolerance_literals(source, name):
+    """Lines of source with a float literal other than 0, 1 and 2: a tolerance spelled inline."""
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, ast.Constant) and type(node.value) is float and node.value not in (0, 1, 2):
+            yield f"{name}:{node.lineno} spells {node.value!r}"
+
+
+def test_guard_flags_tolerance_literals():
+    source = (
+        "def gate(worst, sigmas, hats):\n"
+        "    ok = worst <= 1.0 + 1e-12 and all(h >= 0.95 * s for h, s in zip(hats, sigmas))\n"
+        "    return ok, 2.0 * worst - 0.0\n"
+    )
+    assert list(_tolerance_literals(source, "bad.py")) == ["bad.py:2 spells 1e-12", "bad.py:2 spells 0.95"]
+
+
+def test_gate_tolerances_are_constants():
+    # every gate takes its tolerance from the one table cli.TOLERANCES: cli reads no key of the
+    # checks section, which keeps only the two keys the benchmark writes, and the gates spell
+    # no tolerance of their own
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert set(cli._SCHEMA["checks"]) == {"existence_trials", "existence_seed"}
+    for key in ("checks", *cli._SCHEMA["checks"]):
+        assert list(_key_reads(source, "cli.py", key)) == [], key
+    gates = {"_simulate_checks", "_growth_bound", "run_picard", "run_estimates"}
+    judged = [func for func in ast.walk(ast.parse(source))
+              if isinstance(func, ast.FunctionDef) and func.name in gates]
+    assert {func.name for func in judged} == gates
+    for func in judged:
+        assert list(_tolerance_literals(ast.unparse(func), func.name)) == []
+    assert isinstance(cli.TOLERANCES, cli.GateTolerances)
 
 
 def test_one_lower_bound_formula():
