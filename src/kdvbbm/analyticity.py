@@ -148,16 +148,30 @@ def _profile_norm(profile: np.ndarray, growth: np.ndarray, sigma: float) -> floa
     return math.sqrt(float(np.sum(profile * np.exp(sigma * growth))))
 
 
+#: The most sub-steps the first sigma step of a tracked run may plan (sigma_substeps at X0).
+#: A sub-step evaluates one profile norm, 4.4 us at n = 256 and 16 us at n = 4096 (shared
+#: 2-core Xeon, numpy 2.4.6), so a first step at the cap takes 0.05-0.16 s; every test, golden,
+#: README and benchmark config plans at most 11.
+MAX_SIGMA_SUBSTEPS = 10_000
+
+
+def sigma_substeps(g: float, dt: float, max_rel_step: float) -> int | float:
+    """The sub-steps of a sigma step of length dt from Gevrey norm g,
+    ceil((g + g^2) dt / max_rel_step) and at least 1; inf where that overflows a float."""
+    n_sub = (g + g * g) * dt / max_rel_step
+    return max(1, math.ceil(n_sub)) if math.isfinite(n_sub) else math.inf
+
+
 def _advance_sigma(profile, growth, sigma, g, dt, max_rel_step):
     """One explicit Euler step of the shrinkage law, sub-stepped.
 
     g is the Gevrey norm at sigma of the state whose profile is given.  The
     spectrum is frozen over the step; the norm is re-evaluated at the current
-    sigma each later substep.  The substep count keeps the relative change of
-    sigma below max_rel_step (the rate only shrinks as sigma drops), so sigma
+    sigma each later substep.  The substep count (sigma_substeps) keeps the relative
+    change of sigma below max_rel_step (the rate only shrinks as sigma drops), so sigma
     stays positive whatever its size; the caller judges it against the grid.
     """
-    n_sub = max(1, math.ceil((g + g * g) * dt / max_rel_step))
+    n_sub = sigma_substeps(g, dt, max_rel_step)
     h = dt / n_sub
     for i in range(n_sub):
         if i:

@@ -33,7 +33,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .analyticity import tracked_run
+from .analyticity import MAX_SIGMA_SUBSTEPS, sigma_substeps, tracked_run
 from .dynamics import evolve_ifrk4, local_existence_time, picard_solve, step_count, whole_steps
 from .errors import ConfigError, KdvBbmError
 from .estimates import (
@@ -508,6 +508,8 @@ class GateTolerances:
     h2_band_slack: float = 1.0e-6  # h2_band: relative widening of [c_min/c_max, c_max/c_min]
     growth_slack: float = 1.0e-6  # growth_bound: G <= 2 X0 (1 + growth_slack)
     contraction_limit: float = 0.55  # contraction: Picard's worst contraction ratio
+    contraction_noise_floor: float = 1.0e-8  # contraction: ratios whose later distance is above it
+    mesh_refinement_limit: float = 1.0e-9  # mesh_refinement: the doubled Picard mesh's shift
     crosscheck_tol: float = 1.0e-6  # marcher_crosscheck: G distance of the final states
     radius_slack: float = 1.0e-12  # sigma_lower_le_tracked, sigma_tracked_le_upper: relative
     sigma_hat_fraction: float = 0.95  # sigma_hat_ge_tracked: sigma_hat >= fraction * sigma
@@ -611,6 +613,14 @@ def run_simulate(cfg: RunConfig, tracking: bool = False):
         step_count(sol["T"], sol["dt"])
     if tracking and cfg.gevrey_index.sigma <= _resolvable_radius(cfg):  # sigma_resolvable fails at t = 0
         raise ConfigError("analyticity.sigma0: a tracked march needs sigma0 > pi/grid.half_length")
+    # the first sigma step's work, planned from X0; an untracked march plans none
+    n_sub = sigma_substeps(cfg.x0, sol["dt"], ana["max_rel_step"]) if tracking else 0
+    if n_sub > MAX_SIGMA_SUBSTEPS:
+        raise ConfigError(
+            f"analyticity: the first sigma step would take {n_sub:,} sub-steps (X0 = {cfg.x0:.4g}), "
+            f"more than {MAX_SIGMA_SUBSTEPS:,}; lower solver.dt or X0 (analyticity.sigma0, "
+            "analyticity.s or the datum), or raise analyticity.max_rel_step"
+        )
     x0, t_bar, _ = _setup(cfg)
 
     inputs = (cfg.initial_state, sol["T"], sol["dt"], cfg.coefficients, cfg.gevrey_index)
@@ -652,12 +662,17 @@ def run_picard(cfg: RunConfig):
         n_nodes=sol["n_nodes"], mesh_check=sol["mesh_check"],
     )
 
+    # no earlier distance is 0 (each is >= solver.tol); a ratio at the noise floor says nothing
+    distances = diag.distances
+    ratios = [later / earlier for earlier, later in zip(distances, distances[1:])]
+    floor = TOLERANCES.contraction_noise_floor
+    meaningful = [r for r, later in zip(ratios, distances[1:]) if later > floor]
     checks = {
-        "contraction": _at_most(diag.contraction_ratio, TOLERANCES.contraction_limit),
+        "contraction": _at_most(max(meaningful or ratios, default=0.0), TOLERANCES.contraction_limit),
         "growth_bound": _growth_bound(traj, t_bar, x0),
     }
     if sol["mesh_check"]:
-        checks["mesh_refinement"] = _at_most(diag.mesh_delta, sol["tol"])
+        checks["mesh_refinement"] = _at_most(diag.mesh_delta, TOLERANCES.mesh_refinement_limit)
     else:
         checks["mesh_refinement"] = _skip("solver.mesh_check is off")
     if sol["crosscheck"]:
@@ -666,15 +681,14 @@ def run_picard(cfg: RunConfig):
         delta = gevrey_norm(Spectrum(eta0.grid, traj.half[-1] - rk.half[-1]), g)
         checks["marcher_crosscheck"] = _at_most(delta, TOLERANCES.crosscheck_tol)
 
-    iterations = len(diag.distances)
     meta = {
         "T": T,
         "existence_window": None if t_bar == math.inf else t_bar,  # unbounded for a zero datum
         "existence_constant": c_s,
-        "iterations": iterations,
+        "iterations": len(distances),
         "mesh_delta": diag.mesh_delta,
     }
-    rows = zip(range(1, iterations + 1), diag.distances, (None, *diag.ratios))
+    rows = zip(range(1, len(distances) + 1), distances, (None, *ratios))
     artifacts = {
         "trajectory.csv": _trajectory_csv(traj),
         "picard.csv": (("iteration", "distance", "ratio"), rows),

@@ -298,12 +298,10 @@ def evolve_ifrk4(
 
 @dataclass(frozen=True)
 class PicardDiagnostics:
-    """Each iteration's sup-in-time distance and its ratio to the one before, the contraction
-    ratio read from them and the doubled mesh's shift (None without the mesh check)."""
+    """What a solve measured: each iteration's sup-in-time distance and the doubled mesh's
+    shift (None without the mesh check)."""
 
     distances: tuple[float, ...]
-    ratios: tuple[float, ...]
-    contraction_ratio: float
     mesh_delta: float | None
 
 
@@ -369,7 +367,7 @@ def _picard_iterate(
                 return cur, distances
     raise NoConvergenceError(
         f"no convergence after {max_iter} Picard iterations on {n_nodes} nodes "
-        f"(last distance {distances[-1]:.3e}); reduce T or the data size"
+        f"(last distance {distances[-1]:.3e}, tol {tol:.3g}); reduce T or the data size"
     )
 
 
@@ -386,8 +384,8 @@ def picard_solve(
     """Solve the integral equation by Picard iteration on a fixed time mesh.
 
     Successive iterates are compared in sup-in-time G^{sigma,s} distance; the
-    iteration stops below tol.  Diagnostics carry the per-iteration distances
-    and contraction ratios.  With mesh_check on, the converged fixed point is
+    iteration stops below tol, which is read for nothing else.  Diagnostics carry
+    the per-iteration distances.  With mesh_check on, the converged fixed point is
     recomputed on a doubled mesh and the diagnostics carry its shift, mesh_delta.
     Raises NoConvergenceError after max_iter iterations (T too large for the
     data size).
@@ -405,14 +403,8 @@ def picard_solve(
         shift = np.subtract(fine[::2], states, out=fine[::2])  # fine is not read again
         mesh_delta = math.sqrt(np.max(row_squares(grid, shift, hw)))
 
-    # every distance before the last is >= tol > 0, or the iteration would have stopped there
-    ratios = tuple(later / earlier for earlier, later in zip(distances, distances[1:]))
-    # ratios where the later distance sits at the noise floor say nothing
-    meaningful = [r for r, later in zip(ratios, distances[1:]) if later > 10.0 * tol]
-    contraction = max(meaningful) if meaningful else (max(ratios) if ratios else 0.0)
-
     traj = _trajectory(grid, np.linspace(0.0, T, n_nodes + 1), states, table)
-    return traj, PicardDiagnostics(tuple(distances), ratios, contraction, mesh_delta)
+    return traj, PicardDiagnostics(tuple(distances), mesh_delta)
 
 
 def local_existence_time(norm0: float, C_s: float) -> float:

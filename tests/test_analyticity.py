@@ -244,6 +244,26 @@ class TestSigmaTracking:
             kb.tracked_run(u, 0.1, 0.1, coeffs, kb.GevreyIndex(0.0, 2.0))
 
 
+class TestSigmaPlan:
+    """The sub-step count of a sigma step, which the command line caps for the first step."""
+
+    def test_counts(self):
+        plan = analyticity.sigma_substeps
+        assert plan(0.0, 0.1, 0.01) == 1  # a zero datum still takes its one step
+        assert plan(1.0, 0.5, 0.25) == 4  # (1 + 1) 0.5 / 0.25, exactly
+        assert plan(1.0, 0.5, 0.3) == 4  # 3.33 rounded up
+        assert plan(1e150, 1e10, 0.5) == math.inf  # the count overflows a float
+        assert isinstance(plan(1.0, 0.5, 0.3), int)
+
+    def test_advance_takes_the_planned_substeps(self, monkeypatch):
+        # the norm is re-evaluated at each sub-step after the first
+        calls = []
+        monkeypatch.setattr(analyticity, "_profile_norm", lambda *args: calls.append(args) or 1.0)
+        sigma = analyticity._advance_sigma(None, None, 0.5, 1.0, 0.5, 0.25)
+        assert len(calls) == analyticity.sigma_substeps(1.0, 0.5, 0.25) - 1 == 3
+        assert sigma == 0.5 * (1.0 - 2.0 * 0.125) ** 4
+
+
 @pytest.fixture(scope="module")
 def tracked(grid, coeffs):
     eta0 = kb.gevrey_synthetic(grid, 0.6, roll_off=2.0, amplitude=0.002)

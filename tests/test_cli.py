@@ -667,6 +667,35 @@ class TestSimulate:
         assert "analyticity.sigma0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "solver, planned", [({"dt": 2.0e-3}, "59,979,328,114"), ({"T": 1e300, "dt": 1e300}, "inf")]
+    )
+    def test_unbounded_sigma_plan_rejected(self, tmp_path, capsys, monkeypatch, solver, planned):
+        # X0 = 5.476e5 on the default grid: the first sigma step would plan 59,979,328,114
+        # sub-steps (a count past any float at dt = 1e300), so radius exits 2 before it computes
+        def not_entered(*args, **kwargs):
+            raise AssertionError("computed")
+
+        for name in ("existence_constant", "tracked_run", "evolve_ifrk4"):
+            monkeypatch.setattr(cli, name, not_entered)
+        cfg = {"initial": {"family": "gaussian", "width": 0.3, "amplitude": 3.0},
+               "solver": solver, "analyticity": {"sigma0": 1.0, "s": 3.0}}
+        path = _write_config(tmp_path / "c.yaml", cfg)
+        line = _config_error(capsys, ["radius", path], tmp_path / "out")
+        assert line.startswith(
+            f"config error: analyticity: the first sigma step would take {planned} sub-steps "
+            "(X0 = 5.476e+05), more than 10,000; "
+        )
+
+    @pytest.mark.parametrize("cap, code", [(0, 2), (1, 0)])
+    def test_sigma_plan_cap_is_inclusive(self, tmp_path, monkeypatch, cap, code):
+        # the small radius config plans one sub-step; simulate plans none, whatever the cap
+        monkeypatch.setattr(cli, "MAX_SIGMA_SUBSTEPS", cap)
+        path = _write_config(tmp_path / "c.yaml", _small_radius())
+        assert cli.main(["radius", path, "--out", str(tmp_path / "radius")]) == code
+        assert (tmp_path / "radius").exists() == (code == 0)
+        assert cli.main(["simulate", path, "--out", str(tmp_path / "simulate")]) == 0
+
     def test_simulate_never_tracks(self, tmp_path):
         # analyticity.enabled is read by nothing: radius alone tracks sigma, so simulate with
         # it set writes what simulate writes without it (on a grid radius would refuse)
@@ -944,6 +973,26 @@ class TestPicardCommand:
         entry = manifest["checks"]["mesh_refinement"]
         assert entry == {"passed": False, "value": meta["mesh_delta"], "limit": 1e-9}
         assert meta["mesh_delta"] > 1e-9
+
+    @pytest.mark.parametrize("tol", ["1e-9", "1e-3"])
+    def test_mesh_refinement_limit_is_a_constant(self, tmp_path, tol):
+        # 16 nodes leave a gaussian's fixed point 1.68e-5 off the doubled mesh's: the gate fails
+        # against TOLERANCES at any solver.tol, which only stops the iteration
+        cfg = {
+            "grid": {"n_modes": 64, "half_length": float(np.pi)},
+            "initial": {"family": "gaussian", "width": 0.3, "amplitude": 0.5},
+            "solver": {"T": 0.5, "dt": 0.05, "n_nodes": 16, "crosscheck": False},
+            "analyticity": {"sigma0": 0.1, "s": 0.5},
+        }
+        path = _write_config(tmp_path / "c.yaml", cfg)
+        out = str(tmp_path / "out")
+        assert cli.main(["picard", path, "--out", out, "--set", f"solver.tol={tol}"]) == 1
+        manifest, _ = _manifest(out)
+        failed = [name for name, c in manifest["checks"].items() if c.get("passed") is False]
+        assert failed == ["mesh_refinement"]
+        entry = manifest["checks"]["mesh_refinement"]
+        assert entry["limit"] == cli.TOLERANCES.mesh_refinement_limit == 1e-9
+        assert entry["value"] == pytest.approx(1.68e-5, rel=0.01)
 
     def test_mesh_refinement_skipped_without_mesh_check(self, tmp_path):
         path = _write_config(tmp_path / "c.yaml", _small_picard())

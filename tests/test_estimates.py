@@ -176,6 +176,12 @@ class TestInterpolation:
         with pytest.raises(ValueError):
             _interpolation(u, 0.0, 2.0, 1.5, 0.1)
 
+    def test_zero_field_rejected(self, small_grid, coeffs):
+        # a campaign never draws a zero field, but its kernel refuses one rather than divide by 0
+        _, (kernel,) = campaign("interpolation", small_grid, G_S1, coeffs, [[0.0, 2.0, 0.5]])
+        with pytest.raises(ValueError, match=r"^interpolation check requires a nonzero field$"):
+            kernel(np.zeros((2, small_grid.nyquist + 1), complex))
+
 
 class TestSplitting:
     def test_sigma_zero_trivial(self, grid):

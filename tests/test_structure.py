@@ -35,13 +35,15 @@ one formula, and every campaign returns a list of reports with the CSV's columns
 keeps two ways of asking for one output from drifting apart.  Taking both radius bounds from
 closed-form formulas in the run's measurements, with no fitted constant, is what keeps them
 bounds on every run they apply to.  Taking every gate's tolerance from one table of
-constants in `cli`, read by no config key, is what keeps a config from moving a verdict.
+constants in `cli`, read by no config key and computed from no config read, is what keeps a
+config from moving a verdict; `solver.tol` stops the Picard iteration and judges nothing.
 Freezing every result record the package returns, with each value held once and the estimate
 CSV's columns read from `TrialReport`'s fields, is what keeps a record's copies of one value
 from drifting apart.
 """
 
 import ast
+import builtins
 import dataclasses
 import inspect
 import pathlib
@@ -848,10 +850,81 @@ def test_guard_flags_tolerance_literals():
     assert list(_tolerance_literals(source, "bad.py")) == ["bad.py:2 spells 1e-12", "bad.py:2 spells 0.95"]
 
 
+def _bound_names(node):
+    """The names a binding target binds."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _reads_config(node, tainted):
+    """Whether node reads the config: a string subscript (sol["tol"], cfg.data["solver"]) or a
+    tainted name, other than inside the arguments of a call of a function of the package (a
+    solve or a march returns what the run measured).  Builtins, methods and numpy or math
+    functions pass a read through."""
+    if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+        if isinstance(node.slice.value, str):
+            return True
+    if isinstance(node, ast.Name) and node.id in tainted:
+        return True
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        if node.func.id not in dir(builtins):
+            return False
+    return any(_reads_config(child, tainted) for child in ast.iter_child_nodes(node))
+
+
+def _config_thresholds(source, name):
+    """Lines of the function source whose threshold reads the config (see _reads_config): the
+    limit of a _check or _at_most call, or an operand of an ordering comparison, which is how
+    a gate filters what it judges.  A name is tainted when it is bound from a config read."""
+    tree = ast.parse(source, filename=name)
+    tainted: set = set()
+    while True:
+        before = len(tainted)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)) and node.value:
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if _reads_config(node.value, tainted):
+                    tainted.update(*map(_bound_names, targets))
+            elif isinstance(node, (ast.For, ast.comprehension)):
+                if _reads_config(node.iter, tainted):
+                    tainted.update(_bound_names(node.target))
+        if len(tainted) == before:
+            break
+    limit_at = {"_at_most": 1, "_check": 2}
+    lines = set()
+    for node in ast.walk(tree):
+        thresholds = []
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in limit_at:
+            thresholds = node.args[limit_at[node.func.id]:][:1]
+            thresholds += [k.value for k in node.keywords if k.arg == "limit"]
+        elif isinstance(node, ast.Compare):
+            if any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops):
+                thresholds = [node.left, *node.comparators]
+        if any(_reads_config(t, tainted) for t in thresholds):
+            lines.add(node.lineno)
+    return [f"{name}:{line} judges against a config read" for line in sorted(lines)]
+
+
+def test_guard_flags_config_thresholds():
+    source = (
+        "def gate(cfg, checks):\n"
+        "    sol = cfg.data['solver']\n"
+        "    traj, diag = picard_solve(cfg.initial_state, sol['T'], sol['tol'])\n"
+        "    checks['a'] = _at_most(diag.mesh_delta, sol['tol'])\n"
+        "    floor = 10.0 * sol['tol']\n"
+        "    kept = [d for d in diag.distances if d > max(floor, 0.0)]\n"
+        "    checks['b'] = _check(len(kept), True, limit=abs(sol['tol']))\n"
+        "    checks['c'] = _at_most(diag.mesh_delta, TOLERANCES.mesh_refinement_limit)\n"
+        "    return [d for d in traj.t if d > TOLERANCES.floor and sol['T'] == 'auto']\n"
+    )
+    flagged = _config_thresholds(source, "bad.py")
+    assert flagged == [f"bad.py:{line} judges against a config read" for line in (4, 6, 7)]
+
+
 def test_gate_tolerances_are_constants():
     # every gate takes its tolerance from the one table cli.TOLERANCES: cli reads no key of the
-    # checks section, which keeps only the two keys the benchmark writes, and the gates spell
-    # no tolerance of their own
+    # checks section, which keeps only the two keys the benchmark writes, the gates spell
+    # no tolerance of their own, and no gate's limit or filter is computed from a config read
+    # (solver.tol stops the Picard iteration and judges nothing)
     source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
     assert set(cli._SCHEMA["checks"]) == {"existence_trials", "existence_seed"}
     for key in ("checks", *cli._SCHEMA["checks"]):
@@ -862,7 +935,47 @@ def test_gate_tolerances_are_constants():
     assert {func.name for func in judged} == gates
     for func in judged:
         assert list(_tolerance_literals(ast.unparse(func), func.name)) == []
+        assert _config_thresholds(ast.unparse(func), func.name) == []
     assert isinstance(cli.TOLERANCES, cli.GateTolerances)
+
+
+def _tol_reads(source, name):
+    """Lines of source reading the name tol other than in _picard_iterate's stopping test or
+    its error message, or as an argument picard_solve passes to _picard_iterate."""
+    tree = ast.parse(source, filename=name)
+    allowed = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if func.name == "_picard_iterate" and isinstance(node, (ast.Compare, ast.JoinedStr)):
+                allowed.update(map(id, ast.walk(node)))
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_picard_iterate":
+                allowed.update(id(arg) for arg in node.args)
+    reads = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Name)
+             and node.id == "tol" and isinstance(node.ctx, ast.Load) and id(node) not in allowed]
+    return [f"{name}:{line} reads tol" for line in sorted(reads)]
+
+
+def test_guard_flags_tol_reads():
+    source = (
+        "def _picard_iterate(tol):\n"
+        "    if d < tol:\n"
+        "        return f'{tol}'\n"
+        "    return tol\n"
+        "def picard_solve(tol):\n"
+        "    _picard_iterate(tol)\n"
+        "    return [r for r in ratios if r > 10.0 * tol]\n"
+    )
+    assert _tol_reads(source, "bad.py") == ["bad.py:4 reads tol", "bad.py:7 reads tol"]
+
+
+def test_solver_tol_only_stops_picard():
+    # the solve's tolerance is its stopping rule and nothing else, and its diagnostics hold
+    # only what it measured: cli derives the ratios and judges both Picard gates
+    source = (PACKAGE / "dynamics.py").read_text(encoding="utf-8")
+    assert _tol_reads(source, "dynamics.py") == []
+    assert [f.name for f in dataclasses.fields(PicardDiagnostics)] == ["distances", "mesh_delta"]
 
 
 def test_one_lower_bound_formula():
