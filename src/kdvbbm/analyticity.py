@@ -82,11 +82,15 @@ class BoundInputs:
             raise ValueError("X0, Y0 and m must be nonnegative")
 
 
-def estimate_radius(u: Spectrum, noise_floor: float = 1e-8) -> RadiusFit:
+#: The tail fit's floor, a fraction of the peak magnitude: modes below it are left out.
+NOISE_FLOOR = 1.0e-8
+
+
+def estimate_radius(u: Spectrum) -> RadiusFit:
     """Least-squares line fit of log|c_k| against |xi_k| over the usable band.
 
     Modes with |k| <= 1 bias the slope and are excluded, as are modes below
-    noise_floor times the peak magnitude.  Each mode k and -k is a point of the
+    NOISE_FLOOR times the peak magnitude.  Each mode k and -k is a point of the
     fit, so a paired mode of half layout counts twice and the unpaired mode
     -n/2 once.  The fit is undefined (a value, not an error) when fewer than 8
     points qualify.  The result is invariant under positive rescaling of the
@@ -98,7 +102,7 @@ def estimate_radius(u: Spectrum, noise_floor: float = 1e-8) -> RadiusFit:
     peak = float(np.max(mags))
     if peak <= 0.0:
         return RadiusFit(None, math.nan, math.nan, None, 0, "spectrum is identically zero")
-    mask = (grid.modes >= 2) & (mags > noise_floor * peak)
+    mask = (grid.modes >= 2) & (mags > NOISE_FLOOR * peak)
     w = np.where(grid.modes == grid.nyquist, 1.0, 2.0)[mask]  # points per mode
     n_points = int(np.sum(w))
     if n_points < 8:
@@ -243,9 +247,7 @@ def tracked_run(
     coeffs: CoefficientSet,
     g: GevreyIndex,
     record_every: int = 1,
-    noise_floor: float = 1e-8,
     max_rel_step: float = 0.01,
-    blowup_factor: float = 1e6,
 ) -> TrackedRun:
     """Evolve eta0, integrate sigma(t) from g = (sigma0, s), fit sigma_hat, evaluate both bounds.
 
@@ -258,7 +260,6 @@ def tracked_run(
         eta0, T, dt, coeffs, g,
         on_step=_sigma_tracker(eta0.grid, g, max_rel_step, series),
         record_every=record_every,
-        blowup_factor=blowup_factor,
     )
     t, sigma, gevrey = np.array(series).T
     x0 = float(traj.gevrey[0])
@@ -271,7 +272,7 @@ def tracked_run(
         upper_gap = "coefficients are not Hamiltonian (gamma != 7/48), so no energy is conserved"
     else:
         upper_gap = None
-    fits = tuple(estimate_radius(Spectrum(traj.grid, d), noise_floor) for d in traj.half)
+    fits = tuple(estimate_radius(Spectrum(traj.grid, d)) for d in traj.half)
     lower = np.array([lower_bound_radius(ti, bounds) for ti in traj.t])
     upper = None if upper_gap else np.array([upper_bound_radius(ti, bounds) for ti in traj.t])
     recorded = np.searchsorted(t, traj.t)  # the march steps through the recorded times

@@ -41,7 +41,7 @@ from .estimates import (
 )
 from .fields import cos_mode, gaussian, gevrey_synthetic
 from .norms import GevreyIndex, gevrey_norm
-from .params import ABCDParams, CoefficientSet, derive_coefficients
+from .params import ABCDParams, CoefficientSet, DEFAULT_COEFFICIENTS, derive_coefficients
 from .spectral import SpectralGrid, Spectrum, spectrum_csv_rows
 
 OUTPUT_ROOT_ENV = "KDVBBM_OUTPUT_ROOT"
@@ -161,11 +161,7 @@ def _abcd(value, path):
 _SCHEMA = {
     "run": {"seed": (0, _SEED), "label": ("", _STRING)},
     "coefficients": {
-        "gamma1": (1.0 / 12.0, _FINITE),
-        "gamma2": (1.0 / 12.0, _FINITE),
-        "delta1": (1.0 / 20.0, _FINITE),
-        "delta2": (4.0 / 45.0, _FINITE),
-        "gamma": (7.0 / 48.0, _FINITE),
+        **{name: (v, _FINITE) for name, v in dataclasses.asdict(DEFAULT_COEFFICIENTS).items()},
         "abcd": (None, _optional(_abcd)),  # overrides the direct values
     },
     "grid": {"n_modes": (256, _integer(4)), "half_length": (16.0 * math.pi, _POSITIVE)},
@@ -189,13 +185,11 @@ _SCHEMA = {
         "n_nodes": (64, _integer(2)),
         "mesh_check": (True, _BOOLEAN),
         "crosscheck": (True, _BOOLEAN),
-        "blowup_factor": (1.0e6, _POSITIVE),
     },
     "analyticity": {
         "enabled": (False, _BOOLEAN),  # read by nothing (radius alone tracks sigma)
         "sigma0": (0.5, _POSITIVE),
         "s": (2.0, _FINITE),
-        "noise_floor": (1.0e-8, _NONNEGATIVE),
         "max_rel_step": (0.01, _number("(0, 0.5]")),
     },
     "estimates": {
@@ -212,7 +206,6 @@ _SCHEMA = {
             _list(_combo, 1),
         ),
         "failure_demo": (True, _BOOLEAN),
-        "failure_s": (-0.5, _number("(-inf, 0)")),
         "failure_ks": ([8, 16, 32, 64], _list(_integer(2), 2, increasing=True)),
     },
     "checks": {
@@ -617,22 +610,16 @@ def run_simulate(cfg: RunConfig, tracking: bool = False):
     n_sub = sigma_substeps(cfg.x0, sol["dt"], ana["max_rel_step"]) if tracking else 0
     if n_sub > MAX_SIGMA_SUBSTEPS:
         raise ConfigError(
-            f"analyticity: the first sigma step would take {n_sub:,} sub-steps (X0 = {cfg.x0:.4g}), "
+            f"analyticity: the first sigma step would take {n_sub:.4g} sub-steps (X0 = {cfg.x0:.4g}), "
             f"more than {MAX_SIGMA_SUBSTEPS:,}; lower solver.dt or X0 (analyticity.sigma0, "
             "analyticity.s or the datum), or raise analyticity.max_rel_step"
         )
     x0, t_bar, _ = _setup(cfg)
 
     inputs = (cfg.initial_state, sol["T"], sol["dt"], cfg.coefficients, cfg.gevrey_index)
-    options = {"record_every": sol["record_every"], "blowup_factor": sol["blowup_factor"]}
-    tracked = None
-    if tracking:
-        tracked = tracked_run(
-            *inputs, noise_floor=ana["noise_floor"], max_rel_step=ana["max_rel_step"], **options
-        )
-        traj = tracked.trajectory
-    else:
-        traj = evolve_ifrk4(*inputs, **options)
+    march = {"record_every": sol["record_every"]}
+    tracked = tracked_run(*inputs, max_rel_step=ana["max_rel_step"], **march) if tracking else None
+    traj = evolve_ifrk4(*inputs, **march) if tracked is None else tracked.trajectory
 
     artifacts = {
         "trajectory.csv": _trajectory_csv(traj, tracked),
@@ -723,9 +710,7 @@ def run_estimates(cfg: RunConfig):
             checks[name] = {"informational": True, "ratio_max": worst}
 
     if est["failure_demo"]:
-        demo = failure_demo_bilinear(
-            est["failure_s"], ks=tuple(est["failure_ks"]), coeffs=coeffs
-        )
+        demo = failure_demo_bilinear(ks=tuple(est["failure_ks"]), coeffs=coeffs)
         artifacts["failure_demo.csv"] = (("k", "n_modes", "ratio"), demo.rows)
         checks["failure_demo"] = {
             "informational": True,

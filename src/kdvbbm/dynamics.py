@@ -47,6 +47,9 @@ DERIV_SQ_COEFF = 7.0 / 48.0
 #: 4.92 MB.
 ROW_BLOCK = 8
 
+#: The march's ceiling on a state's L^2 norm, in multiples of the datum's (see evolve_ifrk4).
+BLOWUP_FACTOR = 1.0e6
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -251,7 +254,6 @@ def evolve_ifrk4(
     g: GevreyIndex,
     on_step: Callable[[float, np.ndarray], None] | None = None,
     record_every: int = 1,
-    blowup_factor: float = 1e6,
 ) -> Trajectory:
     """March with integrating-factor RK4 from t = 0 to t = T in steps of dt, recording
     every record_every-th step.
@@ -262,7 +264,7 @@ def evolve_ifrk4(
     recorded, with d the state in half layout: eta0.half at t = 0, a fresh array
     each later step; an exception it raises ends the march.  A recorded d is copied
     into its row of the trajectory's states.  Raises BlowUpError when the L^2 norm
-    of a state exceeds blowup_factor times its initial value or overflows
+    of a state exceeds BLOWUP_FACTOR times its initial value or overflows
     (instability, or genuinely large data); on_step never sees that state.
     """
     n_steps = step_count(T, dt)
@@ -276,7 +278,7 @@ def evolve_ifrk4(
     def l2_norm(d):
         return math.sqrt(row_squares(grid, d, parseval, out=power))
 
-    ceiling = blowup_factor * (l2_norm(d) + np.finfo(float).tiny)
+    ceiling = BLOWUP_FACTOR * (l2_norm(d) + np.finfo(float).tiny)
     row, t = 0, 0.0
     for i in range(n_steps + 1):
         if i:

@@ -23,7 +23,8 @@ class NonFiniteError(KdvBbmError, FloatingPointError):
 
 
 class NormOverflowError(KdvBbmError, OverflowError):
-    """A norm weight or norm overflows: (sigma, s) too large for the grid, or the field too large."""
+    """A norm weight or norm overflows: (sigma, s) or L too large for the grid, or the field too
+    large; or an estimate's right-side norm is 0."""
 
 
 class NoConvergenceError(KdvBbmError, RuntimeError):
@@ -31,7 +32,7 @@ class NoConvergenceError(KdvBbmError, RuntimeError):
 
 
 class BlowUpError(KdvBbmError, RuntimeError):
-    """A tracked norm exceeded the configured ceiling during time stepping."""
+    """A tracked norm exceeded the march's ceiling (dynamics.BLOWUP_FACTOR) during time stepping."""
 
     def __init__(self, t, value, ceiling):
         self.t = t

@@ -43,6 +43,9 @@ MULTILINEAR = {
 #: Every campaign run_trials runs, in the order a run lists them by default.
 CAMPAIGNS = (*MULTILINEAR, "interpolation", "splitting_r1", "antisymmetry")
 
+#: The failure demo's Sobolev index, half a derivative below the bilinear range s >= 0.
+FAILURE_S = -0.5
+
 
 @dataclass(frozen=True)
 class TrialReport:
@@ -123,7 +126,8 @@ def random_fields(
 
 
 def _multilinear_values(lemma_id, grid, g, coeffs):
-    """Left-side Gevrey norm of the estimate divided by the right-side product.
+    """Left-side Gevrey norm of the estimate divided by the right-side product; a norm that is
+    not finite, or a zero field, raises NormOverflowError.
 
     bilinear_omega:  |omega(dx)(u v)|_G   / (|u|_G |v|_G)        valid s >= 0
     bilinear_tau:    |tau(dx)(u v)|_G     / (|u|_G |v|_G)        valid s >= 0
@@ -137,10 +141,12 @@ def _multilinear_values(lemma_id, grid, g, coeffs):
     def values(d):
         operands = d * grid.derivative if differentiate else d
         weighted = product_spectra(operands) * symbol
-        denominator = np.multiply.reduce(row_norms(grid, d, weights), axis=1)
-        if np.any(denominator == 0.0):
-            raise ValueError("estimate ratio requires nonzero fields")
-        return row_norms(grid, weighted, weights) / denominator
+        with np.errstate(over="ignore", invalid="ignore"):  # a norm that is not finite raises below
+            numerator = row_norms(grid, weighted, weights)
+            denominator = np.multiply.reduce(row_norms(grid, d, weights), axis=1)
+        if not np.all(np.isfinite(numerator) & np.isfinite(denominator) & (denominator > 0.0)):
+            raise NormOverflowError(f"the {lemma_id} ratio needs finite norms and nonzero fields")
+        return numerator / denominator
 
     return values
 
@@ -212,7 +218,7 @@ class FailureDemo:
 
 
 def failure_demo_bilinear(
-    s_negative: float,
+    s_negative: float = FAILURE_S,
     ks=(8, 16, 32, 64),
     coeffs: CoefficientSet = DEFAULT_COEFFICIENTS,
 ) -> FailureDemo:
@@ -331,8 +337,8 @@ def constant_bound(lemma_id: str, grid: SpectralGrid, g: GevreyIndex, coeffs: Co
     m the symbol, S the arity-fold convolution over the modes |j| < n/2 of f = 1/w^2 (xi^2/w^2
     for derivsq_psi), even in k like w and m^2.  Summed from f tilted by e^{2 sigma (1 + xi_j)},
     every term is O(1) and positive, so np.convolve's direct sums lose nothing.  A bound that
-    is not finite in double precision (f overflows at a very negative s) raises
-    NormOverflowError."""
+    is not finite in double precision (f overflows at a very negative s, or (2L)^(arity-1)
+    on a very long grid) raises NormOverflowError."""
     arity, _, kind, differentiate = MULTILINEAR[lemma_id]
     h = grid.nyquist
     xi = grid.wavenumbers[:h]
@@ -344,10 +350,14 @@ def constant_bound(lemma_id: str, grid: SpectralGrid, g: GevreyIndex, coeffs: Co
         m = symbol_on_grid(grid, coeffs, kind)[:h]
         top = float(np.max(br ** (2.0 * g.s) * m * m * sums))
         untilt = math.exp(2.0 * g.sigma * (1 - arity))  # e^{2 sigma <xi_k>} / e^{2 sigma (arity + xi_k)}
-        bound = math.sqrt(top * untilt / (2.0 * grid.half_length) ** (arity - 1))
+        try:
+            bound = math.sqrt(top * untilt / (2.0 * grid.half_length) ** (arity - 1))
+        except OverflowError:  # (2L)^(arity-1) leaves double range on a very long grid
+            bound = math.inf
     if not math.isfinite(bound):
         raise NormOverflowError(
-            f"the {lemma_id} bound overflows at s = {g.s}; s is too small for this grid"
+            f"the {lemma_id} bound overflows at s = {g.s}, L = {grid.half_length:.4g}; "
+            "s is too small, or L too large, for double precision"
         )
     return bound
 

@@ -47,7 +47,7 @@ def gevrey_weights(grid: SpectralGrid, g: GevreyIndex) -> np.ndarray:
     exponent = 2.0 * g.sigma * float(np.max(br))
     if exponent > MAX_GEVREY_EXPONENT:
         raise NormOverflowError(
-            f"2*sigma*<xi_max> = {exponent:.1f} exceeds {MAX_GEVREY_EXPONENT}; "
+            f"2*sigma*<xi_max> = {exponent:.4g} exceeds {MAX_GEVREY_EXPONENT}; "
             "sigma is too large for this grid"
         )
     with np.errstate(over="ignore"):

@@ -98,10 +98,12 @@ class TestEstimateRadius:
         fit = kb.estimate_radius(kb.cos_mode(grid, 3, 1.0))
         assert fit.reason == "only 2 modes above the noise floor (need 8)"
 
-    def test_noise_floor_excludes_tail(self, grid):
+    def test_noise_floor_excludes_tail(self, grid, monkeypatch):
         u = kb.gevrey_synthetic(grid, 1.0)
-        wide = kb.estimate_radius(u, noise_floor=1e-12)
-        narrow = kb.estimate_radius(u, noise_floor=1e-2)
+        monkeypatch.setattr(analyticity, "NOISE_FLOOR", 1e-12)
+        wide = kb.estimate_radius(u)
+        monkeypatch.setattr(analyticity, "NOISE_FLOOR", 1e-2)
+        narrow = kb.estimate_radius(u)
         assert narrow.n_points < wide.n_points
         assert narrow.band[1] < wide.band[1]
 

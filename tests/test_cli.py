@@ -9,6 +9,8 @@ import platform
 import re
 import subprocess
 import sys
+import tomllib
+from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import numpy as np
@@ -200,7 +202,53 @@ class TestConfig:
         path = _write_config(tmp_path / "c.yaml", cfg)
         line = _config_error(capsys, [command, path], tmp_path / "out")
         assert line.startswith("config error: analyticity: the ")
-        assert line.endswith(f"bound overflows at s = {float(s)}; s is too small for this grid")
+        assert line.endswith(
+            f"bound overflows at s = {float(s)}, L = 3.142; s is too small, or L too large, "
+            "for double precision"
+        )
+
+    @pytest.mark.parametrize(
+        "command, solver", [("simulate", {"T": 0.01, "dt": 0.001}), ("picard", {"T": "auto"})]
+    )
+    def test_overlong_grid_bound_overflows(self, tmp_path, capsys, command, solver):
+        # the bound divides by (2L)^2, which leaves double range at L = 1e300: one line, as for
+        # a sum that overflows, in place of a traceback and an internal error
+        path = _write_config(tmp_path / "c.yaml", {"grid": {"half_length": 1.0e300}, "solver": solver})
+        line = _config_error(capsys, [command, path], tmp_path / "out")
+        assert line == (
+            "config error: analyticity: the trilinear_psi bound overflows at s = 2.0, L = 1e+300; "
+            "s is too small, or L too large, for double precision"
+        )
+
+    def test_overlong_grid_estimates_is_a_runtime_error(self, tmp_path, capfd):
+        # the trilinear campaign's right-side norms, about 1e151 each, overflow in their product:
+        # one line, no numpy warning and nothing on disk, where ratio_max read 0.0
+        path = _write_config(tmp_path / "c.yaml", {"grid": {"half_length": 1.0e300}})
+        out = tmp_path / "out"
+        assert cli.main(["estimates", path, "--out", str(out), "--set", "estimates.n_trials=2"]) == 3
+        assert capfd.readouterr().err.splitlines() == [
+            "runtime error: the trilinear_psi ratio needs finite norms and nonzero fields"
+        ]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, half_length, expected",
+        [
+            ("simulate", 1.0e-300,
+             "config error: analyticity: 2*sigma*<xi_max> = 4.021e+302 exceeds 650.0; "
+             "sigma is too large for this grid"),
+            ("radius", 1.0e300,
+             "config error: analyticity: the first sigma step would take 6.796e+296 sub-steps "
+             "(X0 = 8.244e+148), more than 10,000; lower solver.dt or X0 (analyticity.sigma0, "
+             "analyticity.s or the datum), or raise analyticity.max_rel_step"),
+        ],
+    )
+    def test_extreme_grid_messages_stay_short(self, tmp_path, capsys, command, half_length, expected):
+        # numbers of hundreds of digits print to 4 significant digits
+        path = _write_config(tmp_path / "c.yaml", {"grid": {"half_length": half_length}})
+        line = _config_error(capsys, [command, path], tmp_path / "out")
+        assert line == expected
+        assert len(line) < 250
 
     @pytest.mark.parametrize(
         "initial, section",
@@ -256,10 +304,8 @@ class TestConfig:
             "checks.existence_seed=-1",
             "estimates.interpolation_combos=[]",
             "solver.tol=-1",
-            "solver.blowup_factor=0",
             "analyticity.s=.nan",
             "estimates.cutoff=0",
-            "analyticity.noise_floor=-1",
             "estimates.rate=-5",
             "estimates.power=-1",
             "coefficients.abcd={a: [1], b: 0.0833, c: 0.0833, d: 0.0833,"
@@ -293,6 +339,28 @@ class TestConfig:
         argv = ["simulate", path, *(["--set", f"checks.{key}=1e9"] if where == "override" else [])]
         line = _config_error(capsys, argv, tmp_path / "out")
         assert line == f"config error: unknown config key: checks.{key}"
+
+    @pytest.mark.parametrize(
+        "key", ["analyticity.noise_floor", "solver.blowup_factor", "estimates.failure_s"]
+    )
+    @pytest.mark.parametrize("where", ["file", "override"])
+    def test_policy_keys_removed(self, tmp_path, capsys, key, where):
+        # the tail fit's floor, the march's ceiling and the failure demo's s are constants of
+        # analyticity, dynamics and estimates, so no config moves the outcome they shape
+        section, name = key.split(".")
+        raw = _small_sim()
+        if where == "file":
+            raw.setdefault(section, {})[name] = -1.0
+        path = _write_config(tmp_path / "c.yaml", raw)
+        argv = ["estimates", path, *(["--set", f"{key}=-1.0"] if where == "override" else [])]
+        line = _config_error(capsys, argv, tmp_path / "out")
+        assert line == f"config error: unknown config key: {key}"
+
+    def test_default_coefficients_have_one_owner(self):
+        # the schema's defaults are params.DEFAULT_COEFFICIENTS, so the default run models it
+        assert cli.RunConfig({}).coefficients == kb.DEFAULT_COEFFICIENTS
+        defaults = {name: spec[0] for name, spec in cli._SCHEMA["coefficients"].items()}
+        assert defaults == {**dataclasses.asdict(kb.DEFAULT_COEFFICIENTS), "abcd": None}
 
     def test_calibration_fraction_knob_removed(self, tmp_path, capsys):
         # both radius bounds are closed-form, so there is no prefix to calibrate them on
@@ -376,12 +444,12 @@ class TestConfig:
 
     def test_run_ids_pinned(self):
         # canonical_json, and with it every run id, is the identity of a config
-        assert cli.RunConfig({}).run_id("simulate") == "simulate-c80b98b421ff"
+        assert cli.RunConfig({}).run_id("simulate") == "simulate-27c977ad6fa7"
         abcd = {
             "a": 1 / 12, "b": 1 / 12, "c": 1 / 12, "d": 1 / 12,
             "a1": 4 / 45, "b1": 1 / 20, "c1": 4 / 45, "d1": 1 / 20,
         }
-        assert cli.RunConfig({"coefficients": {"abcd": abcd}}).run_id("simulate") == "simulate-921b41764037"
+        assert cli.RunConfig({"coefficients": {"abcd": abcd}}).run_id("simulate") == "simulate-d4628956bd15"
 
     def test_readme_config_loads(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -612,9 +680,9 @@ class TestSimulate:
         assert lines[-1] == "internal error: simulated failure during promotion"
         assert os.listdir(out) == []
 
-    def test_blowup_leaves_no_artifacts(self, tmp_path):
-        cfg = _small_sim(solver={"blowup_factor": 0.5})
-        path = _write_config(tmp_path / "c.yaml", cfg)
+    def test_blowup_leaves_no_artifacts(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(kb.dynamics, "BLOWUP_FACTOR", 0.5)
+        path = _write_config(tmp_path / "c.yaml", _small_sim())
         out = str(tmp_path / "out")
         assert cli.main(["simulate", path, "--out", out]) == 3
         leftovers = os.listdir(out) if os.path.exists(out) else []
@@ -668,7 +736,7 @@ class TestSimulate:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "solver, planned", [({"dt": 2.0e-3}, "59,979,328,114"), ({"T": 1e300, "dt": 1e300}, "inf")]
+        "solver, planned", [({"dt": 2.0e-3}, "5.998e+10"), ({"T": 1e300, "dt": 1e300}, "inf")]
     )
     def test_unbounded_sigma_plan_rejected(self, tmp_path, capsys, monkeypatch, solver, planned):
         # X0 = 5.476e5 on the default grid: the first sigma step would plan 59,979,328,114
@@ -1133,17 +1201,12 @@ class TestKnobs:
                 lambda: _campaign(cutoff=5),
             ),
             (
-                "radius", _small_radius, ["analyticity.noise_floor=0.01"],
-                "trajectory.csv", ("sigma_hat",),
-                lambda: [(fit.sigma_hat,) for fit in _tracked(noise_floor=0.01).fits],
-            ),
-            (
                 "radius", _small_radius, ["analyticity.max_rel_step=1e-4"],
                 "sigma.csv", ("t", "sigma"),
                 lambda: _sigma_rows(_tracked(max_rel_step=1e-4)),
             ),
         ],
-        ids=["profile-rate", "profile-power", "cutoff", "noise_floor", "max_rel_step"],
+        ids=["profile-rate", "profile-power", "cutoff", "max_rel_step"],
     )
     def test_knob_moves_its_artifact(
         self, tmp_path, command, config, overrides, artifact, columns, library
@@ -1465,6 +1528,20 @@ class TestModuleEntryPoint:
         (line,) = done.stderr.splitlines()
         assert line.startswith("config error: solver.dt: ")
         assert not out.exists() or not any(out.iterdir())
+
+
+def test_console_script_help(monkeypatch, capsys):
+    # the kdvbbm script that pyproject.toml declares, resolved as an installer resolves a
+    # console script and called as its generated wrapper calls it: main() on sys.argv
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert list(scripts) == ["kdvbbm"]
+    main = EntryPoint("kdvbbm", scripts["kdvbbm"], "console_scripts").load()
+    monkeypatch.setattr(sys, "argv", ["kdvbbm", "--help"])
+    with pytest.raises(SystemExit) as done:
+        main()
+    assert done.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: kdvbbm ")
 
 
 _RUN_COMMANDS = """

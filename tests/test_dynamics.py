@@ -351,16 +351,19 @@ class TestWholeSteps:
         e2 = np.sqrt(np.sum(grid.parseval * np.abs(finals[1] - finals[2]) ** 2))
         assert 3.5 < richardson_order(e1, e2) < 4.5
 
-    def test_blowup_guard(self, grid, coeffs):
+    def test_blowup_guard(self, grid, coeffs, monkeypatch):
         eta0 = kb.cos_mode(grid, 1, 0.1)
+        monkeypatch.setattr(dynamics, "BLOWUP_FACTOR", 0.5)
         with pytest.raises(kb.BlowUpError):
-            kb.evolve_ifrk4(eta0, 1.0, 0.01, coeffs, G01, blowup_factor=0.5)
+            kb.evolve_ifrk4(eta0, 1.0, 0.01, coeffs, G01)
 
-    def test_blowup_size_is_l2_of_failing_state(self, grid, coeffs):
+    def test_blowup_size_is_l2_of_failing_state(self, grid, coeffs, monkeypatch):
         # the ceiling is checked in half layout, where c_{-n/2} counts four times
         eta0 = _nyquist_datum(grid)
+        monkeypatch.setattr(dynamics, "BLOWUP_FACTOR", 0.9)
         with pytest.raises(kb.BlowUpError) as err:
-            kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs, G01, blowup_factor=0.9)
+            kb.evolve_ifrk4(eta0, 0.1, 0.01, coeffs, G01)
+        monkeypatch.undo()
         failing = _states(kb.evolve_ifrk4(eta0, err.value.t, 0.01, coeffs, G01, record_every=10**6))[-1]
         c = half_to_fft(failing.half)
         assert c[grid.nyquist] == 1e-3
@@ -525,7 +528,7 @@ class TestMarchBookkeeping:
         assert traj.half.shape == (16, small_grid.nyquist + 1)
         assert solved.half.shape == (9, small_grid.nyquist + 1)
 
-    def test_guard_raises_at_first_step_above_ceiling(self, small_grid, coeffs):
+    def test_guard_raises_at_first_step_above_ceiling(self, small_grid, coeffs, monkeypatch):
         # L^2 norms of a known run, summed over full spectra
         eta0 = BOOKKEEPING_DATA["gaussian"](small_grid)
         dt = 0.01
@@ -538,12 +541,14 @@ class TestMarchBookkeeping:
         # ratios[j], of step j + 1, is the first from the tenth on to top every earlier one
         j = next(i for i in range(10, len(ratios)) if ratios[i] > ratios[:i].max() * (1 + 1e-9))
         factor = 0.5 * (ratios[:j].max() + ratios[j])
+        monkeypatch.setattr(dynamics, "BLOWUP_FACTOR", factor)
         with pytest.raises(kb.BlowUpError) as err:
-            kb.evolve_ifrk4(eta0, 0.5, dt, coeffs, G01, blowup_factor=factor)
+            kb.evolve_ifrk4(eta0, 0.5, dt, coeffs, G01)
         assert err.value.t == (j + 1) * dt
         assert err.value.value == pytest.approx(sizes[j], rel=1e-12)
         assert err.value.ceiling == pytest.approx(factor * scale, rel=1e-15)
-        done = kb.evolve_ifrk4(eta0, 0.5, dt, coeffs, G01, blowup_factor=ratios.max() * (1 + 1e-9))
+        monkeypatch.setattr(dynamics, "BLOWUP_FACTOR", ratios.max() * (1 + 1e-9))
+        done = kb.evolve_ifrk4(eta0, 0.5, dt, coeffs, G01)
         assert done.t.size == traj.t.size
 
 

@@ -142,8 +142,19 @@ class TestMultilinearRatio:
 
     def test_zero_field_rejected(self, small_grid, coeffs):
         z = kb.Spectrum(small_grid, np.zeros(33, complex))
-        with pytest.raises(ValueError, match="nonzero"):
+        with pytest.raises(kb.NormOverflowError, match="nonzero fields"):
             _ratio("bilinear_omega", (z, z), G_S0, coeffs)
+
+    @pytest.mark.parametrize("lemma_id, amplitude", [("trilinear_psi", 1.0), ("bilinear_omega", 1e10)])
+    def test_overflowing_norms_rejected(self, coeffs, lemma_id, amplitude):
+        # on a grid of half-length 1e300 a field of unit modes has a norm near 1e151, whose
+        # cube overflows, and one of modes 1e10 an infinite norm: either ratio would read 0
+        # after a numpy warning
+        grid = kb.SpectralGrid(16, 1.0e300)
+        field = kb.Spectrum(grid, np.full(9, amplitude, complex))
+        arity = estimates.MULTILINEAR[lemma_id][0]
+        with pytest.raises(kb.NormOverflowError, match=f"^the {lemma_id} ratio needs finite norms"):
+            _ratio(lemma_id, (field,) * arity, G_S0, coeffs)
 
     def test_trilinear_and_derivsq_run_in_range(self, grid, coeffs):
         g = kb.GevreyIndex(0.1, 2.0)
@@ -265,6 +276,18 @@ class TestFailureDemo:
             v = kb.cos_mode(grid, k - 1, 1.0)
             ratios.append(_ratio("bilinear_omega", (u, v), G_S0, coeffs))
         assert max(ratios) / min(ratios) < 1.5
+
+    def test_default_s_is_the_constant(self):
+        # the demo's s is a constant of estimates, below the bilinear range s >= 0
+        assert estimates.FAILURE_S == -0.5
+        assert kb.failure_demo_bilinear() == kb.failure_demo_bilinear(estimates.FAILURE_S)
+
+    def test_underflowing_norms_raise(self):
+        # at s = -90 the inputs' norms <xi_k>^s underflow to 0 at k = 64: the kernel raises
+        # rather than divide by them; at s = -88 they do not
+        with pytest.raises(kb.NormOverflowError, match="nonzero fields"):
+            kb.failure_demo_bilinear(-90.0)
+        assert kb.failure_demo_bilinear(-88.0).monotone
 
     def test_milder_s_grows_slower(self):
         mild = kb.failure_demo_bilinear(-0.1)

@@ -37,6 +37,9 @@ closed-form formulas in the run's measurements, with no fitted constant, is what
 bounds on every run they apply to.  Taking every gate's tolerance from one table of
 constants in `cli`, read by no config key and computed from no config read, is what keeps a
 config from moving a verdict; `solver.tol` stops the Picard iteration and judges nothing.
+Keeping the tail fit's noise floor, the march's blow-up ceiling and the failure demo's s as
+constants of the modules that use them, with no key and no parameter, keeps a config from
+moving the outcomes they shape as well.
 Freezing every result record the package returns, with each value held once and the estimate
 CSV's columns read from `TrialReport`'s fields, is what keeps a record's copies of one value
 from drifting apart.
@@ -49,7 +52,7 @@ import inspect
 import pathlib
 
 import kdvbbm
-from kdvbbm import analyticity, cli
+from kdvbbm import analyticity, cli, dynamics, estimates
 from kdvbbm.analyticity import BoundInputs, RadiusFit, TrackedRun
 from kdvbbm.dynamics import PicardDiagnostics, Trajectory
 from kdvbbm.estimates import CAMPAIGNS, FailureDemo, TrialReport
@@ -937,6 +940,19 @@ def test_gate_tolerances_are_constants():
         assert list(_tolerance_literals(ast.unparse(func), func.name)) == []
         assert _config_thresholds(ast.unparse(func), func.name) == []
     assert isinstance(cli.TOLERANCES, cli.GateTolerances)
+
+
+def test_policy_knobs_are_constants():
+    # the tail fit's floor, the march's ceiling and the failure demo's s are constants of
+    # analyticity, dynamics and estimates: no schema leaf sets one, no module reads a key of
+    # that name, and no library function takes the floor or the ceiling as a parameter
+    removed = {"analyticity": "noise_floor", "solver": "blowup_factor", "estimates": "failure_s"}
+    for section, key in removed.items():
+        assert key not in cli._SCHEMA[section]
+        assert _package_key_reads(key) == [], key
+    for func in (dynamics.evolve_ifrk4, analyticity.tracked_run, analyticity.estimate_radius):
+        assert not {"blowup_factor", "noise_floor"} & set(inspect.signature(func).parameters)
+    assert (analyticity.NOISE_FLOOR, dynamics.BLOWUP_FACTOR, estimates.FAILURE_S) == (1e-8, 1e6, -0.5)
 
 
 def _tol_reads(source, name):
