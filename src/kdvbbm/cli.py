@@ -132,6 +132,11 @@ _UNIT = _number("[0, 1]")
 _SEED = _integer(0)
 
 
+def _always(value, path):
+    """A switch of a step that every run takes, kept while the benchmark writes it: true only."""
+    return _expect(value is True, path, "true (this step always runs)", value)
+
+
 def _horizon(value, path):
     """solver.T: a positive time, or 'auto' (the guaranteed window)."""
     return value if value == "auto" else _POSITIVE(value, path)
@@ -149,13 +154,11 @@ _ABCD_KEYS = ("a", "b", "c", "d", "a1", "b1", "c1", "d1")
 
 
 def _abcd(value, path):
-    """The expansion parameters {a, b, c, d, a1, b1, c1, d1}, all numbers."""
+    """The expansion parameters {a, b, c, d, a1, b1, c1, d1}, as floats."""
     _expect(isinstance(value, dict), path, "a mapping", value)
     keys = sorted(value, key=str)
     _expect(set(keys) == set(_ABCD_KEYS), path, f"the keys {', '.join(_ABCD_KEYS)}", keys)
-    for key, v in value.items():
-        _FINITE(v, f"{path}.{key}")
-    return value
+    return {key: _FINITE(v, f"{path}.{key}") for key, v in value.items()}
 
 
 _SCHEMA = {
@@ -183,8 +186,8 @@ _SCHEMA = {
         "tol": (1.0e-9, _POSITIVE),
         "max_iter": (30, _integer(1)),
         "n_nodes": (64, _integer(2)),
-        "mesh_check": (True, _BOOLEAN),
-        "crosscheck": (True, _BOOLEAN),
+        "mesh_check": (True, _always),
+        "crosscheck": (True, _always),
     },
     "analyticity": {
         "enabled": (False, _BOOLEAN),  # read by nothing (radius alone tracks sigma)
@@ -205,7 +208,7 @@ _SCHEMA = {
             [[0.0, 2.0, 0.5], [0.0, 2.0, 0.25], [1.0, 3.0, 0.5], [0.0, 4.0, 0.75], [0.5, 2.5, 1.0 / 3.0]],
             _list(_combo, 1),
         ),
-        "failure_demo": (True, _BOOLEAN),
+        "failure_demo": (True, _always),
         "failure_ks": ([8, 16, 32, 64], _list(_integer(2), 2, increasing=True)),
     },
     "checks": {
@@ -247,12 +250,14 @@ def _asked(section):
 
 
 class RunConfig:
-    """A validated run configuration and the module inputs it built, once each, through the
-    constructors that check them: coefficients, grid, initial_state (the datum), gevrey_index
-    (the march's (sigma0, s)), x0 (X0, the datum's G norm there) and estimates_index (the
-    campaigns' (sigma, s))."""
+    """A validated run configuration, of a config mapping under 'section.key=value' overrides,
+    and the module inputs it built, once each, through the constructors that check them:
+    coefficients, grid, initial_state (the datum), gevrey_index (the march's (sigma0, s)), x0
+    (X0, the datum's G norm there) and estimates_index (the campaigns' (sigma, s))."""
 
-    def __init__(self, raw: dict):
+    def __init__(self, raw: dict, overrides=()):
+        for spec in overrides:
+            raw = apply_override(raw, spec)
         self.data = _merge_section(raw, _SCHEMA, "")
         self._validate()
 
@@ -265,7 +270,7 @@ class RunConfig:
             if coef["abcd"] is None:
                 self.coefficients = CoefficientSet(**{k: v for k, v in coef.items() if k != "abcd"})
             else:
-                abcd = ABCDParams(**{k: float(v) for k, v in coef["abcd"].items()})
+                abcd = ABCDParams(**coef["abcd"])
                 self.coefficients = derive_coefficients(abcd)
         with _asked("grid"):
             self.grid = SpectralGrid(**self.data["grid"])
@@ -312,7 +317,8 @@ class _UniqueKeyLoader(yaml.SafeLoader):
         return super().construct_mapping(node, deep)
 
 
-def load_config(path: str, overrides=()) -> RunConfig:
+def read_config(path: str) -> dict:
+    """The mapping a config file holds, as written; an empty document is the empty mapping."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.load(fh, Loader=_UniqueKeyLoader)
@@ -324,9 +330,11 @@ def load_config(path: str, overrides=()) -> RunConfig:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a mapping at top level")
-    for spec in overrides:
-        raw = apply_override(raw, spec)
-    return RunConfig(raw)
+    return raw
+
+
+def load_config(path: str, overrides=()) -> RunConfig:
+    return RunConfig(read_config(path), overrides)
 
 
 def _yaml_problem(exc: yaml.YAMLError) -> str:
@@ -633,7 +641,7 @@ def run_simulate(cfg: RunConfig, tracking: bool = False):
 
 
 def run_picard(cfg: RunConfig):
-    """Solve the integral equation by Picard iteration, optionally cross-checked by IFRK4."""
+    """Solve the integral equation by Picard iteration, checked on a doubled mesh and by IFRK4."""
     coeffs, eta0, g = cfg.coefficients, cfg.initial_state, cfg.gevrey_index
     x0, t_bar, c_s = _setup(cfg)
     sol = cfg.data["solver"]
@@ -644,29 +652,22 @@ def run_picard(cfg: RunConfig):
             raise ConfigError("solver.T: 'auto' needs a nonzero datum")
         T = t_bar
 
-    traj, diag = picard_solve(
-        eta0, T, sol["tol"], sol["max_iter"], coeffs, g,
-        n_nodes=sol["n_nodes"], mesh_check=sol["mesh_check"],
-    )
+    traj, diag = picard_solve(eta0, T, sol["tol"], sol["max_iter"], coeffs, g, n_nodes=sol["n_nodes"])
 
     # no earlier distance is 0 (each is >= solver.tol); a ratio at the noise floor says nothing
     distances = diag.distances
     ratios = [later / earlier for earlier, later in zip(distances, distances[1:])]
     floor = TOLERANCES.contraction_noise_floor
     meaningful = [r for r, later in zip(ratios, distances[1:]) if later > floor]
+    n_steps, dt_cross = whole_steps(T, sol["dt"])
+    rk = evolve_ifrk4(eta0, T, dt_cross, coeffs, g, record_every=n_steps)
+    delta = gevrey_norm(Spectrum(eta0.grid, traj.half[-1] - rk.half[-1]), g)
     checks = {
         "contraction": _at_most(max(meaningful or ratios, default=0.0), TOLERANCES.contraction_limit),
         "growth_bound": _growth_bound(traj, t_bar, x0),
+        "mesh_refinement": _at_most(diag.mesh_delta, TOLERANCES.mesh_refinement_limit),
+        "marcher_crosscheck": _at_most(delta, TOLERANCES.crosscheck_tol),
     }
-    if sol["mesh_check"]:
-        checks["mesh_refinement"] = _at_most(diag.mesh_delta, TOLERANCES.mesh_refinement_limit)
-    else:
-        checks["mesh_refinement"] = _skip("solver.mesh_check is off")
-    if sol["crosscheck"]:
-        n_steps, dt_cross = whole_steps(T, sol["dt"])
-        rk = evolve_ifrk4(eta0, T, dt_cross, coeffs, g, record_every=n_steps)
-        delta = gevrey_norm(Spectrum(eta0.grid, traj.half[-1] - rk.half[-1]), g)
-        checks["marcher_crosscheck"] = _at_most(delta, TOLERANCES.crosscheck_tol)
 
     meta = {
         "T": T,
@@ -709,14 +710,13 @@ def run_estimates(cfg: RunConfig):
         else:
             checks[name] = {"informational": True, "ratio_max": worst}
 
-    if est["failure_demo"]:
-        demo = failure_demo_bilinear(ks=tuple(est["failure_ks"]), coeffs=coeffs)
-        artifacts["failure_demo.csv"] = (("k", "n_modes", "ratio"), demo.rows)
-        checks["failure_demo"] = {
-            "informational": True,
-            "monotone": demo.monotone,
-            "growth_exponent": demo.growth_exponent,
-        }
+    demo = failure_demo_bilinear(ks=tuple(est["failure_ks"]), coeffs=coeffs)
+    artifacts["failure_demo.csv"] = (("k", "n_modes", "ratio"), demo.rows)
+    checks["failure_demo"] = {
+        "informational": True,
+        "monotone": demo.monotone,
+        "growth_exponent": demo.growth_exponent,
+    }
     return artifacts, checks
 
 
@@ -796,23 +796,24 @@ def _expand_sweep(set_specs):
 
 
 def _run_point(args):
-    config_path, overrides, command, outroot, force = args
+    raw, overrides, command, outroot, force = args
     try:
-        cfg = load_config(config_path, overrides)
+        cfg = RunConfig(raw, overrides)
         return _run(command, cfg, outroot, force), cfg.run_id(command), None
     except Exception as exc:  # sweep points must not kill their siblings
         code, message = _failure(exc)
         return code, None, message
 
 
-def run_sweep(config_path, set_specs, command, outroot, force, workers) -> int:
+def run_sweep(raw, set_specs, command, outroot, force, workers) -> int:
+    """Run command at each point of the --set axes' cross product: raw under its overrides."""
     if workers < 1:
         raise ConfigError(f"--workers: expected an integer >= 1, got {workers}")
     if not set_specs:  # no axis still expands to one point: the base config
         raise ConfigError("sweep needs at least one --set axis")
     points = _expand_sweep(set_specs)
     started = _now()
-    args = [(config_path, overrides, command, outroot, force) for overrides in points]
+    args = [(raw, overrides, command, outroot, force) for overrides in points]
     # a forking pool starts all its workers at the first submit: start no idle ones
     workers = min(workers, len(points))
     if workers > 1:
@@ -845,10 +846,10 @@ def run_sweep(config_path, set_specs, command, outroot, force, workers) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _output_root(cfg_root: str | None, cli_out: str | None) -> str:
+def _output_root(cfg: RunConfig, cli_out: str | None) -> str:
     """--out, else the environment, else the config's output.directory key; rejected before
     any compute unless its nearest existing component is a directory."""
-    root = cli_out or os.environ.get(OUTPUT_ROOT_ENV) or cfg_root or "runs"
+    root = cli_out or os.environ.get(OUTPUT_ROOT_ENV) or cfg.data["output"]["directory"] or "runs"
     existing = os.path.abspath(root)
     while not os.path.exists(existing):
         existing = os.path.dirname(existing)
@@ -891,16 +892,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    sweep = args.command == "sweep"
     try:
-        # a sweep's base config must validate on its own; its --set values are axes
-        cfg = load_config(args.config, [] if sweep else args.overrides)
-        outroot = _output_root(cfg.data["output"]["directory"], args.out)
-        if sweep:
-            return run_sweep(
-                args.config, args.overrides, args.sweep_command, outroot, args.force, args.workers
-            )
-        return _run(args.command, cfg, outroot, args.force)
+        if args.command == "sweep":
+            # the file is read once; its mapping must validate on its own, and --set values are axes
+            raw = read_config(args.config)
+            outroot = _output_root(RunConfig(raw), args.out)
+            return run_sweep(raw, args.overrides, args.sweep_command, outroot, args.force, args.workers)
+        cfg = load_config(args.config, args.overrides)
+        return _run(args.command, cfg, _output_root(cfg, args.out), args.force)
     except Exception as exc:
         code, message = _failure(exc)
         if message.startswith("internal error"):

@@ -301,10 +301,10 @@ def evolve_ifrk4(
 @dataclass(frozen=True)
 class PicardDiagnostics:
     """What a solve measured: each iteration's sup-in-time distance and the doubled mesh's
-    shift (None without the mesh check)."""
+    shift."""
 
     distances: tuple[float, ...]
-    mesh_delta: float | None
+    mesh_delta: float
 
 
 def _picard_iterate(
@@ -381,14 +381,13 @@ def picard_solve(
     coeffs: CoefficientSet,
     g: GevreyIndex,
     n_nodes: int = 64,
-    mesh_check: bool = True,
 ) -> tuple[Trajectory, PicardDiagnostics]:
     """Solve the integral equation by Picard iteration on a fixed time mesh.
 
     Successive iterates are compared in sup-in-time G^{sigma,s} distance; the
     iteration stops below tol, which is read for nothing else.  Diagnostics carry
-    the per-iteration distances.  With mesh_check on, the converged fixed point is
-    recomputed on a doubled mesh and the diagnostics carry its shift, mesh_delta.
+    the per-iteration distances.  The converged fixed point is recomputed on a
+    doubled mesh, and the diagnostics carry its shift, mesh_delta.
     Raises NoConvergenceError after max_iter iterations (T too large for the
     data size).
     """
@@ -399,11 +398,9 @@ def picard_solve(
     hw = table[3]  # the Gevrey row
     states, distances = _picard_iterate(eta0, coeffs, hw, T, n_nodes, tol, max_iter)
 
-    mesh_delta = None
-    if mesh_check:
-        fine, _ = _picard_iterate(eta0, coeffs, hw, T, 2 * n_nodes, tol, max_iter)
-        shift = np.subtract(fine[::2], states, out=fine[::2])  # fine is not read again
-        mesh_delta = math.sqrt(np.max(row_squares(grid, shift, hw)))
+    fine, _ = _picard_iterate(eta0, coeffs, hw, T, 2 * n_nodes, tol, max_iter)
+    shift = np.subtract(fine[::2], states, out=fine[::2])  # fine is not read again
+    mesh_delta = math.sqrt(np.max(row_squares(grid, shift, hw)))
 
     traj = _trajectory(grid, np.linspace(0.0, T, n_nodes + 1), states, table)
     return traj, PicardDiagnostics(tuple(distances), mesh_delta)

@@ -247,7 +247,7 @@ def test_c13_reproducibility(tmp_path_factory):
     }
     est_cfg = {
         "run": {"seed": 9},
-        "estimates": {"n_trials": 100, "failure_demo": False,
+        "estimates": {"n_trials": 100, "failure_ks": [8, 16],
                       "campaigns": ["bilinear_omega", "interpolation", "antisymmetry"]},
     }
     digests = []

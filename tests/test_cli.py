@@ -60,7 +60,7 @@ def _small_picard():
 def _small_estimates():
     return {
         "run": {"seed": 11},
-        "estimates": {"n_trials": 30, "failure_demo": True, "failure_ks": [8, 16]},
+        "estimates": {"n_trials": 30, "failure_ks": [8, 16]},
     }
 
 
@@ -450,6 +450,24 @@ class TestConfig:
             "a1": 4 / 45, "b1": 1 / 20, "c1": 4 / 45, "d1": 1 / 20,
         }
         assert cli.RunConfig({"coefficients": {"abcd": abcd}}).run_id("simulate") == "simulate-d4628956bd15"
+
+    def test_abcd_spelling_gives_one_run(self, tmp_path):
+        # an abcd value is stored as its float, as every number leaf is: b1 as 5e-2, which
+        # YAML 1.1 reads as a string, is the run of b1 as 0.05
+        abcd = {
+            "a": 1 / 12, "b": 1 / 12, "c": 1 / 12, "d": 1 / 12,
+            "a1": 4 / 45, "b1": 1 / 20, "c1": 4 / 45, "d1": 1 / 20,
+        }
+        runs = []
+        for spelling in (0.05, "5e-2"):
+            cfg = _small_sim(coefficients={"abcd": {**abcd, "b1": spelling}})
+            path = _write_config(tmp_path / "c.yaml", cfg)
+            out = str(tmp_path / f"out-{spelling}")
+            assert cli.main(["simulate", path, "--out", out]) == 0
+            manifest, rundir = _manifest(out)
+            runs.append((os.path.basename(rundir), manifest["config"]))
+        assert runs[0] == runs[1]
+        assert runs[0][1]["coefficients"]["abcd"]["b1"] == 0.05
 
     def test_readme_config_loads(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -983,6 +1001,16 @@ class TestGrowthGate:
             assert meta["existence_constant"] > 0
 
 
+def _coarse_gaussian_picard():
+    """A picard config whose 16 nodes are too coarse for the datum: both Picard gates fail."""
+    return {
+        "grid": {"n_modes": 64, "half_length": float(np.pi)},
+        "initial": {"family": "gaussian", "width": 0.3, "amplitude": 0.5},
+        "solver": {"T": 0.5, "dt": 0.05, "n_nodes": 16},
+        "analyticity": {"sigma0": 0.1, "s": 0.5},
+    }
+
+
 class TestPicardCommand:
     def test_auto_window(self, tmp_path):
         path = _write_config(tmp_path / "c.yaml", _small_picard())
@@ -996,6 +1024,7 @@ class TestPicardCommand:
         with open(os.path.join(rundir, "picard_meta.json")) as fh:
             meta = json.load(fh)
         assert meta["T"] > 0
+        assert isinstance(meta["mesh_delta"], float)  # every solve is checked on a doubled mesh
 
     def test_zero_datum_artifacts_are_strict_json(self, tmp_path):
         # the window of a zero datum is unbounded: written as null, not as Infinity
@@ -1029,47 +1058,60 @@ class TestPicardCommand:
 
     def test_mesh_refinement_failure_is_recorded(self, tmp_path):
         # two nodes over T = 35 leave a quadrature error far above tol (1.7e-7; over the
-        # window T_bar = 3.87 it is 2.3e-10): exit 1 with every artifact written
+        # window T_bar = 3.87 it is 2.3e-10): exit 1 with every artifact written.  The
+        # cross-check's 70 steps of dt = 0.5 pass, as 3,500 steps of 0.01 do
         path = _write_config(tmp_path / "c.yaml", _small_picard())
         out = str(tmp_path / "out")
         argv = ["picard", path, "--out", out, "--set", "solver.n_nodes=2",
-                "--set", "solver.crosscheck=false", "--set", "solver.T=35"]
+                "--set", "solver.dt=0.5", "--set", "solver.T=35"]
         assert cli.main(argv) == 1
         manifest, rundir = _manifest(out)
         with open(os.path.join(rundir, "picard_meta.json")) as fh:
             meta = json.load(fh)
+        failed = [name for name, c in manifest["checks"].items() if c.get("passed") is False]
+        assert failed == ["mesh_refinement"]
         entry = manifest["checks"]["mesh_refinement"]
         assert entry == {"passed": False, "value": meta["mesh_delta"], "limit": 1e-9}
         assert meta["mesh_delta"] > 1e-9
 
     @pytest.mark.parametrize("tol", ["1e-9", "1e-3"])
     def test_mesh_refinement_limit_is_a_constant(self, tmp_path, tol):
-        # 16 nodes leave a gaussian's fixed point 1.68e-5 off the doubled mesh's: the gate fails
-        # against TOLERANCES at any solver.tol, which only stops the iteration
-        cfg = {
-            "grid": {"n_modes": 64, "half_length": float(np.pi)},
-            "initial": {"family": "gaussian", "width": 0.3, "amplitude": 0.5},
-            "solver": {"T": 0.5, "dt": 0.05, "n_nodes": 16, "crosscheck": False},
-            "analyticity": {"sigma0": 0.1, "s": 0.5},
-        }
-        path = _write_config(tmp_path / "c.yaml", cfg)
+        # 16 nodes leave a gaussian's fixed point 1.68e-5 off the doubled mesh's and 2.24e-5
+        # off the IFRK4 march's (2.32e-5 when the looser tol stops an iteration earlier):
+        # both gates fail against TOLERANCES at any solver.tol, which only stops the iteration
+        path = _write_config(tmp_path / "c.yaml", _coarse_gaussian_picard())
         out = str(tmp_path / "out")
         assert cli.main(["picard", path, "--out", out, "--set", f"solver.tol={tol}"]) == 1
         manifest, _ = _manifest(out)
         failed = [name for name, c in manifest["checks"].items() if c.get("passed") is False]
-        assert failed == ["mesh_refinement"]
+        assert failed == ["marcher_crosscheck", "mesh_refinement"]
         entry = manifest["checks"]["mesh_refinement"]
         assert entry["limit"] == cli.TOLERANCES.mesh_refinement_limit == 1e-9
         assert entry["value"] == pytest.approx(1.68e-5, rel=0.01)
+        entry = manifest["checks"]["marcher_crosscheck"]
+        assert entry["limit"] == cli.TOLERANCES.crosscheck_tol == 1e-6
+        assert entry["value"] == pytest.approx(2.24e-5 if tol == "1e-9" else 2.32e-5, rel=0.01)
 
-    def test_mesh_refinement_skipped_without_mesh_check(self, tmp_path):
-        path = _write_config(tmp_path / "c.yaml", _small_picard())
-        out = str(tmp_path / "out")
-        argv = ["picard", path, "--out", out, "--set", "solver.mesh_check=false",
-                "--set", "solver.T=0.2"]
-        assert cli.main(argv) == 0
-        manifest, _ = _manifest(out)
-        assert manifest["checks"]["mesh_refinement"].get("skipped") is True
+    @pytest.mark.parametrize(
+        "command, key",
+        [("picard", "solver.mesh_check"), ("picard", "solver.crosscheck"),
+         ("estimates", "estimates.failure_demo")],
+    )
+    @pytest.mark.parametrize("where", ["file", "set"])
+    def test_no_switch_turns_a_step_off(self, tmp_path, capsys, command, key, where):
+        # each key stays, since the benchmark writes it, but only as true: no config turns off
+        # a Picard gate (here two that fail) or the failure demo
+        section, leaf = key.split(".")
+        cfg = _coarse_gaussian_picard()
+        if where == "file":
+            cfg.setdefault(section, {})[leaf] = False
+        argv = [command, _write_config(tmp_path / "c.yaml", cfg)]
+        if where == "set":
+            argv += ["--set", f"{key}=false"]
+        line = _config_error(capsys, argv, tmp_path / "out")
+        assert line == f"config error: {key}: expected true (this step always runs), got False"
+        cfg.setdefault(section, {})[leaf] = True
+        assert cli.RunConfig(cfg).data[section][leaf] is True
 
     @pytest.mark.parametrize(
         "command, solver",
@@ -1158,7 +1200,7 @@ def _campaign(**profile):
 
 def _campaign_config():
     cfg = _small_estimates()
-    cfg["estimates"].update(campaigns=["bilinear_omega"], failure_demo=False)
+    cfg["estimates"]["campaigns"] = ["bilinear_omega"]
     return cfg
 
 
@@ -1256,6 +1298,28 @@ class TestSweep:
         assert summary["passed"] is True
         run_dirs = [d for d in os.listdir(out) if d.startswith("simulate-")]
         assert len(run_dirs) == 4
+
+    def test_config_read_once(self, tmp_path, monkeypatch):
+        # every point is the mapping main read with its overrides: a config file removed
+        # after the first point changes no later one
+        path = _write_config(tmp_path / "c.yaml", _small_sim())
+        out = str(tmp_path / "out")
+        run = cli._run
+
+        def run_then_remove(*args):
+            code = run(*args)
+            if os.path.exists(path):
+                os.remove(path)
+            return code
+
+        monkeypatch.setattr(cli, "_run", run_then_remove)
+        argv = ["sweep", path, "--out", out, "--workers", "1",
+                "--set", "initial.amplitude=0.01,0.02,0.05"]
+        assert cli.main(argv) == 0
+        assert not os.path.exists(path)
+        with open(os.path.join(out, "sweep_manifest.json")) as fh:
+            points = json.load(fh)["points"]
+        assert [(p["exit_code"], p["error"]) for p in points] == 3 * [(0, None)]
 
     def test_no_axis_rejected(self, tmp_path):
         # without --set there is nothing to sweep: exit 2, nothing written
@@ -1452,10 +1516,11 @@ def benchmark_workloads():
 
 class TestBenchmarkConfigs:
     """Every op the benchmark runs validates: a schema change that dropped a key it writes
-    would fail each of its ops with exit 2.  Four keys it writes, solver.method (the command
-    picks the solver), analyticity.enabled (radius alone tracks sigma),
-    checks.existence_trials (its span test's config) and checks.existence_seed, are read by
-    nothing and kept for it alone."""
+    would fail each of its ops with exit 2.  Seven keys it writes are kept for it alone:
+    solver.method (the command picks the solver), analyticity.enabled (radius alone tracks
+    sigma), checks.existence_trials (its span test's config) and checks.existence_seed are
+    read by nothing, and solver.mesh_check, solver.crosscheck and estimates.failure_demo
+    accept only true (no config switches a step off)."""
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_every_op_validates(self, benchmark_workloads, seed):

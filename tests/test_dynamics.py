@@ -98,7 +98,7 @@ class TestUnpairedMode:
             self._assert_fixed_and_real(eta0, u)
 
     def test_picard_solve(self, eta0, coeffs):
-        traj, _ = kb.picard_solve(eta0, 0.1, 1e-12, 30, coeffs, G01, n_nodes=16, mesh_check=False)
+        traj, _ = kb.picard_solve(eta0, 0.1, 1e-12, 30, coeffs, G01, n_nodes=16)
         for u in _states(traj):
             self._assert_fixed_and_real(eta0, u)
 
@@ -569,22 +569,21 @@ class TestPicard:
         assert max(later / earlier for earlier, later in zip(d, d[1:])) <= 0.55
         sup_g = max(traj.gevrey)
         assert sup_g <= 2.0 * (1.0 + 1e-6) * kb.gevrey_norm(eta0, G01)
-        assert diag.mesh_delta is not None and diag.mesh_delta <= 1e-11
+        assert isinstance(diag.mesh_delta, float) and diag.mesh_delta <= 1e-11
         rk = kb.evolve_ifrk4(eta0, T, 1e-3, coeffs, G01, record_every=10**6)
         delta = kb.gevrey_norm(kb.Spectrum(grid, traj.half[-1] - rk.half[-1]), G01)
         assert delta < 1e-8
 
     def test_distances_decrease_geometrically(self, grid, coeffs):
         eta0 = kb.cos_mode(grid, 1, 0.01)
-        _, diag = kb.picard_solve(eta0, 0.5, 1e-12, 30, coeffs, G01, n_nodes=32,
-                                  mesh_check=False)
+        _, diag = kb.picard_solve(eta0, 0.5, 1e-12, 30, coeffs, G01, n_nodes=32)
         d = diag.distances
         assert len(d) >= 2 and all(later < earlier for earlier, later in zip(d, d[1:]))
 
     def test_no_convergence_raises(self, grid, coeffs):
         eta0 = kb.cos_mode(grid, 1, 5.0)
         with pytest.raises(kb.NoConvergenceError):
-            kb.picard_solve(eta0, 5.0, 1e-10, 8, coeffs, G01, n_nodes=16, mesh_check=False)
+            kb.picard_solve(eta0, 5.0, 1e-10, 8, coeffs, G01, n_nodes=16)
 
     def test_max_iter_exhausted_raises(self, coeffs):
         # a finite distance still above tol after max_iter sweeps, reported with the last one

@@ -39,7 +39,9 @@ constants in `cli`, read by no config key and computed from no config read, is w
 config from moving a verdict; `solver.tol` stops the Picard iteration and judges nothing.
 Keeping the tail fit's noise floor, the march's blow-up ceiling and the failure demo's s as
 constants of the modules that use them, with no key and no parameter, keeps a config from
-moving the outcomes they shape as well.
+moving the outcomes they shape as well.  Reading no switch that turns a Picard gate or the
+failure demo off, and giving `picard_solve` no such parameter, keeps a config from removing a
+verdict.
 Freezing every result record the package returns, with each value held once and the estimate
 CSV's columns read from `TrialReport`'s fields, is what keeps a record's copies of one value
 from drifting apart.
@@ -50,6 +52,8 @@ import builtins
 import dataclasses
 import inspect
 import pathlib
+
+import pytest
 
 import kdvbbm
 from kdvbbm import analyticity, cli, dynamics, estimates
@@ -955,6 +959,48 @@ def test_policy_knobs_are_constants():
     assert (analyticity.NOISE_FLOOR, dynamics.BLOWUP_FACTOR, estimates.FAILURE_S) == (1e-8, 1e6, -0.5)
 
 
+def _subscript_reads(source, name, key):
+    """Lines of source reading key as a subscript (x[key]) or through x.get(key); a store
+    such as checks[key] = ... reads nothing."""
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            keys = [node.slice]
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get":
+            keys = node.args[:1]
+        else:
+            continue
+        if any(isinstance(k, ast.Constant) and k.value == key for k in keys):
+            yield f"{name}:{node.lineno} reads {key!r}"
+
+
+def test_guard_flags_subscript_reads():
+    source = (
+        "def run(est, checks):\n"
+        "    if est['failure_demo']:\n"
+        "        checks['failure_demo'] = {'passed': est.get('failure_demo')}\n"
+    )
+    flagged = list(_subscript_reads(source, "bad.py", "failure_demo"))
+    assert flagged == ["bad.py:2 reads 'failure_demo'", "bad.py:3 reads 'failure_demo'"]
+
+
+def test_no_switch_turns_a_step_off():
+    # solver.mesh_check, solver.crosscheck and estimates.failure_demo stay schema leaves while
+    # the benchmark writes them, each accepting only true; cli reads none of them, so every
+    # picard run judges both of its gates and every estimates run writes its failure demo
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    switches = [("solver", "mesh_check"), ("solver", "crosscheck"), ("estimates", "failure_demo")]
+    kinds = set()
+    for section, key in switches:
+        assert list(_subscript_reads(source, "cli.py", key)) == [], key
+        default, kind = cli._SCHEMA[section][key]
+        assert default is True and kind(True, key) is True
+        with pytest.raises(cli.ConfigError, match=f"^{key}: expected true"):
+            kind(False, key)
+        kinds.add(kind)
+    assert len(kinds) == 1  # one type, defined once
+    assert "mesh_check" not in inspect.signature(dynamics.picard_solve).parameters
+
+
 def _tol_reads(source, name):
     """Lines of source reading the name tol other than in _picard_iterate's stopping test or
     its error message, or as an argument picard_solve passes to _picard_iterate."""
@@ -1016,10 +1062,11 @@ def test_one_report_shape(tmp_path):
     # the worst ratio
     fields = [f.name for f in dataclasses.fields(TrialReport)]
     config = tmp_path / "c.yaml"
-    config.write_text("grid: {n_modes: 16}\nestimates: {n_trials: 2, failure_demo: false}\n")
+    config.write_text("grid: {n_modes: 16}\nestimates: {n_trials: 2, failure_ks: [8, 16]}\n")
     assert cli.main(["estimates", str(config), "--out", str(tmp_path / "runs")]) in (0, 1)
     (rundir,) = (tmp_path / "runs").iterdir()
     headers = {p.name: p.read_text().splitlines()[0] for p in rundir.glob("*.csv")}
+    assert headers.pop("failure_demo.csv") == "k,n_modes,ratio"
     assert headers == {f"{name}.csv": ",".join(fields) for name in CAMPAIGNS}
     source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
     assert list(_column_tuples(source, "cli.py", fields)) == []
