@@ -72,10 +72,6 @@ def _expect(ok, path, what, value):
     return value
 
 
-def _of_kind(kind, what):
-    return lambda value, path: _expect(isinstance(value, kind), path, what, value)
-
-
 def _one_of(*choices):
     what = f"one of {list(choices)}"
     return lambda value, path: _expect(value in choices, path, what, value)
@@ -123,8 +119,7 @@ def _optional(kind):
     return lambda value, path: None if value is None else kind(value, path)
 
 
-_BOOLEAN = _of_kind(bool, "a boolean")
-_STRING = _of_kind(str, "a string")
+_BOOLEAN = lambda value, path: _expect(isinstance(value, bool), path, "a boolean", value)
 _FINITE = _number()
 _POSITIVE = _number("(0, inf)")
 _NONNEGATIVE = _number("[0, inf)")
@@ -162,10 +157,10 @@ def _abcd(value, path):
 
 
 _SCHEMA = {
-    "run": {"seed": (0, _SEED), "label": ("", _STRING)},
+    "run": {"seed": (0, _SEED)},
     "coefficients": {
         **{name: (v, _FINITE) for name, v in dataclasses.asdict(DEFAULT_COEFFICIENTS).items()},
-        "abcd": (None, _optional(_abcd)),  # overrides the direct values
+        "abcd": (None, _optional(_abcd)),  # derives the direct values, so excludes them
     },
     "grid": {"n_modes": (256, _integer(4)), "half_length": (16.0 * math.pi, _POSITIVE)},
     "initial": {
@@ -217,7 +212,6 @@ _SCHEMA = {
         "existence_trials": (128, _integer(1)),
         "existence_seed": (2024, _SEED),
     },
-    "output": {"directory": ("runs", _STRING)},
 }
 
 
@@ -259,19 +253,21 @@ class RunConfig:
         for spec in overrides:
             raw = apply_override(raw, spec)
         self.data = _merge_section(raw, _SCHEMA, "")
-        self._validate()
+        self._validate(raw)
 
-    def _validate(self):
+    def _validate(self, raw):
         """Build the run inputs and check the rules that tie keys together, each asked of the
-        module that enforces it; each key's own domain is its schema type."""
+        module that enforces it; each key's own domain is its schema type.  raw, the mapping
+        under its overrides, tells which keys the user gave."""
         coef, init = self.data["coefficients"], self.data["initial"]
         ana, est = self.data["analyticity"], self.data["estimates"]
         with _asked("coefficients"):
             if coef["abcd"] is None:
                 self.coefficients = CoefficientSet(**{k: v for k, v in coef.items() if k != "abcd"})
+            elif direct := sorted(set(raw["coefficients"]) - {"abcd"}):
+                raise ConfigError(f"abcd derives every coefficient, so {', '.join(direct)} cannot be set")
             else:
-                abcd = ABCDParams(**coef["abcd"])
-                self.coefficients = derive_coefficients(abcd)
+                self.coefficients = derive_coefficients(ABCDParams(**coef["abcd"]))
         with _asked("grid"):
             self.grid = SpectralGrid(**self.data["grid"])
         with _asked("initial"):
@@ -846,10 +842,11 @@ def run_sweep(raw, set_specs, command, outroot, force, workers) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _output_root(cfg: RunConfig, cli_out: str | None) -> str:
-    """--out, else the environment, else the config's output.directory key; rejected before
-    any compute unless its nearest existing component is a directory."""
-    root = cli_out or os.environ.get(OUTPUT_ROOT_ENV) or cfg.data["output"]["directory"] or "runs"
+def _output_root(cli_out: str | None) -> str:
+    """--out, else the environment's KDVBBM_OUTPUT_ROOT, else runs; no config key names it, so
+    one config is one run id wherever it is written.  Rejected before the config loads unless
+    its nearest existing component is a directory."""
+    root = cli_out or os.environ.get(OUTPUT_ROOT_ENV) or "runs"
     existing = os.path.abspath(root)
     while not os.path.exists(existing):
         existing = os.path.dirname(existing)
@@ -866,7 +863,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("config", help="YAML run configuration")
-    common.add_argument("--out", help="output root (overrides config and environment)")
+    common.add_argument("--out", help=f"output root (default: ${OUTPUT_ROOT_ENV}, else runs)")
     common.add_argument("--force", action="store_true", help="replace an existing run directory")
     common.add_argument(
         "--set",
@@ -893,13 +890,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        outroot = _output_root(args.out)
         if args.command == "sweep":
             # the file is read once; its mapping must validate on its own, and --set values are axes
             raw = read_config(args.config)
-            outroot = _output_root(RunConfig(raw), args.out)
+            RunConfig(raw)
             return run_sweep(raw, args.overrides, args.sweep_command, outroot, args.force, args.workers)
-        cfg = load_config(args.config, args.overrides)
-        return _run(args.command, cfg, _output_root(cfg, args.out), args.force)
+        return _run(args.command, load_config(args.config, args.overrides), outroot, args.force)
     except Exception as exc:
         code, message = _failure(exc)
         if message.startswith("internal error"):

@@ -64,6 +64,13 @@ def _small_estimates():
     }
 
 
+#: The pinned expansion parameters, which derive params.DEFAULT_COEFFICIENTS.
+_ABCD = {
+    "a": 1 / 12, "b": 1 / 12, "c": 1 / 12, "d": 1 / 12,
+    "a1": 4 / 45, "b1": 1 / 20, "c1": 4 / 45, "d1": 1 / 20,
+}
+
+
 def _manifest(outdir):
     (rundir,) = [d for d in os.listdir(outdir) if not d.startswith(".")]
     with open(os.path.join(outdir, rundir, "manifest.json")) as fh:
@@ -432,35 +439,52 @@ class TestConfig:
         assert all(type(v) is float for v in combo)
 
     def test_abcd_coefficients_accepted(self, tmp_path):
-        cfg = _small_sim()
-        cfg["coefficients"] = {
-            "abcd": {
-                "a": 1 / 12, "b": 1 / 12, "c": 1 / 12, "d": 1 / 12,
-                "a1": 4 / 45, "b1": 1 / 20, "c1": 4 / 45, "d1": 1 / 20,
-            }
-        }
-        path = _write_config(tmp_path / "c.yaml", cfg)
+        path = _write_config(tmp_path / "c.yaml", _small_sim(coefficients={"abcd": _ABCD}))
         assert cli.main(["simulate", path, "--out", str(tmp_path / "out")]) == 0
 
     def test_run_ids_pinned(self):
         # canonical_json, and with it every run id, is the identity of a config
-        assert cli.RunConfig({}).run_id("simulate") == "simulate-27c977ad6fa7"
-        abcd = {
-            "a": 1 / 12, "b": 1 / 12, "c": 1 / 12, "d": 1 / 12,
-            "a1": 4 / 45, "b1": 1 / 20, "c1": 4 / 45, "d1": 1 / 20,
-        }
-        assert cli.RunConfig({"coefficients": {"abcd": abcd}}).run_id("simulate") == "simulate-d4628956bd15"
+        assert cli.RunConfig({}).run_id("simulate") == "simulate-3a53f4c531b4"
+        assert cli.RunConfig({"coefficients": {"abcd": _ABCD}}).run_id("simulate") == "simulate-047594a7f3bd"
+
+    @pytest.mark.parametrize("where", ["file", "override"])
+    def test_abcd_excludes_direct_coefficients(self, tmp_path, capsys, where):
+        # abcd derives all five coefficients, so a direct one beside it would be hashed and
+        # recorded without entering the run
+        raw = _small_sim(coefficients={"abcd": _ABCD})
+        if where == "file":
+            raw["coefficients"].update(gamma1=0.3, delta1=-5.0)
+        path = _write_config(tmp_path / "c.yaml", raw)
+        sets = ["--set", "coefficients.gamma1=0.3", "--set", "coefficients.delta1=-5.0"]
+        argv = ["simulate", path, *(sets if where == "override" else [])]
+        line = _config_error(capsys, argv, tmp_path / "out")
+        assert line == (
+            "config error: coefficients: abcd derives every coefficient, so delta1, gamma1 cannot be set"
+        )
+
+    @pytest.mark.parametrize("key, message", [("run.label", "run.label"), ("output.directory", "output")])
+    @pytest.mark.parametrize("where", ["file", "override"])
+    def test_former_output_keys_removed(self, tmp_path, capsys, monkeypatch, key, message, where):
+        # the config holds only what a run computes from; the output root is --out, else
+        # KDVBBM_OUTPUT_ROOT, else runs
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(cli.OUTPUT_ROOT_ENV, raising=False)
+        section, name = key.split(".")
+        raw = _small_sim()
+        if where == "file":
+            raw.setdefault(section, {})[name] = "x"
+        path = _write_config(tmp_path / "c.yaml", raw)
+        argv = ["simulate", path, *(["--set", f"{key}=x"] if where == "override" else [])]
+        line = _config_error(capsys, argv, tmp_path / "out")
+        assert line == f"config error: unknown config key: {message}"
+        assert os.listdir(tmp_path) == ["c.yaml"]
 
     def test_abcd_spelling_gives_one_run(self, tmp_path):
         # an abcd value is stored as its float, as every number leaf is: b1 as 5e-2, which
         # YAML 1.1 reads as a string, is the run of b1 as 0.05
-        abcd = {
-            "a": 1 / 12, "b": 1 / 12, "c": 1 / 12, "d": 1 / 12,
-            "a1": 4 / 45, "b1": 1 / 20, "c1": 4 / 45, "d1": 1 / 20,
-        }
         runs = []
         for spelling in (0.05, "5e-2"):
-            cfg = _small_sim(coefficients={"abcd": {**abcd, "b1": spelling}})
+            cfg = _small_sim(coefficients={"abcd": {**_ABCD, "b1": spelling}})
             path = _write_config(tmp_path / "c.yaml", cfg)
             out = str(tmp_path / f"out-{spelling}")
             assert cli.main(["simulate", path, "--out", out]) == 0
@@ -820,12 +844,23 @@ class TestSimulate:
         assert sorted(os.listdir(tmp_path)) == ["c.yaml", "file"]
         assert blocker.read_text() == "keep\n"
 
-    def test_output_root_env(self, tmp_path, monkeypatch):
+    def test_output_root_one_rule(self, tmp_path, monkeypatch):
+        # --out, else KDVBBM_OUTPUT_ROOT, else ./runs; wherever it lands, one config is one run
+        monkeypatch.chdir(tmp_path)
         path = _write_config(tmp_path / "c.yaml", _small_sim())
-        env_out = tmp_path / "env-out"
-        monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, str(env_out))
-        assert cli.main(["simulate", path]) == 0
-        assert env_out.exists()
+        run_ids, made = [], {"c.yaml"}
+        for out, env in [("cli-out", "env-out"), (None, "env-out"), (None, None)]:
+            if env is None:
+                monkeypatch.delenv(cli.OUTPUT_ROOT_ENV, raising=False)
+            else:
+                monkeypatch.setenv(cli.OUTPUT_ROOT_ENV, env)
+            assert cli.main(["simulate", path, *(["--out", out] if out else [])]) == 0
+            root = out or env or "runs"
+            made.add(root)
+            assert sorted(os.listdir(tmp_path)) == sorted(made)  # no other root was created
+            _, rundir = _manifest(tmp_path / root)
+            run_ids.append(os.path.basename(rundir))
+        assert len(set(run_ids)) == 1
 
 
 class TestFourModeGrid:
@@ -1354,6 +1389,20 @@ class TestSweep:
         with open(out / "sweep_manifest.json") as fh:
             points = json.load(fh)["points"]
         assert [p["error"] for p in points] == 2 * ["config error: solver.T: 'auto' needs the picard command"]
+
+    def test_output_directory_is_no_axis(self, tmp_path, monkeypatch):
+        # no config key names the root, so a sweep can neither split its points across roots
+        # nor record a root they were not written to
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(cli.OUTPUT_ROOT_ENV, raising=False)
+        path = _write_config(tmp_path / "c.yaml", _small_sim())
+        argv = ["sweep", path, "--workers", "1", "--set", "output.directory=x,y"]
+        assert cli.main(argv) == 2
+        assert sorted(os.listdir(tmp_path)) == ["c.yaml", "runs"]
+        assert os.listdir(tmp_path / "runs") == ["sweep_manifest.json"]
+        with open(tmp_path / "runs" / "sweep_manifest.json") as fh:
+            points = json.load(fh)["points"]
+        assert [p["error"] for p in points] == 2 * ["config error: unknown config key: output"]
 
     def test_exponent_notation_values(self, tmp_path):
         # YAML 1.1 reads 1e-3 as a string; float fields must still take it

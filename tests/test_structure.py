@@ -41,7 +41,9 @@ Keeping the tail fit's noise floor, the march's blow-up ceiling and the failure 
 constants of the modules that use them, with no key and no parameter, keeps a config from
 moving the outcomes they shape as well.  Reading no switch that turns a Picard gate or the
 failure demo off, and giving `picard_solve` no such parameter, keeps a config from removing a
-verdict.
+verdict.  Keeping in the schema only the keys some module reads, directly or in a section it
+unpacks whole, is what keeps a run id and a manifest holding only what the run computed from;
+the output root is no key.
 Freezing every result record the package returns, with each value held once and the estimate
 CSV's columns read from `TrialReport`'s fields, is what keeps a record's copies of one value
 from drifting apart.
@@ -957,6 +959,87 @@ def test_policy_knobs_are_constants():
     for func in (dynamics.evolve_ifrk4, analyticity.tracked_run, analyticity.estimate_radius):
         assert not {"blowup_factor", "noise_floor"} & set(inspect.signature(func).parameters)
     assert (analyticity.NOISE_FLOOR, dynamics.BLOWUP_FACTOR, estimates.FAILURE_S) == (1e-8, 1e6, -0.5)
+
+
+def _whole_sections(source, name):
+    """The config sections a function of source unpacks whole into a call: f(**x), or
+    f(**{k: v for k, v in x.items() ...}), where x is a string subscript such as
+    self.data["grid"] or a name the function binds to one."""
+    for func in ast.walk(ast.parse(source, filename=name)):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        bound = {}
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target, value = node.targets[0], node.value
+                if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                    bound.update((t.id, v) for t, v in zip(target.elts, value.elts) if isinstance(t, ast.Name))
+                elif isinstance(target, ast.Name):
+                    bound[target.id] = value
+        for node in ast.walk(func):
+            if not (isinstance(node, ast.keyword) and node.arg is None):
+                continue
+            mapping = node.value
+            if isinstance(mapping, ast.DictComp):
+                items = mapping.generators[0].iter
+                if not (isinstance(items, ast.Call) and getattr(items.func, "attr", None) == "items"):
+                    continue
+                mapping = items.func.value
+            if isinstance(mapping, ast.Name):
+                mapping = bound.get(mapping.id)
+            if isinstance(mapping, ast.Subscript) and isinstance(mapping.slice, ast.Constant):
+                yield mapping.slice.value
+
+
+def _unread_leaves(schema, sources):
+    """The dotted leaves section.key of schema that no module of sources (name -> text) reads:
+    a leaf is read where a module spells its key outside the _SCHEMA literal (_key_reads), or
+    where its section is unpacked whole (_whole_sections)."""
+    trimmed = {}
+    for name, source in sources.items():
+        tree = ast.parse(source, filename=name)
+        tree.body = [node for node in tree.body if not (
+            isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_SCHEMA" for t in node.targets)
+        )]
+        trimmed[name] = ast.unparse(tree)
+    whole = {section for name, src in trimmed.items() for section in _whole_sections(src, name)}
+    return [
+        f"{section}.{key}"
+        for section, keys in schema.items()
+        for key in keys
+        if section not in whole and not any(any(_key_reads(src, name, key)) for name, src in trimmed.items())
+    ]
+
+
+def test_guard_flags_unread_leaves():
+    source = (
+        "_SCHEMA = {'run': {'seed': (0, int), 'label': ('', str)}, 'grid': {'n': (4, int)},\n"
+        "           'coef': {'a': (1.0, float), 'x': (None, dict)}, 'output': {'directory': ('label', str)}}\n"
+        "def build(self):\n"
+        "    run, grid = self.data['run'], self.data['grid']\n"
+        "    coef = Coef(**{k: v for k, v in self.data['coef'].items() if k != 'x'})\n"
+        "    return Grid(**grid), coef, {'label': run['seed']}\n"
+    )
+    schema = {"run": ["seed", "label"], "grid": ["n"], "coef": ["a", "x"], "output": ["directory"]}
+    assert _unread_leaves(schema, {"bad.py": source}) == ["run.label", "output.directory"]
+
+
+#: The schema leaves kept while the benchmark writes them, each read by nothing (as
+#: TestBenchmarkConfigs in test_cli.py lists them).
+_BENCHMARK_ONLY = {
+    "solver.method", "analyticity.enabled", "checks.existence_trials", "checks.existence_seed",
+    "solver.mesh_check", "solver.crosscheck", "estimates.failure_demo",
+}
+
+
+def test_every_schema_leaf_is_read():
+    # the config holds only what a run computes from: every leaf a module reads, directly or
+    # in a section unpacked whole (the grid, the five direct coefficients), aside from the
+    # keys the benchmark writes; a leaf read by nothing would move only the run id
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    leaves = {f"{section}.{key}" for section, keys in cli._SCHEMA.items() for key in keys}
+    assert _BENCHMARK_ONLY <= leaves
+    assert set(_unread_leaves(cli._SCHEMA, sources)) <= _BENCHMARK_ONLY
 
 
 def _subscript_reads(source, name, key):
