@@ -47,11 +47,17 @@ the output root is no key.
 Freezing every result record the package returns, with each value held once and the estimate
 CSV's columns read from `TrialReport`'s fields, is what keeps a record's copies of one value
 from drifting apart.
+
+Every guard takes a package module's tree and facts from `_index`, which reads and parses each
+module once.  No guard edits what the index holds, so no guard's result depends on which
+guards ran before it; `_trees_unchanged` checks that for the trees.
 """
 
 import ast
 import builtins
+import collections
 import dataclasses
+import functools
 import inspect
 import pathlib
 
@@ -66,12 +72,114 @@ from kdvbbm.estimates import CAMPAIGNS, FailureDemo, TrialReport
 PACKAGE = pathlib.Path(kdvbbm.__file__).resolve().parent
 
 
+@dataclasses.dataclass(frozen=True)
+class Facts:
+    """What several guards ask of one tree, gathered in one walk by _facts."""
+
+    calls: dict  # callee -> the innermost enclosing function of each of its calls
+    reads: dict  # key -> (section, line) of each subscript load or .get call of it
+    spelled: dict  # string -> lines spelling it other than as a key of a dict literal
+    whole: frozenset  # the sections unpacked whole into a call
+    defined: dict  # name -> node of the functions and classes defined
+
+
+def _facts(tree):
+    """The Facts of tree.  A call's callee is the name or attribute called.  A read's key is a
+    string constant, and its section the string subscript it reads from (cfg.data["run"] in
+    cfg.data["run"]["seed"]) or the one a name is bound to (sol = cfg.data["solver"], or
+    ana, est = ..., ...), else None; a store such as checks[key] = ... reads nothing.  A
+    section is unpacked whole by f(**x) or f(**{k: v for k, v in x.items() ...}).  Reads
+    and unpacks inside the _SCHEMA assignment, which declares the keys, are skipped."""
+    calls, reads, spelled = (collections.defaultdict(list) for _ in range(3))
+    whole, defined, dict_keys = set(), {}, set()
+
+    def string(node):
+        return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else None
+
+    def section(node, bound):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id)
+        return string(node.slice) if isinstance(node, ast.Subscript) else None
+
+    def read(base, key, bound, line):
+        if (key := string(key)) is not None:
+            reads[key].append((section(base, bound), line))
+
+    def visit(node, where, bound, schema):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+            if not isinstance(node, ast.ClassDef):
+                where, bound = node.name, dict(bound)
+        elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+            schema = schema or getattr(target, "id", None) == "_SCHEMA"
+            pairs = [(target, value)]
+            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                pairs = zip(target.elts, value.elts)
+            bound.update((t.id, section(v, bound)) for t, v in pairs if isinstance(t, ast.Name))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            calls[func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)].append(where)
+            if isinstance(func, ast.Attribute) and func.attr == "get" and node.args and not schema:
+                read(func.value, node.args[0], bound, node.lineno)
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load) and not schema:
+            read(node.value, node.slice, bound, node.lineno)
+        elif isinstance(node, ast.keyword) and node.arg is None and not schema:
+            mapping = node.value
+            if isinstance(mapping, ast.DictComp):
+                items = mapping.generators[0].iter
+                if isinstance(items, ast.Call) and getattr(items.func, "attr", None) == "items":
+                    mapping = items.func.value
+            if (unpacked := section(mapping, bound)) is not None:
+                whole.add(unpacked)
+        elif isinstance(node, ast.Dict):
+            dict_keys.update(map(id, node.keys))
+        elif string(node) is not None and id(node) not in dict_keys:
+            spelled[node.value].append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, bound, schema)
+
+    visit(tree, "<module>", {}, False)
+    return Facts(dict(calls), dict(reads), dict(spelled), frozenset(whole), defined)
+
+
+@dataclasses.dataclass(frozen=True)
+class Module:
+    """A package module as the index holds it, for guards to read and never to edit."""
+
+    text: str
+    tree: ast.Module
+    facts: Facts
+
+
+@functools.cache
+def _index():
+    """name -> Module of every package module: its text, its tree parsed once and its Facts."""
+    index = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text, filename=path.name)
+        index[path.name] = Module(text, tree, _facts(tree))
+    return index
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _trees_unchanged():
+    dumps = {name: ast.dump(module.tree) for name, module in _index().items()}
+    yield
+    assert {name: ast.dump(module.tree) for name, module in _index().items()} == dumps
+
+
+def _package_lines(find, *args):
+    """What find(tree, name, *args) reports for every package module, in file order."""
+    return [line for name, module in _index().items() for line in find(module.tree, name, *args)]
+
+
 def _is_private(name):
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
-def _private_imports(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+def _private_imports(tree, name):
     for node in ast.walk(tree):
         if not isinstance(node, ast.ImportFrom):
             continue
@@ -80,17 +188,15 @@ def _private_imports(path):
             continue
         source = "." * node.level + module
         if _is_private(module.split(".")[-1]):
-            yield f"{path.name}:{node.lineno} imports from private module {source}"
+            yield f"{name}:{node.lineno} imports from private module {source}"
         for alias in node.names:
             if _is_private(alias.name):
-                yield f"{path.name}:{node.lineno} imports {alias.name} from {source}"
+                yield f"{name}:{node.lineno} imports {alias.name} from {source}"
 
 
 def test_no_private_names_imported_across_modules():
-    modules = sorted(PACKAGE.glob("*.py"))
-    assert len(modules) > 5
-    offenders = [line for path in modules for line in _private_imports(path)]
-    assert offenders == []
+    assert len(_index()) > 5
+    assert _package_lines(_private_imports) == []
 
 
 #: numpy.random names that create or seed a generator; the rest read or move global state.
@@ -100,8 +206,7 @@ SEEDED_RANDOM = {
 }
 
 
-def _global_rng_uses(source, name):
-    tree = ast.parse(source, filename=name)
+def _global_rng_uses(tree, name):
     for node in ast.walk(tree):
         if (
             isinstance(node, ast.Attribute)
@@ -132,76 +237,51 @@ def test_guard_flags_global_rng_state():
         "x = np.random.standard_normal(3)\n"
         "rng = np.random.default_rng(np.random.SeedSequence(0))\n"
     )
-    assert len(list(_global_rng_uses(source, "bad.py"))) == 3
+    assert len(list(_global_rng_uses(ast.parse(source), "bad.py"))) == 3
 
 
 def test_randomness_is_explicitly_seeded():
-    modules = sorted(PACKAGE.glob("*.py"))
-    offenders = [
-        line for path in modules for line in _global_rng_uses(path.read_text(encoding="utf-8"), path.name)
-    ]
-    assert offenders == []
+    assert _package_lines(_global_rng_uses) == []
 
 
-def _call_sites(source, name, callee):
+def _call_sites(facts, name, callee):
     """"file:function" of every call of callee, named by its innermost enclosing function."""
-    sites = []
-
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == callee:
-                sites.append(f"{name}:{where}")
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(ast.parse(source, filename=name), "<module>")
-    return sites
+    return [f"{name}:{where}" for where in facts.calls.get(callee, ())]
 
 
 def _package_call_sites(callee):
-    return [
-        site
-        for path in sorted(PACKAGE.glob("*.py"))
-        for site in _call_sites(path.read_text(encoding="utf-8"), path.name, callee)
-    ]
+    return [site for name, module in _index().items() for site in _call_sites(module.facts, name, callee)]
 
 
 def test_run_inputs_built_once():
     # RunConfig._validate builds the coefficients, grid and datum, and the runners read them
-    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    facts = _index()["cli.py"].facts
     builders = ("CoefficientSet", "derive_coefficients", "SpectralGrid", "cos_mode", "gaussian",
                 "gevrey_synthetic")
     for callee in builders:
-        assert _call_sites(source, "cli.py", callee) == ["cli.py:_validate"], callee
+        assert _call_sites(facts, "cli.py", callee) == ["cli.py:_validate"], callee
     # the run's Gevrey indices too: the runners and tracked_run pass the index they are given
-    assert _call_sites(source, "cli.py", "GevreyIndex") == ["cli.py:_validate"] * 2
-    tracked = inspect.getsource(analyticity.tracked_run)
-    assert _call_sites(tracked, "analyticity.py", "GevreyIndex") == []
+    assert _call_sites(facts, "cli.py", "GevreyIndex") == ["cli.py:_validate"] * 2
+    tracked = _index()["analyticity.py"].facts.defined["tracked_run"]
+    assert _call_sites(_facts(tracked), "analyticity.py", "GevreyIndex") == []
     # X0 too, through gevrey_norm, which owns the overflow of the weights and of the norm;
     # the Picard cross-check is the one other Gevrey norm the command line takes
-    assert _call_sites(source, "cli.py", "gevrey_norm") == ["cli.py:_validate", "cli.py:run_picard"]
-    assert _call_sites(source, "cli.py", "gevrey_weights") == []
+    assert _call_sites(facts, "cli.py", "gevrey_norm") == ["cli.py:_validate", "cli.py:run_picard"]
+    assert _call_sites(facts, "cli.py", "gevrey_weights") == []
     # the runners read the grid and the index built (cfg.grid, cfg.gevrey_index), not the
     # raw keys they were built from
-    for func in ast.walk(ast.parse(source)):
+    for func in ast.walk(_index()["cli.py"].tree):
         if isinstance(func, ast.FunctionDef) and func.name != "_validate":
             for key in ("half_length", "sigma0"):
-                assert list(_key_reads(ast.unparse(func), "cli.py", key)) == [], (func.name, key)
+                assert _key_reads(_facts(func), "cli.py", key) == [], (func.name, key)
     # the Spectrum constructor is the field gate: no second finiteness scan of the samples
-    assert "isfinite" not in inspect.getsource(kdvbbm.spectrum_from_samples)
+    spectral = _index()["spectral.py"]
+    gate = ast.get_source_segment(spectral.text, spectral.facts.defined["spectrum_from_samples"])
+    assert "isfinite" not in gate
     # the constructor is the coefficient gate: no second check of the invariants
     assert _package_call_sites("validate_coefficients") == []
-    defined = [
-        f"{path.name}:{node.name}"
-        for path in sorted(PACKAGE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name in ("validate_coefficients", "ValidationReport", "CheckResult")
-    ]
-    assert defined == []
+    checkers = ("validate_coefficients", "ValidationReport", "CheckResult")
+    assert [name for module in _index().values() for name in module.facts.defined if name in checkers] == []
 
 
 def test_generators_built_in_one_helper():
@@ -226,8 +306,9 @@ def test_guard_flags_copied_loops():
         "        return Trajectory(eta0.grid, 0.0, None)\n"
         "    return dynamics.IFRK4Stepper(eta0.grid, coeffs, dt)\n"
     )
-    assert _call_sites(source, "bad.py", "Trajectory") == ["bad.py:run", "bad.py:inner"]
-    assert _call_sites(source, "bad.py", "IFRK4Stepper") == ["bad.py:run", "bad.py:run"]
+    facts = _facts(ast.parse(source))
+    assert _call_sites(facts, "bad.py", "Trajectory") == ["bad.py:run", "bad.py:inner"]
+    assert _call_sites(facts, "bad.py", "IFRK4Stepper") == ["bad.py:run", "bad.py:run"]
 
 
 def test_one_trajectory_builder():
@@ -251,9 +332,9 @@ def test_one_json_writer():
     assert _package_call_sites("dump") == ["cli.py:_write_json"]
 
 
-def _fft_uses(source, name):
-    """Lines of source that reach numpy.fft, by attribute, import or import-from."""
-    for node in ast.walk(ast.parse(source, filename=name)):
+def _fft_uses(tree, name):
+    """Lines of tree that reach numpy.fft, by attribute, import or import-from."""
+    for node in ast.walk(tree):
         if (
             isinstance(node, ast.Attribute)
             and node.attr == "fft"
@@ -280,24 +361,18 @@ def test_guard_flags_fft_outside_spectral():
         "y = numpy.fft.fft([1.0])\n"
         "z = np.linalg.norm([1.0])\n"
     )
-    assert len(list(_fft_uses(source, "bad.py"))) == 5
+    assert len(list(_fft_uses(ast.parse(source), "bad.py"))) == 5
 
 
 def test_fft_only_in_spectral():
     # spectral holds the one layout and Nyquist convention; every transform goes through it
-    offenders = [
-        line
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "spectral.py"
-        for line in _fft_uses(path.read_text(encoding="utf-8"), path.name)
-    ]
-    assert offenders == []
-    assert list(_fft_uses((PACKAGE / "spectral.py").read_text(encoding="utf-8"), "spectral.py"))
+    lines = _package_lines(_fft_uses)
+    assert [line for line in lines if not line.startswith("spectral.py:")] == []
+    assert [line for line in lines if line.startswith("spectral.py:")]
 
 
-def _unspelled_fft_uses(source, name):
-    """Lines of source that reach numpy.fft other than by a call spelled np.fft.<name>(...)."""
-    tree = ast.parse(source, filename=name)
+def _unspelled_fft_uses(tree, name):
+    """Lines of tree that reach numpy.fft other than by a call spelled np.fft.<name>(...)."""
     spelled = {
         id(node.func.value)
         for node in ast.walk(tree)
@@ -316,7 +391,7 @@ def _unspelled_fft_uses(source, name):
             and id(node) not in spelled
         ):
             yield f"{name}:{node.lineno} reaches numpy.fft without calling np.fft.<name>"
-    yield from (line for line in _fft_uses(source, name) if " imports " in line)
+    yield from (line for line in _fft_uses(tree, name) if " imports " in line)
 
 
 def test_guard_flags_unspelled_fft_calls():
@@ -329,27 +404,22 @@ def test_guard_flags_unspelled_fft_calls():
         "y = np.fft.fft([1.0])\n"
         "z = getattr(np.fft, 'ifft')([1.0])\n"
     )
-    assert len(list(_unspelled_fft_uses(source, "bad.py"))) == 4
+    assert len(list(_unspelled_fft_uses(ast.parse(source), "bad.py"))) == 4
 
 
 def test_fft_calls_spelled_out():
     # perfbench traces the transforms by replacing the functions of numpy.fft at run time,
     # which a name bound at import would escape; every call looks them up where it runs
-    offenders = [
-        line
-        for path in sorted(PACKAGE.glob("*.py"))
-        for line in _unspelled_fft_uses(path.read_text(encoding="utf-8"), path.name)
-    ]
-    assert offenders == []
+    assert _package_lines(_unspelled_fft_uses) == []
 
 
 #: numpy names whose calls run LAPACK: each maps OpenBLAS's buffers, about 1 MB of peak RSS
 LAPACK_NAMES = {"polyfit", "linalg"}
 
 
-def _lapack_uses(source, name):
-    """Lines of source that reach numpy.polyfit or numpy.linalg, by attribute or import."""
-    for node in ast.walk(ast.parse(source, filename=name)):
+def _lapack_uses(tree, name):
+    """Lines of tree that reach numpy.polyfit or numpy.linalg, by attribute or import."""
+    for node in ast.walk(tree):
         if (
             isinstance(node, ast.Attribute)
             and node.attr in LAPACK_NAMES
@@ -379,26 +449,21 @@ def test_guard_flags_lapack_calls():
         "c = np.linalg.solve([[1.0]], [1.0])\n"
         "d = np.ones((2, 2)) @ np.ones(2)\n"
     )
-    assert len(list(_lapack_uses(source, "bad.py"))) == 6
+    assert len(list(_lapack_uses(ast.parse(source), "bad.py"))) == 6
 
 
 def test_no_lapack_calls():
     # matrix products (@, BLAS) are allowed; a least-squares line is two sums in closed form
-    offenders = [
-        line
-        for path in sorted(PACKAGE.glob("*.py"))
-        for line in _lapack_uses(path.read_text(encoding="utf-8"), path.name)
-    ]
-    assert offenders == []
+    assert _package_lines(_lapack_uses) == []
 
 
 #: numpy's sorts: the first call maps numpy's sort kernels, 0.25-0.38 MB of peak RSS
 SORT_NAMES = {"argsort", "sort", "lexsort", "partition", "argpartition"}
 
 
-def _sort_uses(source, name):
-    """Lines of source that reach a numpy sort, by attribute or import."""
-    for node in ast.walk(ast.parse(source, filename=name)):
+def _sort_uses(tree, name):
+    """Lines of tree that reach a numpy sort, by attribute or import."""
+    for node in ast.walk(tree):
         if (
             isinstance(node, ast.Attribute)
             and node.attr in SORT_NAMES
@@ -423,22 +488,17 @@ def test_guard_flags_sort_calls():
         "key, _, value = 'a=b'.partition('=')\n"
         "d = sorted([2, 1])\n"
     )
-    assert len(list(_sort_uses(source, "bad.py"))) == 5
+    assert len(list(_sort_uses(ast.parse(source), "bad.py"))) == 5
 
 
 def test_no_sort_calls():
     # the modes' order is known in closed form, so no output needs a sort to be ordered
-    offenders = [
-        line
-        for path in sorted(PACKAGE.glob("*.py"))
-        for line in _sort_uses(path.read_text(encoding="utf-8"), path.name)
-    ]
-    assert offenders == []
+    assert _package_lines(_sort_uses) == []
 
 
-def _raised(source, name):
+def _raised(tree, name):
     """"file:line name" of every raise statement, by the raised class's name."""
-    for node in ast.walk(ast.parse(source, filename=name)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Raise):
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             what = "re-raise" if exc is None else getattr(exc, "id", getattr(exc, "attr", "?"))
@@ -457,7 +517,7 @@ def test_guard_flags_raised_classes():
         "    except ValueError:\n"
         "        raise\n"
     )
-    assert sorted(_raised(source, "bad.py")) == [
+    assert sorted(_raised(ast.parse(source), "bad.py")) == [
         "bad.py:3 ValueError", "bad.py:4 CollapseError",
         "bad.py:7 MeshError", "bad.py:9 re-raise",
     ]
@@ -475,18 +535,18 @@ def test_numerics_leave_gates_to_cli():
     offenders = [
         line
         for name, allowed in NUMERICS_RAISE.items()
-        for line in _raised((PACKAGE / name).read_text(encoding="utf-8"), name)
+        for line in _raised(_index()[name].tree, name)
         if line.split()[-1] not in allowed
     ]
     assert offenders == []
 
 
-def _symmetry_raisers():
-    """"file:scope" of every statement raising SymmetryError in the package, scope the names
-    of the enclosing classes and functions joined by dots."""
+def _symmetry_raisers(tree, name):
+    """"file:scope" of every statement raising SymmetryError in tree, scope the names of the
+    enclosing classes and functions joined by dots."""
     sites = []
 
-    def visit(node, scope, name):
+    def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = (*scope, node.name)
         if isinstance(node, ast.Raise) and node.exc is not None:
@@ -494,28 +554,21 @@ def _symmetry_raisers():
             if getattr(exc, "id", getattr(exc, "attr", None)) == "SymmetryError":
                 sites.append(f"{name}:{'.'.join(scope)}")
         for child in ast.iter_child_nodes(node):
-            visit(child, scope, name)
+            visit(child, scope)
 
-    for path in sorted(PACKAGE.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8"), filename=path.name), (), path.name)
+    visit(tree, ())
     return sites
 
 
 def test_one_real_field_gate():
     # a spectrum is checked for realness once, when it is built; nothing downstream re-checks
-    assert _symmetry_raisers() == ["spectral.py:Spectrum.__post_init__"]
+    assert _package_lines(_symmetry_raisers) == ["spectral.py:Spectrum.__post_init__"]
 
 
 #: names of the FFT-layout converters and checks that the one half layout made unnecessary
 FFT_LAYOUT_NAMES = (
     "full_spectrum", "half_spectrum", "transform_inverse", "RealField", "hermitian_defect",
 )
-
-
-def _defined_names(source, name):
-    for node in ast.walk(ast.parse(source, filename=name)):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name
 
 
 def test_guard_flags_fft_layout_names():
@@ -526,19 +579,19 @@ def test_guard_flags_fft_layout_names():
         "    def hermitian_defect(self):\n"
         "        return half_spectrum(self)\n"
     )
-    assert sorted(set(_defined_names(source, "bad.py")) & set(FFT_LAYOUT_NAMES)) == [
+    facts = _facts(ast.parse(source))
+    assert sorted(set(facts.defined) & set(FFT_LAYOUT_NAMES)) == [
         "RealField", "full_spectrum", "hermitian_defect",
     ]
-    assert _call_sites(source, "bad.py", "half_spectrum") == ["bad.py:hermitian_defect"]
+    assert _call_sites(facts, "bad.py", "half_spectrum") == ["bad.py:hermitian_defect"]
 
 
 def test_one_spectrum_layout():
     # spectra live in half layout alone; spectrum_csv_rows writes the FFT order itself
-    for path in sorted(PACKAGE.glob("*.py")):
-        source = path.read_text(encoding="utf-8")
-        assert not set(_defined_names(source, path.name)) & set(FFT_LAYOUT_NAMES), path.name
-        for callee in FFT_LAYOUT_NAMES:
-            assert _call_sites(source, path.name, callee) == [], callee
+    for name, module in _index().items():
+        assert not set(module.facts.defined) & set(FFT_LAYOUT_NAMES), name
+    for callee in FFT_LAYOUT_NAMES:
+        assert _package_call_sites(callee) == [], callee
 
 
 def test_guard_flags_irfft_call_sites():
@@ -549,7 +602,7 @@ def test_guard_flags_irfft_call_sites():
         "def padded(d, out):\n"
         "    return numpy.fft.irfft(d, 16, out=out)\n"
     )
-    assert _call_sites(source, "bad.py", "irfft") == ["bad.py:synthesize", "bad.py:padded"]
+    assert _call_sites(_facts(ast.parse(source)), "bad.py", "irfft") == ["bad.py:synthesize", "bad.py:padded"]
 
 
 def test_one_inverse_transform():
@@ -557,10 +610,10 @@ def test_one_inverse_transform():
     assert _package_call_sites("irfft") == ["spectral.py:half_samples"]
 
 
-def _symbol_readers(source, name, kind):
+def _symbol_readers(tree, name, kind):
     """"file:function" of every function that calls symbol_on_grid and names the symbol kind
     as a string anywhere in its body, so a kind passed through a loop or a tuple counts."""
-    for node in ast.walk(ast.parse(source, filename=name)):
+    for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         inner = list(ast.walk(node))
@@ -585,23 +638,19 @@ def test_guard_flags_symbol_readers():
         "def label():\n"
         "    return 'phi'\n"
     )
-    assert sorted(_symbol_readers(source, "bad.py", "phi")) == ["bad.py:rotation", "bad.py:symbols"]
+    assert sorted(_symbol_readers(ast.parse(source), "bad.py", "phi")) == ["bad.py:rotation", "bad.py:symbols"]
 
 
 def test_one_free_group_builder():
     # S(t) = e^{-i phi t} is built in one place, for the IFRK4 marcher, the Picard mesh and
     # linear_propagate alike; the antisymmetry campaign reads phi itself, the generator of
     # S(t), to check (v, i phi v) = 0
-    readers = [
-        site
-        for path in sorted(PACKAGE.glob("*.py"))
-        for site in _symbol_readers(path.read_text(encoding="utf-8"), path.name, "phi")
-    ]
+    readers = _package_lines(_symbol_readers, "phi")
     assert sorted(readers) == ["dynamics.py:_free_group", "estimates.py:_antisymmetry_values"]
 
 
-def _derivative_symbols(source, name):
-    """Lines of source that multiply an expression holding a complex constant by one reading
+def _derivative_symbols(tree, name):
+    """Lines of tree that multiply an expression holding a complex constant by one reading
     .wavenumbers, written with * or np.multiply: a derivative symbol built in place."""
 
     def is_imaginary(node):
@@ -610,7 +659,7 @@ def _derivative_symbols(source, name):
     def reads_wavenumbers(node):
         return any(isinstance(n, ast.Attribute) and n.attr == "wavenumbers" for n in ast.walk(node))
 
-    for node in ast.walk(ast.parse(source, filename=name)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
             operands = (node.left, node.right)
         elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "multiply":
@@ -631,24 +680,18 @@ def test_guard_flags_derivative_symbols():
         "e = 2.0 * grid.wavenumbers\n"
         "f = -1j * tau\n"
     )
-    assert len(list(_derivative_symbols(source, "bad.py"))) == 4
+    assert len(list(_derivative_symbols(ast.parse(source), "bad.py"))) == 4
 
 
 def test_one_derivative_symbol():
     # i*xi, 0 at the unpaired mode, is SpectralGrid.derivative; the tendency and the
     # derivative-square campaign read it there
-    offenders = [
-        line
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "spectral.py"
-        for line in _derivative_symbols(path.read_text(encoding="utf-8"), path.name)
-    ]
-    assert offenders == []
-    spectral = (PACKAGE / "spectral.py").read_text(encoding="utf-8")
-    assert list(_derivative_symbols(spectral, "spectral.py"))
+    lines = _package_lines(_derivative_symbols)
+    assert [line for line in lines if not line.startswith("spectral.py:")] == []
+    assert [line for line in lines if line.startswith("spectral.py:")]
 
 
-def _squared_moduli(source, name):
+def _squared_moduli(tree, name):
     """"file:function" of every top-level function or method that squares a modulus: a .real
     or .imag part or an abs() (by ** 2, np.square or a product with itself), directly, through
     the out= buffer of the abs() call or through the name it is assigned to.  Only the sites
@@ -688,7 +731,6 @@ def _squared_moduli(source, name):
             for node in ast.walk(func)
         )
 
-    tree = ast.parse(source, filename=name)
     tops = [n for n in tree.body if isinstance(n, ast.ClassDef)]
     funcs = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
     funcs += [n for c in tops for n in c.body if isinstance(n, ast.FunctionDef)]
@@ -717,7 +759,7 @@ def test_guard_flags_squared_moduli():
         "def harmless(d, xi):\n"
         "    return np.abs(d) * xi**2 + d.real * xi\n"
     )
-    assert _squared_moduli(source, "bad.py") == [
+    assert _squared_moduli(ast.parse(source), "bad.py") == [
         "bad.py:size", "bad.py:profile", "bad.py:full", "bad.py:products", "bad.py:magnitude",
     ]
 
@@ -725,18 +767,13 @@ def test_guard_flags_squared_moduli():
 def test_one_weighted_parseval_sum():
     # records, the march's guard, Picard's distances, the h2 band and the sigma tracker's
     # profile, p_k = 2L w_k |d_k|^2 (the out array of row_squares), all read norms.row_squares
-    sites = [
-        site
-        for path in sorted(PACKAGE.glob("*.py"))
-        for site in _squared_moduli(path.read_text(encoding="utf-8"), path.name)
-    ]
-    assert sites == ["norms.py:row_squares"]
+    assert _package_lines(_squared_moduli) == ["norms.py:row_squares"]
 
 
-def _campaign_tables(source, name):
-    """Lines of source that name MULTILINEAR (imported, read or assigned) or spell two or more
+def _campaign_tables(tree, name):
+    """Lines of tree that name MULTILINEAR (imported, read or assigned) or spell two or more
     campaign names in one tuple, list, set or dict literal: a copy of the campaign table."""
-    for node in ast.walk(ast.parse(source, filename=name)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and node.id == "MULTILINEAR":
             yield f"{name}:{node.lineno} reads MULTILINEAR"
         elif isinstance(node, ast.Attribute) and node.attr == "MULTILINEAR":
@@ -750,8 +787,8 @@ def _campaign_tables(source, name):
                 yield f"{name}:{node.lineno} lists campaigns"
 
 
-def _step_arithmetic(source, name):
-    """Lines of source that divide, floor-divide or take a remainder of an expression reading
+def _step_arithmetic(tree, name):
+    """Lines of tree that divide, floor-divide or take a remainder of an expression reading
     a horizon T or a step dt (a name or a key): a march's step count worked out in place."""
 
     def reads_step(node):
@@ -761,7 +798,7 @@ def _step_arithmetic(source, name):
             for n in ast.walk(node)
         )
 
-    for node in ast.walk(ast.parse(source, filename=name)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Div, ast.FloorDiv, ast.Mod)):
             operands = (node.left, node.right)
         elif isinstance(node, ast.Call) and (
@@ -787,27 +824,23 @@ def test_guard_flags_copied_preconditions():
         "    lag = math.fmod(T, step)\n"
         "    return name == 'interpolation', sol['T'] * 2.0, 1.0 / n_steps\n"
     )
-    assert len(list(_campaign_tables(source, "bad.py"))) == 5
-    assert len(list(_step_arithmetic(source, "bad.py"))) == 2
+    tree = ast.parse(source)
+    assert len(list(_campaign_tables(tree, "bad.py"))) == 5
+    assert len(list(_step_arithmetic(tree, "bad.py"))) == 2
 
 
 def test_one_owner_per_precondition():
     # estimates owns the campaign table and each estimate's range of s, dynamics the step
     # tolerance (step_count); cli validates a config by asking them
-    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
-    tables = [line for name, src in sources.items() for line in _campaign_tables(src, name)]
+    tables = _package_lines(_campaign_tables)
     assert tables and all(line.startswith("estimates.py:") for line in tables)
-    assert list(_step_arithmetic(sources["cli.py"], "cli.py")) == []
-    assert list(_step_arithmetic(sources["dynamics.py"], "dynamics.py"))
+    assert list(_step_arithmetic(_index()["cli.py"].tree, "cli.py")) == []
+    assert list(_step_arithmetic(_index()["dynamics.py"].tree, "dynamics.py"))
 
 
-def _key_reads(source, name, key):
-    """Lines of source that spell key other than as a key of a dict literal."""
-    tree = ast.parse(source, filename=name)
-    dict_keys = {id(k) for node in ast.walk(tree) if isinstance(node, ast.Dict) for k in node.keys}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Constant) and node.value == key and id(node) not in dict_keys:
-            yield f"{name}:{node.lineno} reads {key!r}"
+def _key_reads(facts, name, key):
+    """Lines that spell key other than as a key of a dict literal."""
+    return [f"{name}:{line} reads {key!r}" for line in facts.spelled.get(key, ())]
 
 
 def test_guard_flags_key_reads():
@@ -816,15 +849,11 @@ def test_guard_flags_key_reads():
         "def pick(sol):\n"
         "    return sol['method'] == 'ifrk4' or sol.get('method')\n"
     )
-    assert len(list(_key_reads(source, "bad.py", "method"))) == 2
+    assert len(_key_reads(_facts(ast.parse(source)), "bad.py", "method")) == 2
 
 
 def _package_key_reads(key):
-    return [
-        line
-        for path in sorted(PACKAGE.glob("*.py"))
-        for line in _key_reads(path.read_text(encoding="utf-8"), path.name, key)
-    ]
+    return [line for name, module in _index().items() for line in _key_reads(module.facts, name, key)]
 
 
 def test_command_picks_the_solver():
@@ -843,9 +872,9 @@ def test_radius_alone_tracks_sigma():
     assert tracking == ["radius"]
 
 
-def _tolerance_literals(source, name):
-    """Lines of source with a float literal other than 0, 1 and 2: a tolerance spelled inline."""
-    for node in ast.walk(ast.parse(source, filename=name)):
+def _tolerance_literals(tree, name):
+    """Lines of tree with a float literal other than 0, 1 and 2: a tolerance spelled inline."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and type(node.value) is float and node.value not in (0, 1, 2):
             yield f"{name}:{node.lineno} spells {node.value!r}"
 
@@ -856,7 +885,8 @@ def test_guard_flags_tolerance_literals():
         "    ok = worst <= 1.0 + 1e-12 and all(h >= 0.95 * s for h, s in zip(hats, sigmas))\n"
         "    return ok, 2.0 * worst - 0.0\n"
     )
-    assert list(_tolerance_literals(source, "bad.py")) == ["bad.py:2 spells 1e-12", "bad.py:2 spells 0.95"]
+    flagged = list(_tolerance_literals(ast.parse(source), "bad.py"))
+    assert flagged == ["bad.py:2 spells 1e-12", "bad.py:2 spells 0.95"]
 
 
 def _bound_names(node):
@@ -880,11 +910,10 @@ def _reads_config(node, tainted):
     return any(_reads_config(child, tainted) for child in ast.iter_child_nodes(node))
 
 
-def _config_thresholds(source, name):
-    """Lines of the function source whose threshold reads the config (see _reads_config): the
+def _config_thresholds(tree, name):
+    """Lines of the function tree whose threshold reads the config (see _reads_config): the
     limit of a _check or _at_most call, or an operand of an ordering comparison, which is how
     a gate filters what it judges.  A name is tainted when it is bound from a config read."""
-    tree = ast.parse(source, filename=name)
     tainted: set = set()
     while True:
         before = len(tainted)
@@ -925,7 +954,7 @@ def test_guard_flags_config_thresholds():
         "    checks['c'] = _at_most(diag.mesh_delta, TOLERANCES.mesh_refinement_limit)\n"
         "    return [d for d in traj.t if d > TOLERANCES.floor and sol['T'] == 'auto']\n"
     )
-    flagged = _config_thresholds(source, "bad.py")
+    flagged = _config_thresholds(ast.parse(source), "bad.py")
     assert flagged == [f"bad.py:{line} judges against a config read" for line in (4, 6, 7)]
 
 
@@ -934,17 +963,16 @@ def test_gate_tolerances_are_constants():
     # checks section, which keeps only the two keys the benchmark writes, the gates spell
     # no tolerance of their own, and no gate's limit or filter is computed from a config read
     # (solver.tol stops the Picard iteration and judges nothing)
-    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    facts = _index()["cli.py"].facts
     assert set(cli._SCHEMA["checks"]) == {"existence_trials", "existence_seed"}
     for key in ("checks", *cli._SCHEMA["checks"]):
-        assert list(_key_reads(source, "cli.py", key)) == [], key
+        assert _key_reads(facts, "cli.py", key) == [], key
     gates = {"_simulate_checks", "_growth_bound", "run_picard", "run_estimates"}
-    judged = [func for func in ast.walk(ast.parse(source))
-              if isinstance(func, ast.FunctionDef) and func.name in gates]
-    assert {func.name for func in judged} == gates
-    for func in judged:
-        assert list(_tolerance_literals(ast.unparse(func), func.name)) == []
-        assert _config_thresholds(ast.unparse(func), func.name) == []
+    for name in gates:
+        func = facts.defined.get(name)
+        assert isinstance(func, ast.FunctionDef), name
+        assert list(_tolerance_literals(func, name)) == []
+        assert _config_thresholds(func, name) == []
     assert isinstance(cli.TOLERANCES, cli.GateTolerances)
 
 
@@ -961,67 +989,40 @@ def test_policy_knobs_are_constants():
     assert (analyticity.NOISE_FLOOR, dynamics.BLOWUP_FACTOR, estimates.FAILURE_S) == (1e-8, 1e6, -0.5)
 
 
-def _whole_sections(source, name):
-    """The config sections a function of source unpacks whole into a call: f(**x), or
-    f(**{k: v for k, v in x.items() ...}), where x is a string subscript such as
-    self.data["grid"] or a name the function binds to one."""
-    for func in ast.walk(ast.parse(source, filename=name)):
-        if not isinstance(func, ast.FunctionDef):
-            continue
-        bound = {}
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target, value = node.targets[0], node.value
-                if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
-                    bound.update((t.id, v) for t, v in zip(target.elts, value.elts) if isinstance(t, ast.Name))
-                elif isinstance(target, ast.Name):
-                    bound[target.id] = value
-        for node in ast.walk(func):
-            if not (isinstance(node, ast.keyword) and node.arg is None):
-                continue
-            mapping = node.value
-            if isinstance(mapping, ast.DictComp):
-                items = mapping.generators[0].iter
-                if not (isinstance(items, ast.Call) and getattr(items.func, "attr", None) == "items"):
-                    continue
-                mapping = items.func.value
-            if isinstance(mapping, ast.Name):
-                mapping = bound.get(mapping.id)
-            if isinstance(mapping, ast.Subscript) and isinstance(mapping.slice, ast.Constant):
-                yield mapping.slice.value
-
-
-def _unread_leaves(schema, sources):
-    """The dotted leaves section.key of schema that no module of sources (name -> text) reads:
-    a leaf is read where a module spells its key outside the _SCHEMA literal (_key_reads), or
-    where its section is unpacked whole (_whole_sections)."""
-    trimmed = {}
-    for name, source in sources.items():
-        tree = ast.parse(source, filename=name)
-        tree.body = [node for node in tree.body if not (
-            isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_SCHEMA" for t in node.targets)
-        )]
-        trimmed[name] = ast.unparse(tree)
-    whole = {section for name, src in trimmed.items() for section in _whole_sections(src, name)}
+def _unread_leaves(schema, facts):
+    """The dotted leaves section.key of schema that no Facts of facts (name -> Facts) reads:
+    a leaf is read where its key is read from its section, or where its section is unpacked
+    whole, outside the _SCHEMA literal."""
+    whole = {section for f in facts.values() for section in f.whole}
+    read = {(section, key) for f in facts.values() for key, sites in f.reads.items() for section, _ in sites}
     return [
         f"{section}.{key}"
         for section, keys in schema.items()
         for key in keys
-        if section not in whole and not any(any(_key_reads(src, name, key)) for name, src in trimmed.items())
+        if section not in whole and (section, key) not in read
     ]
 
 
 def test_guard_flags_unread_leaves():
+    # est.s is read and ana.s is not; est.demo is a check's name, stored and never read; the
+    # default of output.directory reads it inside _SCHEMA, which declares and reads nothing
     source = (
         "_SCHEMA = {'run': {'seed': (0, int), 'label': ('', str)}, 'grid': {'n': (4, int)},\n"
-        "           'coef': {'a': (1.0, float), 'x': (None, dict)}, 'output': {'directory': ('label', str)}}\n"
+        "           'coef': {'a': (1.0, float), 'x': (None, dict)},\n"
+        "           'output': {'directory': (DEFAULTS['output']['directory'], str)},\n"
+        "           'ana': {'s': (2.0, float)}, 'est': {'s': (1.0, float), 'demo': (True, bool)}}\n"
         "def build(self):\n"
-        "    run, grid = self.data['run'], self.data['grid']\n"
+        "    ana, grid = self.data['ana'], self.data['grid']\n"
         "    coef = Coef(**{k: v for k, v in self.data['coef'].items() if k != 'x'})\n"
-        "    return Grid(**grid), coef, {'label': run['seed']}\n"
+        "    return Grid(**grid), coef, {'label': self.data['run']['seed']}, ana\n"
+        "def check(cfg, checks):\n"
+        "    est = cfg.data['est']\n"
+        "    checks['demo'] = {'s': est['s'], 'label': 'demo'}\n"
     )
-    schema = {"run": ["seed", "label"], "grid": ["n"], "coef": ["a", "x"], "output": ["directory"]}
-    assert _unread_leaves(schema, {"bad.py": source}) == ["run.label", "output.directory"]
+    schema = {"run": ["seed", "label"], "grid": ["n"], "coef": ["a", "x"], "output": ["directory"],
+              "ana": ["s"], "est": ["s", "demo"]}
+    unread = _unread_leaves(schema, {"bad.py": _facts(ast.parse(source))})
+    assert unread == ["run.label", "output.directory", "ana.s", "est.demo"]
 
 
 #: The schema leaves kept while the benchmark writes them, each read by nothing (as
@@ -1036,24 +1037,14 @@ def test_every_schema_leaf_is_read():
     # the config holds only what a run computes from: every leaf a module reads, directly or
     # in a section unpacked whole (the grid, the five direct coefficients), aside from the
     # keys the benchmark writes; a leaf read by nothing would move only the run id
-    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
-    leaves = {f"{section}.{key}" for section, keys in cli._SCHEMA.items() for key in keys}
-    assert _BENCHMARK_ONLY <= leaves
-    assert set(_unread_leaves(cli._SCHEMA, sources)) <= _BENCHMARK_ONLY
+    facts = {name: module.facts for name, module in _index().items()}
+    assert set(_unread_leaves(cli._SCHEMA, facts)) == _BENCHMARK_ONLY
 
 
-def _subscript_reads(source, name, key):
-    """Lines of source reading key as a subscript (x[key]) or through x.get(key); a store
-    such as checks[key] = ... reads nothing."""
-    for node in ast.walk(ast.parse(source, filename=name)):
-        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
-            keys = [node.slice]
-        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "get":
-            keys = node.args[:1]
-        else:
-            continue
-        if any(isinstance(k, ast.Constant) and k.value == key for k in keys):
-            yield f"{name}:{node.lineno} reads {key!r}"
+def _subscript_reads(facts, name, key):
+    """Lines reading key as a subscript (x[key]) or through x.get(key), from any section; a
+    store such as checks[key] = ... reads nothing."""
+    return [f"{name}:{line} reads {key!r}" for _, line in facts.reads.get(key, ())]
 
 
 def test_guard_flags_subscript_reads():
@@ -1062,7 +1053,7 @@ def test_guard_flags_subscript_reads():
         "    if est['failure_demo']:\n"
         "        checks['failure_demo'] = {'passed': est.get('failure_demo')}\n"
     )
-    flagged = list(_subscript_reads(source, "bad.py", "failure_demo"))
+    flagged = _subscript_reads(_facts(ast.parse(source)), "bad.py", "failure_demo")
     assert flagged == ["bad.py:2 reads 'failure_demo'", "bad.py:3 reads 'failure_demo'"]
 
 
@@ -1070,11 +1061,11 @@ def test_no_switch_turns_a_step_off():
     # solver.mesh_check, solver.crosscheck and estimates.failure_demo stay schema leaves while
     # the benchmark writes them, each accepting only true; cli reads none of them, so every
     # picard run judges both of its gates and every estimates run writes its failure demo
-    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    facts = _index()["cli.py"].facts
     switches = [("solver", "mesh_check"), ("solver", "crosscheck"), ("estimates", "failure_demo")]
     kinds = set()
     for section, key in switches:
-        assert list(_subscript_reads(source, "cli.py", key)) == [], key
+        assert _subscript_reads(facts, "cli.py", key) == [], key
         default, kind = cli._SCHEMA[section][key]
         assert default is True and kind(True, key) is True
         with pytest.raises(cli.ConfigError, match=f"^{key}: expected true"):
@@ -1084,10 +1075,9 @@ def test_no_switch_turns_a_step_off():
     assert "mesh_check" not in inspect.signature(dynamics.picard_solve).parameters
 
 
-def _tol_reads(source, name):
-    """Lines of source reading the name tol other than in _picard_iterate's stopping test or
+def _tol_reads(tree, name):
+    """Lines of tree reading the name tol other than in _picard_iterate's stopping test or
     its error message, or as an argument picard_solve passes to _picard_iterate."""
-    tree = ast.parse(source, filename=name)
     allowed = set()
     for func in ast.walk(tree):
         if not isinstance(func, ast.FunctionDef):
@@ -1112,14 +1102,13 @@ def test_guard_flags_tol_reads():
         "    _picard_iterate(tol)\n"
         "    return [r for r in ratios if r > 10.0 * tol]\n"
     )
-    assert _tol_reads(source, "bad.py") == ["bad.py:4 reads tol", "bad.py:7 reads tol"]
+    assert _tol_reads(ast.parse(source), "bad.py") == ["bad.py:4 reads tol", "bad.py:7 reads tol"]
 
 
 def test_solver_tol_only_stops_picard():
     # the solve's tolerance is its stopping rule and nothing else, and its diagnostics hold
     # only what it measured: cli derives the ratios and judges both Picard gates
-    source = (PACKAGE / "dynamics.py").read_text(encoding="utf-8")
-    assert _tol_reads(source, "dynamics.py") == []
+    assert _tol_reads(_index()["dynamics.py"].tree, "dynamics.py") == []
     assert [f.name for f in dataclasses.fields(PicardDiagnostics)] == ["distances", "mesh_delta"]
 
 
@@ -1151,15 +1140,15 @@ def test_one_report_shape(tmp_path):
     headers = {p.name: p.read_text().splitlines()[0] for p in rundir.glob("*.csv")}
     assert headers.pop("failure_demo.csv") == "k,n_modes,ratio"
     assert headers == {f"{name}.csv": ",".join(fields) for name in CAMPAIGNS}
-    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
-    assert list(_column_tuples(source, "cli.py", fields)) == []
-    assert len(list(_key_reads(source, "cli.py", "interpolation"))) == 1
+    module = _index()["cli.py"]
+    assert list(_column_tuples(module.tree, "cli.py", fields)) == []
+    assert len(_key_reads(module.facts, "cli.py", "interpolation")) == 1
 
 
-def _column_tuples(source, name, columns):
-    """Lines of source with a tuple or list literal spelling two or more of columns: a copy
+def _column_tuples(tree, name, columns):
+    """Lines of tree with a tuple or list literal spelling two or more of columns: a copy
     of a record's field names."""
-    for node in ast.walk(ast.parse(source, filename=name)):
+    for node in ast.walk(tree):
         if isinstance(node, (ast.Tuple, ast.List)):
             spelled = [e for e in node.elts if isinstance(e, ast.Constant) and e.value in columns]
             if len(spelled) >= 2:
@@ -1174,7 +1163,7 @@ def test_guard_flags_column_tuples():
         "SIGMA = ('t', 'sigma')\n"
     )
     columns = [f.name for f in dataclasses.fields(TrialReport)]
-    assert len(list(_column_tuples(source, "bad.py", columns))) == 2
+    assert len(list(_column_tuples(ast.parse(source), "bad.py", columns))) == 2
 
 
 #: the records the package returns: marches and solves, tracked runs, tail fits and the
@@ -1184,9 +1173,9 @@ RESULT_RECORDS = (
 )
 
 
-def _mutable_dataclasses(source, name):
+def _mutable_dataclasses(tree, name):
     """"file:Class" of every class decorated as a dataclass without frozen=True."""
-    for node in ast.walk(ast.parse(source, filename=name)):
+    for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
             continue
         for deco in node.decorator_list:
@@ -1221,19 +1210,14 @@ def test_guard_flags_mutable_dataclasses():
         "class Plain:\n"
         "    x = 1\n"
     )
-    assert list(_mutable_dataclasses(source, "bad.py")) == [
+    assert list(_mutable_dataclasses(ast.parse(source), "bad.py")) == [
         "bad.py:Loose", "bad.py:Ordered", "bad.py:Thawed",
     ]
 
 
 def test_result_records_frozen():
     # a result is final once returned: a counter or a column is a field set when it is built
-    offenders = [
-        site
-        for path in sorted(PACKAGE.glob("*.py"))
-        for site in _mutable_dataclasses(path.read_text(encoding="utf-8"), path.name)
-    ]
-    assert offenders == []
+    assert _package_lines(_mutable_dataclasses) == []
     for record in RESULT_RECORDS:
         assert dataclasses.is_dataclass(record), record.__name__
         assert record.__dataclass_params__.frozen, record.__name__
